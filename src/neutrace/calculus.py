@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "stencil_derivative",
     "richardson",
     "interp_linear",
+    "cubic_stencil",
     "interp_cubic",
 ]
 
@@ -40,6 +42,15 @@ class QuadRule:
         return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
 
 
+@lru_cache(maxsize=128)
+def _leggauss(m: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), read-only and shared."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(m: int, a: float, b: float) -> QuadRule:
     """Gauss-Legendre rule with ``m`` nodes on (a, b).
 
@@ -50,7 +61,7 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadRule:
         raise ValueError(f"need at least one quadrature node, got m={m}")
     if not a < b:
         raise ValueError(f"empty or reversed interval ({a}, {b})")
-    x, w = np.polynomial.legendre.leggauss(int(m))
+    x, w = _leggauss(int(m))
     half = 0.5 * (b - a)
     return QuadRule(0.5 * (a + b) + half * x, half * w, (float(a), float(b)))
 
@@ -200,6 +211,20 @@ def interp_linear(q, x0: float, dx: float, table: np.ndarray):
     return (1.0 - th) * table[..., k] + th * table[..., k + 1]
 
 
+def cubic_stencil(q, x0: float, dx: float, npts: int):
+    """Stencil of :func:`interp_cubic` on an ``npts``-point uniform table.
+
+    Returns the base index k and the Lagrange weights of the table nodes
+    k - 1, k, k + 1, k + 2, each shaped like ``q``.
+    """
+    k, th = _locate(q, x0, dx, npts, 1, npts - 3)
+    wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
+    w0 = (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0
+    w1 = -th * (th + 1.0) * (th - 2.0) / 2.0
+    w2 = th * (th * th - 1.0) / 6.0
+    return k, (wm1, w0, w1, w2)
+
+
 def interp_cubic(q, x0: float, dx: float, table: np.ndarray):
     """Four-point Lagrange interpolation of a uniform table at ``q``.
 
@@ -207,11 +232,7 @@ def interp_cubic(q, x0: float, dx: float, table: np.ndarray):
     stencil, which keeps the formula defined and degrades gracefully.
     """
     table = np.asarray(table, dtype=float)
-    k, th = _locate(q, x0, dx, table.shape[-1], 1, table.shape[-1] - 3)
-    wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-    w0 = (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0
-    w1 = -th * (th + 1.0) * (th - 2.0) / 2.0
-    w2 = th * (th * th - 1.0) / 6.0
+    k, (wm1, w0, w1, w2) = cubic_stencil(q, x0, dx, table.shape[-1])
     return (
         wm1 * table[..., k - 1]
         + w0 * table[..., k]

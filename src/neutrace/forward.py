@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import gauss_legendre, interp_cubic
+from .calculus import cubic_stencil, gauss_legendre
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
@@ -91,8 +91,10 @@ class SolverParams:
 
     ``h_t`` and ``h_nu`` default to 1e-3 times the characteristic time
     and geometry scales when left unset.  ``table_points`` switches the
-    two-dimensional trace simulation to a per-node radial table of the
-    spherical means (0 keeps the direct evaluation).
+    two-dimensional trace simulation to a radial table of the spherical
+    means around each normal-stencil centre, filled only on the band of
+    radii that can meet the phantom; the map from a table to a trace row is
+    built once per run as a sparse operator (0 keeps the direct evaluation).
     """
 
     h_t: float | None = None
@@ -326,25 +328,76 @@ def _node_trace_sections_3d(f, center_pts, times, params):
     return out
 
 
-def _node_trace_table_2d(f, center_pts, times, params):
-    """Two-dimensional fast path: per-center radial table of the means."""
+def _radial_table_2d(f, c, r_grid, mean_res):
+    """Means of f on circles around c at the radii of ``r_grid``.
+
+    A circle of radius r around c stays at distance >= |r - |c - b.center||
+    from a bump centre (triangle inequality), so only radii within one bump
+    radius of that distance can meet the bump.  Only those are evaluated;
+    the rest are exact zeros.  The band is widened by one grid step, far
+    beyond the roundoff in the sample points.
+    """
+    dr = r_grid[1] - r_grid[0]
+    band = np.zeros(r_grid.shape[0], dtype=bool)
+    for b in f.bumps:
+        d = float(np.sqrt(np.sum((np.asarray(b.center, dtype=float) - c) ** 2)))
+        band |= np.abs(r_grid - d) < b.radius + dr
+    table = np.zeros(r_grid.shape[0])
+    idx = np.flatnonzero(band)
+    if idx.size:
+        table[idx] = sphere_means(f, c, r_grid[idx], mean_res, n=2)
+    return table
+
+
+def _trace_operator_2d(times, params, r_grid):
+    """Sparse map from a radial table of the means to one trace row.
+
+    Row i evaluates, for a table T on ``r_grid`` around one centre,
+        sum_m D4_m / h_t * tau_im * sum_q wphi_q * cubic(T)(|tau_im| sin phi_q),
+    tau_im = t_i + s_m h_t: the time stencil of the Abel-type integral with
+    the table interpolated at the sine-substituted radii.  The map depends
+    only on the times, the steps and the radial rule, so one build serves
+    every centre.  Returns (rows, cols, coefs), sorted by row and then column,
+    with each (row, column) pair once.  Query radii outside the table raise
+    instead of being clamped onto its end stencils.
+    """
     rule = _radial_rule(params.radial_quad)
     sin_phi = np.sin(rule.nodes)
     wphi = rule.weights * sin_phi
     h = params.h_t
-    npts = params.table_points
-    r_max = (times[-1] + 2.0 * h) * (1.0 + 1e-9) + 1e-12
-    r_grid = np.linspace(0.0, r_max, npts)
+    npts = r_grid.shape[0]
     dr = r_grid[1] - r_grid[0]
-    out = np.empty((center_pts.shape[0], times.shape[0]))
-    taus = times[:, None] + h * _D4_OFFSETS
-    radii = np.abs(taus)[..., None] * sin_phi  # (nt, 4, q)
-    for i, c in enumerate(center_pts):
-        table = sphere_means(f, c, r_grid, params.mean_res, n=2)
-        means = interp_cubic(radii, 0.0, dr, table)
-        g = taus * np.sum(means * wphi, axis=-1)
-        out[i] = np.sum(g * _D4_WEIGHTS, axis=-1) / h
-    return out
+    rows, cols, coefs = [], [], []
+    # blocks of 32 time rows bound the memory of the unmerged entries
+    for lo in range(0, times.shape[0], 32):
+        taus = times[lo : lo + 32, None] + h * _D4_OFFSETS  # (b, 4)
+        radii = np.abs(taus)[..., None] * sin_phi  # (b, 4, q)
+        if radii.min() < r_grid[0] or radii.max() > r_grid[-1]:
+            raise ConfigurationError(
+                f"query radii [{radii.min():.6g}, {radii.max():.6g}] leave the radial "
+                f"table [{r_grid[0]:.6g}, {r_grid[-1]:.6g}]"
+            )
+        k, weights = cubic_stencil(radii, r_grid[0], dr, npts)
+        scale = (_D4_WEIGHTS / h * taus)[..., None] * wphi
+        local = np.arange(taus.shape[0])[:, None, None] * npts + k
+        key = np.concatenate([(local + l - 1).ravel() for l in range(4)])
+        val = np.concatenate([(scale * w).ravel() for w in weights])
+        dense = np.bincount(key, weights=val, minlength=taus.shape[0] * npts)
+        nz = np.flatnonzero(dense)
+        rows.append(lo + nz // npts)
+        cols.append(nz % npts)
+        coefs.append(dense[nz])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs)
+
+
+def _node_trace_table_2d(f, center_pts, stencil_w, r_grid, operator, nt, mean_res):
+    """One node's trace row: the normal-stencil combination of the centre
+    tables, mapped through the trace operator."""
+    table = np.zeros(r_grid.shape[0])
+    for c, s in zip(center_pts, stencil_w):
+        table += s * _radial_table_2d(f, c, r_grid, mean_res)
+    rows, cols, coefs = operator
+    return np.bincount(rows, weights=coefs * table[cols], minlength=nt)
 
 
 def simulate_traces(
@@ -374,17 +427,24 @@ def simulate_traces(
     t_samples = times.samples
     offsets, stencil_w = _nu_stencil(params)
     values = np.zeros((len(boundary), times.nt))
+    table_2d = n == 2 and params.table_points > 0
 
     if f.bumps:
+        if table_2d:
+            r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+            r_grid = np.linspace(0.0, r_max, params.table_points)
+            operator = _trace_operator_2d(t_samples, params, r_grid)
+
         def run_node(j):
             centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
             if n == 3:
-                rows = _node_trace_sections_3d(f, centers, t_samples, params)
-            elif params.table_points > 0:
-                rows = _node_trace_table_2d(f, centers, t_samples, params)
+                out = stencil_w @ _node_trace_sections_3d(f, centers, t_samples, params)
+            elif table_2d:
+                out = _node_trace_table_2d(
+                    f, centers, stencil_w, r_grid, operator, times.nt, params.mean_res
+                )
             else:
-                rows = _node_trace_direct(f, centers, t_samples, params, n)
-            out = stencil_w @ rows
+                out = stencil_w @ _node_trace_direct(f, centers, t_samples, params, n)
             out[0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
             return j, out
 

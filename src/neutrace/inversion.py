@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import gauss_legendre, interp_cubic, interp_linear
+from .calculus import cubic_stencil, gauss_legendre
 from .forward import InsufficientDataError, TraceGrid
 from .geometry import ELLIPSOID, ConvexDomain, boundary_distance, contains
 from .transforms import (
@@ -163,20 +163,15 @@ def _interp_rows(values: np.ndarray, dt: float, queries: np.ndarray, kind: str) 
     """
     rows, nt = values.shape
     q = np.atleast_2d(queries.T).T if queries.ndim == 1 else queries
-    u = q / dt
     if kind == "linear":
+        u = q / dt
         k = np.clip(np.floor(u).astype(int), 0, nt - 2)
         th = np.clip(u - k, 0.0, 1.0)
         flat = values.reshape(-1)
         base = (np.arange(rows)[:, None] * nt + k).reshape(-1)
         out = (1.0 - th).reshape(-1) * flat[base] + th.reshape(-1) * flat[base + 1]
         return out.reshape(q.shape) if queries.ndim > 1 else out.reshape(rows)
-    k = np.clip(np.floor(u).astype(int), 1, nt - 3)
-    th = u - k
-    wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-    w0 = (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0
-    w1 = -th * (th + 1.0) * (th - 2.0) / 2.0
-    w2 = th * (th * th - 1.0) / 6.0
+    k, (wm1, w0, w1, w2) = cubic_stencil(q, 0.0, dt, nt)
     flat = values.reshape(-1)
     base = np.arange(rows)[:, None] * nt + k
     out = (

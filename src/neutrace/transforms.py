@@ -38,7 +38,6 @@ __all__ = [
     "KernelProfile",
     "OutOfRegionError",
     "EndpointSingularityError",
-    "phantom_eval",
     "spherical_mean",
     "sphere_means",
     "mollifier_eval",
@@ -143,10 +142,6 @@ class Phantom:
             return 0.0
         centers = np.array([b.center for b in self.bumps], dtype=float)
         return float(np.abs(self.eval(centers)).max())
-
-
-def phantom_eval(f: Phantom, x):
-    return f.eval(x)
 
 
 def bump_radial(bump: Bump, rho, n: int | None = None):

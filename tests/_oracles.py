@@ -90,3 +90,37 @@ def poly_integral(coeffs, a: float, b: float) -> float:
     for k, c in enumerate(coeffs):
         total += c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
     return total
+
+
+def trace_table_2d_per_centre(tables, stencil_w, times, h_t: float, radial_quad: int, r_grid):
+    """Two-dimensional table traces of one node, centre by centre.
+
+    ``tables[c]`` holds the circular means around normal-stencil centre c on
+    the uniform ``r_grid``.  Each centre's table is interpolated at the
+    sine-substituted radii |tau| sin(phi) with four-point Lagrange weights
+    written out here, integrated over phi, differenced in time, and only
+    then combined across centres with ``stencil_w``: the order of the
+    per-centre route the trace operator replaced.
+    """
+    x, w = np.polynomial.legendre.leggauss(radial_quad)
+    half = 0.25 * math.pi  # Gauss-Legendre on (0, pi/2)
+    phi = half + half * x
+    wphi = half * w * np.sin(phi)
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+    d4 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+    taus = np.asarray(times)[:, None] + h_t * offsets
+    u = np.abs(taus)[..., None] * np.sin(phi) / (r_grid[1] - r_grid[0])
+    k = np.clip(np.floor(u).astype(int), 1, len(r_grid) - 3)
+    th = u - k
+    lagrange = (
+        -th * (th - 1.0) * (th - 2.0) / 6.0,
+        (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0,
+        -th * (th + 1.0) * (th - 2.0) / 2.0,
+        th * (th * th - 1.0) / 6.0,
+    )
+    row = np.zeros(len(times))
+    for table, s in zip(tables, stencil_w):
+        means = sum(lw * table[k + l - 1] for l, lw in enumerate(lagrange))
+        g = taus * np.sum(means * wphi, axis=-1)
+        row += s * np.sum(g * d4, axis=-1) / h_t
+    return row

@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import trace_table_2d_per_centre
 from neutrace.forward import (
+    _D4_WEIGHTS,
     ConfigurationError,
     InsufficientDataError,
     SolverParams,
     TimeGrid,
     TraceFormatError,
     TraceGrid,
+    _nu_stencil,
+    _radial_table_2d,
+    _trace_operator_2d,
     huygens_horizon,
     neumann_trace,
     phantom_hash,
@@ -23,12 +28,49 @@ from neutrace.forward import (
     write_trace_file,
 )
 from neutrace.geometry import boundary_quadrature, ellipsoid
-from neutrace.transforms import Bump, Phantom
+from neutrace.transforms import Bump, Phantom, sphere_means
 
 # field at x = (0.3, 0), t = 0.7 for the centered radius-0.5 bump, frozen
 # from a run at four times the resolution (mean_res 512, radial_quad 768)
 # roundoff: sum|w| / h_t = 1500 times one ulp of |g| <= t max f = 0.7 is 2.3e-13, pin abs 1e-6
 WAVE_2D_REFERENCE = -0.27441887450075847
+
+# a smooth and a polynomial bump whose circle bands overlap for some centres
+TWO_BUMPS_2D = Phantom(
+    (
+        Bump(center=(0.1, 0.0), radius=0.4),
+        Bump(center=(-0.3, 0.35), radius=0.25, amplitude=0.1, profile="poly"),
+    )
+)
+
+
+# How far the trace-operator route may drift from the per-centre reference.
+# Both evaluate, per trace sample, the same sum
+#     sum_c s_c sum_{m,q,l} D4_m / h_t * tau_m * wphi_q * L_l * T_c[k + l]
+# from bitwise-equal factors (normal weights s_c, time weights D4_m, radial
+# weights wphi_q, Lagrange weights L_l, tables T_c), only in different
+# orders.  Evaluated in any order, such a sum is within gamma_K <= K eps of
+# the exact one times the sum of the absolute terms (Higham, Accuracy and
+# Stability of Numerical Algorithms, sec. 3.1), K being the longest chain of
+# roundings a term goes through: the operator route adds up to 16 q entries
+# per row (4 time points x q radii x 4 table nodes) after at most 16 products,
+# merges and normal-stencil additions, the reference about q + 16.  The
+# absolute terms add up to at most
+#     sum |s_c| * sum |D4_m| / h_t * (t_max + 2 h_t) * sum wphi_q * Lambda * max |f|,
+# with sum wphi_q = int_0^pi/2 sin = 1, a mean never above max |f|, and
+# Lambda = 1.64 bounding the Lebesgue function of the four-point stencil (1.25
+# mid-table, 1.63 in the end intervals).  For the two-bump fixture below
+# (h_nu = 1e-3, h_t = 4e-3, q = 48, max f = 1.53) the bound is 7.1e-7; the
+# routes differ by 2.7e-12 there, while a 1023- instead of 1024-point table
+# moves the traces by 3.3e-2.
+def table_route_roundoff(params, t_max, f):
+    q = params.radial_quad
+    chain = (16 * q + 16) + (q + 16)
+    amp = np.abs(_nu_stencil(params)[1]).sum() * np.abs(_D4_WEIGHTS).sum() / params.h_t
+    lebesgue = 1.64
+    terms = amp * (t_max + 2.0 * params.h_t) * lebesgue * f.peak()
+    return chain * np.finfo(float).eps * terms
+
 
 # interior points well inside the radius-0.35 bump support where the
 # initial-condition differencing stays in its asymptotic regime
@@ -261,6 +303,53 @@ def test_table_accelerated_2d_traces_match_direct(unit_disk):
     tabled = simulate_traces(f, unit_disk, bq, times, SolverParams(table_points=4096))
     scale = np.abs(direct.values).max()
     assert np.abs(direct.values - tabled.values).max() <= 1e-4 * max(scale, 1.0)
+
+
+def test_radial_table_band_equals_full_means():
+    r_grid = np.linspace(0.0, 4.01, 1024)
+    for c in ((1.001, 0.0), (-0.2, 0.999), (0.1, 0.0)):
+        band = _radial_table_2d(TWO_BUMPS_2D, np.asarray(c), r_grid, 32)
+        full = sphere_means(TWO_BUMPS_2D, c, r_grid, 32, n=2)
+        np.testing.assert_array_equal(band, full)
+        assert np.count_nonzero(band) < r_grid.size // 2
+
+
+def test_trace_operator_matches_per_centre_reference(unit_disk):
+    bq = boundary_quadrature(unit_disk, 12)
+    times = TimeGrid(t_max=4.0, nt=40)
+    params = SolverParams(table_points=1024).resolved(domain=unit_disk, t_scale=times.t_max)
+    got = simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, params).values
+    # the table grid simulate_traces lays over [0, t_max + 2 h_t]
+    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+    r_grid = np.linspace(0.0, r_max, params.table_points)
+    offsets, stencil_w = _nu_stencil(params)
+    tol = table_route_roundoff(params, times.t_max, TWO_BUMPS_2D)
+    for j in range(len(bq)):
+        centres = bq.points[j] + offsets[:, None] * bq.normals[j]
+        tables = [sphere_means(TWO_BUMPS_2D, c, r_grid, params.mean_res, n=2) for c in centres]
+        ref = trace_table_2d_per_centre(
+            tables, stencil_w, times.samples, params.h_t, params.radial_quad, r_grid
+        )
+        assert got[j, 0] == 0.0
+        np.testing.assert_allclose(got[j, 1:], ref[1:], rtol=0.0, atol=tol)
+
+
+def test_trace_operator_rejects_radii_beyond_the_table():
+    params = SolverParams().resolved(t_scale=4.0)
+    times = TimeGrid(t_max=4.0, nt=40).samples
+    with pytest.raises(ConfigurationError, match="radial table"):
+        _trace_operator_2d(times, params, np.linspace(0.0, 3.0, 512))
+    with pytest.raises(ConfigurationError, match="radial table"):
+        _trace_operator_2d(times, params, np.linspace(0.1, 4.1, 512))
+
+
+def test_table_2d_threads_do_not_change_values(unit_disk):
+    bq = boundary_quadrature(unit_disk, 12)
+    times = TimeGrid(t_max=4.0, nt=40)
+    params = SolverParams(table_points=1024)
+    serial = simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, params)
+    threaded = simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, params, threads=2)
+    np.testing.assert_array_equal(serial.values, threaded.values)
 
 
 # ---------------------------------------------------------------------------

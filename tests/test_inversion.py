@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from neutrace.calculus import cubic_stencil, gauss_legendre
 from neutrace.forward import (
     _D4_WEIGHTS,
     InsufficientDataError,
@@ -18,6 +19,8 @@ from neutrace.geometry import boundary_quadrature
 from neutrace.inversion import (
     ImageGrid,
     ReconstructionOptions,
+    _angular_set,
+    _correction_constant,
     backproject_even,
     backproject_odd,
     correction_K,
@@ -26,7 +29,7 @@ from neutrace.inversion import (
     write_image_csv,
     write_image_pgm,
 )
-from neutrace.transforms import Bump, Phantom
+from neutrace.transforms import Bump, Phantom, _cached_profile
 
 # back-projected value at the bump centre for the radius-0.35 phantom in
 # the unit ball (boundary resolution 8, 120 times up to t = 3); the exact
@@ -62,8 +65,58 @@ def ball_peak_roundoff(traces, f, x):
 
 # correction integral for a radius-0.25 bump at (0.35, 0.2) on the
 # exponent-4 superellipse, evaluated at (0.1, 0)
-# roundoff: one-ulp noise in the chord lengths moves it by 1.6e-12 (std), over its 1e-12 pin
 SE4_CORRECTION_AT_01 = -0.004860378662794843
+
+# How far roundoff in the chord lengths can move that value.  correction_K is
+#     C sum_w ww r_max sum_k rw_k f(x + r_k w) K_w(<x, w> + r_k / 2),
+# K_w the second offset derivative of the Hilbert transform of the chord
+# profile along w, read off a table by the four-point cubic (weights L_l).
+# Let every chord sample carry an error e.  The Hilbert table entry at s_i
+# (transforms._profile_tables) is the sum of jac_j (phi_j - phi(s_i)) / (s_i - t_j)
+# and phi(s_i) log((s_i - a) / (b - s_i)), over pi, so it moves by at most
+#     e A_i,  A_i = (2 sum_j jac_j / |s_i - t_j| + |log((s_i - a) / (b - s_i))|) / pi.
+# Table points come within 4.6e-7 of quadrature nodes, so single A_i are large.
+# The Richardson second difference (16 d(ds) - d(2 ds)) / 15 has weights
+# 21/8, 64/45, 1/9, 1/720 (in absolute value) at offsets 0, +-1, +-2, +-4,
+# over ds^2.  Carrying these absolute weights along exactly the table entries
+# the quadrature reads, each weighted by |C ww r_max rw_k f L_l|, gives the
+# bound below, with e taken as one ulp of the longest chord (2.57): 4.4e-11
+# for the fixture.  Gaussian noise of that size on every chord sample moves
+# the value by 2.5e-12 (std; max 6.3e-12 over 12 draws), while the smallest
+# method change tried (63 instead of 64 directions) moves it by 1.9e-7.
+RICHARDSON_2_ABS = (
+    (-4, 1 / 720), (-2, 1 / 9), (-1, 64 / 45), (0, 21 / 8), (1, 64 / 45), (2, 1 / 9), (4, 1 / 720)
+)
+
+
+def se4_correction_roundoff(domain, f, x, opts):
+    quad = gauss_legendre(opts.kernel_quad, -0.5 * math.pi, 0.5 * math.pi)
+    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
+    r_max = max(float(np.linalg.norm(np.asarray(b.center) - x)) + b.radius for b in f.bumps)
+    r = r_max * rad.nodes
+    total, chord = 0.0, 0.0
+    for omega, w_omega in zip(*_angular_set(2, opts.k_angular)):
+        fvals = f.eval(x + r[:, None] * omega)
+        mask = fvals != 0.0
+        if not np.any(mask):
+            continue
+        prof = _cached_profile(
+            domain, omega, 2, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, True
+        )
+        s_grid, w, sc = prof.s_grid, prof.halfwidth, prof.s_center
+        jac = w * np.cos(quad.nodes) * quad.weights
+        gaps = np.abs(s_grid[:, None] - (sc + w * np.sin(quad.nodes)))
+        ends = np.abs(np.log((s_grid - sc + w) / (sc + w - s_grid)))
+        hilbert = np.pad((2.0 * np.sum(jac / gaps, axis=1) + ends) / math.pi, 4)
+        ds = s_grid[1] - s_grid[0]
+        second = sum(c * hilbert[4 + o : 4 + o + s_grid.size] for o, c in RICHARDSON_2_ABS)
+        second /= ds**2
+        k, lagrange = cubic_stencil(float(x @ omega) + 0.5 * r[mask], s_grid[0], ds, s_grid.size)
+        dk = sum(np.abs(lw) * second[k + l - 1] for l, lw in enumerate(lagrange))
+        total += w_omega * r_max * np.sum(rad.weights[mask] * np.abs(fvals[mask]) * dk)
+        chord = max(chord, float(prof.rchi.max()))
+    return abs(_correction_constant(2)) * total * np.finfo(float).eps * chord
+
 
 SE4_OPTS = ReconstructionOptions(
     k_radial=24, k_angular=64, kernel_table=512, kernel_quad=256, kernel_margin=0.25
@@ -232,7 +285,8 @@ def test_correction_input_types(bump2d, se4):
 def test_correction_nonzero_off_centre_on_the_superellipse(se4):
     f = Phantom((Bump(center=(0.35, 0.2), radius=0.25),))
     got = correction_K(f, (0.1, 0.0), se4, SE4_OPTS)
-    assert got == pytest.approx(SE4_CORRECTION_AT_01, abs=1e-12)  # frozen
+    tol = se4_correction_roundoff(se4, f, np.array([0.1, 0.0]), SE4_OPTS)
+    assert got == pytest.approx(SE4_CORRECTION_AT_01, abs=tol)  # frozen regression value
     assert abs(got) >= 1e-3
 
 
