@@ -11,7 +11,6 @@ significant digits, and no output contains wall-clock content unless
 from __future__ import annotations
 
 import argparse
-import itertools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -32,11 +31,12 @@ from .forward import (
 )
 from .geometry import (
     ConvexDomain,
-    boundary_distance,
     boundary_quadrature,
     contains,
     domain_diameter,
     ellipsoid,
+    grid_corners,
+    grid_margin,
     superellipse,
     support_halfwidth,
 )
@@ -353,21 +353,23 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     if grid is not None:
-        glo, ghi, gshape = grid
-        # the boundary distance is concave on a convex domain, so its
-        # minimum over the grid box is attained at a corner
-        rho = support_margin(phantom, domain) if phantom.bumps else None
-        for corner in itertools.product(*zip(glo, ghi)):
-            point = np.asarray(corner)
-            if not contains(domain, point):
-                raise ConfigError(f"grid corner {corner} lies outside the domain")
-            if recon.correction != "none" and rho is not None:
-                dist = boundary_distance(domain, point)
-                if dist < 0.5 * rho:
-                    raise ConfigError(
-                        f"grid corner {corner} is outside the safety region: boundary "
-                        f"distance {dist:.6g} < rho/2 = {0.5 * rho:.6g}"
-                    )
+        # the correction's kernel needs grid corners at least rho/2 from the rim
+        safety = recon.correction != "none" and bool(phantom.bumps)
+        try:
+            axes = ImageGrid(*grid).axes()
+            if safety:
+                dist, corner = grid_margin(domain, axes)
+            else:
+                grid_corners(domain, axes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if safety:
+            rho = support_margin(phantom, domain)
+            if dist < 0.5 * rho:
+                raise ConfigError(
+                    f"grid corner {corner} is outside the safety region: boundary "
+                    f"distance {dist:.6g} < rho/2 = {0.5 * rho:.6g}"
+                )
 
     validate_opts = {
         "checks": entries.string_list("validate.checks", default=()),

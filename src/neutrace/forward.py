@@ -45,7 +45,7 @@ __all__ = [
     "read_trace_file",
 ]
 
-TRACE_FORMAT = "neumann-trace/1"
+TRACE_FORMAT = "neumann-trace/2"
 
 _D4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -357,9 +357,10 @@ def _trace_operator_2d(times, params, r_grid):
     tau_im = t_i + s_m h_t: the time stencil of the Abel-type integral with
     the table interpolated at the sine-substituted radii.  The map depends
     only on the times, the steps and the radial rule, so one build serves
-    every centre.  Returns (rows, cols, coefs), sorted by row and then column,
-    with each (row, column) pair once.  Query radii outside the table raise
-    instead of being clamped onto its end stencils.
+    every centre.  Returns (rows, cols, coefs, ptr), sorted by column and
+    then row, with each (row, column) pair once; ``ptr[k]:ptr[k + 1]`` holds
+    the entries of column k.  Query radii outside the table raise instead of
+    being clamped onto its end stencils.
     """
     rule = _radial_rule(params.radial_quad)
     sin_phi = np.sin(rule.nodes)
@@ -387,17 +388,30 @@ def _trace_operator_2d(times, params, r_grid):
         rows.append(lo + nz // npts)
         cols.append(nz % npts)
         coefs.append(dense[nz])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs)
+    rows, cols, coefs = np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs)
+    # the blocks come in row order, so a stable sort keeps the rows ascending within a column
+    order = np.argsort(cols, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
+    return rows[order], cols[order], coefs[order], ptr
 
 
 def _node_trace_table_2d(f, center_pts, stencil_w, r_grid, operator, nt, mean_res):
     """One node's trace row: the normal-stencil combination of the centre
-    tables, mapped through the trace operator."""
+    tables, mapped through the trace operator.
+
+    Only the operator columns where the combined table is non-zero are
+    applied, run by contiguous run; the tables vanish outside their radial
+    bands, so that skips most columns.  Each row still sums its terms in
+    column order, and the skipped terms are exact zeros, which leave the
+    sum bit-identical to the full apply.
+    """
     table = np.zeros(r_grid.shape[0])
     for c, s in zip(center_pts, stencil_w):
         table += s * _radial_table_2d(f, c, r_grid, mean_res)
-    rows, cols, coefs = operator
-    return np.bincount(rows, weights=coefs * table[cols], minlength=nt)
+    rows, cols, coefs, ptr = operator
+    runs = np.flatnonzero(np.diff(table != 0.0, prepend=False, append=False)).reshape(-1, 2)
+    sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs] + [np.zeros(0, int)])
+    return np.bincount(rows[sel], weights=coefs[sel] * table[cols[sel]], minlength=nt)
 
 
 def simulate_traces(
@@ -482,10 +496,13 @@ def phantom_hash(f: Phantom) -> str:
 
 
 def _fmt(x: float) -> str:
+    # 17 significant digits read back to the same double: the round trip is bit-exact
     return "%.17g" % x
 
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
+    """Write traces as ``neumann-trace/2``: ``# key = value`` header lines,
+    then one CSV row per boundary node, ``y, nu, weight, v_0..v_{nt-1}``."""
     d = traces.domain
     n = d.dimension
     lines = [f"# {TRACE_FORMAT}"]
@@ -508,41 +525,34 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     lines.append(f"# solver.nu_order = {p.nu_order}")
     lines.append(f"# solver.table_points = {p.table_points}")
     lines.append(f"# phantom.hash = {traces.phantom_hash}")
-    cols = ["node_index", "time_index"]
-    cols += [f"y_{i+1}" for i in range(n)] + [f"nu_{i+1}" for i in range(n)]
-    cols += ["weight", "t", "value"]
+    cols = [f"y_{i+1}" for i in range(n)] + [f"nu_{i+1}" for i in range(n)]
+    cols += ["weight"] + [f"v_{i}" for i in range(traces.times.nt)]
     lines.append("# columns: " + ",".join(cols))
-    t_samples = traces.times.samples
+    b = traces.boundary
+    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        for j in range(len(traces.boundary)):
-            y = traces.boundary.points[j]
-            nu = traces.boundary.normals[j]
-            w = traces.boundary.weights[j]
-            fixed = ",".join(_fmt(v) for v in (*y, *nu, w))
-            for i, t in enumerate(t_samples):
-                fh.write(f"{j},{i},{fixed},{_fmt(t)},{_fmt(traces.values[j, i])}\n")
+        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in block)
 
 
 def read_trace_file(path) -> TraceGrid:
+    """Read a ``neumann-trace/2`` file written by :func:`write_trace_file`."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    first = lines[0].strip() if lines else ""
+    if first != f"# {TRACE_FORMAT}":
+        raise TraceFormatError(
+            f"unsupported trace format {first!r}, expected '# {TRACE_FORMAT}'"
+        )
     header: dict[str, str] = {}
     rows: list[str] = []
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != f"# {TRACE_FORMAT}":
-            raise TraceFormatError(
-                f"unsupported trace format {first!r}, expected '# {TRACE_FORMAT}'"
-            )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip()
-                continue
+    for line in lines[1:]:
+        line = line.strip()
+        if line.startswith("#"):
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                header[key.strip()] = val.strip()
+        elif line:
             rows.append(line)
 
     def need(key):
@@ -570,31 +580,36 @@ def read_trace_file(path) -> TraceGrid:
         table_points=int(need("solver.table_points")),
     )
 
-    data = np.array([[float(v) for v in r.split(",")] for r in rows])
-    if data.size == 0 or data.shape[1] != 2 * n + 5:
-        raise TraceFormatError("trace rows malformed or missing")
-    node_idx = data[:, 0].astype(int)
-    time_idx = data[:, 1].astype(int)
-    counts = np.bincount(node_idx, minlength=num_nodes)
-    for j in range(num_nodes):
-        if counts[j] != nt:
+    if len(rows) < num_nodes:
+        raise InsufficientDataError(
+            f"trace file holds time samples for {len(rows)} of {num_nodes} nodes"
+        )
+    if len(rows) > num_nodes:
+        raise TraceFormatError(f"trace file holds {len(rows)} node rows, header says {num_nodes}")
+    width = 2 * n + 1 + nt
+    for j, row in enumerate(rows):
+        got = row.count(",") + 1
+        if got < width:
             raise InsufficientDataError(
-                f"node {j} has {counts[j]} of {nt} time samples in the trace file"
+                f"node {j} has {max(got - 2 * n - 1, 0)} of {nt} time samples in the trace file"
             )
-    points = np.zeros((num_nodes, n))
-    normals = np.zeros((num_nodes, n))
-    weights = np.zeros(num_nodes)
-    values = np.zeros((num_nodes, nt))
-    points[node_idx] = data[:, 2 : 2 + n]
-    normals[node_idx] = data[:, 2 + n : 2 + 2 * n]
-    weights[node_idx] = data[:, 2 + 2 * n]
-    values[node_idx, time_idx] = data[:, -1]
-    boundary = BoundaryQuadrature(points, normals, weights, int(need("boundary.resolution")))
+        if got > width:
+            raise TraceFormatError(f"node row {j} has {got} values, expected {width}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise TraceFormatError(f"trace rows malformed: {exc}") from None
+    boundary = BoundaryQuadrature(
+        data[:, :n].copy(),
+        data[:, n : 2 * n].copy(),
+        data[:, 2 * n].copy(),
+        int(need("boundary.resolution")),
+    )
     return TraceGrid(
         domain=domain,
         boundary=boundary,
         times=times,
-        values=values,
+        values=data[:, 2 * n + 1 :].copy(),
         params=params,
         phantom_hash=header.get("phantom.hash", ""),
     )

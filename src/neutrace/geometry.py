@@ -8,6 +8,7 @@ domains can be hashed and used as cache keys.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,8 @@ __all__ = [
     "chord_params",
     "support_halfwidth",
     "boundary_distance",
+    "grid_corners",
+    "grid_margin",
     "domain_diameter",
 ]
 
@@ -312,6 +315,35 @@ def boundary_distance(domain: ConvexDomain, point) -> float:
         u = np.clip(np.linspace(u0 - 8 * du, u0 + 8 * du, 17), -1.0, 1.0)
         phi = np.linspace(phi0 - 8 * dphi, phi0 + 8 * dphi, 17)
     return float(dist_grid(u, phi).min())
+
+
+def grid_corners(domain: ConvexDomain, axes) -> list[tuple[float, ...]]:
+    """Distinct corners of the box spanned by a grid's sample axes.
+
+    ``axes`` holds the sample coordinates of each axis; the corners are the
+    products of their first and last entries, so they are grid points (an
+    axis with one sample contributes that sample only).  Raises ValueError
+    when a corner lies outside the domain.  On a convex domain the whole
+    grid then lies inside, since every grid point is a convex combination
+    of the corners.
+    """
+    ends = [(float(ax[0]), float(ax[-1])) for ax in axes]
+    corners = list(dict.fromkeys(itertools.product(*ends)))
+    for corner in corners:
+        if not contains(domain, np.asarray(corner)):
+            raise ValueError(f"grid corner {corner} lies outside the domain")
+    return corners
+
+
+def grid_margin(domain: ConvexDomain, axes) -> tuple[float, tuple[float, ...]]:
+    """Smallest boundary distance over a grid and the corner attaining it.
+
+    Inside a convex domain the distance to the boundary is the infimum of
+    the distances to its supporting hyperplanes, each affine there, so it
+    is concave and its minimum over the grid box is attained at a corner
+    (:func:`grid_corners`, which also rejects corners outside the domain).
+    """
+    return min((boundary_distance(domain, c), c) for c in grid_corners(domain, axes))
 
 
 def domain_diameter(domain: ConvexDomain) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import cubic_stencil, gauss_legendre
 from .forward import InsufficientDataError, TraceGrid
-from .geometry import ELLIPSOID, ConvexDomain, boundary_distance, contains
+from .geometry import ELLIPSOID, ConvexDomain, grid_margin
 from .transforms import (
     KernelProfile,
     Phantom,
@@ -360,11 +360,7 @@ def correction_K(
 
 
 def _grid_margin(domain: ConvexDomain, grid: ImageGrid) -> float:
-    pts = grid.points()
-    if not np.all(contains(domain, pts)):
-        raise ValueError("reconstruction grid has points outside the domain")
-    # the closest grid points to the rim dominate; checking all of them is cheap
-    return min(boundary_distance(domain, p) for p in pts)
+    return grid_margin(domain, grid.axes())[0]
 
 
 def reconstruct(

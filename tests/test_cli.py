@@ -149,6 +149,17 @@ def test_grid_safety_region_under_correction():
     assert cfg.grid is not None
 
 
+def test_grid_corners_of_a_single_sample_axis_sit_at_its_sample():
+    # the slice samples z = 0 only; grid.hi's z = 1.5 is no grid point
+    slab = "grid.lo = -0.5, -0.5, 0.0\ngrid.hi = 0.5, 0.5, 1.5\n"
+    cfg = parse_config(FORWARD_3D + slab + "grid.shape = 3, 3, 1\n")
+    assert cfg.grid is not None
+    with pytest.raises(ConfigError, match=r"grid corner \(-0\.5, -0\.5, 1\.5\) lies outside"):
+        parse_config(FORWARD_3D + slab + "grid.shape = 3, 3, 2\n")
+    with pytest.raises(ConfigError, match="degenerate axis range"):
+        parse_config(FORWARD_3D + "grid.lo = 0, 0, 0\ngrid.hi = 0, 0.5, 0\ngrid.shape = 3, 3, 1\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommand flows
 

@@ -8,6 +8,7 @@ import pytest
 from _oracles import trace_table_2d_per_centre
 from neutrace.forward import (
     _D4_WEIGHTS,
+    TRACE_FORMAT,
     ConfigurationError,
     InsufficientDataError,
     SolverParams,
@@ -27,7 +28,7 @@ from neutrace.forward import (
     wave_solution_even_alt,
     write_trace_file,
 )
-from neutrace.geometry import boundary_quadrature, ellipsoid
+from neutrace.geometry import boundary_quadrature, ellipsoid, superellipse
 from neutrace.transforms import Bump, Phantom, sphere_means
 
 # field at x = (0.3, 0), t = 0.7 for the centered radius-0.5 bump, frozen
@@ -334,6 +335,44 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
         np.testing.assert_allclose(got[j, 1:], ref[1:], rtol=0.0, atol=tol)
 
 
+@pytest.mark.parametrize(
+    "f, split_bands",
+    [
+        (TWO_BUMPS_2D, False),
+        # bands apart enough to split the non-zero columns into two runs at some nodes
+        (
+            Phantom((Bump(center=(0.55, 0.0), radius=0.2), Bump(center=(-0.5, 0.1), radius=0.25))),
+            True,
+        ),
+    ],
+    ids=["overlapping", "apart"],
+)
+def test_band_column_apply_equals_the_full_operator_apply(unit_disk, f, split_bands):
+    """simulate_traces applies the operator only on the columns where each
+    node's combined table is non-zero; the skipped products are exact zeros,
+    so every row equals the full apply bit for bit."""
+    bq = boundary_quadrature(unit_disk, 12)
+    times = TimeGrid(t_max=4.0, nt=40)
+    params = SolverParams(table_points=1024).resolved(domain=unit_disk, t_scale=times.t_max)
+    got = simulate_traces(f, unit_disk, bq, times, params).values
+    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+    r_grid = np.linspace(0.0, r_max, params.table_points)
+    rows, cols, coefs, _ = _trace_operator_2d(times.samples, params, r_grid)
+    offsets, stencil_w = _nu_stencil(params)
+    skipped = split = 0
+    for j in range(len(bq)):
+        table = np.zeros(r_grid.shape[0])
+        for c, s in zip(bq.points[j] + offsets[:, None] * bq.normals[j], stencil_w):
+            table += s * _radial_table_2d(f, c, r_grid, params.mean_res)
+        full = np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
+        full[0] = 0.0
+        assert got[j].tobytes() == full.tobytes()
+        skipped += np.count_nonzero(table[cols] == 0.0)
+        split += np.any(np.diff(np.flatnonzero(table)) > 1)
+    assert skipped > 0.5 * len(bq) * cols.size
+    assert (split > 0) == split_bands
+
+
 def test_trace_operator_rejects_radii_beyond_the_table():
     params = SolverParams().resolved(t_scale=4.0)
     times = TimeGrid(t_max=4.0, nt=40).samples
@@ -361,25 +400,112 @@ def _small_traces(f, domain):
     return simulate_traces(f, domain, bq, TimeGrid(t_max=3.0, nt=12))
 
 
+def _assert_same_traces(back, traces):
+    np.testing.assert_array_equal(back.values, traces.values)
+    np.testing.assert_array_equal(back.boundary.points, traces.boundary.points)
+    np.testing.assert_array_equal(back.boundary.normals, traces.boundary.normals)
+    np.testing.assert_array_equal(back.boundary.weights, traces.boundary.weights)
+    assert back.boundary.resolution == traces.boundary.resolution
+    assert back.times == traces.times
+    assert back.domain == traces.domain
+    assert back.params == traces.params
+    assert back.phantom_hash == traces.phantom_hash
+
+
 def test_trace_file_round_trip(tmp_path, bump3d, unit_ball):
     traces = _small_traces(bump3d, unit_ball)
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces)
     back = read_trace_file(path)
-    np.testing.assert_array_equal(back.values, traces.values)
-    np.testing.assert_array_equal(back.boundary.points, traces.boundary.points)
-    assert back.times.nt == traces.times.nt
-    assert back.times.t_max == traces.times.t_max
+    _assert_same_traces(back, traces)
     assert back.domain.kind == traces.domain.kind
     assert back.domain.semi_axes == traces.domain.semi_axes
-    assert back.params == traces.params
-    assert back.phantom_hash == traces.phantom_hash
+
+
+def test_trace_file_round_trip_superellipse_with_timestamp(tmp_path):
+    domain = superellipse((0.05, -0.02), (1.2, 0.9), 4.0)
+    f = Phantom((Bump(center=(0.25, 0.1), radius=0.3),))
+    bq = boundary_quadrature(domain, 16)
+    params = SolverParams(table_points=512)
+    traces = simulate_traces(f, domain, bq, TimeGrid(t_max=4.0, nt=20), params)
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, traces, timestamp="2026-01-02T03:04:05+00:00")
+    assert "# generated = 2026-01-02T03:04:05+00:00" in path.read_text().splitlines()[:3]
+    back = read_trace_file(path)
+    _assert_same_traces(back, traces)
+    assert back.domain.kind == "superellipse"
+    assert back.domain.exponent == 4.0
+
+
+def test_trace_file_layout(tmp_path, bump3d, unit_ball):
+    traces = _small_traces(bump3d, unit_ball)
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, traces)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/2"
+    columns = next(l for l in lines if l.startswith("# columns: "))
+    names = columns[len("# columns: ") :].split(",")
+    assert names[:7] == ["y_1", "y_2", "y_3", "nu_1", "nu_2", "nu_3", "weight"]
+    assert names[7:] == [f"v_{i}" for i in range(traces.times.nt)]
+    rows = [l for l in lines if not l.startswith("#")]
+    assert len(rows) == len(traces.boundary)
+    assert all(len(r.split(",")) == len(names) for r in rows)
 
 
 def test_trace_file_rejects_foreign_content(tmp_path):
     path = tmp_path / "bogus.csv"
     path.write_text("node,time,value\n0,0,0.0\n")
     with pytest.raises(TraceFormatError, match="unsupported trace format"):
+        read_trace_file(path)
+
+
+def test_trace_file_rejects_the_format_1_tag(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    text = path.read_text().replace("# neumann-trace/2", "# neumann-trace/1", 1)
+    path.write_text(text)
+    with pytest.raises(TraceFormatError, match="neumann-trace/2"):
+        read_trace_file(path)
+
+
+def _edit_row(path, index, edit):
+    lines = path.read_text().splitlines()
+    rows = [i for i, l in enumerate(lines) if not l.startswith("#")]
+    lines[rows[index]] = edit(lines[rows[index]])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row + ",0.5", "has 20 values, expected 19"),
+        (lambda row: row.replace(",", ",abc,", 1).rsplit(",", 1)[0], "malformed"),
+        (lambda row: row.replace(",", ",,", 1).rsplit(",", 1)[0], "malformed"),
+    ],
+    ids=["ragged", "non-numeric", "empty-field"],
+)
+def test_trace_file_malformed_row(tmp_path, bump3d, unit_ball, edit, message):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    _edit_row(path, 3, edit)
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace_file(path)
+
+
+def test_trace_file_short_row(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    _edit_row(path, 3, lambda row: row.rsplit(",", 2)[0])
+    with pytest.raises(InsufficientDataError, match="node 3 has 10 of 12 time samples"):
+        read_trace_file(path)
+
+
+def test_trace_file_rejects_extra_node_rows(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[-1:]) + "\n")
+    with pytest.raises(TraceFormatError, match="node rows"):
         read_trace_file(path)
 
 

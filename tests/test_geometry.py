@@ -1,5 +1,6 @@
 """Convex domains, boundary quadratures and chord parameters."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,11 +16,14 @@ from neutrace.geometry import (
     contains,
     domain_diameter,
     ellipsoid,
+    grid_corners,
+    grid_margin,
     level_value,
     outward_normal,
     superellipse,
     support_halfwidth,
 )
+from neutrace.inversion import ImageGrid, _grid_margin
 
 from _oracles import adaptive_simpson
 
@@ -266,6 +270,42 @@ def test_boundary_distance_shrinks_toward_the_rim(se4):
     d_mid = boundary_distance(se4, (0.6, 0.0))
     d_edge = boundary_distance(se4, (1.1, 0.0))
     assert d_center > d_mid > d_edge > 0.0
+
+
+# boundary_distance resolves the nearest rim point to about 1e-10 of the
+# domain scale, so two routes to the same minimum agree to that resolution
+DISTANCE_RESOLUTION = 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, shape",
+    [
+        ("ellipse21", (-0.3, -0.6), (0.7, 0.4), (6, 5)),
+        ("se4", (-0.1, -0.25), (0.6, 0.45), (5, 6)),
+        # the third axis has one sample, at lo = 0; hi = 0.6 is no grid point
+        ("unit_ball", (-0.5, -0.4, 0.0), (0.5, 0.3, 0.6), (5, 4, 1)),
+    ],
+)
+def test_grid_margin_equals_the_minimum_over_every_grid_point(request, name, lo, hi, shape):
+    domain = request.getfixturevalue(name)
+    grid = ImageGrid(lo, hi, shape)
+    brute = min(boundary_distance(domain, p) for p in grid.points())
+    got, corner = grid_margin(domain, grid.axes())
+    assert got == pytest.approx(brute, abs=DISTANCE_RESOLUTION)
+    assert any(np.array_equal(corner, p) for p in grid.points())
+    assert len(grid_corners(domain, grid.axes())) == 2 ** sum(k > 1 for k in shape)
+    assert _grid_margin(domain, grid) == got
+    if name == "unit_ball":
+        # corners taken at (lo, hi) would understate the margin
+        box = min(boundary_distance(domain, c) for c in itertools.product(*zip(lo, hi)))
+        assert box < brute - 0.1
+
+
+def test_grid_corners_reject_a_corner_outside_the_domain(unit_ball, se4):
+    with pytest.raises(ValueError, match=r"grid corner \(-1\.2, 0\.0, 0\.0\) lies outside"):
+        grid_corners(unit_ball, ImageGrid((-1.2, 0.0, 0.0), (1.2, 0.0, 0.0), (5, 1, 1)).axes())
+    with pytest.raises(ValueError, match="outside the domain"):
+        grid_margin(se4, ImageGrid((-0.1, -0.25), (1.2, 0.45), (3, 3)).axes())
 
 
 def test_domain_diameter(unit_ball, ellipse21):
