@@ -35,10 +35,8 @@ from .forward import (
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
-    DegeneratePointsError,
     boundary_distance,
     boundary_quadrature,
-    chord_params,
     contains,
     domain_diameter,
     ellipsoid,
@@ -89,14 +87,12 @@ __all__ = [
     # geometry
     "ConvexDomain",
     "BoundaryQuadrature",
-    "DegeneratePointsError",
     "ellipsoid",
     "superellipse",
     "contains",
     "outward_normal",
     "boundary_quadrature",
     "boundary_distance",
-    "chord_params",
     "support_halfwidth",
     "domain_diameter",
     # calculus

@@ -304,8 +304,9 @@ def _node_trace_sections_3d(f, center_pts, times, params):
             if d < 1e-14:
                 means += bump_radial(b, r, n=3)
                 continue
-            order = np.argsort(dirs @ (diff / d), kind="stable")
-            cs = (dirs @ (diff / d))[order]
+            cos = dirs @ (diff / d)
+            order = np.argsort(cos, kind="stable")
+            cs = cos[order]
             ws = w[order]
             with np.errstate(divide="ignore"):
                 thresh = (d * d + r * r - b.radius**2) / (2.0 * r * d)

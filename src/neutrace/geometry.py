@@ -19,14 +19,12 @@ from .calculus import gauss_legendre
 __all__ = [
     "ConvexDomain",
     "BoundaryQuadrature",
-    "DegeneratePointsError",
     "ellipsoid",
     "superellipse",
     "contains",
     "level_value",
     "outward_normal",
     "boundary_quadrature",
-    "chord_params",
     "support_halfwidth",
     "boundary_distance",
     "grid_corners",
@@ -36,14 +34,6 @@ __all__ = [
 
 ELLIPSOID = "ellipsoid"
 SUPERELLIPSE = "superellipse"
-
-#: pairs (x, y) closer than this are rejected by chord_params
-DEGENERACY_CUTOFF = 1e-14
-
-
-class DegeneratePointsError(ValueError):
-    """Chord parameters requested for two (numerically) identical points."""
-
 
 @dataclass(frozen=True)
 class ConvexDomain:
@@ -200,24 +190,6 @@ def boundary_quadrature(
     w = wu * (2.0 * np.pi / nphi) * jac
     pts = pts.reshape(-1, 3)
     return BoundaryQuadrature(pts, outward_normal(domain, pts), w.reshape(-1), resolution)
-
-
-def chord_params(x, y) -> tuple[np.ndarray, float]:
-    """Unit direction and offset of the perpendicular bisector hyperplane.
-
-    Returns (n, s) with n = (y - x)/|y - x| and s = (|y|^2 - |x|^2) /
-    (2 |y - x|); the hyperplane {z : <z, n> = s} contains the midpoint
-    of x and y and is orthogonal to the segment.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = y - x
-    dist = float(np.linalg.norm(diff))
-    if dist <= DEGENERACY_CUTOFF:
-        raise DegeneratePointsError(f"points coincide up to {DEGENERACY_CUTOFF}: {x}, {y}")
-    direction = diff / dist
-    offset = (float(np.dot(y, y)) - float(np.dot(x, x))) / (2.0 * dist)
-    return direction, offset
 
 
 def support_halfwidth(domain: ConvexDomain, theta) -> float:

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own quadrature helpers:
 oracles re-derive values through different algorithms (adaptive Simpson,
 symmetric-exclusion principal values, brute-force indicator quadrature) so
-that agreement is evidence, not circularity.
+that agreement is evidence, not circularity.  The exception is the ungated
+integral identity at the end: it keeps the package's own rules and fields and
+only evaluates the velocity everywhere, so that skipping exact zeros can be
+held to bit equality.
 """
 
 from __future__ import annotations
@@ -124,3 +127,110 @@ def trace_table_2d_per_centre(tables, stencil_w, times, h_t: float, radial_quad:
         g = taus * np.sum(means * wphi, axis=-1)
         row += s * np.sum(g * d4, axis=-1) / h_t
     return row
+
+
+def radial_velocity_ungated(bump, d, t, quad: int = 48):
+    """Closed radial velocity field with the 48-point quadrature run on every
+    (d, t) entry, empty intervals included: the full-broadcast form that the
+    gated ``validation.radial_velocity`` must reproduce."""
+    from neutrace.calculus import gauss_legendre
+    from neutrace.transforms import bump_radial
+
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    eps = bump.radius
+    lo = np.clip(np.abs(t - d), 0.0, eps)
+    hi = np.clip(t + d, 0.0, eps)
+    length = np.maximum(hi - lo, 0.0)
+    rule = gauss_legendre(quad, 0.0, 1.0)
+    rho = lo[..., None] + length[..., None] * rule.nodes
+    integral = length * np.sum(rho * bump_radial(bump, rho, 3) * rule.weights, axis=-1)
+    small = d < 1e-8 * eps
+    v = integral / (2.0 * np.where(small, 1.0, d))
+    return np.where(small, t * bump_radial(bump, t, 3), v)
+
+
+def _phantom_velocity_ungated(f, pts, t, quad: int = 48):
+    pts = np.asarray(pts, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
+    for b in f.bumps:
+        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        out = out + radial_velocity_ungated(b, d, t, quad=quad)
+    return out
+
+
+def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: float = 0.0,
+                                    velocity_quad: int = 48, chunk: int = 256) -> dict:
+    """Both sides of the three-dimensional integral identity with the velocity
+    field evaluated at every (point, time) pair of the boundary and volume
+    terms, as ``validation.check_integral_identity`` did before it evaluated
+    the velocity only where the pressure factor is non-zero.
+
+    Returns ``lhs``, ``rhs``, ``term_boundary``, ``term_volume`` and
+    ``weights_nonzero``, the number of pairs with a non-zero pressure factor
+    (normal derivative on the boundary, pressure in the volume).  Assumes both
+    phantoms are non-empty and inside the domain.
+    """
+    from neutrace.calculus import gauss_legendre
+    from neutrace.forward import huygens_horizon
+    from neutrace.geometry import boundary_quadrature
+    from neutrace.validation import _product_integral, phantom_pressure
+
+    scale = 1 << level
+    res_b = 16 * scale
+    nt = 48 * scale
+    m_rad, m_pol, m_azi = 20 * scale, 12 * scale, 24 * scale
+    m_box = 24 * scale
+    vq = velocity_quad * scale
+    h_lap = 1e-2 * min(domain.semi_axes) / scale
+    h_nu = 1e-3 * min(domain.semi_axes) / scale
+
+    boundary = boundary_quadrature(domain, res_b, phase=phase)
+    horizon = min(huygens_horizon(f, boundary), huygens_horizon(g, boundary))
+    lhs = _product_integral(f, g, m_box)
+    trule = gauss_legendre(nt, 0.0, horizon)
+
+    pts, nus, wb = boundary.points, boundary.normals, boundary.weights
+    vel = _phantom_velocity_ungated(g, pts[:, None, :], trule.nodes, quad=vq)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h_nu
+    stw = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_nu)
+    shifted = pts[:, None, :] + offs[None, :, None] * nus[:, None, :]
+    pshift = phantom_pressure(f, shifted[:, :, None, :], trule.nodes)
+    du = np.tensordot(stw, np.moveaxis(pshift, 1, 0), axes=(0, 0))
+    term_boundary = 2.0 * float(wb @ (du * vel) @ trule.weights)
+    nonzero = int(np.count_nonzero(du))
+
+    rr = gauss_legendre(m_rad, 0.0, 1.0)
+    pr = gauss_legendre(m_pol, -1.0, 1.0)
+    azi = 2.0 * np.pi * (np.arange(m_azi) + 0.5) / m_azi + phase
+    uu, ph_ = np.meshgrid(pr.nodes, azi, indexing="ij")
+    wu, _ = np.meshgrid(pr.weights, azi, indexing="ij")
+    st = np.sqrt(1.0 - uu * uu)
+    dirs = np.stack([st * np.cos(ph_), st * np.sin(ph_), uu], axis=-1).reshape(-1, 3)
+    wsph = (wu * (2.0 * np.pi / m_azi)).reshape(-1)
+    a = np.asarray(domain.semi_axes)
+    nodes = (np.asarray(domain.center) + rr.nodes[:, None, None] * dirs[None, :, :] * a).reshape(-1, 3)
+    wvol = (float(np.prod(a)) * (rr.weights * rr.nodes**2)[:, None] * wsph[None, :]).reshape(-1)
+
+    stencil = np.zeros((7, 3))
+    for i in range(3):
+        stencil[1 + 2 * i, i] = h_lap
+        stencil[2 + 2 * i, i] = -h_lap
+    term_volume = 0.0
+    for lo_i in range(0, nodes.shape[0], chunk):
+        block = nodes[lo_i : lo_i + chunk]
+        sp = block[:, None, :] + stencil[None, :, :]
+        pp = phantom_pressure(f, sp[:, :, None, :], trule.nodes)
+        vv = _phantom_velocity_ungated(g, sp[:, :, None, :], trule.nodes, quad=vq)
+        prod = pp * vv
+        lap = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
+        term_volume += float(wvol[lo_i : lo_i + chunk] @ lap @ trule.weights)
+        nonzero += int(np.count_nonzero(pp))
+
+    return {
+        "lhs": lhs,
+        "rhs": term_boundary - term_volume,
+        "term_boundary": term_boundary,
+        "term_volume": term_volume,
+        "weights_nonzero": nonzero,
+    }

@@ -1,4 +1,4 @@
-"""Convex domains, boundary quadratures and chord parameters."""
+"""Convex domains, boundary quadratures, support widths and grid margins."""
 
 import itertools
 import math
@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrace.geometry import (
-    DegeneratePointsError,
     boundary_distance,
     boundary_quadrature,
-    chord_params,
     contains,
     domain_diameter,
     ellipsoid,
@@ -183,45 +181,6 @@ def test_phase_rotates_nodes_but_keeps_the_measure(se4):
     # angular discretisation error
     assert np.sum(a.weights) == pytest.approx(SE4_PERIMETER, abs=1e-7)
     assert np.sum(b.weights) == pytest.approx(SE4_PERIMETER, abs=1e-7)
-
-
-# ---------------------------------------------------------------------------
-# chords
-
-
-def test_chord_params_bisector_of_a_known_pair():
-    theta, s = chord_params((1.0, 0.0), (0.0, 1.0))
-    np.testing.assert_allclose(theta, [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
-    assert s == pytest.approx(0.0, abs=1e-15)
-
-
-def test_chord_params_swap_antisymmetry():
-    x, y = (0.3, -0.2, 0.5), (-0.1, 0.4, 0.2)
-    theta, s = chord_params(x, y)
-    theta2, s2 = chord_params(y, x)
-    np.testing.assert_allclose(theta2, -theta, atol=1e-15)
-    assert s2 == pytest.approx(-s, abs=1e-15)
-
-
-@given(
-    coords=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-)
-@settings(max_examples=80, deadline=None)
-def test_chord_params_define_the_perpendicular_bisector(coords):
-    x = np.array(coords[:2])
-    y = np.array(coords[2:])
-    if np.linalg.norm(y - x) < 1e-6:
-        return
-    theta, s = chord_params(x, y)
-    assert np.linalg.norm(theta) == pytest.approx(1.0, abs=1e-12)
-    # the midpoint lies on the hyperplane, and both points are equidistant
-    assert np.dot(theta, 0.5 * (x + y)) == pytest.approx(s, abs=1e-10)
-    assert np.dot(theta, y) - s == pytest.approx(s - np.dot(theta, x), abs=1e-10)
-
-
-def test_chord_params_rejects_coincident_points():
-    with pytest.raises(DegeneratePointsError):
-        chord_params((0.3, 0.2), (0.3, 0.2))
 
 
 # ---------------------------------------------------------------------------

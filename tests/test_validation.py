@@ -5,6 +5,7 @@ import pytest
 
 from neutrace.calculus import stencil_derivative
 from neutrace.forward import SolverParams, wave_solution
+from neutrace.geometry import boundary_quadrature
 from neutrace.transforms import Bump, Phantom
 from neutrace.validation import (
     IdentityReport,
@@ -18,6 +19,8 @@ from neutrace.validation import (
     radial_pressure,
     radial_velocity,
 )
+
+from _oracles import integral_identity_terms_ungated, radial_velocity_ungated
 
 
 def quadratic_field(pts):
@@ -65,6 +68,42 @@ def test_velocity_field_integrates_the_pressure():
     for d, t in ((0.2, 0.25), (0.1, 0.15)):
         dv = stencil_derivative(lambda tt: float(radial_velocity(b, d, tt)), t, 1e-3, 1)
         assert dv == pytest.approx(float(radial_pressure(b, d, t)), abs=1e-8)
+
+
+# dyadic radius and grids, so that |t - d| = radius holds exactly at some entries
+_VELOCITY_BUMPS = [
+    Bump(center=(0.0, 0.0, 0.0), radius=0.375),
+    Bump(center=(0.0, 0.0, 0.0), radius=0.375, amplitude=-0.8, profile="poly", mu=3),
+]
+_D_GRID = np.arange(17) / 16.0
+_T_GRID = np.arange(49) / 32.0
+
+
+@pytest.mark.parametrize("bump", _VELOCITY_BUMPS, ids=["cinf", "poly-negative"])
+def test_radial_velocity_vanishes_outside_the_light_shell(bump):
+    d, t = np.meshgrid(_D_GRID, _T_GRID, indexing="ij")
+    v = radial_velocity(bump, d, t)
+    outside = np.abs(t - d) >= bump.radius
+    assert outside.any() and (~outside).any()
+    assert np.all(v[outside] == 0.0)
+    assert np.count_nonzero(v[~outside]) > 0.9 * np.count_nonzero(~outside)
+
+
+@pytest.mark.parametrize("bump", _VELOCITY_BUMPS, ids=["cinf", "poly-negative"])
+def test_radial_velocity_equals_the_ungated_quadrature(bump):
+    d, t = np.meshgrid(_D_GRID, _T_GRID, indexing="ij")
+    assert np.any(d == 0.0) and np.any(t == d) and np.any(np.abs(t - d) == bump.radius)
+    got = radial_velocity(bump, d, t)
+    want = radial_velocity_ungated(bump, d, t)
+    assert got.shape == want.shape
+    assert np.all(got == want)
+    # broadcasting a column of distances against a row of times
+    assert np.all(radial_velocity(bump, _D_GRID[:, None], _T_GRID) == want)
+    for dd, tt in ((0.25, 0.3125), (0.0, 0.125), (0.875, 0.125), (1e-9, 0.2)):
+        one = radial_velocity(bump, dd, tt)
+        assert np.ndim(one) == 0
+        assert one == radial_velocity_ungated(bump, dd, tt)
+    assert radial_velocity(bump, np.empty(0), np.empty(0)).shape == (0,)
 
 
 def test_phantom_fields_superpose():
@@ -132,6 +171,42 @@ def test_integral_identity_terms_ignore_the_quadrature_phase(unit_ball):
     assert base.params["term_volume"] == pytest.approx(
         turned.params["term_volume"], abs=1e-8
     )
+
+
+# the phantoms of acceptance criterion 05, and a g whose second bump has a
+# negative amplitude and overlaps both
+_CRIT05_F = Phantom((Bump(center=(0.1, 0.0, 0.0), radius=0.35),))
+_CRIT05_G = Phantom((Bump(center=(-0.05, 0.1, 0.0), radius=0.4),))
+_TWO_BUMP_G = Phantom(
+    (
+        Bump(center=(-0.05, 0.1, 0.0), radius=0.4),
+        Bump(center=(0.3, -0.2, 0.1), radius=0.25, amplitude=-0.6),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "g, phase",
+    [(_CRIT05_G, 0.0), (_CRIT05_G, 0.37), (_TWO_BUMP_G, 0.0)],
+    ids=["criterion-05", "phase-0.37", "two-bump-g"],
+)
+def test_integral_identity_equals_the_ungated_terms(unit_ball, g, phase):
+    """Evaluating the velocity only where the pressure factor is non-zero
+    changes no bit of either side or of either term, and the report counts
+    the velocity values evaluated against the (point, time) pairs."""
+    report = check_integral_identity(_CRIT05_F, g, unit_ball, phase=phase)
+    full = integral_identity_terms_ungated(_CRIT05_F, g, unit_ball, phase=phase)
+    assert report.lhs == full["lhs"]
+    assert report.rhs == full["rhs"]
+    assert report.params["term_boundary"] == full["term_boundary"]
+    assert report.params["term_volume"] == full["term_volume"]
+
+    p = report.params
+    m_rad, m_pol, m_azi = p["volume_rule"]
+    nodes = boundary_quadrature(unit_ball, p["boundary_res"]).points.shape[0]
+    assert p["velocity_pairs"] == (nodes + 7 * m_rad * m_pol * m_azi) * p["time_quad"]
+    assert p["velocity_evaluated"] == full["weights_nonzero"]
+    assert 0 < p["velocity_evaluated"] < p["velocity_pairs"]
 
 
 # ---------------------------------------------------------------------------
