@@ -24,7 +24,6 @@ __all__ = [
     "central_diff",
     "stencil_derivative",
     "richardson",
-    "interp_linear",
     "cubic_stencil",
     "interp_cubic",
 ]
@@ -202,13 +201,6 @@ def _locate(q: np.ndarray, x0: float, dx: float, npts: int, kmin: int, kmax: int
     u = (np.asarray(q, dtype=float) - x0) / dx
     k = np.clip(np.floor(u).astype(int), kmin, kmax)
     return k, u - k
-
-
-def interp_linear(q, x0: float, dx: float, table: np.ndarray):
-    """Linear interpolation of a uniform table at query points ``q``."""
-    table = np.asarray(table, dtype=float)
-    k, th = _locate(q, x0, dx, table.shape[-1], 0, table.shape[-1] - 2)
-    return (1.0 - th) * table[..., k] + th * table[..., k + 1]
 
 
 def cubic_stencil(q, x0: float, dx: float, npts: int):

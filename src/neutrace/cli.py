@@ -338,10 +338,7 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         recon = ReconstructionOptions(
-            t_interp=entries.string("recon.interpolation", default="cubic", choices=("cubic", "linear")),
             correction=entries.string("recon.correction", default="none", choices=("none", "fixed_point")),
-            max_iter=entries.integer("recon.max_iter", default=20),
-            tol=entries.floating("recon.tol", default=1e-6),
             time_quad=entries.integer("recon.time_quad", default=256),
             k_radial=entries.integer("recon.k_radial", default=32),
             k_angular=entries.integer("recon.k_angular", default=64),
@@ -353,7 +350,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     if grid is not None:
-        # the correction's kernel needs grid corners at least rho/2 from the rim
+        # the correction's kernel needs grid corners at least rho/2 from the rim,
+        # and it takes the field as zero outside the grid box
         safety = recon.correction != "none" and bool(phantom.bumps)
         try:
             axes = ImageGrid(*grid).axes()
@@ -370,6 +368,9 @@ def parse_config(text: str) -> RunConfig:
                     f"grid corner {corner} is outside the safety region: boundary "
                     f"distance {dist:.6g} < rho/2 = {0.5 * rho:.6g}"
                 )
+            for i, b in enumerate(phantom.bumps, start=1):
+                if any(c - b.radius < a[0] or c + b.radius > a[-1] for c, a in zip(b.center, axes)):
+                    raise ConfigError(f"phantom bump {i} support leaves the grid box")
 
     validate_opts = {
         "checks": entries.string_list("validate.checks", default=()),
@@ -490,13 +491,8 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
         except InsufficientDataError:
             print("truncation_estimate = unavailable (recorded span too short to halve)")
     if cfg.recon.correction != "none":
-        meta = image.meta
-        print(f"correction_iterations = {meta.get('iterations', 0)}")
-        print(f"correction_converged = {'yes' if meta.get('converged') else 'no'}")
-        residuals = meta.get("residuals") or [0.0]
-        print(f"correction_residual = {_fmt(residuals[-1])}")
-        if "warning" in meta:
-            print(f"warning: {meta['warning']}", file=sys.stderr)
+        print(f"correction_residual = {_fmt(image.meta['solve_residual'])}")
+        print(f"correction_norm = {_fmt(image.meta['operator_norm'])}")
     if "pgm" in cfg.outputs:
         pgm = cfg.outputs["pgm"]
         write_image_pgm(pgm, image, sidecar_path=pgm + ".meta")

@@ -80,14 +80,9 @@ class ImageGrid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
-    def interp(self, pts) -> np.ndarray:
-        """Multilinear interpolation of the stored values; zero outside."""
-        if self.values is None:
-            raise ValueError("grid holds no values yet")
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, self.dimension)
-        vals = self.values.reshape(self.shape)
-        weights = np.ones(flat.shape[0])
+    def _corners(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat value indices and multilinear weights of the cell corners of
+        (N, dimension) points, both shaped (corners, N); weight 0 outside."""
         idx = []
         frac = []
         inside = np.ones(flat.shape[0], dtype=bool)
@@ -104,13 +99,14 @@ class ImageGrid:
             k = np.clip(np.floor(u).astype(int), 0, m - 2)
             idx.append(k)
             frac.append(np.clip(u - k, 0.0, 1.0))
-        out = np.zeros(flat.shape[0])
+        corner_idx = []
+        corner_w = []
         for corner in range(1 << self.dimension):
             # skip corners that raise the index along a single-sample axis;
             # counting them would duplicate the whole contribution
             if any(corner >> d & 1 and self.shape[d] == 1 for d in range(self.dimension)):
                 continue
-            w = weights.copy()
+            w = np.ones(flat.shape[0])
             sel = []
             for d in range(self.dimension):
                 if corner >> d & 1:
@@ -119,8 +115,21 @@ class ImageGrid:
                 else:
                     w = w * (1.0 - frac[d] if self.shape[d] > 1 else 1.0)
                     sel.append(idx[d])
-            out += w * vals[tuple(sel)]
-        out[~inside] = 0.0
+            w[~inside] = 0.0
+            corner_idx.append(np.ravel_multi_index(sel, self.shape))
+            corner_w.append(w)
+        return np.array(corner_idx), np.array(corner_w)
+
+    def interp(self, pts) -> np.ndarray:
+        """Multilinear interpolation of the stored values; zero outside."""
+        if self.values is None:
+            raise ValueError("grid holds no values yet")
+        pts = np.asarray(pts, dtype=float)
+        idx, weights = self._corners(pts.reshape(-1, self.dimension))
+        vals = np.asarray(self.values).reshape(-1)
+        out = np.zeros(idx.shape[1])
+        for k, w in zip(idx, weights):
+            out += w * vals[k]
         return out.reshape(pts.shape[:-1])
 
 
@@ -130,13 +139,11 @@ class ReconstructionOptions:
 
     ``t_upper`` truncates the even-dimensional time integral early (used
     by the truncation estimate); ``correction`` is either ``"none"`` or
-    ``"fixed_point"`` for the iterated additive correction.
+    ``"fixed_point"``, which solves b = f + K f for f (see :func:`reconstruct`);
+    the ``k_*`` and ``kernel_*`` fields set the quadrature and tables of K.
     """
 
-    t_interp: str = "cubic"
     correction: str = "none"
-    max_iter: int = 20
-    tol: float = 1e-6
     time_quad: int = 256
     t_upper: float | None = None
     k_radial: int = 32
@@ -146,31 +153,17 @@ class ReconstructionOptions:
     kernel_margin: float | None = None
 
     def __post_init__(self):
-        if self.t_interp not in ("cubic", "linear"):
-            raise ValueError(f"t_interp must be 'cubic' or 'linear', got {self.t_interp!r}")
         if self.correction not in ("none", "fixed_point"):
             raise ValueError(f"unknown correction mode {self.correction!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-def _interp_rows(values: np.ndarray, dt: float, queries: np.ndarray, kind: str) -> np.ndarray:
-    """Interpolate each trace row at its own query times.
+def _interp_rows(values: np.ndarray, dt: float, queries: np.ndarray) -> np.ndarray:
+    """Interpolate each trace row at its own query times (four-point cubic).
 
     ``queries`` has shape (rows,) or (rows, q); clipped to the grid.
     """
     rows, nt = values.shape
     q = np.atleast_2d(queries.T).T if queries.ndim == 1 else queries
-    if kind == "linear":
-        u = q / dt
-        k = np.clip(np.floor(u).astype(int), 0, nt - 2)
-        th = np.clip(u - k, 0.0, 1.0)
-        flat = values.reshape(-1)
-        base = (np.arange(rows)[:, None] * nt + k).reshape(-1)
-        out = (1.0 - th).reshape(-1) * flat[base] + th.reshape(-1) * flat[base + 1]
-        return out.reshape(q.shape) if queries.ndim > 1 else out.reshape(rows)
     k, (wm1, w0, w1, w2) = cubic_stencil(q, 0.0, dt, nt)
     flat = values.reshape(-1)
     base = np.arange(rows)[:, None] * nt + k
@@ -188,7 +181,6 @@ def backproject_odd(traces: TraceGrid, x, opts: ReconstructionOptions | None = N
     divided by travel time, read off at t = |x - y|."""
     if traces.dimension != 3:
         raise ValueError("backproject_odd applies to three-dimensional traces")
-    opts = opts or ReconstructionOptions()
     x = np.asarray(x, dtype=float)
     d = np.sqrt(np.sum((traces.boundary.points - x) ** 2, axis=-1))
     if np.any(d >= traces.times.t_max):
@@ -196,7 +188,7 @@ def backproject_odd(traces: TraceGrid, x, opts: ReconstructionOptions | None = N
         raise InsufficientDataError(
             f"travel time {d.max():.6g} to node {far} exceeds t_max = {traces.times.t_max:.6g}"
         )
-    vals = _interp_rows(traces.values, traces.times.dt, d, opts.t_interp)
+    vals = _interp_rows(traces.values, traces.times.dt, d)
     return float(np.sum(traces.boundary.weights * vals / d) / (2.0 * math.pi))
 
 
@@ -226,7 +218,7 @@ def backproject_even(traces: TraceGrid, x, opts: ReconstructionOptions | None = 
     u_top = np.sqrt(t_top**2 - d * d)
     u = u_top[:, None] * rule.nodes
     t = np.sqrt(d[:, None] ** 2 + u * u)
-    vals = _interp_rows(traces.values, traces.times.dt, t, opts.t_interp)
+    vals = _interp_rows(traces.values, traces.times.dt, t)
     inner = u_top * np.sum(vals / t * rule.weights, axis=-1)
     return float(np.sum(traces.boundary.weights * inner) / math.pi)
 
@@ -319,9 +311,10 @@ def correction_K(
 ) -> float:
     """Additive correction operator applied to a candidate field at x.
 
-    Polar coordinates around x cancel the 1/|x - y|^{n-1} factor exactly:
-    the integral becomes radial integrals of f(x + r w) times the kernel
-    at the bisector chord (w, <x, w> + r/2), summed over directions.
+    The plain back-projection of the traces of f is b = f + K f.  Polar
+    coordinates around x cancel the 1/|x - y|^{n-1} factor exactly: the
+    integral becomes radial integrals of f(x + r w) times the kernel at the
+    bisector chord (w, <x, w> + r/2), summed over directions.
     """
     opts = opts or ReconstructionOptions()
     x = np.asarray(x, dtype=float)
@@ -349,7 +342,7 @@ def correction_K(
         mask = fvals != 0.0
         if not np.any(mask):
             continue
-        s_vals = float(np.dot(x, omega)) + 0.5 * r[mask]
+        s_vals = float(np.sum(x * omega)) + 0.5 * r[mask]
         kvals = _kernel_on_ray(domain, omega, s_vals, order, margin, opts)
         total += w_omega * r_max * float(np.sum(rad.weights[mask] * fvals[mask] * kvals))
     return _correction_constant(n) * total
@@ -363,14 +356,42 @@ def _grid_margin(domain: ConvexDomain, grid: ImageGrid) -> float:
     return grid_margin(domain, grid.axes())[0]
 
 
+def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarray:
+    """K on the grid's multilinear fields: row i is the quadrature of
+    :func:`correction_K` at grid point i, each sample f(x_i + r w) spread
+    over its corner weights, so K @ v is correction_K(ImageGrid(v), x_i)."""
+    n = domain.dimension
+    pts = grid.points()
+    size = len(pts)
+    r_max = np.array([_support_radius(grid, p) for p in pts])
+    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
+    r = r_max[:, None] * rad.nodes
+    matrix = np.zeros(size * size)
+    for omega, w_omega in zip(*_angular_set(n, opts.k_angular)):
+        idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
+        # a grid field vanishes outside the box, so only query the kernel inside
+        inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
+        # the same offset formula as correction_K, so both read equal kernel values
+        s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
+        kvals = _kernel_on_ray(domain, omega, s_vals[inside], n, opts.kernel_margin, opts)
+        coef = _correction_constant(n) * w_omega * r_max[:, None] * rad.weights
+        live = inside.reshape(-1)
+        cells = np.nonzero(inside)[0] * size + idx[:, live]
+        terms = weights[:, live] * (coef[inside] * kvals)
+        matrix += np.bincount(cells.reshape(-1), terms.reshape(-1), minlength=size * size)
+    return matrix.reshape(size, size)
+
+
 def reconstruct(
     traces: TraceGrid,
     grid: ImageGrid,
     opts: ReconstructionOptions | None = None,
     threads: int = 1,
 ) -> ImageGrid:
-    """Back-project the traces onto the grid, optionally iterating the
-    additive correction as a fixed-point scheme."""
+    """Back-project the traces onto the grid; with correction, solve
+    (I + K_h) f = b for the back-projection b and K_h the correction operator
+    on the grid, and record max |(I + K_h) f - b| as ``solve_residual`` and
+    the largest absolute row sum of K_h as ``operator_norm``."""
     opts = opts or ReconstructionOptions()
     domain = traces.domain
     n = domain.dimension
@@ -393,39 +414,22 @@ def reconstruct(
     else:
         b = np.array(run_chunk(pts))
 
-    result = ImageGrid(grid.lo, grid.hi, grid.shape, b.copy(), dict(grid.meta))
+    result = ImageGrid(grid.lo, grid.hi, grid.shape, b, dict(grid.meta))
     result.meta.update({"margin": margin, "correction": opts.correction})
     if opts.correction == "none":
         return result
 
     kopts = opts if opts.kernel_margin is not None else replace(opts, kernel_margin=margin)
-    residuals = []
-    current = result
-    for it in range(opts.max_iter):
-        k_vals = np.array(
-            [correction_K(current, p, domain, kopts) for p in pts]
-        )
-        new_vals = b + k_vals
-        residual = float(np.max(np.abs(new_vals - current.values)))
-        residuals.append(residual)
-        current = ImageGrid(grid.lo, grid.hi, grid.shape, new_vals, dict(result.meta))
-        if residual <= opts.tol:
-            break
-    current.meta.update(
+    k_h = _correction_matrix(grid, domain, kopts)
+    system = np.eye(len(b)) + k_h
+    result.values = np.linalg.solve(system, b)
+    result.meta.update(
         {
-            "margin": margin,
-            "correction": opts.correction,
-            "iterations": len(residuals),
-            "residuals": residuals,
-            "converged": bool(residuals and residuals[-1] <= opts.tol),
+            "solve_residual": float(np.max(np.abs(system @ result.values - b))),
+            "operator_norm": float(np.max(np.sum(np.abs(k_h), axis=1))),
         }
     )
-    if not current.meta["converged"]:
-        current.meta["warning"] = (
-            f"fixed-point correction stopped after {len(residuals)} iterations "
-            f"with residual {residuals[-1]:.3g} > tol {opts.tol:.3g}"
-        )
-    return current
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ pytest's capture so the verdicts always reach the console).
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,14 +22,18 @@ from neutrace.forward import (
 )
 from neutrace.geometry import (
     boundary_quadrature,
+    domain_diameter,
     ellipsoid,
     superellipse,
     support_halfwidth,
 )
 from neutrace.inversion import (
+    ImageGrid,
     ReconstructionOptions,
     backproject_even,
     backproject_odd,
+    correction_K,
+    reconstruct,
     truncation_probe,
 )
 from neutrace.transforms import (
@@ -318,3 +323,29 @@ def test_criterion_11_pipeline_determinism(tmp_path, capsys):
         traces_same, images_same = t1 == t2, i1 == i2
         v.ok = traces_same and images_same
         v.detail = f"trace files identical = {traces_same}, image files identical = {images_same}"
+
+
+def test_criterion_12_correction_removes_the_shape_error(capsys):
+    with verdict(12, "the shape correction on the exponent-4 superellipse", capsys) as v:
+        domain = superellipse((0.0, 0.0), (1.2, 0.9), 4.0)
+        f = Phantom((Bump(center=(0.25, 0.1), radius=0.3),))
+        bq = boundary_quadrature(domain, 128)
+        times = TimeGrid(t_max=4.0 * domain_diameter(domain), nt=600)
+        traces = simulate_traces(f, domain, bq, times, SolverParams(table_points=4096))
+        grid = ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(9, 9))
+        opts = ReconstructionOptions(k_radial=24, k_angular=48, kernel_table=512, kernel_quad=256)
+        b = reconstruct(traces, grid, opts)
+        corrected = reconstruct(traces, grid, replace(opts, correction="fixed_point"))
+        pts = grid.points()
+        want = f.eval(pts)
+        plain_err = _rel_l2(b.values, want)
+        corr_err = _rel_l2(corrected.values, want)
+        # the back-projection error is K f: b - f - K f is much smaller than b - f
+        kopts = replace(opts, kernel_margin=b.meta["margin"])
+        kf = np.array([correction_K(f, x, domain, kopts) for x in pts])
+        model_err = np.linalg.norm(b.values - kf - want) / np.linalg.norm(b.values - want)
+        v.ok = corr_err <= 0.5 * plain_err and model_err <= 0.5
+        v.detail = (
+            f"rel L2 corrected = {corr_err:.4%}, plain = {plain_err:.4%} (bound: half), "
+            f"|b - f - Kf| / |b - f| = {model_err:.3f} (bound 0.5)"
+        )

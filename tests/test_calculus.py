@@ -14,7 +14,6 @@ from neutrace.calculus import (
     gamma_fn,
     gauss_legendre,
     interp_cubic,
-    interp_linear,
     richardson,
     stencil_apply,
     stencil_derivative,
@@ -237,14 +236,6 @@ def test_richardson_removes_fourth_order_term():
 
 # ---------------------------------------------------------------------------
 # table interpolation
-
-
-def test_interp_linear_exact_on_affine():
-    x0, dx = -1.0, 0.125
-    xs = x0 + dx * np.arange(17)
-    table = 0.3 + 2.0 * xs
-    q = np.array([-0.93, 0.0, 0.9999, x0])
-    np.testing.assert_allclose(interp_linear(q, x0, dx, table), 0.3 + 2.0 * q, atol=1e-14)
 
 
 @given(q=st.floats(-0.99, 0.99))

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from neutrace.cli import ConfigError, main, parse_config
+from neutrace.forward import read_trace_file
+from neutrace.inversion import ImageGrid, reconstruct
 
 MINIMAL_2D = "dimension = 2\ndomain.semi_axes = 1.0, 1.0\n"
 
@@ -41,7 +43,7 @@ def test_parse_minimal_config_defaults():
     assert not cfg.phantom.bumps
     assert cfg.phantom2 is None
     assert cfg.threads == 1
-    assert cfg.recon.t_interp == "cubic"
+    assert cfg.recon.correction == "none"
 
 
 def test_parse_3d_defaults():
@@ -97,7 +99,7 @@ def test_parse_validate_bounds_and_checks():
         ("dimension = 2\ndimension = 3\n", "line 2: duplicate key 'dimension'"),
         ("dimension\n", "line 1: expected 'key = value'"),
         ("dimension = two\n", "dimension expects an integer, got 'two'"),
-        (MINIMAL_2D + "recon.tol = soon\n", "recon.tol expects a number"),
+        (MINIMAL_2D + "recon.tol = soon\n", "unknown key 'recon.tol'"),
         (MINIMAL_2D + "phantom.bump1.center = 0, 0\n", "missing phantom.bump1.radius"),
         (
             MINIMAL_2D + "phantom.bump1.center = 0, 0, 0\nphantom.bump1.radius = 0.3\n",
@@ -124,7 +126,7 @@ def test_parse_validate_bounds_and_checks():
             "support margin",
         ),
         (MINIMAL_2D + "threads = 0\n", "threads must be >= 1"),
-        (MINIMAL_2D + "recon.interpolation = quadratic\n", "must be one of cubic, linear"),
+        (MINIMAL_2D + "recon.interpolation = quadratic\n", "unknown key 'recon.interpolation'"),
         (MINIMAL_2D + "kernel.theta = 1, 0, 0\n", "kernel.theta must have 2 entries"),
         ("dimension = 2\ndomain.semi_axes = 1\n", "must have 2 entries"),
     ],
@@ -147,6 +149,27 @@ def test_grid_safety_region_under_correction():
         parse_config(base + "grid.lo = -0.9, -0.1\ngrid.hi = 0.1, 0.1\ngrid.shape = 3, 3\n")
     cfg = parse_config(base + "grid.lo = -0.4, -0.4\ngrid.hi = 0.4, 0.4\ngrid.shape = 3, 3\n")
     assert cfg.grid is not None
+
+
+def test_grid_must_cover_the_phantom_under_correction():
+    base = (
+        MINIMAL_2D
+        + "phantom.bump1.center = 0.0, 0.0\n"
+        + "phantom.bump1.radius = 0.3\n"
+        + "grid.lo = -0.3, -0.3\n"
+        + "grid.shape = 3, 3\n"
+    )
+    # the support [-0.3, 0.3]^2 pokes out of a box that ends at 0.29
+    short = base + "grid.hi = 0.3, 0.29\n"
+    with pytest.raises(ConfigError, match="phantom bump 1 support leaves the grid box"):
+        parse_config(short + "recon.correction = fixed_point\n")
+    assert parse_config(short).grid is not None  # the plain back-projection is pointwise
+    cfg = parse_config(base + "grid.hi = 0.3, 0.3\nrecon.correction = fixed_point\n")
+    assert cfg.grid is not None
+    # a planar slice through a volume never holds a 3-D support
+    slab = "grid.lo = -0.5, -0.5, 0.0\ngrid.hi = 0.5, 0.5, 0.0\ngrid.shape = 3, 3, 1\n"
+    with pytest.raises(ConfigError, match="leaves the grid box"):
+        parse_config(FORWARD_3D + slab + "recon.correction = fixed_point\n")
 
 
 def test_grid_corners_of_a_single_sample_axis_sit_at_its_sample():
@@ -248,6 +271,42 @@ def test_reconstruct_2d_reports_truncation_and_writes_pgm(tmp_path, capsys):
         assert fh.readline().strip() == "P2"
     with open(pgm + ".meta") as fh:
         assert "value_min" in fh.read()
+
+
+def test_reconstruct_with_correction_reports_the_solve(tmp_path, capsys):
+    base = (
+        "dimension = 2\n"
+        "domain.kind = superellipse\n"
+        "domain.exponent = 4.0\n"
+        "domain.semi_axes = 1.2, 0.9\n"
+        "phantom.bump1.center = 0.25, 0.1\n"
+        "phantom.bump1.radius = 0.3\n"
+        "boundary.resolution = 32\n"
+        "time.nt = 80\n"
+        "time.t_max = 4.0\n"
+        "solver.table_points = 2048\n"
+    )
+    trace = str(tmp_path / "traces.csv")
+    assert run_main(["forward", "--config", config_file(tmp_path, base), "--out", trace]) == 0
+    capsys.readouterr()
+    rec_text = (
+        base
+        + f"input.trace = {trace}\n"
+        + "grid.lo = -0.1, -0.25\ngrid.hi = 0.6, 0.45\ngrid.shape = 4, 3\n"
+        + "recon.correction = fixed_point\n"
+        + "recon.k_radial = 8\nrecon.k_angular = 16\n"
+        + "recon.kernel_table = 128\nrecon.kernel_quad = 96\n"
+    )
+    rec_cfg = config_file(tmp_path, rec_text, name="rec.cfg")
+    assert run_main(["reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "i.csv")]) == 0
+    lines = dict(
+        line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line
+    )
+    cfg = parse_config(rec_text)
+    meta = reconstruct(read_trace_file(trace), ImageGrid(*cfg.grid), cfg.recon).meta
+    assert float(lines["correction_residual"]) == meta["solve_residual"]
+    assert float(lines["correction_norm"]) == meta["operator_norm"]
+    assert 0.0 < meta["operator_norm"] < 1.0
 
 
 def test_reconstruct_rejects_truncated_trace(tmp_path, capsys):

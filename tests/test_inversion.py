@@ -21,6 +21,9 @@ from neutrace.inversion import (
     ReconstructionOptions,
     _angular_set,
     _correction_constant,
+    _correction_matrix,
+    _kernel_on_ray,
+    _support_radius,
     backproject_even,
     backproject_odd,
     correction_K,
@@ -116,6 +119,47 @@ def se4_correction_roundoff(domain, f, x, opts):
         total += w_omega * r_max * np.sum(rad.weights[mask] * np.abs(fvals[mask]) * dk)
         chord = max(chord, float(prof.rchi.max()))
     return abs(_correction_constant(2)) * total * np.finfo(float).eps * chord
+
+
+# How far the assembled operator may drift from the pointwise one.  Row i of
+# K_h v and correction_K(ImageGrid(v), x_i) both evaluate
+#     sum_w sum_k sum_c C ww r_max rw_k K_w(s_k) cw_c v_c
+# (c over the grid-cell corners of x_i + r_k w, with multilinear weights cw_c)
+# from bitwise-equal factors: the same offsets s_k, hence the same kernel
+# values, and the same corner weights, only multiplied and added in
+# different orders.  In any order such a sum is within gamma_K <= K eps of
+# the exact one times the sum of its absolute terms (Higham, Accuracy and
+# Stability of Numerical Algorithms, sec. 3.1), K being the longest chain of
+# roundings a term goes through.  The matrix route forms cw_c (n - 1
+# products) and C ww r_max rw_k K_w cw_c (5 more), adds up to q terms per
+# entry and direction, accumulates over the m directions and sums a row of
+# g entries against v (one product each); the pointwise route interpolates
+# (n - 1 products, 2^n corners), multiplies by rw_k K_w, sums q radial
+# terms, multiplies by ww r_max, sums m directions and scales by C.  The
+# absolute terms add up to C sum_w ww r_max sum_k rw_k |K_w(s_k)| |v|(x_i + r_k w),
+# |v| interpolated, since corner weights are non-negative.  For the fixture
+# below the bounds run from 3.4e-16 to 1.5e-15; the routes differ by at most
+# 3.5e-18, while 15 instead of 16 directions move K_h v by 1.1e-2.
+def matrix_route_roundoff(grid, domain, v, opts):
+    n, q, m, g = domain.dimension, opts.k_radial, opts.k_angular, grid.values.size
+    chain = ((n - 1) + 5 + q + m + 1 + g) + ((n - 1) + (1 << n) + 2 + q + 2 + m + 1)
+    rad = gauss_legendre(q, 0.0, 1.0)
+    modulus = ImageGrid(grid.lo, grid.hi, grid.shape, np.abs(v))
+    terms = []
+    for x in grid.points():
+        r_max = _support_radius(grid, x)
+        r = r_max * rad.nodes
+        total = 0.0
+        for omega, w_omega in zip(*_angular_set(n, m)):
+            fvals = modulus.interp(x + r[:, None] * omega)
+            mask = fvals != 0.0
+            if not np.any(mask):
+                continue
+            s_vals = float(np.sum(x * omega)) + 0.5 * r[mask]
+            kvals = np.abs(_kernel_on_ray(domain, omega, s_vals, n, opts.kernel_margin, opts))
+            total += w_omega * r_max * np.sum(rad.weights[mask] * fvals[mask] * kvals)
+        terms.append(abs(_correction_constant(n)) * total)
+    return chain * np.finfo(float).eps * np.array(terms)
 
 
 SE4_OPTS = ReconstructionOptions(
@@ -334,34 +378,52 @@ def test_reconstruct_fixed_point_on_the_ball_converges_at_once(ball_traces):
         correction="fixed_point", kernel_margin=0.25, k_radial=8, k_angular=8
     )
     out = reconstruct(ball_traces, grid, opts)
-    assert out.meta["converged"] is True
-    assert out.meta["iterations"] == 1
-    assert out.meta["residuals"] == [0.0]  # the ball kernel is identically zero
+    # the ball kernel is identically zero, so the solve returns b itself
+    assert out.meta["operator_norm"] == 0.0
+    assert out.meta["solve_residual"] == 0.0
     plain = reconstruct(ball_traces, grid)
     np.testing.assert_array_equal(out.values, plain.values)
 
 
-def test_reconstruct_fixed_point_reports_non_convergence(se4):
-    f = Phantom((Bump(center=(0.1, 0.0), radius=0.4),))
-    bq = boundary_quadrature(se4, 16)
-    traces = simulate_traces(
-        f, se4, bq, TimeGrid(t_max=4.0, nt=60), SolverParams(table_points=2048)
-    )
-    grid = ImageGrid(lo=(-0.15, -0.15), hi=(0.15, 0.15), shape=(2, 2))
+def test_correction_matrix_matches_the_pointwise_operator(se4, rng):
+    grid = ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(5, 4))
     opts = ReconstructionOptions(
-        correction="fixed_point",
-        max_iter=1,
-        tol=1e-30,
-        kernel_margin=0.3,
-        k_radial=8,
-        k_angular=16,
-        kernel_table=128,
-        kernel_quad=96,
+        k_radial=8, k_angular=16, kernel_table=128, kernel_quad=96, kernel_margin=0.3
+    )
+    v = rng.normal(size=20)
+    field = ImageGrid(grid.lo, grid.hi, grid.shape, v)
+    got = _correction_matrix(grid, se4, opts) @ v
+    want = np.array([correction_K(field, x, se4, opts) for x in grid.points()])
+    tol = matrix_route_roundoff(field, se4, v, opts)
+    assert np.all(np.abs(got - want) <= tol)
+    assert np.abs(want).max() >= 1e-3
+
+
+def test_reconstruct_fixed_point_solves_the_corrected_equation(se4):
+    f = Phantom((Bump(center=(0.25, 0.1), radius=0.3),))
+    bq = boundary_quadrature(se4, 32)
+    traces = simulate_traces(
+        f, se4, bq, TimeGrid(t_max=4.0, nt=80), SolverParams(table_points=2048)
+    )
+    grid = ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(4, 3))
+    opts = ReconstructionOptions(
+        correction="fixed_point", k_radial=8, k_angular=16, kernel_table=128, kernel_quad=96
     )
     out = reconstruct(traces, grid, opts)
-    assert out.meta["converged"] is False
-    assert out.meta["iterations"] == 1
-    assert "warning" in out.meta and "residual" in out.meta["warning"]
+    b = reconstruct(traces, grid).values
+    # the returned f satisfies b = f + K f with the pointwise K, up to the
+    # solve's reported residual, the rounding in computing that residual
+    # (a row of size + 1 products and sums), the matrix route's roundoff and
+    # the two roundings of f + K f - b
+    kopts = replace(opts, kernel_margin=out.meta["margin"])
+    f = out.values
+    kf = np.array([correction_K(out, x, se4, kopts) for x in grid.points()])
+    terms = np.abs(f) + out.meta["operator_norm"] * np.abs(f).max() + np.abs(kf) + np.abs(b)
+    slack = (f.size + 3) * np.finfo(float).eps * terms
+    tol = out.meta["solve_residual"] + matrix_route_roundoff(out, se4, f, kopts) + slack
+    assert np.all(np.abs(f + kf - b) <= tol)
+    assert np.abs(kf).max() >= 1e-3
+    assert 0.0 < out.meta["operator_norm"] < 1.0
 
 
 # ---------------------------------------------------------------------------
