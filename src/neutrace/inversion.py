@@ -247,13 +247,12 @@ def _correction_constant(n: int) -> float:
 
 
 def _as_field(f):
-    """Normalise Phantom / ImageGrid / callable to a point evaluator."""
+    """Point evaluator of a Phantom or an ImageGrid, the two fields whose
+    support radius is known."""
     if isinstance(f, Phantom):
         return f.eval
     if isinstance(f, ImageGrid):
         return f.interp
-    if callable(f):
-        return f
     raise TypeError(f"cannot evaluate {type(f).__name__} as a field")
 
 

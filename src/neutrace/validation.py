@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +27,10 @@ from .calculus import (
 from .forward import SolverParams, huygens_horizon, support_margin, wave_solution, wave_solution_even_alt
 from .geometry import ConvexDomain, boundary_quadrature
 from .transforms import (
+    CINF,
     Bump,
     Phantom,
+    _mollifier_norm,
     bump_radial,
     bump_radial_deriv,
     mollifier_eval,
@@ -79,9 +82,67 @@ def _sphere_surface(n: int) -> float:
 #
 # For a single radial profile b and d = |x - center|, the free-space
 # solution with data (b, 0) is u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d)
-# and with data (0, b) it is v = (1/2d) * integral of rho b(rho) over
-# (|t-d|, t+d).  Sums of bumps superpose.  These bypass every quadrature
-# of the forward module, which keeps the identity checks independent.
+# and with data (0, b) it is v = [G(t+d) - G(|t-d|)] / (2d), where the
+# primitive G(rho) = integral of s b(s) over (0, rho) is in closed form.
+# Sums of bumps superpose.  These bypass every quadrature of the forward
+# module, which keeps the identity checks independent.
+
+# cells of the cubic Hermite table of the cinf primitive E on [0, 1]; its
+# interpolation error is below h^4 / 384 * max|E''''| = 7.7e-16
+_PRIMITIVE_CELLS = 4096
+
+
+@lru_cache(maxsize=None)
+def _cinf_primitive_table():
+    """Values of E(u) = integral of exp(1 - 1/(1 - s)) over (0, u) at the
+    table nodes, and its exact slopes E'(u) times the cell width.
+
+    The node values are a running sum of 8-point Gauss-Legendre cell
+    integrals of the exact integrand.  The rounding of every addition is
+    recovered exactly (two-sum) and added back, so each node value stays
+    within a few ulps of E(1) instead of drifting with the cell count.
+    """
+    cells = _PRIMITIVE_CELLS
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes = np.arange(cells + 1) / cells
+    s = nodes[:-1, None] + (0.5 + 0.5 * x) / cells
+    parts = np.exp(1.0 - 1.0 / (1.0 - s)) @ w / (2 * cells)
+    run = np.cumsum(parts)
+    prev = np.concatenate(([0.0], run[:-1]))
+    added = run - prev
+    values = np.zeros(cells + 1)
+    values[1:] = run + np.cumsum((prev - (run - added)) + (parts - added))
+    slopes = np.zeros(cells + 1)
+    slopes[:-1] = np.exp(1.0 - 1.0 / (1.0 - nodes[:-1])) / cells
+    values.setflags(write=False)
+    slopes.setflags(write=False)
+    return values, slopes
+
+
+def _cinf_primitive(u):
+    """E(u) = integral of exp(1 - 1/(1 - s)) over (0, u) for u in [0, 1]:
+    the one primitive every cinf bump shares, by cubic Hermite lookup."""
+    u = np.asarray(u, dtype=float)
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("the cinf primitive is tabulated on [0, 1] only")
+    values, slopes = _cinf_primitive_table()
+    x = u * _PRIMITIVE_CELLS
+    k = np.minimum(x.astype(np.intp), _PRIMITIVE_CELLS - 1)
+    th = x - k
+    om = 1.0 - th
+    return (values[k] * (1.0 + 2.0 * th) + slopes[k] * th) * (om * om) + (
+        values[k + 1] * (3.0 - 2.0 * th) - slopes[k + 1] * om
+    ) * (th * th)
+
+
+def _radial_primitive(bump: Bump, rho):
+    """G(rho) = integral of s b(s) over (0, rho) for 0 <= rho <= radius, n = 3."""
+    eps = bump.radius
+    u = (np.asarray(rho, dtype=float) / eps) ** 2
+    if bump.profile == CINF:
+        return 0.5 * bump.amplitude * eps * eps * _cinf_primitive(u)
+    a = _mollifier_norm(3, bump.mu)
+    return bump.amplitude * (1.0 - (1.0 - u) ** (bump.mu + 1)) / (2.0 * (bump.mu + 1) * a * eps)
 
 
 def radial_pressure(bump: Bump, d, t):
@@ -96,23 +157,25 @@ def radial_pressure(bump: Bump, d, t):
     return np.where(small, lim, u)
 
 
-def radial_velocity(bump: Bump, d, t, quad: int = 48):
-    """Solution with data (0, bump) at distance d from its center, n = 3."""
+def radial_velocity(bump: Bump, d, t):
+    """Solution with data (0, bump) at distance d from its center, n = 3.
+
+    Evaluated as [G(hi) - G(lo)] / (2d) through the closed primitive G of
+    rho b(rho), at the ends (lo, hi) of (|t-d|, t+d) clipped to the support:
+    two lookups per value and no per-value quadrature, sharing nothing with
+    the forward module.
+    """
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
     eps = bump.radius
     lo = np.clip(np.abs(t - d), 0.0, eps)
-    hi = np.clip(t + d, 0.0, eps)
-    length = np.maximum(hi - lo, 0.0)
-    rule = gauss_legendre(quad, 0.0, 1.0)
-    # an empty interval integrates to an exact 0, so only the others run the
-    # quadrature; each kept row is the same contiguous sum as a full broadcast
-    live = length > 0.0
-    rho = lo[live][:, None] + length[live][:, None] * rule.nodes
-    integral = np.zeros(length.shape)
-    integral[live] = length[live] * np.sum(rho * bump_radial(bump, rho, 3) * rule.weights, axis=-1)
+    hi = np.clip(t + d, lo, eps)
     small = d < 1e-8 * eps
-    v = integral / (2.0 * np.where(small, 1.0, d))
-    return np.where(small, t * bump_radial(bump, t, 3), v)
+    v = np.asarray(
+        (_radial_primitive(bump, hi) - _radial_primitive(bump, lo)) / (2.0 * np.where(small, 1.0, d))
+    )
+    if small.any():
+        v[small] = t[small] * bump_radial(bump, t[small], 3)
+    return v
 
 
 def phantom_pressure(f: Phantom, pts, t):
@@ -125,13 +188,15 @@ def phantom_pressure(f: Phantom, pts, t):
     return out
 
 
-def phantom_velocity(f: Phantom, pts, t, quad: int = 48):
+def phantom_velocity(f: Phantom, pts, t):
+    """Solution with data (0, f) at points (..., 3) and times t, n = 3: the
+    sum over the bumps of :func:`radial_velocity`, by the closed primitive."""
     pts = np.asarray(pts, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
     for b in f.bumps:
         d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
-        out = out + radial_velocity(b, d, t, quad=quad)
+        out = out + radial_velocity(b, d, t)
     return out
 
 
@@ -139,7 +204,7 @@ def phantom_velocity(f: Phantom, pts, t, quad: int = 48):
 # integral identity (n = 3)
 
 
-def _times_velocity(weight, g: Phantom, pts, times, quad: int):
+def _times_velocity(weight, g: Phantom, pts, times):
     """``weight`` times the velocity of g at the broadcast of ``pts`` (..., 3)
     against ``times``, with the velocity evaluated only where ``weight`` is
     non-zero; everywhere else the product is 0 whatever the velocity is.
@@ -149,7 +214,7 @@ def _times_velocity(weight, g: Phantom, pts, times, quad: int):
     live = np.nonzero(weight)
     at = np.broadcast_to(pts, weight.shape + pts.shape[-1:])[live]
     vel = np.zeros(weight.shape)
-    vel[live] = phantom_velocity(g, at, times[live[-1]], quad=quad)
+    vel[live] = phantom_velocity(g, at, times[live[-1]])
     return weight * vel, at.shape[0]
 
 
@@ -192,15 +257,16 @@ def check_integral_identity(
     level: int = 0,
     *,
     phase: float = 0.0,
-    velocity_quad: int = 48,
     chunk: int = 256,
 ) -> IdentityReport:
     """Certify that the product integral of the two initial-data fields
     equals twice the boundary flux term minus the Laplacian volume term.
 
-    Both wave fields are evaluated through the closed radial forms, so the
-    residual measures quadrature and finite-difference error only.  The
-    ``level`` parameter doubles every node count and halves every step.
+    Both wave fields are evaluated through the closed radial forms (the
+    velocity from the primitive G of rho b(rho), independent of the forward
+    module), so the residual measures the outer quadrature and
+    finite-difference error only.  The ``level`` parameter doubles every
+    node count and halves every step.
     """
     t0 = time.perf_counter()
     n = domain.dimension
@@ -217,7 +283,6 @@ def check_integral_identity(
     nt = 48 * scale
     m_rad, m_pol, m_azi = 20 * scale, 12 * scale, 24 * scale
     m_box = 24 * scale
-    vq = velocity_quad * scale
     h_lap = 1e-2 * min(domain.semi_axes) / scale
     h_nu = 1e-3 * min(domain.semi_axes) / scale
 
@@ -253,7 +318,7 @@ def check_integral_identity(
     shifted = pts[:, None, :] + offs[None, :, None] * nus[:, None, :]
     pshift = phantom_pressure(f, shifted[:, :, None, :], trule.nodes)
     du = np.tensordot(stw, np.moveaxis(pshift, 1, 0), axes=(0, 0))
-    flux, evaluated = _times_velocity(du, g, pts[:, None, :], trule.nodes, vq)
+    flux, evaluated = _times_velocity(du, g, pts[:, None, :], trule.nodes)
     term_boundary = 2.0 * float(wb @ flux @ trule.weights)
     pairs = du.size
 
@@ -279,7 +344,7 @@ def check_integral_identity(
         block = nodes[lo_i : lo_i + chunk]
         sp = block[:, None, :] + stencil[None, :, :]
         pp = phantom_pressure(f, sp[:, :, None, :], trule.nodes)
-        prod, count = _times_velocity(pp, g, sp[:, :, None, :], trule.nodes, vq)
+        prod, count = _times_velocity(pp, g, sp[:, :, None, :], trule.nodes)
         lap = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
         term_volume += float(wvol[lo_i : lo_i + chunk] @ lap @ trule.weights)
         evaluated += count

@@ -3,15 +3,17 @@
 Everything here deliberately avoids the package's own quadrature helpers:
 oracles re-derive values through different algorithms (adaptive Simpson,
 symmetric-exclusion principal values, brute-force indicator quadrature) so
-that agreement is evidence, not circularity.  The exception is the ungated
-integral identity at the end: it keeps the package's own rules and fields and
-only evaluates the velocity everywhere, so that skipping exact zeros can be
-held to bit equality.
+that agreement is evidence, not circularity.  The ungated integral identity
+at the end keeps the package's own outer rules and pressure field; only its
+velocity comes by another route, a 48-node quadrature of rho b(rho) at every
+(point, time) pair, and it is compared with the package's closed-primitive
+velocity within a bound derived from both routes' errors.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,11 +131,17 @@ def trace_table_2d_per_centre(tables, stencil_w, times, h_t: float, radial_quad:
     return row
 
 
-def radial_velocity_ungated(bump, d, t, quad: int = 48):
-    """Closed radial velocity field with the 48-point quadrature run on every
-    (d, t) entry, empty intervals included: the full-broadcast form that the
-    gated ``validation.radial_velocity`` must reproduce."""
-    from neutrace.calculus import gauss_legendre
+# ---------------------------------------------------------------------------
+# the 48-node velocity route, and its distance to the closed primitive
+
+GOMPERTZ = 0.5963473623231940743  # delta = e E_1(1); E(1) = 1 - delta
+
+
+def radial_velocity_ungated(bump, d, t):
+    """Closed radial velocity field by a 48-point Gauss-Legendre sum of
+    rho b(rho) over (|t-d|, t+d) clipped to the support, run on every (d, t)
+    entry: the quadrature route that ``validation.radial_velocity`` replaced
+    by the closed primitive G."""
     from neutrace.transforms import bump_radial
 
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
@@ -141,35 +149,138 @@ def radial_velocity_ungated(bump, d, t, quad: int = 48):
     lo = np.clip(np.abs(t - d), 0.0, eps)
     hi = np.clip(t + d, 0.0, eps)
     length = np.maximum(hi - lo, 0.0)
-    rule = gauss_legendre(quad, 0.0, 1.0)
-    rho = lo[..., None] + length[..., None] * rule.nodes
-    integral = length * np.sum(rho * bump_radial(bump, rho, 3) * rule.weights, axis=-1)
+    x, w = np.polynomial.legendre.leggauss(48)
+    rho = lo[..., None] + length[..., None] * (0.5 + 0.5 * x)
+    integral = length * np.sum(rho * bump_radial(bump, rho, 3) * (0.5 * w), axis=-1)
     small = d < 1e-8 * eps
     v = integral / (2.0 * np.where(small, 1.0, d))
     return np.where(small, t * bump_radial(bump, t, 3), v)
 
 
-def _phantom_velocity_ungated(f, pts, t, quad: int = 48):
+def exponential_integral_e1(x, terms: int = 120):
+    """E_1(x) for x >= 1 by its continued fraction
+    exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))), evaluated bottom-up;
+    120 terms reach 1e-16 relative at x = 1, the slowest point."""
+    x = np.asarray(x, dtype=float)
+    tail = x + (2 * terms + 1)
+    for k in range(terms, 0, -1):
+        tail = x + (2 * k - 1) - k * k / tail
+    return np.exp(-x) / tail
+
+
+def cinf_primitive_closed(u):
+    """E(u) = integral of exp(1 - 1/(1 - s)) over (0, u), without quadrature.
+
+    With w = 1/(1 - s) the integral is e times that of exp(-w) / w^2 over
+    (1, 1/(1 - u)), that is e [E_2(1) - E_2(w) / w] with
+    E_2(x) = exp(-x) - x E_1(x).
+    """
+    u = np.asarray(u, dtype=float)
+    w = 1.0 / (1.0 - np.where(u < 1.0, u, 0.0))
+    e2_over = np.where(u < 1.0, (np.exp(-w) - w * exponential_integral_e1(w)) / w, 0.0)
+    e2_one = math.exp(-1.0) - float(exponential_integral_e1(1.0))
+    return math.e * (e2_one - e2_over)
+
+
+@lru_cache(maxsize=None)
+def cinf_fourth_derivative_max() -> float:
+    """Largest |E''''| on [0, 1) for E' = exp(1 - 1/(1 - u)).
+
+    With g = 1/(1 - u), E'''' = -g^4 (g^2 - 6 g + 6) exp(1 - g); sampled on
+    g in [1, 80] it peaks at 82.63 near g = 7.76 and is below 1e-22 at 80.
+    """
+    g = np.linspace(1.0, 80.0, 400001)
+    return float(np.max(np.abs(g**4 * (g * g - 6.0 * g + 6.0) * np.exp(1.0 - g))))
+
+
+def cinf_table_bound() -> float:
+    """Bound on the error of ``validation._cinf_primitive`` anywhere on [0, 1].
+
+    The cubic Hermite interpolant of exact node values and slopes errs by at
+    most h^4 / 384 max|E''''| with h = 1 / cells.  The node values come from
+    a compensated running sum, each within about one rounding of E(1), and
+    the lookup combines them in about ten operations; 8 roundings of
+    E(1) = 1 - delta cover both.
+    """
+    from neutrace.validation import _PRIMITIVE_CELLS
+
+    h = 1.0 / _PRIMITIVE_CELLS
+    return h**4 / 384.0 * cinf_fourth_derivative_max() + 8.0 * np.finfo(float).eps * (1.0 - GOMPERTZ)
+
+
+def velocity_route_tolerance(bump, d, t):
+    """Bound on |validation.radial_velocity - radial_velocity_ungated| at (d, t).
+
+    Both routes integrate rho b(rho) over the same clipped floating-point
+    interval (lo, hi), with hi - lo <= 2d, so the rounding of t -+ d is
+    common to them.  What differs, after the division by 2d:
+
+    - table (cinf): the table of E errs by at most ``cinf_table_bound``, dE.
+      G is A radius^2 / 2 times E, read at two ends: |A| radius^2 dE / (2d).
+    - quadrature (cinf): in sigma = rho / radius the 48-node rule errs by at
+      most q per unit length, where q is its error on (0, 1) against
+      E(1) / 2 = (1 - delta) / 2; a scan of every subinterval with ends on a
+      1/256 grid, against a 16-panel 64-node reference, finds none larger.
+      As hi - lo <= 2d, that is |A| radius q, doubled for ends off the grid.
+      For poly bumps the rule is exact (degree 2 mu + 1 integrand).
+    - rounding: 16 roundings of max|G| at each end of the closed form (a
+      lookup is about ten operations), (32 eps max|G|) / (2d), and 64 of
+      max|rho b| in the 48-term sum.
+
+    Where d < 1e-8 radius both routes return t b(t), so the bound is 0.
+    """
+    from neutrace.transforms import CINF, bump_radial
+
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    unit = np.finfo(float).eps
+    radius, amp = bump.radius, abs(bump.amplitude)
+    x, w = np.polynomial.legendre.leggauss(48)
+    sigma = 0.5 + 0.5 * x
+    rho = np.linspace(0.0, radius, 4097)
+    g_max = 0.5 * radius * float(np.sum(w * np.abs(radius * sigma * bump_radial(bump, radius * sigma, 3))))
+    per_d = 32.0 * unit * g_max
+    flat = 64.0 * unit * float(np.max(np.abs(rho * bump_radial(bump, rho, 3))))
+    if bump.profile == CINF:
+        per_d += amp * radius**2 * cinf_table_bound()
+        rule = 0.5 * float(np.sum(w * sigma * np.exp(1.0 - 1.0 / (1.0 - sigma * sigma))))
+        flat += 2.0 * amp * radius * abs(rule - 0.5 * (1.0 - GOMPERTZ))
+    small = d < 1e-8 * radius
+    return np.where(small, 0.0, flat + per_d / (2.0 * np.where(small, 1.0, d)))
+
+
+def _phantom_velocity_ungated(f, pts, t):
+    """The velocity of f by the quadrature route, and the sum over its bumps
+    of ``velocity_route_tolerance``."""
     pts = np.asarray(pts, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
+    tol = np.zeros(out.shape)
     for b in f.bumps:
         d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
-        out = out + radial_velocity_ungated(b, d, t, quad=quad)
-    return out
+        out = out + radial_velocity_ungated(b, d, t)
+        tol = tol + velocity_route_tolerance(b, d, t)
+    return out, tol
 
 
 def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: float = 0.0,
-                                    velocity_quad: int = 48, chunk: int = 256) -> dict:
+                                    chunk: int = 256) -> dict:
     """Both sides of the three-dimensional integral identity with the velocity
-    field evaluated at every (point, time) pair of the boundary and volume
-    terms, as ``validation.check_integral_identity`` did before it evaluated
-    the velocity only where the pressure factor is non-zero.
+    field by the 48-node quadrature route at every (point, time) pair of the
+    boundary and volume terms: ``validation.check_integral_identity`` as it
+    was before it gated the velocity on the pressure factor and read it from
+    the closed primitive.
 
-    Returns ``lhs``, ``rhs``, ``term_boundary``, ``term_volume`` and
-    ``weights_nonzero``, the number of pairs with a non-zero pressure factor
-    (normal derivative on the boundary, pressure in the volume).  Assumes both
-    phantoms are non-empty and inside the domain.
+    Returns ``lhs``, ``rhs``, ``term_boundary``, ``term_volume``,
+    ``weights_nonzero`` (the number of pairs with a non-zero pressure factor:
+    normal derivative on the boundary, pressure in the volume), and
+    ``bound_boundary`` / ``bound_volume``, which bound how far the terms of
+    the closed-primitive route can lie from these.  Each is carried through
+    its term with the absolute values of the weights from a per-pair budget:
+    ``velocity_route_tolerance`` plus, for the rounding of the weighted sums
+    in either route, 2 eps |v| times the longest chain of additions a pair
+    passes through (the dot products over nodes, times and stencil points,
+    and the running sum over volume chunks).  Assumes both phantoms are
+    non-empty and inside the domain.
     """
     from neutrace.calculus import gauss_legendre
     from neutrace.forward import huygens_horizon
@@ -181,7 +292,6 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
     nt = 48 * scale
     m_rad, m_pol, m_azi = 20 * scale, 12 * scale, 24 * scale
     m_box = 24 * scale
-    vq = velocity_quad * scale
     h_lap = 1e-2 * min(domain.semi_axes) / scale
     h_nu = 1e-3 * min(domain.semi_axes) / scale
 
@@ -189,15 +299,20 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
     horizon = min(huygens_horizon(f, boundary), huygens_horizon(g, boundary))
     lhs = _product_integral(f, g, m_box)
     trule = gauss_legendre(nt, 0.0, horizon)
+    wt = np.abs(trule.weights)
+    unit = np.finfo(float).eps
 
     pts, nus, wb = boundary.points, boundary.normals, boundary.weights
-    vel = _phantom_velocity_ungated(g, pts[:, None, :], trule.nodes, quad=vq)
+    vel, tol = _phantom_velocity_ungated(g, pts[:, None, :], trule.nodes)
     offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h_nu
     stw = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_nu)
     shifted = pts[:, None, :] + offs[None, :, None] * nus[:, None, :]
     pshift = phantom_pressure(f, shifted[:, :, None, :], trule.nodes)
     du = np.tensordot(stw, np.moveaxis(pshift, 1, 0), axes=(0, 0))
     term_boundary = 2.0 * float(wb @ (du * vel) @ trule.weights)
+    chain = pts.shape[0] + nt + 6
+    budget = tol + 2.0 * chain * unit * np.abs(vel)
+    bound_boundary = 2.0 * float(np.abs(wb) @ (np.abs(du) * budget) @ wt)
     nonzero = int(np.count_nonzero(du))
 
     rr = gauss_legendre(m_rad, 0.0, 1.0)
@@ -216,15 +331,22 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
     for i in range(3):
         stencil[1 + 2 * i, i] = h_lap
         stencil[2 + 2 * i, i] = -h_lap
+    # absolute values of the Laplacian stencil weights, centre first
+    lap_abs = np.array([6.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]) / h_lap**2
+    chain = chunk + nt + 7 + -(-nodes.shape[0] // chunk) + 4
     term_volume = 0.0
+    bound_volume = 0.0
     for lo_i in range(0, nodes.shape[0], chunk):
         block = nodes[lo_i : lo_i + chunk]
         sp = block[:, None, :] + stencil[None, :, :]
         pp = phantom_pressure(f, sp[:, :, None, :], trule.nodes)
-        vv = _phantom_velocity_ungated(g, sp[:, :, None, :], trule.nodes, quad=vq)
+        vv, tv = _phantom_velocity_ungated(g, sp[:, :, None, :], trule.nodes)
         prod = pp * vv
         lap = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
         term_volume += float(wvol[lo_i : lo_i + chunk] @ lap @ trule.weights)
+        budget = tv + 2.0 * chain * unit * np.abs(vv)
+        spread = np.tensordot(np.abs(pp) * budget, lap_abs, axes=(1, 0))
+        bound_volume += float(np.abs(wvol[lo_i : lo_i + chunk]) @ spread @ wt)
         nonzero += int(np.count_nonzero(pp))
 
     return {
@@ -232,5 +354,7 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
         "rhs": term_boundary - term_volume,
         "term_boundary": term_boundary,
         "term_volume": term_volume,
+        "bound_boundary": bound_boundary,
+        "bound_volume": bound_volume,
         "weights_nonzero": nonzero,
     }
