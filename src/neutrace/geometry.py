@@ -77,12 +77,21 @@ def superellipse(center, semi_axes, exponent) -> ConvexDomain:
 
 
 def level_value(domain: ConvexDomain, points):
-    """Defining level function; < 1 inside, 1 on the boundary, > 1 outside."""
+    """Defining level function; < 1 inside, 1 on the boundary, > 1 outside.
+
+    Works one coordinate plane at a time and adds the terms in axis order:
+    numpy is slow at broadcasting over, and summing along, a short last axis.
+    A single point is handled as a batch of one, since numpy's array power
+    can differ from its scalar power in the last bit.
+    """
     pts = np.asarray(points, dtype=float)
-    d = (pts - np.asarray(domain.center)) / np.asarray(domain.semi_axes)
-    if domain.kind == ELLIPSOID:
-        return np.sum(d * d, axis=-1)
-    return np.sum(np.abs(d) ** domain.exponent, axis=-1)
+    if pts.shape[-1] != domain.dimension:
+        raise ValueError(f"points have {pts.shape[-1]} coordinates, the domain {domain.dimension}")
+    total = 0.0
+    for x, c, a in zip(np.moveaxis(np.atleast_2d(pts), -1, 0), domain.center, domain.semi_axes):
+        d = (x - c) / a
+        total = total + (d * d if domain.kind == ELLIPSOID else np.abs(d) ** domain.exponent)
+    return total if pts.ndim > 1 else total[0]
 
 
 def contains(domain: ConvexDomain, x) -> bool | np.ndarray:

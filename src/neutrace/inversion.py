@@ -24,9 +24,10 @@ from .geometry import ELLIPSOID, ConvexDomain, grid_margin
 from .transforms import (
     KernelProfile,
     Phantom,
-    _cached_profile,
+    _cached_profiles,
     _check_unit,
-    radon_chi_deriv,
+    _ellipsoid_profile_deriv,
+    _offset_window,
 )
 
 __all__ = [
@@ -274,17 +275,26 @@ def _angular_set(n: int, m: int):
     return dirs, w
 
 
-def _kernel_on_ray(domain, omega, s_vals, order, margin, opts):
-    """Composite kernel values along one direction at many offsets."""
+def _ray_profiles(domain, dirs, order, margin, opts):
+    """Kernel profile of each direction, fetched as one batch; None for
+    every direction of an odd-dimensional ellipsoid, whose kernel is in
+    closed form."""
     if domain.kind == ELLIPSOID and domain.dimension % 2 == 1:
-        return np.array(
-            [radon_chi_deriv(domain, omega, s, order, margin=margin) for s in s_vals]
-        )
-    prof = _cached_profile(
-        domain, omega, order, margin, opts.kernel_table, opts.kernel_quad,
+        return [None] * len(dirs)
+    return _cached_profiles(
+        domain, dirs, order, margin, opts.kernel_table, opts.kernel_quad,
         domain.dimension % 2 == 0,
     )
-    return prof.eval(s_vals, order=order, hilbert=domain.dimension % 2 == 0)
+
+
+def _kernel_on_ray(domain, omega, s_vals, order, margin, profile):
+    """Composite kernel values along one direction at many offsets, read off
+    the direction's profile, or from the closed form when it has none."""
+    if profile is None:
+        th = _check_unit(omega)
+        _, sp = _offset_window(domain, th, s_vals, margin, order)
+        return _ellipsoid_profile_deriv(domain, th, sp, order)
+    return profile.eval(s_vals, order=order, hilbert=domain.dimension % 2 == 0)
 
 
 def _support_radius(f, x) -> float:
@@ -331,8 +341,9 @@ def correction_K(
     dirs, wdir = _angular_set(n, opts.k_angular)
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
     order = n
+    profiles = _ray_profiles(domain, dirs, order, margin, opts)
     total = 0.0
-    for omega, w_omega in zip(dirs, wdir):
+    for omega, w_omega, profile in zip(dirs, wdir, profiles):
         r = r_max * rad.nodes
         pts = x + r[:, None] * omega
         fvals = np.asarray(evaluator(pts), dtype=float)
@@ -342,7 +353,7 @@ def correction_K(
         if not np.any(mask):
             continue
         s_vals = float(np.sum(x * omega)) + 0.5 * r[mask]
-        kvals = _kernel_on_ray(domain, omega, s_vals, order, margin, opts)
+        kvals = _kernel_on_ray(domain, omega, s_vals, order, margin, profile)
         total += w_omega * r_max * float(np.sum(rad.weights[mask] * fvals[mask] * kvals))
     return _correction_constant(n) * total
 
@@ -366,13 +377,15 @@ def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarra
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
     r = r_max[:, None] * rad.nodes
     matrix = np.zeros(size * size)
-    for omega, w_omega in zip(*_angular_set(n, opts.k_angular)):
+    dirs, wdir = _angular_set(n, opts.k_angular)
+    profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
+    for omega, w_omega, profile in zip(dirs, wdir, profiles):
         idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
         # a grid field vanishes outside the box, so only query the kernel inside
         inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
         # the same offset formula as correction_K, so both read equal kernel values
         s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
-        kvals = _kernel_on_ray(domain, omega, s_vals[inside], n, opts.kernel_margin, opts)
+        kvals = _kernel_on_ray(domain, omega, s_vals[inside], n, opts.kernel_margin, profile)
         coef = _correction_constant(n) * w_omega * r_max[:, None] * rad.weights
         live = inside.reshape(-1)
         cells = np.nonzero(inside)[0] * size + idx[:, live]

@@ -4,8 +4,11 @@ The reconstruction correction operator needs high derivatives in the
 offset variable of the Radon transform of the domain indicator, with a
 Hilbert transform interposed in even dimension.  For ellipsoids that
 composite is available in closed form; for other domains it is obtained
-by tabulating the transform along one direction and differentiating the
-table, wrapped up in a cached :class:`KernelProfile`.
+by tabulating the transform on a grid of offsets for each direction and
+differentiating the table, wrapped up in a :class:`KernelProfile` cached
+per direction.  The profiles of a whole set of directions are built
+together: one batched chord search over every (direction, offset) pair
+supplies all their section values.
 """
 
 from __future__ import annotations
@@ -317,29 +320,42 @@ def radon_chi(domain: ConvexDomain, theta, s):
     th = _check_unit(theta)
     ss = np.asarray(s, dtype=float)
     scalar = ss.ndim == 0
-    sp = np.atleast_1d(ss) - float(np.dot(domain.center, th))
-
-    if domain.kind == ELLIPSOID:
-        n = domain.dimension
-        a = np.asarray(domain.semi_axes)
-        w = float(np.sqrt(np.sum((a * th) ** 2)))
-        z2 = (sp / w) ** 2
-        pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
-        out = np.where(z2 < 1.0, pref * (1.0 - np.minimum(z2, 1.0)) ** ((n - 1) / 2.0), 0.0)
-        return float(out[0]) if scalar else out.reshape(ss.shape)
-
-    out = _superellipse_chord(domain, th, sp)
+    sp = ss.reshape(-1) - float(np.dot(domain.center, th))
+    out = _sections(domain, th[None, :], sp[None, :])[0]
     return float(out[0]) if scalar else out.reshape(ss.shape)
 
 
+def _sections(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """Section volumes for a batch of directions: row i of the (m, k) centred
+    offsets ``sp`` belongs to the unit direction th[i] of the (m, n) array."""
+    if domain.kind != ELLIPSOID:
+        return _superellipse_chord(domain, th, sp)
+    n = domain.dimension
+    a = np.asarray(domain.semi_axes)
+    out = np.empty_like(sp)
+    for row, direction, offsets in zip(out, th, sp):
+        w = float(np.sqrt(np.sum((a * direction) ** 2)))
+        z2 = (offsets / w) ** 2
+        pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
+        row[:] = np.where(z2 < 1.0, pref * (1.0 - np.minimum(z2, 1.0)) ** ((n - 1) / 2.0), 0.0)
+    return out
+
+
 def _superellipse_chord(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """Chord lengths for unit directions th (m, 2) at centred offsets sp (m, k).
+
+    Every (direction, offset) line is searched on its own, all at once:
+    golden-section minimisation of the convex level function along the
+    line, then a bisection towards each end of the chord.  The line points
+    are kept as coordinate planes, which is the layout level_value reads.
+    """
     c = np.asarray(domain.center)
-    perp = np.array([-th[1], th[0]])
-    base = c + sp[:, None] * th  # chord foot points
+    perp = np.stack([-th[:, 1], th[:, 0]])[:, :, None]  # (2, m, 1)
+    base = c[:, None, None] + sp * th.T[:, :, None]  # chord foot points, (2, m, k)
     bracket = _max_radius(domain) + 1.0
 
     def lev(tau):
-        return level_value(domain, base + tau[:, None] * perp)
+        return level_value(domain, np.moveaxis(base + tau * perp, 0, -1))
 
     # golden-section minimisation of the convex level function along each line
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -352,10 +368,10 @@ def _superellipse_chord(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) ->
         take = f1 < f2
         hi = np.where(take, x2, hi)
         lo = np.where(take, lo, x1)
-        x1n = hi - invphi * (hi - lo)
-        x2n = lo + invphi * (hi - lo)
-        # only one of the two endpoints moved; refresh both values cheaply
-        x1, x2 = x1n, x2n
+        # both interior points are recomputed from the new bracket and
+        # re-evaluated, rather than reusing the surviving one
+        x1 = hi - invphi * (hi - lo)
+        x2 = lo + invphi * (hi - lo)
         f1, f2 = lev(x1), lev(x2)
     tau_min = 0.5 * (lo + hi)
     fmin = lev(tau_min)
@@ -375,16 +391,22 @@ def _superellipse_chord(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) ->
     return np.where(hit, tau_hi - tau_lo, 0.0)
 
 
-def _offset_window(domain: ConvexDomain, th: np.ndarray, s: float, margin: float):
+def _offset_window(domain: ConvexDomain, th: np.ndarray, s, margin: float, order: int):
+    """Support halfwidth and centred offsets of the chords at offsets ``s``
+    (a scalar or an array); raises OutOfRegionError unless every chord keeps
+    ``margin`` from tangency and, for order > 0, is not tangent."""
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     w = support_halfwidth(domain, th)
-    sp = float(s) - float(np.dot(domain.center, th))
-    if abs(sp) > w - margin:
+    sp = np.asarray(s, dtype=float) - float(np.dot(domain.center, th))
+    far = np.abs(sp) > w - margin
+    if np.any(far):
         raise OutOfRegionError(
-            f"chord offset {sp:.6g} outside safe window |s'| <= {w - margin:.6g} "
+            f"chord offset {sp[far].flat[0]:.6g} outside safe window |s'| <= {w - margin:.6g} "
             f"(support halfwidth {w:.6g}, margin {margin:.6g})"
         )
+    if order > 0 and np.any(np.abs(sp) >= w):
+        raise OutOfRegionError("chord is tangent to the domain")
     return w, sp
 
 
@@ -412,15 +434,14 @@ def radon_chi_deriv(
         raise ValueError(f"derivative order must be within 0..{n}, got {order}")
     if method not in ("auto", "analytic", "fd"):
         raise ValueError(f"unknown method {method!r}")
-    w, sp = _offset_window(domain, th, s, margin)
-    if order > 0 and abs(sp) >= w:
-        raise OutOfRegionError("chord is tangent to the domain")
+    w, sp = _offset_window(domain, th, float(s), margin, order)
+    sp = float(sp)
     if method == "auto":
         method = "analytic" if domain.kind == ELLIPSOID else "fd"
     if method == "analytic":
         if domain.kind != ELLIPSOID:
             raise ValueError("analytic derivatives exist only for ellipsoids")
-        return _ellipsoid_profile_deriv(domain, th, sp, order)
+        return float(_ellipsoid_profile_deriv(domain, th, sp, order))
 
     if order == 0:
         return float(radon_chi(domain, th, s))
@@ -438,26 +459,27 @@ def radon_chi_deriv(
     return float(richardson(d_h, d_2h))
 
 
-def _ellipsoid_profile_deriv(domain: ConvexDomain, th: np.ndarray, sp: float, order: int) -> float:
+def _ellipsoid_profile_deriv(domain: ConvexDomain, th: np.ndarray, sp, order: int):
+    """Closed-form offset derivative of an ellipsoid's section profile at
+    centred offsets ``sp`` (a scalar or an array)."""
     n = domain.dimension
     a = np.asarray(domain.semi_axes)
     w = float(np.sqrt(np.sum((a * th) ** 2)))
     pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
-    z = sp / w
+    z = np.asarray(sp, dtype=float) / w
     if n == 3:
+        # the profile is quadratic in the offset
         if order == 0:
             return pref * (1.0 - z * z)
         if order == 1:
             return -2.0 * pref * z / w
-        if order == 2:
-            return -2.0 * pref / w**2
-        return 0.0
+        return np.full_like(z, -2.0 * pref / w**2 if order == 2 else 0.0)
     # n == 2
     q = 1.0 - z * z
     if order == 0:
-        return pref * math.sqrt(q)
+        return pref * np.sqrt(q)
     if order == 1:
-        return -pref * z / (w * math.sqrt(q))
+        return -pref * z / (w * np.sqrt(q))
     return -pref / (w**2 * q**1.5)
 
 
@@ -553,17 +575,14 @@ class KernelProfile:
         return float(out[0]) if scalar else out.reshape(ss.shape)
 
 
-def _profile_tables(domain, th, s_grid, rchi_vals, num_quad, s_center, w):
+def _profile_tables(s_grid, rchi_vals, t_nodes, phi_nodes, jac, s_center, w):
     """Hilbert transform of the section profile on the table grid.
 
     Uses the sine substitution t = s_c + w sin(beta), which absorbs the
     root-type edge behaviour of convex section profiles, with the value
-    at the singular point subtracted.
+    at the singular point subtracted; ``phi_nodes`` are the section values
+    at the substituted quadrature nodes ``t_nodes``, ``jac`` their weights.
     """
-    rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi)
-    t_nodes = s_center + w * np.sin(rule.nodes)
-    jac = w * np.cos(rule.nodes) * rule.weights
-    phi_nodes = radon_chi(domain, th, t_nodes)
     # local slope for near-coincident node/grid pairs (removable point)
     slope = np.gradient(phi_nodes, t_nodes)
     den = s_grid[:, None] - t_nodes[None, :]
@@ -576,6 +595,16 @@ def _profile_tables(domain, th, s_grid, rchi_vals, num_quad, s_center, w):
     return (core + log_term) / math.pi
 
 
+def _derivative_columns(vals: np.ndarray, ds: float, order: int) -> dict:
+    """Richardson-extrapolated offset derivatives 1..order of a table."""
+    out = {}
+    for m_ in range(1, order + 1):
+        d1 = stencil_apply(vals, ds, m_, stride=1)
+        d2 = stencil_apply(vals, ds, m_, stride=2)
+        out[m_] = richardson(d1, d2)
+    return out
+
+
 def build_kernel_profile(
     domain: ConvexDomain,
     theta,
@@ -586,7 +615,18 @@ def build_kernel_profile(
     num_quad: int = 256,
     with_hilbert: bool | None = None,
 ) -> KernelProfile:
-    th = _check_unit(theta)
+    """Kernel profile of one direction: the batch of one of :func:`_build_profiles`."""
+    return _build_profiles(domain, [theta], order, margin, num_table, num_quad, with_hilbert)[0]
+
+
+def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hilbert):
+    """Kernel profiles of a list of directions.
+
+    Each direction's table grid, and its Hilbert quadrature nodes when the
+    profile carries Hilbert columns, are laid out as one row of offsets,
+    and the section values of all rows come from one batched
+    :func:`_sections` call; the tables are then finished per direction.
+    """
     n = domain.dimension
     if with_hilbert is None:
         with_hilbert = n % 2 == 0
@@ -596,48 +636,58 @@ def build_kernel_profile(
         raise ValueError(f"profile table needs >= 64 points, got {num_table}")
     if margin <= 0:
         raise ValueError(f"profile margin must be positive, got {margin}")
-    w = support_halfwidth(domain, th)
-    if margin >= w:
-        raise ValueError(f"margin {margin} exceeds the support halfwidth {w}")
-    s_center = float(np.dot(domain.center, th))
-    q = w - margin
-    v = q / (1.0 - 2.0 * _PAD / (num_table - 1))
-    if v >= w * (1.0 - 1e-9):
-        raise ValueError(
-            f"margin {margin} too small for a {num_table}-point table; "
-            "increase the margin or the table size"
+    rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi) if with_hilbert else None
+    ths, frames, rows = [], [], []
+    for theta in thetas:
+        th = _check_unit(theta)
+        w = support_halfwidth(domain, th)
+        if margin >= w:
+            raise ValueError(f"margin {margin} exceeds the support halfwidth {w}")
+        s_center = float(np.dot(domain.center, th))
+        q = w - margin
+        v = q / (1.0 - 2.0 * _PAD / (num_table - 1))
+        if v >= w * (1.0 - 1e-9):
+            raise ValueError(
+                f"margin {margin} too small for a {num_table}-point table; "
+                "increase the margin or the table size"
+            )
+        s_grid = s_center + np.linspace(-v, v, num_table)
+        offsets = s_grid
+        if with_hilbert:
+            offsets = np.concatenate([s_grid, s_center + w * np.sin(rule.nodes)])
+        ths.append(th)
+        frames.append((w, s_center, offsets))
+        rows.append(offsets - s_center)
+    values = _sections(domain, np.array(ths), np.array(rows))
+    profiles = []
+    for th, (w, s_center, offsets), vals in zip(ths, frames, values):
+        s_grid, rvals = offsets[:num_table], vals[:num_table]
+        ds = s_grid[1] - s_grid[0]
+        hvals = None
+        hrchi_d = None
+        if with_hilbert:
+            jac = w * np.cos(rule.nodes) * rule.weights
+            hvals = _profile_tables(
+                s_grid, rvals, offsets[num_table:], vals[num_table:], jac, s_center, w
+            )
+            hrchi_d = _derivative_columns(hvals, ds, order)
+        profiles.append(
+            KernelProfile(
+                domain=domain,
+                theta=tuple(float(t) for t in th),
+                order=order,
+                margin=float(margin),
+                with_hilbert=with_hilbert,
+                s_center=s_center,
+                halfwidth=w,
+                s_grid=s_grid,
+                rchi=rvals,
+                rchi_d=_derivative_columns(rvals, ds, order),
+                hrchi=hvals,
+                hrchi_d=hrchi_d,
+            )
         )
-    s_grid = s_center + np.linspace(-v, v, num_table)
-    ds = s_grid[1] - s_grid[0]
-    rvals = radon_chi(domain, th, s_grid)
-    rchi_d = {}
-    for m_ in range(1, order + 1):
-        d1 = stencil_apply(rvals, ds, m_, stride=1)
-        d2 = stencil_apply(rvals, ds, m_, stride=2)
-        rchi_d[m_] = richardson(d1, d2)
-    hvals = None
-    hrchi_d = None
-    if with_hilbert:
-        hvals = _profile_tables(domain, th, s_grid, rvals, num_quad, s_center, w)
-        hrchi_d = {}
-        for m_ in range(1, order + 1):
-            d1 = stencil_apply(hvals, ds, m_, stride=1)
-            d2 = stencil_apply(hvals, ds, m_, stride=2)
-            hrchi_d[m_] = richardson(d1, d2)
-    return KernelProfile(
-        domain=domain,
-        theta=tuple(float(t) for t in th),
-        order=order,
-        margin=float(margin),
-        with_hilbert=with_hilbert,
-        s_center=s_center,
-        halfwidth=w,
-        s_grid=s_grid,
-        rchi=rvals,
-        rchi_d=rchi_d,
-        hrchi=hvals,
-        hrchi_d=hrchi_d,
-    )
+    return profiles
 
 
 _PROFILE_CACHE: dict = {}
@@ -647,29 +697,28 @@ def clear_kernel_cache() -> None:
     _PROFILE_CACHE.clear()
 
 
-def _cached_profile(domain, th, order, margin, num_table, num_quad, with_hilbert):
-    key = (
-        domain,
-        tuple(round(float(t), 12) for t in th),
-        order,
-        round(float(margin), 12),
-        num_table,
-        num_quad,
-        with_hilbert,
-    )
-    prof = _PROFILE_CACHE.get(key)
-    if prof is None:
-        prof = build_kernel_profile(
+def _cached_profiles(domain, thetas, order, margin, num_table, num_quad, with_hilbert):
+    """Profiles of a list of directions from the per-direction cache; the
+    directions it misses are built together in one batch."""
+    keys = [
+        (
             domain,
-            th,
+            tuple(round(float(t), 12) for t in th),
             order,
-            margin=margin,
-            num_table=num_table,
-            num_quad=num_quad,
-            with_hilbert=with_hilbert,
+            round(float(margin), 12),
+            num_table,
+            num_quad,
+            with_hilbert,
         )
-        _PROFILE_CACHE[key] = prof
-    return prof
+        for th in thetas
+    ]
+    missing = {key: th for key, th in zip(keys, thetas) if key not in _PROFILE_CACHE}
+    if missing:
+        built = _build_profiles(
+            domain, list(missing.values()), order, margin, num_table, num_quad, with_hilbert
+        )
+        _PROFILE_CACHE.update(zip(missing, built))
+    return [_PROFILE_CACHE[key] for key in keys]
 
 
 def hilbert_radon_chi_deriv(
@@ -690,5 +739,5 @@ def hilbert_radon_chi_deriv(
     """
     th = _check_unit(theta)
     if profile is None:
-        profile = _cached_profile(domain, th, order, margin, num_table, num_quad, True)
+        profile = _cached_profiles(domain, [th], order, margin, num_table, num_quad, True)[0]
     return float(profile.eval(s, order=order, hilbert=True))

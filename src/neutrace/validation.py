@@ -152,9 +152,11 @@ def radial_pressure(bump: Bump, d, t):
     ds = np.where(small, 1.0, d)
     plus = (t + ds) * bump_radial(bump, t + ds, 3)
     minus = (t - ds) * bump_radial(bump, np.abs(t - ds), 3)
-    u = (plus - minus) / (2.0 * ds)
-    lim = bump_radial(bump, t, 3) + t * bump_radial_deriv(bump, t, 3)
-    return np.where(small, lim, u)
+    u = np.asarray((plus - minus) / (2.0 * ds))
+    if small.any():
+        ts = t[small]
+        u[small] = bump_radial(bump, ts, 3) + ts * bump_radial_deriv(bump, ts, 3)
+    return u
 
 
 def radial_velocity(bump: Bump, d, t):

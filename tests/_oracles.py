@@ -157,6 +157,33 @@ def radial_velocity_ungated(bump, d, t):
     return np.where(small, t * bump_radial(bump, t, 3), v)
 
 
+def radial_pressure_ungated(bump, d, t):
+    """Closed radial pressure field with its d -> 0 limit b(t) + t b'(t)
+    evaluated on every (d, t) entry and kept where d < 1e-8 radius: the
+    formula that ``validation.radial_pressure`` gates to the small entries."""
+    from neutrace.transforms import bump_radial, bump_radial_deriv
+
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    small = d < 1e-8 * bump.radius
+    ds = np.where(small, 1.0, d)
+    plus = (t + ds) * bump_radial(bump, t + ds, 3)
+    minus = (t - ds) * bump_radial(bump, np.abs(t - ds), 3)
+    u = (plus - minus) / (2.0 * ds)
+    lim = bump_radial(bump, t, 3) + t * bump_radial_deriv(bump, t, 3)
+    return np.where(small, lim, u)
+
+
+def level_value_broadcast(domain, points):
+    """Level function of a domain by broadcasting the centred, scaled points
+    over their last axis and summing along it: the formula that
+    ``geometry.level_value`` evaluates one coordinate plane at a time."""
+    pts = np.asarray(points, dtype=float)
+    d = (pts - np.asarray(domain.center)) / np.asarray(domain.semi_axes)
+    if domain.kind == "ellipsoid":
+        return np.sum(d * d, axis=-1)
+    return np.sum(np.abs(d) ** domain.exponent, axis=-1)
+
+
 def exponential_integral_e1(x, terms: int = 120):
     """E_1(x) for x >= 1 by its continued fraction
     exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))), evaluated bottom-up;

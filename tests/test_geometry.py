@@ -23,7 +23,7 @@ from neutrace.geometry import (
 )
 from neutrace.inversion import ImageGrid, _grid_margin
 
-from _oracles import adaptive_simpson
+from _oracles import adaptive_simpson, level_value_broadcast
 
 # boundary lengths of the session domains, integrated independently with
 # adaptive Simpson on the parametric speed
@@ -79,6 +79,38 @@ def test_superellipse_corners_are_fuller_than_the_ellipse():
 def test_contains_vectorized(unit_disk):
     pts = np.array([[0.0, 0.0], [0.99, 0.0], [1.01, 0.0]])
     np.testing.assert_array_equal(contains(unit_disk, pts), [True, True, False])
+
+
+_LEVEL_DOMAINS = [
+    ellipsoid((0.3, -0.2), (1.5, 0.7)),
+    ellipsoid((0.1, 0.2, -0.3), (1.0, 1.3, 0.6)),
+    superellipse((0.25, -0.4), (1.2, 0.9), 4.0),
+    superellipse((-0.3, 0.15), (0.8, 1.1), 3.3),
+]
+
+
+@pytest.mark.parametrize("dom", _LEVEL_DOMAINS, ids=["ellipse", "ellipsoid", "se4", "se3.3"])
+def test_level_value_equals_the_broadcast_formula(dom, rng):
+    """One coordinate plane at a time gives the broadcast-and-sum formula's
+    values bit for bit, for any leading shape, on and off the boundary."""
+    n = dom.dimension
+    c, a = np.asarray(dom.center), np.asarray(dom.semi_axes)
+    rim = boundary_quadrature(dom, 8).points
+    inside = c + 0.5 * a * rng.uniform(-1.0, 1.0, (20, n))
+    outside = c + a * rng.uniform(1.0, 3.0, (20, n)) * rng.choice([-1.0, 1.0], (20, n))
+    pts = np.concatenate([rim, inside, outside, c[None, :], (c + a * np.eye(n))])
+    on_rim = level_value(dom, rim)
+    assert np.all(np.abs(on_rim - 1.0) < 1e-12) and np.any(level_value(dom, outside) > 1.0)
+    for batch in (pts, pts[3], pts[: 4 * 5].reshape(4, 5, n), pts[:0]):
+        got = level_value(dom, batch)
+        want = level_value_broadcast(dom, batch)
+        assert np.shape(got) == np.shape(want) == batch.shape[:-1]
+        assert np.array_equal(got, want)
+    # a coordinate-first array handed over as a view reads the same values
+    assert np.array_equal(level_value(dom, np.moveaxis(np.ascontiguousarray(pts.T), 0, -1)),
+                          level_value_broadcast(dom, pts))
+    with pytest.raises(ValueError, match="coordinates"):
+        level_value(dom, np.zeros((3, n + 1)))
 
 
 @given(

@@ -15,7 +15,7 @@ from neutrace.forward import (
     _nu_stencil,
     simulate_traces,
 )
-from neutrace.geometry import boundary_quadrature
+from neutrace.geometry import boundary_quadrature, ellipsoid, support_halfwidth
 from neutrace.inversion import (
     ImageGrid,
     ReconstructionOptions,
@@ -23,6 +23,7 @@ from neutrace.inversion import (
     _correction_constant,
     _correction_matrix,
     _kernel_on_ray,
+    _ray_profiles,
     _support_radius,
     backproject_even,
     backproject_odd,
@@ -32,7 +33,7 @@ from neutrace.inversion import (
     write_image_csv,
     write_image_pgm,
 )
-from neutrace.transforms import Bump, Phantom, _cached_profile
+from neutrace.transforms import Bump, OutOfRegionError, Phantom, radon_chi_deriv
 
 # back-projected value at the bump centre for the radius-0.35 phantom in
 # the unit ball (boundary resolution 8, 120 times up to t = 3); the exact
@@ -98,14 +99,13 @@ def se4_correction_roundoff(domain, f, x, opts):
     r_max = max(float(np.linalg.norm(np.asarray(b.center) - x)) + b.radius for b in f.bumps)
     r = r_max * rad.nodes
     total, chord = 0.0, 0.0
-    for omega, w_omega in zip(*_angular_set(2, opts.k_angular)):
+    dirs, wdir = _angular_set(2, opts.k_angular)
+    profiles = _ray_profiles(domain, dirs, 2, opts.kernel_margin, opts)
+    for omega, w_omega, prof in zip(dirs, wdir, profiles):
         fvals = f.eval(x + r[:, None] * omega)
         mask = fvals != 0.0
         if not np.any(mask):
             continue
-        prof = _cached_profile(
-            domain, omega, 2, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, True
-        )
         s_grid, w, sc = prof.s_grid, prof.halfwidth, prof.s_center
         jac = w * np.cos(quad.nodes) * quad.weights
         gaps = np.abs(s_grid[:, None] - (sc + w * np.sin(quad.nodes)))
@@ -150,13 +150,15 @@ def matrix_route_roundoff(grid, domain, v, opts):
         r_max = _support_radius(grid, x)
         r = r_max * rad.nodes
         total = 0.0
-        for omega, w_omega in zip(*_angular_set(n, m)):
+        dirs, wdir = _angular_set(n, m)
+        profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
+        for omega, w_omega, profile in zip(dirs, wdir, profiles):
             fvals = modulus.interp(x + r[:, None] * omega)
             mask = fvals != 0.0
             if not np.any(mask):
                 continue
             s_vals = float(np.sum(x * omega)) + 0.5 * r[mask]
-            kvals = np.abs(_kernel_on_ray(domain, omega, s_vals, n, opts.kernel_margin, opts))
+            kvals = np.abs(_kernel_on_ray(domain, omega, s_vals, n, opts.kernel_margin, profile))
             total += w_omega * r_max * np.sum(rad.weights[mask] * fvals[mask] * kvals)
         terms.append(abs(_correction_constant(n)) * total)
     return chain * np.finfo(float).eps * np.array(terms)
@@ -301,6 +303,36 @@ def test_truncation_probe_is_small_on_long_records(disk_traces):
 
 def test_correction_vanishes_on_the_ball(bump3d, unit_ball):
     assert correction_K(bump3d, (0.1, 0.0, 0.0), unit_ball, margin=0.25) == 0.0
+
+
+def test_odd_ellipsoid_kernel_is_the_vectorised_closed_form():
+    """On an odd-dimensional ellipsoid the ray kernel is the closed form at
+    every offset at once, equal to the pointwise derivative, and an offset
+    outside the safe window still raises."""
+    dom = ellipsoid((0.1, 0.0, -0.1), (1.0, 1.2, 0.9))
+    margin = 0.25
+    dirs, _ = _angular_set(3, 4)
+    assert _ray_profiles(dom, dirs, 3, margin, ReconstructionOptions()) == [None] * len(dirs)
+    for th in dirs[::5]:
+        c = float(np.dot(dom.center, th))
+        q = support_halfwidth(dom, th) - margin
+        s = c + np.linspace(-q, q, 9)
+        for order in range(4):
+            got = _kernel_on_ray(dom, th, s, order, margin, None)
+            want = [radon_chi_deriv(dom, th, v, order, margin=margin) for v in s]
+            assert np.array_equal(got, want)
+        assert np.all(got == 0.0)
+        for beyond in (c + q + 1e-3, c - q - 1e-3):
+            with pytest.raises(OutOfRegionError, match="outside safe window"):
+                _kernel_on_ray(dom, th, np.append(s, beyond), 3, margin, None)
+            with pytest.raises(OutOfRegionError, match="outside safe window"):
+                radon_chi_deriv(dom, th, beyond, 3, margin=margin)
+
+
+def test_correction_on_the_ball_raises_outside_the_window(bump3d, unit_ball):
+    # chords of the radius-0.35 bump around (0.1, 0, 0) reach |s| > 0.1
+    with pytest.raises(OutOfRegionError, match="outside safe window"):
+        correction_K(bump3d, (0.1, 0.0, 0.0), unit_ball, margin=0.9)
 
 
 def test_correction_vanishes_on_the_ellipse(ellipse21):

@@ -25,7 +25,10 @@ from neutrace.transforms import (
     radon_chi_deriv,
     sphere_means,
     spherical_mean,
+    _cached_profiles,
+    _superellipse_chord,
 )
+from neutrace.inversion import _angular_set
 from neutrace.calculus import central_diff, richardson, stencil_derivative
 
 from _oracles import (
@@ -467,3 +470,63 @@ def test_kernel_cache_reuses_profiles(se4):
     t_second = time.perf_counter() - t0
     assert a == b
     assert t_second < t_first / 5.0
+
+
+def _assert_same_profile(a, b):
+    assert (a.theta, a.s_center, a.halfwidth, a.with_hilbert) == (
+        b.theta, b.s_center, b.halfwidth, b.with_hilbert
+    )
+    for name in ("s_grid", "rchi", "hrchi"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert np.array_equal(x, y, equal_nan=True)
+    for name in ("rchi_d", "hrchi_d"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.keys() == y.keys()
+            for k in x:
+                assert np.array_equal(x[k], y[k], equal_nan=True)
+
+
+@pytest.mark.parametrize("order,with_hilbert", [(2, True), (1, False)])
+@pytest.mark.parametrize("domain_key", ["se4", "ellipse21"])
+def test_batched_profiles_equal_single_builds(domain_key, order, with_hilbert, request):
+    """Profiles built together in one batch, from a cold or a half-warm
+    cache, are bitwise the profiles built one direction at a time."""
+    dom = request.getfixturevalue(domain_key)
+    dirs, _ = _angular_set(2, 12)
+    args = (order, 0.4, 96, 48, with_hilbert)
+    single = [
+        build_kernel_profile(
+            dom, th, order, margin=0.4, num_table=96, num_quad=48, with_hilbert=with_hilbert
+        )
+        for th in dirs
+    ]
+    clear_kernel_cache()
+    try:
+        for a, b in zip(single, _cached_profiles(dom, dirs, *args)):
+            _assert_same_profile(a, b)
+        clear_kernel_cache()
+        warm = _cached_profiles(dom, dirs[1::2], *args)
+        mixed = _cached_profiles(dom, dirs, *args)
+        assert all(mixed[2 * i + 1] is prof for i, prof in enumerate(warm))
+        for a, b in zip(single, mixed):
+            _assert_same_profile(a, b)
+    finally:
+        clear_kernel_cache()
+
+
+def test_radon_chi_equals_a_row_of_the_batched_chord(se4):
+    dirs, _ = _angular_set(2, 8)
+    # every row its own offsets, some beyond the domain
+    sp = np.linspace(-1.4, 1.4, 29)[None, :] + 0.013 * np.arange(len(dirs))[:, None]
+    chords = _superellipse_chord(se4, dirs, sp)
+    assert chords.shape == sp.shape
+    assert np.any(chords == 0.0) and np.any(chords > 1.0)
+    for th, offsets, row in zip(dirs, sp, chords):
+        # se4 is centred, so the offsets are the chord offsets themselves
+        assert np.array_equal(radon_chi(se4, th, offsets), row)
+        assert radon_chi(se4, th, float(offsets[14])) == row[14]
+        assert np.array_equal(radon_chi(se4, th, offsets[:28].reshape(4, 7)), row[:28].reshape(4, 7))

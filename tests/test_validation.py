@@ -27,6 +27,7 @@ from _oracles import (
     cinf_primitive_closed,
     cinf_table_bound,
     integral_identity_terms_ungated,
+    radial_pressure_ungated,
     radial_velocity_ungated,
     velocity_route_tolerance,
 )
@@ -69,6 +70,36 @@ def test_radial_pressure_is_continuous_at_the_center():
     at_zero = float(radial_pressure(b, 0.0, 0.3))
     near_zero = float(radial_pressure(b, 1e-6, 0.3))
     assert at_zero == pytest.approx(near_zero, abs=1e-9)
+
+
+_PRESSURE_BUMPS = [
+    Bump(center=(0.0, 0.0, 0.0), radius=0.5),
+    Bump(center=(0.0, 0.0, 0.0), radius=0.375, amplitude=-0.8, profile="poly", mu=3),
+]
+
+
+@pytest.mark.parametrize("bump", _PRESSURE_BUMPS, ids=["cinf", "poly-negative"])
+def test_radial_pressure_equals_the_ungated_limit(bump):
+    """The d -> 0 limit, evaluated only where d < 1e-8 radius, leaves every
+    value bitwise where evaluating it everywhere and selecting puts it."""
+    cut = 1e-8 * bump.radius
+    d = np.concatenate(
+        [[0.0, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), 1e-6], np.arange(17) / 16.0]
+    )
+    t = np.arange(41) / 32.0
+    got = radial_pressure(bump, d[:, None], t)
+    want = radial_pressure_ungated(bump, d[:, None], t)
+    assert got.shape == want.shape == (d.size, t.size)
+    assert np.array_equal(got, want)
+    # both sides of the cutoff are exercised, and the limit is not trivially zero
+    assert np.any(d < cut) and np.any(d >= cut)
+    assert np.any(got[d < cut] != 0.0)
+    for dd, tt in ((0.0, 0.3), (np.nextafter(cut, 0.0), 0.2), (cut, 0.2), (0.25, 0.3125)):
+        one = radial_pressure(bump, dd, tt)
+        assert np.ndim(one) == 0
+        assert one == radial_pressure_ungated(bump, dd, tt)
+    assert radial_pressure(bump, np.empty(0), np.empty(0)).shape == (0,)
+    assert radial_pressure(bump, np.empty(0), 0.3).shape == (0,)
 
 
 def test_velocity_field_integrates_the_pressure():
