@@ -21,7 +21,6 @@ __all__ = [
     "unit_ball_volume",
     "dimension_constants",
     "coeff_c",
-    "central_diff",
     "stencil_derivative",
     "richardson",
     "cubic_stencil",
@@ -131,21 +130,6 @@ def coeff_c(n: int, k: int, l: int) -> int:
         for ll in range(1, kk):
             row[ll] = prev[ll - 1] + prev[ll] * (n - (2 * (kk - 1) - (ll - 1)))
     return row[l]
-
-
-def central_diff(f, t: float, h: float, order: int = 1) -> float:
-    """Central difference of a scalar callable.
-
-    order 1 uses the fourth-order five-point stencil, order 2 the
-    second-order three-point stencil.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got h={h}")
-    if order == 1:
-        return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
-    if order == 2:
-        return (f(t + h) - 2 * f(t) + f(t - h)) / (h * h)
-    raise ValueError(f"central_diff supports order 1 or 2, got {order}")
 
 
 # Fourth-order central stencils: offset -> coefficient (divide by h**order).

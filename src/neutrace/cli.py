@@ -2,10 +2,12 @@
 deterministic text outputs.
 
 Configs are flat `key = value` files with `#` comments.  Every solver
-tunable has a key and a default; unknown keys are hard errors so typos
-cannot silently fall back to defaults.  All emitted floats use 17
-significant digits, and no output contains wall-clock content unless
---timestamps is passed, so identical configs give byte-identical files.
+tunable has a key; a key left out takes the default of the dataclass it
+fills (`SolverParams`, `ReconstructionOptions`).  Unknown keys are hard
+errors so typos cannot silently fall back to defaults.  All emitted floats
+use 17 significant digits, and no output contains wall-clock content
+unless --timestamps is passed, so identical configs give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .forward import (
     SolverParams,
     TimeGrid,
     TraceFormatError,
+    _fmt,
     read_trace_file,
     simulate_traces,
     support_margin,
@@ -62,10 +66,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "main"]
 
 class ConfigError(ValueError):
     """Config file rejected; the message carries the offending line."""
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,13 @@ class _Entries:
             return default
         value, _ = entry
         return tuple(p.strip() for p in value.split(",") if p.strip())
+
+    def given(self, prefix, **readers) -> dict:
+        """Values of the ``prefix.name`` keys the config sets, each read by
+        ``readers[name]``; keys it leaves out are absent, so their defaults
+        stay in the one place that holds them, the dataclass being filled."""
+        values = {name: read(f"{prefix}.{name}", default=None) for name, read in readers.items()}
+        return {name: value for name, value in values.items() if value is not None}
 
     def line_of(self, key) -> int | None:
         entry = self.data.get(key)
@@ -301,12 +308,15 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         solver = SolverParams(
-            h_t=entries.floating("solver.h_t", default=None),
-            h_nu=entries.floating("solver.h_nu", default=None),
-            mean_res=entries.integer("solver.mean_res", default=32),
-            radial_quad=entries.integer("solver.radial_quad", default=48),
-            nu_order=entries.integer("solver.nu_order", default=2),
-            table_points=entries.integer("solver.table_points", default=4096 if n == 2 else 0),
+            **entries.given(
+                "solver",
+                h_t=entries.floating,
+                h_nu=entries.floating,
+                mean_res=entries.integer,
+                radial_quad=entries.integer,
+                nu_order=entries.integer,
+                table_points=entries.integer,
+            )
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -338,13 +348,16 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         recon = ReconstructionOptions(
-            correction=entries.string("recon.correction", default="none", choices=("none", "fixed_point")),
-            time_quad=entries.integer("recon.time_quad", default=256),
-            k_radial=entries.integer("recon.k_radial", default=32),
-            k_angular=entries.integer("recon.k_angular", default=64),
-            kernel_table=entries.integer("recon.kernel_table", default=512),
-            kernel_quad=entries.integer("recon.kernel_quad", default=256),
-            kernel_margin=entries.floating("recon.kernel_margin", default=None),
+            **entries.given(
+                "recon",
+                correction=partial(entries.string, choices=("none", "fixed_point")),
+                time_quad=entries.integer,
+                k_radial=entries.integer,
+                k_angular=entries.integer,
+                kernel_table=entries.integer,
+                kernel_quad=entries.integer,
+                kernel_margin=entries.floating,
+            )
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -577,9 +590,7 @@ def _run_check(name: str, cfg: RunConfig) -> list:
         a = np.asarray(cfg.domain.semi_axes)
         pts = np.asarray(cfg.domain.center) + (rng.random((opts["samples"], 2)) - 0.5) * a
         ts = (0.2 + rng.random(opts["samples"])) * float(np.max(a))
-        scale = 1 << level
-        eq_params = SolverParams(mean_res=256 * scale, radial_quad=192 * scale)
-        return [check_even_equivalence(cfg.phantom, pts, ts, eq_params)]
+        return [check_even_equivalence(cfg.phantom, pts, ts, level)]
     if name == "integral-identity":
         if cfg.dimension != 3:
             raise ConfigError("integral-identity check needs dimension = 3")

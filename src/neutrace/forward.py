@@ -90,11 +90,14 @@ class SolverParams:
     """Discretisation knobs of the forward solver.
 
     ``h_t`` and ``h_nu`` default to 1e-3 times the characteristic time
-    and geometry scales when left unset.  ``table_points`` switches the
-    two-dimensional trace simulation to a radial table of the spherical
-    means around each normal-stencil centre, filled only on the band of
-    radii that can meet the phantom; the map from a table to a trace row is
-    built once per run as a sparse operator (0 keeps the direct evaluation).
+    and geometry scales when left unset.  ``table_points`` applies to
+    two-dimensional trace simulation only: it is the size of the radial table
+    of the spherical means that is laid over [0, t_max + 2 h_t] around each
+    normal-stencil centre, filled only on the band of radii that can meet the
+    phantom; the map from a table to a trace row is built once per run as a
+    sparse operator.  Two-dimensional simulation needs at least 4 points, one
+    cubic stencil.  Three-dimensional simulation ignores the value, so any
+    value >= 0 is accepted (trace files written with 0 still read back).
     """
 
     h_t: float | None = None
@@ -102,7 +105,7 @@ class SolverParams:
     mean_res: int = 32
     radial_quad: int = 48
     nu_order: int = 2
-    table_points: int = 0
+    table_points: int = 4096
 
     def __post_init__(self):
         if self.nu_order not in (2, 4):
@@ -270,25 +273,15 @@ def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
 # trace simulation
 
 
-def _node_trace_direct(f, center_pts, times, params, n, chunk=128):
-    """Rows of u(c, t) for each stencil center; direct mean evaluation."""
-    out = np.empty((center_pts.shape[0], times.shape[0]))
-    for i, c in enumerate(center_pts):
-        for lo in range(0, times.shape[0], chunk):
-            block = times[lo : lo + chunk]
-            out[i, lo : lo + block.shape[0]] = _wave_batch(f, c, block, params, n)
-    return out
-
-
 def _node_trace_sections_3d(f, center_pts, times, params):
     """Rows of u(c, t) via per-bump angular sections of the direction set.
 
-    Evaluates exactly the same quadrature sum as the direct path: the same
-    directions, weights and time stencil.  For each bump only the directions
-    whose sample point lands inside the bump support can contribute, and
-    those form a contiguous run once the directions are sorted by the cosine
-    of the angle against the bump center; everything else is skipped as an
-    exact zero.  This turns the cost from (times x directions) phantom
+    Evaluates exactly the same quadrature sum as :func:`wave_solution`: the
+    same directions, weights and time stencil.  For each bump only the
+    directions whose sample point lands inside the bump support can
+    contribute, and those form a contiguous run once the directions are
+    sorted by the cosine of the angle against the bump center; everything
+    else is skipped as an exact zero.  This turns the cost from (times x directions) phantom
     evaluations into roughly the count of nonzero terms.
     """
     dirs, w = _mean_directions(3, params.mean_res)
@@ -432,6 +425,11 @@ def simulate_traces(
     if f.bumps and f.dimension != n:
         raise ConfigurationError(f"phantom dimension {f.dimension} != domain dimension {n}")
     params = (params or SolverParams()).resolved(domain=domain, t_scale=times.t_max)
+    if n == 2 and params.table_points < 4:
+        raise ConfigurationError(
+            f"table_points must be >= 4 for two-dimensional traces (one cubic stencil), "
+            f"got {params.table_points}"
+        )
     if f.bumps:
         rho = support_margin(f, domain)
         if rho <= 2.0 * params.h_nu:
@@ -442,10 +440,9 @@ def simulate_traces(
     t_samples = times.samples
     offsets, stencil_w = _nu_stencil(params)
     values = np.zeros((len(boundary), times.nt))
-    table_2d = n == 2 and params.table_points > 0
 
     if f.bumps:
-        if table_2d:
+        if n == 2:
             r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
             r_grid = np.linspace(0.0, r_max, params.table_points)
             operator = _trace_operator_2d(t_samples, params, r_grid)
@@ -454,12 +451,10 @@ def simulate_traces(
             centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
             if n == 3:
                 out = stencil_w @ _node_trace_sections_3d(f, centers, t_samples, params)
-            elif table_2d:
+            else:
                 out = _node_trace_table_2d(
                     f, centers, stencil_w, r_grid, operator, times.nt, params.mean_res
                 )
-            else:
-                out = stencil_w @ _node_trace_direct(f, centers, t_samples, params, n)
             out[0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
             return j, out
 

@@ -146,6 +146,26 @@ def _superellipse_radius(domain: ConvexDomain, psi):
     return r, rp
 
 
+def _rim_2d(domain: ConvexDomain, psi) -> np.ndarray:
+    """Rim points of a planar domain at chart angles ``psi``, relative to its
+    centre: the angle map (a1 cos, a2 sin) of the ellipse, the polar gauge
+    r(psi)(cos psi, sin psi) of the superellipse."""
+    if domain.kind == ELLIPSOID:
+        a1, a2 = domain.semi_axes
+        return np.stack([a1 * np.cos(psi), a2 * np.sin(psi)], axis=-1)
+    r, _ = _superellipse_radius(domain, psi)
+    return r[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+
+
+def _ellipsoid_rim(domain: ConvexDomain, u, phi) -> np.ndarray:
+    """Surface points of a 3-D ellipsoid relative to its centre on the
+    (u, phi) chart: polar cosine u in [-1, 1] and azimuth phi, given as
+    arrays of one shape; the points add a last axis of length 3."""
+    a1, a2, a3 = domain.semi_axes
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    return np.stack([a1 * st * np.cos(phi), a2 * st * np.sin(phi), a3 * u], axis=-1)
+
+
 def boundary_quadrature(
     domain: ConvexDomain, resolution: int, phase: float = 0.0
 ) -> BoundaryQuadrature:
@@ -171,13 +191,12 @@ def boundary_quadrature(
     n = domain.dimension
     if n == 2:
         psi = 2.0 * np.pi * np.arange(resolution) / resolution + phase
+        pts = c + _rim_2d(domain, psi)
         if domain.kind == ELLIPSOID:
             a1, a2 = domain.semi_axes
-            pts = c + np.stack([a1 * np.cos(psi), a2 * np.sin(psi)], axis=-1)
             speed = np.sqrt((a1 * np.sin(psi)) ** 2 + (a2 * np.cos(psi)) ** 2)
         else:
             r, rp = _superellipse_radius(domain, psi)
-            pts = c + r[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=-1)
             speed = np.sqrt(r * r + rp * rp)
         w = (2.0 * np.pi / resolution) * speed
         return BoundaryQuadrature(pts, outward_normal(domain, pts), w, resolution)
@@ -189,8 +208,7 @@ def boundary_quadrature(
     phi = 2.0 * np.pi * np.arange(nphi) / nphi + phase
     u, ph = np.meshgrid(rule.nodes, phi, indexing="ij")
     wu, _ = np.meshgrid(rule.weights, phi, indexing="ij")
-    st = np.sqrt(1.0 - u * u)
-    pts = c + np.stack([a1 * st * np.cos(ph), a2 * st * np.sin(ph), a3 * u], axis=-1)
+    pts = c + _ellipsoid_rim(domain, u, ph)
     jac = np.sqrt(
         (a2 * a3) ** 2 * (1.0 - u * u) * np.cos(ph) ** 2
         + (a1 * a3) ** 2 * (1.0 - u * u) * np.sin(ph) ** 2
@@ -218,21 +236,11 @@ def support_halfwidth(domain: ConvexDomain, theta) -> float:
 
 def _boundary_points_dense(domain: ConvexDomain, m: int) -> np.ndarray:
     if domain.dimension == 2:
-        psi = 2.0 * np.pi * np.arange(m) / m
-        if domain.kind == ELLIPSOID:
-            a1, a2 = domain.semi_axes
-            rim = np.stack([a1 * np.cos(psi), a2 * np.sin(psi)], axis=-1)
-        else:
-            r, _ = _superellipse_radius(domain, psi)
-            rim = r[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        return np.asarray(domain.center) + rim
-    a1, a2, a3 = domain.semi_axes
+        return np.asarray(domain.center) + _rim_2d(domain, 2.0 * np.pi * np.arange(m) / m)
     u = np.linspace(-1.0, 1.0, m)
     phi = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
     uu, ph = np.meshgrid(u, phi, indexing="ij")
-    st = np.sqrt(np.clip(1.0 - uu * uu, 0.0, None))
-    pts = np.stack([a1 * st * np.cos(ph), a2 * st * np.sin(ph), a3 * uu], axis=-1)
-    return np.asarray(domain.center) + pts.reshape(-1, 3)
+    return np.asarray(domain.center) + _ellipsoid_rim(domain, uu, ph).reshape(-1, 3)
 
 
 def boundary_distance(domain: ConvexDomain, point) -> float:
@@ -246,14 +254,7 @@ def boundary_distance(domain: ConvexDomain, point) -> float:
 
     if domain.dimension == 2:
         def dist_at(psi):
-            psi = np.atleast_1d(psi)
-            if domain.kind == ELLIPSOID:
-                a1, a2 = domain.semi_axes
-                b = np.stack([a1 * np.cos(psi), a2 * np.sin(psi)], axis=-1)
-            else:
-                r, _ = _superellipse_radius(domain, psi)
-                b = r[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-            b = b + np.asarray(domain.center)
+            b = _rim_2d(domain, np.atleast_1d(psi)) + np.asarray(domain.center)
             return np.sqrt(np.sum((b - p) ** 2, axis=-1))
 
         m = 1024
@@ -276,13 +277,10 @@ def boundary_distance(domain: ConvexDomain, point) -> float:
         return float(min(f1, f2))
 
     # n == 3: coarse grid plus two zoom rounds on the (u, phi) chart
-    a = np.asarray(domain.semi_axes)
     c = np.asarray(domain.center)
 
     def dist_grid(u, phi):
-        uu, ph = np.meshgrid(u, phi, indexing="ij")
-        st = np.sqrt(np.clip(1.0 - uu * uu, 0.0, None))
-        b = np.stack([a[0] * st * np.cos(ph), a[1] * st * np.sin(ph), a[2] * uu], axis=-1)
+        b = _ellipsoid_rim(domain, *np.meshgrid(u, phi, indexing="ij"))
         return np.sqrt(np.sum((c + b - p) ** 2, axis=-1))
 
     u = np.linspace(-1.0, 1.0, 129)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calculus import cubic_stencil, gauss_legendre
-from .forward import InsufficientDataError, TraceGrid
+from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import ELLIPSOID, ConvexDomain, grid_margin
 from .transforms import (
     KernelProfile,
@@ -161,7 +161,10 @@ class ReconstructionOptions:
 def _interp_rows(values: np.ndarray, dt: float, queries: np.ndarray) -> np.ndarray:
     """Interpolate each trace row at its own query times (four-point cubic).
 
-    ``queries`` has shape (rows,) or (rows, q); clipped to the grid.
+    ``queries`` has shape (rows,) or (rows, q).  A query in the first or last
+    grid cell is read off the nearest four-point stencil that fits on the
+    grid (:func:`cubic_stencil`); queries are not clamped, and the callers
+    keep them inside [0, t_max].
     """
     rows, nt = values.shape
     q = np.atleast_2d(queries.T).T if queries.ndim == 1 else queries
@@ -446,10 +449,6 @@ def reconstruct(
 
 # ---------------------------------------------------------------------------
 # image output
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def write_image_csv(path, grid: ImageGrid) -> None:

@@ -418,7 +418,6 @@ def radon_chi_deriv(
     *,
     method: str = "auto",
     margin: float = 0.0,
-    fd_step: float | None = None,
 ) -> float:
     """Derivative of order ``order`` of the section profile in the offset.
 
@@ -445,11 +444,8 @@ def radon_chi_deriv(
 
     if order == 0:
         return float(radon_chi(domain, th, s))
-    if fd_step is None:
-        fd_step = min(1e-2 * w, (w - abs(sp)) / 8.0)
-    h = float(fd_step)
-    if abs(sp) + 6.0 * h >= w:
-        h = (w - abs(sp)) / 8.0
+    # the widest stencil, at 2h, reaches 6h < w - |s'|: every chord stays secant
+    h = min(1e-2 * w, (w - abs(sp)) / 8.0)
 
     def f(t):
         return float(radon_chi(domain, th, t))
@@ -730,7 +726,6 @@ def hilbert_radon_chi_deriv(
     margin: float,
     num_table: int = 512,
     num_quad: int = 256,
-    profile: KernelProfile | None = None,
 ) -> float:
     """Offset derivative of the Hilbert transform of the section profile.
 
@@ -738,6 +733,5 @@ def hilbert_radon_chi_deriv(
     differentiating the table; profiles are cached per direction.
     """
     th = _check_unit(theta)
-    if profile is None:
-        profile = _cached_profiles(domain, [th], order, margin, num_table, num_quad, True)[0]
+    profile = _cached_profiles(domain, [th], order, margin, num_table, num_quad, True)[0]
     return float(profile.eval(s, order=order, hilbert=True))

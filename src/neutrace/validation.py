@@ -498,20 +498,21 @@ def check_even_equivalence(
     f: Phantom,
     points,
     times,
-    params: SolverParams | None = None,
+    level: int = 0,
 ) -> IdentityReport:
     """Worst disagreement between the sine-substitution and Chebyshev-angle
     arrangements of the two-dimensional solution, scaled by the phantom peak.
 
     Both arrangements integrate the same discrete radial means, so the
-    direction-set count only needs to keep the mean function smooth; the
-    default parameters put the radial rules deep in their spectral range.
+    direction-set count only needs to keep the mean function smooth; 256
+    directions and 192 radial nodes put the radial rules deep in their
+    spectral range, and the ``level`` parameter doubles both.
     """
     t0 = time.perf_counter()
     if f.dimension != 2:
         raise ValueError(f"even-route equivalence applies to dimension 2, got {f.dimension}")
-    if params is None:
-        params = SolverParams(mean_res=256, radial_quad=192)
+    scale = 1 << level
+    params = SolverParams(mean_res=256 * scale, radial_quad=192 * scale)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if points.shape[0] != times.shape[0]:

@@ -7,7 +7,9 @@ that agreement is evidence, not circularity.  The ungated integral identity
 at the end keeps the package's own outer rules and pressure field; only its
 velocity comes by another route, a 48-node quadrature of rho b(rho) at every
 (point, time) pair, and it is compared with the package's closed-primitive
-velocity within a bound derived from both routes' errors.
+velocity within a bound derived from both routes' errors.  The direct 2-D
+trace route likewise keeps the package's pointwise wave solution and
+replaces only the radial table and the sparse trace operator.
 """
 
 from __future__ import annotations
@@ -129,6 +131,28 @@ def trace_table_2d_per_centre(tables, stencil_w, times, h_t: float, radial_quad:
         g = taus * np.sum(means * wphi, axis=-1)
         row += s * np.sum(g * d4, axis=-1) / h_t
     return row
+
+
+def traces_2d_direct(f, domain, boundary, times, params):
+    """Two-dimensional Neumann traces without a radial table.
+
+    Each normal-stencil centre's field u(c, t) is evaluated pointwise by the
+    package's wave solution (``forward._wave_batch``: spherical means at the
+    exact sine-substituted radii), then combined with the normal stencil; the
+    first time sample is set to zero, as :func:`simulate_traces` does.  What
+    this route does not share with the table path is the table, its cubic
+    interpolation and the sparse trace operator.
+    """
+    from neutrace.forward import _nu_stencil, _wave_batch
+
+    params = params.resolved(domain=domain, t_scale=times.t_max)
+    offsets, stencil_w = _nu_stencil(params)
+    t = times.samples
+    out = np.empty((len(boundary), times.nt))
+    for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
+        out[j] = stencil_w @ np.array([_wave_batch(f, y + o * nu, t, params, 2) for o in offsets])
+    out[:, 0] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrace.calculus import (
-    central_diff,
     coeff_c,
     dimension_constants,
     gamma_fn,
@@ -175,19 +174,6 @@ def poly3_d2(x):
 
 def poly3_d3(x):
     return 1.5
-
-
-def test_central_diff_exact_on_cubics():
-    # roundoff: sum|c| / h^k (30, 1600) x eps x |terms| <= 1.1 = 7e-15, 4e-13; pins 1e-12, 1e-10
-    assert central_diff(poly3, 0.37, 0.05) == pytest.approx(poly3_d1(0.37), abs=1e-12)
-    assert central_diff(poly3, 0.37, 0.05, order=2) == pytest.approx(poly3_d2(0.37), abs=1e-10)
-
-
-def test_central_diff_validation():
-    with pytest.raises(ValueError):
-        central_diff(poly3, 0.0, -1e-3)
-    with pytest.raises(ValueError):
-        central_diff(poly3, 0.0, 1e-3, order=3)
 
 
 @pytest.mark.parametrize("order,deriv", [(1, poly3_d1), (2, poly3_d2), (3, poly3_d3)])

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from neutrace.cli import ConfigError, main, parse_config
-from neutrace.forward import read_trace_file
-from neutrace.inversion import ImageGrid, reconstruct
+from neutrace.forward import SolverParams, read_trace_file, simulate_traces
+from neutrace.geometry import boundary_quadrature
+from neutrace.inversion import ImageGrid, ReconstructionOptions, reconstruct
 
 MINIMAL_2D = "dimension = 2\ndomain.semi_axes = 1.0, 1.0\n"
 
@@ -44,12 +45,50 @@ def test_parse_minimal_config_defaults():
     assert cfg.phantom2 is None
     assert cfg.threads == 1
     assert cfg.recon.correction == "none"
+    assert cfg.solver == SolverParams()
+    assert cfg.recon == ReconstructionOptions()
 
 
 def test_parse_3d_defaults():
     cfg = parse_config("dimension = 3\ndomain.semi_axes = 1, 1, 1\n")
     assert cfg.boundary_res == 24
-    assert cfg.solver.table_points == 0
+    # one default in every dimension; three-dimensional simulation ignores it
+    assert cfg.solver.table_points == SolverParams().table_points == 4096
+
+
+def test_solver_and_recon_keys_reach_their_dataclasses():
+    cfg = parse_config(
+        MINIMAL_2D
+        + "solver.h_t = 0.002\nsolver.h_nu = 0.0005\nsolver.mean_res = 40\n"
+        + "solver.radial_quad = 24\nsolver.nu_order = 4\nsolver.table_points = 1000\n"
+        + "recon.correction = fixed_point\nrecon.time_quad = 100\nrecon.k_radial = 9\n"
+        + "recon.k_angular = 11\nrecon.kernel_table = 300\nrecon.kernel_quad = 70\n"
+        + "recon.kernel_margin = 0.01\n"
+    )
+    assert cfg.solver == SolverParams(
+        h_t=0.002, h_nu=0.0005, mean_res=40, radial_quad=24, nu_order=4, table_points=1000
+    )
+    assert cfg.recon == ReconstructionOptions(
+        correction="fixed_point",
+        time_quad=100,
+        k_radial=9,
+        k_angular=11,
+        kernel_table=300,
+        kernel_quad=70,
+        kernel_margin=0.01,
+    )
+
+
+def test_library_default_traces_equal_the_cli_default_in_2d():
+    cfg = parse_config(
+        "dimension = 2\ndomain.semi_axes = 1.2, 0.9\n"
+        "phantom.bump1.center = 0.1, 0.0\nphantom.bump1.radius = 0.4\n"
+        "boundary.resolution = 8\ntime.nt = 40\ntime.t_max = 4.0\n"
+    )
+    bq = boundary_quadrature(cfg.domain, cfg.boundary_res)
+    from_cli = simulate_traces(cfg.phantom, cfg.domain, bq, cfg.times, cfg.solver)
+    from_lib = simulate_traces(cfg.phantom, cfg.domain, bq, cfg.times, SolverParams())
+    assert from_lib.values.tobytes() == from_cli.values.tobytes()
 
 
 def test_parse_phantom_bumps():
@@ -129,6 +168,12 @@ def test_parse_validate_bounds_and_checks():
         (MINIMAL_2D + "recon.interpolation = quadratic\n", "unknown key 'recon.interpolation'"),
         (MINIMAL_2D + "kernel.theta = 1, 0, 0\n", "kernel.theta must have 2 entries"),
         ("dimension = 2\ndomain.semi_axes = 1\n", "must have 2 entries"),
+        (
+            MINIMAL_2D + "recon.correction = newton\n",
+            "line 3: recon.correction must be one of none, fixed_point, got 'newton'",
+        ),
+        (MINIMAL_2D + "recon.time_quad = many\n", "line 3: recon.time_quad expects an integer"),
+        (MINIMAL_2D + "solver.mean_res = 3\n", "mean_res must be >= 4, got 3"),
     ],
 )
 def test_parse_config_rejections(text, message):
@@ -217,6 +262,20 @@ def test_forward_needs_a_time_grid(tmp_path, capsys):
     cfg = config_file(tmp_path, MINIMAL_2D)
     assert run_main(["forward", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "forward needs time.nt" in capsys.readouterr().err
+
+
+def test_forward_rejects_a_2d_table_below_one_stencil(tmp_path, capsys):
+    cfg = config_file(
+        tmp_path,
+        MINIMAL_2D
+        + "phantom.bump1.center = 0.1, 0.0\nphantom.bump1.radius = 0.4\n"
+        + "boundary.resolution = 8\ntime.nt = 10\ntime.t_max = 4.0\n"
+        + "solver.table_points = 2\n",
+    )
+    assert run_main(["forward", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: table_points must be >= 4 for two-dimensional traces" in err
+    assert "Traceback" not in err
 
 
 def test_reconstruct_flow_and_determinism(tmp_path, capsys):

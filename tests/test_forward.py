@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import trace_table_2d_per_centre
+from _oracles import trace_table_2d_per_centre, traces_2d_direct
 from neutrace.forward import (
     _D4_WEIGHTS,
     TRACE_FORMAT,
@@ -300,10 +300,18 @@ def test_table_accelerated_2d_traces_match_direct(unit_disk):
     f = Phantom((Bump(center=(0.1, 0.0), radius=0.4),))
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
-    direct = simulate_traces(f, unit_disk, bq, times, SolverParams(table_points=0))
+    direct = traces_2d_direct(f, unit_disk, bq, times, SolverParams())
     tabled = simulate_traces(f, unit_disk, bq, times, SolverParams(table_points=4096))
-    scale = np.abs(direct.values).max()
-    assert np.abs(direct.values - tabled.values).max() <= 1e-4 * max(scale, 1.0)
+    scale = np.abs(direct).max()
+    assert np.abs(direct - tabled.values).max() <= 1e-4 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("points", [0, 2, 3])
+def test_2d_traces_need_a_table_of_one_cubic_stencil(unit_disk, points):
+    bq = boundary_quadrature(unit_disk, 8)
+    times = TimeGrid(t_max=4.0, nt=10)
+    with pytest.raises(ConfigurationError, match=f"table_points must be >= 4 .* got {points}"):
+        simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, SolverParams(table_points=points))
 
 
 def test_radial_table_band_equals_full_means():
@@ -435,6 +443,22 @@ def test_trace_file_round_trip_superellipse_with_timestamp(tmp_path):
     _assert_same_traces(back, traces)
     assert back.domain.kind == "superellipse"
     assert back.domain.exponent == 4.0
+
+
+def test_3d_trace_file_with_table_points_zero_reads_back(tmp_path, bump3d, unit_ball):
+    """Three-dimensional simulation ignores table_points, and trace files
+    that record it as 0 keep reading."""
+    traces = _small_traces(bump3d, unit_ball)
+    zero = simulate_traces(
+        bump3d, unit_ball, traces.boundary, traces.times, SolverParams(table_points=0)
+    )
+    np.testing.assert_array_equal(zero.values, traces.values)
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, zero)
+    assert "# solver.table_points = 0" in path.read_text().splitlines()
+    back = read_trace_file(path)
+    _assert_same_traces(back, zero)
+    assert back.params.table_points == 0
 
 
 def test_trace_file_layout(tmp_path, bump3d, unit_ball):

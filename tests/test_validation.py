@@ -384,6 +384,13 @@ def test_even_equivalence_on_sample_points(bump2d):
     report = check_even_equivalence(bump2d, [(0.3, 0.0), (-0.2, 0.25)], [0.7, 1.1])
     assert report.abs_residual <= 1e-5
     assert report.params["samples"] == 2
+    assert (report.params["mean_res"], report.params["radial_quad"]) == (256, 192)
+
+
+def test_even_equivalence_level_doubles_both_rules(bump2d):
+    report = check_even_equivalence(bump2d, [(0.3, 0.0)], [0.7], level=1)
+    assert (report.params["mean_res"], report.params["radial_quad"]) == (512, 384)
+    assert report.abs_residual <= 1e-5
 
 
 def test_even_equivalence_rejects_volume_phantoms(bump3d):
