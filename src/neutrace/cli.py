@@ -125,15 +125,18 @@ class _Entries:
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from None
 
-    def integer(self, key, default=_REQUIRED):
+    def integer(self, key, default=_REQUIRED, minimum=None):
         entry = self._pop(key, default)
         if entry is None:
             return default
         value, lineno = entry
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
+        if minimum is not None and number < minimum:
+            raise ConfigError(f"line {lineno}: {key} must be >= {minimum}, got {number}")
+        return number
 
     def float_list(self, key, default=_REQUIRED):
         entry = self._pop(key, default)
@@ -387,7 +390,7 @@ def parse_config(text: str) -> RunConfig:
 
     validate_opts = {
         "checks": entries.string_list("validate.checks", default=()),
-        "level": entries.integer("validate.level", default=0),
+        "level": entries.integer("validate.level", default=0, minimum=0),
         "seed": entries.integer("validate.seed", default=7),
         "samples": entries.integer("validate.samples", default=5),
         "lemma_k": entries.int_list("validate.lemma.k", default=(1, 2)),
@@ -424,9 +427,7 @@ def parse_config(text: str) -> RunConfig:
     if in_trace is not None:
         outputs["input_trace"] = in_trace
 
-    threads = entries.integer("threads", default=1)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    threads = entries.integer("threads", default=1, minimum=1)
 
     entries.reject_leftovers()
     return RunConfig(

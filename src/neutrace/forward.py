@@ -1,11 +1,12 @@
 """Forward simulation: free-space wave solutions and boundary Neumann traces.
 
-The initial-value solution with data (f, 0) is represented through
-spherical means of f.  In three dimensions u = d/dt (t M f(x, t)); in
-two dimensions u = d/dt of an Abel-type radial integral of the means,
-desingularised by the sine substitution.  Time derivatives use
-fourth-order central differences on the even-in-time extension, normal
-derivatives a central difference across the boundary.
+In three dimensions the solution with data (f, 0) is closed in form: for a
+radial bump b at distance d from its centre it is
+u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d), and bumps superpose.  In two
+dimensions u = d/dt of an Abel-type radial integral of the spherical means
+of f, desingularised by the sine substitution, with the time derivative a
+fourth-order central difference on the even-in-time extension.  Normal
+derivatives are a central difference across the boundary in both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .geometry import (
     ellipsoid,
     superellipse,
 )
-from .transforms import Phantom, _mean_directions, bump_radial, sphere_means
+from .transforms import Bump, Phantom, bump_radial, bump_radial_deriv, sphere_means
 
 __all__ = [
     "TimeGrid",
@@ -34,6 +35,8 @@ __all__ = [
     "ConfigurationError",
     "TraceFormatError",
     "InsufficientDataError",
+    "radial_pressure",
+    "phantom_pressure",
     "wave_solution",
     "wave_solution_even_alt",
     "neumann_trace",
@@ -49,6 +52,11 @@ TRACE_FORMAT = "neumann-trace/2"
 
 _D4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+
+# field values per normal-stencil centre in one block of 3-D trace nodes;
+# 128 KiB temporaries are reused on the heap, where larger ones measurably
+# raised the peak RSS of a whole run
+_BLOCK_VALUES = 1 << 14
 
 
 class ConfigurationError(ValueError):
@@ -90,7 +98,11 @@ class SolverParams:
     """Discretisation knobs of the forward solver.
 
     ``h_t`` and ``h_nu`` default to 1e-3 times the characteristic time
-    and geometry scales when left unset.  ``table_points`` applies to
+    and geometry scales when left unset.  ``h_nu`` and ``nu_order`` set the
+    normal difference in every dimension.  ``h_t``, ``mean_res`` and
+    ``radial_quad`` act on the two-dimensional field and traces only: the
+    three-dimensional field is the closed radial form, which has no time
+    stencil, direction set or radial rule.  ``table_points`` applies to
     two-dimensional trace simulation only: it is the size of the radial table
     of the spherical means that is laid over [0, t_max + 2 h_t] around each
     normal-stencil centre, filled only on the band of radii that can meet the
@@ -151,6 +163,37 @@ class TraceGrid:
 
 
 # ---------------------------------------------------------------------------
+# closed radial wave field (n = 3)
+
+
+def radial_pressure(bump: Bump, d, t):
+    """Solution with data (bump, 0) at distance d from its center, n = 3:
+    u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d), and b + t b' as d -> 0."""
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    small = d < 1e-8 * bump.radius
+    ds = np.where(small, 1.0, d)
+    plus = (t + ds) * bump_radial(bump, t + ds, 3)
+    minus = (t - ds) * bump_radial(bump, np.abs(t - ds), 3)
+    u = np.asarray((plus - minus) / (2.0 * ds))
+    if small.any():
+        ts = t[small]
+        u[small] = bump_radial(bump, ts, 3) + ts * bump_radial_deriv(bump, ts, 3)
+    return u
+
+
+def phantom_pressure(f: Phantom, pts, t):
+    """Solution with data (f, 0) at points (..., 3) and times t, n = 3: the
+    sum over the bumps of :func:`radial_pressure`."""
+    pts = np.asarray(pts, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
+    for b in f.bumps:
+        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        out = out + radial_pressure(b, d, t)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # pointwise wave solution
 
 
@@ -170,19 +213,19 @@ def _inner_integral_2d(f, x, taus, params: SolverParams):
 def _wave_batch(f: Phantom, x, ts, params: SolverParams, n: int) -> np.ndarray:
     """Solution values u(x, t) for an array of times at one point."""
     ts = np.asarray(ts, dtype=float)
+    if n == 3:
+        return phantom_pressure(f, x, ts)
     h = params.h_t
     taus = ts[..., None] + h * _D4_OFFSETS
-    if n == 3:
-        g = taus * sphere_means(f, x, taus, params.mean_res, n=3)
-    else:
-        g = _inner_integral_2d(f, x, taus, params)
+    g = _inner_integral_2d(f, x, taus, params)
     return np.sum(g * _D4_WEIGHTS, axis=-1) / h
 
 
 def wave_solution(f: Phantom, x, t: float, params: SolverParams | None = None) -> float:
     """Wave field at (x, t) for initial data (f, 0).
 
-    The time derivative acts on the odd-in-time extension of the inner
+    In three dimensions this is the closed radial field.  In two the time
+    derivative acts on the odd-in-time extension of the inner
     spherical-mean integrals, so small times need no special casing.
     """
     if t <= 0:
@@ -273,53 +316,21 @@ def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
 # trace simulation
 
 
-def _node_trace_sections_3d(f, center_pts, times, params):
-    """Rows of u(c, t) via per-bump angular sections of the direction set.
+def _add_traces_3d(out, f, boundary, offsets, stencil_w, times):
+    """Add to the node-by-time rows ``out`` the traces of the closed field:
+    u evaluated once per (normal-stencil centre, time), combined by the
+    normal weights.
 
-    Evaluates exactly the same quadrature sum as :func:`wave_solution`: the
-    same directions, weights and time stencil.  For each bump only the
-    directions whose sample point lands inside the bump support can
-    contribute, and those form a contiguous run once the directions are
-    sorted by the cosine of the angle against the bump center; everything
-    else is skipped as an exact zero.  This turns the cost from (times x directions) phantom
-    evaluations into roughly the count of nonzero terms.
+    Nodes go in blocks of about ``_BLOCK_VALUES`` field values per centre,
+    so the temporaries stay small whatever the node count.  Every value is
+    computed elementwise, so the rows do not depend on the block size.
     """
-    dirs, w = _mean_directions(3, params.mean_res)
-    h = params.h_t
-    taus = (times[:, None] + h * _D4_OFFSETS).reshape(-1)
-    r = np.abs(taus)
-    out = np.empty((center_pts.shape[0], times.shape[0]))
-    for i, c in enumerate(center_pts):
-        means = np.zeros(taus.shape[0])
-        for b in f.bumps:
-            diff = np.asarray(b.center, dtype=float) - c
-            d = float(np.sqrt(diff @ diff))
-            if d < 1e-14:
-                means += bump_radial(b, r, n=3)
-                continue
-            cos = dirs @ (diff / d)
-            order = np.argsort(cos, kind="stable")
-            cs = cos[order]
-            ws = w[order]
-            with np.errstate(divide="ignore"):
-                thresh = (d * d + r * r - b.radius**2) / (2.0 * r * d)
-            thresh[r == 0.0] = np.inf if d >= b.radius else -np.inf
-            lo = np.searchsorted(cs, thresh, side="right")
-            k = cs.shape[0] - lo
-            sel = np.flatnonzero(k > 0)
-            if sel.size == 0:
-                continue
-            ksel = k[sel]
-            grp = np.repeat(np.arange(sel.size), ksel)
-            pos = np.arange(ksel.sum()) - np.repeat(np.cumsum(ksel) - ksel, ksel)
-            cidx = lo[sel][grp] + pos
-            rsel = r[sel][grp]
-            dist = np.sqrt(np.maximum(d * d + rsel * rsel - 2.0 * rsel * d * cs[cidx], 0.0))
-            vals = bump_radial(b, dist, n=3) * ws[cidx]
-            means[sel] += np.bincount(grp, weights=vals, minlength=sel.size)
-        g = (taus * means).reshape(times.shape[0], _D4_OFFSETS.shape[0])
-        out[i] = np.sum(g * _D4_WEIGHTS, axis=-1) / h
-    return out
+    block = max(1, _BLOCK_VALUES // times.shape[0])
+    for lo in range(0, len(boundary), block):
+        pts = boundary.points[lo : lo + block]
+        nus = boundary.normals[lo : lo + block]
+        for s, w in zip(offsets, stencil_w):
+            out[lo : lo + block] += w * phantom_pressure(f, (pts + s * nus)[:, None, :], times)
 
 
 def _radial_table_2d(f, c, r_grid, mean_res):
@@ -418,8 +429,10 @@ def simulate_traces(
 ) -> TraceGrid:
     """Fill the node-by-time Neumann trace matrix.
 
-    Each cell is the pointwise trace value; cells are independent, so the
-    node loop may be chunked across threads without changing any value.
+    Each cell is the pointwise trace value.  In three dimensions the rows
+    come from the closed field in blocks of nodes.  In two, cells are
+    independent, so the node loop may be chunked across ``threads``
+    without changing any value; three dimensions ignore ``threads``.
     """
     n = domain.dimension
     if f.bumps and f.dimension != n:
@@ -441,20 +454,19 @@ def simulate_traces(
     offsets, stencil_w = _nu_stencil(params)
     values = np.zeros((len(boundary), times.nt))
 
-    if f.bumps:
-        if n == 2:
-            r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-            r_grid = np.linspace(0.0, r_max, params.table_points)
-            operator = _trace_operator_2d(t_samples, params, r_grid)
+    if f.bumps and n == 3:
+        _add_traces_3d(values, f, boundary, offsets, stencil_w, t_samples)
+        values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
+    elif f.bumps:
+        r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+        r_grid = np.linspace(0.0, r_max, params.table_points)
+        operator = _trace_operator_2d(t_samples, params, r_grid)
 
         def run_node(j):
             centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
-            if n == 3:
-                out = stencil_w @ _node_trace_sections_3d(f, centers, t_samples, params)
-            else:
-                out = _node_trace_table_2d(
-                    f, centers, stencil_w, r_grid, operator, times.nt, params.mean_res
-                )
+            out = _node_trace_table_2d(
+                f, centers, stencil_w, r_grid, operator, times.nt, params.mean_res
+            )
             out[0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
             return j, out
 

@@ -24,7 +24,15 @@ from .calculus import (
     stencil_derivative,
     unit_ball_volume,
 )
-from .forward import SolverParams, huygens_horizon, support_margin, wave_solution, wave_solution_even_alt
+from .forward import (
+    SolverParams,
+    huygens_horizon,
+    phantom_pressure,
+    radial_pressure,
+    support_margin,
+    wave_solution,
+    wave_solution_even_alt,
+)
 from .geometry import ConvexDomain, boundary_quadrature
 from .transforms import (
     CINF,
@@ -32,7 +40,6 @@ from .transforms import (
     Phantom,
     _mollifier_norm,
     bump_radial,
-    bump_radial_deriv,
     mollifier_eval,
     mollifier_radon,
     sphere_means,
@@ -82,10 +89,11 @@ def _sphere_surface(n: int) -> float:
 #
 # For a single radial profile b and d = |x - center|, the free-space
 # solution with data (b, 0) is u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d)
-# and with data (0, b) it is v = [G(t+d) - G(|t-d|)] / (2d), where the
+# (``radial_pressure``, the forward module's three-dimensional field) and
+# with data (0, b) it is v = [G(t+d) - G(|t-d|)] / (2d), where the
 # primitive G(rho) = integral of s b(s) over (0, rho) is in closed form.
-# Sums of bumps superpose.  These bypass every quadrature of the forward
-# module, which keeps the identity checks independent.
+# Sums of bumps superpose.  Neither uses a quadrature, so the identity
+# checks measure only their own outer rules and differences.
 
 # cells of the cubic Hermite table of the cinf primitive E on [0, 1]; its
 # interpolation error is below h^4 / 384 * max|E''''| = 7.7e-16
@@ -145,20 +153,6 @@ def _radial_primitive(bump: Bump, rho):
     return bump.amplitude * (1.0 - (1.0 - u) ** (bump.mu + 1)) / (2.0 * (bump.mu + 1) * a * eps)
 
 
-def radial_pressure(bump: Bump, d, t):
-    """Solution with data (bump, 0) at distance d from its center, n = 3."""
-    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
-    small = d < 1e-8 * bump.radius
-    ds = np.where(small, 1.0, d)
-    plus = (t + ds) * bump_radial(bump, t + ds, 3)
-    minus = (t - ds) * bump_radial(bump, np.abs(t - ds), 3)
-    u = np.asarray((plus - minus) / (2.0 * ds))
-    if small.any():
-        ts = t[small]
-        u[small] = bump_radial(bump, ts, 3) + ts * bump_radial_deriv(bump, ts, 3)
-    return u
-
-
 def radial_velocity(bump: Bump, d, t):
     """Solution with data (0, bump) at distance d from its center, n = 3.
 
@@ -178,16 +172,6 @@ def radial_velocity(bump: Bump, d, t):
     if small.any():
         v[small] = t[small] * bump_radial(bump, t[small], 3)
     return v
-
-
-def phantom_pressure(f: Phantom, pts, t):
-    pts = np.asarray(pts, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
-    for b in f.bumps:
-        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
-        out = out + radial_pressure(b, d, t)
-    return out
 
 
 def phantom_velocity(f: Phantom, pts, t):
@@ -410,6 +394,8 @@ def check_lemma_coefficients(
         raise ValueError(f"nested differencing is implemented for k in (1, 2), got {k}")
     if not 0.0 < t < 2.0:
         raise ValueError(f"evaluation time must lie in (0, 2), got {t}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     x = np.asarray(x, dtype=float)
     scale = 1 << level
     m_phi, m_mean = 40 * scale, 48 * scale
@@ -511,6 +497,8 @@ def check_even_equivalence(
     t0 = time.perf_counter()
     if f.dimension != 2:
         raise ValueError(f"even-route equivalence applies to dimension 2, got {f.dimension}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     scale = 1 << level
     params = SolverParams(mean_res=256 * scale, radial_quad=192 * scale)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -558,6 +546,8 @@ def check_mollifier(n: int, mu: int, eps: float, level: int = 0) -> list[Identit
         raise ValueError(f"mollifier order must be >= 1, got {mu}")
     if eps <= 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     scale = 1 << level
     reports = []
 

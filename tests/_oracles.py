@@ -9,7 +9,9 @@ velocity comes by another route, a 48-node quadrature of rho b(rho) at every
 (point, time) pair, and it is compared with the package's closed-primitive
 velocity within a bound derived from both routes' errors.  The direct 2-D
 trace route likewise keeps the package's pointwise wave solution and
-replaces only the radial table and the sparse trace operator.
+replaces only the radial table and the sparse trace operator.  The 3-D
+sections route replaces the package's closed radial field by the
+spherical-means quadrature it converges to.
 """
 
 from __future__ import annotations
@@ -155,6 +157,84 @@ def traces_2d_direct(f, domain, boundary, times, params):
     return out
 
 
+def sections_field_3d(f, center_pts, times, params):
+    """Rows of u(c, t) = d/dt (t M f(c, t)) via per-bump angular sections of
+    the direction set.
+
+    The means M are sums over the ``mean_res`` direction set of
+    ``transforms._mean_directions`` and the time derivative is the
+    four-point difference of step ``h_t``.  For each bump only the
+    directions whose sample point lands inside the bump support can
+    contribute, and those form a contiguous run once the directions are
+    sorted by the cosine of the angle against the bump center; everything
+    else is skipped as an exact zero.  This turns the cost from (times x directions) phantom
+    evaluations into roughly the count of nonzero terms.
+    """
+    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
+    from neutrace.transforms import _mean_directions, bump_radial
+
+    dirs, w = _mean_directions(3, params.mean_res)
+    h = params.h_t
+    taus = (times[:, None] + h * _D4_OFFSETS).reshape(-1)
+    r = np.abs(taus)
+    out = np.empty((center_pts.shape[0], times.shape[0]))
+    for i, c in enumerate(center_pts):
+        means = np.zeros(taus.shape[0])
+        for b in f.bumps:
+            diff = np.asarray(b.center, dtype=float) - c
+            d = float(np.sqrt(diff @ diff))
+            if d < 1e-14:
+                means += bump_radial(b, r, n=3)
+                continue
+            cos = dirs @ (diff / d)
+            order = np.argsort(cos, kind="stable")
+            cs = cos[order]
+            ws = w[order]
+            with np.errstate(divide="ignore"):
+                thresh = (d * d + r * r - b.radius**2) / (2.0 * r * d)
+            thresh[r == 0.0] = np.inf if d >= b.radius else -np.inf
+            lo = np.searchsorted(cs, thresh, side="right")
+            k = cs.shape[0] - lo
+            sel = np.flatnonzero(k > 0)
+            if sel.size == 0:
+                continue
+            ksel = k[sel]
+            grp = np.repeat(np.arange(sel.size), ksel)
+            pos = np.arange(ksel.sum()) - np.repeat(np.cumsum(ksel) - ksel, ksel)
+            cidx = lo[sel][grp] + pos
+            rsel = r[sel][grp]
+            dist = np.sqrt(np.maximum(d * d + rsel * rsel - 2.0 * rsel * d * cs[cidx], 0.0))
+            vals = bump_radial(b, dist, n=3) * ws[cidx]
+            means[sel] += np.bincount(grp, weights=vals, minlength=sel.size)
+        g = (taus * means).reshape(times.shape[0], _D4_OFFSETS.shape[0])
+        out[i] = np.sum(g * _D4_WEIGHTS, axis=-1) / h
+    return out
+
+
+def traces_3d_sections(f, domain, boundary, times, params):
+    """Three-dimensional Neumann traces by spherical-means quadrature.
+
+    Each normal-stencil centre's field is u = d/dt (t M f) with the means
+    summed over the ``mean_res`` direction set (:func:`sections_field_3d`)
+    and the time derivative a four-point difference of step ``h_t``; the
+    rows are combined with the normal stencil and the first time sample is
+    set to zero, as :func:`simulate_traces` does.  It shares with the
+    package only the bump profile and the direction set, not the closed
+    radial field the package evaluates.
+    """
+    from neutrace.forward import _nu_stencil
+
+    params = params.resolved(domain=domain, t_scale=times.t_max)
+    offsets, stencil_w = _nu_stencil(params)
+    t = times.samples
+    out = np.empty((len(boundary), times.nt))
+    for j in range(len(boundary)):
+        centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
+        out[j] = stencil_w @ sections_field_3d(f, centers, t, params)
+    out[:, 0] = 0.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the 48-node velocity route, and its distance to the closed primitive
 
@@ -184,7 +264,7 @@ def radial_velocity_ungated(bump, d, t):
 def radial_pressure_ungated(bump, d, t):
     """Closed radial pressure field with its d -> 0 limit b(t) + t b'(t)
     evaluated on every (d, t) entry and kept where d < 1e-8 radius: the
-    formula that ``validation.radial_pressure`` gates to the small entries."""
+    formula that ``forward.radial_pressure`` gates to the small entries."""
     from neutrace.transforms import bump_radial, bump_radial_deriv
 
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))

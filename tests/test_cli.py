@@ -174,6 +174,7 @@ def test_parse_validate_bounds_and_checks():
         ),
         (MINIMAL_2D + "recon.time_quad = many\n", "line 3: recon.time_quad expects an integer"),
         (MINIMAL_2D + "solver.mean_res = 3\n", "mean_res must be >= 4, got 3"),
+        (MINIMAL_2D + "validate.level = -1\n", "line 3: validate.level must be >= 0, got -1"),
     ],
 )
 def test_parse_config_rejections(text, message):

@@ -8,7 +8,6 @@ import pytest
 
 from neutrace.calculus import cubic_stencil, gauss_legendre
 from neutrace.forward import (
-    _D4_WEIGHTS,
     InsufficientDataError,
     SolverParams,
     TimeGrid,
@@ -33,38 +32,58 @@ from neutrace.inversion import (
     write_image_csv,
     write_image_pgm,
 )
-from neutrace.transforms import Bump, OutOfRegionError, Phantom, radon_chi_deriv
+from neutrace.transforms import (
+    Bump,
+    OutOfRegionError,
+    Phantom,
+    bump_radial,
+    bump_radial_deriv,
+    radon_chi_deriv,
+)
 
 # back-projected value at the bump centre for the radius-0.35 phantom in
 # the unit ball (boundary resolution 8, 120 times up to t = 3); the exact
 # field value there is 1
-BALL_PEAK = 1.0000616745097295
+BALL_PEAK = 1.0000171157465245
 
-# How far roundoff in the spherical means can move that value.  Each trace
-# sample is sum_i a_i sum_m w_m g(t + s_m h_t) / h_t with g(tau) = tau M(tau),
-# M the spherical mean of f around a normal-stencil centre.  The normal
-# weights (sum |a_i| = 1 / h_nu) and the four-point time weights
-# (sum |w_m| = 3/2) turn an error e in every g sample into at most A e,
-# A = sum |a_i| sum |w_m| / h_t (5e5 at h_t = 3e-3, h_nu = 1e-3).
-# backproject_odd reads each node row at t = |x - y| through the four-point
-# cubic, whose Lebesgue constant is 5/4 (at mid-interval: (1 + 9 + 9 + 1) / 16),
-# and sums weight_y / (2 pi |x - y|), so the value moves by at most
-#     sum(weights) / (2 pi d_min) * 5/4 * A * e.
-# A mean never exceeds max f, so |g| <= G = (t_max + 2 h_t) max f, and e is
-# taken as one ulp of G: about 200 ulps of the largest sample the fixture draws
-# (|g| <= 0.014), ample for what exp, dot products and summation order change.
-# For the fixture: 4 pi / (2 pi * 0.902) * 5/4 * 5e5 * eps * 3.006 = 9.3e-10.
-# Independent eps * A noise on every trace sample spreads the value by 1.8e-11
-# (std), while the smallest method change tried (nu_order 4) moves it by 7.4e-6.
+# How far roundoff in the closed field can move that value.  Each trace
+# sample is sum_i a_i u(c_i, t), sum |a_i| = A = 1 / h_nu (1e3 at h_nu = 1e-3),
+# over the normal-stencil centres c_i, and per bump
+#     u = [phi(t + d) - phi(t - d)] / (2 d),  phi(s) = s b(|s|),  d = |c_i - centre|.
+# Roundoff reaches the arguments t +- d through at most five roundings (the
+# sample time, the centre y + s nu, its offset from the bump centre, the norm
+# and the sum or difference), each within an ulp of t_max + d_max, and moves
+# phi by at most L = max |b + s b'| times that.  Evaluating phi, the difference
+# and the division by 2 d add a few ulps of |u| <= r max f / d, below
+# L (t_max + d_max) / d.  So each phi term moves by at most k = 8 ulps of
+# L (t_max + d_max), and u by at most e = k eps L (t_max + d_max) / d_min,
+# d_min and d_max the extremes of d over the centres.  backproject_odd reads
+# each node row at t = |x - y| through the four-point cubic, whose Lebesgue
+# constant is 5/4 (at mid-interval: (1 + 9 + 9 + 1) / 16), and sums
+# weight_y / (2 pi |x - y|), so the value moves by at most
+#     sum(weights) / (2 pi |x - y|_min) * 5/4 * A * e.
+# For the fixture (L = 1.50, t_max + d_max = 4.10, d_min = 0.901):
+# 4 pi / (2 pi * 0.902) * 5/4 * 1e3 * 1.21e-14 = 3.4e-11.  Independent eps * A
+# noise on every trace sample spreads the value by 4.5e-14 (std; max 9.5e-14
+# over 12 draws), while the smallest method change tried (nu_order 4) moves
+# it by 7.1e-6.
 def ball_peak_roundoff(traces, f, x):
     p = traces.params
-    ulps = 1  # e in ulps of G
-    amp = np.abs(_nu_stencil(p)[1]).sum() * np.abs(_D4_WEIGHTS).sum() / p.h_t
-    d_min = np.sqrt(np.sum((traces.boundary.points - x) ** 2, axis=-1)).min()
+    offsets, weights = _nu_stencil(p)
+    amp = np.abs(weights).sum()
+    b = traces.boundary
+    centres = b.points[:, None, :] + offsets[:, None] * b.normals[:, None, :]
+    ulps = 8
+    e = 0.0
+    for bump in f.bumps:
+        d = np.sqrt(np.sum((centres - np.asarray(bump.center)) ** 2, axis=-1))
+        s = np.linspace(0.0, bump.radius, 4097)
+        lip = np.abs(bump_radial(bump, s, 3) + s * bump_radial_deriv(bump, s, 3)).max()
+        e += ulps * np.finfo(float).eps * lip * (traces.times.t_max + d.max()) / d.min()
+    d_min = np.sqrt(np.sum((b.points - x) ** 2, axis=-1)).min()
     lebesgue = 1.25
-    g_max = (traces.times.t_max + 2.0 * p.h_t) * f.peak()
-    spread = np.sum(traces.boundary.weights) / (2.0 * math.pi * d_min) * lebesgue
-    return spread * amp * ulps * np.finfo(float).eps * g_max
+    spread = np.sum(b.weights) / (2.0 * math.pi * d_min) * lebesgue
+    return spread * amp * e
 
 
 # correction integral for a radius-0.25 bump at (0.35, 0.2) on the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neutrace.calculus import stencil_derivative
-from neutrace.forward import SolverParams, wave_solution
+from neutrace.forward import SolverParams
 from neutrace.geometry import boundary_quadrature
 from neutrace.transforms import Bump, Phantom, bump_radial
 from neutrace.validation import (
@@ -29,6 +29,7 @@ from _oracles import (
     integral_identity_terms_ungated,
     radial_pressure_ungated,
     radial_velocity_ungated,
+    sections_field_3d,
     velocity_route_tolerance,
 )
 
@@ -59,10 +60,11 @@ def test_identity_report_residuals():
 def test_radial_pressure_matches_the_quadrature_solver():
     b = Bump(center=(0.0, 0.0, 0.0), radius=0.5)
     f = Phantom((b,))
+    params = SolverParams().resolved(t_scale=1.0)
     for d, t in ((0.2, 0.2), (0.0, 0.3)):
         closed = float(radial_pressure(b, d, t))
-        solver = wave_solution(f, (d, 0.0, 0.0), t)
-        assert closed == pytest.approx(solver, abs=1e-7)
+        quad = sections_field_3d(f, np.array([[d, 0.0, 0.0]]), np.array([t]), params)[0, 0]
+        assert closed == pytest.approx(quad, abs=1e-7)
 
 
 def test_radial_pressure_is_continuous_at_the_center():
@@ -369,6 +371,21 @@ def test_lemma_symbolic_expansion_is_exact(n, k):
 def test_lemma_symbolic_rejects_negative_order():
     with pytest.raises(ValueError, match=">= 0"):
         check_lemma_symbolic(2, -1)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda b2, b3, ball: check_mollifier(2, 2, 0.5, level=-1),
+        lambda b2, b3, ball: check_lemma_coefficients(2, 1, b2.eval, (0.1, 0.0), 0.7, level=-1),
+        lambda b2, b3, ball: check_even_equivalence(b2, [(0.3, 0.0)], [0.7], level=-1),
+        lambda b2, b3, ball: check_integral_identity(b3, b3, ball, level=-1),
+    ],
+    ids=["mollifier", "lemma-coefficients", "even-equivalence", "integral-identity"],
+)
+def test_checks_reject_a_negative_level(check, bump2d, bump3d, unit_ball):
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        check(bump2d, bump3d, unit_ball)
 
 
 # ---------------------------------------------------------------------------
