@@ -24,6 +24,7 @@ __all__ = [
     "stencil_derivative",
     "richardson",
     "cubic_stencil",
+    "cubic_weights",
     "interp_cubic",
 ]
 
@@ -194,11 +195,17 @@ def cubic_stencil(q, x0: float, dx: float, npts: int):
     k - 1, k, k + 1, k + 2, each shaped like ``q``.
     """
     k, th = _locate(q, x0, dx, npts, 1, npts - 3)
+    return k, cubic_weights(th)
+
+
+def cubic_weights(th):
+    """Lagrange weights of the nodes -1, 0, 1, 2 of a unit-spaced four-point
+    stencil at offset ``th`` from node 0: the cardinal cubics of the stencil."""
     wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
     w0 = (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0
     w1 = -th * (th + 1.0) * (th - 2.0) / 2.0
     w2 = th * (th * th - 1.0) / 6.0
-    return k, (wm1, w0, w1, w2)
+    return wm1, w0, w1, w2
 
 
 def interp_cubic(q, x0: float, dx: float, table: np.ndarray):

@@ -354,7 +354,6 @@ def parse_config(text: str) -> RunConfig:
             **entries.given(
                 "recon",
                 correction=partial(entries.string, choices=("none", "fixed_point")),
-                time_quad=entries.integer,
                 k_radial=entries.integer,
                 k_angular=entries.integer,
                 kernel_table=entries.integer,

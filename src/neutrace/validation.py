@@ -280,7 +280,7 @@ def check_integral_identity(
         "level": level,
         "phase": phase,
         "boundary_res": res_b,
-        "time_quad": nt,
+        "time_nodes": nt,
         "volume_rule": (m_rad, m_pol, m_azi),
         "box_quad": m_box,
         "h_lap": h_lap,

@@ -11,7 +11,9 @@ velocity within a bound derived from both routes' errors.  The direct 2-D
 trace route likewise keeps the package's pointwise wave solution and
 replaces only the radial table and the sparse trace operator.  The 3-D
 sections route replaces the package's closed radial field by the
-spherical-means quadrature it converges to.
+spherical-means quadrature it converges to.  The per-point 2-D
+back-projection integrates each trace by a Gauss rule in a substituted time
+variable, the route the package's product-integrated Abel weights replaced.
 """
 
 from __future__ import annotations
@@ -489,3 +491,41 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
         "bound_volume": bound_volume,
         "weights_nonzero": nonzero,
     }
+
+
+def backproject_even_per_point(traces, x, time_quad: int) -> float:
+    """Two-dimensional back-projection at one point by a per-point quadrature.
+
+    For each node y the Abel integral of trace(y, t) / sqrt(t^2 - d^2) over
+    d < t < t_max, d = |x - y|, is taken after the substitution
+    t = sqrt(d^2 + u^2), which removes the inverse-root singularity, by a
+    composite Gauss-Legendre rule in u with ``time_quad`` nodes, 16 on each
+    of equal panels (one rule of thousands of nodes would cost a dense
+    eigenproblem of that size).  The trace is read through
+    the four-point Lagrange cubic with its base clipped to [1, nt - 3],
+    written out here, so the route converges to the exact integral of the
+    interpolant the package integrates; it converges slowly, because that
+    interpolant is only continuous at the samples.
+    """
+    panels = time_quad // 16
+    x_gl, w_gl = np.polynomial.legendre.leggauss(16)
+    nodes = ((np.arange(panels)[:, None] + 0.5 * (x_gl + 1.0)) / panels).reshape(-1)
+    weights = np.tile(0.5 * w_gl / panels, panels)
+    d = np.sqrt(np.sum((traces.boundary.points - np.asarray(x, dtype=float)) ** 2, axis=-1))
+    u_top = np.sqrt(traces.times.t_max**2 - d * d)
+    u = u_top[:, None] * nodes
+    t = np.sqrt(d[:, None] ** 2 + u * u)
+    nt = traces.values.shape[1]
+    s = t / traces.times.dt
+    k = np.clip(np.floor(s).astype(int), 1, nt - 3)
+    th = s - k
+    lagrange = (
+        -th * (th - 1.0) * (th - 2.0) / 6.0,
+        (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0,
+        -th * (th + 1.0) * (th - 2.0) / 2.0,
+        th * (th * th - 1.0) / 6.0,
+    )
+    rows = np.arange(len(d))[:, None]
+    vals = sum(lw * traces.values[rows, k + l - 1] for l, lw in enumerate(lagrange))
+    inner = u_top * np.sum(vals / t * weights, axis=-1)
+    return float(np.sum(traces.boundary.weights * inner) / math.pi)

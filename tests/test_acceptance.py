@@ -30,7 +30,6 @@ from neutrace.geometry import (
 from neutrace.inversion import (
     ImageGrid,
     ReconstructionOptions,
-    backproject_even,
     backproject_odd,
     correction_K,
     reconstruct,
@@ -122,12 +121,8 @@ def test_criterion_02_ellipse_reconstruction_is_exact(capsys):
         traces = simulate_traces(
             f, ellipse, bq, TimeGrid(t_max=t_max, nt=2000), SolverParams(table_points=4096)
         )
-        xs = np.linspace(-0.34, 0.74, 31)
-        ys = np.linspace(-0.54, 0.34, 31)
-        g1, g2 = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([g1.reshape(-1), g2.reshape(-1)], axis=-1)
-        got = np.array([backproject_even(traces, p) for p in pts])
-        err = _rel_l2(got, f.eval(pts))
+        image = reconstruct(traces, ImageGrid((-0.34, -0.54), (0.74, 0.34), (31, 31)))
+        err = _rel_l2(image.values, f.eval(image.points()))
         trunc = truncation_probe(traces, np.array([0.2, -0.1]))
         v.ok = err <= 0.05 and trunc <= 0.01 * f.peak()
         v.detail = (

@@ -61,7 +61,7 @@ def test_solver_and_recon_keys_reach_their_dataclasses():
         MINIMAL_2D
         + "solver.h_t = 0.002\nsolver.h_nu = 0.0005\nsolver.mean_res = 40\n"
         + "solver.radial_quad = 24\nsolver.nu_order = 4\nsolver.table_points = 1000\n"
-        + "recon.correction = fixed_point\nrecon.time_quad = 100\nrecon.k_radial = 9\n"
+        + "recon.correction = fixed_point\nrecon.k_radial = 9\n"
         + "recon.k_angular = 11\nrecon.kernel_table = 300\nrecon.kernel_quad = 70\n"
         + "recon.kernel_margin = 0.01\n"
     )
@@ -70,7 +70,6 @@ def test_solver_and_recon_keys_reach_their_dataclasses():
     )
     assert cfg.recon == ReconstructionOptions(
         correction="fixed_point",
-        time_quad=100,
         k_radial=9,
         k_angular=11,
         kernel_table=300,
@@ -172,7 +171,9 @@ def test_parse_validate_bounds_and_checks():
             MINIMAL_2D + "recon.correction = newton\n",
             "line 3: recon.correction must be one of none, fixed_point, got 'newton'",
         ),
-        (MINIMAL_2D + "recon.time_quad = many\n", "line 3: recon.time_quad expects an integer"),
+        # the 2-D back-projection's Abel weights are exact: it has no time quadrature to set
+        (MINIMAL_2D + "recon.time_quad = 256\n", "line 3: unknown key 'recon.time_quad'"),
+        (MINIMAL_2D + "recon.k_radial = many\n", "line 3: recon.k_radial expects an integer"),
         (MINIMAL_2D + "solver.mean_res = 3\n", "mean_res must be >= 4, got 3"),
         (MINIMAL_2D + "validate.level = -1\n", "line 3: validate.level must be >= 0, got -1"),
     ],

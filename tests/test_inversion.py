@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import backproject_even_per_point
 
 from neutrace.calculus import cubic_stencil, gauss_legendre
 from neutrace.forward import (
@@ -21,6 +22,7 @@ from neutrace.inversion import (
     _angular_set,
     _correction_constant,
     _correction_matrix,
+    _interp_rows,
     _kernel_on_ray,
     _ray_profiles,
     _support_radius,
@@ -253,6 +255,16 @@ def test_image_grid_single_sample_axis_is_a_slice():
     assert g.interp(np.array([0.25, 0.26])) == 0.0  # off the stored plane
 
 
+@pytest.fixture(scope="module")
+def ellipse_traces():
+    """Traces of the benchmark's 2-D ellipse: 64 nodes, 400 times over four
+    diameters."""
+    ellipse = ellipsoid((0.0, 0.0), (1.5, 1.0))
+    f = Phantom((Bump(center=(0.2, -0.1), radius=0.3),))
+    bq = boundary_quadrature(ellipse, 64)
+    return simulate_traces(f, ellipse, bq, TimeGrid(t_max=12.0, nt=400))
+
+
 # ---------------------------------------------------------------------------
 # back-projection
 
@@ -314,6 +326,37 @@ def test_backproject_even_recovers_the_field(disk_traces):
 def test_truncation_probe_is_small_on_long_records(disk_traces):
     probe = truncation_probe(disk_traces, (0.1, 0.0))
     assert 0.0 <= probe <= 1e-3
+
+
+def test_truncation_probe_is_the_full_minus_the_halved_back_projection(disk_traces):
+    x = (0.1, 0.0)
+    full = backproject_even(disk_traces, x)
+    half = backproject_even(disk_traces, x, ReconstructionOptions(t_upper=4.0))
+    # full and half share the weights of every time cell below the cut, where
+    # the Gauss error sits (near t = d), and t_max/2 splits one cell far from
+    # it; so they differ from the tail by roundoff in the sums (1.1e-16 measured)
+    assert truncation_probe(disk_traces, x) == pytest.approx(abs(full - half), abs=1e-12)
+
+
+# Gap between backproject_even and the per-point Gauss route of the oracle
+# (t = sqrt(d^2 + u^2), composite Gauss-Legendre in u) on the benchmark
+# ellipse at four points: at most 2.8e-5 with 2048 nodes and 1.5e-6 with 8192
+# (the ratio per point is 18 to 39).  The oracle converges to the exact
+# integral of the interpolated traces, slowly because the interpolant has
+# kinks at the samples, and the Abel weights' own quadrature error is 4e-9
+# (4 Gauss nodes per cell against 8), so the gap is the oracle's error.  The
+# bound is twice the measured 8192-node gap, and the gap must shrink at least
+# eightfold from 2048 nodes.
+ORACLE_8192_BOUND = 3e-6
+
+
+def test_abel_weights_match_the_per_point_quadrature(ellipse_traces):
+    pts = [(0.2, -0.1), (0.45, 0.15), (-0.3, -0.6), (0.7, 0.4)]
+    got = np.array([backproject_even(ellipse_traces, p) for p in pts])
+    coarse = np.array([backproject_even_per_point(ellipse_traces, p, 2048) for p in pts])
+    fine = np.array([backproject_even_per_point(ellipse_traces, p, 8192) for p in pts])
+    assert np.abs(fine - got).max() <= ORACLE_8192_BOUND
+    assert np.all(np.abs(fine - got) <= np.abs(coarse - got) / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +458,39 @@ def test_reconstruct_matches_pointwise_backprojection(ball_traces):
     np.testing.assert_array_equal(out.values, manual)
     assert out.meta["correction"] == "none"
     assert out.meta["margin"] > 0.7
+
+
+# reconstruct reads the filtered traces off a distance table of step dt/4 by
+# the four-point cubic; on the benchmark ellipse's 11x11 grid it differs from
+# the pointwise back-projection by at most 1.24e-4 (peak 1).  The gap falls
+# with the step: 2.2e-4 at dt/2, 4.4e-5 at dt/8, 1.1e-5 at dt/16.  The bound
+# is 1.2 times the measurement and below the dt/2 gap.
+TABLE_LOOKUP_BOUND = 1.5e-4
+
+
+def test_reconstruct_2d_matches_pointwise_backprojection(ellipse_traces):
+    grid = ImageGrid(lo=(-0.3, -0.6), hi=(0.7, 0.4), shape=(11, 11))
+    out = reconstruct(ellipse_traces, grid)
+    manual = np.array([backproject_even(ellipse_traces, p) for p in grid.points()])
+    assert np.abs(out.values - manual).max() <= TABLE_LOOKUP_BOUND
+
+
+def test_reconstruct_2d_needs_enough_recorded_time(unit_disk):
+    f = Phantom((Bump(center=(0.0, 0.0), radius=0.3),))
+    bq = boundary_quadrature(unit_disk, 16)
+    traces = simulate_traces(f, unit_disk, bq, TimeGrid(t_max=1.5, nt=60))
+    # (0.8, 0) is 1.8 from the node at (-1, 0)
+    grid = ImageGrid(lo=(0.6, 0.0), hi=(0.8, 0.0), shape=(2, 1))
+    with pytest.raises(InsufficientDataError, match="reaches the upper time 1.5"):
+        reconstruct(traces, grid)
+
+
+def test_table_reads_reject_queries_outside_the_table():
+    table = np.arange(12.0).reshape(2, 6)
+    assert _interp_rows(table, 0.5, np.array([[0.0, 2.5]]))[0] == pytest.approx([0.0, 11.0])
+    for bad in (-1e-9, 2.5 + 1e-9):
+        with pytest.raises(ValueError, match="leave the table"):
+            _interp_rows(table, 0.5, np.array([[bad, 1.0]]))
 
 
 def test_reconstruct_threads_do_not_change_values(ball_traces):

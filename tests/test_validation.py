@@ -318,7 +318,7 @@ def test_integral_identity_equals_the_ungated_terms(unit_ball, g, phase):
 
     m_rad, m_pol, m_azi = p["volume_rule"]
     nodes = boundary_quadrature(unit_ball, p["boundary_res"]).points.shape[0]
-    assert p["velocity_pairs"] == (nodes + 7 * m_rad * m_pol * m_azi) * p["time_quad"]
+    assert p["velocity_pairs"] == (nodes + 7 * m_rad * m_pol * m_azi) * p["time_nodes"]
     assert p["velocity_evaluated"] == full["weights_nonzero"]
     assert 0 < p["velocity_evaluated"] < p["velocity_pairs"]
 
