@@ -294,13 +294,12 @@ def neumann_trace(f: Phantom, domain: ConvexDomain, y, nu, t: float, params: Sol
 def support_margin(f: Phantom, domain: ConvexDomain) -> float:
     """Distance from the phantom support to the boundary (negative if a
     bump pokes outside or its center leaves the domain)."""
-    margin = np.inf
-    for b in f.bumps:
-        d = boundary_distance(domain, b.center) - b.radius
-        if not contains(domain, np.asarray(b.center)):
-            d = -abs(d) if d > 0 else d
-        margin = min(margin, d)
-    return float(margin)
+    if not f.bumps:
+        return float(np.inf)
+    centers = np.array([b.center for b in f.bumps], dtype=float)
+    d = boundary_distance(domain, centers) - np.array([b.radius for b in f.bumps])
+    outside = ~contains(domain, centers)
+    return float(np.where(outside & (d > 0), -d, d).min())
 
 
 def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
@@ -363,9 +362,9 @@ def _trace_operator_2d(times, params, r_grid):
     the table interpolated at the sine-substituted radii.  The map depends
     only on the times, the steps and the radial rule, so one build serves
     every centre.  Returns (rows, cols, coefs, ptr), sorted by column and
-    then row, with each (row, column) pair once; ``ptr[k]:ptr[k + 1]`` holds
-    the entries of column k.  Query radii outside the table raise instead of
-    being clamped onto its end stencils.
+    then row, with each (row, column) pair once and the indices as int32;
+    ``ptr[k]:ptr[k + 1]`` holds the entries of column k.  Query radii outside
+    the table raise instead of being clamped onto its end stencils.
     """
     rule = _radial_rule(params.radial_quad)
     sin_phi = np.sin(rule.nodes)
@@ -374,7 +373,8 @@ def _trace_operator_2d(times, params, r_grid):
     npts = r_grid.shape[0]
     dr = r_grid[1] - r_grid[0]
     rows, cols, coefs = [], [], []
-    # blocks of 32 time rows bound the memory of the unmerged entries
+    # blocks of 32 time rows bound the memory of the unmerged entries; each
+    # block's temporaries are freed before the next block allocates its own
     for lo in range(0, times.shape[0], 32):
         taus = times[lo : lo + 32, None] + h * _D4_OFFSETS  # (b, 4)
         radii = np.abs(taus)[..., None] * sin_phi  # (b, 4, q)
@@ -389,15 +389,23 @@ def _trace_operator_2d(times, params, r_grid):
         key = np.concatenate([(local + l - 1).ravel() for l in range(4)])
         val = np.concatenate([(scale * w).ravel() for w in weights])
         dense = np.bincount(key, weights=val, minlength=taus.shape[0] * npts)
+        del k, weights, scale, local, key, val
         nz = np.flatnonzero(dense)
-        rows.append(lo + nz // npts)
-        cols.append(nz % npts)
+        rows.append((lo + nz // npts).astype(np.int32))
+        cols.append((nz % npts).astype(np.int32))
         coefs.append(dense[nz])
-    rows, cols, coefs = np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs)
-    # the blocks come in row order, so a stable sort keeps the rows ascending within a column
+        del dense, nz
+    # the blocks come in row order, so a stable sort keeps the rows ascending
+    # within a column; each array is reordered as soon as it is concatenated
+    cols = np.concatenate(cols)
     order = np.argsort(cols, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
-    return rows[order], cols[order], coefs[order], ptr
+    cols = cols[order]
+    rows = np.concatenate(rows)
+    rows = rows[order]
+    coefs = np.concatenate(coefs)
+    coefs = coefs[order]
+    return rows, cols, coefs, ptr
 
 
 def _node_trace_table_2d(f, center_pts, stencil_w, r_grid, operator, nt, mean_res):
@@ -503,9 +511,12 @@ def phantom_hash(f: Phantom) -> str:
     return f"sha256:{digest[:16]}"
 
 
+# 17 significant digits read back to the same double: the round trip is bit-exact
+_FIELD = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    # 17 significant digits read back to the same double: the round trip is bit-exact
-    return "%.17g" % x
+    return _FIELD % x
 
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
@@ -538,9 +549,12 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     lines.append("# columns: " + ",".join(cols))
     b = traces.boundary
     block = np.column_stack([b.points, b.normals, b.weights, traces.values])
+    # one % per row, converted row by row: block.tolist() would hold every
+    # value as a Python float at once (5 MB on a 512 x 307 block)
+    row_fmt = ",".join([_FIELD] * block.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in block)
+        fh.writelines(row_fmt % tuple(row.tolist()) for row in block)
 
 
 def read_trace_file(path) -> TraceGrid:

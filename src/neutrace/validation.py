@@ -38,6 +38,7 @@ from .transforms import (
     CINF,
     Bump,
     Phantom,
+    _mean_directions,
     _mollifier_norm,
     bump_radial,
     mollifier_eval,
@@ -195,13 +196,21 @@ def _times_velocity(weight, g: Phantom, pts, times):
     against ``times``, with the velocity evaluated only where ``weight`` is
     non-zero; everywhere else the product is 0 whatever the velocity is.
 
+    The distance to each bump centre is computed once per point and then
+    gathered at the live (point, time) pairs, as the same expression
+    :func:`phantom_velocity` evaluates per pair, so the product keeps its bits.
+
     Returns the product and the number of velocity values evaluated.
     """
     live = np.nonzero(weight)
-    at = np.broadcast_to(pts, weight.shape + pts.shape[-1:])[live]
-    vel = np.zeros(weight.shape)
-    vel[live] = phantom_velocity(g, at, times[live[-1]])
-    return weight * vel, at.shape[0]
+    t_live = times[live[-1]]
+    vel = np.zeros(t_live.shape)
+    for b in g.bumps:
+        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        vel = vel + radial_velocity(b, np.broadcast_to(d, weight.shape)[live], t_live)
+    out = np.zeros(weight.shape)
+    out[live] = vel
+    return weight * out, t_live.shape[0]
 
 
 def _support_box(f: Phantom, n: int):
@@ -351,6 +360,11 @@ def check_integral_identity(
 # ---------------------------------------------------------------------------
 # coefficient recursion behind the iterated (1/t d/dt) reduction
 
+# sphere-mean points per block of a ball profile: whole spheres of about
+# 2^14 points (three radii of the 4608-direction 3-D rule), so that the
+# temporaries of each block stay in cache
+_PROFILE_BLOCK_POINTS = 1 << 14
+
 
 def _ball_profile(g, x, n: int, m_phi: int, m_mean: int):
     """A(t) = integral over the unit ball of g(x + t y)/sqrt(1 - |y|^2).
@@ -358,15 +372,28 @@ def _ball_profile(g, x, n: int, m_phi: int, m_mean: int):
     In polar form this is the surface measure times the integral over
     (0, pi/2) of sin^{n-1}(phi) M g(x, t sin phi); the sine substitution
     removes the inverse-root endpoint.
+
+    Each abscissa t is evaluated once and remembered, since the nested
+    difference stencils of the lemma check revisit the same t.  The sphere
+    means go in blocks of whole radii of about ``_PROFILE_BLOCK_POINTS``
+    points, so the temporaries stay cache-sized; every mean is summed over
+    its own sphere as in one call, so the values do not depend on the block.
     """
     rule = gauss_legendre(m_phi, 0.0, 0.5 * math.pi)
     sin_phi = np.sin(rule.nodes)
     wphi = rule.weights * sin_phi ** (n - 1)
     surf = _sphere_surface(n)
+    block = max(1, _PROFILE_BLOCK_POINTS // _mean_directions(n, m_mean)[0].shape[0])
+    memo: dict[float, float] = {}
 
     def profile(t: float) -> float:
-        means = sphere_means(g, x, t * sin_phi, m_mean, n=n)
-        return surf * float(np.sum(means * wphi))
+        if t not in memo:
+            radii = t * sin_phi
+            means = np.concatenate(
+                [sphere_means(g, x, radii[lo : lo + block], m_mean, n=n) for lo in range(0, m_phi, block)]
+            )
+            memo[t] = surf * float(np.sum(means * wphi))
+        return memo[t]
 
     return profile
 

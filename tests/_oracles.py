@@ -14,6 +14,10 @@ sections route replaces the package's closed radial field by the
 spherical-means quadrature it converges to.  The per-point 2-D
 back-projection integrates each trace by a Gauss rule in a substituted time
 variable, the route the package's product-integrated Abel weights replaced.
+The per-call routes at the end (ball profile, velocity gather, boundary
+search, trace-operator build) are the package's earlier code for work it now
+does once, in blocks or batched; they share its arithmetic on purpose, so
+the tests can ask for equal bits.
 """
 
 from __future__ import annotations
@@ -529,3 +533,136 @@ def backproject_even_per_point(traces, x, time_quad: int) -> float:
     vals = sum(lw * traces.values[rows, k + l - 1] for l, lw in enumerate(lagrange))
     inner = u_top * np.sum(vals / t * weights, axis=-1)
     return float(np.sum(traces.boundary.weights * inner) / math.pi)
+
+
+# ---------------------------------------------------------------------------
+# per-call routes that the package now runs once, in blocks or batched
+
+
+def ball_profile_per_call(g, x, n: int, m_phi: int, m_mean: int):
+    """The singular ball profile A(t) with one sphere-means call over all
+    radii of every abscissa, re-evaluated on every call: the closure that
+    ``validation._ball_profile`` replaced by a memo over cache-sized blocks."""
+    from neutrace.calculus import gauss_legendre, unit_ball_volume
+    from neutrace.transforms import sphere_means
+
+    rule = gauss_legendre(m_phi, 0.0, 0.5 * math.pi)
+    sin_phi = np.sin(rule.nodes)
+    wphi = rule.weights * sin_phi ** (n - 1)
+    surf = n * unit_ball_volume(n)
+
+    def profile(t: float) -> float:
+        means = sphere_means(g, x, t * sin_phi, m_mean, n=n)
+        return surf * float(np.sum(means * wphi))
+
+    return profile
+
+
+def times_velocity_per_pair(weight, g, pts, times):
+    """``weight`` times the velocity of g with a 3-vector gathered at every
+    live (point, time) pair and its distances taken there: the route that
+    ``validation._times_velocity`` replaced by one distance per point."""
+    from neutrace.validation import phantom_velocity
+
+    live = np.nonzero(weight)
+    at = np.broadcast_to(pts, weight.shape + pts.shape[-1:])[live]
+    vel = np.zeros(weight.shape)
+    vel[live] = phantom_velocity(g, at, times[live[-1]])
+    return weight * vel, at.shape[0]
+
+
+def boundary_distance_per_point(domain, point) -> float:
+    """Distance from one point to the boundary by its own search, with the
+    squared distances summed along the last axis: the per-point route that
+    ``geometry.boundary_distance`` runs for a whole batch in lockstep."""
+    from neutrace.geometry import _ellipsoid_rim, _rim_2d
+
+    p = np.asarray(point, dtype=float)
+
+    if domain.dimension == 2:
+        def dist_at(psi):
+            b = _rim_2d(domain, np.atleast_1d(psi)) + np.asarray(domain.center)
+            return np.sqrt(np.sum((b - p) ** 2, axis=-1))
+
+        m = 1024
+        psi = 2.0 * np.pi * np.arange(m) / m
+        k = int(np.argmin(dist_at(psi)))
+        lo, hi = psi[k] - 2.0 * np.pi / m, psi[k] + 2.0 * np.pi / m
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = hi - invphi * (hi - lo)
+        x2 = lo + invphi * (hi - lo)
+        f1, f2 = dist_at(x1)[0], dist_at(x2)[0]
+        for _ in range(60):
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = dist_at(x1)[0]
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = dist_at(x2)[0]
+        return float(min(f1, f2))
+
+    c = np.asarray(domain.center)
+
+    def dist_grid(u, phi):
+        b = _ellipsoid_rim(domain, *np.meshgrid(u, phi, indexing="ij"))
+        return np.sqrt(np.sum((c + b - p) ** 2, axis=-1))
+
+    u = np.linspace(-1.0, 1.0, 129)
+    phi = np.linspace(0.0, 2.0 * np.pi, 257)
+    du, dphi = u[1] - u[0], phi[1] - phi[0]
+    for _ in range(4):
+        d = dist_grid(u, phi)
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        u0, phi0 = u[i], phi[j]
+        du, dphi = du / 8.0, dphi / 8.0
+        u = np.clip(np.linspace(u0 - 8 * du, u0 + 8 * du, 17), -1.0, 1.0)
+        phi = np.linspace(phi0 - 8 * dphi, phi0 + 8 * dphi, 17)
+    return float(dist_grid(u, phi).min())
+
+
+def support_margin_per_bump(f, domain) -> float:
+    """``forward.support_margin`` with one boundary search per bump centre."""
+    from neutrace.geometry import contains
+
+    margin = np.inf
+    for b in f.bumps:
+        d = boundary_distance_per_point(domain, b.center) - b.radius
+        if not contains(domain, np.asarray(b.center)):
+            d = -abs(d) if d > 0 else d
+        margin = min(margin, d)
+    return float(margin)
+
+
+def trace_operator_2d_int64(times, params, r_grid):
+    """The 2-D trace operator built with int64 indices, all blocks held until
+    one concatenation and then reordered: the build that
+    ``forward._trace_operator_2d`` slimmed without changing an entry."""
+    from neutrace.calculus import cubic_stencil
+    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS, _radial_rule
+
+    rule = _radial_rule(params.radial_quad)
+    sin_phi = np.sin(rule.nodes)
+    wphi = rule.weights * sin_phi
+    h = params.h_t
+    npts = r_grid.shape[0]
+    dr = r_grid[1] - r_grid[0]
+    rows, cols, coefs = [], [], []
+    for lo in range(0, times.shape[0], 32):
+        taus = times[lo : lo + 32, None] + h * _D4_OFFSETS
+        radii = np.abs(taus)[..., None] * sin_phi
+        k, weights = cubic_stencil(radii, r_grid[0], dr, npts)
+        scale = (_D4_WEIGHTS / h * taus)[..., None] * wphi
+        local = np.arange(taus.shape[0])[:, None, None] * npts + k
+        key = np.concatenate([(local + l - 1).ravel() for l in range(4)])
+        val = np.concatenate([(scale * w).ravel() for w in weights])
+        dense = np.bincount(key, weights=val, minlength=taus.shape[0] * npts)
+        nz = np.flatnonzero(dense)
+        rows.append(lo + nz // npts)
+        cols.append(nz % npts)
+        coefs.append(dense[nz])
+    rows, cols, coefs = np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs)
+    order = np.argsort(cols, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
+    return rows[order], cols[order], coefs[order], ptr

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import trace_table_2d_per_centre, traces_2d_direct, traces_3d_sections
+from _oracles import (
+    trace_operator_2d_int64,
+    trace_table_2d_per_centre,
+    traces_2d_direct,
+    traces_3d_sections,
+)
 from neutrace import forward
 from neutrace.forward import (
     _D4_WEIGHTS,
@@ -416,6 +421,21 @@ def test_band_column_apply_equals_the_full_operator_apply(unit_disk, f, split_ba
     assert (split > 0) == split_bands
 
 
+@pytest.mark.parametrize("nt", [40, 97])
+def test_trace_operator_equals_the_int64_build(nt):
+    """The lean build, int32 indices and each block freed before the next,
+    holds the entries of the one-shot int64 build in the same order."""
+    times = TimeGrid(t_max=4.0, nt=nt)
+    params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
+    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+    r_grid = np.linspace(0.0, r_max, params.table_points)
+    got = _trace_operator_2d(times.samples, params, r_grid)
+    want = trace_operator_2d_int64(times.samples, params, r_grid)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert got[0].dtype == got[1].dtype == np.int32
+
+
 def test_trace_operator_rejects_radii_beyond_the_table():
     params = SolverParams().resolved(t_scale=4.0)
     times = TimeGrid(t_max=4.0, nt=40).samples
@@ -509,6 +529,9 @@ def test_trace_file_layout(tmp_path, bump3d, unit_ball):
     rows = [l for l in lines if not l.startswith("#")]
     assert len(rows) == len(traces.boundary)
     assert all(len(r.split(",")) == len(names) for r in rows)
+    b = traces.boundary
+    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
+    assert rows == [",".join("%.17g" % v for v in row) for row in block.tolist()]
 
 
 def test_trace_file_rejects_foreign_content(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutrace.forward import support_margin
 from neutrace.geometry import (
     boundary_distance,
     boundary_quadrature,
@@ -22,8 +23,14 @@ from neutrace.geometry import (
     support_halfwidth,
 )
 from neutrace.inversion import ImageGrid, _grid_margin
+from neutrace.transforms import Bump, Phantom
 
-from _oracles import adaptive_simpson, level_value_broadcast
+from _oracles import (
+    adaptive_simpson,
+    boundary_distance_per_point,
+    level_value_broadcast,
+    support_margin_per_bump,
+)
 
 # boundary lengths of the session domains, integrated independently with
 # adaptive Simpson on the parametric speed
@@ -290,6 +297,50 @@ def test_grid_margin_equals_the_minimum_over_every_grid_point(request, name, lo,
         # corners taken at (lo, hi) would understate the margin
         box = min(boundary_distance(domain, c) for c in itertools.product(*zip(lo, hi)))
         assert box < brute - 0.1
+
+
+# an ellipse, the exponent-4 superellipse, an off-centre ellipsoid with three
+# different semi-axes and the ball, each with a grid whose corners lie inside
+_BATCH_CASES = [
+    ("ellipse21", (-0.3, -0.6), (0.7, 0.4), (6, 5)),
+    ("se4", (-0.1, -0.25), (0.6, 0.45), (5, 6)),
+    ("ellipsoid3", (-0.4, -0.3, -0.2), (0.5, 0.3, 0.25), (3, 4, 2)),
+    ("unit_ball", (-0.5, -0.5, 0.0), (0.5, 0.5, 0.0), (15, 15, 1)),
+]
+
+
+@pytest.fixture(scope="module")
+def ellipsoid3():
+    return ellipsoid((0.1, 0.0, -0.1), (1.2, 0.8, 0.6))
+
+
+@pytest.mark.parametrize("name, lo, hi, shape", _BATCH_CASES)
+def test_batched_boundary_search_equals_the_per_point_search(request, rng, name, lo, hi, shape):
+    """The lockstep search of a batch gives each point the bits of its own
+    search, and so does a single point."""
+    domain = request.getfixturevalue(name)
+    n = domain.dimension
+    pts = np.asarray(domain.center) + (rng.random((40, n)) - 0.5) * np.asarray(domain.semi_axes)
+    pts = np.vstack([pts[contains(domain, pts)], grid_corners(domain, ImageGrid(lo, hi, shape).axes())])
+    want = np.array([boundary_distance_per_point(domain, p) for p in pts])
+    np.testing.assert_array_equal(boundary_distance(domain, pts), want)
+    single = [boundary_distance(domain, p) for p in pts[:5]]
+    assert all(type(d) is float for d in single)
+    np.testing.assert_array_equal(single, want[:5])
+
+
+@pytest.mark.parametrize("name, lo, hi, shape", _BATCH_CASES)
+def test_batched_margins_equal_the_per_corner_search(request, name, lo, hi, shape):
+    domain = request.getfixturevalue(name)
+    axes = ImageGrid(lo, hi, shape).axes()
+    want = min((boundary_distance_per_point(domain, c), c) for c in grid_corners(domain, axes))
+    assert grid_margin(domain, axes) == want
+    n = domain.dimension
+    centres = [(0.1, -0.05, 0.0), (-0.3, 0.2, 0.1), (0.9, 0.0, 0.0), (1.5, 0.1, 0.0)]
+    for bumps in (centres[:1], centres[:2], centres):
+        f = Phantom(tuple(Bump(center=c[:n], radius=0.15 + 0.1 * i) for i, c in enumerate(bumps)))
+        assert support_margin(f, domain) == support_margin_per_bump(f, domain)
+    assert support_margin(Phantom(()), domain) == math.inf
 
 
 def test_grid_corners_reject_a_corner_outside_the_domain(unit_ball, se4):

@@ -1,9 +1,13 @@
 """Cross-checks of the certification module itself."""
 
+import math
+
 import numpy as np
 import pytest
 
+from neutrace import validation
 from neutrace.calculus import stencil_derivative
+from neutrace.cli import _lemma_field
 from neutrace.forward import SolverParams
 from neutrace.geometry import boundary_quadrature
 from neutrace.transforms import Bump, Phantom, bump_radial
@@ -24,12 +28,14 @@ from neutrace.validation import (
 
 from _oracles import (
     GOMPERTZ,
+    ball_profile_per_call,
     cinf_primitive_closed,
     cinf_table_bound,
     integral_identity_terms_ungated,
     radial_pressure_ungated,
     radial_velocity_ungated,
     sections_field_3d,
+    times_velocity_per_pair,
     velocity_route_tolerance,
 )
 
@@ -323,6 +329,16 @@ def test_integral_identity_equals_the_ungated_terms(unit_ball, g, phase):
     assert 0 < p["velocity_evaluated"] < p["velocity_pairs"]
 
 
+@pytest.mark.parametrize("g", [_CRIT05_G, _TWO_BUMP_G], ids=["criterion-05", "two-bump-g"])
+def test_integral_identity_equals_the_per_pair_velocity_gather(unit_ball, monkeypatch, g):
+    """One distance per stencil point, gathered at the live pairs, reports
+    the bits of the per-pair 3-vector gather."""
+    got = check_integral_identity(_CRIT05_F, g, unit_ball)
+    monkeypatch.setattr(validation, "_times_velocity", times_velocity_per_pair)
+    want = check_integral_identity(_CRIT05_F, g, unit_ball)
+    assert (got.lhs, got.rhs, got.params) == (want.lhs, want.rhs, want.params)
+
+
 # ---------------------------------------------------------------------------
 # reduction-lemma coefficients
 
@@ -358,6 +374,55 @@ def test_lemma_bump_field_residual_shrinks_under_refinement(bump2d):
     fine = check_lemma_coefficients(2, 1, bump2d.eval, (0.1, 0.0), 0.7, level=1)
     assert fine.abs_residual < coarse.abs_residual
     assert fine.abs_residual <= 1e-4
+
+
+def _profile_points(n, m_phi, m_mean):
+    """Sphere points of one ball profile: m_phi radii, each with the
+    direction set of ``sphere_means`` (m_mean in 2-D, 2 m_mean^2 in 3-D)."""
+    return m_phi * (m_mean if n == 2 else 2 * m_mean * m_mean)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k, lhs_profiles, profiles", [(1, 4, 9), (2, 16, 21)])
+def test_lemma_check_evaluates_each_profile_once(n, k, lhs_profiles, profiles):
+    """The nested lhs stencil needs 4 (k = 1) or 16 (k = 2) abscissae and
+    the rhs derivatives of order 0..k share 5, so a field that counts its
+    points sees each of those 9 or 21 profiles once, in cache-sized calls."""
+    calls = []
+
+    def g(pts):
+        calls.append(np.asarray(pts).shape[:-1])
+        return quadratic_field(pts)
+
+    check_lemma_coefficients(n, k, g, (0.1, -0.2, 0.05)[:n], 0.7)
+    assert lhs_profiles + 5 == profiles
+    total = sum(math.prod(shape) for shape in calls)
+    assert total == lhs_profiles * _profile_points(n, 40, 48) + 5 * _profile_points(n, 57, 57)
+    assert max(math.prod(shape) for shape in calls) <= validation._PROFILE_BLOCK_POINTS
+
+
+@pytest.mark.parametrize(
+    "n, k, field, level",
+    [
+        (2, 1, "quadratic", 0),
+        (2, 2, "quadratic", 0),
+        (3, 1, "quadratic", 0),
+        (3, 2, "quadratic", 0),
+        (2, 1, "cli", 0),
+        (3, 2, "cli", 0),
+        (2, 1, "bump", 1),
+        (2, 2, "bump", 1),
+    ],
+)
+def test_lemma_check_equals_the_per_call_profile(monkeypatch, bump2d, n, k, field, level):
+    """Each abscissa evaluated once in blocks gives the bits of the profile
+    that re-evaluates every call in one sphere-means call."""
+    g = {"quadratic": quadratic_field, "cli": _lemma_field(n), "bump": bump2d.eval}[field]
+    x = (0.1, -0.2, 0.05)[:n]
+    got = check_lemma_coefficients(n, k, g, x, 0.7, level=level)
+    monkeypatch.setattr(validation, "_ball_profile", ball_profile_per_call)
+    want = check_lemma_coefficients(n, k, g, x, 0.7, level=level)
+    assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
