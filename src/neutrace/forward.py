@@ -511,12 +511,9 @@ def phantom_hash(f: Phantom) -> str:
     return f"sha256:{digest[:16]}"
 
 
-# 17 significant digits read back to the same double: the round trip is bit-exact
-_FIELD = "%.17g"
-
-
 def _fmt(x: float) -> str:
-    return _FIELD % x
+    # 17 significant digits read back to the same double: the round trip is bit-exact
+    return "%.17g" % x
 
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
@@ -549,12 +546,9 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     lines.append("# columns: " + ",".join(cols))
     b = traces.boundary
     block = np.column_stack([b.points, b.normals, b.weights, traces.values])
-    # one % per row, converted row by row: block.tolist() would hold every
-    # value as a Python float at once (5 MB on a 512 x 307 block)
-    row_fmt = ",".join([_FIELD] * block.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(row_fmt % tuple(row.tolist()) for row in block)
+        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in block)
 
 
 def read_trace_file(path) -> TraceGrid:

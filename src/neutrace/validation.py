@@ -175,14 +175,26 @@ def radial_velocity(bump: Bump, d, t):
     return v
 
 
-def phantom_velocity(f: Phantom, pts, t):
+def phantom_velocity(f: Phantom, pts, t, live=None):
     """Solution with data (0, f) at points (..., 3) and times t, n = 3: the
-    sum over the bumps of :func:`radial_velocity`, by the closed primitive."""
+    sum over the bumps of :func:`radial_velocity`, by the closed primitive.
+
+    With ``live``, an index tuple into the broadcast shape of the points and
+    t (as :func:`numpy.nonzero` returns), only those entries are evaluated
+    and returned as a flat array.  Each distance to a bump centre is still
+    computed once per point and then gathered, so every entry has the bits
+    of the full evaluation.
+    """
     pts = np.asarray(pts, dtype=float)
     t = np.asarray(t, dtype=float)
-    out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
+    shape = np.broadcast_shapes(pts.shape[:-1], t.shape)
+    if live is not None:
+        t = np.broadcast_to(t, shape)[live]
+    out = np.zeros(shape if live is None else t.shape)
     for b in f.bumps:
         d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        if live is not None:
+            d = np.broadcast_to(d, shape)[live]
         out = out + radial_velocity(b, d, t)
     return out
 
@@ -196,21 +208,16 @@ def _times_velocity(weight, g: Phantom, pts, times):
     against ``times``, with the velocity evaluated only where ``weight`` is
     non-zero; everywhere else the product is 0 whatever the velocity is.
 
-    The distance to each bump centre is computed once per point and then
-    gathered at the live (point, time) pairs, as the same expression
-    :func:`phantom_velocity` evaluates per pair, so the product keeps its bits.
+    :func:`phantom_velocity` computes each point's distance to g once and
+    gathers it at the live (point, time) pairs, so no 3-vector is gathered
+    per pair and the product keeps its bits.
 
     Returns the product and the number of velocity values evaluated.
     """
     live = np.nonzero(weight)
-    t_live = times[live[-1]]
-    vel = np.zeros(t_live.shape)
-    for b in g.bumps:
-        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
-        vel = vel + radial_velocity(b, np.broadcast_to(d, weight.shape)[live], t_live)
-    out = np.zeros(weight.shape)
-    out[live] = vel
-    return weight * out, t_live.shape[0]
+    vel = np.zeros(weight.shape)
+    vel[live] = phantom_velocity(g, pts, times, live=live)
+    return weight * vel, live[0].shape[0]
 
 
 def _support_box(f: Phantom, n: int):

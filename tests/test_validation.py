@@ -238,6 +238,22 @@ def test_phantom_fields_superpose():
         np.testing.assert_allclose(combined, manual, atol=1e-14)
 
 
+def test_phantom_velocity_at_live_entries_keeps_the_bits():
+    f = Phantom(
+        (
+            Bump(center=(0.1, 0.0, 0.0), radius=0.3),
+            Bump(center=(-0.2, 0.1, 0.0), radius=0.25, amplitude=-0.5, profile="poly", mu=3),
+        )
+    )
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.5, 0.5, size=(6, 3, 1, 3))
+    t = np.linspace(0.0, 0.9, 11)
+    live = np.nonzero(rng.random((6, 3, 11)) < 0.4)
+    got = phantom_velocity(f, pts, t, live=live)
+    np.testing.assert_array_equal(got, phantom_velocity(f, pts, t)[live])
+    assert got.shape == live[0].shape
+
+
 # ---------------------------------------------------------------------------
 # integral identity
 
