@@ -62,7 +62,6 @@ from .transforms import (
     OutOfRegionError,
     Phantom,
     build_kernel_profile,
-    clear_kernel_cache,
     hilbert_pv,
     hilbert_radon_chi_deriv,
     mollifier_eval,
@@ -115,7 +114,6 @@ __all__ = [
     "hilbert_pv",
     "hilbert_radon_chi_deriv",
     "build_kernel_profile",
-    "clear_kernel_cache",
     # forward
     "TimeGrid",
     "SolverParams",

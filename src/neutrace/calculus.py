@@ -25,6 +25,7 @@ __all__ = [
     "richardson",
     "cubic_stencil",
     "cubic_weights",
+    "check_on_table",
     "interp_cubic",
 ]
 
@@ -208,13 +209,25 @@ def cubic_weights(th):
     return wm1, w0, w1, w2
 
 
+def check_on_table(q, x0: float, dx: float, npts: int) -> None:
+    """Raise ValueError unless every query lies on the uniform table
+    [x0, x0 + (npts - 1) dx]: cubic table reads never extrapolate."""
+    q = np.asarray(q)
+    top = x0 + (npts - 1) * dx
+    if q.size and (q.min() < x0 or q.max() > top):
+        raise ValueError(
+            f"queries [{q.min():.6g}, {q.max():.6g}] leave the table [{x0:.6g}, {top:.6g}]"
+        )
+
+
 def interp_cubic(q, x0: float, dx: float, table: np.ndarray):
     """Four-point Lagrange interpolation of a uniform table at ``q``.
 
-    Queries outside the table are evaluated on the nearest interior
-    stencil, which keeps the formula defined and degrades gracefully.
+    A query in the first or last table cell is read off the nearest stencil
+    that fits on the table; a query outside the table raises ValueError.
     """
     table = np.asarray(table, dtype=float)
+    check_on_table(q, x0, dx, table.shape[-1])
     k, (wm1, w0, w1, w2) = cubic_stencil(q, x0, dx, table.shape[-1])
     return (
         wm1 * table[..., k - 1]

@@ -75,6 +75,11 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+def _items(convert):
+    """Converter of a comma-separated list, each item by ``convert``."""
+    return lambda value: tuple(convert(p.strip()) for p in value.split(","))
+
+
 class _Entries:
     """Raw `key = (value, line)` map with typed, popping accessors."""
 
@@ -104,70 +109,51 @@ class _Entries:
             raise ConfigError(f"missing required key {key!r}")
         return None
 
-    def string(self, key, default=_REQUIRED, choices=None):
+    def _read(self, key, default, convert, expects, check=None):
+        """Pop ``key`` and return ``convert`` of its value.  A value that
+        ``convert`` rejects raises "<key> expects <expects>"; ``check`` may
+        return the phrase of a further error about the converted value."""
         entry = self._pop(key, default)
         if entry is None:
             return default
         value, lineno = entry
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"line {lineno}: {key} must be one of {', '.join(choices)}, got {value!r}"
-            )
-        return value
+        try:
+            result = convert(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} expects {expects}, got {value!r}") from None
+        problem = check(result) if check else None
+        if problem:
+            raise ConfigError(f"line {lineno}: {key} {problem}")
+        return result
+
+    def string(self, key, default=_REQUIRED, choices=None):
+        def check(value):
+            if choices is not None and value not in choices:
+                return f"must be one of {', '.join(choices)}, got {value!r}"
+
+        return self._read(key, default, str, "a string", check)
 
     def floating(self, key, default=_REQUIRED):
-        entry = self._pop(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from None
+        return self._read(key, default, float, "a number")
 
     def integer(self, key, default=_REQUIRED, minimum=None):
-        entry = self._pop(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            number = int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
-        if minimum is not None and number < minimum:
-            raise ConfigError(f"line {lineno}: {key} must be >= {minimum}, got {number}")
-        return number
+        def check(number):
+            if minimum is not None and number < minimum:
+                return f"must be >= {minimum}, got {number}"
+
+        return self._read(key, default, int, "an integer", check)
 
     def float_list(self, key, default=_REQUIRED):
-        entry = self._pop(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return tuple(float(p.strip()) for p in value.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {key} expects comma-separated numbers, got {value!r}"
-            ) from None
+        return self._read(key, default, _items(float), "comma-separated numbers")
 
     def int_list(self, key, default=_REQUIRED):
-        entry = self._pop(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return tuple(int(p.strip()) for p in value.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {key} expects comma-separated integers, got {value!r}"
-            ) from None
+        return self._read(key, default, _items(int), "comma-separated integers")
 
     def string_list(self, key, default=_REQUIRED):
-        entry = self._pop(key, default)
-        if entry is None:
-            return default
-        value, _ = entry
-        return tuple(p.strip() for p in value.split(",") if p.strip())
+        def names(value):
+            return tuple(p.strip() for p in value.split(",") if p.strip())
+
+        return self._read(key, default, names, "comma-separated names")
 
     def given(self, prefix, **readers) -> dict:
         """Values of the ``prefix.name`` keys the config sets, each read by
@@ -199,10 +185,12 @@ class RunConfig:
     solver: SolverParams
     grid: tuple | None
     recon: ReconstructionOptions
-    threads: int
     validate: dict = field(default_factory=dict)
     kernel: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
+    #: not read from the config: the pipeline is serial, and library calls
+    #: that take a ``threads=`` keyword ignore it
+    threads: int = 1
 
 
 _BUMP_KEY = re.compile(r"^(phantom2?)\.bump(\d+)\.(center|radius|amplitude|profile|mu)$")
@@ -325,13 +313,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     resolved = solver.resolved(domain=domain, t_scale=times.t_max if times else None)
+    margins = {}
     for label, ph in (("phantom", phantom), ("phantom2", phantom2)):
         if ph is None or not ph.bumps:
             continue
         for i, b in enumerate(ph.bumps, start=1):
             if not contains(domain, np.asarray(b.center)):
                 raise ConfigError(f"{label} bump {i} center {b.center} lies outside the domain")
-        rho = support_margin(ph, domain)
+        margins[label] = rho = support_margin(ph, domain)
         if rho <= 2.0 * resolved.h_nu:
             raise ConfigError(
                 f"{label} support margin {rho:.6g} must exceed twice the normal "
@@ -377,7 +366,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if safety:
-            rho = support_margin(phantom, domain)
+            rho = margins["phantom"]
             if dist < 0.5 * rho:
                 raise ConfigError(
                     f"grid corner {corner} is outside the safety region: boundary "
@@ -426,8 +415,6 @@ def parse_config(text: str) -> RunConfig:
     if in_trace is not None:
         outputs["input_trace"] = in_trace
 
-    threads = entries.integer("threads", default=1, minimum=1)
-
     entries.reject_leftovers()
     return RunConfig(
         dimension=n,
@@ -439,7 +426,6 @@ def parse_config(text: str) -> RunConfig:
         solver=solver,
         grid=grid,
         recon=recon,
-        threads=threads,
         validate=validate_opts,
         kernel=kernel_opts,
         outputs=outputs,
@@ -458,18 +444,12 @@ def _out_path(args, cfg: RunConfig, key: str) -> str:
     raise ConfigError(f"no output path: pass --out or set output.{key}")
 
 
-def _threads(args, cfg: RunConfig) -> int:
-    return args.threads if args.threads else cfg.threads
-
-
 def cmd_forward(cfg: RunConfig, args) -> int:
     if cfg.times is None:
         raise ConfigError("forward needs time.nt and one of time.t_max / time.t_max_factor")
     out = _out_path(args, cfg, "trace")
     boundary = boundary_quadrature(cfg.domain, cfg.boundary_res)
-    traces = simulate_traces(
-        cfg.phantom, cfg.domain, boundary, cfg.times, cfg.solver, threads=_threads(args, cfg)
-    )
+    traces = simulate_traces(cfg.phantom, cfg.domain, boundary, cfg.times, cfg.solver)
     stamp = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     write_trace_file(out, traces, timestamp=stamp)
     print(f"nodes = {len(boundary)}")
@@ -492,7 +472,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
             f"trace file is {traces.dimension}-dimensional, config says {cfg.dimension}"
         )
     grid = ImageGrid(*cfg.grid)
-    image = reconstruct(traces, grid, cfg.recon, threads=_threads(args, cfg))
+    image = reconstruct(traces, grid, cfg.recon)
     write_image_csv(out, image)
     print(f"grid = {'x'.join(str(m) for m in grid.shape)}")
     print(f"wrote {out}")
@@ -726,7 +706,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the key = value config file")
         p.add_argument("--out", help="output path (overrides the output.* config keys)")
-        p.add_argument("--threads", type=int, help="worker threads (overrides the config)")
         p.add_argument(
             "--timestamps",
             action="store_true",

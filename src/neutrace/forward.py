@@ -12,7 +12,6 @@ derivatives are a central difference across the boundary in both.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -438,9 +437,9 @@ def simulate_traces(
     """Fill the node-by-time Neumann trace matrix.
 
     Each cell is the pointwise trace value.  In three dimensions the rows
-    come from the closed field in blocks of nodes.  In two, cells are
-    independent, so the node loop may be chunked across ``threads``
-    without changing any value; three dimensions ignore ``threads``.
+    come from the closed field in blocks of nodes; in two, one node at a
+    time through the sparse trace operator.  ``threads`` is accepted for
+    callers that pass one run-wide thread count, and ignored.
     """
     n = domain.dimension
     if f.bumps and f.dimension != n:
@@ -464,27 +463,16 @@ def simulate_traces(
 
     if f.bumps and n == 3:
         _add_traces_3d(values, f, boundary, offsets, stencil_w, t_samples)
-        values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
     elif f.bumps:
         r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
         r_grid = np.linspace(0.0, r_max, params.table_points)
         operator = _trace_operator_2d(t_samples, params, r_grid)
-
-        def run_node(j):
+        for j in range(len(boundary)):
             centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
-            out = _node_trace_table_2d(
+            values[j] = _node_trace_table_2d(
                 f, centers, stencil_w, r_grid, operator, times.nt, params.mean_res
             )
-            out[0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
-            return j, out
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for j, row in pool.map(run_node, range(len(boundary))):
-                    values[j] = row
-        else:
-            for j in range(len(boundary)):
-                values[j] = run_node(j)[1]
+    values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
 
     return TraceGrid(
         domain=domain,

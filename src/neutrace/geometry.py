@@ -2,8 +2,8 @@
 
 Supported shapes are axis-aligned ellipsoids (any of the two working
 dimensions) and planar superellipses |x1/a1|^p + |x2/a2|^p < 1 with
-p >= 2.  All operations are plain functions over a frozen dataclass so
-domains can be hashed and used as cache keys.
+p >= 2.  All operations are plain functions over a frozen dataclass, so
+domains are immutable values that compare and hash by their fields.
 """
 
 from __future__ import annotations
@@ -234,15 +234,6 @@ def support_halfwidth(domain: ConvexDomain, theta) -> float:
     return float(np.sum(np.abs(a * th) ** q) ** (1.0 / q))
 
 
-def _boundary_points_dense(domain: ConvexDomain, m: int) -> np.ndarray:
-    if domain.dimension == 2:
-        return np.asarray(domain.center) + _rim_2d(domain, 2.0 * np.pi * np.arange(m) / m)
-    u = np.linspace(-1.0, 1.0, m)
-    phi = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
-    uu, ph = np.meshgrid(u, phi, indexing="ij")
-    return np.asarray(domain.center) + _ellipsoid_rim(domain, uu, ph).reshape(-1, 3)
-
-
 def boundary_distance(domain: ConvexDomain, points):
     """Distance from a point (n,) to the boundary surface, as a float, or
     from each point of a batch (m, n), as an array.
@@ -351,6 +342,7 @@ def domain_diameter(domain: ConvexDomain) -> float:
     """Diameter of the domain (sup distance between two of its points)."""
     if domain.kind == ELLIPSOID:
         return 2.0 * max(domain.semi_axes)
-    # centrally symmetric, so the farthest pair is antipodal
-    rim = _boundary_points_dense(domain, 4096) - np.asarray(domain.center)
+    # a superellipse is planar and centrally symmetric, so the farthest pair
+    # is antipodal: twice the largest rim radius over a dense angle set
+    rim = _rim_2d(domain, 2.0 * np.pi * np.arange(4096) / 4096)
     return 2.0 * float(np.sqrt(np.sum(rim * rim, axis=-1)).max())

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import cubic_stencil, cubic_weights, gauss_legendre
+from .calculus import check_on_table, cubic_stencil, cubic_weights, gauss_legendre
 from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import ELLIPSOID, ConvexDomain, grid_margin
 from .transforms import (
-    KernelProfile,
     Phantom,
-    _cached_profiles,
+    _build_profiles,
     _check_unit,
     _ellipsoid_profile_deriv,
     _offset_window,
@@ -138,14 +137,12 @@ class ImageGrid:
 class ReconstructionOptions:
     """Knobs of the inversion pipeline.
 
-    ``t_upper`` truncates the even-dimensional time integral early;
     ``correction`` is either ``"none"`` or ``"fixed_point"``, which solves
     b = f + K f for f (see :func:`reconstruct`); the ``k_*`` and ``kernel_*``
     fields set the quadrature and tables of K.
     """
 
     correction: str = "none"
-    t_upper: float | None = None
     k_radial: int = 32
     k_angular: int = 64
     kernel_table: int = 512
@@ -175,12 +172,7 @@ def _interp_rows(values: np.ndarray, step: float, queries: np.ndarray, x0: float
     that fits on the table; a query outside the table raises ValueError.
     """
     rows, npts = values.shape
-    top = x0 + (npts - 1) * step
-    if queries.min() < x0 or queries.max() > top:
-        raise ValueError(
-            f"queries [{queries.min():.6g}, {queries.max():.6g}] "
-            f"leave the table [{x0:.6g}, {top:.6g}]"
-        )
+    check_on_table(queries, x0, step, npts)
     k, (wm1, w0, w1, w2) = cubic_stencil(queries, x0, step, npts)
     base = np.arange(rows) * npts + k
     flat = values.reshape(-1)
@@ -242,15 +234,6 @@ def _even_at(traces: TraceGrid, x, t_lo: float, t_hi: float, reach: float) -> fl
     return float(np.sum(traces.boundary.weights * h) / math.pi)
 
 
-def _upper_time(traces: TraceGrid, opts: ReconstructionOptions) -> float:
-    t_top = traces.times.t_max if opts.t_upper is None else float(opts.t_upper)
-    if not 0.0 < t_top <= traces.times.t_max:
-        raise InsufficientDataError(
-            f"upper time {t_top:.6g} outside the trace range (0, {traces.times.t_max:.6g}]"
-        )
-    return t_top
-
-
 def _check_reach(d: np.ndarray, t_top: float, exceeds: str) -> None:
     if np.any(d >= t_top):
         far = np.unravel_index(int(np.argmax(d)), d.shape)[-1]
@@ -259,7 +242,7 @@ def _check_reach(d: np.ndarray, t_top: float, exceeds: str) -> None:
         )
 
 
-def _backproject(traces: TraceGrid, pts: np.ndarray, opts) -> np.ndarray:
+def _backproject(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     """Plain back-projection at (N, n) points, by chunks of points that keep
     every array near BLOCK_ELEMENTS elements, each chunk summed over the
     nodes along a contiguous last axis.
@@ -272,12 +255,12 @@ def _backproject(traces: TraceGrid, pts: np.ndarray, opts) -> np.ndarray:
     nodes, n = traces.boundary.points.shape
     size = max(1, BLOCK_ELEMENTS // (nodes * n))
     starts = range(0, len(pts), size)
-    dt = traces.times.dt
+    dt, reach = traces.times.dt, traces.times.t_max
     if traces.dimension == 3:
-        reach, exceeds = traces.times.t_max, "exceeds t_max ="
+        exceeds = "exceeds t_max ="
         table, step, x0, divisor = traces.values, dt, 0.0, 2.0 * math.pi
     else:
-        reach, exceeds = _upper_time(traces, opts), "reaches the upper time"
+        exceeds = "reaches the upper time"
         chunks = (_node_distances(traces, pts[i : i + size]) for i in starts)
         ranges = np.array([(d.min(), d.max()) for d in chunks])
         step, x0 = D_TABLE_STEP * dt, float(ranges[:, 0].min())
@@ -297,25 +280,25 @@ def _backproject(traces: TraceGrid, pts: np.ndarray, opts) -> np.ndarray:
     return out
 
 
-def backproject_odd(traces: TraceGrid, x, opts: ReconstructionOptions | None = None) -> float:
+def backproject_odd(traces: TraceGrid, x) -> float:
     """Three-dimensional back-projection: boundary average of the traces
     divided by travel time, read off at t = |x - y|."""
     if traces.dimension != 3:
         raise ValueError("backproject_odd applies to three-dimensional traces")
-    return float(_backproject(traces, np.asarray(x, dtype=float)[None], opts)[0])
+    return float(_backproject(traces, np.asarray(x, dtype=float)[None])[0])
 
 
-def backproject_even(traces: TraceGrid, x, opts: ReconstructionOptions | None = None) -> float:
+def backproject_even(traces: TraceGrid, x) -> float:
     """Two-dimensional back-projection at one point.
 
     Sums over the nodes the Abel integral of trace(y, t) / sqrt(t^2 - d^2)
-    over t in (d, T), d = |x - y|, with weights exact for the interpolated
+    over t in (d, t_max), d = |x - y|, with weights exact for the interpolated
     trace built at the point's own distances.
     """
     if traces.dimension != 2:
         raise ValueError("backproject_even applies to two-dimensional traces")
-    t_top = _upper_time(traces, opts or ReconstructionOptions())
-    return _even_at(traces, x, 0.0, t_top, t_top)
+    t_max = traces.times.t_max
+    return _even_at(traces, x, 0.0, t_max, t_max)
 
 
 def truncation_probe(traces: TraceGrid, x, opts: ReconstructionOptions | None = None) -> float:
@@ -371,12 +354,12 @@ def _angular_set(n: int, m: int):
 
 
 def _ray_profiles(domain, dirs, order, margin, opts):
-    """Kernel profile of each direction, fetched as one batch; None for
+    """Kernel profile of each direction, built as one batch; None for
     every direction of an odd-dimensional ellipsoid, whose kernel is in
     closed form."""
     if domain.kind == ELLIPSOID and domain.dimension % 2 == 1:
         return [None] * len(dirs)
-    return _cached_profiles(
+    return _build_profiles(
         domain, dirs, order, margin, opts.kernel_table, opts.kernel_quad,
         domain.dimension % 2 == 0,
     )
@@ -412,13 +395,16 @@ def correction_K(
     domain: ConvexDomain,
     opts: ReconstructionOptions | None = None,
     margin: float | None = None,
-) -> float:
-    """Additive correction operator applied to a candidate field at x.
+):
+    """Additive correction operator applied to a candidate field at one
+    point x of shape (n,), as a float, or at each point of a batch (N, n),
+    as an array.
 
     The plain back-projection of the traces of f is b = f + K f.  Polar
     coordinates around x cancel the 1/|x - y|^{n-1} factor exactly: the
     integral becomes radial integrals of f(x + r w) times the kernel at the
-    bisector chord (w, <x, w> + r/2), summed over directions.
+    bisector chord (w, <x, w> + r/2), summed over directions.  The kernel
+    profiles of the directions are built once per call, for all points.
     """
     opts = opts or ReconstructionOptions()
     x = np.asarray(x, dtype=float)
@@ -430,27 +416,29 @@ def correction_K(
         raise ValueError("correction_K needs a positive chord safety margin")
     if margin <= 0:
         raise ValueError(f"chord safety margin must be positive, got {margin}")
-    r_max = _support_radius(f_in, x)
-    if r_max == 0.0:
-        return 0.0
+    pts = np.atleast_2d(x)
+    r_max = np.array([_support_radius(f_in, p) for p in pts])
+    out = np.zeros(len(pts))
+    # a point with support radius 0 sees no field, so it reads no kernel
+    live = np.flatnonzero(r_max)
     dirs, wdir = _angular_set(n, opts.k_angular)
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
-    order = n
-    profiles = _ray_profiles(domain, dirs, order, margin, opts)
-    total = 0.0
-    for omega, w_omega, profile in zip(dirs, wdir, profiles):
-        r = r_max * rad.nodes
-        pts = x + r[:, None] * omega
-        fvals = np.asarray(evaluator(pts), dtype=float)
-        # beyond the support the chord midpoint may leave the safe window;
-        # the integrand is zero there, so only query the kernel where f is not
-        mask = fvals != 0.0
-        if not np.any(mask):
-            continue
-        s_vals = float(np.sum(x * omega)) + 0.5 * r[mask]
-        kvals = _kernel_on_ray(domain, omega, s_vals, order, margin, profile)
-        total += w_omega * r_max * float(np.sum(rad.weights[mask] * fvals[mask] * kvals))
-    return _correction_constant(n) * total
+    profiles = _ray_profiles(domain, dirs, n, margin, opts) if live.size else []
+    for i in live:
+        r = r_max[i] * rad.nodes
+        total = 0.0
+        for omega, w_omega, profile in zip(dirs, wdir, profiles):
+            fvals = np.asarray(evaluator(pts[i] + r[:, None] * omega), dtype=float)
+            # beyond the support the chord midpoint may leave the safe window;
+            # the integrand is zero there, so only query the kernel where f is not
+            mask = fvals != 0.0
+            if not np.any(mask):
+                continue
+            s_vals = float(np.sum(pts[i] * omega)) + 0.5 * r[mask]
+            kvals = _kernel_on_ray(domain, omega, s_vals, n, margin, profile)
+            total += w_omega * r_max[i] * float(np.sum(rad.weights[mask] * fvals[mask] * kvals))
+        out[i] = _correction_constant(n) * total
+    return float(out[0]) if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +497,7 @@ def reconstruct(
     margin = _grid_margin(domain, grid)
     if margin <= 0:
         raise ValueError("reconstruction grid touches the boundary")
-    b = _backproject(traces, pts, opts)
+    b = _backproject(traces, pts)
 
     result = ImageGrid(grid.lo, grid.hi, grid.shape, b, dict(grid.meta))
     result.meta.update({"margin": margin, "correction": opts.correction})

@@ -5,10 +5,10 @@ offset variable of the Radon transform of the domain indicator, with a
 Hilbert transform interposed in even dimension.  For ellipsoids that
 composite is available in closed form; for other domains it is obtained
 by tabulating the transform on a grid of offsets for each direction and
-differentiating the table, wrapped up in a :class:`KernelProfile` cached
-per direction.  The profiles of a whole set of directions are built
-together: one batched chord search over every (direction, offset) pair
-supplies all their section values.
+differentiating the table, wrapped up in a :class:`KernelProfile` per
+direction.  The profiles of a whole set of directions are built together:
+one batched chord search over every (direction, offset) pair supplies all
+their section values.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "hilbert_pv",
     "hilbert_radon_chi_deriv",
     "build_kernel_profile",
-    "clear_kernel_cache",
     "bump_radial",
     "bump_radial_deriv",
 ]
@@ -686,37 +685,6 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
     return profiles
 
 
-_PROFILE_CACHE: dict = {}
-
-
-def clear_kernel_cache() -> None:
-    _PROFILE_CACHE.clear()
-
-
-def _cached_profiles(domain, thetas, order, margin, num_table, num_quad, with_hilbert):
-    """Profiles of a list of directions from the per-direction cache; the
-    directions it misses are built together in one batch."""
-    keys = [
-        (
-            domain,
-            tuple(round(float(t), 12) for t in th),
-            order,
-            round(float(margin), 12),
-            num_table,
-            num_quad,
-            with_hilbert,
-        )
-        for th in thetas
-    ]
-    missing = {key: th for key, th in zip(keys, thetas) if key not in _PROFILE_CACHE}
-    if missing:
-        built = _build_profiles(
-            domain, list(missing.values()), order, margin, num_table, num_quad, with_hilbert
-        )
-        _PROFILE_CACHE.update(zip(missing, built))
-    return [_PROFILE_CACHE[key] for key in keys]
-
-
 def hilbert_radon_chi_deriv(
     domain: ConvexDomain,
     theta,
@@ -730,8 +698,10 @@ def hilbert_radon_chi_deriv(
     """Offset derivative of the Hilbert transform of the section profile.
 
     Built by tabulating the transform along the direction and
-    differentiating the table; profiles are cached per direction.
+    differentiating the table, one profile per call.
     """
-    th = _check_unit(theta)
-    profile = _cached_profiles(domain, [th], order, margin, num_table, num_quad, True)[0]
+    profile = build_kernel_profile(
+        domain, theta, order, margin=margin, num_table=num_table, num_quad=num_quad,
+        with_hilbert=True,
+    )
     return float(profile.eval(s, order=order, hilbert=True))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neutrace.geometry import ellipsoid, superellipse
-from neutrace.transforms import Bump, Phantom, clear_kernel_cache
+from neutrace.transforms import Bump, Phantom
 
 
 @pytest.fixture(scope="session")
@@ -41,9 +41,3 @@ def bump3d():
 def rng():
     return np.random.default_rng(20260823)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _drop_kernel_tables():
-    # profile tables accumulate per (domain, direction); keep the session bounded
-    yield
-    clear_kernel_cache()

@@ -233,10 +233,14 @@ def test_interp_cubic_reproduces_cubics(q):
     assert got == pytest.approx(poly3(q), abs=1e-11)
 
 
-def test_interp_cubic_extrapolates_from_edge_stencil():
-    # outside the table the nearest interior stencil is used, so a global
-    # cubic is still reproduced exactly
+def test_interp_cubic_rejects_queries_outside_the_table():
+    # the end cells are read off the nearest stencil that fits on the table,
+    # so a global cubic is still reproduced exactly up to both ends
     x0, dx = 0.0, 0.25
     table = poly3(x0 + dx * np.arange(9))
-    got = float(interp_cubic(np.array([-0.1]), x0, dx, table)[0])
-    assert got == pytest.approx(poly3(-0.1), abs=1e-11)
+    ends = np.array([0.0, 0.1, 1.9, 2.0])
+    np.testing.assert_allclose(interp_cubic(ends, x0, dx, table), poly3(ends), atol=1e-11)
+    # beyond them a query raises instead of being extrapolated
+    for bad in (-1e-9, -0.1, 2.0 + 1e-9):
+        with pytest.raises(ValueError, match="leave the table"):
+            interp_cubic(np.array([0.5, bad]), x0, dx, table)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from neutrace.cli import ConfigError, main, parse_config
-from neutrace.forward import SolverParams, read_trace_file, simulate_traces
+from neutrace.forward import SolverParams, read_trace_file, simulate_traces, support_margin
 from neutrace.geometry import boundary_quadrature
 from neutrace.inversion import ImageGrid, ReconstructionOptions, reconstruct
 
@@ -163,7 +163,8 @@ def test_parse_validate_bounds_and_checks():
             MINIMAL_2D + "phantom.bump1.center = 0.9, 0.0\nphantom.bump1.radius = 0.3\n",
             "support margin",
         ),
-        (MINIMAL_2D + "threads = 0\n", "threads must be >= 1"),
+        # the pipeline is serial: there is no thread count to configure
+        (MINIMAL_2D + "threads = 0\n", "line 3: unknown key 'threads'"),
         (MINIMAL_2D + "recon.interpolation = quadratic\n", "unknown key 'recon.interpolation'"),
         (MINIMAL_2D + "kernel.theta = 1, 0, 0\n", "kernel.theta must have 2 entries"),
         ("dimension = 2\ndomain.semi_axes = 1\n", "must have 2 entries"),
@@ -196,6 +197,42 @@ def test_grid_safety_region_under_correction():
         parse_config(base + "grid.lo = -0.9, -0.1\ngrid.hi = 0.1, 0.1\ngrid.shape = 3, 3\n")
     cfg = parse_config(base + "grid.lo = -0.4, -0.4\ngrid.hi = 0.4, 0.4\ngrid.shape = 3, 3\n")
     assert cfg.grid is not None
+
+
+def test_parse_config_measures_each_support_margin_once(monkeypatch):
+    from neutrace import cli
+
+    calls = []
+
+    def counting(ph, domain):
+        calls.append(ph)
+        return support_margin(ph, domain)
+
+    monkeypatch.setattr(cli, "support_margin", counting)
+    cfg = parse_config(
+        "dimension = 2\n"
+        "domain.kind = superellipse\n"
+        "domain.semi_axes = 1.2, 0.9\n"
+        "domain.exponent = 4\n"
+        "phantom.bump1.center = 0.25, 0.1\n"
+        "phantom.bump1.radius = 0.3\n"
+        "phantom2.bump1.center = -0.1, 0.0\n"
+        "phantom2.bump1.radius = 0.2\n"
+        "recon.correction = fixed_point\n"
+        "grid.lo = -0.1, -0.25\n"
+        "grid.hi = 0.6, 0.45\n"
+        "grid.shape = 3, 3\n"
+    )
+    # the grid's safety check reuses the phantom's margin from the support check
+    assert calls == [cfg.phantom, cfg.phantom2]
+
+
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    cfg = config_file(tmp_path, FORWARD_3D)
+    with pytest.raises(SystemExit) as err:
+        main(["forward", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "t.csv")])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_grid_must_cover_the_phantom_under_correction():
@@ -296,7 +333,7 @@ def test_reconstruct_flow_and_determinism(tmp_path, capsys):
     assert run_main(["reconstruct", "--config", rec_cfg, "--out", out1]) == 0
     printed = capsys.readouterr().out
     assert "grid = 3x3x1" in printed
-    assert run_main(["reconstruct", "--config", rec_cfg, "--threads", "2", "--out", out2]) == 0
+    assert run_main(["reconstruct", "--config", rec_cfg, "--out", out2]) == 0
     with open(out1, "rb") as a, open(out2, "rb") as b:
         assert a.read() == b.read()
 

@@ -22,6 +22,7 @@ from neutrace.inversion import (
     _angular_set,
     _correction_constant,
     _correction_matrix,
+    _even_at,
     _interp_rows,
     _kernel_on_ray,
     _ray_profiles,
@@ -166,13 +167,13 @@ def matrix_route_roundoff(grid, domain, v, opts):
     chain = ((n - 1) + 5 + q + m + 1 + g) + ((n - 1) + (1 << n) + 2 + q + 2 + m + 1)
     rad = gauss_legendre(q, 0.0, 1.0)
     modulus = ImageGrid(grid.lo, grid.hi, grid.shape, np.abs(v))
+    dirs, wdir = _angular_set(n, m)
+    profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
     terms = []
     for x in grid.points():
         r_max = _support_radius(grid, x)
         r = r_max * rad.nodes
         total = 0.0
-        dirs, wdir = _angular_set(n, m)
-        profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
         for omega, w_omega, profile in zip(dirs, wdir, profiles):
             fvals = modulus.interp(x + r[:, None] * omega)
             mask = fvals != 0.0
@@ -195,6 +196,15 @@ def ball_traces(unit_ball):
     f = Phantom((Bump(center=(0.1, 0.0, 0.0), radius=0.35),))
     bq = boundary_quadrature(unit_ball, 8)
     return simulate_traces(f, unit_ball, bq, TimeGrid(t_max=3.0, nt=120))
+
+
+@pytest.fixture(scope="module")
+def short_disk_traces(unit_disk):
+    """Traces recorded for 1.5 on the unit disk: too short for points far
+    from some node, e.g. (0.8, 0) is 1.8 from the node at (-1, 0)."""
+    f = Phantom((Bump(center=(0.0, 0.0), radius=0.3),))
+    bq = boundary_quadrature(unit_disk, 16)
+    return simulate_traces(f, unit_disk, bq, TimeGrid(t_max=1.5, nt=60))
 
 
 @pytest.fixture(scope="module")
@@ -281,11 +291,13 @@ def test_backproject_odd_needs_enough_recorded_time(ball_traces):
         backproject_odd(ball_traces, (2.5, 0.0, 0.0))
 
 
-def test_backproject_even_upper_time_window(disk_traces):
-    with pytest.raises(InsufficientDataError, match="reaches the upper time"):
-        backproject_even(disk_traces, (0.1, 0.0), ReconstructionOptions(t_upper=0.5))
-    with pytest.raises(InsufficientDataError, match="outside the trace range"):
-        backproject_even(disk_traces, (0.1, 0.0), ReconstructionOptions(t_upper=9.0))
+def test_backproject_even_upper_time_window(short_disk_traces):
+    # the back-projection integrates up to t_max, the probe's tail from t_max/2
+    with pytest.raises(InsufficientDataError, match="reaches the upper time 1.5"):
+        backproject_even(short_disk_traces, (0.8, 0.0))
+    # every node is at least 0.9 from (0.1, 0), beyond t_max/2 = 0.75
+    with pytest.raises(InsufficientDataError, match="reaches the upper time 0.75"):
+        truncation_probe(short_disk_traces, (0.1, 0.0))
 
 
 def test_backproject_odd_recovers_the_field(ball_traces):
@@ -331,7 +343,7 @@ def test_truncation_probe_is_small_on_long_records(disk_traces):
 def test_truncation_probe_is_the_full_minus_the_halved_back_projection(disk_traces):
     x = (0.1, 0.0)
     full = backproject_even(disk_traces, x)
-    half = backproject_even(disk_traces, x, ReconstructionOptions(t_upper=4.0))
+    half = _even_at(disk_traces, x, 0.0, 4.0, 4.0)
     # full and half share the weights of every time cell below the cut, where
     # the Gauss error sits (near t = d), and t_max/2 splits one cell far from
     # it; so they differ from the tail by roundoff in the sums (1.1e-16 measured)
@@ -436,6 +448,27 @@ def test_correction_off_centre_value_is_resolution_stable(se4):
     assert got == pytest.approx(SE4_CORRECTION_AT_01, rel=5e-3)
 
 
+def test_correction_batch_equals_its_one_point_calls(se4, ellipse21, unit_ball, bump3d):
+    """A batch (N, n) gives, bit for bit, the values of one call per point; a
+    point (n,) gives a float.  The batch mixes points on and off the support."""
+    f = Phantom((Bump(center=(0.35, 0.2), radius=0.25),))
+    opts = ReconstructionOptions(
+        k_radial=8, k_angular=16, kernel_table=128, kernel_quad=96, kernel_margin=0.25
+    )
+    pts = np.array([(0.1, 0.0), (0.35, 0.2), (-0.3, 0.25), (0.0, -0.4)])
+    for dom in (se4, ellipse21):
+        batch = correction_K(f, pts, dom, opts)
+        single = [correction_K(f, x, dom, opts) for x in pts]
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(pts),)
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(batch, single)
+    assert np.abs(correction_K(f, pts, se4, opts)).min() > 0.0
+    ball_pts = np.array([(0.1, 0.0, 0.0), (0.0, 0.2, -0.1)])
+    coarse = ReconstructionOptions(k_radial=4, k_angular=4, kernel_margin=0.25)
+    assert np.array_equal(correction_K(bump3d, ball_pts, unit_ball, coarse), [0.0, 0.0])
+    assert np.array_equal(correction_K(Phantom(()), pts, se4, margin=0.25), np.zeros(4))
+
+
 def test_correction_cancels_at_a_point_of_radial_symmetry(bump2d, se4):
     """At the centre of a radial field the odd kernel pairs (w, -w) cancel."""
     assert abs(correction_K(bump2d, (0.0, 0.0), se4, SE4_OPTS)) <= 1e-8
@@ -475,14 +508,10 @@ def test_reconstruct_2d_matches_pointwise_backprojection(ellipse_traces):
     assert np.abs(out.values - manual).max() <= TABLE_LOOKUP_BOUND
 
 
-def test_reconstruct_2d_needs_enough_recorded_time(unit_disk):
-    f = Phantom((Bump(center=(0.0, 0.0), radius=0.3),))
-    bq = boundary_quadrature(unit_disk, 16)
-    traces = simulate_traces(f, unit_disk, bq, TimeGrid(t_max=1.5, nt=60))
-    # (0.8, 0) is 1.8 from the node at (-1, 0)
+def test_reconstruct_2d_needs_enough_recorded_time(short_disk_traces):
     grid = ImageGrid(lo=(0.6, 0.0), hi=(0.8, 0.0), shape=(2, 1))
     with pytest.raises(InsufficientDataError, match="reaches the upper time 1.5"):
-        reconstruct(traces, grid)
+        reconstruct(short_disk_traces, grid)
 
 
 def test_table_reads_reject_queries_outside_the_table():
@@ -521,7 +550,7 @@ def test_correction_matrix_matches_the_pointwise_operator(se4, rng):
     v = rng.normal(size=20)
     field = ImageGrid(grid.lo, grid.hi, grid.shape, v)
     got = _correction_matrix(grid, se4, opts) @ v
-    want = np.array([correction_K(field, x, se4, opts) for x in grid.points()])
+    want = correction_K(field, grid.points(), se4, opts)
     tol = matrix_route_roundoff(field, se4, v, opts)
     assert np.all(np.abs(got - want) <= tol)
     assert np.abs(want).max() >= 1e-3
@@ -545,7 +574,7 @@ def test_reconstruct_fixed_point_solves_the_corrected_equation(se4):
     # the two roundings of f + K f - b
     kopts = replace(opts, kernel_margin=out.meta["margin"])
     f = out.values
-    kf = np.array([correction_K(out, x, se4, kopts) for x in grid.points()])
+    kf = correction_K(out, grid.points(), se4, kopts)
     terms = np.abs(f) + out.meta["operator_norm"] * np.abs(f).max() + np.abs(kf) + np.abs(b)
     slack = (f.size + 3) * np.finfo(float).eps * terms
     tol = out.meta["solve_residual"] + matrix_route_roundoff(out, se4, f, kopts) + slack

@@ -16,7 +16,6 @@ from neutrace.transforms import (
     build_kernel_profile,
     bump_radial,
     bump_radial_deriv,
-    clear_kernel_cache,
     hilbert_pv,
     hilbert_radon_chi_deriv,
     mollifier_eval,
@@ -25,7 +24,7 @@ from neutrace.transforms import (
     radon_chi_deriv,
     sphere_means,
     spherical_mean,
-    _cached_profiles,
+    _build_profiles,
     _superellipse_chord,
 )
 from neutrace.inversion import _angular_set
@@ -458,20 +457,6 @@ def test_kernel_profile_validation(unit_disk):
         build_kernel_profile(unit_disk, (1.0, 0.0), 3, margin=0.1)
 
 
-def test_kernel_cache_reuses_profiles(se4):
-    clear_kernel_cache()
-    import time
-
-    t0 = time.perf_counter()
-    a = hilbert_radon_chi_deriv(se4, (0.0, 1.0), 0.1, 2, margin=0.1)
-    t_first = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    b = hilbert_radon_chi_deriv(se4, (0.0, 1.0), 0.1, 2, margin=0.1)
-    t_second = time.perf_counter() - t0
-    assert a == b
-    assert t_second < t_first / 5.0
-
-
 def _assert_same_profile(a, b):
     assert (a.theta, a.s_center, a.halfwidth, a.with_hilbert) == (
         b.theta, b.s_center, b.halfwidth, b.with_hilbert
@@ -493,8 +478,8 @@ def _assert_same_profile(a, b):
 @pytest.mark.parametrize("order,with_hilbert", [(2, True), (1, False)])
 @pytest.mark.parametrize("domain_key", ["se4", "ellipse21"])
 def test_batched_profiles_equal_single_builds(domain_key, order, with_hilbert, request):
-    """Profiles built together in one batch, from a cold or a half-warm
-    cache, are bitwise the profiles built one direction at a time."""
+    """Profiles built together in one batch, of all directions or of every
+    other one, are bitwise the profiles built one direction at a time."""
     dom = request.getfixturevalue(domain_key)
     dirs, _ = _angular_set(2, 12)
     args = (order, 0.4, 96, 48, with_hilbert)
@@ -504,18 +489,10 @@ def test_batched_profiles_equal_single_builds(domain_key, order, with_hilbert, r
         )
         for th in dirs
     ]
-    clear_kernel_cache()
-    try:
-        for a, b in zip(single, _cached_profiles(dom, dirs, *args)):
-            _assert_same_profile(a, b)
-        clear_kernel_cache()
-        warm = _cached_profiles(dom, dirs[1::2], *args)
-        mixed = _cached_profiles(dom, dirs, *args)
-        assert all(mixed[2 * i + 1] is prof for i, prof in enumerate(warm))
-        for a, b in zip(single, mixed):
-            _assert_same_profile(a, b)
-    finally:
-        clear_kernel_cache()
+    for a, b in zip(single, _build_profiles(dom, dirs, *args)):
+        _assert_same_profile(a, b)
+    for a, b in zip(single[1::2], _build_profiles(dom, dirs[1::2], *args)):
+        _assert_same_profile(a, b)
 
 
 def test_radon_chi_equals_a_row_of_the_batched_chord(se4):
