@@ -94,6 +94,26 @@ def level_value(domain: ConvexDomain, points):
     return total if pts.ndim > 1 else total[0]
 
 
+def _level_slope(domain: ConvexDomain, points, direction):
+    """Level function of a superellipse at points (..., 2) and its
+    derivative along ``direction`` (broadcast against the points), per point.
+
+    Each coordinate plane raises |d| to the power p - 1 once and gets both
+    terms from it: |d|^p = |d|^(p-1) |d| and the slope p sgn(d) |d|^(p-1) u / a.
+    The value can therefore differ from :func:`level_value` in the last bits.
+    """
+    pts = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    dirs = np.moveaxis(np.asarray(direction, dtype=float), -1, 0)
+    p = domain.exponent
+    value = slope = 0.0
+    for x, u, c, a in zip(pts, dirs, domain.center, domain.semi_axes):
+        d = (x - c) / a
+        power = np.abs(d) ** (p - 1.0)
+        value = value + power * np.abs(d)
+        slope = slope + np.copysign(power, d) * (p * u / a)
+    return value, slope
+
+
 def contains(domain: ConvexDomain, x) -> bool | np.ndarray:
     """Strict interior test (boundary points are not contained)."""
     v = level_value(domain, x) < 1.0

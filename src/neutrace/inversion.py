@@ -389,6 +389,23 @@ def _support_radius(f, x) -> float:
     raise TypeError("support radius needs a Phantom or ImageGrid input")
 
 
+def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
+    """Raise where the direction loop of :func:`correction_K` would, on a
+    domain whose kernel is zero: at the first point and direction whose
+    offsets with a non-zero field leave the safe window.  One batched field
+    evaluation per point flags the directions within a hair of the window
+    edge; only those are checked one at a time, as the loop checks them."""
+    a, c = np.asarray(domain.semi_axes), np.asarray(domain.center)
+    edge = np.sqrt(np.sum((a * dirs) ** 2, axis=-1)) * (1.0 - 1e-12) - margin
+    for x, r in zip(pts, radii):
+        fvals = evaluator(x + r[:, None, None] * dirs)
+        sp = np.sum((x - c) * dirs, axis=-1) + 0.5 * r[:, None]
+        for j in np.flatnonzero(np.any((fvals != 0.0) & (np.abs(sp) > edge), axis=0)):
+            mask = np.asarray(evaluator(x + r[:, None] * dirs[j]), dtype=float) != 0.0
+            s_vals = float(np.sum(x * dirs[j])) + 0.5 * r[mask]
+            _kernel_on_ray(domain, dirs[j], s_vals, domain.dimension, margin, None)
+
+
 def correction_K(
     f_in,
     x,
@@ -424,6 +441,12 @@ def correction_K(
     dirs, wdir = _angular_set(n, opts.k_angular)
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
     profiles = _ray_profiles(domain, dirs, n, margin, opts) if live.size else []
+    if profiles and profiles[0] is None:
+        # the closed-form kernel of an odd-dimensional ellipsoid is zero at
+        # every offset, so the sum is zero; only its window check remains
+        radii = r_max[live, None] * rad.nodes
+        _check_zero_kernel_window(domain, evaluator, pts[live], radii, dirs, margin)
+        return float(out[0]) if x.ndim == 1 else out
     for i in live:
         r = r_max[i] * rad.nodes
         total = 0.0
@@ -462,6 +485,9 @@ def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarra
     matrix = np.zeros(size * size)
     dirs, wdir = _angular_set(n, opts.k_angular)
     profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
+    if profiles[0] is None:
+        # an odd-dimensional ellipsoid: the closed-form kernel is zero
+        return matrix.reshape(size, size)
     for omega, w_omega, profile in zip(dirs, wdir, profiles):
         idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
         # a grid field vanishes outside the box, so only query the kernel inside

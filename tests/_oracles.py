@@ -14,6 +14,9 @@ sections route replaces the package's closed radial field by the
 spherical-means quadrature it converges to.  The per-point 2-D
 back-projection integrates each trace by a Gauss rule in a substituted time
 variable, the route the package's product-integrated Abel weights replaced.
+The superellipse chords come from a golden-section search for the level
+function's minimum on each line and a bisection towards each end, the route
+the package's closed-form inside point and Newton steps replaced.
 The per-call routes at the end (ball profile, velocity gather, boundary
 search, trace-operator build) are the package's earlier code for work it now
 does once, in blocks or batched; they share its arithmetic on purpose, so
@@ -292,6 +295,57 @@ def level_value_broadcast(domain, points):
     if domain.kind == "ellipsoid":
         return np.sum(d * d, axis=-1)
     return np.sum(np.abs(d) ** domain.exponent, axis=-1)
+
+
+def superellipse_chord_bisection(domain, th, sp):
+    """Chord lengths for unit directions th (m, 2) at centred offsets sp
+    (m, k), with the ends of each chord: golden-section minimisation of the
+    convex level function along each line, then a bisection towards each
+    end.  The search ``transforms._superellipse_chord`` replaced by a
+    closed-form inside point and Newton steps; it returns (chord, tau_lo,
+    tau_hi), tau measured along theta_perp from the foot point c + s' theta."""
+    from neutrace.geometry import level_value
+
+    c = np.asarray(domain.center)
+    perp = np.stack([-th[:, 1], th[:, 0]])[:, :, None]
+    base = c[:, None, None] + sp * th.T[:, :, None]
+    psi = np.linspace(0.0, 2.0 * np.pi, 4097)
+    a1, a2 = domain.semi_axes
+    p = domain.exponent
+    g = (np.abs(np.cos(psi)) / a1) ** p + (np.abs(np.sin(psi)) / a2) ** p
+    bracket = float((g ** (-1.0 / p)).max()) + 1.0
+
+    def lev(tau):
+        return level_value(domain, np.moveaxis(base + tau * perp, 0, -1))
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = np.full(sp.shape, -bracket)
+    hi = np.full(sp.shape, bracket)
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = lev(x1), lev(x2)
+    for _ in range(90):
+        take = f1 < f2
+        hi = np.where(take, x2, hi)
+        lo = np.where(take, lo, x1)
+        x1 = hi - invphi * (hi - lo)
+        x2 = lo + invphi * (hi - lo)
+        f1, f2 = lev(x1), lev(x2)
+    tau_min = 0.5 * (lo + hi)
+    hit = lev(tau_min) < 1.0
+
+    def bisect(inner, outer):
+        a_, b_ = inner.copy(), outer.copy()
+        for _ in range(64):
+            mid = 0.5 * (a_ + b_)
+            is_in = lev(mid) < 1.0
+            a_ = np.where(is_in, mid, a_)
+            b_ = np.where(is_in, b_, mid)
+        return 0.5 * (a_ + b_)
+
+    tau_hi = bisect(tau_min, np.full(sp.shape, bracket))
+    tau_lo = bisect(tau_min, np.full(sp.shape, -bracket))
+    return np.where(hit, tau_hi - tau_lo, 0.0), tau_lo, tau_hi
 
 
 def exponential_integral_e1(x, terms: int = 120):

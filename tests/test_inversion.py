@@ -409,6 +409,34 @@ def test_correction_on_the_ball_raises_outside_the_window(bump3d, unit_ball):
         correction_K(bump3d, (0.1, 0.0, 0.0), unit_ball, margin=0.9)
 
 
+def test_ball_correction_raises_where_the_direction_loop_would(bump3d, unit_ball):
+    """On the ball the correction returns zero without summing its zero
+    kernel, yet rejects the same offsets as a loop over every direction that
+    reads the kernel wherever the field is non-zero, with the same error."""
+    opts = ReconstructionOptions(k_radial=8, k_angular=8)
+    dirs, _ = _angular_set(3, opts.k_angular)
+    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
+    for x in ((0.1, 0.0, 0.0), (0.4, -0.2, 0.1)):
+        x = np.asarray(x)
+        r = _support_radius(bump3d, x) * rad.nodes
+        for margin in (0.25, 0.55, 0.75, 0.9):
+            want = None
+            for omega in dirs:
+                mask = bump3d.eval(x + r[:, None] * omega) != 0.0
+                if np.any(mask):
+                    try:
+                        _kernel_on_ray(unit_ball, omega, x @ omega + 0.5 * r[mask], 3, margin, None)
+                    except OutOfRegionError as err:
+                        want = str(err)
+                        break
+            if want is None:
+                assert correction_K(bump3d, x, unit_ball, opts, margin=margin) == 0.0
+            else:
+                with pytest.raises(OutOfRegionError) as got:
+                    correction_K(bump3d, x, unit_ball, opts, margin=margin)
+                assert str(got.value) == want
+
+
 def test_correction_vanishes_on_the_ellipse(ellipse21):
     f = Phantom((Bump(center=(0.2, -0.1), radius=0.3),))
     opts = ReconstructionOptions(

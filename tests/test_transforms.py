@@ -1,6 +1,7 @@
 """Phantoms, spherical means, mollifiers, section profiles and kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from neutrace.transforms import (
     sphere_means,
     spherical_mean,
     _build_profiles,
+    _sections,
     _superellipse_chord,
 )
 from neutrace.inversion import _angular_set
@@ -35,6 +37,7 @@ from _oracles import (
     hilbert_exclusion,
     radon_line_integral,
     radon_plane_integral,
+    superellipse_chord_bisection,
 )
 
 # spherical mean of the radius-0.6 bump at x = (0.3, 0), r = 0.5, converged
@@ -507,3 +510,96 @@ def test_radon_chi_equals_a_row_of_the_batched_chord(se4):
         assert np.array_equal(radon_chi(se4, th, offsets), row)
         assert radon_chi(se4, th, float(offsets[14])) == row[14]
         assert np.array_equal(radon_chi(se4, th, offsets[:28].reshape(4, 7)), row[:28].reshape(4, 7))
+
+
+# How far roundoff can move one end of a chord.  Both chord routes evaluate
+# the level function L at x = fl(fl(c + fl(s' theta)) + fl(tau theta_perp)),
+# then d_i = fl(fl(x_i - c_i) / a_i) and the sum of |d_i|^p (the Newton route
+# as |d_i|^(p-1) |d_i|).  With u = eps / 2, each coordinate is off by at most
+# 3 u R_i, R_i = |c_i| + |s' theta_i| + |tau theta_perp_i|, which moves L by
+# |dL/dx_i| 3 u R_i <= 3 u p R_i / a_i near the boundary (|d_i| <= 1); d_i
+# carries 2 u relative, so |d_i|^p carries 2 p u, the power and the product
+# 2 u, and the sum 2 u.  So the computed L is within
+#     delta = u (3 sum_i p R_i / a_i + 2 p + 4)
+# of the exact one.  Both routes stop where the computed L crosses 1 (the
+# Newton route once its step is below one ulp of tau), so each end is within
+# delta / |L'(tau)| + ulp(tau) of the root, to first order; the slope L' along
+# the line is taken from the exact formula at the end.
+def chord_end_roundoff(domain, th, sp, tau):
+    p = domain.exponent
+    a = np.asarray(domain.semi_axes)
+    perp = np.stack([-th[:, 1], th[:, 0]], axis=-1)[:, None, :]
+    along = sp[..., None] * th[:, None, :]
+    d = (along + tau[..., None] * perp) / a
+    slope = np.abs(np.sum(p * np.sign(d) * np.abs(d) ** (p - 1.0) * perp / a, axis=-1))
+    reach = np.abs(np.asarray(domain.center)) + np.abs(along) + np.abs(tau[..., None] * perp)
+    delta = 0.5 * np.finfo(float).eps * (3.0 * np.sum(p * reach / a, axis=-1) + 2.0 * p + 4.0)
+    return delta / slope + np.spacing(np.abs(tau))
+
+
+def _chord_batch(domain, count):
+    """Directions (the angular set plus both axes) and offsets at fractions z
+    of each direction's support halfwidth, and z itself: interior lines,
+    near-tangent lines at 1 - 1e-10, tangent lines and lines that miss."""
+    dirs, _ = _angular_set(2, count)
+    dirs = np.concatenate([dirs, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]])
+    w = np.array([support_halfwidth(domain, th) for th in dirs])
+    z = np.concatenate(
+        [np.linspace(-0.999, 0.999, 41), [1.0 - 1e-10, -(1.0 - 1e-10), 1.0, -1.0, 1.001, -1.5]]
+    )
+    return dirs, w[:, None] * z, np.broadcast_to(z, (len(dirs), z.size))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        superellipse((0.0, 0.0), (1.1, 0.8), 2.0),
+        superellipse((0.35, -0.25), (1.0, 0.7), 3.3),
+        superellipse((0.0, 0.0), (1.2, 0.9), 4.0),
+        superellipse((0.1, 0.2), (0.9, 1.3), 8.0),
+    ],
+    ids=["p2", "p3.3-off-centre", "p4", "p8-off-centre"],
+)
+def test_superellipse_chords_match_the_bisection_route(domain):
+    """The Newton chords equal the golden-section and bisection chords within
+    the roundoff of both routes at each end; a line at or beyond the support
+    halfwidth gives exactly 0, and the masked misses raise no warning."""
+    dirs, sp, z = _chord_batch(domain, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _superellipse_chord(domain, dirs, sp)
+    want, tau_lo, tau_hi = superellipse_chord_bisection(domain, dirs, sp)
+    miss = np.abs(z) >= 1.0
+    assert np.all(got[miss] == 0.0)
+    bound = 2.0 * (
+        chord_end_roundoff(domain, dirs, sp, tau_lo) + chord_end_roundoff(domain, dirs, sp, tau_hi)
+    ) + np.spacing(want)
+    assert np.all(np.abs(got - want)[~miss] <= bound[~miss])
+    assert np.all(got[~miss] > 0.0)
+    # away from tangency the bound is a few ulps of the chord, so it has teeth
+    assert np.all(bound[np.abs(z) < 0.99] <= 1e-13)
+
+
+def test_exponent_two_chords_equal_the_closed_form_ellipse():
+    """An independent route: a p = 2 superellipse is an ellipse, whose chord
+    2 (a1 a2 / w) sqrt(1 - z^2), z = s' / w, comes from _sections' ellipsoid
+    branch and shares no code with the chord search.  The search is within
+    its per-end roundoff (ends at the chord midpoint tau_m +- half the chord,
+    tau_m the minimiser of the quadratic level along the line).  The closed
+    form takes about 7 u in a1 a2 V_1 / w and 9 u z^2 in 1 - z^2, halved by
+    the root, so it is within u (12 + 6 / (1 - z^2)) relative."""
+    for center, axes in (((0.0, 0.0), (1.2, 0.9)), ((0.2, -0.1), (1.3, 0.8))):
+        domain = superellipse(center, axes, 2.0)
+        dirs, sp, z = _chord_batch(domain, 24)
+        hit = np.abs(z[0]) < 1.0
+        sp, z = sp[:, hit], z[:, hit]
+        got = _superellipse_chord(domain, dirs, sp)
+        closed = _sections(ellipsoid(center, axes), dirs, sp)
+        a2 = np.asarray(axes) ** 2
+        perp = np.stack([-dirs[:, 1], dirs[:, 0]], axis=-1)
+        tau_m = -sp * (np.sum(dirs * perp / a2, axis=-1) / np.sum(perp * perp / a2, axis=-1))[:, None]
+        search = chord_end_roundoff(domain, dirs, sp, tau_m + 0.5 * closed) + chord_end_roundoff(
+            domain, dirs, sp, tau_m - 0.5 * closed
+        )
+        exact = 0.5 * np.finfo(float).eps * (12.0 + 6.0 / (1.0 - z * z)) * closed
+        assert np.all(np.abs(got - closed) <= search + exact + np.spacing(closed))
