@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import check_on_table, cubic_stencil, cubic_weights, gauss_legendre
 from .forward import InsufficientDataError, TraceGrid, _fmt
-from .geometry import ELLIPSOID, ConvexDomain, grid_margin
+from .geometry import ELLIPSOID, ConvexDomain, grid_margin, support_halfwidth
 from .transforms import (
     Phantom,
     _build_profiles,
@@ -390,20 +390,22 @@ def _support_radius(f, x) -> float:
 
 
 def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
-    """Raise where the direction loop of :func:`correction_K` would, on a
-    domain whose kernel is zero: at the first point and direction whose
-    offsets with a non-zero field leave the safe window.  One batched field
-    evaluation per point flags the directions within a hair of the window
-    edge; only those are checked one at a time, as the loop checks them."""
-    a, c = np.asarray(domain.semi_axes), np.asarray(domain.center)
-    edge = np.sqrt(np.sum((a * dirs) ** 2, axis=-1)) * (1.0 - 1e-12) - margin
+    """Raise where a loop over every direction would, on a domain whose
+    kernel is zero: at the first point and direction whose offsets with a
+    non-zero field leave the safe window of :func:`_offset_window`.  The
+    offsets, halfwidths and centre projections are formed as that loop forms
+    them; one batched field evaluation per point flags the directions that
+    reach the window edge, and only those are checked one at a time."""
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
+    w = np.array([support_halfwidth(domain, omega) for omega in dirs])
+    centre = np.array([float(np.dot(domain.center, omega)) for omega in dirs])
     for x, r in zip(pts, radii):
-        fvals = evaluator(x + r[:, None, None] * dirs)
-        sp = np.sum((x - c) * dirs, axis=-1) + 0.5 * r[:, None]
-        for j in np.flatnonzero(np.any((fvals != 0.0) & (np.abs(sp) > edge), axis=0)):
-            mask = np.asarray(evaluator(x + r[:, None] * dirs[j]), dtype=float) != 0.0
-            s_vals = float(np.sum(x * dirs[j])) + 0.5 * r[mask]
-            _kernel_on_ray(domain, dirs[j], s_vals, domain.dimension, margin, None)
+        live = np.asarray(evaluator(x + r[:, None, None] * dirs), dtype=float) != 0.0
+        s_vals = np.sum(x * dirs, axis=-1) + 0.5 * r[:, None]
+        edge = live & (np.abs(s_vals - centre) >= w - margin)
+        for j in np.flatnonzero(np.any(edge, axis=0)):
+            _offset_window(domain, dirs[j], s_vals[live[:, j], j], margin, domain.dimension)
 
 
 def correction_K(
@@ -486,7 +488,10 @@ def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarra
     dirs, wdir = _angular_set(n, opts.k_angular)
     profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
     if profiles[0] is None:
-        # an odd-dimensional ellipsoid: the closed-form kernel is zero
+        # an odd-dimensional ellipsoid: the closed-form kernel is zero, so only
+        # its window check remains, on the samples inside the grid box
+        box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(size))
+        _check_zero_kernel_window(domain, box.interp, pts, r, dirs, opts.kernel_margin)
         return matrix.reshape(size, size)
     for omega, w_omega, profile in zip(dirs, wdir, profiles):
         idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))

@@ -437,6 +437,40 @@ def test_ball_correction_raises_where_the_direction_loop_would(bump3d, unit_ball
                 assert str(got.value) == want
 
 
+def test_ball_correction_matrix_rejects_the_margins_the_direction_loop_rejects(ball_traces):
+    """On the ball the assembled correction is the zero matrix, built without
+    a direction loop, yet reconstruct rejects the same kernel margins as a
+    loop over every direction that reads the kernel at the samples inside
+    the grid box: a negative margin, and one whose window the box leaves."""
+    grid = ImageGrid(lo=(-0.2, -0.2, -0.2), hi=(0.2, 0.2, 0.2), shape=(3, 3, 3))
+    pts = grid.points()
+    rad = gauss_legendre(8, 0.0, 1.0)
+    r = np.array([_support_radius(grid, p) for p in pts])[:, None] * rad.nodes
+    dirs, _ = _angular_set(3, 8)
+    seen = []
+    for margin in (-0.1, 0.0, 0.5, 0.6, 0.9):
+        want = None
+        try:
+            for omega in dirs:
+                _, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, 3))
+                inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
+                s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
+                _kernel_on_ray(ball_traces.domain, omega, s_vals[inside], 3, margin, None)
+        except ValueError as err:
+            want = type(err)
+        opts = ReconstructionOptions(
+            correction="fixed_point", k_radial=8, k_angular=8, kernel_margin=margin
+        )
+        if want is None:
+            assert reconstruct(ball_traces, grid, opts).meta["operator_norm"] == 0.0
+        else:
+            with pytest.raises(ValueError) as got:
+                reconstruct(ball_traces, grid, opts)
+            assert type(got.value) is want
+        seen.append(want)
+    assert seen == [ValueError, None, None, None, OutOfRegionError]
+
+
 def test_correction_vanishes_on_the_ellipse(ellipse21):
     f = Phantom((Bump(center=(0.2, -0.1), radius=0.3),))
     opts = ReconstructionOptions(

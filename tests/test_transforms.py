@@ -542,10 +542,14 @@ def _chord_batch(domain, count):
     of each direction's support halfwidth, and z itself: interior lines,
     near-tangent lines at 1 - 1e-10, tangent lines and lines that miss."""
     dirs, _ = _angular_set(2, count)
-    dirs = np.concatenate([dirs, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]])
+    diagonal = math.sqrt(0.5)
+    dirs = np.concatenate([dirs, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [diagonal, diagonal]]])
     w = np.array([support_halfwidth(domain, th) for th in dirs])
     z = np.concatenate(
-        [np.linspace(-0.999, 0.999, 41), [1.0 - 1e-10, -(1.0 - 1e-10), 1.0, -1.0, 1.001, -1.5]]
+        [
+            np.linspace(-0.999, 0.999, 41),
+            [0.99, -0.99, 1.0 - 1e-10, -(1.0 - 1e-10), 1.0, -1.0, 1.001, -1.5],
+        ]
     )
     return dirs, w[:, None] * z, np.broadcast_to(z, (len(dirs), z.size))
 
@@ -557,8 +561,10 @@ def _chord_batch(domain, count):
         superellipse((0.35, -0.25), (1.0, 0.7), 3.3),
         superellipse((0.0, 0.0), (1.2, 0.9), 4.0),
         superellipse((0.1, 0.2), (0.9, 1.3), 8.0),
+        superellipse((0.0, 0.0), (1.0, 1.0), 100.0),
+        superellipse((0.2, -0.1), (1.0, 1.0), 200.0),
     ],
-    ids=["p2", "p3.3-off-centre", "p4", "p8-off-centre"],
+    ids=["p2", "p3.3-off-centre", "p4", "p8-off-centre", "p100", "p200-off-centre"],
 )
 def test_superellipse_chords_match_the_bisection_route(domain):
     """The Newton chords equal the golden-section and bisection chords within
@@ -603,3 +609,61 @@ def test_exponent_two_chords_equal_the_closed_form_ellipse():
         )
         exact = 0.5 * np.finfo(float).eps * (12.0 + 6.0 / (1.0 - z * z)) * closed
         assert np.all(np.abs(got - closed) <= search + exact + np.spacing(closed))
+
+
+@pytest.mark.parametrize("p", [4.0, 100.0, 1000.0, 1e4])
+def test_axis_chords_equal_the_closed_form_at_any_exponent(p):
+    """A line x_1 = c_1 + s' meets the superellipse where |d_2| is at most
+    (1 - X)^(1/p), X = |s' / a_1|^p, so its chord is 2 a_2 (1 - X)^(1/p),
+    and likewise along the other axis.  The search starts where the level is
+    at most 2, so no |d_i|^p overflows, however large p.  Its ends sit at
+    +- half the chord; the closed form carries (p + 1) u relative in X, so
+    u X (1 + 1/p) / (1 - X) + u / p + 2 u relative in the chord."""
+    domain = superellipse((0.3, -0.2), (1.2, 0.7), p)
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    w = np.array([support_halfwidth(domain, th) for th in dirs])
+    sp = w[:, None] * np.linspace(-0.999, 0.999, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _superellipse_chord(domain, dirs, sp)
+    a = np.asarray(domain.semi_axes)
+    along, across = np.abs(dirs) @ a, np.abs(dirs[:, ::-1]) @ a
+    x = np.abs(sp / along[:, None]) ** p
+    closed = 2.0 * across[:, None] * (1.0 - x) ** (1.0 / p)
+    u = 0.5 * np.finfo(float).eps
+    exact = u * (x * (1.0 + 1.0 / p) / (1.0 - x) + 1.0 / p + 2.0) * closed
+    search = chord_end_roundoff(domain, dirs, sp, 0.5 * closed) + chord_end_roundoff(
+        domain, dirs, sp, -0.5 * closed
+    )
+    assert np.all(np.abs(got - closed) <= search + exact + np.spacing(closed))
+
+
+def test_large_exponent_chords_lie_between_nested_domains():
+    """A superellipse grows with p towards its box |x_i - c_i| <= a_i, so at
+    p = 1e4 each chord lies between the p = 100 chord (checked against the
+    bisection route above) and the box chord, the overlap of the two slabs
+    along the line.  The search starts where every |d_i|^p is at most 1, so
+    nothing overflows at such an exponent."""
+    c, a = np.array([0.2, -0.1]), np.array([1.0, 0.6])
+    outer, inner = superellipse(c, a, 1e4), superellipse(c, a, 100.0)
+    dirs, _ = _angular_set(2, 24)  # no direction along an axis
+    w = np.array([support_halfwidth(outer, th) for th in dirs])
+    sp = w[:, None] * np.linspace(-0.999, 0.999, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _superellipse_chord(outer, dirs, sp)
+    perp = np.stack([-dirs[:, 1], dirs[:, 0]], axis=-1)[:, None, :]
+    slabs = (np.array([-1.0, 1.0])[:, None, None, None] * a - sp[..., None] * dirs[:, None, :]) / perp
+    box = np.maximum(slabs.max(axis=0).min(axis=-1) - slabs.min(axis=0).max(axis=-1), 0.0)
+    assert np.all(got > 0.0)
+    assert np.all(got <= box + 1e-12)
+    assert np.all(got >= _superellipse_chord(inner, dirs, sp) - 1e-12)
+
+
+def test_chord_search_raises_rather_than_return_an_unconverged_end(se4, monkeypatch):
+    """An end still moving when its Newton steps run out raises; the search
+    never returns a chord from an end it has not converged."""
+    dirs, sp, _ = _chord_batch(se4, 8)
+    monkeypatch.setattr("neutrace.transforms.CHORD_NEWTON_STEPS", 3)
+    with pytest.raises(RuntimeError, match="did not converge in 3 Newton steps"):
+        _superellipse_chord(se4, dirs, sp)
