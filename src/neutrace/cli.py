@@ -550,17 +550,14 @@ def _run_check(name: str, cfg: RunConfig) -> list:
     if name == "lemma-symbolic":
         return [check_lemma_symbolic(opts["symbolic_n"], opts["symbolic_k"])]
     if name == "lemma-coefficients":
-        return [
-            check_lemma_coefficients(
-                cfg.dimension,
-                k,
-                _lemma_field(cfg.dimension),
-                opts["lemma_x"],
-                opts["lemma_t"],
-                level=level,
-            )
-            for k in opts["lemma_k"]
-        ]
+        return check_lemma_coefficients(
+            cfg.dimension,
+            opts["lemma_k"],
+            _lemma_field(cfg.dimension),
+            opts["lemma_x"],
+            opts["lemma_t"],
+            level=level,
+        )
     if name == "even-equivalence":
         if cfg.dimension != 2:
             raise ConfigError("even-equivalence check needs dimension = 2")

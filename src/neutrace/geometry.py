@@ -239,19 +239,28 @@ def boundary_quadrature(
     return BoundaryQuadrature(pts, outward_normal(domain, pts), w.reshape(-1), resolution)
 
 
-def support_halfwidth(domain: ConvexDomain, theta) -> float:
-    """Support function of the centered domain in direction theta.
+def support_halfwidth(domain: ConvexDomain, theta):
+    """Support function of the centered domain in direction theta (n,), as
+    a float, or in each direction of a batch (m, n), as an array.
 
     Chords at offset s touch the domain when |s - <center, theta>| equals
-    this value; larger offsets miss it entirely.
+    this value; larger offsets miss it entirely.  Each direction's value is
+    computed on its own row, so a batch gives the bits of one call per
+    direction.  The superellipse's final root stays a scalar power per
+    direction, because numpy's array power rounds differently from its
+    scalar power.
     """
     th = np.asarray(theta, dtype=float)
     a = np.asarray(domain.semi_axes)
     if domain.kind == ELLIPSOID:
-        return float(np.sqrt(np.sum((a * th) ** 2)))
+        w = np.sqrt(np.sum((a * th) ** 2, axis=-1))
+        return float(w) if th.ndim == 1 else w
     p = domain.exponent
     q = p / (p - 1.0)
-    return float(np.sum(np.abs(a * th) ** q) ** (1.0 / q))
+    sums = np.sum(np.abs(a * th) ** q, axis=-1)
+    if th.ndim == 1:
+        return float(sums ** (1.0 / q))
+    return np.array([s ** (1.0 / q) for s in sums])
 
 
 def boundary_distance(domain: ConvexDomain, points):

@@ -394,11 +394,12 @@ def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
     kernel is zero: at the first point and direction whose offsets with a
     non-zero field leave the safe window of :func:`_offset_window`.  The
     offsets, halfwidths and centre projections are formed as that loop forms
-    them; one batched field evaluation per point flags the directions that
-    reach the window edge, and only those are checked one at a time."""
+    them (the halfwidths in one batched call, with the bits of one call per
+    direction); one batched field evaluation per point flags the directions
+    that reach the window edge, and only those are checked one at a time."""
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
-    w = np.array([support_halfwidth(domain, omega) for omega in dirs])
+    w = support_halfwidth(domain, dirs)
     centre = np.array([float(np.dot(domain.center, omega)) for omega in dirs])
     for x, r in zip(pts, radii):
         live = np.asarray(evaluator(x + r[:, None, None] * dirs), dtype=float) != 0.0

@@ -359,7 +359,7 @@ def _superellipse_chord(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) ->
     a = np.asarray(domain.semi_axes)
     q = domain.exponent / (domain.exponent - 1.0)
     perp = np.stack([-th[:, 1], th[:, 0]], axis=-1)
-    w = np.array([support_halfwidth(domain, t) for t in th])
+    w = support_halfwidth(domain, th)
     x_star = a * np.sign(th) * (np.abs(a * th) / w[:, None]) ** (q - 1.0)
     tau0 = sp / w[:, None] * np.sum(x_star * perp, axis=-1)[:, None]
     # the line points are kept as coordinate planes, the layout level_value reads

@@ -25,6 +25,7 @@ from .calculus import (
     unit_ball_volume,
 )
 from .forward import (
+    _BLOCK_VALUES,
     SolverParams,
     huygens_horizon,
     phantom_pressure,
@@ -158,18 +159,21 @@ def radial_velocity(bump: Bump, d, t):
     """Solution with data (0, bump) at distance d from its center, n = 3.
 
     Evaluated as [G(hi) - G(lo)] / (2d) through the closed primitive G of
-    rho b(rho), at the ends (lo, hi) of (|t-d|, t+d) clipped to the support:
-    two lookups per value and no per-value quadrature, sharing nothing with
-    the forward module.
+    rho b(rho), at the ends (lo, hi) of (|t-d|, t+d) clipped to the support,
+    sharing nothing with the forward module.  An end clipped to the support
+    radius eps takes the one value G(eps) (hi = eps wherever t + d >= eps,
+    and lo = eps outside the light shell |t - d| < eps), so the primitive is
+    looked up, in one call, only at the ends inside the support.
     """
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
     eps = bump.radius
     lo = np.clip(np.abs(t - d), 0.0, eps)
-    hi = np.clip(t + d, lo, eps)
+    ends = np.stack((np.clip(t + d, lo, eps), lo))
+    prim = np.full(ends.shape, _radial_primitive(bump, eps))
+    inner = ends < eps
+    prim[inner] = _radial_primitive(bump, ends[inner])
     small = d < 1e-8 * eps
-    v = np.asarray(
-        (_radial_primitive(bump, hi) - _radial_primitive(bump, lo)) / (2.0 * np.where(small, 1.0, d))
-    )
+    v = np.asarray((prim[0] - prim[1]) / (2.0 * np.where(small, 1.0, d)))
     if small.any():
         v[small] = t[small] * bump_radial(bump, t[small], 3)
     return v
@@ -179,11 +183,10 @@ def phantom_velocity(f: Phantom, pts, t, live=None):
     """Solution with data (0, f) at points (..., 3) and times t, n = 3: the
     sum over the bumps of :func:`radial_velocity`, by the closed primitive.
 
-    With ``live``, an index tuple into the broadcast shape of the points and
-    t (as :func:`numpy.nonzero` returns), only those entries are evaluated
-    and returned as a flat array.  Each distance to a bump centre is still
-    computed once per point and then gathered, so every entry has the bits
-    of the full evaluation.
+    With ``live``, a boolean mask of the broadcast shape of the points and
+    t, only the entries it selects are evaluated and returned as a flat
+    array.  Each distance to a bump centre is still computed once per point
+    and then gathered, so every entry has the bits of the full evaluation.
     """
     pts = np.asarray(pts, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -208,16 +211,17 @@ def _times_velocity(weight, g: Phantom, pts, times):
     against ``times``, with the velocity evaluated only where ``weight`` is
     non-zero; everywhere else the product is 0 whatever the velocity is.
 
+    The live (point, time) pairs are selected by one boolean mask:
     :func:`phantom_velocity` computes each point's distance to g once and
-    gathers it at the live (point, time) pairs, so no 3-vector is gathered
-    per pair and the product keeps its bits.
+    gathers it there, so no 3-vector is gathered per pair, and the products
+    are scattered back into zeros with the bits of ``weight * velocity``.
 
     Returns the product and the number of velocity values evaluated.
     """
-    live = np.nonzero(weight)
-    vel = np.zeros(weight.shape)
-    vel[live] = phantom_velocity(g, pts, times, live=live)
-    return weight * vel, live[0].shape[0]
+    live = weight != 0.0
+    prod = np.zeros(weight.shape)
+    prod[live] = weight[live] * phantom_velocity(g, pts, times, live=live)
+    return prod, int(np.count_nonzero(live))
 
 
 def _support_box(f: Phantom, n: int):
@@ -269,6 +273,18 @@ def check_integral_identity(
     module), so the residual measures the outer quadrature and
     finite-difference error only.  The ``level`` parameter doubles every
     node count and halves every step.
+
+    Both fields vanish off their Huygens band |t - d| < eps, so the work
+    follows the pressure: :func:`phantom_pressure` evaluates it only on the
+    band of f, the velocity of g is evaluated only where the pressure factor
+    (its normal derivative on the boundary, itself in the volume) is
+    non-zero, and the products are scattered back into zeros for the
+    time-node, boundary-node and 7-point Laplacian sums.  The volume fields
+    go in sub-blocks of the ``chunk`` nodes whose weighted sums are
+    accumulated, so the temporaries stay cache-sized; every value is
+    elementwise, so the terms do not depend on the sub-block.  The report's
+    ``velocity_evaluated`` counts the velocity values evaluated and
+    ``velocity_pairs`` all (point, time) pairs of both terms.
     """
     t0 = time.perf_counter()
     n = domain.dimension
@@ -342,15 +358,21 @@ def check_integral_identity(
         stencil[1 + 2 * i, i] = h_lap
         stencil[2 + 2 * i, i] = -h_lap
     term_volume = 0.0
+    # the fields of a chunk go in sub-blocks of about _BLOCK_VALUES values,
+    # so their temporaries stay small and are reused on the heap
+    sub = max(1, _BLOCK_VALUES // (stencil.shape[0] * nt))
+    lap = np.empty((chunk, nt))
     for lo_i in range(0, nodes.shape[0], chunk):
         block = nodes[lo_i : lo_i + chunk]
-        sp = block[:, None, :] + stencil[None, :, :]
-        pp = phantom_pressure(f, sp[:, :, None, :], trule.nodes)
-        prod, count = _times_velocity(pp, g, sp[:, :, None, :], trule.nodes)
-        lap = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
-        term_volume += float(wvol[lo_i : lo_i + chunk] @ lap @ trule.weights)
-        evaluated += count
-        pairs += pp.size
+        for lo_s in range(0, block.shape[0], sub):
+            sp = (block[lo_s : lo_s + sub, None, :] + stencil[None, :, :])[:, :, None, :]
+            pp = phantom_pressure(f, sp, trule.nodes)
+            prod, count = _times_velocity(pp, g, sp, trule.nodes)
+            rows = slice(lo_s, lo_s + sp.shape[0])
+            lap[rows] = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
+            evaluated += count
+            pairs += pp.size
+        term_volume += float(wvol[lo_i : lo_i + chunk] @ lap[: block.shape[0]] @ trule.weights)
 
     rhs = term_boundary - term_volume
     params.update(
@@ -407,25 +429,31 @@ def _ball_profile(g, x, n: int, m_phi: int, m_mean: int):
 
 def check_lemma_coefficients(
     n: int,
-    k: int,
+    ks,
     g,
     x,
     t: float,
     *,
     level: int = 0,
-) -> IdentityReport:
-    """Compare (1/t d/dt)^k of the singular ball integral, computed by
-    nested differencing of t^{n-1} A(t), against the claimed coefficient
-    expansion sum of c_{k,l} t^{n-(2k+1-l)} A^{(l)}(t).
+) -> list[IdentityReport]:
+    """For each order k in ``ks``, compare (1/t d/dt)^k of the singular ball
+    integral, computed by nested differencing of t^{n-1} A(t), against the
+    claimed coefficient expansion sum of c_{k,l} t^{n-(2k+1-l)} A^{(l)}(t).
+    Returns one report per order, in the order of ``ks``.
 
     The two sides use deliberately different quadrature resolutions so a
-    shared discretisation cannot mask a wrong coefficient.
+    shared discretisation cannot mask a wrong coefficient.  All orders share
+    one profile of each side, and each profile remembers the abscissae it
+    has evaluated, so the right-hand profiles at the five stencil points
+    around t are computed once for every order.  A report's runtime is the
+    time spent on its own order.
     """
-    t0 = time.perf_counter()
+    ks = tuple(ks)
     if n not in (2, 3):
         raise ValueError(f"numeric lemma check supports n in (2, 3), got {n}")
-    if k not in (1, 2):
-        raise ValueError(f"nested differencing is implemented for k in (1, 2), got {k}")
+    for k in ks:
+        if k not in (1, 2):
+            raise ValueError(f"nested differencing is implemented for k in (1, 2), got {k}")
     if not 0.0 < t < 2.0:
         raise ValueError(f"evaluation time must lie in (0, 2), got {t}")
     if level < 0:
@@ -437,6 +465,7 @@ def check_lemma_coefficients(
     h2 = 1e-2 * t / scale
 
     lhs_profile = _ball_profile(g, x, n, m_phi, m_mean)
+    rhs_profile = _ball_profile(g, x, n, m_phi + 17, m_mean + 9)
 
     def ball_integral(tt: float) -> float:
         return tt ** (n - 1) * lhs_profile(tt)
@@ -444,31 +473,36 @@ def check_lemma_coefficients(
     def once(tt: float) -> float:
         return stencil_derivative(ball_integral, tt, h1, 1) / tt
 
-    if k == 1:
-        lhs = once(t)
-    else:
-        lhs = stencil_derivative(once, t, h2, 1) / t
-
-    rhs_profile = _ball_profile(g, x, n, m_phi + 17, m_mean + 9)
-    rhs = 0.0
-    for l in range(k + 1):
-        if l == 0:
-            dl = rhs_profile(t)
+    reports = []
+    for k in ks:
+        t0 = time.perf_counter()
+        if k == 1:
+            lhs = once(t)
         else:
-            dl = stencil_derivative(rhs_profile, t, h1, l)
-        rhs += coeff_c(n, k, l) * t ** (n - (2 * k + 1 - l)) * dl
+            lhs = stencil_derivative(once, t, h2, 1) / t
 
-    params = {
-        "n": n,
-        "k": k,
-        "t": t,
-        "level": level,
-        "phi_quad": m_phi,
-        "mean_res": m_mean,
-        "h_inner": h1,
-        "h_outer": h2,
-    }
-    return IdentityReport(f"lemma-coefficients-n{n}k{k}", lhs, rhs, params, time.perf_counter() - t0)
+        rhs = 0.0
+        for l in range(k + 1):
+            if l == 0:
+                dl = rhs_profile(t)
+            else:
+                dl = stencil_derivative(rhs_profile, t, h1, l)
+            rhs += coeff_c(n, k, l) * t ** (n - (2 * k + 1 - l)) * dl
+
+        params = {
+            "n": n,
+            "k": k,
+            "t": t,
+            "level": level,
+            "phi_quad": m_phi,
+            "mean_res": m_mean,
+            "h_inner": h1,
+            "h_outer": h2,
+        }
+        reports.append(
+            IdentityReport(f"lemma-coefficients-n{n}k{k}", lhs, rhs, params, time.perf_counter() - t0)
+        )
+    return reports
 
 
 def _apply_inv_t_dt(terms: dict) -> dict:

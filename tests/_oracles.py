@@ -18,9 +18,10 @@ The superellipse chords come from a golden-section search for the level
 function's minimum on each line and a bisection towards each end, the route
 the package's closed-form inside point and Newton steps replaced.
 The per-call routes at the end (ball profile, velocity gather, boundary
-search, trace-operator build) are the package's earlier code for work it now
-does once, in blocks or batched; they share its arithmetic on purpose, so
-the tests can ask for equal bits.
+search, trace-operator build, halfwidths) are the package's earlier code for
+work it now does once, in blocks or batched, and the ungated closed fields
+are its earlier code for work it now does only on the Huygens band; they
+share its arithmetic on purpose, so the tests can ask for equal bits.
 """
 
 from __future__ import annotations
@@ -610,6 +611,50 @@ def ball_profile_per_call(g, x, n: int, m_phi: int, m_mean: int):
         return surf * float(np.sum(means * wphi))
 
     return profile
+
+
+def support_halfwidth_per_direction(domain, dirs):
+    """Support halfwidths of a batch of directions (m, n), one call per
+    direction: the loop that ``geometry.support_halfwidth`` replaced by one
+    batched call."""
+    from neutrace.geometry import support_halfwidth
+
+    return np.array([support_halfwidth(domain, omega) for omega in dirs])
+
+
+def phantom_pressure_full_broadcast(f, pts, t):
+    """Closed pressure field of f with ``radial_pressure`` run on every
+    (point, time) pair of the broadcast: the route that
+    ``forward.phantom_pressure`` gated to the Huygens band of each bump."""
+    from neutrace.forward import radial_pressure
+
+    pts = np.asarray(pts, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast_shapes(pts.shape[:-1], t.shape))
+    for b in f.bumps:
+        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        out = out + radial_pressure(b, d, t)
+    return out
+
+
+def radial_velocity_two_lookups(bump, d, t):
+    """Closed radial velocity field with the primitive G looked up at both
+    clipped ends of every entry: the route that ``validation.radial_velocity``
+    gated to the ends inside the support."""
+    from neutrace.transforms import bump_radial
+    from neutrace.validation import _radial_primitive
+
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    eps = bump.radius
+    lo = np.clip(np.abs(t - d), 0.0, eps)
+    hi = np.clip(t + d, lo, eps)
+    small = d < 1e-8 * eps
+    v = np.asarray(
+        (_radial_primitive(bump, hi) - _radial_primitive(bump, lo)) / (2.0 * np.where(small, 1.0, d))
+    )
+    if small.any():
+        v[small] = t[small] * bump_radial(bump, t[small], 3)
+    return v
 
 
 def times_velocity_per_pair(weight, g, pts, times):

@@ -240,8 +240,7 @@ def test_criterion_08_reduction_coefficients(capsys):
             return 1.0 + 0.5 * x - 0.25 * y + 0.3 * x * x + 0.1 * x * y
 
         worst = 0.0
-        for k in (1, 2):
-            report = check_lemma_coefficients(2, k, g, (0.1, -0.2), 0.7)
+        for report in check_lemma_coefficients(2, (1, 2), g, (0.1, -0.2), 0.7):
             worst = max(worst, report.rel_residual)
         symbolic = check_lemma_symbolic(4, 2)
         known = coeff_c(4, 1, 0) == 3 and coeff_c(4, 2, 0) == 3

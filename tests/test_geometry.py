@@ -22,13 +22,14 @@ from neutrace.geometry import (
     superellipse,
     support_halfwidth,
 )
-from neutrace.inversion import ImageGrid, _grid_margin
+from neutrace.inversion import ImageGrid, ReconstructionOptions, _angular_set, _grid_margin
 from neutrace.transforms import Bump, Phantom
 
 from _oracles import (
     adaptive_simpson,
     boundary_distance_per_point,
     level_value_broadcast,
+    support_halfwidth_per_direction,
     support_margin_per_bump,
 )
 
@@ -239,6 +240,24 @@ def test_support_halfwidth_superellipse_diagonal():
     se = superellipse((0.0, 0.0), (1.0, 1.0), 4.0)
     d = 1.0 / math.sqrt(2.0)
     assert support_halfwidth(se, (d, d)) == pytest.approx(2.0**0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain", ["ball", "se4"])
+def test_support_halfwidth_batch_equals_the_per_direction_calls(se4, domain):
+    """One call on a batch of directions gives the bits of one call per
+    direction: the correction's default direction set on an off-centre ball,
+    and a dense angular set on the exponent-4 superellipse."""
+    if domain == "ball":
+        dom = ellipsoid((0.1, -0.2, 0.05), (0.7, 0.7, 0.7))
+        dirs, _ = _angular_set(3, ReconstructionOptions().k_angular)
+    else:
+        dom = se4
+        dirs, _ = _angular_set(2, 1024)
+    got = support_halfwidth(dom, dirs)
+    assert isinstance(got, np.ndarray) and got.shape == (dirs.shape[0],)
+    np.testing.assert_array_equal(got, support_halfwidth_per_direction(dom, dirs))
+    one = support_halfwidth(dom, dirs[3])
+    assert isinstance(one, float) and one == got[3]
 
 
 def test_support_halfwidth_touches_the_domain(se4):

@@ -32,7 +32,9 @@ from _oracles import (
     cinf_primitive_closed,
     cinf_table_bound,
     integral_identity_terms_ungated,
+    phantom_pressure_full_broadcast,
     radial_pressure_ungated,
+    radial_velocity_two_lookups,
     radial_velocity_ungated,
     sections_field_3d,
     times_velocity_per_pair,
@@ -248,10 +250,10 @@ def test_phantom_velocity_at_live_entries_keeps_the_bits():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-0.5, 0.5, size=(6, 3, 1, 3))
     t = np.linspace(0.0, 0.9, 11)
-    live = np.nonzero(rng.random((6, 3, 11)) < 0.4)
+    live = rng.random((6, 3, 11)) < 0.4
     got = phantom_velocity(f, pts, t, live=live)
     np.testing.assert_array_equal(got, phantom_velocity(f, pts, t)[live])
-    assert got.shape == live[0].shape
+    assert got.shape == (np.count_nonzero(live),)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +358,94 @@ def test_integral_identity_equals_the_per_pair_velocity_gather(unit_ball, monkey
 
 
 # ---------------------------------------------------------------------------
+# the closed fields on their Huygens band
+
+_POLY_MU3 = Phantom((Bump(center=(0.05, -0.1, 0.2), radius=0.3, amplitude=0.9, profile="poly", mu=3),))
+_BAND_PHANTOMS = [_CRIT05_F, _CRIT05_G, _TWO_BUMP_G, _POLY_MU3]
+_BAND_IDS = ["criterion-05-f", "criterion-05-g", "two-bump-g", "poly-mu3"]
+
+
+def _band_edge_samples(f, seed):
+    """Paired points and times around every bump of f: distances 0, in the
+    small-d branch (below 1e-8 radius) and spread over the domain; for each,
+    the times d -+ radius and d -+ radius (1 -+ 1e-6) with their
+    floating-point neighbours (negative ones included), and a few more."""
+    rng = np.random.default_rng(seed)
+    pts, ts = [], []
+    for b in f.bumps:
+        c, eps = np.asarray(b.center), b.radius
+        for dist in np.concatenate([[0.0, 1e-10 * eps, 5e-9 * eps], rng.uniform(0.0, 1.2, 13)]):
+            u = rng.normal(size=3)
+            x = c + dist * u / np.linalg.norm(u)
+            d = float(np.sqrt(np.sum((x - c) ** 2)))
+            edges = np.array([d + s * eps * m for s in (-1.0, 1.0) for m in (1.0, 1.0 - 1e-6, 1.0 + 1e-6)])
+            times = np.concatenate(
+                [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), np.linspace(0.0, 1.6, 9)]
+            )
+            pts.append(np.broadcast_to(x, (times.size, 3)))
+            ts.append(times)
+    return np.concatenate(pts), np.concatenate(ts)
+
+
+@pytest.mark.parametrize("f", _BAND_PHANTOMS, ids=_BAND_IDS)
+def test_closed_fields_on_the_band_keep_the_bits(f):
+    """The pressure evaluated only on its band and the velocity with the
+    primitive looked up only at the ends inside the support give the bits
+    of the routes that evaluate every entry, at the band edges, in the
+    small-d branch, paired and broadcast."""
+    pts, ts = _band_edge_samples(f, 3)
+    got = phantom_pressure(f, pts, ts)
+    np.testing.assert_array_equal(got, phantom_pressure_full_broadcast(f, pts, ts))
+    assert np.any(got != 0.0) and np.any(got == 0.0)
+    grid = phantom_pressure(f, pts[::5, None, :], ts[:60])
+    np.testing.assert_array_equal(grid, phantom_pressure_full_broadcast(f, pts[::5, None, :], ts[:60]))
+    for b in f.bumps:
+        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        assert np.any(d < 1e-8 * b.radius)
+        vel = radial_velocity(b, d, ts)
+        np.testing.assert_array_equal(vel, radial_velocity_two_lookups(b, d, ts))
+        assert np.any(vel != 0.0) and np.any(vel == 0.0)
+        for dd, tt in ((0.0, 0.1), (d[-1], ts[-1]), (0.2, 0.2 + b.radius)):
+            one = radial_velocity(b, dd, tt)
+            assert np.ndim(one) == 0 and one == radial_velocity_two_lookups(b, dd, tt)
+    assert phantom_pressure(f, np.empty((0, 3)), np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("f", _BAND_PHANTOMS, ids=_BAND_IDS)
+def test_ungated_pressure_vanishes_off_the_band(f):
+    """The premise of the gate: on a dense random sample of points and
+    times, negative times included, each bump's field by the ungated route
+    is exactly 0 wherever ||t| - d| >= radius, so also outside the band the
+    gate evaluates, which is wider by 1e-6 radius."""
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1.0, 1.0, size=(1500, 1, 3))
+    t = rng.uniform(-0.5, 2.5, size=301)
+    for b in f.bumps:
+        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        off = np.abs(np.abs(t) - d) >= b.radius
+        assert np.count_nonzero(off) > 0.5 * off.size and np.count_nonzero(~off) > 0.05 * off.size
+        field = phantom_pressure_full_broadcast(Phantom((b,)), pts, t)
+        assert np.all(field[off] == 0.0)
+        assert np.count_nonzero(field[~off]) > 0.9 * np.count_nonzero(~off)
+
+
+# ---------------------------------------------------------------------------
 # reduction-lemma coefficients
 
 
 def test_lemma_check_validation():
     g = quadratic_field
     with pytest.raises(ValueError, match="n in"):
-        check_lemma_coefficients(4, 1, g, (0.0, 0.0), 0.7)
+        check_lemma_coefficients(4, (1,), g, (0.0, 0.0), 0.7)
     with pytest.raises(ValueError, match="k in"):
-        check_lemma_coefficients(2, 3, g, (0.0, 0.0), 0.7)
+        check_lemma_coefficients(2, (3,), g, (0.0, 0.0), 0.7)
     with pytest.raises(ValueError, match="in \\(0, 2\\)"):
-        check_lemma_coefficients(2, 1, g, (0.0, 0.0), 2.5)
+        check_lemma_coefficients(2, (1,), g, (0.0, 0.0), 2.5)
 
 
 def test_lemma_constant_field_is_exact():
     g = lambda pts: np.full(np.asarray(pts).shape[:-1], 0.7)
-    report = check_lemma_coefficients(2, 1, g, (0.1, -0.2), 0.7)
+    [report] = check_lemma_coefficients(2, (1,), g, (0.1, -0.2), 0.7)
     assert report.abs_residual <= 1e-6
 
 
@@ -381,13 +455,13 @@ def test_lemma_constant_field_is_exact():
 )
 def test_lemma_quadratic_field(n, k, bound):
     x = (0.1, -0.2, 0.05)[:n]
-    report = check_lemma_coefficients(n, k, quadratic_field, x, 0.7)
+    [report] = check_lemma_coefficients(n, (k,), quadratic_field, x, 0.7)
     assert report.abs_residual <= bound
 
 
 def test_lemma_bump_field_residual_shrinks_under_refinement(bump2d):
-    coarse = check_lemma_coefficients(2, 1, bump2d.eval, (0.1, 0.0), 0.7, level=0)
-    fine = check_lemma_coefficients(2, 1, bump2d.eval, (0.1, 0.0), 0.7, level=1)
+    [coarse] = check_lemma_coefficients(2, (1,), bump2d.eval, (0.1, 0.0), 0.7, level=0)
+    [fine] = check_lemma_coefficients(2, (1,), bump2d.eval, (0.1, 0.0), 0.7, level=1)
     assert fine.abs_residual < coarse.abs_residual
     assert fine.abs_residual <= 1e-4
 
@@ -410,7 +484,7 @@ def test_lemma_check_evaluates_each_profile_once(n, k, lhs_profiles, profiles):
         calls.append(np.asarray(pts).shape[:-1])
         return quadratic_field(pts)
 
-    check_lemma_coefficients(n, k, g, (0.1, -0.2, 0.05)[:n], 0.7)
+    check_lemma_coefficients(n, (k,), g, (0.1, -0.2, 0.05)[:n], 0.7)
     assert lhs_profiles + 5 == profiles
     total = sum(math.prod(shape) for shape in calls)
     assert total == lhs_profiles * _profile_points(n, 40, 48) + 5 * _profile_points(n, 57, 57)
@@ -435,10 +509,33 @@ def test_lemma_check_equals_the_per_call_profile(monkeypatch, bump2d, n, k, fiel
     that re-evaluates every call in one sphere-means call."""
     g = {"quadratic": quadratic_field, "cli": _lemma_field(n), "bump": bump2d.eval}[field]
     x = (0.1, -0.2, 0.05)[:n]
-    got = check_lemma_coefficients(n, k, g, x, 0.7, level=level)
+    [got] = check_lemma_coefficients(n, (k,), g, x, 0.7, level=level)
     monkeypatch.setattr(validation, "_ball_profile", ball_profile_per_call)
-    want = check_lemma_coefficients(n, k, g, x, 0.7, level=level)
+    [want] = check_lemma_coefficients(n, (k,), g, x, 0.7, level=level)
     assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ks", [(1, 2), (2, 1)])
+def test_lemma_check_orders_share_their_profiles(n, ks):
+    """One call for several orders reports, for each, the lhs, rhs and
+    params of a call for that order alone, and evaluates the five rhs
+    profiles once for all orders: 4 + 16 lhs and 5 rhs profiles."""
+    calls = []
+
+    def g(pts):
+        calls.append(np.asarray(pts).shape[:-1])
+        return _lemma_field(n)(pts)
+
+    x = (0.1, -0.2, 0.05)[:n]
+    together = check_lemma_coefficients(n, ks, g, x, 0.7)
+    total = sum(math.prod(shape) for shape in calls)
+    assert total == 20 * _profile_points(n, 40, 48) + 5 * _profile_points(n, 57, 57)
+    assert [r.params["k"] for r in together] == list(ks)
+    for k, got in zip(ks, together):
+        [want] = check_lemma_coefficients(n, (k,), _lemma_field(n), x, 0.7)
+        assert (got.name, got.lhs, got.rhs, got.params) == (want.name, want.lhs, want.rhs, want.params)
+    assert check_lemma_coefficients(n, (), g, x, 0.7) == []
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -458,7 +555,7 @@ def test_lemma_symbolic_rejects_negative_order():
     "check",
     [
         lambda b2, b3, ball: check_mollifier(2, 2, 0.5, level=-1),
-        lambda b2, b3, ball: check_lemma_coefficients(2, 1, b2.eval, (0.1, 0.0), 0.7, level=-1),
+        lambda b2, b3, ball: check_lemma_coefficients(2, (1,), b2.eval, (0.1, 0.0), 0.7, level=-1),
         lambda b2, b3, ball: check_even_equivalence(b2, [(0.3, 0.0)], [0.7], level=-1),
         lambda b2, b3, ball: check_integral_identity(b3, b3, ball, level=-1),
     ],
