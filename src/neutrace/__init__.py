@@ -24,7 +24,6 @@ from .forward import (
     TraceFormatError,
     TraceGrid,
     huygens_horizon,
-    neumann_trace,
     read_trace_file,
     simulate_traces,
     support_margin,
@@ -57,18 +56,12 @@ from .inversion import (
 )
 from .transforms import (
     Bump,
-    EndpointSingularityError,
     KernelProfile,
     OutOfRegionError,
     Phantom,
     build_kernel_profile,
-    hilbert_pv,
-    hilbert_radon_chi_deriv,
     mollifier_eval,
     mollifier_radon,
-    radon_chi,
-    radon_chi_deriv,
-    spherical_mean,
 )
 from .validation import (
     IdentityReport,
@@ -105,14 +98,8 @@ __all__ = [
     "Phantom",
     "KernelProfile",
     "OutOfRegionError",
-    "EndpointSingularityError",
-    "spherical_mean",
     "mollifier_eval",
     "mollifier_radon",
-    "radon_chi",
-    "radon_chi_deriv",
-    "hilbert_pv",
-    "hilbert_radon_chi_deriv",
     "build_kernel_profile",
     # forward
     "TimeGrid",
@@ -123,7 +110,6 @@ __all__ = [
     "InsufficientDataError",
     "wave_solution",
     "wave_solution_even_alt",
-    "neumann_trace",
     "simulate_traces",
     "support_margin",
     "huygens_horizon",

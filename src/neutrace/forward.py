@@ -38,7 +38,6 @@ __all__ = [
     "phantom_pressure",
     "wave_solution",
     "wave_solution_even_alt",
-    "neumann_trace",
     "simulate_traces",
     "support_margin",
     "huygens_horizon",
@@ -287,22 +286,6 @@ def _nu_stencil(params: SolverParams):
     if params.nu_order == 2:
         return np.array([-1.0, 1.0]) * h, np.array([-0.5, 0.5]) / h
     return np.array([-2.0, -1.0, 1.0, 2.0]) * h, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-
-
-def neumann_trace(f: Phantom, domain: ConvexDomain, y, nu, t: float, params: SolverParams | None = None) -> float:
-    """Outward normal derivative of the wave field at a boundary point."""
-    if t < 0:
-        raise ValueError(f"neumann_trace needs t >= 0, got t={t}")
-    y = np.asarray(y, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    params = (params or SolverParams()).resolved(domain=domain, t_scale=max(1.0, t))
-    offsets, weights = _nu_stencil(params)
-    centers = y + offsets[:, None] * nu
-    if t == 0.0:
-        vals = f.eval(centers)
-    else:
-        vals = np.array([_wave_batch(f, c, np.asarray(t), params, f.dimension) for c in centers])
-    return float(np.sum(weights * vals))
 
 
 def support_margin(f: Phantom, domain: ConvexDomain) -> float:

@@ -8,7 +8,10 @@ correction term: an integral operator over the domain whose kernel is a
 high offset-derivative of the (Hilbert-transformed, in even dimension)
 section profile of the domain, evaluated on perpendicular-bisector
 chords.  For ellipsoids that kernel vanishes and the plain back-projection
-is already exact in the continuum limit.
+is already exact in the continuum limit; in odd dimension the correction
+then builds no kernel tables at all, and only checks its chord window.
+The closed form of that vanishing kernel lives with the reference routes
+in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,7 @@ import numpy as np
 from .calculus import check_on_table, cubic_stencil, cubic_weights, gauss_legendre
 from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import ELLIPSOID, ConvexDomain, grid_margin, support_halfwidth
-from .transforms import (
-    Phantom,
-    _build_profiles,
-    _check_unit,
-    _ellipsoid_profile_deriv,
-    _offset_window,
-)
+from .transforms import Phantom, _build_profiles, _centre_offsets, _offset_window
 
 __all__ = [
     "ImageGrid",
@@ -353,26 +350,11 @@ def _angular_set(n: int, m: int):
     return dirs, w
 
 
-def _ray_profiles(domain, dirs, order, margin, opts):
-    """Kernel profile of each direction, built as one batch; None for
-    every direction of an odd-dimensional ellipsoid, whose kernel is in
-    closed form."""
-    if domain.kind == ELLIPSOID and domain.dimension % 2 == 1:
-        return [None] * len(dirs)
-    return _build_profiles(
-        domain, dirs, order, margin, opts.kernel_table, opts.kernel_quad,
-        domain.dimension % 2 == 0,
-    )
-
-
-def _kernel_on_ray(domain, omega, s_vals, order, margin, profile):
-    """Composite kernel values along one direction at many offsets, read off
-    the direction's profile, or from the closed form when it has none."""
-    if profile is None:
-        th = _check_unit(omega)
-        _, sp = _offset_window(domain, th, s_vals, margin, order)
-        return _ellipsoid_profile_deriv(domain, th, sp, order)
-    return profile.eval(s_vals, order=order, hilbert=domain.dimension % 2 == 0)
+def _kernel_vanishes(domain: ConvexDomain) -> bool:
+    """The correction kernel of an odd-dimensional ellipsoid is zero at every
+    offset: its section profile is quadratic, and the kernel is a third
+    offset derivative."""
+    return domain.kind == ELLIPSOID and domain.dimension % 2 == 1
 
 
 def _support_radius(f, x) -> float:
@@ -394,13 +376,13 @@ def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
     kernel is zero: at the first point and direction whose offsets with a
     non-zero field leave the safe window of :func:`_offset_window`.  The
     offsets, halfwidths and centre projections are formed as that loop forms
-    them (the halfwidths in one batched call, with the bits of one call per
-    direction); one batched field evaluation per point flags the directions
-    that reach the window edge, and only those are checked one at a time."""
+    them (both batched, with the bits of one call per direction); one
+    batched field evaluation per point flags the directions that reach the
+    window edge, and only those are checked one at a time."""
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     w = support_halfwidth(domain, dirs)
-    centre = np.array([float(np.dot(domain.center, omega)) for omega in dirs])
+    centre = _centre_offsets(domain, dirs)
     for x, r in zip(pts, radii):
         live = np.asarray(evaluator(x + r[:, None, None] * dirs), dtype=float) != 0.0
         s_vals = np.sum(x * dirs, axis=-1) + 0.5 * r[:, None]
@@ -441,15 +423,17 @@ def correction_K(
     out = np.zeros(len(pts))
     # a point with support radius 0 sees no field, so it reads no kernel
     live = np.flatnonzero(r_max)
+    if not live.size:
+        return float(out[0]) if x.ndim == 1 else out
     dirs, wdir = _angular_set(n, opts.k_angular)
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
-    profiles = _ray_profiles(domain, dirs, n, margin, opts) if live.size else []
-    if profiles and profiles[0] is None:
-        # the closed-form kernel of an odd-dimensional ellipsoid is zero at
-        # every offset, so the sum is zero; only its window check remains
+    if _kernel_vanishes(domain):
+        # the sum is zero; only its window check remains
         radii = r_max[live, None] * rad.nodes
         _check_zero_kernel_window(domain, evaluator, pts[live], radii, dirs, margin)
         return float(out[0]) if x.ndim == 1 else out
+    even = n % 2 == 0
+    profiles = _build_profiles(domain, dirs, n, margin, opts.kernel_table, opts.kernel_quad, even)
     for i in live:
         r = r_max[i] * rad.nodes
         total = 0.0
@@ -461,7 +445,7 @@ def correction_K(
             if not np.any(mask):
                 continue
             s_vals = float(np.sum(pts[i] * omega)) + 0.5 * r[mask]
-            kvals = _kernel_on_ray(domain, omega, s_vals, n, margin, profile)
+            kvals = profile.eval(s_vals, order=n, hilbert=even)
             total += w_omega * r_max[i] * float(np.sum(rad.weights[mask] * fvals[mask] * kvals))
         out[i] = _correction_constant(n) * total
     return float(out[0]) if x.ndim == 1 else out
@@ -487,20 +471,23 @@ def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarra
     r = r_max[:, None] * rad.nodes
     matrix = np.zeros(size * size)
     dirs, wdir = _angular_set(n, opts.k_angular)
-    profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
-    if profiles[0] is None:
-        # an odd-dimensional ellipsoid: the closed-form kernel is zero, so only
-        # its window check remains, on the samples inside the grid box
+    if _kernel_vanishes(domain):
+        # the matrix is zero; only its window check remains, on the samples
+        # inside the grid box
         box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(size))
         _check_zero_kernel_window(domain, box.interp, pts, r, dirs, opts.kernel_margin)
         return matrix.reshape(size, size)
+    even = n % 2 == 0
+    profiles = _build_profiles(
+        domain, dirs, n, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, even
+    )
     for omega, w_omega, profile in zip(dirs, wdir, profiles):
         idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
         # a grid field vanishes outside the box, so only query the kernel inside
         inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
         # the same offset formula as correction_K, so both read equal kernel values
         s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
-        kvals = _kernel_on_ray(domain, omega, s_vals[inside], n, opts.kernel_margin, profile)
+        kvals = profile.eval(s_vals[inside], order=n, hilbert=even)
         coef = _correction_constant(n) * w_omega * r_max[:, None] * rad.weights
         live = inside.reshape(-1)
         cells = np.nonzero(inside)[0] * size + idx[:, live]

@@ -2,14 +2,16 @@
 
 The reconstruction correction operator needs high derivatives in the
 offset variable of the Radon transform of the domain indicator, with a
-Hilbert transform interposed in even dimension.  For ellipsoids that
-composite is available in closed form; for other domains it is obtained
-by tabulating the transform on a grid of offsets for each direction and
+Hilbert transform interposed in even dimension.  It is obtained by
+tabulating the transform on a grid of offsets for each direction and
 differentiating the table, wrapped up in a :class:`KernelProfile` per
-direction.  The profiles of a whole set of directions are built together:
-one batched chord search over every (direction, offset) pair supplies all
-their section values.  On a superellipse it tells hits from misses at a
-closed-form inside point and finds each chord end by monotone Newton steps.
+direction.  On an ellipsoid the composite vanishes; its closed form, and
+the finite-difference derivatives of single section profiles, live with
+the reference routes in ``tests/_oracles.py``.  The profiles of a whole
+set of directions are built together: one batched chord search over
+every (direction, offset) pair supplies all their section values.  On a
+superellipse it tells hits from misses at a closed-form inside point and
+finds each chord end by monotone Newton steps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .calculus import (
     interp_cubic,
     richardson,
     stencil_apply,
-    stencil_derivative,
     unit_ball_volume,
 )
 from .geometry import (
@@ -42,15 +43,9 @@ __all__ = [
     "Phantom",
     "KernelProfile",
     "OutOfRegionError",
-    "EndpointSingularityError",
-    "spherical_mean",
     "sphere_means",
     "mollifier_eval",
     "mollifier_radon",
-    "radon_chi",
-    "radon_chi_deriv",
-    "hilbert_pv",
-    "hilbert_radon_chi_deriv",
     "build_kernel_profile",
     "bump_radial",
     "bump_radial_deriv",
@@ -68,10 +63,6 @@ CHORD_NEWTON_STEPS = 64
 
 class OutOfRegionError(ValueError):
     """Kernel evaluation requested too close to a tangent chord."""
-
-
-class EndpointSingularityError(ValueError):
-    """Principal-value evaluation point coincides with a support endpoint."""
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +222,6 @@ def sphere_means(f, x, radii, m: int, n: int | None = None):
     return np.sum(vals * w, axis=-1)
 
 
-def spherical_mean(f, x, r: float, m: int) -> float:
-    """Average of f over the sphere of radius r around x.
-
-    Trapezoid rule on the circle for n = 2; Gauss-Legendre in the polar
-    cosine times uniform azimuths for n = 3.  Both converge spectrally
-    for smooth integrands.
-    """
-    if m < 4:
-        raise ValueError(f"spherical_mean resolution must be >= 4, got m={m}")
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    x = np.asarray(x, dtype=float)
-    if r == 0.0:
-        return float(_as_eval(f)(x[None, :])[0])
-    return float(sphere_means(f, x, np.asarray(r), m))
-
-
 # ---------------------------------------------------------------------------
 # mollifier pair
 
@@ -303,20 +277,16 @@ def _check_unit(theta) -> np.ndarray:
     return th
 
 
-def radon_chi(domain: ConvexDomain, theta, s):
-    """(n-1)-volume of the section of the domain by the hyperplane
-    {<x, theta> = s}.
-
-    Ellipsoids reduce to the unit-ball section in stretched coordinates;
-    the superellipse chord ends are found by Newton steps on the convex
-    level function along the line, from outside (:func:`_superellipse_chord`).
-    """
-    th = _check_unit(theta)
-    ss = np.asarray(s, dtype=float)
-    scalar = ss.ndim == 0
-    sp = ss.reshape(-1) - float(np.dot(domain.center, th))
-    out = _sections(domain, th[None, :], sp[None, :])[0]
-    return float(out[0]) if scalar else out.reshape(ss.shape)
+def _centre_offsets(domain: ConvexDomain, dirs) -> np.ndarray:
+    """<c, theta> for one direction or each row of a batch, summed over the
+    coordinates in axis order, so a direction gets the same bits in a batch
+    as on its own."""
+    th = np.asarray(dirs, dtype=float)
+    c = domain.center
+    out = c[0] * th[..., 0]
+    for i in range(1, len(c)):
+        out = out + c[i] * th[..., i]
+    return out
 
 
 def _sections(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) -> np.ndarray:
@@ -412,7 +382,7 @@ def _offset_window(domain: ConvexDomain, th: np.ndarray, s, margin: float, order
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     w = support_halfwidth(domain, th)
-    sp = np.asarray(s, dtype=float) - float(np.dot(domain.center, th))
+    sp = np.asarray(s, dtype=float) - _centre_offsets(domain, th)
     far = np.abs(sp) > w - margin
     if np.any(far):
         raise OutOfRegionError(
@@ -422,107 +392,6 @@ def _offset_window(domain: ConvexDomain, th: np.ndarray, s, margin: float, order
     if order > 0 and np.any(np.abs(sp) >= w):
         raise OutOfRegionError("chord is tangent to the domain")
     return w, sp
-
-
-def radon_chi_deriv(
-    domain: ConvexDomain,
-    theta,
-    s: float,
-    order: int,
-    *,
-    method: str = "auto",
-    margin: float = 0.0,
-) -> float:
-    """Derivative of order ``order`` of the section profile in the offset.
-
-    Ellipsoids differentiate the closed form; anything else (or
-    ``method='fd'``) uses fourth-order central differences of
-    :func:`radon_chi` with Richardson extrapolation.  Chords outside the
-    safe offset window raise :class:`OutOfRegionError` since the
-    derivatives blow up at tangency.
-    """
-    th = _check_unit(theta)
-    n = domain.dimension
-    if not 0 <= order <= n:
-        raise ValueError(f"derivative order must be within 0..{n}, got {order}")
-    if method not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown method {method!r}")
-    w, sp = _offset_window(domain, th, float(s), margin, order)
-    sp = float(sp)
-    if method == "auto":
-        method = "analytic" if domain.kind == ELLIPSOID else "fd"
-    if method == "analytic":
-        if domain.kind != ELLIPSOID:
-            raise ValueError("analytic derivatives exist only for ellipsoids")
-        return float(_ellipsoid_profile_deriv(domain, th, sp, order))
-
-    if order == 0:
-        return float(radon_chi(domain, th, s))
-    # the widest stencil, at 2h, reaches 6h < w - |s'|: every chord stays secant
-    h = min(1e-2 * w, (w - abs(sp)) / 8.0)
-
-    def f(t):
-        return float(radon_chi(domain, th, t))
-
-    d_h = stencil_derivative(f, s, h, order)
-    d_2h = stencil_derivative(f, s, 2.0 * h, order)
-    return float(richardson(d_h, d_2h))
-
-
-def _ellipsoid_profile_deriv(domain: ConvexDomain, th: np.ndarray, sp, order: int):
-    """Closed-form offset derivative of an ellipsoid's section profile at
-    centred offsets ``sp`` (a scalar or an array)."""
-    n = domain.dimension
-    a = np.asarray(domain.semi_axes)
-    w = float(np.sqrt(np.sum((a * th) ** 2)))
-    pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
-    z = np.asarray(sp, dtype=float) / w
-    if n == 3:
-        # the profile is quadratic in the offset
-        if order == 0:
-            return pref * (1.0 - z * z)
-        if order == 1:
-            return -2.0 * pref * z / w
-        return np.full_like(z, -2.0 * pref / w**2 if order == 2 else 0.0)
-    # n == 2
-    q = 1.0 - z * z
-    if order == 0:
-        return pref * np.sqrt(q)
-    if order == 1:
-        return -pref * z / (w * np.sqrt(q))
-    return -pref / (w**2 * q**1.5)
-
-
-# ---------------------------------------------------------------------------
-# principal-value Hilbert transform
-
-
-def hilbert_pv(phi, support, s: float, m: int) -> float:
-    """Hilbert transform (1/pi) p.v. integral of phi(t)/(s - t) dt for a
-    function supported on [a, b].
-
-    Inside the support the singularity is subtracted:
-    (1/pi) [ int (phi(t) - phi(s))/(s - t) dt + phi(s) ln((s-a)/(b-s)) ].
-    """
-    a, b = (float(support[0]), float(support[1]))
-    if not a < b:
-        raise ValueError(f"empty support ({a}, {b})")
-    if m < 64:
-        raise ValueError(f"hilbert_pv needs m >= 64 quadrature nodes, got {m}")
-    if min(abs(s - a), abs(s - b)) <= 1e-12:
-        raise EndpointSingularityError(f"evaluation point {s} coincides with a support endpoint")
-    if s < a or s > b:
-        rule = gauss_legendre(m, a, b)
-        vals = np.asarray(phi(rule.nodes), dtype=float)
-        return float(np.sum(rule.weights * vals / (s - rule.nodes)) / math.pi)
-    phis = float(phi(np.asarray([s]))[0])
-    total = phis * math.log((s - a) / (b - s))
-    half = max(m // 2, 32)
-    for lo, hi in ((a, s), (s, b)):
-        rule = gauss_legendre(half, lo, hi)
-        vals = np.asarray(phi(rule.nodes), dtype=float)
-        total += float(np.sum(rule.weights * (vals - phis) / (s - rule.nodes)))
-    return total / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +516,12 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
     if margin <= 0:
         raise ValueError(f"profile margin must be positive, got {margin}")
     rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi) if with_hilbert else None
-    ths, frames, rows = [], [], []
-    for theta in thetas:
-        th = _check_unit(theta)
+    ths = [_check_unit(theta) for theta in thetas]
+    frames, rows = [], []
+    for th, s_center in zip(ths, _centre_offsets(domain, np.array(ths)).tolist()):
         w = support_halfwidth(domain, th)
         if margin >= w:
             raise ValueError(f"margin {margin} exceeds the support halfwidth {w}")
-        s_center = float(np.dot(domain.center, th))
         q = w - margin
         v = q / (1.0 - 2.0 * _PAD / (num_table - 1))
         if v >= w * (1.0 - 1e-9):
@@ -665,7 +533,6 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
         offsets = s_grid
         if with_hilbert:
             offsets = np.concatenate([s_grid, s_center + w * np.sin(rule.nodes)])
-        ths.append(th)
         frames.append((w, s_center, offsets))
         rows.append(offsets - s_center)
     values = _sections(domain, np.array(ths), np.array(rows))
@@ -699,24 +566,3 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
         )
     return profiles
 
-
-def hilbert_radon_chi_deriv(
-    domain: ConvexDomain,
-    theta,
-    s: float,
-    order: int,
-    *,
-    margin: float,
-    num_table: int = 512,
-    num_quad: int = 256,
-) -> float:
-    """Offset derivative of the Hilbert transform of the section profile.
-
-    Built by tabulating the transform along the direction and
-    differentiating the table, one profile per call.
-    """
-    profile = build_kernel_profile(
-        domain, theta, order, margin=margin, num_table=num_table, num_quad=num_quad,
-        with_hilbert=True,
-    )
-    return float(profile.eval(s, order=order, hilbert=True))

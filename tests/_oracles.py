@@ -22,6 +22,11 @@ search, trace-operator build, halfwidths) are the package's earlier code for
 work it now does once, in blocks or batched, and the ungated closed fields
 are its earlier code for work it now does only on the Huygens band; they
 share its arithmetic on purpose, so the tests can ask for equal bits.
+The single-chord and single-point routes at the very end (one section
+profile, its closed-form and differenced offset derivatives, the
+principal-value transform, the pointwise Neumann trace) were public routes
+of the package that no pipeline stage ran; they keep its calculus helpers
+and serve as references for the kernel profiles and the trace grid.
 """
 
 from __future__ import annotations
@@ -765,3 +770,107 @@ def trace_operator_2d_int64(times, params, r_grid):
     order = np.argsort(cols, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
     return rows[order], cols[order], coefs[order], ptr
+
+
+# ---------------------------------------------------------------------------
+# single-chord and single-point routes that the pipeline does not run
+
+
+class EndpointSingularityError(ValueError):
+    """Principal-value evaluation point coincides with a support endpoint."""
+
+
+def hilbert_pv(phi, support, s: float, m: int) -> float:
+    """Hilbert transform (1/pi) p.v. integral of phi(t)/(s - t) dt for a
+    function supported on [a, b], by Gauss-Legendre rules.
+
+    Inside the support the singularity is subtracted:
+    (1/pi) [ int (phi(t) - phi(s))/(s - t) dt + phi(s) ln((s-a)/(b-s)) ].
+    """
+    from neutrace.calculus import gauss_legendre
+
+    a, b = (float(support[0]), float(support[1]))
+    if min(abs(s - a), abs(s - b)) <= 1e-12:
+        raise EndpointSingularityError(f"evaluation point {s} coincides with a support endpoint")
+    if s < a or s > b:
+        rule = gauss_legendre(m, a, b)
+        vals = np.asarray(phi(rule.nodes), dtype=float)
+        return float(np.sum(rule.weights * vals / (s - rule.nodes)) / math.pi)
+    phis = float(phi(np.asarray([s]))[0])
+    total = phis * math.log((s - a) / (b - s))
+    half = max(m // 2, 32)
+    for lo, hi in ((a, s), (s, b)):
+        rule = gauss_legendre(half, lo, hi)
+        vals = np.asarray(phi(rule.nodes), dtype=float)
+        total += float(np.sum(rule.weights * (vals - phis) / (s - rule.nodes)))
+    return total / math.pi
+
+
+def radon_chi(domain, theta, s):
+    """(n-1)-volume of the section of the domain by the hyperplane
+    {<x, theta> = s}, at a scalar or an array of offsets: one row of
+    ``transforms._sections``."""
+    from neutrace.transforms import _centre_offsets, _sections
+
+    th = np.asarray(theta, dtype=float)
+    ss = np.asarray(s, dtype=float)
+    sp = ss.reshape(-1) - _centre_offsets(domain, th)
+    out = _sections(domain, th[None, :], sp[None, :])[0]
+    return float(out[0]) if ss.ndim == 0 else out.reshape(ss.shape)
+
+
+def ellipsoid_profile_deriv(domain, th, sp, order: int):
+    """Closed-form offset derivative of an ellipsoid's section profile
+    pref (1 - z^2)^((n-1)/2), z = sp / w, at centred offsets ``sp``; orders
+    0..3 in three dimensions, 2 in two."""
+    from neutrace.calculus import unit_ball_volume
+
+    n = domain.dimension
+    a = np.asarray(domain.semi_axes)
+    w = float(np.sqrt(np.sum((a * th) ** 2)))
+    pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
+    z = np.asarray(sp, dtype=float) / w
+    if n == 2:
+        return {2: -pref / (w**2 * (1.0 - z * z) ** 1.5)}[order]
+    # the profile is quadratic in the offset
+    return (pref * (1.0 - z * z), -2.0 * pref * z / w, np.full_like(z, -2.0 * pref / w**2),
+            np.zeros_like(z))[order]
+
+
+def radon_chi_deriv(domain, theta, s: float, order: int, *, method: str = "auto",
+                    margin: float = 0.0) -> float:
+    """Offset derivative of order 1..3 of one section profile: the closed
+    form (``analytic``, the default on ellipsoids) or fourth-order central
+    differences of :func:`radon_chi` with one Richardson step (``fd``).  A
+    chord outside the window of ``transforms._offset_window`` raises."""
+    from neutrace.calculus import richardson, stencil_derivative
+    from neutrace.transforms import _offset_window
+
+    th = np.asarray(theta, dtype=float)
+    w, sp = _offset_window(domain, th, float(s), margin, order)
+    if method == "analytic" or (method == "auto" and domain.kind == "ellipsoid"):
+        return float(ellipsoid_profile_deriv(domain, th, sp, order))
+    # the widest stencil, at 2h, reaches 6h < w - |s'|: every chord stays secant
+    h = min(1e-2 * w, (w - abs(float(sp))) / 8.0)
+    d_h, d_2h = (
+        stencil_derivative(lambda t: radon_chi(domain, th, t), s, step, order) for step in (h, 2.0 * h)
+    )
+    return float(richardson(d_h, d_2h))
+
+
+def neumann_trace(f, domain, y, nu, t: float, params=None) -> float:
+    """Outward normal derivative of the wave field at one boundary point y
+    and one time t >= 0: the normal stencil across y applied to the
+    package's pointwise wave solution (``forward._wave_batch``), with f
+    itself at t = 0.  The route ``simulate_traces`` batches over nodes and
+    times."""
+    from neutrace.forward import SolverParams, _nu_stencil, _wave_batch
+
+    params = (params or SolverParams()).resolved(domain=domain, t_scale=max(1.0, t))
+    offsets, weights = _nu_stencil(params)
+    centers = np.asarray(y, dtype=float) + offsets[:, None] * np.asarray(nu, dtype=float)
+    if t == 0.0:
+        vals = f.eval(centers)
+    else:
+        vals = np.array([_wave_batch(f, c, np.asarray(t), params, f.dimension) for c in centers])
+    return float(np.sum(weights * vals))

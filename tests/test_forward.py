@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    neumann_trace,
     trace_operator_2d_int64,
     trace_table_2d_per_centre,
     traces_2d_direct,
@@ -25,7 +26,6 @@ from neutrace.forward import (
     _radial_table_2d,
     _trace_operator_2d,
     huygens_horizon,
-    neumann_trace,
     phantom_hash,
     read_trace_file,
     simulate_traces,
@@ -218,20 +218,26 @@ def test_wave_superposition_is_exact():
 
 
 def test_neumann_trace_settles_to_zero_at_t0(bump3d, unit_ball):
+    """The pointwise trace is exactly zero at t = 0, where the bump vanishes
+    across the boundary, which is the first column simulate_traces writes;
+    at every later sample the simulated row is that trace to the bit, both
+    routes applying the same normal stencil to the same closed field."""
     bq = boundary_quadrature(unit_ball, 8)
-    assert neumann_trace(bump3d, unit_ball, bq.points[0], bq.normals[0], 0.0) == 0.0
-    with pytest.raises(ValueError):
-        neumann_trace(bump3d, unit_ball, bq.points[0], bq.normals[0], -0.5)
+    times = TimeGrid(t_max=3.0, nt=24)
+    traces = simulate_traces(bump3d, unit_ball, bq, times)
+    for j in (0, 5, 64):
+        want = [neumann_trace(bump3d, unit_ball, bq.points[j], bq.normals[j], t) for t in times.samples]
+        assert want[0] == 0.0
+        np.testing.assert_array_equal(traces.values[j], want)
 
 
 def test_trace_rotational_symmetry(unit_ball):
     """A centered radial phantom must give the same trace at every node."""
     f = Phantom((Bump(center=(0.0, 0.0, 0.0), radius=0.4),))
     bq = boundary_quadrature(unit_ball, 8)
-    # nodes of one polar ring and of different rings: the field is exact in angle
-    ring = [
-        neumann_trace(f, unit_ball, bq.points[j], bq.normals[j], 1.0) for j in (0, 3, 7, 12, 64)
-    ]
+    traces = simulate_traces(f, unit_ball, bq, TimeGrid(t_max=2.0, nt=3))
+    # nodes of one polar ring and of different rings, at t = 1: the field is exact in angle
+    ring = traces.values[[0, 3, 7, 12, 64], 1]
     assert max(ring) - min(ring) <= 1e-11
 
 

@@ -1,6 +1,7 @@
 """Back-projection, the correction operator and image output."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,17 +16,16 @@ from neutrace.forward import (
     _nu_stencil,
     simulate_traces,
 )
-from neutrace.geometry import boundary_quadrature, ellipsoid, support_halfwidth
+from neutrace.geometry import boundary_quadrature, ellipsoid
 from neutrace.inversion import (
     ImageGrid,
     ReconstructionOptions,
     _angular_set,
+    _as_field,
     _correction_constant,
     _correction_matrix,
     _even_at,
     _interp_rows,
-    _kernel_on_ray,
-    _ray_profiles,
     _support_radius,
     backproject_even,
     backproject_odd,
@@ -41,7 +41,8 @@ from neutrace.transforms import (
     Phantom,
     bump_radial,
     bump_radial_deriv,
-    radon_chi_deriv,
+    _build_profiles,
+    _offset_window,
 )
 
 # back-projected value at the bump centre for the radius-0.35 phantom in
@@ -122,7 +123,9 @@ def se4_correction_roundoff(domain, f, x, opts):
     r = r_max * rad.nodes
     total, chord = 0.0, 0.0
     dirs, wdir = _angular_set(2, opts.k_angular)
-    profiles = _ray_profiles(domain, dirs, 2, opts.kernel_margin, opts)
+    profiles = _build_profiles(
+        domain, dirs, 2, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, True
+    )
     for omega, w_omega, prof in zip(dirs, wdir, profiles):
         fvals = f.eval(x + r[:, None] * omega)
         mask = fvals != 0.0
@@ -168,7 +171,9 @@ def matrix_route_roundoff(grid, domain, v, opts):
     rad = gauss_legendre(q, 0.0, 1.0)
     modulus = ImageGrid(grid.lo, grid.hi, grid.shape, np.abs(v))
     dirs, wdir = _angular_set(n, m)
-    profiles = _ray_profiles(domain, dirs, n, opts.kernel_margin, opts)
+    profiles = _build_profiles(
+        domain, dirs, n, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, n % 2 == 0
+    )
     terms = []
     for x in grid.points():
         r_max = _support_radius(grid, x)
@@ -180,7 +185,7 @@ def matrix_route_roundoff(grid, domain, v, opts):
             if not np.any(mask):
                 continue
             s_vals = float(np.sum(x * omega)) + 0.5 * r[mask]
-            kvals = np.abs(_kernel_on_ray(domain, omega, s_vals, n, opts.kernel_margin, profile))
+            kvals = np.abs(profile.eval(s_vals, order=n, hilbert=n % 2 == 0))
             total += w_omega * r_max * np.sum(rad.weights[mask] * fvals[mask] * kvals)
         terms.append(abs(_correction_constant(n)) * total)
     return chain * np.finfo(float).eps * np.array(terms)
@@ -379,96 +384,82 @@ def test_correction_vanishes_on_the_ball(bump3d, unit_ball):
     assert correction_K(bump3d, (0.1, 0.0, 0.0), unit_ball, margin=0.25) == 0.0
 
 
-def test_odd_ellipsoid_kernel_is_the_vectorised_closed_form():
-    """On an odd-dimensional ellipsoid the ray kernel is the closed form at
-    every offset at once, equal to the pointwise derivative, and an offset
-    outside the safe window still raises."""
-    dom = ellipsoid((0.1, 0.0, -0.1), (1.0, 1.2, 0.9))
-    margin = 0.25
-    dirs, _ = _angular_set(3, 4)
-    assert _ray_profiles(dom, dirs, 3, margin, ReconstructionOptions()) == [None] * len(dirs)
-    for th in dirs[::5]:
-        c = float(np.dot(dom.center, th))
-        q = support_halfwidth(dom, th) - margin
-        s = c + np.linspace(-q, q, 9)
-        for order in range(4):
-            got = _kernel_on_ray(dom, th, s, order, margin, None)
-            want = [radon_chi_deriv(dom, th, v, order, margin=margin) for v in s]
-            assert np.array_equal(got, want)
-        assert np.all(got == 0.0)
-        for beyond in (c + q + 1e-3, c - q - 1e-3):
-            with pytest.raises(OutOfRegionError, match="outside safe window"):
-                _kernel_on_ray(dom, th, np.append(s, beyond), 3, margin, None)
-            with pytest.raises(OutOfRegionError, match="outside safe window"):
-                radon_chi_deriv(dom, th, beyond, 3, margin=margin)
-
-
 def test_correction_on_the_ball_raises_outside_the_window(bump3d, unit_ball):
     # chords of the radius-0.35 bump around (0.1, 0, 0) reach |s| > 0.1
     with pytest.raises(OutOfRegionError, match="outside safe window"):
         correction_K(bump3d, (0.1, 0.0, 0.0), unit_ball, margin=0.9)
 
 
-def test_ball_correction_raises_where_the_direction_loop_would(bump3d, unit_ball):
-    """On the ball the correction returns zero without summing its zero
-    kernel, yet rejects the same offsets as a loop over every direction that
-    reads the kernel wherever the field is non-zero, with the same error."""
-    opts = ReconstructionOptions(k_radial=8, k_angular=8)
-    dirs, _ = _angular_set(3, opts.k_angular)
-    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
-    for x in ((0.1, 0.0, 0.0), (0.4, -0.2, 0.1)):
-        x = np.asarray(x)
-        r = _support_radius(bump3d, x) * rad.nodes
-        for margin in (0.25, 0.55, 0.75, 0.9):
-            want = None
-            for omega in dirs:
-                mask = bump3d.eval(x + r[:, None] * omega) != 0.0
-                if np.any(mask):
-                    try:
-                        _kernel_on_ray(unit_ball, omega, x @ omega + 0.5 * r[mask], 3, margin, None)
-                    except OutOfRegionError as err:
-                        want = str(err)
-                        break
-            if want is None:
-                assert correction_K(bump3d, x, unit_ball, opts, margin=margin) == 0.0
-            else:
-                with pytest.raises(OutOfRegionError) as got:
-                    correction_K(bump3d, x, unit_ball, opts, margin=margin)
-                assert str(got.value) == want
+#: an odd-dimensional ellipsoid off the origin, where the chord windows
+#: depend on the centre projections <c, theta>
+OFF_CENTRE_ELLIPSOID = ellipsoid((0.1, 0.0, -0.1), (1.0, 1.2, 0.9))
 
 
-def test_ball_correction_matrix_rejects_the_margins_the_direction_loop_rejects(ball_traces):
-    """On the ball the assembled correction is the zero matrix, built without
-    a direction loop, yet reconstruct rejects the same kernel margins as a
-    loop over every direction that reads the kernel at the samples inside
-    the grid box: a negative margin, and one whose window the box leaves."""
-    grid = ImageGrid(lo=(-0.2, -0.2, -0.2), hi=(0.2, 0.2, 0.2), shape=(3, 3, 3))
-    pts = grid.points()
-    rad = gauss_legendre(8, 0.0, 1.0)
-    r = np.array([_support_radius(grid, p) for p in pts])[:, None] * rad.nodes
+def window_loop_error(domain, field, pts, margin):
+    """The first error of a loop over the points and, at each, over every
+    direction of k_angular 8 that checks the chord window of the k_radial 8
+    samples where the field is non-zero; None if it raises none."""
     dirs, _ = _angular_set(3, 8)
-    seen = []
-    for margin in (-0.1, 0.0, 0.5, 0.6, 0.9):
-        want = None
-        try:
-            for omega in dirs:
-                _, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, 3))
-                inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
-                s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
-                _kernel_on_ray(ball_traces.domain, omega, s_vals[inside], 3, margin, None)
-        except ValueError as err:
-            want = type(err)
-        opts = ReconstructionOptions(
-            correction="fixed_point", k_radial=8, k_angular=8, kernel_margin=margin
-        )
-        if want is None:
-            assert reconstruct(ball_traces, grid, opts).meta["operator_norm"] == 0.0
-        else:
-            with pytest.raises(ValueError) as got:
-                reconstruct(ball_traces, grid, opts)
-            assert type(got.value) is want
-        seen.append(want)
-    assert seen == [ValueError, None, None, None, OutOfRegionError]
+    pts = np.asarray(pts, dtype=float)
+    r = np.array([_support_radius(field, x) for x in pts])[:, None] * gauss_legendre(8, 0.0, 1.0).nodes
+    live = _as_field(field)(pts[:, None, None] + r[:, None, :, None] * dirs[:, None]) != 0.0
+    try:
+        for x, r_x, live_x in zip(pts, r, live):
+            for omega, mask in zip(dirs, live_x):
+                _offset_window(domain, omega, x @ omega + 0.5 * r_x[mask], margin, 3)
+    except ValueError as err:
+        return err
+    return None
+
+
+def test_ball_correction_raises_where_the_direction_loop_would(bump3d, unit_ball):
+    """On the ball, and on an ellipsoid off the origin, the correction returns
+    zero without summing its zero kernel, yet rejects the same offsets as a
+    loop over every direction that checks the chord window wherever the
+    field is non-zero, with the same error."""
+    opts = ReconstructionOptions(k_radial=8, k_angular=8)
+    for domain in (unit_ball, OFF_CENTRE_ELLIPSOID):
+        raised = []
+        for x in ((0.1, 0.0, 0.0), (0.4, -0.2, 0.1)):
+            for margin in (0.25, 0.55, 0.75, 0.9):
+                want = window_loop_error(domain, bump3d, [x], margin)
+                raised.append(want is not None)
+                if want is None:
+                    assert correction_K(bump3d, x, domain, opts, margin=margin) == 0.0
+                else:
+                    with pytest.raises(OutOfRegionError, match=f"^{re.escape(str(want))}$"):
+                        correction_K(bump3d, x, domain, opts, margin=margin)
+        assert any(raised) and not all(raised)
+
+
+def test_ball_correction_matrix_rejects_the_margins_the_direction_loop_rejects(bump3d, ball_traces):
+    """On the ball, and on an ellipsoid off the origin, the assembled
+    correction is the zero matrix, built without a direction loop, yet
+    reconstruct rejects the same kernel margins as a loop over every
+    direction that checks the chord window at the samples inside the grid
+    box, with the same error: a negative margin, and one whose window the
+    box leaves."""
+    grid = ImageGrid(lo=(-0.2, -0.2, -0.2), hi=(0.2, 0.2, 0.2), shape=(3, 3, 3))
+    box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(27))
+    dom = OFF_CENTRE_ELLIPSOID
+    off_centre = simulate_traces(bump3d, dom, boundary_quadrature(dom, 8), TimeGrid(t_max=3.0, nt=120))
+    for traces, expected in (
+        (ball_traces, [ValueError, None, None, None, OutOfRegionError]),
+        (off_centre, [ValueError, None, None, OutOfRegionError, OutOfRegionError]),
+    ):
+        seen = []
+        for margin in (-0.1, 0.0, 0.5, 0.6, 0.9):
+            want = window_loop_error(traces.domain, box, grid.points(), margin)
+            opts = ReconstructionOptions(
+                correction="fixed_point", k_radial=8, k_angular=8, kernel_margin=margin
+            )
+            if want is None:
+                assert reconstruct(traces, grid, opts).meta["operator_norm"] == 0.0
+            else:
+                with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                    reconstruct(traces, grid, opts)
+            seen.append(want and type(want))
+        assert seen == expected
 
 
 def test_correction_vanishes_on_the_ellipse(ellipse21):

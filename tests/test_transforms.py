@@ -11,21 +11,16 @@ from hypothesis import strategies as st
 from neutrace.geometry import ellipsoid, superellipse, support_halfwidth
 from neutrace.transforms import (
     Bump,
-    EndpointSingularityError,
     OutOfRegionError,
     Phantom,
     build_kernel_profile,
     bump_radial,
     bump_radial_deriv,
-    hilbert_pv,
-    hilbert_radon_chi_deriv,
     mollifier_eval,
     mollifier_radon,
-    radon_chi,
-    radon_chi_deriv,
     sphere_means,
-    spherical_mean,
     _build_profiles,
+    _centre_offsets,
     _sections,
     _superellipse_chord,
 )
@@ -35,6 +30,9 @@ from neutrace.calculus import richardson, stencil_derivative
 from _oracles import (
     adaptive_simpson,
     hilbert_exclusion,
+    hilbert_pv,
+    radon_chi,
+    radon_chi_deriv,
     radon_line_integral,
     radon_plane_integral,
     superellipse_chord_bisection,
@@ -133,25 +131,25 @@ def test_spherical_mean_of_affine_data_is_exact():
     def f(pts):
         return 0.7 - 1.3 * pts[..., 0] + 0.4 * pts[..., 1]
 
-    assert spherical_mean(f, (0.3, -0.2), 0.6, 16) == pytest.approx(
+    assert sphere_means(f, (0.3, -0.2), 0.6, 16) == pytest.approx(
         0.7 - 1.3 * 0.3 + 0.4 * -0.2, abs=1e-13
     )
 
     def g(pts):
         return 0.5 + pts[..., 0] - 2.0 * pts[..., 2]
 
-    assert spherical_mean(g, (0.1, 0.0, 0.4), 0.5, 12) == pytest.approx(
+    assert sphere_means(g, (0.1, 0.0, 0.4), 0.5, 12) == pytest.approx(
         0.5 + 0.1 - 0.8, abs=1e-13
     )
 
 
 def test_spherical_mean_vanishes_beyond_the_support(bump2d):
-    assert spherical_mean(bump2d, (3.0, 0.0), 0.5, 32) == 0.0
+    assert sphere_means(bump2d, (3.0, 0.0), 0.5, 32) == 0.0
 
 
 def test_spherical_mean_frozen_value(bump2d):
     f = Phantom((Bump(center=(0.0, 0.0), radius=0.6),))
-    assert spherical_mean(f, (0.3, 0.0), 0.5, 128) == pytest.approx(
+    assert sphere_means(f, (0.3, 0.0), 0.5, 128) == pytest.approx(
         MEAN_2D_CONVERGED, abs=1e-8
     )
 
@@ -159,24 +157,22 @@ def test_spherical_mean_frozen_value(bump2d):
 def test_spherical_mean_spectral_convergence():
     # sphere strictly inside the bump support, so the integrand is analytic
     f2 = Phantom((Bump(center=(0.0, 0.0), radius=0.6),))
-    ref2 = spherical_mean(f2, (0.3, 0.0), 0.25, 512)
-    errs2 = [abs(spherical_mean(f2, (0.3, 0.0), 0.25, m) - ref2) for m in (8, 16, 32)]
+    ref2 = sphere_means(f2, (0.3, 0.0), 0.25, 512)
+    errs2 = [abs(sphere_means(f2, (0.3, 0.0), 0.25, m) - ref2) for m in (8, 16, 32)]
     assert errs2[1] <= errs2[0] / 10.0
     assert errs2[2] <= errs2[1] / 10.0
     assert errs2[2] < 1e-12
 
     f3 = Phantom((Bump(center=(0.0, 0.0, 0.0), radius=0.6),))
-    ref3 = spherical_mean(f3, (0.3, 0.0, 0.0), 0.25, 256)
-    errs3 = [abs(spherical_mean(f3, (0.3, 0.0, 0.0), 0.25, m) - ref3) for m in (8, 16)]
+    ref3 = sphere_means(f3, (0.3, 0.0, 0.0), 0.25, 256)
+    errs3 = [abs(sphere_means(f3, (0.3, 0.0, 0.0), 0.25, m) - ref3) for m in (8, 16)]
     assert errs3[1] <= errs3[0] / 10.0
     assert errs3[1] < 1e-12
 
 
-def test_sphere_means_radius_sign_and_validation(bump2d):
+def test_sphere_means_are_even_in_the_radius(bump2d):
     vals = sphere_means(bump2d, (0.3, 0.0), np.array([-0.5, 0.5]), 64)
     assert vals[0] == pytest.approx(vals[1], rel=1e-14)
-    with pytest.raises(ValueError):
-        spherical_mean(bump2d, (0.3, 0.0), 0.5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +234,44 @@ def test_mollifier_radon_profile_mass():
 
 
 def test_radon_chi_disk_chords(unit_disk):
-    assert radon_chi(unit_disk, (1.0, 0.0), 0.0) == pytest.approx(2.0, rel=1e-13)
-    assert radon_chi(unit_disk, (1.0, 0.0), 0.6) == pytest.approx(1.6, rel=1e-13)
-    assert radon_chi(unit_disk, (0.0, 1.0), 1.0) == 0.0
-    assert radon_chi(unit_disk, (0.0, 1.0), -1.2) == 0.0
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    chords = _sections(unit_disk, dirs, np.array([[0.0, 0.6], [1.0, -1.2]]))
+    assert chords[0, 0] == pytest.approx(2.0, rel=1e-13)
+    assert chords[0, 1] == pytest.approx(1.6, rel=1e-13)
+    assert chords[1, 0] == 0.0
+    assert chords[1, 1] == 0.0
 
 
 def test_radon_chi_ball_sections(unit_ball):
-    assert radon_chi(unit_ball, (0.0, 0.0, 1.0), 0.0) == pytest.approx(math.pi, rel=1e-13)
     s = 0.4
-    assert radon_chi(unit_ball, (0.0, 0.0, 1.0), s) == pytest.approx(
-        math.pi * (1.0 - s * s), rel=1e-13
-    )
+    areas = _sections(unit_ball, np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, s]]))[0]
+    assert areas[0] == pytest.approx(math.pi, rel=1e-13)
+    assert areas[1] == pytest.approx(math.pi * (1.0 - s * s), rel=1e-13)
 
 
 def test_radon_chi_accepts_arrays(ellipse21):
+    """Each row of offsets is read along its own direction."""
     s = np.array([-0.5, 0.0, 0.5, 3.0])
-    vals = radon_chi(ellipse21, (1.0, 0.0), s)
-    assert vals.shape == s.shape
-    assert vals[3] == 0.0
-    assert vals[1] == pytest.approx(2.0, rel=1e-13)
+    vals = _sections(ellipse21, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([s, s]))
+    assert vals.shape == (2, s.size)
+    assert np.all(vals[:, 3] == 0.0)
+    assert vals[0, 1] == pytest.approx(2.0, rel=1e-13)
+    assert vals[1, 1] == pytest.approx(4.0, rel=1e-13)
 
 
 def test_radon_chi_rejects_non_unit_direction(unit_disk):
     with pytest.raises(ValueError, match="unit"):
-        radon_chi(unit_disk, (2.0, 0.0), 0.0)
+        build_kernel_profile(unit_disk, (2.0, 0.0), 2, margin=0.1)
+
+
+def test_centre_offsets_have_the_same_bits_in_a_batch():
+    """<c, theta> of a direction is the same float alone and in any batch."""
+    dom = ellipsoid((0.1, -0.3, 0.25), (1.0, 1.2, 0.9))
+    dirs, _ = _angular_set(3, 6)
+    batch = _centre_offsets(dom, dirs)
+    assert np.array_equal(batch, [_centre_offsets(dom, th) for th in dirs])
+    assert np.array_equal(_centre_offsets(dom, dirs[1::3]), batch[1::3])
+    np.testing.assert_allclose(batch, dirs @ np.asarray(dom.center), rtol=0.0, atol=1e-15)
 
 
 def test_radon_chi_superellipse_against_line_integral(se4):
@@ -331,12 +340,10 @@ def test_radon_chi_deriv_window_and_validation(se4, unit_disk):
     w = support_halfwidth(se4, (1.0, 0.0))
     with pytest.raises(OutOfRegionError):
         radon_chi_deriv(se4, (1.0, 0.0), w - 0.01, 2, margin=0.1)
-    with pytest.raises(OutOfRegionError):
-        radon_chi_deriv(unit_disk, (1.0, 0.0), 1.0, 1)  # tangent chord
-    with pytest.raises(ValueError):
-        radon_chi_deriv(unit_disk, (1.0, 0.0), 0.0, 3)  # order > n
-    with pytest.raises(ValueError):
-        radon_chi_deriv(se4, (1.0, 0.0), 0.0, 2, method="analytic")
+    with pytest.raises(OutOfRegionError, match="tangent"):
+        radon_chi_deriv(unit_disk, (1.0, 0.0), 1.0, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        radon_chi_deriv(se4, (1.0, 0.0), 0.0, 2, margin=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +384,6 @@ def test_hilbert_pv_outside_support():
     assert got == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-8)
 
 
-def test_hilbert_pv_validation():
-    with pytest.raises(EndpointSingularityError):
-        hilbert_pv(phi_semicircle, (-1.0, 1.0), 1.0, 256)
-    with pytest.raises(ValueError):
-        hilbert_pv(phi_semicircle, (-1.0, 1.0), 0.3, 32)
-    with pytest.raises(ValueError):
-        hilbert_pv(phi_semicircle, (1.0, -1.0), 0.3, 256)
-
-
 # ---------------------------------------------------------------------------
 # kernel profiles
 
@@ -400,20 +398,20 @@ def test_hilbert_of_disk_profile_is_linear(unit_disk):
 @pytest.mark.parametrize("domain_key", ["unit_disk", "ellipse21"])
 def test_composite_kernel_vanishes_on_ellipses(domain_key, request):
     dom = request.getfixturevalue(domain_key)
+    prof = build_kernel_profile(dom, (1.0, 0.0), 2, margin=0.1, with_hilbert=True)
     for s in (-0.3, 0.0, 0.4):
-        v = hilbert_radon_chi_deriv(dom, (1.0, 0.0), s * min(dom.semi_axes), 2, margin=0.1)
-        assert abs(v) <= 1e-8
+        assert abs(prof.eval(s * min(dom.semi_axes))) <= 1e-8
 
 
 def test_composite_kernel_superellipse_frozen_values(se4):
-    v2 = hilbert_radon_chi_deriv(se4, (1.0, 0.0), 0.2, 2, margin=0.1)
-    v3 = hilbert_radon_chi_deriv(se4, (1.0, 0.0), 0.3, 2, margin=0.1)
+    prof = build_kernel_profile(se4, (1.0, 0.0), 2, margin=0.1, with_hilbert=True)
+    v2, v3 = prof.eval(0.2), prof.eval(0.3)
     assert v2 == pytest.approx(SE4_HILBERT_D2_AT_02, rel=1e-7)
     assert v3 == pytest.approx(SE4_HILBERT_D2_AT_03, rel=1e-7)
     # refining the table and quadrature together leaves the value in place
-    v2r = hilbert_radon_chi_deriv(
-        se4, (1.0, 0.0), 0.2, 2, margin=0.1, num_table=1024, num_quad=512
-    )
+    v2r = build_kernel_profile(
+        se4, (1.0, 0.0), 2, margin=0.1, num_table=1024, num_quad=512, with_hilbert=True
+    ).eval(0.2)
     assert v2r == pytest.approx(v2, rel=1e-6)
 
 
@@ -421,8 +419,8 @@ def test_composite_kernel_is_odd_under_chord_flip(se4):
     """(theta, s) -> (-theta, -s) keeps the chord but flips the transform
     direction, so the odd-order Hilbert factor negates the composite."""
     for th, s in ((np.array([1.0, 0.0]), 0.1), (np.array([0.6, 0.8]), 0.15)):
-        a = hilbert_radon_chi_deriv(se4, th, s, 2, margin=0.1)
-        b = hilbert_radon_chi_deriv(se4, -th, -s, 2, margin=0.1)
+        a = build_kernel_profile(se4, th, 2, margin=0.1, with_hilbert=True).eval(s)
+        b = build_kernel_profile(se4, -th, 2, margin=0.1, with_hilbert=True).eval(-s)
         assert b == pytest.approx(-a, rel=1e-7)
         assert abs(a) > 0.1  # away from the parity zeros
 
