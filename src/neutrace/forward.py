@@ -7,6 +7,11 @@ dimensions u = d/dt of an Abel-type radial integral of the spherical means
 of f, desingularised by the sine substitution, with the time derivative a
 fourth-order central difference on the even-in-time extension.  Normal
 derivatives are a central difference across the boundary in both.
+
+Fields are evaluated only where they can be non-zero, with every value
+kept to the bit: the 3-D field on each bump's Huygens band, the 2-D circle
+means on the radii, and at each radius the arc of the circle, that can meet
+a bump.
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ from .geometry import (
     ellipsoid,
     superellipse,
 )
-from .transforms import Bump, Phantom, bump_radial, bump_radial_deriv, sphere_means
+from .transforms import (
+    Bump,
+    Phantom,
+    _mean_directions,
+    bump_radial,
+    bump_radial_deriv,
+    sphere_means,
+)
 
 __all__ = [
     "TimeGrid",
@@ -104,9 +116,10 @@ class SolverParams:
     two-dimensional trace simulation only: it is the size of the radial table
     of the spherical means that is laid over [0, t_max + 2 h_t] around each
     normal-stencil centre, filled only on the band of radii that can meet the
-    phantom; the map from a table to a trace row is built once per run as a
-    sparse operator.  Two-dimensional simulation needs at least 4 points, one
-    cubic stencil.  Three-dimensional simulation ignores the value, so any
+    phantom, each radius from the ``mean_res`` circle points on the arc that
+    can meet a bump; the map from a table to a trace row is built once per run
+    as a sparse operator.  Two-dimensional simulation needs at least 4 points,
+    one cubic stencil.  Three-dimensional simulation ignores the value, so any
     value >= 0 is accepted (trace files written with 0 still read back).
     """
 
@@ -334,9 +347,10 @@ def _radial_table_2d(f, c, r_grid, mean_res):
 
     A circle of radius r around c stays at distance >= |r - |c - b.center||
     from a bump centre (triangle inequality), so only radii within one bump
-    radius of that distance can meet the bump.  Only those are evaluated;
-    the rest are exact zeros.  The band is widened by one grid step, far
-    beyond the roundoff in the sample points.
+    radius of that distance can meet the bump.  Only those are evaluated,
+    each on the arc that can meet a bump (:func:`_arc_means`); the rest are
+    exact zeros.  The band is widened by one grid step, far beyond the
+    roundoff in the sample points.
     """
     dr = r_grid[1] - r_grid[0]
     band = np.zeros(r_grid.shape[0], dtype=bool)
@@ -346,8 +360,37 @@ def _radial_table_2d(f, c, r_grid, mean_res):
     table = np.zeros(r_grid.shape[0])
     idx = np.flatnonzero(band)
     if idx.size:
-        table[idx] = sphere_means(f, c, r_grid[idx], mean_res, n=2)
+        table[idx] = _arc_means(f, c, r_grid[idx], mean_res)
     return table
+
+
+def _arc_means(f, c, radii, mean_res):
+    """``sphere_means(f, c, radii, mean_res, n=2)`` for radii >= 0, with f
+    evaluated only at the circle points that can lie in a bump.
+
+    The point c + r u lies in the bump (b, R) when |c + r u - b| < R, that is
+    when 2 r <u, e> > r^2 + |e|^2 - R^2 with e = b - c.  A point is kept when
+    this holds for some bump up to a slack of 1e-9 (r + |c| + |b| + R)^2,
+    far beyond the roundoff of the test and of the sample point itself,
+    which grows with the coordinates.  The test has no division, so centres
+    at a bump centre, radius 0 and circles inside a bump need no special
+    case.  Every kept point is evaluated elementwise as in ``sphere_means``
+    and every skipped one is an exact zero there, so the means keep its bits.
+    """
+    dirs, w = _mean_directions(2, mean_res)
+    c_norm = float(np.sqrt(np.sum(c * c)))
+    keep = np.zeros((radii.shape[0], mean_res), dtype=bool)
+    for b in f.bumps:
+        centre = np.asarray(b.center, dtype=float)
+        e = centre - c
+        d2 = float(np.sum(e * e))
+        scale = radii + (c_norm + float(np.sqrt(np.sum(centre * centre))) + b.radius)
+        rhs = radii * radii + (d2 - b.radius**2) - 1e-9 * scale * scale
+        keep |= (2.0 * radii)[:, None] * (dirs @ e) > rhs[:, None]
+    i, j = np.nonzero(keep)
+    vals = np.zeros(keep.shape)
+    vals[i, j] = f.eval(c + radii[i, None] * dirs[j])
+    return np.sum(vals * w, axis=-1)
 
 
 def _trace_operator_2d(times, params, r_grid):

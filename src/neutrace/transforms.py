@@ -382,16 +382,31 @@ def _offset_window(domain: ConvexDomain, th: np.ndarray, s, margin: float, order
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     w = support_halfwidth(domain, th)
-    sp = np.asarray(s, dtype=float) - _centre_offsets(domain, th)
-    far = np.abs(sp) > w - margin
-    if np.any(far):
-        raise OutOfRegionError(
-            f"chord offset {sp[far].flat[0]:.6g} outside safe window |s'| <= {w - margin:.6g} "
-            f"(support halfwidth {w:.6g}, margin {margin:.6g})"
-        )
+    sp = _window_offsets(s, _centre_offsets(domain, th), w, margin)
     if order > 0 and np.any(np.abs(sp) >= w):
         raise OutOfRegionError("chord is tangent to the domain")
     return w, sp
+
+
+def _window_offsets(s, s_center, halfwidth: float, margin: float) -> np.ndarray:
+    """Centred offsets s - s_center of chords at offsets ``s``; raises
+    OutOfRegionError unless every one lies in the safe window
+    |s - s_center| <= halfwidth - margin.  The one window check of both the
+    zero-kernel route (:func:`_offset_window`) and :meth:`KernelProfile.eval`.
+
+    An offset at the window edge, s = s_center + (halfwidth - margin), comes
+    back from the two roundings of s and s - s_center up to one ulp of
+    |s_center| + halfwidth beyond the edge; the window admits twice that."""
+    sp = np.asarray(s, dtype=float) - s_center
+    slack = 2.0 * np.spacing(abs(float(s_center)) + halfwidth)
+    far = np.abs(sp) > halfwidth - margin + slack
+    if np.any(far):
+        raise OutOfRegionError(
+            f"chord offset {sp[far].flat[0]:.6g} outside safe window |s - s_c| <= "
+            f"{halfwidth - margin:.6g} (s_c {s_center:.6g}, support halfwidth {halfwidth:.6g}, "
+            f"margin {margin:.6g})"
+        )
+    return sp
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +457,7 @@ class KernelProfile:
             raise ValueError(f"profile holds derivative orders 0..{self.order}, got {order}")
         ss = np.asarray(s, dtype=float)
         scalar = ss.ndim == 0
-        off = np.atleast_1d(ss) - self.s_center
-        if np.any(np.abs(off) > self.query_halfwidth + 1e-12):
-            raise OutOfRegionError(
-                f"query offset beyond safe window +-{self.query_halfwidth:.6g} "
-                f"around {self.s_center:.6g}"
-            )
+        _window_offsets(ss, self.s_center, self.halfwidth, self.margin)
         col = self._column(order, hilbert)
         ds = self.s_grid[1] - self.s_grid[0]
         out = interp_cubic(np.atleast_1d(ss), self.s_grid[0], ds, col)

@@ -1,6 +1,8 @@
 """Pointwise wave fields, Neumann traces and the trace-file round trip."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from neutrace.forward import (
     TimeGrid,
     TraceFormatError,
     TraceGrid,
+    _arc_means,
     _nu_stencil,
     _radial_table_2d,
     _trace_operator_2d,
@@ -360,13 +363,70 @@ def test_2d_traces_need_a_table_of_one_cubic_stencil(unit_disk, points):
         simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, SolverParams(table_points=points))
 
 
+class CountingPhantom:
+    """A phantom that counts the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.bumps, self._f, self.points = f.bumps, f, 0
+
+    def eval(self, pts):
+        self.points += pts.shape[0]
+        return self._f.eval(pts)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_radial_table_band_equals_full_means():
+    """The table is evaluated on the band of radii that can meet a bump and,
+    at each radius, on the arc that can: a fraction of the circle points,
+    with the bits of the full means."""
     r_grid = np.linspace(0.0, 4.01, 1024)
+    evaluated = on_band = 0
     for c in ((1.001, 0.0), (-0.2, 0.999), (0.1, 0.0)):
-        band = _radial_table_2d(TWO_BUMPS_2D, np.asarray(c), r_grid, 32)
+        f = CountingPhantom(TWO_BUMPS_2D)
+        band = _radial_table_2d(f, np.asarray(c), r_grid, 32)
         full = sphere_means(TWO_BUMPS_2D, c, r_grid, 32, n=2)
-        np.testing.assert_array_equal(band, full)
+        assert_same_bits(band, full)
         assert np.count_nonzero(band) < r_grid.size // 2
+        evaluated += f.points
+        on_band += 32 * np.count_nonzero(band)
+    assert 0 < evaluated < 0.3 * on_band
+
+
+@pytest.mark.parametrize("profile", ["cinf", "poly"])
+def test_arc_means_equal_sphere_means_bit_for_bit(profile, rng):
+    # two overlapping bumps: centres 0.53 apart, radii 0.4 and 0.25
+    f = Phantom(
+        (
+            Bump(center=(0.1, 0.0), radius=0.4, profile=profile),
+            Bump(center=(-0.3, 0.35), radius=0.25, amplitude=0.1, profile=profile),
+        )
+    )
+    cases = [
+        (c, np.concatenate([[0.0], rng.uniform(0.0, 3.0, 64)]))
+        for c in rng.uniform(-1.2, 1.2, (6, 2))
+    ]
+    # at a bump centre (d = 0): radius 0, circles inside, on and beyond the rim
+    cases.append(((0.1, 0.0), np.array([0.0, 0.1, 0.39, 0.4, 0.41, 1.0])))
+    # radius 0 inside and outside every bump
+    cases += [((0.2, 0.1), np.zeros(3)), ((0.9, -0.8), np.zeros(3))]
+    # circles wholly inside the first bump around an off-centre point
+    cases.append(((0.15, 0.02), np.array([0.05, 0.2, 0.3])))
+    # circles grazing the first bump from outside (r = d - R) and from
+    # inside (r = d + R): direction 16 of 32 points from (1, 0) at its centre
+    d, big = 0.9, 0.4
+    graze = np.array([d - big * (1 - 1e-9), d - big * (1 + 1e-9), d + big * (1 - 1e-9)])
+    cases.append(((1.0, 0.0), graze))
+    for c, radii in cases:
+        got = _arc_means(f, np.asarray(c, dtype=float), radii, 32)
+        assert_same_bits(got, sphere_means(f, c, radii, 32, n=2))
+    if profile == "poly":
+        # the points 1e-9 R inside the rim keep their non-zero values
+        means = _arc_means(f, np.array([1.0, 0.0]), graze, 32)
+        assert means[0] > 0.0 and means[2] > 0.0
 
 
 def test_trace_operator_matches_per_centre_reference(unit_disk):
@@ -538,6 +598,60 @@ def test_trace_file_layout(tmp_path, bump3d, unit_ball):
     b = traces.boundary
     block = np.column_stack([b.points, b.normals, b.weights, traces.values])
     assert rows == [",".join("%.17g" % v for v in row) for row in block.tolist()]
+
+
+#: rows with -0.0, all zeros, a trailing zero run, no zeros, and zero runs
+#: at the start and in the middle
+ZERO_RUN_ROWS = [
+    [-0.0, 0.0, 0.0, 1.5, -0.0, 0.0],
+    [0.0] * 6,
+    [1.0, -2.5e-300, 0.0, 0.0, 0.0, 0.0],
+    [0.1, -1e300, 5e-324, 3.0, -7.25, 1.0 / 3.0],
+    [0.0, 0.0, 2.0, 0.0, 0.0, 1e-17],
+]
+
+
+def test_trace_rows_with_zero_runs_read_back_bit_exact(tmp_path, unit_disk):
+    """Signed zeros and runs of zeros, which a writer that skips zeros must
+    keep apart, are written as ``"%.17g"`` writes them and read back to the
+    bit."""
+    bq = boundary_quadrature(unit_disk, 8)
+    values = np.zeros((len(bq), 6))
+    values[: len(ZERO_RUN_ROWS)] = ZERO_RUN_ROWS
+    params = SolverParams().resolved(domain=unit_disk, t_scale=1.0)
+    traces = TraceGrid(unit_disk, bq, TimeGrid(t_max=1.0, nt=6), values, params)
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, traces)
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    block = np.column_stack([bq.points, bq.normals, bq.weights, values])
+    assert rows == [",".join("%.17g" % v for v in row) for row in block.tolist()]
+    assert rows[0].endswith(",-0,0,0,1.5,-0,0")
+    back = read_trace_file(path)
+    assert back.values.tobytes() == values.tobytes()
+
+
+def test_trace_values_go_through_the_one_full_precision_format(
+    tmp_path, monkeypatch, bump3d, unit_ball
+):
+    """The trace writer formats every value with ``_fmt``, whose body is the
+    one ``"%.17g" % x`` of the module: a lossy ``_fmt`` changes the rows of a
+    trace with non-zero values."""
+    source = Path(forward.__file__).read_text()
+    assert len(re.findall(r'"%\.17g" % x', source)) == 1
+    traces = _small_traces(bump3d, unit_ball)
+    assert np.count_nonzero(traces.values)
+    exact, lossy = tmp_path / "exact.csv", tmp_path / "lossy.csv"
+    write_trace_file(exact, traces)
+    monkeypatch.setattr(forward, "_fmt", lambda x: "%.12g" % x)
+    write_trace_file(lossy, traces)
+    monkeypatch.undo()
+
+    def rows(path):
+        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+    assert rows(exact) != rows(lossy)
+    np.testing.assert_array_equal(read_trace_file(exact).values, traces.values)
+    assert not np.array_equal(read_trace_file(lossy).values, traces.values)
 
 
 def test_trace_file_rejects_foreign_content(tmp_path):

@@ -390,6 +390,30 @@ def test_correction_on_the_ball_raises_outside_the_window(bump3d, unit_ball):
         correction_K(bump3d, (0.1, 0.0, 0.0), unit_ball, margin=0.9)
 
 
+#: the message of the one chord-window check, on every domain kind
+WINDOW_MESSAGE = re.compile(
+    r"chord offset -?[0-9.e+-]+ outside safe window \|s - s_c\| <= [0-9.e+-]+ "
+    r"\(s_c -?[0-9.e+-]+, support halfwidth [0-9.e+-]+, margin 0\.9\)"
+)
+
+
+def test_an_over_wide_kernel_margin_raises_one_message_on_every_domain(
+    bump2d, bump3d, unit_ball, se4
+):
+    """The zero-kernel route of an odd ellipsoid and the kernel profiles of
+    the p = 4 superellipse check the chord window through one predicate, so
+    the same over-wide margin gets the same error from both."""
+    opts = ReconstructionOptions(
+        k_radial=8, k_angular=8, kernel_table=256, kernel_quad=64, kernel_margin=0.9
+    )
+    # chords of the centred bumps reach |s - s_c| of about half their radius,
+    # beyond the window halfwidth - 0.9 of some directions of both
+    for f, x, domain in ((bump3d, (0.1, 0.0, 0.0), unit_ball), (bump2d, (0.0, 0.0), se4)):
+        with pytest.raises(OutOfRegionError) as err:
+            correction_K(f, x, domain, opts)
+        assert WINDOW_MESSAGE.fullmatch(str(err.value)), str(err.value)
+
+
 #: an odd-dimensional ellipsoid off the origin, where the chord windows
 #: depend on the centre projections <c, theta>
 OFF_CENTRE_ELLIPSOID = ellipsoid((0.1, 0.0, -0.1), (1.0, 1.2, 0.9))

@@ -445,6 +445,26 @@ def test_kernel_profile_tables_and_window(se4):
     )
 
 
+def test_kernel_window_admits_its_edges_formed_off_centre():
+    """A query at s_center +- query_halfwidth, formed as the kernel dump forms
+    its grid, lies in the window even where the roundings of s and of
+    s - s_center put it an ulp beyond; a query 1e-9 beyond raises."""
+    domain = superellipse((0.7, -0.4), (1.2, 0.9), 4.0)
+    rounded_out = 0
+    for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
+        prof = build_kernel_profile(
+            domain, (np.cos(a), np.sin(a)), 1, margin=0.1, num_table=256, num_quad=16
+        )
+        q = prof.query_halfwidth
+        edges = prof.s_center + np.array([-q, q])
+        rounded_out += np.count_nonzero(np.abs(edges - prof.s_center) > q)
+        assert np.all(np.isfinite(prof.eval(edges, order=0, hilbert=False)))
+        for side in (-1.0, 1.0):
+            with pytest.raises(OutOfRegionError, match="outside safe window"):
+                prof.eval(prof.s_center + side * (q + 1e-9))
+    assert rounded_out > 0
+
+
 def test_kernel_profile_validation(unit_disk):
     with pytest.raises(ValueError):
         build_kernel_profile(unit_disk, (1.0, 0.0), 2, margin=0.0)
