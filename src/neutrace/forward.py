@@ -25,6 +25,8 @@ from .calculus import cubic_stencil, gauss_legendre
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
+    _distance,
+    _ray_points,
     boundary_distance,
     contains,
     ellipsoid,
@@ -210,7 +212,7 @@ def phantom_pressure(f: Phantom, pts, t):
     out = np.zeros(shape)
     t_abs = np.abs(t)
     for b in f.bumps:
-        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        d = _distance(pts, b.center)
         gap = np.asarray(t_abs - d)
         band = np.abs(gap, out=gap) < b.radius * (1.0 + 1e-6)
         if band.any():
@@ -316,7 +318,7 @@ def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
     """Largest travel time from any boundary node into the phantom support."""
     horizon = 0.0
     for b in f.bumps:
-        d = np.sqrt(np.sum((boundary.points - np.asarray(b.center)) ** 2, axis=-1))
+        d = _distance(boundary.points, b.center)
         horizon = max(horizon, float(d.max()) + b.radius)
     return horizon
 
@@ -355,7 +357,7 @@ def _radial_table_2d(f, c, r_grid, mean_res):
     dr = r_grid[1] - r_grid[0]
     band = np.zeros(r_grid.shape[0], dtype=bool)
     for b in f.bumps:
-        d = float(np.sqrt(np.sum((np.asarray(b.center, dtype=float) - c) ** 2)))
+        d = float(_distance(b.center, c))
         band |= np.abs(r_grid - d) < b.radius + dr
     table = np.zeros(r_grid.shape[0])
     idx = np.flatnonzero(band)
@@ -389,7 +391,7 @@ def _arc_means(f, c, radii, mean_res):
         keep |= (2.0 * radii)[:, None] * (dirs @ e) > rhs[:, None]
     i, j = np.nonzero(keep)
     vals = np.zeros(keep.shape)
-    vals[i, j] = f.eval(c + radii[i, None] * dirs[j])
+    vals[i, j] = f.eval(_ray_points(c, radii[i], dirs[j]))
     return np.sum(vals * w, axis=-1)
 
 

@@ -179,11 +179,20 @@ def _rim_2d(domain: ConvexDomain, psi) -> np.ndarray:
 
 def _ellipsoid_rim(domain: ConvexDomain, u, phi) -> np.ndarray:
     """Surface points of a 3-D ellipsoid relative to its centre on the
-    (u, phi) chart: polar cosine u in [-1, 1] and azimuth phi, given as
-    arrays of one shape; the points add a last axis of length 3."""
+    (u, phi) chart: polar cosine u in [-1, 1] and azimuth phi, arrays that
+    broadcast against each other; the points add a last axis of length 3.
+
+    The polar and azimuth factors are formed on their own shapes, so a
+    product grid (u[:, None], phi) takes one sine and cosine per sample, not
+    per grid point; each entry has the same bits whatever the shapes.
+    """
     a1, a2, a3 = domain.semi_axes
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return np.stack([a1 * st * np.cos(phi), a2 * st * np.sin(phi), a3 * u], axis=-1)
+    rim = np.empty(np.broadcast(u, phi).shape + (3,))
+    np.multiply(a1 * st, np.cos(phi), out=rim[..., 0])
+    np.multiply(a2 * st, np.sin(phi), out=rim[..., 1])
+    rim[..., 2] = a3 * u
+    return rim
 
 
 def boundary_quadrature(
@@ -309,7 +318,8 @@ def boundary_distance(domain: ConvexDomain, points):
         u = np.linspace(-1.0, 1.0, 129)
         phi = np.linspace(0.0, 2.0 * np.pi, 257)
         du, dphi = u[1] - u[0], phi[1] - phi[0]
-        rim = c + _ellipsoid_rim(domain, *np.meshgrid(u, phi, indexing="ij"))
+        rim = _ellipsoid_rim(domain, u[:, None], phi)
+        rim += c
         i, j = np.unravel_index([np.argmin(_distance(rim, x)) for x in p], rim.shape[:2])
         u0, phi0 = u[i], phi[j]
         each = np.arange(p.shape[0])
@@ -317,7 +327,7 @@ def boundary_distance(domain: ConvexDomain, points):
             du, dphi = du / 8.0, dphi / 8.0
             u = np.clip(np.linspace(u0 - 8 * du, u0 + 8 * du, 17, axis=-1), -1.0, 1.0)
             phi = np.linspace(phi0 - 8 * dphi, phi0 + 8 * dphi, 17, axis=-1)
-            b = _ellipsoid_rim(domain, *np.broadcast_arrays(u[:, :, None], phi[:, None, :]))
+            b = _ellipsoid_rim(domain, u[:, :, None], phi[:, None, :])
             d = _distance(c + b, p[:, None, None, :]).reshape(p.shape[0], -1)
             i, j = np.unravel_index(np.argmin(d, axis=1), (17, 17))
             u0, phi0 = u[each, i], phi[each, j]
@@ -326,15 +336,47 @@ def boundary_distance(domain: ConvexDomain, points):
 
 
 def _distance(a, b):
-    """Euclidean distances between the broadcast of two point arrays.
+    """Euclidean distances between the broadcast of two point arrays (..., n).
 
-    The squares are added one coordinate plane at a time in axis order, the
-    order in which numpy sums a short last axis, at a fraction of its cost.
+    This is the package's one distance route: bump, node, horizon and rim
+    distances all come from here.  The squares are added one coordinate
+    plane at a time in axis order.  numpy sums a short last axis
+    sequentially in axis order too, so the result has the bits of
+    ``np.sqrt(np.sum((a - b) ** 2, axis=-1))``, at a fraction of its cost;
+    keep the planes in axis order to keep those bits.  Raises ValueError
+    when the two arrays have different numbers of coordinates, instead of
+    broadcasting one over the other.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"points have {a.shape[-1]} coordinates, the other points {b.shape[-1]}")
     total = 0.0
     for i in range(a.shape[-1]):
-        total = total + (a[..., i] - b[..., i]) ** 2
+        d = a[..., i] - b[..., i]
+        total = total + d * d
     return np.sqrt(total)
+
+
+def _ray_points(x, r, dirs) -> np.ndarray:
+    """Points x + r u for the directions ``dirs`` (..., n), with r broadcast
+    against their leading axes, as a C-ordered (..., n) array.
+
+    Each coordinate plane is formed on its own, since numpy is slow to
+    broadcast over a short last axis.  Entries and layout match
+    ``x + r[..., None] * dirs``, so fields that take matrix products of the
+    points keep their bits too.  Raises ValueError when x and the directions
+    have different numbers of coordinates.
+    """
+    x = np.asarray(x, dtype=float)
+    n = dirs.shape[-1]
+    if x.shape[-1] != n:
+        raise ValueError(f"centre has {x.shape[-1]} coordinates, the directions {n}")
+    pts = np.empty(np.broadcast(x[..., 0], r, dirs[..., 0]).shape + (n,))
+    for k in range(n):
+        plane = pts[..., k]
+        np.multiply(r, dirs[..., k], out=plane)
+        plane += x[..., k]
+    return pts
 
 
 def grid_corners(domain: ConvexDomain, axes) -> list[tuple[float, ...]]:

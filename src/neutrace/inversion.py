@@ -23,7 +23,14 @@ import numpy as np
 
 from .calculus import check_on_table, cubic_stencil, cubic_weights, gauss_legendre
 from .forward import InsufficientDataError, TraceGrid, _fmt
-from .geometry import ELLIPSOID, ConvexDomain, grid_margin, support_halfwidth
+from .geometry import (
+    ELLIPSOID,
+    ConvexDomain,
+    _distance,
+    _ray_points,
+    grid_margin,
+    support_halfwidth,
+)
 from .transforms import Phantom, _build_profiles, _centre_offsets, _offset_window
 
 __all__ = [
@@ -178,7 +185,7 @@ def _interp_rows(values: np.ndarray, step: float, queries: np.ndarray, x0: float
 
 def _node_distances(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     """|x - y_j| for every point x (rows) and boundary node y_j (columns)."""
-    return np.sqrt(np.sum((traces.boundary.points - pts[:, None, :]) ** 2, axis=-1))
+    return _distance(traces.boundary.points, pts[:, None, :])
 
 
 def _abel_weight_blocks(d: np.ndarray, dt: float, nt: int, t_lo: float, t_hi: float):
@@ -367,7 +374,7 @@ def _support_radius(f, x) -> float:
         corners = np.array(
             np.meshgrid(*[[lo, hi] for lo, hi in zip(f.lo, f.hi)], indexing="ij")
         ).reshape(len(f.lo), -1).T
-        return float(np.sqrt(np.sum((corners - x) ** 2, axis=-1)).max())
+        return float(_distance(corners, x).max())
     raise TypeError("support radius needs a Phantom or ImageGrid input")
 
 
@@ -384,7 +391,7 @@ def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
     w = support_halfwidth(domain, dirs)
     centre = _centre_offsets(domain, dirs)
     for x, r in zip(pts, radii):
-        live = np.asarray(evaluator(x + r[:, None, None] * dirs), dtype=float) != 0.0
+        live = np.asarray(evaluator(_ray_points(x, r[:, None], dirs)), dtype=float) != 0.0
         s_vals = np.sum(x * dirs, axis=-1) + 0.5 * r[:, None]
         edge = live & (np.abs(s_vals - centre) >= w - margin)
         for j in np.flatnonzero(np.any(edge, axis=0)):

@@ -34,6 +34,7 @@ from .geometry import (
     ELLIPSOID,
     ConvexDomain,
     _level_slope,
+    _ray_points,
     level_value,
     support_halfwidth,
 )
@@ -117,12 +118,15 @@ class Phantom:
         return self.bumps[0].dimension
 
     def eval(self, points):
-        """Evaluate at an (..., n) array of points."""
+        """Evaluate at an (..., n) array of points; raises ValueError when
+        the points have other than n coordinates."""
         pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1], dtype=float)
+        if self.bumps and pts.shape[-1] != self.dimension:
+            raise ValueError(f"points have {pts.shape[-1]} coordinates, the phantom {self.dimension}")
+        flat = pts if pts.ndim > 1 else pts[None]
+        out = np.zeros(flat.shape[:-1])
         for b in self.bumps:
-            d = (pts - np.asarray(b.center)) / b.radius
-            r2 = np.sum(d * d, axis=-1)
+            r2 = _scaled_radius2(flat, b.center, b.radius)
             inside = r2 < 1.0
             if not np.any(inside):
                 continue
@@ -133,7 +137,7 @@ class Phantom:
                 a = _mollifier_norm(b.dimension, b.mu)
                 vals = b.amplitude * (1.0 - ri) ** b.mu / (a * b.radius**b.dimension)
             out[inside] += vals
-        return out
+        return out.reshape(pts.shape[:-1])
 
     def peak(self) -> float:
         """Upper estimate of max |f| (bump centers plus pairwise overlap)."""
@@ -141,6 +145,21 @@ class Phantom:
             return 0.0
         centers = np.array([b.center for b in self.bumps], dtype=float)
         return float(np.abs(self.eval(centers)).max())
+
+
+def _scaled_radius2(pts, center, scale):
+    """Squared distances of points (m, ..., n), m >= 1, from ``center`` in
+    units of ``scale``.
+
+    The terms ((x_k - c_k) / scale)^2 are added one coordinate plane at a
+    time in axis order, which gives the bits of their sum along the last
+    axis without numpy's slow path for a short last axis.
+    """
+    d = [(pts[..., k] - c) / scale for k, c in enumerate(center)]
+    r2 = d[0] * d[0]
+    for dk in d[1:]:
+        r2 += dk * dk
+    return r2
 
 
 def bump_radial(bump: Bump, rho, n: int | None = None):
@@ -211,14 +230,15 @@ def sphere_means(f, x, radii, m: int, n: int | None = None):
     """Means of f over spheres around x, batched over an array of radii.
 
     Negative radii are treated by absolute value, which is what the
-    even-in-radius extension of the means requires.
+    even-in-radius extension of the means requires.  The sphere points are
+    built one coordinate plane at a time (:func:`geometry._ray_points`);
+    raises ValueError when x has other than n coordinates.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] if n is None else n
     r = np.abs(np.asarray(radii, dtype=float))
     dirs, w = _mean_directions(n, m)
-    pts = x + r[..., None, None] * dirs
-    vals = _as_eval(f)(pts)
+    vals = _as_eval(f)(_ray_points(x, r[..., None], dirs))
     return np.sum(vals * w, axis=-1)
 
 
@@ -240,10 +260,10 @@ def mollifier_eval(mu: int, eps: float, x, n: int | None = None):
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     n = pts.shape[-1] if n is None else n
-    r2 = np.sum((pts / eps) ** 2, axis=-1)
+    r2 = _scaled_radius2(pts if pts.ndim > 1 else pts[None], (0.0,) * pts.shape[-1], eps)
     a = _mollifier_norm(n, mu)
     out = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** mu / (a * eps**n), 0.0)
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def mollifier_radon(mu: int, eps: float, s, n: int):

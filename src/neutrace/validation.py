@@ -34,7 +34,7 @@ from .forward import (
     wave_solution,
     wave_solution_even_alt,
 )
-from .geometry import ConvexDomain, boundary_quadrature
+from .geometry import ConvexDomain, _distance, boundary_quadrature
 from .transforms import (
     CINF,
     Bump,
@@ -195,7 +195,7 @@ def phantom_velocity(f: Phantom, pts, t, live=None):
         t = np.broadcast_to(t, shape)[live]
     out = np.zeros(shape if live is None else t.shape)
     for b in f.bumps:
-        d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
+        d = _distance(pts, b.center)
         if live is not None:
             d = np.broadcast_to(d, shape)[live]
         out = out + radial_velocity(b, d, t)

@@ -22,6 +22,10 @@ search, trace-operator build, halfwidths) are the package's earlier code for
 work it now does once, in blocks or batched, and the ungated closed fields
 are its earlier code for work it now does only on the Huygens band; they
 share its arithmetic on purpose, so the tests can ask for equal bits.
+The broadcast point routes after them (sphere and arc points, distances,
+bump and mollifier radii, the 3-D rim) are its earlier code for point
+arithmetic it now does one coordinate plane at a time; they too
+share its arithmetic, so the tests can ask for equal bits.
 The single-chord and single-point routes at the very end (one section
 profile, its closed-form and differenced offset derivatives, the
 principal-value transform, the pointwise Neumann trace) were public routes
@@ -770,6 +774,91 @@ def trace_operator_2d_int64(times, params, r_grid):
     order = np.argsort(cols, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
     return rows[order], cols[order], coefs[order], ptr
+
+
+# ---------------------------------------------------------------------------
+# broadcast point routes that the package now runs one coordinate plane at a
+# time
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal bits, so that -0.0 and +0.0 differ and NaNs match."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def ray_points_broadcast(x, r, dirs):
+    """The points x + r u broadcast over their short last axis: the sphere,
+    arc and window points before ``geometry._ray_points``."""
+    return np.asarray(x, dtype=float) + np.asarray(r, dtype=float)[..., None] * dirs
+
+
+def distance_broadcast(a, b):
+    """Distances with the squares summed along the last axis: the bump, node,
+    horizon and support distances before ``geometry._distance`` served them."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.sqrt(np.sum((a - b) ** 2, axis=-1))
+
+
+def sphere_means_broadcast(f, x, radii, m: int, n: int | None = None):
+    """``transforms.sphere_means`` with its points built by broadcasting."""
+    from neutrace.transforms import _as_eval, _mean_directions
+
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] if n is None else n
+    r = np.abs(np.asarray(radii, dtype=float))
+    dirs, w = _mean_directions(n, m)
+    vals = _as_eval(f)(x + r[..., None, None] * dirs)
+    return np.sum(vals * w, axis=-1)
+
+
+def phantom_eval_broadcast(f, points):
+    """``Phantom.eval`` with each bump's scaled squared radius summed along
+    the last axis."""
+    from neutrace.transforms import CINF, _mollifier_norm
+
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:-1], dtype=float)
+    for b in f.bumps:
+        d = (pts - np.asarray(b.center)) / b.radius
+        r2 = np.sum(d * d, axis=-1)
+        inside = r2 < 1.0
+        if not np.any(inside):
+            continue
+        ri = r2[inside]
+        if b.profile == CINF:
+            vals = b.amplitude * np.exp(1.0 - 1.0 / (1.0 - ri))
+        else:
+            a = _mollifier_norm(b.dimension, b.mu)
+            vals = b.amplitude * (1.0 - ri) ** b.mu / (a * b.radius**b.dimension)
+        out[inside] += vals
+    return out
+
+
+def mollifier_eval_broadcast(mu: int, eps: float, x, n: int | None = None):
+    """``transforms.mollifier_eval`` with the scaled squared radius summed
+    along the last axis."""
+    from neutrace.transforms import _mollifier_norm
+
+    pts = np.asarray(x, dtype=float)
+    scalar = pts.ndim == 1
+    n = pts.shape[-1] if n is None else n
+    r2 = np.sum((pts / eps) ** 2, axis=-1)
+    a = _mollifier_norm(n, mu)
+    out = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** mu / (a * eps**n), 0.0)
+    return float(out) if scalar else out
+
+
+def ellipsoid_rim_on_the_grid(domain, u, phi):
+    """Rim points of a 3-D ellipsoid relative to its centre with u and phi
+    first spread over their common grid, one square root, sine and cosine
+    per grid point: ``geometry._ellipsoid_rim`` before it formed the polar
+    and azimuth factors on their own shapes."""
+    u, phi = (np.array(a) for a in np.broadcast_arrays(u, phi))
+    a1, a2, a3 = domain.semi_axes
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    return np.stack([a1 * st * np.cos(phi), a2 * st * np.sin(phi), a3 * u], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name the package exports, and every function the benchmark traces,
-resolves."""
+resolves; distances between points come from one route."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -37,3 +38,85 @@ def test_exported_names_resolve():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def _is_difference(node) -> bool:
+    """A subtraction, maybe scaled: ``a - b``, ``(a - b) / r``, ``s * (a - b)``."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Sub):
+        return True
+    return isinstance(node.op, (ast.Mult, ast.Div)) and (
+        _is_difference(node.left) or _is_difference(node.right)
+    )
+
+
+def _last_axis_square_sums(source: str) -> list[int]:
+    """Lines of ``np.sum(<difference> ** 2, axis=-1)`` and of
+    ``np.sum(d * d, axis=-1)`` where d is a name bound, in the same function,
+    to a point difference, maybe scaled (:func:`_is_difference`)."""
+    tree = ast.parse(source)
+    found = []
+    for scope in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        differences = {
+            target.id
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign) and _is_difference(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(scope):
+            if not (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "np.sum"
+                and node.args
+                and any(k.arg == "axis" and ast.unparse(k.value) == "-1" for k in node.keywords)
+            ):
+                continue
+            arg = node.args[0]
+            squared = (
+                isinstance(arg, ast.BinOp)
+                and isinstance(arg.op, ast.Pow)
+                and ast.unparse(arg.right) == "2"
+                and _is_difference(arg.left)
+            )
+            product = (
+                isinstance(arg, ast.BinOp)
+                and isinstance(arg.op, ast.Mult)
+                and ast.unparse(arg.left) == ast.unparse(arg.right)
+                and (_is_difference(arg.left) or ast.unparse(arg.left) in differences)
+            )
+            if squared or product:
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_guard_finds_the_last_axis_square_sums():
+    source = """
+def f(pts, c, r):
+    a = np.sqrt(np.sum((pts - c) ** 2, axis=-1))
+    d = (pts - c) / r
+    b = np.sum(d * d, axis=-1)
+    e = np.sum((pts - c) * (pts - c), axis=-1)
+    rim = pts * r
+    g = np.sign(d) * np.abs(d / r) ** (c - 1.0) / r
+    ok = np.sum(rim * rim, axis=-1) + np.sum((a * c) ** 2, axis=-1) + np.sum(d * d)
+    ok = ok + np.sum(g * g, axis=-1, keepdims=True)
+"""
+    assert _last_axis_square_sums(source) == [3, 5, 6]
+
+
+def test_point_distances_use_the_one_distance_route():
+    """Summing squared coordinate differences along the last axis is numpy's
+    slow path for short axes, and a second distance formula besides
+    ``geometry._distance``."""
+    src = Path(neutrace.__file__).resolve().parent
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _last_axis_square_sums(path.read_text())
+    ]
+    assert hits == [], (
+        f"squared point differences summed along the last axis at {hits}; "
+        "take distances from geometry._distance, which adds the coordinate planes in axis order"
+    )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    assert_same_bits,
     neumann_trace,
     trace_operator_2d_int64,
     trace_table_2d_per_centre,
@@ -372,11 +373,6 @@ class CountingPhantom:
     def eval(self, pts):
         self.points += pts.shape[0]
         return self._f.eval(pts)
-
-
-def assert_same_bits(got, want):
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
 
 
 def test_radial_table_band_equals_full_means():
