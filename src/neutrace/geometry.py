@@ -181,11 +181,7 @@ def _ellipsoid_rim(domain: ConvexDomain, u, phi) -> np.ndarray:
     """Surface points of a 3-D ellipsoid relative to its centre on the
     (u, phi) chart: polar cosine u in [-1, 1] and azimuth phi, arrays that
     broadcast against each other; the points add a last axis of length 3.
-
-    The polar and azimuth factors are formed on their own shapes, so a
-    product grid (u[:, None], phi) takes one sine and cosine per sample, not
-    per grid point; each entry has the same bits whatever the shapes.
-    """
+    A product grid (u[:, None], phi) takes one sine and cosine per sample."""
     a1, a2, a3 = domain.semi_axes
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     rim = np.empty(np.broadcast(u, phi).shape + (3,))
@@ -336,16 +332,13 @@ def boundary_distance(domain: ConvexDomain, points):
 
 
 def _distance(a, b):
-    """Euclidean distances between the broadcast of two point arrays (..., n).
+    """Euclidean distances between the broadcast of two point arrays (..., n);
+    the package's one distance route.
 
-    This is the package's one distance route: bump, node, horizon and rim
-    distances all come from here.  The squares are added one coordinate
-    plane at a time in axis order.  numpy sums a short last axis
-    sequentially in axis order too, so the result has the bits of
-    ``np.sqrt(np.sum((a - b) ** 2, axis=-1))``, at a fraction of its cost;
-    keep the planes in axis order to keep those bits.  Raises ValueError
-    when the two arrays have different numbers of coordinates, instead of
-    broadcasting one over the other.
+    The squares are added one coordinate plane at a time, in axis order: the
+    order in which numpy sums a short last axis, so the bits are those of
+    ``np.sqrt(np.sum((a - b) ** 2, axis=-1))`` at a fraction of its cost.
+    Raises ValueError when a and b have different numbers of coordinates.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
@@ -358,15 +351,10 @@ def _distance(a, b):
 
 
 def _ray_points(x, r, dirs) -> np.ndarray:
-    """Points x + r u for the directions ``dirs`` (..., n), with r broadcast
-    against their leading axes, as a C-ordered (..., n) array.
-
-    Each coordinate plane is formed on its own, since numpy is slow to
-    broadcast over a short last axis.  Entries and layout match
-    ``x + r[..., None] * dirs``, so fields that take matrix products of the
-    points keep their bits too.  Raises ValueError when x and the directions
-    have different numbers of coordinates.
-    """
+    """``x + r[..., None] * dirs`` for directions (..., n), built one
+    coordinate plane at a time with the same bits and C-ordered layout (a
+    field's matrix products of the points depend on the layout).  Raises
+    ValueError when x and dirs have different numbers of coordinates."""
     x = np.asarray(x, dtype=float)
     n = dirs.shape[-1]
     if x.shape[-1] != n:

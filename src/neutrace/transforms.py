@@ -148,13 +148,9 @@ class Phantom:
 
 
 def _scaled_radius2(pts, center, scale):
-    """Squared distances of points (m, ..., n), m >= 1, from ``center`` in
-    units of ``scale``.
-
-    The terms ((x_k - c_k) / scale)^2 are added one coordinate plane at a
-    time in axis order, which gives the bits of their sum along the last
-    axis without numpy's slow path for a short last axis.
-    """
+    """Sum of ((x_k - c_k) / scale)^2 over the coordinates of points
+    (m, ..., n), m >= 1, added one plane at a time in axis order: the bits
+    of the sum along the last axis, without numpy's slow path for it."""
     d = [(pts[..., k] - c) / scale for k, c in enumerate(center)]
     r2 = d[0] * d[0]
     for dk in d[1:]:
@@ -230,9 +226,8 @@ def sphere_means(f, x, radii, m: int, n: int | None = None):
     """Means of f over spheres around x, batched over an array of radii.
 
     Negative radii are treated by absolute value, which is what the
-    even-in-radius extension of the means requires.  The sphere points are
-    built one coordinate plane at a time (:func:`geometry._ray_points`);
-    raises ValueError when x has other than n coordinates.
+    even-in-radius extension of the means requires.  Raises ValueError when
+    x has other than n coordinates.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] if n is None else n
