@@ -66,6 +66,27 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadRule:
     return QuadRule(0.5 * (a + b) + half * x, half * w, (float(a), float(b)))
 
 
+def _sphere_rule(n: int, m: int, shift: float = 0.0, phase: float = 0.0):
+    """Product rule on the unit circle (n = 2) or sphere (n = 3): unit
+    directions and the polar weight of each.
+
+    The circle takes the m angles 2 pi (k + shift) / m + phase, each of polar
+    weight one; the sphere takes m Gauss-Legendre polar cosines times the 2m
+    azimuths 2 pi (k + shift) / (2m) + phase, polar cosine by polar cosine.
+    Either way there are (n - 1) m azimuths.
+    """
+    count = (n - 1) * m
+    ang = 2.0 * np.pi * (np.arange(count) + shift) / count + phase
+    if n == 2:
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.ones(m)
+    rule = gauss_legendre(m, -1.0, 1.0)
+    u, ph = np.meshgrid(rule.nodes, ang, indexing="ij")
+    wu, _ = np.meshgrid(rule.weights, ang, indexing="ij")
+    st = np.sqrt(1.0 - u * u)
+    dirs = np.stack([st * np.cos(ph), st * np.sin(ph), u], axis=-1).reshape(-1, 3)
+    return dirs, wu.reshape(-1)
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function for positive real arguments."""
     if x <= 0:
@@ -221,17 +242,17 @@ def check_on_table(q, x0: float, dx: float, npts: int) -> None:
 
 
 def interp_cubic(q, x0: float, dx: float, table: np.ndarray):
-    """Four-point Lagrange interpolation of a uniform table at ``q``.
+    """Four-point Lagrange interpolation of a uniform table at ``q``: a 1-D
+    table at every query, row j of a 2-D table at q[..., j].
 
     A query in the first or last table cell is read off the nearest stencil
     that fits on the table; a query outside the table raises ValueError.
     """
     table = np.asarray(table, dtype=float)
-    check_on_table(q, x0, dx, table.shape[-1])
-    k, (wm1, w0, w1, w2) = cubic_stencil(q, x0, dx, table.shape[-1])
-    return (
-        wm1 * table[..., k - 1]
-        + w0 * table[..., k]
-        + w1 * table[..., k + 1]
-        + w2 * table[..., k + 2]
-    )
+    npts = table.shape[-1]
+    check_on_table(q, x0, dx, npts)
+    k, (wm1, w0, w1, w2) = cubic_stencil(q, x0, dx, npts)
+    if table.ndim == 2:
+        k = np.arange(table.shape[0]) * npts + k
+        table = table.reshape(-1)
+    return wm1 * table[k - 1] + w0 * table[k] + w1 * table[k + 1] + w2 * table[k + 2]

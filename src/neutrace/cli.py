@@ -376,8 +376,13 @@ def parse_config(text: str) -> RunConfig:
                 if any(c - b.radius < a[0] or c + b.radius > a[-1] for c, a in zip(b.center, axes)):
                     raise ConfigError(f"phantom bump {i} support leaves the grid box")
 
+    checks_line = entries.line_of("validate.checks")
+    checks = entries.string_list("validate.checks", default=())
+    for name in checks:
+        if name not in _CHECKS:
+            raise ConfigError(f"line {checks_line}: unknown validation check {name!r}")
     validate_opts = {
-        "checks": entries.string_list("validate.checks", default=()),
+        "checks": checks,
         "level": entries.integer("validate.level", default=0, minimum=0),
         "seed": entries.integer("validate.seed", default=7),
         "samples": entries.integer("validate.samples", default=5),
@@ -390,11 +395,9 @@ def parse_config(text: str) -> RunConfig:
         "mollifier_eps": entries.floating(
             "validate.mollifier.eps", default=0.5 * min(domain.semi_axes)
         ),
-        "bounds": {},
+        # a bound of a check that does not exist is left over, an unknown key
+        "bounds": entries.given("validate.bound", **{name: entries.floating for name in _CHECKS}),
     }
-    for key in [k for k in entries.data if k.startswith("validate.bound.")]:
-        name = key[len("validate.bound.") :]
-        validate_opts["bounds"][name] = entries.floating(key)
 
     kernel_opts = {
         "theta": entries.float_list("kernel.theta", default=None),
@@ -493,26 +496,6 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
     return 0
 
 
-_BOUND_DEFAULTS = {
-    "integral-identity": 2e-2,
-    "lemma-coefficients": 1e-4,
-    "lemma-symbolic": 1e-12,
-    "even-equivalence": 1e-5,
-    "mollifier": 1e-6,
-}
-
-# whether the configured bound applies to the relative or absolute residual;
-# reports whose sides are normalized (or compared to exact constants of
-# order one) use the absolute value
-_BOUND_KIND = {
-    "integral-identity": "rel",
-    "lemma-coefficients": "rel",
-    "lemma-symbolic": "abs",
-    "even-equivalence": "abs",
-    "mollifier": "abs",
-}
-
-
 _LEMMA_LIN = (0.8, -0.5, 0.3)
 _LEMMA_SQ = (0.6, 0.2, -0.4)
 
@@ -542,39 +525,55 @@ def _default_checks(cfg: RunConfig) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _run_check(name: str, cfg: RunConfig) -> list:
-    opts = cfg.validate
-    level = opts["level"]
-    if name == "mollifier":
-        return check_mollifier(cfg.dimension, opts["mollifier_mu"], opts["mollifier_eps"], level)
-    if name == "lemma-symbolic":
-        return [check_lemma_symbolic(opts["symbolic_n"], opts["symbolic_k"])]
-    if name == "lemma-coefficients":
-        return check_lemma_coefficients(
-            cfg.dimension,
-            opts["lemma_k"],
-            _lemma_field(cfg.dimension),
-            opts["lemma_x"],
-            opts["lemma_t"],
-            level=level,
-        )
-    if name == "even-equivalence":
-        if cfg.dimension != 2:
-            raise ConfigError("even-equivalence check needs dimension = 2")
-        if not cfg.phantom.bumps:
-            raise ConfigError("even-equivalence check needs a phantom section")
-        rng = np.random.default_rng(opts["seed"])
-        a = np.asarray(cfg.domain.semi_axes)
-        pts = np.asarray(cfg.domain.center) + (rng.random((opts["samples"], 2)) - 0.5) * a
-        ts = (0.2 + rng.random(opts["samples"])) * float(np.max(a))
-        return [check_even_equivalence(cfg.phantom, pts, ts, level)]
-    if name == "integral-identity":
-        if cfg.dimension != 3:
-            raise ConfigError("integral-identity check needs dimension = 3")
-        if not cfg.phantom.bumps or cfg.phantom2 is None:
-            raise ConfigError("integral-identity check needs phantom and phantom2 sections")
-        return [check_integral_identity(cfg.phantom, cfg.phantom2, cfg.domain, level)]
-    raise ConfigError(f"unknown validation check {name!r}")
+def _mollifier(cfg: RunConfig, opts: dict) -> list:
+    return check_mollifier(cfg.dimension, opts["mollifier_mu"], opts["mollifier_eps"], opts["level"])
+
+
+def _lemma_symbolic(cfg: RunConfig, opts: dict) -> list:
+    return [check_lemma_symbolic(opts["symbolic_n"], opts["symbolic_k"])]
+
+
+def _lemma_coefficients(cfg: RunConfig, opts: dict) -> list:
+    return check_lemma_coefficients(
+        cfg.dimension,
+        opts["lemma_k"],
+        _lemma_field(cfg.dimension),
+        opts["lemma_x"],
+        opts["lemma_t"],
+        level=opts["level"],
+    )
+
+
+def _even_equivalence(cfg: RunConfig, opts: dict) -> list:
+    if cfg.dimension != 2:
+        raise ConfigError("even-equivalence check needs dimension = 2")
+    if not cfg.phantom.bumps:
+        raise ConfigError("even-equivalence check needs a phantom section")
+    rng = np.random.default_rng(opts["seed"])
+    a = np.asarray(cfg.domain.semi_axes)
+    pts = np.asarray(cfg.domain.center) + (rng.random((opts["samples"], 2)) - 0.5) * a
+    ts = (0.2 + rng.random(opts["samples"])) * float(np.max(a))
+    return [check_even_equivalence(cfg.phantom, pts, ts, opts["level"])]
+
+
+def _integral_identity(cfg: RunConfig, opts: dict) -> list:
+    if cfg.dimension != 3:
+        raise ConfigError("integral-identity check needs dimension = 3")
+    if not cfg.phantom.bumps or cfg.phantom2 is None:
+        raise ConfigError("integral-identity check needs phantom and phantom2 sections")
+    return [check_integral_identity(cfg.phantom, cfg.phantom2, cfg.domain, opts["level"])]
+
+
+# the validation checks: default bound, the residual the bound applies to,
+# and the run.  Reports whose sides are normalized (or compared to exact
+# constants of order one) bound the absolute residual.
+_CHECKS = {
+    "integral-identity": (2e-2, "rel", _integral_identity),
+    "lemma-coefficients": (1e-4, "rel", _lemma_coefficients),
+    "lemma-symbolic": (1e-12, "abs", _lemma_symbolic),
+    "even-equivalence": (1e-5, "abs", _even_equivalence),
+    "mollifier": (1e-6, "abs", _mollifier),
+}
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
@@ -583,11 +582,9 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     rows = []
     failures = 0
     for name in names:
-        bound = cfg.validate["bounds"].get(name, _BOUND_DEFAULTS.get(name))
-        if bound is None:
-            raise ConfigError(f"unknown validation check {name!r}")
-        kind = _BOUND_KIND[name]
-        for report in _run_check(name, cfg):
+        default, kind, run = _CHECKS[name]
+        bound = cfg.validate["bounds"].get(name, default)
+        for report in run(cfg, cfg.validate):
             checked = report.rel_residual if kind == "rel" else report.abs_residual
             status = "pass" if checked <= bound else "fail"
             if status == "fail":

@@ -9,9 +9,9 @@ fourth-order central difference on the even-in-time extension.  Normal
 derivatives are a central difference across the boundary in both.
 
 Fields are evaluated only where they can be non-zero, with every value
-kept to the bit: the 3-D field on each bump's Huygens band, the 2-D circle
-means on the radii, and at each radius the arc of the circle, that can meet
-a bump.
+kept to the bit: the 3-D field on each bump's Huygens band, and the 2-D
+circle means, by ``transforms.sphere_means``, on the radii and arcs that can
+meet a bump.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
     _distance,
-    _ray_points,
     boundary_distance,
     contains,
     ellipsoid,
@@ -35,7 +34,6 @@ from .geometry import (
 from .transforms import (
     Bump,
     Phantom,
-    _mean_directions,
     bump_radial,
     bump_radial_deriv,
     sphere_means,
@@ -117,12 +115,13 @@ class SolverParams:
     stencil, direction set or radial rule.  ``table_points`` applies to
     two-dimensional trace simulation only: it is the size of the radial table
     of the spherical means that is laid over [0, t_max + 2 h_t] around each
-    normal-stencil centre, filled only on the band of radii that can meet the
-    phantom, each radius from the ``mean_res`` circle points on the arc that
-    can meet a bump; the map from a table to a trace row is built once per run
-    as a sparse operator.  Two-dimensional simulation needs at least 4 points,
-    one cubic stencil.  Three-dimensional simulation ignores the value, so any
-    value >= 0 is accepted (trace files written with 0 still read back).
+    normal-stencil centre, each entry the mean over the ``mean_res`` circle
+    points of :func:`~neutrace.transforms.sphere_means`, which evaluates the
+    phantom only on the radii and arcs that can meet a bump; the map from a
+    table to a trace row is built once per run as a sparse operator.
+    Two-dimensional simulation needs at least 4 points, one cubic stencil.
+    Three-dimensional simulation ignores the value, so any value >= 0 is
+    accepted (trace files written with 0 still read back).
     """
 
     h_t: float | None = None
@@ -344,57 +343,6 @@ def _add_traces_3d(out, f, boundary, offsets, stencil_w, times):
             out[lo : lo + block] += w * phantom_pressure(f, (pts + s * nus)[:, None, :], times)
 
 
-def _radial_table_2d(f, c, r_grid, mean_res):
-    """Means of f on circles around c at the radii of ``r_grid``.
-
-    A circle of radius r around c stays at distance >= |r - |c - b.center||
-    from a bump centre (triangle inequality), so only radii within one bump
-    radius of that distance can meet the bump.  Only those are evaluated,
-    each on the arc that can meet a bump (:func:`_arc_means`); the rest are
-    exact zeros.  The band is widened by one grid step, far beyond the
-    roundoff in the sample points.
-    """
-    dr = r_grid[1] - r_grid[0]
-    band = np.zeros(r_grid.shape[0], dtype=bool)
-    for b in f.bumps:
-        d = float(_distance(b.center, c))
-        band |= np.abs(r_grid - d) < b.radius + dr
-    table = np.zeros(r_grid.shape[0])
-    idx = np.flatnonzero(band)
-    if idx.size:
-        table[idx] = _arc_means(f, c, r_grid[idx], mean_res)
-    return table
-
-
-def _arc_means(f, c, radii, mean_res):
-    """``sphere_means(f, c, radii, mean_res, n=2)`` for radii >= 0, with f
-    evaluated only at the circle points that can lie in a bump.
-
-    The point c + r u lies in the bump (b, R) when |c + r u - b| < R, that is
-    when 2 r <u, e> > r^2 + |e|^2 - R^2 with e = b - c.  A point is kept when
-    this holds for some bump up to a slack of 1e-9 (r + |c| + |b| + R)^2,
-    far beyond the roundoff of the test and of the sample point itself,
-    which grows with the coordinates.  The test has no division, so centres
-    at a bump centre, radius 0 and circles inside a bump need no special
-    case.  Every kept point is evaluated elementwise as in ``sphere_means``
-    and every skipped one is an exact zero there, so the means keep its bits.
-    """
-    dirs, w = _mean_directions(2, mean_res)
-    c_norm = float(np.sqrt(np.sum(c * c)))
-    keep = np.zeros((radii.shape[0], mean_res), dtype=bool)
-    for b in f.bumps:
-        centre = np.asarray(b.center, dtype=float)
-        e = centre - c
-        d2 = float(np.sum(e * e))
-        scale = radii + (c_norm + float(np.sqrt(np.sum(centre * centre))) + b.radius)
-        rhs = radii * radii + (d2 - b.radius**2) - 1e-9 * scale * scale
-        keep |= (2.0 * radii)[:, None] * (dirs @ e) > rhs[:, None]
-    i, j = np.nonzero(keep)
-    vals = np.zeros(keep.shape)
-    vals[i, j] = f.eval(_ray_points(c, radii[i], dirs[j]))
-    return np.sum(vals * w, axis=-1)
-
-
 def _trace_operator_2d(times, params, r_grid):
     """Sparse map from a radial table of the means to one trace row.
 
@@ -462,7 +410,7 @@ def _node_trace_table_2d(f, center_pts, stencil_w, r_grid, operator, nt, mean_re
     """
     table = np.zeros(r_grid.shape[0])
     for c, s in zip(center_pts, stencil_w):
-        table += s * _radial_table_2d(f, c, r_grid, mean_res)
+        table += s * sphere_means(f, c, r_grid, mean_res, n=2)
     rows, cols, coefs, ptr = operator
     runs = np.flatnonzero(np.diff(table != 0.0, prepend=False, append=False)).reshape(-1, 2)
     sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs] + [np.zeros(0, int)])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import check_on_table, cubic_stencil, cubic_weights, gauss_legendre
+from .calculus import _sphere_rule, cubic_weights, gauss_legendre, interp_cubic
 from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import (
     ELLIPSOID,
@@ -168,21 +168,6 @@ D_TABLE_STEP = 0.25
 BLOCK_ELEMENTS = 1 << 16
 
 
-def _interp_rows(values: np.ndarray, step: float, queries: np.ndarray, x0: float = 0.0):
-    """Read row j of a uniform table (first abscissa ``x0``) at queries[..., j]
-    with the four-point cubic of :func:`cubic_stencil`.
-
-    A query in the first or last table cell is read off the nearest stencil
-    that fits on the table; a query outside the table raises ValueError.
-    """
-    rows, npts = values.shape
-    check_on_table(queries, x0, step, npts)
-    k, (wm1, w0, w1, w2) = cubic_stencil(queries, x0, step, npts)
-    base = np.arange(rows) * npts + k
-    flat = values.reshape(-1)
-    return wm1 * flat[base - 1] + w0 * flat[base] + w1 * flat[base + 1] + w2 * flat[base + 2]
-
-
 def _node_distances(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     """|x - y_j| for every point x (rows) and boundary node y_j (columns)."""
     return _distance(traces.boundary.points, pts[:, None, :])
@@ -193,7 +178,7 @@ def _abel_weight_blocks(d: np.ndarray, dt: float, nt: int, t_lo: float, t_hi: fl
 
     Yields ``(rows, cols, w)`` with w[i, c] = int L_c(t) / sqrt(t^2 - d_i^2) dt
     over max(d_i, t_lo) < t < t_hi, for d_i = d[rows] and L_c the cardinal
-    function of trace sample c in the four-point cubic that :func:`_interp_rows`
+    function of trace sample c in the four-point cubic that ``interp_cubic``
     reads; samples outside ``cols`` have zero weight.  So w @ g is the exact
     Abel integral of the interpolant of g.  With t = d cosh(phi) a time cell's
     integral is that of p(d cosh(phi)) over phi, p the cell's cubic: a smooth
@@ -277,7 +262,7 @@ def _backproject(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     for i in starts:
         d = _node_distances(traces, pts[i : i + size])
         _check_reach(d, reach, exceeds)
-        terms = traces.boundary.weights * _interp_rows(table, step, d, x0)
+        terms = traces.boundary.weights * interp_cubic(d, x0, step, table)
         if traces.dimension == 3:
             terms = terms / d
         out[i : i + size] = np.sum(terms, axis=-1) / divisor
@@ -324,9 +309,7 @@ def truncation_probe(traces: TraceGrid, x, opts: ReconstructionOptions | None = 
 
 
 def _correction_constant(n: int) -> float:
-    if n % 2 == 0:
-        return (-1.0) ** ((n - 2) // 2) / (2.0 ** (n + 1) * math.pi ** (n - 1))
-    return (-1.0) ** ((n - 3) // 2) / (2.0 ** (n + 1) * math.pi ** (n - 1))
+    return (-1.0) ** ((n - 2) // 2) / (2.0 ** (n + 1) * math.pi ** (n - 1))
 
 
 def _as_field(f):
@@ -341,20 +324,8 @@ def _as_field(f):
 
 def _angular_set(n: int, m: int):
     """Directions and weights covering the unit sphere (total measure)."""
-    if n == 2:
-        ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        w = np.full(m, 2.0 * math.pi / m)
-        return dirs, w
-    rule = gauss_legendre(m, -1.0, 1.0)
-    nphi = 2 * m
-    phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
-    uu, ph = np.meshgrid(rule.nodes, phi, indexing="ij")
-    wu, _ = np.meshgrid(rule.weights, phi, indexing="ij")
-    st = np.sqrt(1.0 - uu * uu)
-    dirs = np.stack([st * np.cos(ph), st * np.sin(ph), uu], axis=-1).reshape(-1, 3)
-    w = (wu * (2.0 * math.pi / nphi)).reshape(-1)
-    return dirs, w
+    dirs, wu = _sphere_rule(n, m, shift=0.5)
+    return dirs, wu * (2.0 * math.pi / ((n - 1) * m))
 
 
 def _kernel_vanishes(domain: ConvexDomain) -> bool:

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import (
+    _sphere_rule,
     gamma_fn,
     gauss_legendre,
     interp_cubic,
@@ -130,13 +131,7 @@ class Phantom:
             inside = r2 < 1.0
             if not np.any(inside):
                 continue
-            ri = r2[inside]
-            if b.profile == CINF:
-                vals = b.amplitude * np.exp(1.0 - 1.0 / (1.0 - ri))
-            else:
-                a = _mollifier_norm(b.dimension, b.mu)
-                vals = b.amplitude * (1.0 - ri) ** b.mu / (a * b.radius**b.dimension)
-            out[inside] += vals
+            out[inside] += _bump_profile(b, r2[inside], b.dimension)
         return out.reshape(pts.shape[:-1])
 
     def peak(self) -> float:
@@ -158,6 +153,14 @@ def _scaled_radius2(pts, center, scale):
     return r2
 
 
+def _bump_profile(bump: Bump, u, n: int):
+    """Value of a bump in dimension n at squared scaled radii u < 1."""
+    if bump.profile == CINF:
+        return bump.amplitude * np.exp(1.0 - 1.0 / (1.0 - u))
+    a = _mollifier_norm(n, bump.mu)
+    return bump.amplitude * (1.0 - u) ** bump.mu / (a * bump.radius**n)
+
+
 def bump_radial(bump: Bump, rho, n: int | None = None):
     """Profile value of a single bump at distance rho from its center."""
     n = bump.dimension if n is None else n
@@ -165,11 +168,7 @@ def bump_radial(bump: Bump, rho, n: int | None = None):
     u = (rho / bump.radius) ** 2
     out = np.zeros_like(u)
     inside = u < 1.0
-    if bump.profile == CINF:
-        out[inside] = bump.amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside]))
-    else:
-        a = _mollifier_norm(n, bump.mu)
-        out[inside] = bump.amplitude * (1.0 - u[inside]) ** bump.mu / (a * bump.radius**n)
+    out[inside] = _bump_profile(bump, u[inside], n)
     return out
 
 
@@ -183,8 +182,7 @@ def bump_radial_deriv(bump: Bump, rho, n: int | None = None):
     ui, ri = u[inside], rho[inside]
     du = 2.0 * ri / bump.radius**2
     if bump.profile == CINF:
-        val = bump.amplitude * np.exp(1.0 - 1.0 / (1.0 - ui))
-        out[inside] = -val / (1.0 - ui) ** 2 * du
+        out[inside] = -_bump_profile(bump, ui, n) / (1.0 - ui) ** 2 * du
     else:
         a = _mollifier_norm(n, bump.mu)
         out[inside] = (
@@ -200,19 +198,9 @@ def bump_radial_deriv(bump: Bump, rho, n: int | None = None):
 @lru_cache(maxsize=None)
 def _mean_directions(n: int, m: int):
     """Unit directions and mean weights (weights sum to one)."""
-    if n == 2:
-        ang = 2.0 * np.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        w = np.full(m, 1.0 / m)
-    else:
-        rule = gauss_legendre(m, -1.0, 1.0)
-        nphi = 2 * m
-        phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        u, ph = np.meshgrid(rule.nodes, phi, indexing="ij")
-        wu, _ = np.meshgrid(rule.weights, phi, indexing="ij")
-        st = np.sqrt(1.0 - u * u)
-        dirs = np.stack([st * np.cos(ph), st * np.sin(ph), u], axis=-1).reshape(-1, 3)
-        w = (wu / (2.0 * nphi)).reshape(-1)
+    dirs, wu = _sphere_rule(n, m)
+    # (n - 1) m azimuths, and polar weights that sum to n - 1 per azimuth
+    w = wu / ((n - 1) * ((n - 1) * m))
     dirs.setflags(write=False)
     w.setflags(write=False)
     return dirs, w
@@ -228,13 +216,48 @@ def sphere_means(f, x, radii, m: int, n: int | None = None):
     Negative radii are treated by absolute value, which is what the
     even-in-radius extension of the means requires.  Raises ValueError when
     x has other than n coordinates.
+
+    A field with ``bumps`` around one centre x of shape (n,) is evaluated
+    only at the sphere points that can lie in a bump.  The point x + r u lies
+    in the bump (b, R) when 2 r <u, e> > r^2 + |e|^2 - R^2 with e = b - x.  A
+    point is kept when this holds for some bump up to a slack of
+    1e-9 (r + |x| + |b| + R)^2, far beyond the roundoff of the test and of
+    the point itself, which grows with the coordinates; a radius is kept when
+    it holds at the best direction, <u, e> = |e| (1 + 1e-12).  The test has no
+    division, so a centre at a bump centre, radius 0 and spheres inside a
+    bump need no special case.  Only the kept radii get a row of directions.
+    Every skipped point is an exact zero of the full evaluation, so the
+    means keep its bits.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] if n is None else n
     r = np.abs(np.asarray(radii, dtype=float))
     dirs, w = _mean_directions(n, m)
-    vals = _as_eval(f)(_ray_points(x, r[..., None], dirs))
-    return np.sum(vals * w, axis=-1)
+    if not hasattr(f, "bumps") or x.shape != (n,):
+        vals = _as_eval(f)(_ray_points(x, r[..., None], dirs))
+        return np.sum(vals * w, axis=-1)
+    flat = r.reshape(-1)
+    x_norm = math.hypot(*x.tolist())
+    rows = np.zeros(flat.shape, dtype=bool)
+    tests = []
+    for b in f.bumps:
+        e = np.asarray(b.center, dtype=float) - x
+        d2 = float(e @ e)
+        scale = flat + (x_norm + math.hypot(*b.center) + b.radius)
+        rhs = flat * flat + (d2 - b.radius**2) - 1e-9 * scale * scale
+        rows |= flat * (2.0 * math.sqrt(d2) * (1.0 + 1e-12)) > rhs
+        tests.append((dirs @ e, rhs))
+    rows = np.flatnonzero(rows)
+    kept = flat[rows]
+    keep = np.zeros((rows.size, dirs.shape[0]), dtype=bool)
+    for along, rhs in tests:
+        keep |= (2.0 * kept)[:, None] * along > rhs[rows, None]
+    i, j = np.nonzero(keep)
+    vals = np.zeros(keep.shape)
+    vals[i, j] = f.eval(_ray_points(x, kept[i], dirs[j]))
+    out = np.zeros(flat.shape)
+    out[rows] = np.sum(vals * w, axis=-1)
+    return out.reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------

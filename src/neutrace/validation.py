@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import (
+    _sphere_rule,
     coeff_c,
     gauss_legendre,
-    richardson,
     stencil_derivative,
     unit_ball_volume,
 )
@@ -342,13 +342,8 @@ def check_integral_identity(
 
     # volume term: integral over the domain of the 7-point Laplacian of u*v
     rr = gauss_legendre(m_rad, 0.0, 1.0)
-    pr = gauss_legendre(m_pol, -1.0, 1.0)
-    azi = 2.0 * np.pi * (np.arange(m_azi) + 0.5) / m_azi + phase
-    uu, ph_ = np.meshgrid(pr.nodes, azi, indexing="ij")
-    wu, _ = np.meshgrid(pr.weights, azi, indexing="ij")
-    st = np.sqrt(1.0 - uu * uu)
-    dirs = np.stack([st * np.cos(ph_), st * np.sin(ph_), uu], axis=-1).reshape(-1, 3)
-    wsph = (wu * (2.0 * np.pi / m_azi)).reshape(-1)
+    dirs, wu = _sphere_rule(3, m_pol, shift=0.5, phase=phase)
+    wsph = wu * (2.0 * np.pi / m_azi)
     a = np.asarray(domain.semi_axes)
     nodes = (np.asarray(domain.center) + rr.nodes[:, None, None] * dirs[None, :, :] * a).reshape(-1, 3)
     wvol = (float(np.prod(a)) * (rr.weights * rr.nodes**2)[:, None] * wsph[None, :]).reshape(-1)

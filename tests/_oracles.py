@@ -22,10 +22,13 @@ search, trace-operator build, halfwidths) are the package's earlier code for
 work it now does once, in blocks or batched, and the ungated closed fields
 are its earlier code for work it now does only on the Huygens band; they
 share its arithmetic on purpose, so the tests can ask for equal bits.
-The broadcast point routes after them (sphere and arc points, distances,
-bump and mollifier radii, the 3-D rim) are its earlier code for point
-arithmetic it now does one coordinate plane at a time; they too
-share its arithmetic, so the tests can ask for equal bits.
+The hand-built direction rules after them are its earlier copies of the
+one product rule on the circle and sphere it now builds in one place, and
+the broadcast point routes (sphere and arc points, distances, bump and
+mollifier radii, the 3-D rim, the ungated sphere means) are its earlier code
+for point arithmetic it now does one coordinate plane at a time, or only
+where a sphere can meet a bump; they too share its arithmetic, so the tests
+can ask for equal bits.
 The single-chord and single-point routes at the very end (one section
 profile, its closed-form and differenced offset derivatives, the
 principal-value transform, the pointwise Neumann trace) were public routes
@@ -517,13 +520,7 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
     nonzero = int(np.count_nonzero(du))
 
     rr = gauss_legendre(m_rad, 0.0, 1.0)
-    pr = gauss_legendre(m_pol, -1.0, 1.0)
-    azi = 2.0 * np.pi * (np.arange(m_azi) + 0.5) / m_azi + phase
-    uu, ph_ = np.meshgrid(pr.nodes, azi, indexing="ij")
-    wu, _ = np.meshgrid(pr.weights, azi, indexing="ij")
-    st = np.sqrt(1.0 - uu * uu)
-    dirs = np.stack([st * np.cos(ph_), st * np.sin(ph_), uu], axis=-1).reshape(-1, 3)
-    wsph = (wu * (2.0 * np.pi / m_azi)).reshape(-1)
+    dirs, wsph = volume_directions_by_hand(m_pol, m_azi, phase)
     a = np.asarray(domain.semi_axes)
     nodes = (np.asarray(domain.center) + rr.nodes[:, None, None] * dirs[None, :, :] * a).reshape(-1, 3)
     wvol = (float(np.prod(a)) * (rr.weights * rr.nodes**2)[:, None] * wsph[None, :]).reshape(-1)
@@ -801,8 +798,60 @@ def distance_broadcast(a, b):
     return np.sqrt(np.sum((a - b) ** 2, axis=-1))
 
 
+def mean_directions_by_hand(n: int, m: int):
+    """Directions and mean weights of ``transforms._mean_directions`` as
+    written out before the shared rule ``calculus._sphere_rule``."""
+    from neutrace.calculus import gauss_legendre
+
+    if n == 2:
+        ang = 2.0 * np.pi * np.arange(m) / m
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(m, 1.0 / m)
+    rule = gauss_legendre(m, -1.0, 1.0)
+    nphi = 2 * m
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    u, ph = np.meshgrid(rule.nodes, phi, indexing="ij")
+    wu, _ = np.meshgrid(rule.weights, phi, indexing="ij")
+    st = np.sqrt(1.0 - u * u)
+    dirs = np.stack([st * np.cos(ph), st * np.sin(ph), u], axis=-1).reshape(-1, 3)
+    return dirs, (wu / (2.0 * nphi)).reshape(-1)
+
+
+def angular_set_by_hand(n: int, m: int):
+    """Directions and weights of ``inversion._angular_set`` (total measure)
+    as written out before the shared rule."""
+    from neutrace.calculus import gauss_legendre
+
+    if n == 2:
+        ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(m, 2.0 * math.pi / m)
+    rule = gauss_legendre(m, -1.0, 1.0)
+    nphi = 2 * m
+    phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
+    uu, ph = np.meshgrid(rule.nodes, phi, indexing="ij")
+    wu, _ = np.meshgrid(rule.weights, phi, indexing="ij")
+    st = np.sqrt(1.0 - uu * uu)
+    dirs = np.stack([st * np.cos(ph), st * np.sin(ph), uu], axis=-1).reshape(-1, 3)
+    return dirs, (wu * (2.0 * math.pi / nphi)).reshape(-1)
+
+
+def volume_directions_by_hand(m_pol: int, m_azi: int, phase: float):
+    """Directions and weights (total measure) of the volume rule of
+    ``validation.check_integral_identity`` as written out before the shared
+    rule: m_pol polar cosines times m_azi azimuths turned by ``phase``."""
+    from neutrace.calculus import gauss_legendre
+
+    pr = gauss_legendre(m_pol, -1.0, 1.0)
+    azi = 2.0 * np.pi * (np.arange(m_azi) + 0.5) / m_azi + phase
+    uu, ph_ = np.meshgrid(pr.nodes, azi, indexing="ij")
+    wu, _ = np.meshgrid(pr.weights, azi, indexing="ij")
+    st = np.sqrt(1.0 - uu * uu)
+    dirs = np.stack([st * np.cos(ph_), st * np.sin(ph_), uu], axis=-1).reshape(-1, 3)
+    return dirs, (wu * (2.0 * np.pi / m_azi)).reshape(-1)
+
+
 def sphere_means_broadcast(f, x, radii, m: int, n: int | None = None):
-    """``transforms.sphere_means`` with its points built by broadcasting."""
+    """``transforms.sphere_means`` with its points built by broadcasting and
+    f evaluated at every sphere point, with no bump gate."""
     from neutrace.transforms import _as_eval, _mean_directions
 
     x = np.asarray(x, dtype=float)

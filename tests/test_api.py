@@ -1,5 +1,6 @@
 """Every name the package exports, and every function the benchmark traces,
-resolves; distances between points come from one route."""
+resolves; distances between points come from one route; every private helper
+has a caller in the package."""
 
 import ast
 import importlib
@@ -120,3 +121,76 @@ def test_point_distances_use_the_one_distance_route():
         f"squared point differences summed along the last axis at {hits}; "
         "take distances from geometry._distance, which adds the coordinate planes in axis order"
     )
+
+
+def _unreferenced_private_defs(sources: dict) -> list:
+    """``file:name`` of each private function or class (one leading
+    underscore) that no code of ``sources`` (file name -> text) names, as a
+    name or an attribute, outside its own definition."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    uses: dict = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path, node.lineno))
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            outside = [
+                (where, line)
+                for where, line in uses.get(node.name, ())
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                found.append(f"{path}:{node.name}")
+    return sorted(found)
+
+
+def test_the_guard_finds_private_helpers_without_a_caller():
+    sources = {
+        "a.py": """
+from b import _used_elsewhere
+
+def _recursive(k):
+    return _recursive(k - 1) if k else 0
+
+def _called(x):
+    return x
+
+class _Box:
+    def _method(self):
+        return self._helper()
+
+    def _helper(self):
+        return _called(1)
+
+def public():
+    return _Box()._method() + _used_elsewhere()
+""",
+        "b.py": """
+import a
+
+def _used_elsewhere():
+    return a.public()
+
+def _imported_only():
+    return 0
+""",
+    }
+    assert _unreferenced_private_defs(sources) == ["a.py:_recursive", "b.py:_imported_only"]
+
+
+def test_private_helpers_have_a_caller_in_the_package():
+    """A private function or class that only tests call is test code, and
+    belongs in the tests."""
+    src = Path(neutrace.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    unused = _unreferenced_private_defs(sources)
+    assert unused == [], f"private helpers with no caller in src/neutrace: {unused}"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrace.calculus import (
+    _sphere_rule,
     coeff_c,
     dimension_constants,
     gamma_fn,
@@ -19,7 +20,17 @@ from neutrace.calculus import (
     unit_ball_volume,
 )
 
-from _oracles import poly_eval, poly_integral
+from neutrace.inversion import _angular_set
+from neutrace.transforms import _mean_directions
+
+from _oracles import (
+    angular_set_by_hand,
+    assert_same_bits,
+    mean_directions_by_hand,
+    poly_eval,
+    poly_integral,
+    volume_directions_by_hand,
+)
 
 coeff_lists = st.lists(
     st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
@@ -61,6 +72,27 @@ def test_gauss_legendre_spectral_on_sine():
     assert errs[1] <= errs[0] / 10.0
     assert errs[2] <= errs[1] / 10.0
     assert errs[2] < 1e-13  # float floor
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 32, 64])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_rule_keeps_the_bits_of_the_hand_built_rules(n, m):
+    """The one product rule on the circle and sphere gives the bits of the
+    three rules it replaced: the sphere-mean directions, the correction's
+    angular set, and the identity check's volume directions, turned by a
+    phase."""
+    for got, want in (
+        (_mean_directions(n, m), mean_directions_by_hand(n, m)),
+        (_angular_set(n, m), angular_set_by_hand(n, m)),
+    ):
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
+    if n == 3:
+        for phase in (0.0, 0.37, -1.9):
+            dirs, wu = _sphere_rule(3, m, shift=0.5, phase=phase)
+            want = volume_directions_by_hand(m, 2 * m, phase)
+            assert_same_bits(dirs, want[0])
+            assert_same_bits(wu * (2.0 * np.pi / (2 * m)), want[1])
 
 
 def test_gauss_legendre_rejects_bad_count():

@@ -177,6 +177,14 @@ def test_parse_validate_bounds_and_checks():
         (MINIMAL_2D + "recon.k_radial = many\n", "line 3: recon.k_radial expects an integer"),
         (MINIMAL_2D + "solver.mean_res = 3\n", "mean_res must be >= 4, got 3"),
         (MINIMAL_2D + "validate.level = -1\n", "line 3: validate.level must be >= 0, got -1"),
+        (
+            MINIMAL_2D + "validate.checks = mollifier, foo\n",
+            "line 3: unknown validation check 'foo'",
+        ),
+        (
+            MINIMAL_2D + "validate.bound.lemma-symbolc = 1e-9\n",
+            "line 3: unknown key 'validate.bound.lemma-symbolc'",
+        ),
     ],
 )
 def test_parse_config_rejections(text, message):
@@ -470,6 +478,15 @@ def test_validate_unknown_check(tmp_path, capsys):
     cfg = config_file(tmp_path, MINIMAL_2D + "validate.checks = entropy\n")
     assert run_main(["validate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
     assert "unknown validation check" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_check_with_a_bound_but_no_run(tmp_path, capsys):
+    """A check name that exists only in a bound key is an error with the line
+    of ``validate.checks`` (exit 2), not a crash."""
+    text = MINIMAL_2D + "validate.checks = foo\nvalidate.bound.foo = 1\n"
+    cfg = config_file(tmp_path, text)
+    assert run_main(["validate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "line 3: unknown validation check 'foo'" in capsys.readouterr().err
 
 
 def test_kernel_dump(tmp_path, capsys):

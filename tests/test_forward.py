@@ -10,6 +10,7 @@ import pytest
 from _oracles import (
     assert_same_bits,
     neumann_trace,
+    sphere_means_broadcast,
     trace_operator_2d_int64,
     trace_table_2d_per_centre,
     traces_2d_direct,
@@ -25,9 +26,7 @@ from neutrace.forward import (
     TimeGrid,
     TraceFormatError,
     TraceGrid,
-    _arc_means,
     _nu_stencil,
-    _radial_table_2d,
     _trace_operator_2d,
     huygens_horizon,
     phantom_hash,
@@ -39,7 +38,7 @@ from neutrace.forward import (
     write_trace_file,
 )
 from neutrace.geometry import BoundaryQuadrature, boundary_quadrature, ellipsoid, superellipse
-from neutrace.transforms import Bump, Phantom, sphere_means
+from neutrace.transforms import Bump, Phantom, _mean_directions, sphere_means
 
 # field at x = (0.3, 0), t = 0.7 for the centered radius-0.5 bump, frozen
 # from a run at four times the resolution (mean_res 512, radial_quad 768)
@@ -376,15 +375,16 @@ class CountingPhantom:
 
 
 def test_radial_table_band_equals_full_means():
-    """The table is evaluated on the band of radii that can meet a bump and,
-    at each radius, on the arc that can: a fraction of the circle points,
-    with the bits of the full means."""
+    """The 2-D trace table, ``sphere_means`` on the radial grid, is evaluated
+    on the band of radii that can meet a bump and, at each radius, on the arc
+    that can: a fraction of the circle points, with the bits of the full
+    means."""
     r_grid = np.linspace(0.0, 4.01, 1024)
     evaluated = on_band = 0
     for c in ((1.001, 0.0), (-0.2, 0.999), (0.1, 0.0)):
         f = CountingPhantom(TWO_BUMPS_2D)
-        band = _radial_table_2d(f, np.asarray(c), r_grid, 32)
-        full = sphere_means(TWO_BUMPS_2D, c, r_grid, 32, n=2)
+        band = sphere_means(f, np.asarray(c), r_grid, 32, n=2)
+        full = sphere_means_broadcast(TWO_BUMPS_2D, c, r_grid, 32, n=2)
         assert_same_bits(band, full)
         assert np.count_nonzero(band) < r_grid.size // 2
         evaluated += f.points
@@ -392,8 +392,47 @@ def test_radial_table_band_equals_full_means():
     assert 0 < evaluated < 0.3 * on_band
 
 
+def _gate_cases(f, n, m, rng):
+    """(centre, radii) pairs for the bump gate of ``sphere_means`` with the
+    m-point rule in dimension n, around the two overlapping bumps of ``f``:
+    random centres and radii, radius 0, spheres around a bump centre
+    (d = 0), inside a bump, and last, grazing the first bump from outside
+    (r = d - R) and from inside (r = d + R) along a direction of the rule."""
+    c0, big = np.asarray(f.bumps[0].center), f.bumps[0].radius
+    cases = [
+        (c, np.concatenate([[0.0], rng.uniform(0.0, 3.0, 64)]))
+        for c in rng.uniform(-1.2, 1.2, (6, n))
+    ]
+    # at a bump centre (d = 0): radius 0, spheres inside, on and beyond the rim
+    cases.append((c0, np.array([0.0, 0.1, 0.39, 0.4, 0.41, 1.0])))
+    # radius 0 inside and outside every bump
+    cases += [(c0 + 0.1, np.zeros(3)), (c0 + 0.9, np.zeros(3))]
+    # spheres wholly inside the first bump around an off-centre point
+    cases.append((c0 + 0.05, np.array([0.05, 0.2, 0.3])))
+    # the centre 0.9 from the first bump's centre, opposite a rule direction
+    # (on the circle, direction m/2 from (1, 0) at the bump centre)
+    dirs, _ = _mean_directions(n, m)
+    d = 0.9
+    graze = np.array([d - big * (1 - 1e-9), d - big * (1 + 1e-9), d + big * (1 - 1e-9)])
+    cases.append((c0 - d * dirs[len(dirs) // 2], graze))
+    return cases
+
+
+def _check_gate(f, n, m, rng, profile):
+    cases = _gate_cases(f, n, m, rng)
+    for c, radii in cases:
+        got = sphere_means(f, c, radii, m, n=n)
+        assert_same_bits(got, sphere_means_broadcast(f, c, radii, m, n=n))
+    if profile == "poly":
+        # the points 1e-9 R inside the rim keep their non-zero values
+        means = sphere_means(f, *cases[-1], m, n=n)
+        assert means[0] > 0.0 and means[2] > 0.0
+
+
 @pytest.mark.parametrize("profile", ["cinf", "poly"])
 def test_arc_means_equal_sphere_means_bit_for_bit(profile, rng):
+    """Circle means evaluated on the arcs that can meet a bump keep the bits
+    of the means over every circle point."""
     # two overlapping bumps: centres 0.53 apart, radii 0.4 and 0.25
     f = Phantom(
         (
@@ -401,28 +440,27 @@ def test_arc_means_equal_sphere_means_bit_for_bit(profile, rng):
             Bump(center=(-0.3, 0.35), radius=0.25, amplitude=0.1, profile=profile),
         )
     )
-    cases = [
-        (c, np.concatenate([[0.0], rng.uniform(0.0, 3.0, 64)]))
-        for c in rng.uniform(-1.2, 1.2, (6, 2))
-    ]
-    # at a bump centre (d = 0): radius 0, circles inside, on and beyond the rim
-    cases.append(((0.1, 0.0), np.array([0.0, 0.1, 0.39, 0.4, 0.41, 1.0])))
-    # radius 0 inside and outside every bump
-    cases += [((0.2, 0.1), np.zeros(3)), ((0.9, -0.8), np.zeros(3))]
-    # circles wholly inside the first bump around an off-centre point
-    cases.append(((0.15, 0.02), np.array([0.05, 0.2, 0.3])))
-    # circles grazing the first bump from outside (r = d - R) and from
-    # inside (r = d + R): direction 16 of 32 points from (1, 0) at its centre
-    d, big = 0.9, 0.4
-    graze = np.array([d - big * (1 - 1e-9), d - big * (1 + 1e-9), d + big * (1 - 1e-9)])
-    cases.append(((1.0, 0.0), graze))
-    for c, radii in cases:
-        got = _arc_means(f, np.asarray(c, dtype=float), radii, 32)
-        assert_same_bits(got, sphere_means(f, c, radii, 32, n=2))
-    if profile == "poly":
-        # the points 1e-9 R inside the rim keep their non-zero values
-        means = _arc_means(f, np.array([1.0, 0.0]), graze, 32)
-        assert means[0] > 0.0 and means[2] > 0.0
+    _check_gate(f, 2, 32, rng, profile)
+
+
+@pytest.mark.parametrize("profile", ["cinf", "poly"])
+def test_sphere_means_gate_keeps_the_bits_in_3d(profile, rng):
+    """The bump gate on spheres of the 3-D rule: the circle's cases, radii
+    of shape (5, 4, 3), and only a fraction of the sphere points evaluated."""
+    f = Phantom(
+        (
+            Bump(center=(0.1, 0.0, -0.05), radius=0.4, profile=profile),
+            Bump(center=(-0.3, 0.35, 0.1), radius=0.25, amplitude=0.1, profile=profile, mu=3),
+        )
+    )
+    _check_gate(f, 3, 12, rng, profile)
+    c = np.array([0.2, -0.3, 0.1])
+    radii = rng.uniform(0.0, 2.0, (5, 4, 3))
+    assert_same_bits(sphere_means(f, c, radii, 12, n=3), sphere_means_broadcast(f, c, radii, 12, n=3))
+    counting = CountingPhantom(f)
+    radii = np.linspace(0.0, 2.0, 256)
+    means = sphere_means(counting, np.array([0.6, 0.2, 0.0]), radii, 12, n=3)
+    assert 0 < counting.points < 0.3 * 288 * np.count_nonzero(means)
 
 
 def test_trace_operator_matches_per_centre_reference(unit_disk):
@@ -473,7 +511,7 @@ def test_band_column_apply_equals_the_full_operator_apply(unit_disk, f, split_ba
     for j in range(len(bq)):
         table = np.zeros(r_grid.shape[0])
         for c, s in zip(bq.points[j] + offsets[:, None] * bq.normals[j], stencil_w):
-            table += s * _radial_table_2d(f, c, r_grid, params.mean_res)
+            table += s * sphere_means_broadcast(f, c, r_grid, params.mean_res, n=2)
         full = np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
         full[0] = 0.0
         assert got[j].tobytes() == full.tobytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from _oracles import backproject_even_per_point
 
-from neutrace.calculus import cubic_stencil, gauss_legendre
+from neutrace.calculus import cubic_stencil, gauss_legendre, interp_cubic
 from neutrace.forward import (
     InsufficientDataError,
     SolverParams,
@@ -25,7 +25,6 @@ from neutrace.inversion import (
     _correction_constant,
     _correction_matrix,
     _even_at,
-    _interp_rows,
     _support_radius,
     backproject_even,
     backproject_odd,
@@ -592,11 +591,12 @@ def test_reconstruct_2d_needs_enough_recorded_time(short_disk_traces):
 
 
 def test_table_reads_reject_queries_outside_the_table():
+    """The back-projection reads row j of a table at q[..., j]."""
     table = np.arange(12.0).reshape(2, 6)
-    assert _interp_rows(table, 0.5, np.array([[0.0, 2.5]]))[0] == pytest.approx([0.0, 11.0])
+    assert interp_cubic(np.array([[0.0, 2.5]]), 0.0, 0.5, table)[0] == pytest.approx([0.0, 11.0])
     for bad in (-1e-9, 2.5 + 1e-9):
         with pytest.raises(ValueError, match="leave the table"):
-            _interp_rows(table, 0.5, np.array([[bad, 1.0]]))
+            interp_cubic(np.array([[bad, 1.0]]), 0.0, 0.5, table)
 
 
 def test_reconstruct_threads_do_not_change_values(ball_traces):

@@ -7,7 +7,7 @@ import pytest
 
 from neutrace import forward, geometry, validation
 from neutrace.cli import _lemma_field
-from neutrace.forward import SolverParams, TimeGrid, TraceGrid, _arc_means, phantom_pressure
+from neutrace.forward import SolverParams, TimeGrid, TraceGrid, phantom_pressure
 from neutrace.geometry import _distance, _ray_points, boundary_distance, ellipsoid
 from neutrace.inversion import _node_distances
 from neutrace.transforms import Bump, Phantom, _mean_directions, mollifier_eval, sphere_means
@@ -50,7 +50,7 @@ def _pipeline_shapes(n, rng):
 
 def _gathered_arc_points(c, rng):
     """Radii and directions gathered at the kept (radius, direction) pairs,
-    as ``_arc_means`` gathers them."""
+    as the bump gate of ``sphere_means`` gathers them."""
     dirs, _ = _mean_directions(2, 32)
     radii = np.concatenate([[0.0], rng.uniform(0.0, 2.5, 40)])
     i, j = np.nonzero(rng.random((radii.size, 32)) < 0.4)
@@ -135,10 +135,12 @@ def test_sphere_means_equal_the_broadcast(n, rng):
 
 
 def test_arc_means_keep_the_bits_of_the_broadcast_means(rng):
+    """The gated circle means of the 2-D trace table, around an off-origin
+    centre."""
     f = _phantom(2, "poly")
     c = np.asarray(CENTRES[2]) + 0.05
     radii = np.concatenate([[0.0], rng.uniform(0.0, 2.5, 50)])
-    assert_same_bits(_arc_means(f, c, radii, 32), sphere_means_broadcast(f, c, radii, 32, n=2))
+    assert_same_bits(sphere_means(f, c, radii, 32, n=2), sphere_means_broadcast(f, c, radii, 32, n=2))
 
 
 def test_rim_equals_the_rim_on_the_grid():
