@@ -87,6 +87,16 @@ def _sphere_rule(n: int, m: int, shift: float = 0.0, phase: float = 0.0):
     return dirs, wu.reshape(-1)
 
 
+def _sine_ball_rule(m: int, n: int):
+    """Radius factors sin(phi) and weights w sin^{n-1}(phi) of the m-point
+    Gauss-Legendre rule on (0, pi/2): the rule of the ball integral
+    A(t) = integral of sin^{n-1}(phi) M(x, t sin phi) over (0, pi/2), whose
+    sine substitution r = t sin(phi) removes the inverse-root endpoint."""
+    rule = gauss_legendre(m, 0.0, 0.5 * np.pi)
+    sin_phi = np.sin(rule.nodes)
+    return sin_phi, rule.weights * sin_phi ** (n - 1)
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function for positive real arguments."""
     if x <= 0:

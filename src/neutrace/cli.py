@@ -22,11 +22,9 @@ from functools import partial
 import numpy as np
 
 from .forward import (
-    ConfigurationError,
     InsufficientDataError,
     SolverParams,
     TimeGrid,
-    TraceFormatError,
     _fmt,
     read_trace_file,
     simulate_traces,
@@ -197,48 +195,34 @@ _BUMP_KEY = re.compile(r"^(phantom2?)\.bump(\d+)\.(center|radius|amplitude|profi
 
 
 def _parse_phantom(entries: _Entries, prefix: str, n: int) -> Phantom:
-    groups: dict[int, dict[str, object]] = {}
-    for key in list(entries.data):
+    groups = {}
+    for key in entries.data:
         m = _BUMP_KEY.match(key)
-        if not m or m.group(1) != prefix:
-            continue
-        idx = int(m.group(2))
-        fieldname = m.group(3)
-        lineno = entries.data[key][1]
-        if fieldname == "center":
-            value = entries.float_list(key)
-        elif fieldname == "profile":
-            value = entries.string(key, choices=("cinf", "poly"))
-        elif fieldname == "mu":
-            value = entries.integer(key)
-        else:
-            value = entries.floating(key)
-        groups.setdefault(idx, {})[fieldname] = (value, lineno)
-
+        if m and m.group(1) == prefix:
+            groups[key.rpartition(".")[0]] = int(m.group(2))
     bumps = []
-    for idx in sorted(groups):
-        spec = groups[idx]
+    for group in sorted(groups, key=lambda g: (groups[g], g)):
+        center_line = entries.line_of(f"{group}.center")
+        spec = entries.given(
+            group,
+            center=entries.float_list,
+            radius=entries.floating,
+            amplitude=entries.floating,
+            profile=partial(entries.string, choices=("cinf", "poly")),
+            mu=entries.integer,
+        )
         for needed in ("center", "radius"):
             if needed not in spec:
-                raise ConfigError(f"{prefix}.bump{idx} is missing {prefix}.bump{idx}.{needed}")
-        center, center_line = spec["center"]
-        if len(center) != n:
+                raise ConfigError(f"{group} is missing {group}.{needed}")
+        if len(spec["center"]) != n:
             raise ConfigError(
-                f"line {center_line}: {prefix}.bump{idx}.center has {len(center)} "
+                f"line {center_line}: {group}.center has {len(spec['center'])} "
                 f"coordinates for dimension {n}"
             )
-        kwargs = {
-            "center": center,
-            "radius": spec["radius"][0],
-            "amplitude": spec["amplitude"][0] if "amplitude" in spec else 1.0,
-            "profile": spec["profile"][0] if "profile" in spec else "cinf",
-        }
-        if "mu" in spec:
-            kwargs["mu"] = spec["mu"][0]
         try:
-            bumps.append(Bump(**kwargs))
+            bumps.append(Bump(**spec))
         except ValueError as exc:
-            raise ConfigError(f"{prefix}.bump{idx}: {exc}") from None
+            raise ConfigError(f"{group}: {exc}") from None
     return Phantom(tuple(bumps))
 
 
@@ -385,7 +369,7 @@ def parse_config(text: str) -> RunConfig:
         "checks": checks,
         "level": entries.integer("validate.level", default=0, minimum=0),
         "seed": entries.integer("validate.seed", default=7),
-        "samples": entries.integer("validate.samples", default=5),
+        "samples": entries.integer("validate.samples", default=5, minimum=1),
         "lemma_k": entries.int_list("validate.lemma.k", default=(1, 2)),
         "lemma_t": entries.floating("validate.lemma.t", default=0.7),
         "lemma_x": entries.float_list("validate.lemma.x", default=tuple(domain.center)),
@@ -641,18 +625,15 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
         margin = 0.05 * support_halfwidth(cfg.domain, th)
     hilbert = cfg.kernel["hilbert"]
     with_hilbert = cfg.dimension % 2 == 0 if hilbert == "auto" else hilbert == "on"
-    try:
-        profile = build_kernel_profile(
-            cfg.domain,
-            th,
-            order,
-            margin=margin,
-            num_table=cfg.recon.kernel_table,
-            num_quad=cfg.recon.kernel_quad,
-            with_hilbert=with_hilbert,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    profile = build_kernel_profile(
+        cfg.domain,
+        th,
+        order,
+        margin=margin,
+        num_table=cfg.recon.kernel_table,
+        num_quad=cfg.recon.kernel_quad,
+        with_hilbert=with_hilbert,
+    )
     points = cfg.kernel["points"]
     if points < 2:
         raise ConfigError(f"kernel.points must be >= 2, got {points}")
@@ -674,15 +655,20 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
     return 0
 
 
+# the subcommands: run and help text
 _COMMANDS = {
-    "forward": cmd_forward,
-    "reconstruct": cmd_reconstruct,
-    "validate": cmd_validate,
-    "kernel": cmd_kernel,
+    "forward": (cmd_forward, "simulate Neumann traces and write the trace file"),
+    "reconstruct": (cmd_reconstruct, "back-project a trace file onto an image grid"),
+    "validate": (cmd_validate, "run identity checks and write a report CSV"),
+    "kernel": (cmd_kernel, "tabulate a section-profile kernel along one direction"),
 }
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Returns 0 on success, 1 when ``validate`` finds
+    a check over its bound, and 2 on an input error: a config, trace file or
+    value the program rejects (every such error is a ValueError), or a file
+    it cannot read or write."""
     parser = argparse.ArgumentParser(
         prog="neutrace",
         description="Wave-equation initial data from Neumann boundary traces: "
@@ -690,13 +676,7 @@ def main(argv=None) -> int:
         "and kernel profile dumps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "forward": "simulate Neumann traces and write the trace file",
-        "reconstruct": "back-project a trace file onto an image grid",
-        "validate": "run identity checks and write a report CSV",
-        "kernel": "tabulate a section-profile kernel along one direction",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the key = value config file")
         p.add_argument("--out", help="output path (overrides the output.* config keys)")
@@ -715,11 +695,8 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ConfigurationError, TraceFormatError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _COMMANDS[args.command][0](cfg, args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

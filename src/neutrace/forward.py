@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import cubic_stencil, gauss_legendre
+from .calculus import _sine_ball_rule, cubic_stencil
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
@@ -132,6 +132,10 @@ class SolverParams:
     table_points: int = 4096
 
     def __post_init__(self):
+        for name in ("h_t", "h_nu"):
+            h = getattr(self, name)
+            if h is not None and not h > 0:
+                raise ValueError(f"{name} must be positive, got {h}")
         if self.nu_order not in (2, 4):
             raise ValueError(f"nu_order must be 2 or 4, got {self.nu_order}")
         if self.mean_res < 4:
@@ -148,8 +152,6 @@ class SolverParams:
         h_nu = self.h_nu
         if h_nu is None:
             h_nu = 1e-3 * (min(domain.semi_axes) if domain is not None else 1.0)
-        if h_t <= 0 or h_nu <= 0:
-            raise ValueError("finite-difference steps must be positive")
         return replace(self, h_t=float(h_t), h_nu=float(h_nu))
 
 
@@ -224,27 +226,15 @@ def phantom_pressure(f: Phantom, pts, t):
 # pointwise wave solution
 
 
-def _radial_rule(m: int):
-    return gauss_legendre(m, 0.0, 0.5 * np.pi)
-
-
-def _inner_integral_2d(f, x, taus, params: SolverParams):
-    """t * integral of sin(phi) * M f(x, t sin phi) d phi, odd in t."""
-    rule = _radial_rule(params.radial_quad)
-    sin_phi = np.sin(rule.nodes)
-    radii = np.abs(np.asarray(taus, dtype=float))[..., None] * sin_phi
-    means = sphere_means(f, x, radii, params.mean_res, n=2)
-    return np.asarray(taus) * np.sum(means * (rule.weights * sin_phi), axis=-1)
-
-
-def _wave_batch(f: Phantom, x, ts, params: SolverParams, n: int) -> np.ndarray:
-    """Solution values u(x, t) for an array of times at one point."""
-    ts = np.asarray(ts, dtype=float)
-    if n == 3:
-        return phantom_pressure(f, x, ts)
+def _even_field(f, x, ts, params: SolverParams, rule) -> np.ndarray:
+    """Two-dimensional u(x, t) at one point for an array of times: the
+    fourth-order time difference of g(tau) = tau * sum_q w_q M f(x, |tau| r_q),
+    odd in tau, for a radial rule ``rule`` = (r, w) on the unit radius."""
+    nodes, weights = rule
     h = params.h_t
-    taus = ts[..., None] + h * _D4_OFFSETS
-    g = _inner_integral_2d(f, x, taus, params)
+    taus = np.asarray(ts, dtype=float)[..., None] + h * _D4_OFFSETS
+    means = sphere_means(f, x, np.abs(taus)[..., None] * nodes, params.mean_res, n=2)
+    g = taus * np.sum(means * weights, axis=-1)
     return np.sum(g * _D4_WEIGHTS, axis=-1) / h
 
 
@@ -261,7 +251,10 @@ def wave_solution(f: Phantom, x, t: float, params: SolverParams | None = None) -
     if n not in (2, 3):
         raise ValueError(f"wave solvers support n in (2, 3), got n={n}")
     params = (params or SolverParams()).resolved(t_scale=max(1.0, t))
-    return float(_wave_batch(f, np.asarray(x, dtype=float), np.asarray(t), params, n))
+    x = np.asarray(x, dtype=float)
+    if n == 3:
+        return float(phantom_pressure(f, x, np.asarray(t, dtype=float)))
+    return float(_even_field(f, x, t, params, _sine_ball_rule(params.radial_quad, 2)))
 
 
 def wave_solution_even_alt(f: Phantom, x, t: float, params: SolverParams | None = None) -> float:
@@ -278,17 +271,10 @@ def wave_solution_even_alt(f: Phantom, x, t: float, params: SolverParams | None 
     if f.dimension != 2:
         raise ValueError("the alternative arrangement exists in two dimensions only")
     params = (params or SolverParams()).resolved(t_scale=max(1.0, t))
-    x = np.asarray(x, dtype=float)
     m = params.radial_quad
-    theta = (np.arange(m) + 0.5) * (0.5 * np.pi / m)
-    cos_th = np.cos(theta)
-    w_th = np.full(m, 0.5 * np.pi / m)
-    h = params.h_t
-    taus = np.asarray(t, dtype=float)[..., None] + h * _D4_OFFSETS
-    radii = np.abs(taus)[..., None] * cos_th
-    means = sphere_means(f, x, radii, params.mean_res, n=2)
-    g = taus * np.sum(means * (w_th * cos_th), axis=-1)
-    return float(np.sum(g * _D4_WEIGHTS, axis=-1) / h)
+    cos_th = np.cos((np.arange(m) + 0.5) * (0.5 * np.pi / m))
+    rule = (cos_th, np.full(m, 0.5 * np.pi / m) * cos_th)
+    return float(_even_field(f, np.asarray(x, dtype=float), t, params, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +342,7 @@ def _trace_operator_2d(times, params, r_grid):
     ``ptr[k]:ptr[k + 1]`` holds the entries of column k.  Query radii outside
     the table raise instead of being clamped onto its end stencils.
     """
-    rule = _radial_rule(params.radial_quad)
-    sin_phi = np.sin(rule.nodes)
-    wphi = rule.weights * sin_phi
+    sin_phi, wphi = _sine_ball_rule(params.radial_quad, 2)
     h = params.h_t
     npts = r_grid.shape[0]
     dr = r_grid[1] - r_grid[0]

@@ -16,6 +16,7 @@ in ``tests/_oracles.py``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -156,6 +157,9 @@ class ReconstructionOptions:
     def __post_init__(self):
         if self.correction not in ("none", "fixed_point"):
             raise ValueError(f"unknown correction mode {self.correction!r}")
+        for name in ("k_radial", "k_angular", "kernel_quad"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 #: Gauss nodes per trace time cell of the Abel weights, in phi with t = d cosh(phi);
@@ -335,18 +339,18 @@ def _kernel_vanishes(domain: ConvexDomain) -> bool:
     return domain.kind == ELLIPSOID and domain.dimension % 2 == 1
 
 
-def _support_radius(f, x) -> float:
+def _support_radii(f, pts) -> np.ndarray:
+    """Radius of the smallest ball around each point (N, n) that holds the
+    support of a Phantom, or the box of an ImageGrid's sample axes (the
+    ends of each axis, as :func:`~neutrace.geometry.grid_corners` takes them);
+    0 where a Phantom has no bumps."""
     if isinstance(f, Phantom):
-        r = 0.0
+        r = np.zeros(len(pts))
         for b in f.bumps:
-            r = max(r, float(np.linalg.norm(np.asarray(b.center) - x)) + b.radius)
+            r = np.maximum(r, _distance(pts, b.center) + b.radius)
         return r
-    if isinstance(f, ImageGrid):
-        corners = np.array(
-            np.meshgrid(*[[lo, hi] for lo, hi in zip(f.lo, f.hi)], indexing="ij")
-        ).reshape(len(f.lo), -1).T
-        return float(_distance(corners, x).max())
-    raise TypeError("support radius needs a Phantom or ImageGrid input")
+    corners = np.array(list(itertools.product(*[(ax[0], ax[-1]) for ax in f.axes()])))
+    return _distance(pts[:, None, :], corners).max(axis=1)
 
 
 def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
@@ -367,6 +371,31 @@ def _check_zero_kernel_window(domain, evaluator, pts, radii, dirs, margin):
         edge = live & (np.abs(s_vals - centre) >= w - margin)
         for j in np.flatnonzero(np.any(edge, axis=0)):
             _offset_window(domain, dirs[j], s_vals[live[:, j], j], margin, domain.dimension)
+
+
+def _correction_quadrature(f, evaluator, pts, domain, opts, margin):
+    """The quadrature of K around each point (N, n): the support radii of
+    the field f, the Gauss radial rule on (0, 1), the angular set and the
+    kernel profiles of its directions.
+
+    The profiles are None where K is zero at every point: when no point has
+    a non-zero radius, or when the kernel vanishes, after the chord windows
+    are checked at the samples where ``evaluator`` is non-zero."""
+    n = domain.dimension
+    r_max = _support_radii(f, pts)
+    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
+    dirs, wdir = _angular_set(n, opts.k_angular)
+    live = r_max != 0.0
+    if not live.any():
+        return r_max, rad, dirs, wdir, None
+    if _kernel_vanishes(domain):
+        radii = r_max[live, None] * rad.nodes
+        _check_zero_kernel_window(domain, evaluator, pts[live], radii, dirs, margin)
+        return r_max, rad, dirs, wdir, None
+    profiles = _build_profiles(
+        domain, dirs, n, margin, opts.kernel_table, opts.kernel_quad, n % 2 == 0
+    )
+    return r_max, rad, dirs, wdir, profiles
 
 
 def correction_K(
@@ -397,22 +426,15 @@ def correction_K(
     if margin <= 0:
         raise ValueError(f"chord safety margin must be positive, got {margin}")
     pts = np.atleast_2d(x)
-    r_max = np.array([_support_radius(f_in, p) for p in pts])
     out = np.zeros(len(pts))
-    # a point with support radius 0 sees no field, so it reads no kernel
-    live = np.flatnonzero(r_max)
-    if not live.size:
-        return float(out[0]) if x.ndim == 1 else out
-    dirs, wdir = _angular_set(n, opts.k_angular)
-    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
-    if _kernel_vanishes(domain):
-        # the sum is zero; only its window check remains
-        radii = r_max[live, None] * rad.nodes
-        _check_zero_kernel_window(domain, evaluator, pts[live], radii, dirs, margin)
+    r_max, rad, dirs, wdir, profiles = _correction_quadrature(
+        f_in, evaluator, pts, domain, opts, margin
+    )
+    if profiles is None:
         return float(out[0]) if x.ndim == 1 else out
     even = n % 2 == 0
-    profiles = _build_profiles(domain, dirs, n, margin, opts.kernel_table, opts.kernel_quad, even)
-    for i in live:
+    # a point with support radius 0 sees no field, so it reads no kernel
+    for i in np.flatnonzero(r_max):
         r = r_max[i] * rad.nodes
         total = 0.0
         for omega, w_omega, profile in zip(dirs, wdir, profiles):
@@ -444,21 +466,16 @@ def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarra
     n = domain.dimension
     pts = grid.points()
     size = len(pts)
-    r_max = np.array([_support_radius(grid, p) for p in pts])
-    rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
-    r = r_max[:, None] * rad.nodes
     matrix = np.zeros(size * size)
-    dirs, wdir = _angular_set(n, opts.k_angular)
-    if _kernel_vanishes(domain):
-        # the matrix is zero; only its window check remains, on the samples
-        # inside the grid box
-        box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(size))
-        _check_zero_kernel_window(domain, box.interp, pts, r, dirs, opts.kernel_margin)
-        return matrix.reshape(size, size)
-    even = n % 2 == 0
-    profiles = _build_profiles(
-        domain, dirs, n, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, even
+    # the window check of a zero kernel reads the samples inside the grid box
+    box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(size))
+    r_max, rad, dirs, wdir, profiles = _correction_quadrature(
+        grid, box.interp, pts, domain, opts, opts.kernel_margin
     )
+    if profiles is None:
+        return matrix.reshape(size, size)
+    r = r_max[:, None] * rad.nodes
+    even = n % 2 == 0
     for omega, w_omega, profile in zip(dirs, wdir, profiles):
         idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
         # a grid field vanishes outside the box, so only query the kernel inside

@@ -333,14 +333,10 @@ def _sections(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) -> np.ndarra
     if domain.kind != ELLIPSOID:
         return _superellipse_chord(domain, th, sp)
     n = domain.dimension
-    a = np.asarray(domain.semi_axes)
-    out = np.empty_like(sp)
-    for row, direction, offsets in zip(out, th, sp):
-        w = float(np.sqrt(np.sum((a * direction) ** 2)))
-        z2 = (offsets / w) ** 2
-        pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
-        row[:] = np.where(z2 < 1.0, pref * (1.0 - np.minimum(z2, 1.0)) ** ((n - 1) / 2.0), 0.0)
-    return out
+    w = support_halfwidth(domain, th)[:, None]
+    z2 = (sp / w) ** 2
+    pref = float(np.prod(domain.semi_axes)) * unit_ball_volume(n - 1) / w
+    return np.where(z2 < 1.0, pref * (1.0 - np.minimum(z2, 1.0)) ** ((n - 1) / 2.0), 0.0)
 
 
 def _superellipse_chord(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import (
+    _sine_ball_rule,
     _sphere_rule,
     coeff_c,
     gauss_legendre,
@@ -27,6 +28,7 @@ from .calculus import (
 from .forward import (
     _BLOCK_VALUES,
     SolverParams,
+    _nu_stencil,
     huygens_horizon,
     phantom_pressure,
     radial_pressure,
@@ -256,6 +258,10 @@ def _product_integral(f: Phantom, g: Phantom, m: int) -> float:
     return float(np.sum(w * f.eval(pts) * g.eval(pts)))
 
 
+# volume nodes per weighted sum of the integral identity's Laplacian term
+_VOLUME_CHUNK = 256
+
+
 def check_integral_identity(
     f: Phantom,
     g: Phantom,
@@ -263,7 +269,6 @@ def check_integral_identity(
     level: int = 0,
     *,
     phase: float = 0.0,
-    chunk: int = 256,
 ) -> IdentityReport:
     """Certify that the product integral of the two initial-data fields
     equals twice the boundary flux term minus the Laplacian volume term.
@@ -280,7 +285,7 @@ def check_integral_identity(
     (its normal derivative on the boundary, itself in the volume) is
     non-zero, and the products are scattered back into zeros for the
     time-node, boundary-node and 7-point Laplacian sums.  The volume fields
-    go in sub-blocks of the ``chunk`` nodes whose weighted sums are
+    go in sub-blocks of the ``_VOLUME_CHUNK`` nodes whose weighted sums are
     accumulated, so the temporaries stay cache-sized; every value is
     elementwise, so the terms do not depend on the sub-block.  The report's
     ``velocity_evaluated`` counts the velocity values evaluated and
@@ -331,8 +336,7 @@ def check_integral_identity(
 
     # boundary term: 2 * sum over nodes and times of v * du/dnu
     pts, nus, wb = boundary.points, boundary.normals, boundary.weights
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h_nu
-    stw = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_nu)
+    offs, stw = _nu_stencil(SolverParams(h_nu=h_nu, nu_order=4))
     shifted = pts[:, None, :] + offs[None, :, None] * nus[:, None, :]
     pshift = phantom_pressure(f, shifted[:, :, None, :], trule.nodes)
     du = np.tensordot(stw, np.moveaxis(pshift, 1, 0), axes=(0, 0))
@@ -356,9 +360,9 @@ def check_integral_identity(
     # the fields of a chunk go in sub-blocks of about _BLOCK_VALUES values,
     # so their temporaries stay small and are reused on the heap
     sub = max(1, _BLOCK_VALUES // (stencil.shape[0] * nt))
-    lap = np.empty((chunk, nt))
-    for lo_i in range(0, nodes.shape[0], chunk):
-        block = nodes[lo_i : lo_i + chunk]
+    lap = np.empty((_VOLUME_CHUNK, nt))
+    for lo_i in range(0, nodes.shape[0], _VOLUME_CHUNK):
+        block = nodes[lo_i : lo_i + _VOLUME_CHUNK]
         for lo_s in range(0, block.shape[0], sub):
             sp = (block[lo_s : lo_s + sub, None, :] + stencil[None, :, :])[:, :, None, :]
             pp = phantom_pressure(f, sp, trule.nodes)
@@ -367,7 +371,7 @@ def check_integral_identity(
             lap[rows] = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
             evaluated += count
             pairs += pp.size
-        term_volume += float(wvol[lo_i : lo_i + chunk] @ lap[: block.shape[0]] @ trule.weights)
+        term_volume += float(wvol[lo_i : lo_i + len(block)] @ lap[: len(block)] @ trule.weights)
 
     rhs = term_boundary - term_volume
     params.update(
@@ -403,9 +407,7 @@ def _ball_profile(g, x, n: int, m_phi: int, m_mean: int):
     points, so the temporaries stay cache-sized; every mean is summed over
     its own sphere as in one call, so the values do not depend on the block.
     """
-    rule = gauss_legendre(m_phi, 0.0, 0.5 * math.pi)
-    sin_phi = np.sin(rule.nodes)
-    wphi = rule.weights * sin_phi ** (n - 1)
+    sin_phi, wphi = _sine_ball_rule(m_phi, n)
     surf = _sphere_surface(n)
     block = max(1, _PROFILE_BLOCK_POINTS // _mean_directions(n, m_mean)[0].shape[0])
     memo: dict[float, float] = {}

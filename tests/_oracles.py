@@ -22,8 +22,11 @@ search, trace-operator build, halfwidths) are the package's earlier code for
 work it now does once, in blocks or batched, and the ungated closed fields
 are its earlier code for work it now does only on the Huygens band; they
 share its arithmetic on purpose, so the tests can ask for equal bits.
-The hand-built direction rules after them are its earlier copies of the
-one product rule on the circle and sphere it now builds in one place, and
+The hand-built rules after them are its earlier copies of what it now
+builds in one place: the product rule on the circle and sphere, the
+sine-substituted ball rule, the two radial arrangements of the 2-D field
+around one time stencil, the fourth-order normal stencil, the ellipsoid
+section halfwidth and the per-point support radius.  Next to them,
 the broadcast point routes (sphere and arc points, distances, bump and
 mollifier radii, the 3-D rim, the ungated sphere means) are its earlier code
 for point arithmetic it now does one coordinate plane at a time, or only
@@ -161,20 +164,22 @@ def traces_2d_direct(f, domain, boundary, times, params):
     """Two-dimensional Neumann traces without a radial table.
 
     Each normal-stencil centre's field u(c, t) is evaluated pointwise by the
-    package's wave solution (``forward._wave_batch``: spherical means at the
+    package's wave solution (``forward._even_field``: spherical means at the
     exact sine-substituted radii), then combined with the normal stencil; the
     first time sample is set to zero, as :func:`simulate_traces` does.  What
     this route does not share with the table path is the table, its cubic
     interpolation and the sparse trace operator.
     """
-    from neutrace.forward import _nu_stencil, _wave_batch
+    from neutrace.calculus import _sine_ball_rule
+    from neutrace.forward import _even_field, _nu_stencil
 
     params = params.resolved(domain=domain, t_scale=times.t_max)
     offsets, stencil_w = _nu_stencil(params)
+    rule = _sine_ball_rule(params.radial_quad, 2)
     t = times.samples
     out = np.empty((len(boundary), times.nt))
     for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
-        out[j] = stencil_w @ np.array([_wave_batch(f, y + o * nu, t, params, 2) for o in offsets])
+        out[j] = stencil_w @ np.array([_even_field(f, y + o * nu, t, params, rule) for o in offsets])
     out[:, 0] = 0.0
     return out
 
@@ -745,11 +750,9 @@ def trace_operator_2d_int64(times, params, r_grid):
     one concatenation and then reordered: the build that
     ``forward._trace_operator_2d`` slimmed without changing an entry."""
     from neutrace.calculus import cubic_stencil
-    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS, _radial_rule
+    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
 
-    rule = _radial_rule(params.radial_quad)
-    sin_phi = np.sin(rule.nodes)
-    wphi = rule.weights * sin_phi
+    sin_phi, wphi = sine_ball_rule_by_hand(params.radial_quad)
     h = params.h_t
     npts = r_grid.shape[0]
     dr = r_grid[1] - r_grid[0]
@@ -847,6 +850,101 @@ def volume_directions_by_hand(m_pol: int, m_azi: int, phase: float):
     st = np.sqrt(1.0 - uu * uu)
     dirs = np.stack([st * np.cos(ph_), st * np.sin(ph_), uu], axis=-1).reshape(-1, 3)
     return dirs, (wu * (2.0 * np.pi / m_azi)).reshape(-1)
+
+
+def sine_ball_rule_by_hand(m: int, n: int | None = None):
+    """Radius factors sin(phi) and weights of the m-point Gauss-Legendre rule
+    on (0, pi/2) as written out before ``calculus._sine_ball_rule``: with n
+    None the 2-D forward's weights w sin(phi), with an integer n the ball
+    profile's weights w sin^{n-1}(phi)."""
+    from neutrace.calculus import gauss_legendre
+
+    rule = gauss_legendre(m, 0.0, 0.5 * np.pi)
+    sin_phi = np.sin(rule.nodes)
+    if n is None:
+        return sin_phi, rule.weights * sin_phi
+    return sin_phi, rule.weights * sin_phi ** (n - 1)
+
+
+def wave_solution_2d_by_hand(f, x, t: float, params) -> float:
+    """The 2-D ``forward.wave_solution`` as written out before the one
+    time-stencil evaluator: the fourth-order time difference of
+    tau * sum_q w_q sin(phi_q) M f(x, |tau| sin phi_q)."""
+    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
+    from neutrace.transforms import sphere_means
+
+    params = params.resolved(t_scale=max(1.0, t))
+    sin_phi, wphi = sine_ball_rule_by_hand(params.radial_quad)
+    h = params.h_t
+    taus = np.asarray(t, dtype=float)[..., None] + h * _D4_OFFSETS
+    radii = np.abs(taus)[..., None] * sin_phi
+    means = sphere_means(f, np.asarray(x, dtype=float), radii, params.mean_res, n=2)
+    g = taus * np.sum(means * wphi, axis=-1)
+    return float(np.sum(g * _D4_WEIGHTS, axis=-1) / h)
+
+
+def wave_solution_even_alt_by_hand(f, x, t: float, params) -> float:
+    """``forward.wave_solution_even_alt`` as written out before the one
+    time-stencil evaluator: Chebyshev midpoint angles, r = |tau| cos(theta)."""
+    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
+    from neutrace.transforms import sphere_means
+
+    params = params.resolved(t_scale=max(1.0, t))
+    m = params.radial_quad
+    theta = (np.arange(m) + 0.5) * (0.5 * np.pi / m)
+    cos_th = np.cos(theta)
+    w_th = np.full(m, 0.5 * np.pi / m)
+    h = params.h_t
+    taus = np.asarray(t, dtype=float)[..., None] + h * _D4_OFFSETS
+    radii = np.abs(taus)[..., None] * cos_th
+    means = sphere_means(f, np.asarray(x, dtype=float), radii, params.mean_res, n=2)
+    g = taus * np.sum(means * (w_th * cos_th), axis=-1)
+    return float(np.sum(g * _D4_WEIGHTS, axis=-1) / h)
+
+
+def normal_stencil_4_by_hand(h_nu: float):
+    """Offsets and weights of the fourth-order normal difference as
+    ``validation.check_integral_identity`` wrote them out before it took
+    ``forward._nu_stencil``."""
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h_nu
+    stw = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_nu)
+    return offs, stw
+
+
+def ellipsoid_sections_per_direction(domain, th, sp):
+    """Ellipsoid section volumes of ``transforms._sections`` with each
+    direction's support halfwidth written out, one row at a time: the loop
+    before the halfwidths came from ``geometry.support_halfwidth``."""
+    from neutrace.calculus import unit_ball_volume
+
+    n = domain.dimension
+    a = np.asarray(domain.semi_axes)
+    out = np.empty_like(sp)
+    for row, direction, offsets in zip(out, th, sp):
+        w = float(np.sqrt(np.sum((a * direction) ** 2)))
+        z2 = (offsets / w) ** 2
+        pref = float(np.prod(a)) * unit_ball_volume(n - 1) / w
+        row[:] = np.where(z2 < 1.0, pref * (1.0 - np.minimum(z2, 1.0)) ** ((n - 1) / 2.0), 0.0)
+    return out
+
+
+def support_radius_per_point(f, x) -> float:
+    """Support radius of a Phantom or an ImageGrid around one point, one call
+    per point, as ``inversion`` took it before the batched
+    ``_support_radii``: np.linalg.norm per bump, and the distance to the
+    farthest corner of the grid box.  The box's corners are the ends of the
+    sample axes; the loop took them from ``lo`` and ``hi``, which differ on an
+    axis with one sample."""
+    import itertools
+
+    x = np.asarray(x, dtype=float)
+    if hasattr(f, "bumps"):
+        r = 0.0
+        for b in f.bumps:
+            r = max(r, float(np.linalg.norm(np.asarray(b.center) - x)) + b.radius)
+        return r
+    corners = np.array(list(itertools.product(*[(ax[0], ax[-1]) for ax in f.axes()])))
+    return float(np.sqrt(np.sum((corners - x) ** 2, axis=-1)).max())
 
 
 def sphere_means_broadcast(f, x, radii, m: int, n: int | None = None):
@@ -999,16 +1097,20 @@ def radon_chi_deriv(domain, theta, s: float, order: int, *, method: str = "auto"
 def neumann_trace(f, domain, y, nu, t: float, params=None) -> float:
     """Outward normal derivative of the wave field at one boundary point y
     and one time t >= 0: the normal stencil across y applied to the
-    package's pointwise wave solution (``forward._wave_batch``), with f
-    itself at t = 0.  The route ``simulate_traces`` batches over nodes and
-    times."""
-    from neutrace.forward import SolverParams, _nu_stencil, _wave_batch
+    package's pointwise wave fields (``forward.phantom_pressure`` in three
+    dimensions, ``forward._even_field`` in two), with f itself at t = 0.  The
+    route ``simulate_traces`` batches over nodes and times."""
+    from neutrace.calculus import _sine_ball_rule
+    from neutrace.forward import SolverParams, _even_field, _nu_stencil, phantom_pressure
 
     params = (params or SolverParams()).resolved(domain=domain, t_scale=max(1.0, t))
     offsets, weights = _nu_stencil(params)
     centers = np.asarray(y, dtype=float) + offsets[:, None] * np.asarray(nu, dtype=float)
     if t == 0.0:
         vals = f.eval(centers)
+    elif f.dimension == 3:
+        vals = np.array([phantom_pressure(f, c, np.asarray(t, dtype=float)) for c in centers])
     else:
-        vals = np.array([_wave_batch(f, c, np.asarray(t), params, f.dimension) for c in centers])
+        rule = _sine_ball_rule(params.radial_quad, 2)
+        vals = np.array([_even_field(f, c, t, params, rule) for c in centers])
     return float(np.sum(weights * vals))

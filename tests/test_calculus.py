@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrace.calculus import (
+    _sine_ball_rule,
     _sphere_rule,
     coeff_c,
     dimension_constants,
@@ -27,6 +28,7 @@ from _oracles import (
     angular_set_by_hand,
     assert_same_bits,
     mean_directions_by_hand,
+    sine_ball_rule_by_hand,
     poly_eval,
     poly_integral,
     volume_directions_by_hand,
@@ -93,6 +95,19 @@ def test_sphere_rule_keeps_the_bits_of_the_hand_built_rules(n, m):
             want = volume_directions_by_hand(m, 2 * m, phase)
             assert_same_bits(dirs, want[0])
             assert_same_bits(wu * (2.0 * np.pi / (2 * m)), want[1])
+
+
+@pytest.mark.parametrize("m", [4, 17, 40, 48, 57, 192])
+def test_sine_ball_rule_keeps_the_bits_of_the_hand_built_rules(m):
+    """The one sine-substituted ball rule gives the bits of the 2-D forward's
+    weights w sin(phi) and of the ball profile's w sin^{n-1}(phi)."""
+    for got, want in (
+        (_sine_ball_rule(m, 2), sine_ball_rule_by_hand(m)),
+        (_sine_ball_rule(m, 2), sine_ball_rule_by_hand(m, 2)),
+        (_sine_ball_rule(m, 3), sine_ball_rule_by_hand(m, 3)),
+    ):
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
 
 
 def test_gauss_legendre_rejects_bad_count():

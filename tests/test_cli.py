@@ -9,6 +9,7 @@ from neutrace.cli import ConfigError, main, parse_config
 from neutrace.forward import SolverParams, read_trace_file, simulate_traces, support_margin
 from neutrace.geometry import boundary_quadrature
 from neutrace.inversion import ImageGrid, ReconstructionOptions, reconstruct
+from neutrace.transforms import Bump
 
 MINIMAL_2D = "dimension = 2\ndomain.semi_axes = 1.0, 1.0\n"
 
@@ -104,7 +105,7 @@ def test_parse_phantom_bumps():
     b1, b2 = cfg.phantom.bumps  # ordered by index, not file position
     assert b1.center == (-0.1, 0.1) and b1.profile == "poly" and b1.mu == 3
     assert b1.amplitude == -0.5
-    assert b2.center == (0.3, 0.0) and b2.radius == 0.2
+    assert b2 == Bump(center=(0.3, 0.0), radius=0.2)  # the other fields keep Bump's defaults
 
 
 def test_parse_superellipse_and_comments():
@@ -518,6 +519,79 @@ def test_kernel_dump_needs_a_direction(tmp_path, capsys):
     cfg = config_file(tmp_path, MINIMAL_2D)
     assert run_main(["kernel", "--config", cfg, "--out", str(tmp_path / "k.csv")]) == 2
     assert "kernel dump needs kernel.theta" in capsys.readouterr().err
+
+
+SE4_2D = """\
+dimension = 2
+domain.kind = superellipse
+domain.exponent = 4.0
+domain.semi_axes = 1.2, 0.9
+phantom.bump1.center = 0.25, 0.1
+phantom.bump1.radius = 0.3
+time.nt = 20
+time.t_max = 4.0
+solver.table_points = 64
+"""
+
+CORRECTION = {
+    "recon.correction": "fixed_point",
+    "recon.k_radial": "4",
+    "recon.k_angular": "8",
+    "recon.kernel_table": "64",
+    "recon.kernel_quad": "16",
+}
+
+
+@pytest.fixture(scope="module")
+def se4_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("se4") / "traces.csv"
+    cfg = config_file(path.parent, SE4_2D + "boundary.resolution = 8\n")
+    assert main(["forward", "--config", cfg, "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("forward", "boundary.resolution", "4", "boundary resolution must be >= 8, got 4"),
+        ("forward", "solver.h_t", "-1", "h_t must be positive, got -1.0"),
+        ("forward", "solver.h_nu", "0", "h_nu must be positive, got 0.0"),
+        ("reconstruct", "recon.kernel_table", "10", "profile table needs >= 64 points, got 10"),
+        ("reconstruct", "recon.k_radial", "0", "k_radial must be >= 1, got 0"),
+        ("reconstruct", "recon.kernel_quad", "0", "kernel_quad must be >= 1, got 0"),
+        ("reconstruct", "recon.kernel_margin", "-0.1", "profile margin must be positive, got -0.1"),
+        ("reconstruct", "recon.kernel_margin", "0.9", "outside safe window"),
+        ("reconstruct", "recon.k_angular", "0", "k_angular must be >= 1, got 0"),
+        ("validate", "validate.lemma.k", "3", "implemented for k in (1, 2), got 3"),
+        ("validate", "validate.symbolic.k", "-1", "k must be >= 0, got -1"),
+        ("validate", "validate.symbolic.n", "1", "requires n >= 2, got n=1"),
+        ("validate", "validate.mollifier.mu", "0", "mollifier order must be >= 1, got 0"),
+        ("validate", "validate.mollifier.eps", "-1", "mollifier width must be positive, got -1.0"),
+        ("validate", "validate.lemma.t", "5", "evaluation time must lie in (0, 2), got 5.0"),
+        ("validate", "validate.samples", "0", "validate.samples must be >= 1, got 0"),
+    ],
+)
+def test_rejected_values_exit_2_with_their_message(
+    tmp_path, capsys, se4_trace, command, key, value, message
+):
+    """A value the program rejects, at parse time or in the run, is an input
+    error (exit 2, one line on stderr), not a traceback or the exit 1 of a
+    check over its bound."""
+    keys = {"boundary.resolution": "8", "input.trace": str(se4_trace)}
+    if command == "reconstruct":
+        keys.update(CORRECTION)
+        keys.update({"grid.lo": "-0.1, -0.25", "grid.hi": "0.6, 0.45", "grid.shape": "3, 3"})
+    if command == "validate":
+        check = key.split(".")[1]
+        keys["validate.checks"] = {
+            "lemma": "lemma-coefficients", "symbolic": "lemma-symbolic", "samples": "even-equivalence"
+        }.get(check, check)
+    keys[key] = value
+    text = SE4_2D + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    out = str(tmp_path / "out.csv")
+    assert run_main([command, "--config", config_file(tmp_path, text), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -15,6 +15,8 @@ from _oracles import (
     trace_table_2d_per_centre,
     traces_2d_direct,
     traces_3d_sections,
+    wave_solution_2d_by_hand,
+    wave_solution_even_alt_by_hand,
 )
 from neutrace import forward
 from neutrace.forward import (
@@ -125,6 +127,10 @@ def test_solver_params_validation():
         SolverParams(radial_quad=2)
     with pytest.raises(ValueError):
         SolverParams(table_points=-1)
+    for name in ("h_t", "h_nu"):
+        for bad in (-1.0, 0.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got {bad}$"):
+                SolverParams(**{name: bad})
 
 
 def test_solver_params_resolved_defaults(unit_ball):
@@ -199,6 +205,27 @@ def test_wave_2d_alternative_arrangement_agrees(bump2d):
         direct = wave_solution(bump2d, x, t, params)
         alt = wave_solution_even_alt(bump2d, x, t, params)
         assert alt == pytest.approx(direct, abs=1e-5)
+
+
+def test_both_2d_arrangements_keep_the_bits_of_their_hand_built_stencils(rng):
+    """The one time-stencil evaluator gives, in each radial arrangement, the
+    bits of the code each arrangement wrote out around its own stencil."""
+    for _ in range(20):
+        f = Phantom(
+            (
+                Bump(center=tuple(rng.uniform(-0.3, 0.3, 2)), radius=rng.uniform(0.2, 0.5)),
+                Bump(center=tuple(rng.uniform(-0.3, 0.3, 2)), radius=rng.uniform(0.1, 0.3),
+                     amplitude=-0.4, profile="poly"),
+            )
+        )
+        x = tuple(rng.uniform(-0.5, 0.5, 2))
+        t = float(rng.uniform(0.05, 2.0))
+        params = SolverParams(mean_res=int(rng.integers(8, 64)), radial_quad=int(rng.integers(4, 64)))
+        for got, want in (
+            (wave_solution(f, x, t, params), wave_solution_2d_by_hand(f, x, t, params)),
+            (wave_solution_even_alt(f, x, t, params), wave_solution_even_alt_by_hand(f, x, t, params)),
+        ):
+            assert_same_bits(got, want)
 
 
 def test_wave_2d_tail_decays(bump2d):

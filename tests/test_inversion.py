@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import backproject_even_per_point
+from _oracles import assert_same_bits, backproject_even_per_point, support_radius_per_point
 
 from neutrace.calculus import cubic_stencil, gauss_legendre, interp_cubic
 from neutrace.forward import (
@@ -25,7 +25,7 @@ from neutrace.inversion import (
     _correction_constant,
     _correction_matrix,
     _even_at,
-    _support_radius,
+    _support_radii,
     backproject_even,
     backproject_odd,
     correction_K,
@@ -174,8 +174,7 @@ def matrix_route_roundoff(grid, domain, v, opts):
         domain, dirs, n, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, n % 2 == 0
     )
     terms = []
-    for x in grid.points():
-        r_max = _support_radius(grid, x)
+    for x, r_max in zip(grid.points(), _support_radii(grid, grid.points())):
         r = r_max * rad.nodes
         total = 0.0
         for omega, w_omega, profile in zip(dirs, wdir, profiles):
@@ -424,7 +423,7 @@ def window_loop_error(domain, field, pts, margin):
     samples where the field is non-zero; None if it raises none."""
     dirs, _ = _angular_set(3, 8)
     pts = np.asarray(pts, dtype=float)
-    r = np.array([_support_radius(field, x) for x in pts])[:, None] * gauss_legendre(8, 0.0, 1.0).nodes
+    r = _support_radii(field, pts)[:, None] * gauss_legendre(8, 0.0, 1.0).nodes
     live = _as_field(field)(pts[:, None, None] + r[:, None, :, None] * dirs[:, None]) != 0.0
     try:
         for x, r_x, live_x in zip(pts, r, live):
@@ -631,6 +630,40 @@ def test_correction_matrix_matches_the_pointwise_operator(se4, rng):
     tol = matrix_route_roundoff(field, se4, v, opts)
     assert np.all(np.abs(got - want) <= tol)
     assert np.abs(want).max() >= 1e-3
+
+
+def test_support_radii_equal_the_per_point_radii(rng):
+    """The batched support radii are the per-point ones: to the bit for a
+    grid box, and to rounding for a Phantom, whose per-point norm summed
+    the squares through a BLAS dot product."""
+    pts = rng.uniform(-0.6, 0.6, size=(40, 2))
+    f = Phantom(
+        (Bump(center=(0.35, 0.2), radius=0.25), Bump(center=(-0.3, 0.1), radius=0.15))
+    )
+    want = np.array([support_radius_per_point(f, x) for x in pts])
+    np.testing.assert_allclose(_support_radii(f, pts), want, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.array_equal(_support_radii(Phantom(()), pts), np.zeros(len(pts)))
+    for grid in (
+        ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(5, 4)),
+        ImageGrid(lo=(0.0, 0.1), hi=(0.4, 0.3), shape=(5, 1)),
+    ):
+        want = np.array([support_radius_per_point(grid, x) for x in pts])
+        assert_same_bits(_support_radii(grid, pts), want)
+
+
+def test_grids_with_the_same_points_have_the_same_correction_matrix(se4):
+    """The correction box is spanned by the grid's samples: the end of an
+    axis with one sample is that sample, whatever ``hi`` says.  An odd
+    direction count holds the directions (+-1, 0) along the sampled line."""
+    opts = ReconstructionOptions(
+        k_radial=8, k_angular=15, kernel_table=128, kernel_quad=96, kernel_margin=0.3
+    )
+    a = ImageGrid(lo=(0.0, 0.1), hi=(0.4, 0.1), shape=(5, 1))
+    b = ImageGrid(lo=(0.0, 0.1), hi=(0.4, 0.3), shape=(5, 1))
+    assert np.array_equal(a.points(), b.points())
+    k_a = _correction_matrix(a, se4, opts)
+    assert np.abs(k_a).max() > 0.0
+    assert np.array_equal(k_a, _correction_matrix(b, se4, opts))
 
 
 def test_reconstruct_fixed_point_solves_the_corrected_equation(se4):

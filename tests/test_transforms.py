@@ -29,6 +29,8 @@ from neutrace.calculus import richardson, stencil_derivative
 
 from _oracles import (
     adaptive_simpson,
+    assert_same_bits,
+    ellipsoid_sections_per_direction,
     hilbert_exclusion,
     hilbert_pv,
     radon_chi,
@@ -257,6 +259,20 @@ def test_radon_chi_accepts_arrays(ellipse21):
     assert np.all(vals[:, 3] == 0.0)
     assert vals[0, 1] == pytest.approx(2.0, rel=1e-13)
     assert vals[1, 1] == pytest.approx(4.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ellipsoid_sections_keep_the_bits_of_the_per_direction_widths(n, rng):
+    """The ellipsoid sections take their halfwidths from the batched
+    support_halfwidth, with the bits of each direction's own width."""
+    if n == 2:
+        domain = ellipsoid((0.1, -0.2), (1.3, 0.7))
+        dirs, _ = _angular_set(2, 37)
+    else:
+        domain = ellipsoid((0.1, -0.2, 0.05), (1.3, 0.7, 0.95))
+        dirs, _ = _angular_set(3, 9)
+    sp = rng.uniform(-1.4, 1.4, size=(len(dirs), 33))
+    assert_same_bits(_sections(domain, dirs, sp), ellipsoid_sections_per_direction(domain, dirs, sp))
 
 
 def test_radon_chi_rejects_non_unit_direction(unit_disk):
