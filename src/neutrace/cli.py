@@ -52,6 +52,8 @@ from .inversion import (
 )
 from .transforms import Bump, Phantom, build_kernel_profile
 from .validation import (
+    _PARAMETER_RANGES,
+    _in_range,
     check_even_equivalence,
     check_integral_identity,
     check_lemma_coefficients,
@@ -99,6 +101,7 @@ class _Entries:
                     f"line {lineno}: duplicate key {key!r} (first set on line {self.data[key][1]})"
                 )
             self.data[key] = (value, lineno)
+        self.lines = {key: lineno for key, (_, lineno) in self.data.items()}
 
     def _pop(self, key, default):
         if key in self.data:
@@ -161,8 +164,7 @@ class _Entries:
         return {name: value for name, value in values.items() if value is not None}
 
     def line_of(self, key) -> int | None:
-        entry = self.data.get(key)
-        return entry[1] if entry else None
+        return self.lines.get(key)
 
     def reject_leftovers(self):
         if self.data:
@@ -286,17 +288,14 @@ def parse_config(text: str) -> RunConfig:
             **entries.given(
                 "solver",
                 h_t=entries.floating,
-                h_nu=entries.floating,
                 mean_res=entries.integer,
                 radial_quad=entries.integer,
-                nu_order=entries.integer,
                 table_points=entries.integer,
             )
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    resolved = solver.resolved(domain=domain, t_scale=times.t_max if times else None)
     margins = {}
     for label, ph in (("phantom", phantom), ("phantom2", phantom2)):
         if ph is None or not ph.bumps:
@@ -305,11 +304,8 @@ def parse_config(text: str) -> RunConfig:
             if not contains(domain, np.asarray(b.center)):
                 raise ConfigError(f"{label} bump {i} center {b.center} lies outside the domain")
         margins[label] = rho = support_margin(ph, domain)
-        if rho <= 2.0 * resolved.h_nu:
-            raise ConfigError(
-                f"{label} support margin {rho:.6g} must exceed twice the normal "
-                f"step 2*h_nu = {2.0 * resolved.h_nu:.6g}"
-            )
+        if rho <= 0.0:
+            raise ConfigError(f"{label} support margin {rho:.6g} must be positive")
 
     grid = None
     glo = entries.float_list("grid.lo", default=None)
@@ -382,6 +378,13 @@ def parse_config(text: str) -> RunConfig:
         # a bound of a check that does not exist is left over, an unknown key
         "bounds": entries.given("validate.bound", **{name: entries.floating for name in _CHECKS}),
     }
+    # a value outside its check's fixed range stops the run here, before any check runs
+    for name in _PARAMETER_RANGES:
+        key = "validate." + name.replace("_", ".")
+        try:
+            _in_range(name, validate_opts[name])
+        except ValueError as exc:
+            raise ConfigError(f"line {entries.line_of(key)}: {key}: {exc}") from None
 
     kernel_opts = {
         "theta": entries.float_list("kernel.theta", default=None),

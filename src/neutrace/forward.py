@@ -5,8 +5,10 @@ radial bump b at distance d from its centre it is
 u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d), and bumps superpose.  In two
 dimensions u = d/dt of an Abel-type radial integral of the spherical means
 of f, desingularised by the sine substitution, with the time derivative a
-fourth-order central difference on the even-in-time extension.  Normal
-derivatives are a central difference across the boundary in both.
+fourth-order central difference on the even-in-time extension.  Neumann
+traces are exact normal derivatives: in three dimensions the radial
+derivative of the closed field, in two the same integral over the circle
+means of <grad f, nu>, the normal derivative of the means of f.
 
 Fields are evaluated only where they can be non-zero, with every value
 kept to the bit: the 3-D field on each bump's Huygens band, and the 2-D
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,14 +62,14 @@ __all__ = [
     "read_trace_file",
 ]
 
-TRACE_FORMAT = "neumann-trace/2"
+TRACE_FORMAT = "neumann-trace/3"
 
 _D4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
-# field values per normal-stencil centre in one block of 3-D trace nodes;
-# 128 KiB temporaries are reused on the heap, where larger ones measurably
-# raised the peak RSS of a whole run
+# trace values in one block of 3-D trace nodes; 128 KiB temporaries are
+# reused on the heap, where larger ones measurably raised the peak RSS of a
+# whole run
 _BLOCK_VALUES = 1 << 14
 
 
@@ -105,39 +109,28 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Discretisation knobs of the forward solver.
+    """Discretisation knobs of the two-dimensional forward solver.
 
-    ``h_t`` and ``h_nu`` default to 1e-3 times the characteristic time
-    and geometry scales when left unset.  ``h_nu`` and ``nu_order`` set the
-    normal difference in every dimension.  ``h_t``, ``mean_res`` and
-    ``radial_quad`` act on the two-dimensional field and traces only: the
-    three-dimensional field is the closed radial form, which has no time
-    stencil, direction set or radial rule.  ``table_points`` applies to
-    two-dimensional trace simulation only: it is the size of the radial table
-    of the spherical means that is laid over [0, t_max + 2 h_t] around each
-    normal-stencil centre, each entry the mean over the ``mean_res`` circle
-    points of :func:`~neutrace.transforms.sphere_means`, which evaluates the
-    phantom only on the radii and arcs that can meet a bump; the map from a
-    table to a trace row is built once per run as a sparse operator.
-    Two-dimensional simulation needs at least 4 points, one cubic stencil.
-    Three-dimensional simulation ignores the value, so any value >= 0 is
-    accepted (trace files written with 0 still read back).
+    The three-dimensional field is the closed radial form, with no time
+    stencil, direction set or radial rule, so 3-D simulation ignores every
+    knob; the traces of both are exact normal derivatives.  ``h_t`` defaults
+    to 1e-3 times the characteristic time scale.  ``table_points`` is the
+    size of the radial table of the circle means of <grad f, nu> laid over
+    [0, t_max + 2 h_t] around each boundary node, each the mean over the
+    ``mean_res`` points of :func:`~neutrace.transforms.sphere_means`; the
+    map from a table to a trace row is one sparse operator per run.  2-D
+    simulation needs at least 4 points, one cubic stencil; any value >= 0 is
+    accepted, so 3-D trace files written with 0 still read back.
     """
 
     h_t: float | None = None
-    h_nu: float | None = None
     mean_res: int = 32
     radial_quad: int = 48
-    nu_order: int = 2
     table_points: int = 4096
 
     def __post_init__(self):
-        for name in ("h_t", "h_nu"):
-            h = getattr(self, name)
-            if h is not None and not h > 0:
-                raise ValueError(f"{name} must be positive, got {h}")
-        if self.nu_order not in (2, 4):
-            raise ValueError(f"nu_order must be 2 or 4, got {self.nu_order}")
+        if self.h_t is not None and not self.h_t > 0:
+            raise ValueError(f"h_t must be positive, got {self.h_t}")
         if self.mean_res < 4:
             raise ValueError(f"mean_res must be >= 4, got {self.mean_res}")
         if self.radial_quad < 4:
@@ -145,14 +138,11 @@ class SolverParams:
         if self.table_points < 0:
             raise ValueError(f"table_points must be >= 0, got {self.table_points}")
 
-    def resolved(self, domain: ConvexDomain | None = None, t_scale: float | None = None) -> "SolverParams":
+    def resolved(self, t_scale: float | None = None) -> "SolverParams":
         h_t = self.h_t
         if h_t is None:
             h_t = 1e-3 * (t_scale if t_scale is not None else 1.0)
-        h_nu = self.h_nu
-        if h_nu is None:
-            h_nu = 1e-3 * (min(domain.semi_axes) if domain is not None else 1.0)
-        return replace(self, h_t=float(h_t), h_nu=float(h_nu))
+        return replace(self, h_t=float(h_t))
 
 
 @dataclass
@@ -195,9 +185,21 @@ def radial_pressure(bump: Bump, d, t):
     return u
 
 
-def phantom_pressure(f: Phantom, pts, t):
+def _radial_slope(bump: Bump, d, t):
+    """Derivative in d > 0 of :func:`radial_pressure`:
+    [b(t+d) + (t+d) b'(t+d) + b(|t-d|) + |t-d| b'(|t-d|)] / (2d) - u / d,
+    from the four profile values, each taken once."""
+    plus, minus = t + d, np.abs(t - d)
+    b_plus, b_minus = bump_radial(bump, plus, 3), bump_radial(bump, minus, 3)
+    u = (plus * b_plus - (t - d) * b_minus) / (2.0 * d)
+    slopes = plus * bump_radial_deriv(bump, plus, 3) + minus * bump_radial_deriv(bump, minus, 3)
+    return (b_plus + b_minus + slopes) / (2.0 * d) - u / d
+
+
+def phantom_pressure(f: Phantom, pts, t, normals=None):
     """Solution with data (f, 0) at points (..., 3) and times t, n = 3: the
-    sum over the bumps of :func:`radial_pressure`.
+    sum over the bumps of :func:`radial_pressure`, or with unit ``normals``
+    (..., 3) its derivative along them, at points off the bump centres.
 
     In odd dimension the field of a bump of radius eps is zero unless
     ||t| - d| < eps (strong Huygens principle; the field is even in t), and
@@ -216,9 +218,14 @@ def phantom_pressure(f: Phantom, pts, t):
         d = _distance(pts, b.center)
         gap = np.asarray(t_abs - d)
         band = np.abs(gap, out=gap) < b.radius * (1.0 + 1e-6)
-        if band.any():
-            d_band = np.broadcast_to(d, shape)[band]
-            out[band] += radial_pressure(b, d_band, np.broadcast_to(t, shape)[band])
+        if not band.any():
+            continue
+        d_band, t_band = np.broadcast_to(d, shape)[band], np.broadcast_to(t, shape)[band]
+        if normals is None:
+            out[band] += radial_pressure(b, d_band, t_band)
+        else:
+            cosine = np.broadcast_to(np.sum((pts - b.center) * normals, axis=-1) / d, shape)[band]
+            out[band] += _radial_slope(b, d_band, t_band) * cosine
     return out
 
 
@@ -281,13 +288,6 @@ def wave_solution_even_alt(f: Phantom, x, t: float, params: SolverParams | None 
 # Neumann traces
 
 
-def _nu_stencil(params: SolverParams):
-    h = params.h_nu
-    if params.nu_order == 2:
-        return np.array([-1.0, 1.0]) * h, np.array([-0.5, 0.5]) / h
-    return np.array([-2.0, -1.0, 1.0, 2.0]) * h, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-
-
 def support_margin(f: Phantom, domain: ConvexDomain) -> float:
     """Distance from the phantom support to the boundary (negative if a
     bump pokes outside or its center leaves the domain)."""
@@ -310,23 +310,6 @@ def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
 
 # ---------------------------------------------------------------------------
 # trace simulation
-
-
-def _add_traces_3d(out, f, boundary, offsets, stencil_w, times):
-    """Add to the node-by-time rows ``out`` the traces of the closed field:
-    u evaluated once per (normal-stencil centre, time), combined by the
-    normal weights.
-
-    Nodes go in blocks of about ``_BLOCK_VALUES`` field values per centre,
-    so the temporaries stay small whatever the node count.  Every value is
-    computed elementwise, so the rows do not depend on the block size.
-    """
-    block = max(1, _BLOCK_VALUES // times.shape[0])
-    for lo in range(0, len(boundary), block):
-        pts = boundary.points[lo : lo + block]
-        nus = boundary.normals[lo : lo + block]
-        for s, w in zip(offsets, stencil_w):
-            out[lo : lo + block] += w * phantom_pressure(f, (pts + s * nus)[:, None, :], times)
 
 
 def _trace_operator_2d(times, params, r_grid):
@@ -382,25 +365,6 @@ def _trace_operator_2d(times, params, r_grid):
     return rows, cols, coefs, ptr
 
 
-def _node_trace_table_2d(f, center_pts, stencil_w, r_grid, operator, nt, mean_res):
-    """One node's trace row: the normal-stencil combination of the centre
-    tables, mapped through the trace operator.
-
-    Only the operator columns where the combined table is non-zero are
-    applied, run by contiguous run; the tables vanish outside their radial
-    bands, so that skips most columns.  Each row still sums its terms in
-    column order, and the skipped terms are exact zeros, which leave the
-    sum bit-identical to the full apply.
-    """
-    table = np.zeros(r_grid.shape[0])
-    for c, s in zip(center_pts, stencil_w):
-        table += s * sphere_means(f, c, r_grid, mean_res, n=2)
-    rows, cols, coefs, ptr = operator
-    runs = np.flatnonzero(np.diff(table != 0.0, prepend=False, append=False)).reshape(-1, 2)
-    sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs] + [np.zeros(0, int)])
-    return np.bincount(rows[sel], weights=coefs[sel] * table[cols[sel]], minlength=nt)
-
-
 def simulate_traces(
     f: Phantom,
     domain: ConvexDomain,
@@ -411,15 +375,22 @@ def simulate_traces(
 ) -> TraceGrid:
     """Fill the node-by-time Neumann trace matrix.
 
-    Each cell is the pointwise trace value.  In three dimensions the rows
-    come from the closed field in blocks of nodes; in two, one node at a
-    time through the sparse trace operator.  ``threads`` is accepted for
-    callers that pass one run-wide thread count, and ignored.
+    Each cell is the exact normal derivative at its node and time.  In three
+    dimensions the rows are the derivative of the closed field on the
+    Huygens bands, in blocks of about ``_BLOCK_VALUES`` values, so the
+    temporaries stay small whatever the node count.  In two, each node's
+    row is its table of the circle means of <grad f, nu>, the normal
+    derivatives of the means of f, mapped through the sparse trace
+    operator; only the operator columns where the table is non-zero are
+    applied, run by contiguous run, which skips most columns.  Every value
+    is elementwise and the skipped terms are exact zeros, so the rows keep
+    the bits of the full evaluation whatever the blocks.  ``threads`` is
+    accepted for callers that pass one run-wide thread count, and ignored.
     """
     n = domain.dimension
     if f.bumps and f.dimension != n:
         raise ConfigurationError(f"phantom dimension {f.dimension} != domain dimension {n}")
-    params = (params or SolverParams()).resolved(domain=domain, t_scale=times.t_max)
+    params = (params or SolverParams()).resolved(t_scale=times.t_max)
     if n == 2 and params.table_points < 4:
         raise ConfigurationError(
             f"table_points must be >= 4 for two-dimensional traces (one cubic stencil), "
@@ -427,25 +398,29 @@ def simulate_traces(
         )
     if f.bumps:
         rho = support_margin(f, domain)
-        if rho <= 2.0 * params.h_nu:
-            raise ConfigurationError(
-                f"phantom support margin {rho:.6g} must exceed twice the normal step "
-                f"{params.h_nu:.6g}"
-            )
+        if rho <= 0.0:
+            raise ConfigurationError(f"phantom support margin {rho:.6g} must be positive")
     t_samples = times.samples
-    offsets, stencil_w = _nu_stencil(params)
     values = np.zeros((len(boundary), times.nt))
 
     if f.bumps and n == 3:
-        _add_traces_3d(values, f, boundary, offsets, stencil_w, t_samples)
+        block = max(1, _BLOCK_VALUES // times.nt)
+        for lo in range(0, len(boundary), block):
+            rows = slice(lo, lo + block)
+            pts, nus = boundary.points[rows, None, :], boundary.normals[rows, None, :]
+            values[rows] = phantom_pressure(f, pts, t_samples, nus)
     elif f.bumps:
         r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
         r_grid = np.linspace(0.0, r_max, params.table_points)
-        operator = _trace_operator_2d(t_samples, params, r_grid)
-        for j in range(len(boundary)):
-            centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
-            values[j] = _node_trace_table_2d(
-                f, centers, stencil_w, r_grid, operator, times.nt, params.mean_res
+        rows, cols, coefs, ptr = _trace_operator_2d(t_samples, params, r_grid)
+        for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
+            # the gradient vanishes wherever f does, so sphere_means gates it on f's bumps
+            slope = SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
+            table = sphere_means(slope, y, r_grid, params.mean_res, n=2)
+            runs = np.flatnonzero(np.diff(table != 0.0, prepend=False, append=False)).reshape(-1, 2)
+            sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs] + [np.zeros(0, int)])
+            values[j] = np.bincount(
+                rows[sel], weights=coefs[sel] * table[cols[sel]], minlength=times.nt
             )
     values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
 
@@ -480,7 +455,7 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
-    """Write traces as ``neumann-trace/2``: ``# key = value`` header lines,
+    """Write traces as ``neumann-trace/3``: ``# key = value`` header lines,
     then one CSV row per boundary node, ``y, nu, weight, v_0..v_{nt-1}``."""
     d = traces.domain
     n = d.dimension
@@ -498,10 +473,8 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     lines.append(f"# time.t_max = {_fmt(traces.times.t_max)}")
     p = traces.params
     lines.append(f"# solver.h_t = {_fmt(p.h_t)}")
-    lines.append(f"# solver.h_nu = {_fmt(p.h_nu)}")
     lines.append(f"# solver.mean_res = {p.mean_res}")
     lines.append(f"# solver.radial_quad = {p.radial_quad}")
-    lines.append(f"# solver.nu_order = {p.nu_order}")
     lines.append(f"# solver.table_points = {p.table_points}")
     lines.append(f"# phantom.hash = {traces.phantom_hash}")
     cols = [f"y_{i+1}" for i in range(n)] + [f"nu_{i+1}" for i in range(n)]
@@ -515,7 +488,7 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
 
 
 def read_trace_file(path) -> TraceGrid:
-    """Read a ``neumann-trace/2`` file written by :func:`write_trace_file`."""
+    """Read a ``neumann-trace/3`` file written by :func:`write_trace_file`."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     first = lines[0].strip() if lines else ""
@@ -552,10 +525,8 @@ def read_trace_file(path) -> TraceGrid:
     num_nodes = int(need("nodes"))
     params = SolverParams(
         h_t=float(need("solver.h_t")),
-        h_nu=float(need("solver.h_nu")),
         mean_res=int(need("solver.mean_res")),
         radial_quad=int(need("solver.radial_quad")),
-        nu_order=int(need("solver.nu_order")),
         table_points=int(need("solver.table_points")),
     )
 

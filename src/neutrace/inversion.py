@@ -32,7 +32,7 @@ from .geometry import (
     grid_margin,
     support_halfwidth,
 )
-from .transforms import Phantom, _build_profiles, _centre_offsets, _offset_window
+from .transforms import Phantom, _build_profiles, _centre_offsets, _check_profile_table, _offset_window
 
 __all__ = [
     "ImageGrid",
@@ -160,6 +160,7 @@ class ReconstructionOptions:
         for name in ("k_radial", "k_angular", "kernel_quad"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_profile_table(self.kernel_table, self.kernel_margin)
 
 
 #: Gauss nodes per trace time cell of the Abel weights, in phi with t = d cosh(phi);

@@ -118,9 +118,10 @@ class Phantom:
             raise ValueError("empty phantom has no dimension")
         return self.bumps[0].dimension
 
-    def eval(self, points):
-        """Evaluate at an (..., n) array of points; raises ValueError when
-        the points have other than n coordinates."""
+    def eval(self, points, direction=None):
+        """Evaluate at an (..., n) array of points, or <grad f, direction> for
+        a ``direction`` (n,); raises ValueError when the points have other
+        than n coordinates."""
         pts = np.asarray(points, dtype=float)
         if self.bumps and pts.shape[-1] != self.dimension:
             raise ValueError(f"points have {pts.shape[-1]} coordinates, the phantom {self.dimension}")
@@ -131,7 +132,12 @@ class Phantom:
             inside = r2 < 1.0
             if not np.any(inside):
                 continue
-            out[inside] += _bump_profile(b, r2[inside], b.dimension)
+            if direction is None:
+                out[inside] += _bump_profile(b, r2[inside], b.dimension)
+            else:
+                # grad of B(|x - c|^2 / R^2) is B'(u) 2 (x - c) / R^2
+                along = (flat[inside] - b.center) @ direction * (2.0 / b.radius**2)
+                out[inside] += _bump_slope(b, r2[inside], b.dimension) * along
         return out.reshape(pts.shape[:-1])
 
     def peak(self) -> float:
@@ -161,6 +167,14 @@ def _bump_profile(bump: Bump, u, n: int):
     return bump.amplitude * (1.0 - u) ** bump.mu / (a * bump.radius**n)
 
 
+def _bump_slope(bump: Bump, u, n: int):
+    """Derivative of :func:`_bump_profile` in u = |x - c|^2 / R^2, at u < 1."""
+    if bump.profile == CINF:
+        return -_bump_profile(bump, u, n) / (1.0 - u) ** 2
+    a = _mollifier_norm(n, bump.mu)
+    return -bump.amplitude * bump.mu * (1.0 - u) ** (bump.mu - 1) / (a * bump.radius**n)
+
+
 def bump_radial(bump: Bump, rho, n: int | None = None):
     """Profile value of a single bump at distance rho from its center."""
     n = bump.dimension if n is None else n
@@ -179,15 +193,7 @@ def bump_radial_deriv(bump: Bump, rho, n: int | None = None):
     u = (rho / bump.radius) ** 2
     out = np.zeros_like(u)
     inside = u < 1.0
-    ui, ri = u[inside], rho[inside]
-    du = 2.0 * ri / bump.radius**2
-    if bump.profile == CINF:
-        out[inside] = -_bump_profile(bump, ui, n) / (1.0 - ui) ** 2 * du
-    else:
-        a = _mollifier_norm(n, bump.mu)
-        out[inside] = (
-            -bump.amplitude * bump.mu * (1.0 - ui) ** (bump.mu - 1) / (a * bump.radius**n) * du
-        )
+    out[inside] = _bump_slope(bump, u[inside], n) * (2.0 * rho[inside] / bump.radius**2)
     return out
 
 
@@ -542,6 +548,14 @@ def build_kernel_profile(
     return _build_profiles(domain, [theta], order, margin, num_table, num_quad, with_hilbert)[0]
 
 
+def _check_profile_table(num_table: int, margin: float | None) -> None:
+    """Reject a table below 64 points or a margin (if set) that is not positive."""
+    if num_table < 64:
+        raise ValueError(f"profile table needs >= 64 points, got {num_table}")
+    if margin is not None and margin <= 0:
+        raise ValueError(f"profile margin must be positive, got {margin}")
+
+
 def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hilbert):
     """Kernel profiles of a list of directions.
 
@@ -555,10 +569,7 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
         with_hilbert = n % 2 == 0
     if not 0 < order <= n:
         raise ValueError(f"profile order must lie in 1..{n}, got {order}")
-    if num_table < 64:
-        raise ValueError(f"profile table needs >= 64 points, got {num_table}")
-    if margin <= 0:
-        raise ValueError(f"profile margin must be positive, got {margin}")
+    _check_profile_table(num_table, margin)
     rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi) if with_hilbert else None
     ths = [_check_unit(theta) for theta in thetas]
     frames, rows = [], []

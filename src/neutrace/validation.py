@@ -28,7 +28,6 @@ from .calculus import (
 from .forward import (
     _BLOCK_VALUES,
     SolverParams,
-    _nu_stencil,
     huygens_horizon,
     phantom_pressure,
     radial_pressure,
@@ -63,6 +62,26 @@ __all__ = [
 ]
 
 _REL_FLOOR = 1e-14
+
+#: each check parameter's fixed range, as a test and its error; the checks and
+#: ``cli.parse_config`` both apply them
+_PARAMETER_RANGES = {
+    "lemma_k": (lambda k: k in (1, 2), "nested differencing is implemented for k in (1, 2), got {}"),
+    "lemma_t": (lambda t: 0.0 < t < 2.0, "evaluation time must lie in (0, 2), got {}"),
+    "symbolic_n": (lambda n: n >= 2, "the coefficient table requires n >= 2, got n={}"),
+    "symbolic_k": (lambda k: k >= 0, "k must be >= 0, got {}"),
+    "mollifier_mu": (lambda mu: mu >= 1, "mollifier order must be >= 1, got {}"),
+    "mollifier_eps": (lambda eps: eps > 0, "mollifier width must be positive, got {}"),
+}
+
+
+def _in_range(name: str, values) -> None:
+    """Raise ValueError unless each of ``values`` (one or a tuple) lies in the
+    range of check parameter ``name``."""
+    accepts, message = _PARAMETER_RANGES[name]
+    for value in values if isinstance(values, tuple) else (values,):
+        if not accepts(value):
+            raise ValueError(message.format(value))
 
 
 @dataclass(frozen=True)
@@ -275,9 +294,10 @@ def check_integral_identity(
 
     Both wave fields are evaluated through the closed radial forms (the
     velocity from the primitive G of rho b(rho), independent of the forward
-    module), so the residual measures the outer quadrature and
-    finite-difference error only.  The ``level`` parameter doubles every
-    node count and halves every step.
+    module), and the boundary flux through the closed normal derivative of
+    the pressure, so the residual measures the outer quadrature and the
+    Laplacian's finite-difference error only.  The ``level`` parameter
+    doubles every node count and halves every step.
 
     Both fields vanish off their Huygens band |t - d| < eps, so the work
     follows the pressure: :func:`phantom_pressure` evaluates it only on the
@@ -307,7 +327,6 @@ def check_integral_identity(
     m_rad, m_pol, m_azi = 20 * scale, 12 * scale, 24 * scale
     m_box = 24 * scale
     h_lap = 1e-2 * min(domain.semi_axes) / scale
-    h_nu = 1e-3 * min(domain.semi_axes) / scale
 
     boundary = boundary_quadrature(domain, res_b, phase=phase)
     horizon = 0.0
@@ -321,7 +340,6 @@ def check_integral_identity(
         "volume_rule": (m_rad, m_pol, m_azi),
         "box_quad": m_box,
         "h_lap": h_lap,
-        "h_nu": h_nu,
         "horizon": horizon,
     }
 
@@ -336,10 +354,7 @@ def check_integral_identity(
 
     # boundary term: 2 * sum over nodes and times of v * du/dnu
     pts, nus, wb = boundary.points, boundary.normals, boundary.weights
-    offs, stw = _nu_stencil(SolverParams(h_nu=h_nu, nu_order=4))
-    shifted = pts[:, None, :] + offs[None, :, None] * nus[:, None, :]
-    pshift = phantom_pressure(f, shifted[:, :, None, :], trule.nodes)
-    du = np.tensordot(stw, np.moveaxis(pshift, 1, 0), axes=(0, 0))
+    du = phantom_pressure(f, pts[:, None, :], trule.nodes, nus[:, None, :])
     flux, evaluated = _times_velocity(du, g, pts[:, None, :], trule.nodes)
     term_boundary = 2.0 * float(wb @ flux @ trule.weights)
     pairs = du.size
@@ -448,11 +463,8 @@ def check_lemma_coefficients(
     ks = tuple(ks)
     if n not in (2, 3):
         raise ValueError(f"numeric lemma check supports n in (2, 3), got {n}")
-    for k in ks:
-        if k not in (1, 2):
-            raise ValueError(f"nested differencing is implemented for k in (1, 2), got {k}")
-    if not 0.0 < t < 2.0:
-        raise ValueError(f"evaluation time must lie in (0, 2), got {t}")
+    _in_range("lemma_k", ks)
+    _in_range("lemma_t", t)
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     x = np.asarray(x, dtype=float)
@@ -519,8 +531,8 @@ def check_lemma_symbolic(n: int, k: int) -> IdentityReport:
     claimed coefficient table; A stays a formal symbol, so the comparison
     is coefficient-by-coefficient with no quadrature at all."""
     t0 = time.perf_counter()
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _in_range("symbolic_n", n)
+    _in_range("symbolic_k", k)
     terms = {(n - 1, 0): Fraction(1)}
     for _ in range(k):
         terms = _apply_inv_t_dt(terms)
@@ -607,10 +619,8 @@ def check_mollifier(n: int, mu: int, eps: float, level: int = 0) -> list[Identit
     plane integral, and unit mass of that profile."""
     if n < 2:
         raise ValueError(f"mollifier check needs n >= 2, got {n}")
-    if mu < 1:
-        raise ValueError(f"mollifier order must be >= 1, got {mu}")
-    if eps <= 0:
-        raise ValueError(f"mollifier width must be positive, got {eps}")
+    _in_range("mollifier_mu", mu)
+    _in_range("mollifier_eps", eps)
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     scale = 1 << level

@@ -9,9 +9,12 @@ velocity comes by another route, a 48-node quadrature of rho b(rho) at every
 (point, time) pair, and it is compared with the package's closed-primitive
 velocity within a bound derived from both routes' errors.  The direct 2-D
 trace route likewise keeps the package's pointwise wave solution and
-replaces only the radial table and the sparse trace operator.  The 3-D
+replaces the radial table and the sparse trace operator.  The 3-D
 sections route replaces the package's closed radial field by the
-spherical-means quadrature it converges to.  The per-point 2-D
+spherical-means quadrature it converges to.  These trace routes, and the
+stencil route that keeps the package's own fields, take the normal
+derivative by the central difference across the boundary that the
+package's exact normal derivative replaced.  The per-point 2-D
 back-projection integrates each trace by a Gauss rule in a substituted time
 variable, the route the package's product-integrated Abel weights replaced.
 The superellipse chords come from a golden-section search for the level
@@ -25,8 +28,8 @@ share its arithmetic on purpose, so the tests can ask for equal bits.
 The hand-built rules after them are its earlier copies of what it now
 builds in one place: the product rule on the circle and sphere, the
 sine-substituted ball rule, the two radial arrangements of the 2-D field
-around one time stencil, the fourth-order normal stencil, the ellipsoid
-section halfwidth and the per-point support radius.  Next to them,
+around one time stencil, the ellipsoid section halfwidth and the per-point
+support radius.  Next to them,
 the broadcast point routes (sphere and arc points, distances, bump and
 mollifier radii, the 3-D rim, the ungated sphere means) are its earlier code
 for point arithmetic it now does one coordinate plane at a time, or only
@@ -126,15 +129,12 @@ def poly_integral(coeffs, a: float, b: float) -> float:
     return total
 
 
-def trace_table_2d_per_centre(tables, stencil_w, times, h_t: float, radial_quad: int, r_grid):
-    """Two-dimensional table traces of one node, centre by centre.
-
-    ``tables[c]`` holds the circular means around normal-stencil centre c on
-    the uniform ``r_grid``.  Each centre's table is interpolated at the
+def trace_table_2d_row(table, times, h_t: float, radial_quad: int, r_grid):
+    """Two-dimensional trace row of one node from its table of circular
+    means on the uniform ``r_grid``: the table interpolated at the
     sine-substituted radii |tau| sin(phi) with four-point Lagrange weights
-    written out here, integrated over phi, differenced in time, and only
-    then combined across centres with ``stencil_w``: the order of the
-    per-centre route the trace operator replaced.
+    written out here, integrated over phi and only then differenced in
+    time, the order of the per-table route the trace operator replaced.
     """
     x, w = np.polynomial.legendre.leggauss(radial_quad)
     half = 0.25 * math.pi  # Gauss-Legendre on (0, pi/2)
@@ -152,29 +152,39 @@ def trace_table_2d_per_centre(tables, stencil_w, times, h_t: float, radial_quad:
         -th * (th + 1.0) * (th - 2.0) / 2.0,
         th * (th * th - 1.0) / 6.0,
     )
-    row = np.zeros(len(times))
-    for table, s in zip(tables, stencil_w):
-        means = sum(lw * table[k + l - 1] for l, lw in enumerate(lagrange))
-        g = taus * np.sum(means * wphi, axis=-1)
-        row += s * np.sum(g * d4, axis=-1) / h_t
-    return row
+    means = sum(lw * table[k + l - 1] for l, lw in enumerate(lagrange))
+    g = taus * np.sum(means * wphi, axis=-1)
+    return np.sum(g * d4, axis=-1) / h_t
 
 
-def traces_2d_direct(f, domain, boundary, times, params):
+def normal_stencil(h_nu: float):
+    """Offsets and weights of the central difference of step ``h_nu`` across
+    the boundary: the normal derivative of the package's traces before they
+    took the exact one.  Its error falls as h_nu^2."""
+    return np.array([-1.0, 1.0]) * h_nu, np.array([-0.5, 0.5]) / h_nu
+
+
+def _default_h_nu(domain) -> float:
+    # the package's default step before its traces took the exact derivative
+    return 1e-3 * min(domain.semi_axes)
+
+
+def traces_2d_direct(f, domain, boundary, times, params, h_nu=None):
     """Two-dimensional Neumann traces without a radial table.
 
     Each normal-stencil centre's field u(c, t) is evaluated pointwise by the
     package's wave solution (``forward._even_field``: spherical means at the
-    exact sine-substituted radii), then combined with the normal stencil; the
-    first time sample is set to zero, as :func:`simulate_traces` does.  What
-    this route does not share with the table path is the table, its cubic
+    exact sine-substituted radii), then combined with the normal stencil of
+    step ``h_nu``; the first time sample is set to zero, as
+    :func:`simulate_traces` does.  What this route does not share with the
+    table path is the exact normal derivative, the table, its cubic
     interpolation and the sparse trace operator.
     """
     from neutrace.calculus import _sine_ball_rule
-    from neutrace.forward import _even_field, _nu_stencil
+    from neutrace.forward import _even_field
 
-    params = params.resolved(domain=domain, t_scale=times.t_max)
-    offsets, stencil_w = _nu_stencil(params)
+    params = params.resolved(t_scale=times.t_max)
+    offsets, stencil_w = normal_stencil(h_nu or _default_h_nu(domain))
     rule = _sine_ball_rule(params.radial_quad, 2)
     t = times.samples
     out = np.empty((len(boundary), times.nt))
@@ -238,26 +248,54 @@ def sections_field_3d(f, center_pts, times, params):
     return out
 
 
-def traces_3d_sections(f, domain, boundary, times, params):
+def traces_3d_sections(f, domain, boundary, times, params, h_nu=None):
     """Three-dimensional Neumann traces by spherical-means quadrature.
 
     Each normal-stencil centre's field is u = d/dt (t M f) with the means
     summed over the ``mean_res`` direction set (:func:`sections_field_3d`)
     and the time derivative a four-point difference of step ``h_t``; the
-    rows are combined with the normal stencil and the first time sample is
-    set to zero, as :func:`simulate_traces` does.  It shares with the
-    package only the bump profile and the direction set, not the closed
-    radial field the package evaluates.
+    rows are combined with the normal stencil of step ``h_nu`` and the first
+    time sample is set to zero, as :func:`simulate_traces` does.  It shares
+    with the package only the bump profile and the direction set, not the
+    closed radial field the package evaluates or its exact normal derivative.
     """
-    from neutrace.forward import _nu_stencil
-
-    params = params.resolved(domain=domain, t_scale=times.t_max)
-    offsets, stencil_w = _nu_stencil(params)
+    params = params.resolved(t_scale=times.t_max)
+    offsets, stencil_w = normal_stencil(h_nu or _default_h_nu(domain))
     t = times.samples
     out = np.empty((len(boundary), times.nt))
     for j in range(len(boundary)):
         centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
         out[j] = stencil_w @ sections_field_3d(f, centers, t, params)
+    out[:, 0] = 0.0
+    return out
+
+
+def traces_by_stencil(f, boundary, times, params, h_nu: float):
+    """Neumann traces as ``forward.simulate_traces`` computed them before it
+    took the exact normal derivative: the normal stencil of step ``h_nu``
+    applied to the package's own fields at the two centres y -+ h_nu nu,
+    the closed field (``phantom_pressure``) in three dimensions and in two
+    the radial tables of the means of f through the package's trace
+    operator.  The normal derivative is all that differs."""
+    from neutrace.forward import _trace_operator_2d, phantom_pressure
+    from neutrace.transforms import sphere_means
+
+    params = params.resolved(t_scale=times.t_max)
+    offsets, stencil_w = normal_stencil(h_nu)
+    t = times.samples
+    out = np.zeros((len(boundary), times.nt))
+    if f.dimension == 2:
+        r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+        r_grid = np.linspace(0.0, r_max, params.table_points)
+        rows, cols, coefs, _ = _trace_operator_2d(t, params, r_grid)
+    for j in range(len(boundary)):
+        for s, w in zip(offsets, stencil_w):
+            c = boundary.points[j] + s * boundary.normals[j]
+            if f.dimension == 3:
+                out[j] += w * phantom_pressure(f, c, t)
+            else:
+                table = w * sphere_means(f, c, r_grid, params.mean_res, n=2)
+                out[j] += np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
     out[:, 0] = 0.0
     return out
 
@@ -502,7 +540,6 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
     m_rad, m_pol, m_azi = 20 * scale, 12 * scale, 24 * scale
     m_box = 24 * scale
     h_lap = 1e-2 * min(domain.semi_axes) / scale
-    h_nu = 1e-3 * min(domain.semi_axes) / scale
 
     boundary = boundary_quadrature(domain, res_b, phase=phase)
     horizon = min(huygens_horizon(f, boundary), huygens_horizon(g, boundary))
@@ -513,11 +550,7 @@ def integral_identity_terms_ungated(f, g, domain, level: int = 0, *, phase: floa
 
     pts, nus, wb = boundary.points, boundary.normals, boundary.weights
     vel, tol = _phantom_velocity_ungated(g, pts[:, None, :], trule.nodes)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h_nu
-    stw = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_nu)
-    shifted = pts[:, None, :] + offs[None, :, None] * nus[:, None, :]
-    pshift = phantom_pressure(f, shifted[:, :, None, :], trule.nodes)
-    du = np.tensordot(stw, np.moveaxis(pshift, 1, 0), axes=(0, 0))
+    du = phantom_pressure(f, pts[:, None, :], trule.nodes, nus[:, None, :])
     term_boundary = 2.0 * float(wb @ (du * vel) @ trule.weights)
     chain = pts.shape[0] + nt + 6
     budget = tol + 2.0 * chain * unit * np.abs(vel)
@@ -902,15 +935,6 @@ def wave_solution_even_alt_by_hand(f, x, t: float, params) -> float:
     return float(np.sum(g * _D4_WEIGHTS, axis=-1) / h)
 
 
-def normal_stencil_4_by_hand(h_nu: float):
-    """Offsets and weights of the fourth-order normal difference as
-    ``validation.check_integral_identity`` wrote them out before it took
-    ``forward._nu_stencil``."""
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h_nu
-    stw = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_nu)
-    return offs, stw
-
-
 def ellipsoid_sections_per_direction(domain, th, sp):
     """Ellipsoid section volumes of ``transforms._sections`` with each
     direction's support halfwidth written out, one row at a time: the loop
@@ -1094,17 +1118,17 @@ def radon_chi_deriv(domain, theta, s: float, order: int, *, method: str = "auto"
     return float(richardson(d_h, d_2h))
 
 
-def neumann_trace(f, domain, y, nu, t: float, params=None) -> float:
+def neumann_trace(f, domain, y, nu, t: float, params=None, h_nu=None) -> float:
     """Outward normal derivative of the wave field at one boundary point y
-    and one time t >= 0: the normal stencil across y applied to the
-    package's pointwise wave fields (``forward.phantom_pressure`` in three
-    dimensions, ``forward._even_field`` in two), with f itself at t = 0.  The
-    route ``simulate_traces`` batches over nodes and times."""
+    and one time t >= 0: the normal stencil of step ``h_nu`` across y
+    applied to the package's pointwise wave fields
+    (``forward.phantom_pressure`` in three dimensions, ``forward._even_field``
+    in two), with f itself at t = 0."""
     from neutrace.calculus import _sine_ball_rule
-    from neutrace.forward import SolverParams, _even_field, _nu_stencil, phantom_pressure
+    from neutrace.forward import SolverParams, _even_field, phantom_pressure
 
-    params = (params or SolverParams()).resolved(domain=domain, t_scale=max(1.0, t))
-    offsets, weights = _nu_stencil(params)
+    params = (params or SolverParams()).resolved(t_scale=max(1.0, t))
+    offsets, weights = normal_stencil(h_nu or _default_h_nu(domain))
     centers = np.asarray(y, dtype=float) + offsets[:, None] * np.asarray(nu, dtype=float)
     if t == 0.0:
         vals = f.eval(centers)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from neutrace import cli
 from neutrace.cli import ConfigError, main, parse_config
 from neutrace.forward import SolverParams, read_trace_file, simulate_traces, support_margin
 from neutrace.geometry import boundary_quadrature
@@ -60,15 +61,13 @@ def test_parse_3d_defaults():
 def test_solver_and_recon_keys_reach_their_dataclasses():
     cfg = parse_config(
         MINIMAL_2D
-        + "solver.h_t = 0.002\nsolver.h_nu = 0.0005\nsolver.mean_res = 40\n"
-        + "solver.radial_quad = 24\nsolver.nu_order = 4\nsolver.table_points = 1000\n"
+        + "solver.h_t = 0.002\nsolver.mean_res = 40\n"
+        + "solver.radial_quad = 24\nsolver.table_points = 1000\n"
         + "recon.correction = fixed_point\nrecon.k_radial = 9\n"
         + "recon.k_angular = 11\nrecon.kernel_table = 300\nrecon.kernel_quad = 70\n"
         + "recon.kernel_margin = 0.01\n"
     )
-    assert cfg.solver == SolverParams(
-        h_t=0.002, h_nu=0.0005, mean_res=40, radial_quad=24, nu_order=4, table_points=1000
-    )
+    assert cfg.solver == SolverParams(h_t=0.002, mean_res=40, radial_quad=24, table_points=1000)
     assert cfg.recon == ReconstructionOptions(
         correction="fixed_point",
         k_radial=9,
@@ -555,7 +554,9 @@ def se4_trace(tmp_path_factory):
     [
         ("forward", "boundary.resolution", "4", "boundary resolution must be >= 8, got 4"),
         ("forward", "solver.h_t", "-1", "h_t must be positive, got -1.0"),
-        ("forward", "solver.h_nu", "0", "h_nu must be positive, got 0.0"),
+        # the traces are exact normal derivatives: the normal step and its order are gone
+        ("forward", "solver.h_nu", "0", "line 12: unknown key 'solver.h_nu'"),
+        ("forward", "solver.nu_order", "4", "line 12: unknown key 'solver.nu_order'"),
         ("reconstruct", "recon.kernel_table", "10", "profile table needs >= 64 points, got 10"),
         ("reconstruct", "recon.k_radial", "0", "k_radial must be >= 1, got 0"),
         ("reconstruct", "recon.kernel_quad", "0", "kernel_quad must be >= 1, got 0"),
@@ -592,6 +593,42 @@ def test_rejected_values_exit_2_with_their_message(
     assert run_main([command, "--config", config_file(tmp_path, text), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("validate.lemma.t", "5", "evaluation time must lie in (0, 2), got 5.0"),
+        ("validate.symbolic.n", "1", "the coefficient table requires n >= 2, got n=1"),
+    ],
+)
+def test_an_out_of_range_check_parameter_stops_validate_before_any_check(
+    tmp_path, capsys, key, value, message
+):
+    """A check parameter outside its fixed range is refused with its line
+    when the config is read: no check runs, prints a pass line or writes
+    the report."""
+    out = tmp_path / "report.csv"
+    cfg = config_file(tmp_path, MINIMAL_2D + f"{key} = {value}\n")
+    assert run_main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert captured.err == f"error: line 3: {key}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_short_kernel_table_stops_reconstruct_before_the_trace_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    read = []
+    monkeypatch.setattr(cli, "read_trace_file", read.append)
+    keys = {**CORRECTION, "recon.kernel_table": "32", "input.trace": str(tmp_path / "t.csv")}
+    keys.update({"grid.lo": "-0.1, -0.25", "grid.hi": "0.6, 0.45", "grid.shape": "3, 3"})
+    text = SE4_2D + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    out = str(tmp_path / "image.csv")
+    assert run_main(["reconstruct", "--config", config_file(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: profile table needs >= 64 points, got 32\n"
+    assert read == []
 
 
 def test_missing_config_file(tmp_path, capsys):

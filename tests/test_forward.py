@@ -2,7 +2,9 @@
 
 import math
 import re
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from _oracles import (
     neumann_trace,
     sphere_means_broadcast,
     trace_operator_2d_int64,
-    trace_table_2d_per_centre,
+    trace_table_2d_row,
     traces_2d_direct,
     traces_3d_sections,
+    traces_by_stencil,
     wave_solution_2d_by_hand,
     wave_solution_even_alt_by_hand,
 )
@@ -28,7 +31,6 @@ from neutrace.forward import (
     TimeGrid,
     TraceFormatError,
     TraceGrid,
-    _nu_stencil,
     _trace_operator_2d,
     huygens_horizon,
     phantom_hash,
@@ -40,7 +42,7 @@ from neutrace.forward import (
     write_trace_file,
 )
 from neutrace.geometry import BoundaryQuadrature, boundary_quadrature, ellipsoid, superellipse
-from neutrace.transforms import Bump, Phantom, _mean_directions, sphere_means
+from neutrace.transforms import Bump, Phantom, _mean_directions, bump_radial_deriv, sphere_means
 
 # field at x = (0.3, 0), t = 0.7 for the centered radius-0.5 bump, frozen
 # from a run at four times the resolution (mean_res 512, radial_quad 768)
@@ -56,41 +58,75 @@ TWO_BUMPS_2D = Phantom(
 )
 
 
-# How far the trace-operator route may drift from the per-centre reference.
+# How far the trace-operator route may drift from the per-table reference.
 # Both evaluate, per trace sample, the same sum
-#     sum_c s_c sum_{m,q,l} D4_m / h_t * tau_m * wphi_q * L_l * T_c[k + l]
-# from bitwise-equal factors (normal weights s_c, time weights D4_m, radial
-# weights wphi_q, Lagrange weights L_l, tables T_c), only in different
-# orders.  Evaluated in any order, such a sum is within gamma_K <= K eps of
-# the exact one times the sum of the absolute terms (Higham, Accuracy and
-# Stability of Numerical Algorithms, sec. 3.1), K being the longest chain of
-# roundings a term goes through: the operator route adds up to 16 q entries
-# per row (4 time points x q radii x 4 table nodes) after at most 16 products,
-# merges and normal-stencil additions, the reference about q + 16.  The
-# absolute terms add up to at most
-#     sum |s_c| * sum |D4_m| / h_t * (t_max + 2 h_t) * sum wphi_q * Lambda * max |f|,
-# with sum wphi_q = int_0^pi/2 sin = 1, a mean never above max |f|, and
-# Lambda = 1.64 bounding the Lebesgue function of the four-point stencil (1.25
-# mid-table, 1.63 in the end intervals).  For the two-bump fixture below
-# (h_nu = 1e-3, h_t = 4e-3, q = 48, max f = 1.53) the bound is 7.1e-7; the
-# routes differ by 2.7e-12 there, while a 1023- instead of 1024-point table
-# moves the traces by 3.3e-2.
+#     sum_{m,q,l} D4_m / h_t * tau_m * wphi_q * L_l * T[k + l]
+# from bitwise-equal factors (time weights D4_m, radial weights wphi_q,
+# Lagrange weights L_l, the node's table T of the circle means of
+# <grad f, nu>), only in different orders.  Evaluated in any order, such a
+# sum is within gamma_K <= K eps of the exact one times the sum of the
+# absolute terms (Higham, Accuracy and Stability of Numerical Algorithms,
+# sec. 3.1), K being the longest chain of roundings a term goes through: the
+# operator route adds up to 16 q entries per row (4 time points x q radii x
+# 4 table nodes) after at most 16 products and merges, the reference about
+# q + 16.  The absolute terms add up to at most
+#     sum |D4_m| / h_t * (t_max + 2 h_t) * sum wphi_q * Lambda * max |grad f|,
+# with sum wphi_q = int_0^pi/2 sin = 1, a mean of <grad f, nu> never above
+# max |grad f| <= sum over the bumps of max |b'|, and Lambda = 1.64 bounding
+# the Lebesgue function of the four-point stencil (1.25 mid-table, 1.63 in
+# the end intervals).  The table is exact in the normal direction, so no
+# difference quotient across the boundary amplifies it.  For the two-bump
+# fixture below (h_t = 4e-3, q = 48, max |grad f| <= 14.8) the bound is
+# 6.9e-9; the routes differ by 1.6e-14 there, while a 1023- instead of
+# 1024-point table moves the traces by 4.5e-2.
 def table_route_roundoff(params, t_max, f):
     q = params.radial_quad
     chain = (16 * q + 16) + (q + 16)
-    amp = np.abs(_nu_stencil(params)[1]).sum() * np.abs(_D4_WEIGHTS).sum() / params.h_t
+    amp = np.abs(_D4_WEIGHTS).sum() / params.h_t
     lebesgue = 1.64
-    terms = amp * (t_max + 2.0 * params.h_t) * lebesgue * f.peak()
+    grad = sum(
+        np.abs(bump_radial_deriv(b, np.linspace(0.0, b.radius, 4097))).max() for b in f.bumps
+    )
+    terms = amp * (t_max + 2.0 * params.h_t) * lebesgue * grad
     return chain * np.finfo(float).eps * terms
+
+
+def normal_slope(f, nu):
+    """The field <grad f, nu> that the 2-D trace tables average, gated on
+    the bumps of f."""
+    return SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
+
+
+# Ratio of the stencil route's gaps to the exact traces when h_nu halves.
+# The central difference of step h_nu is off by h_nu^2 / 6 times the third
+# normal derivative plus O(h_nu^4), so the ratio tends to 4 from below.
+# Measured over h_nu = 2e-3, 1e-3, 5e-4, 2.5e-4 (gaps as a fraction of the
+# peak: 1.54e-3, 3.86e-4, 9.65e-5, 2.41e-5 in 3-D, 1.94e-3, 4.87e-4,
+# 1.22e-4, 3.05e-5 in 2-D) the ratios are 3.984 to 3.999, closest to 4 at
+# the finest pair, so the roundoff of the difference quotient does not show
+# yet.  A first- or
+# fourth-order error would give 2 or 16, and an offset E between the routes
+# that does not vanish with h_nu moves the ratio to about 4 - 3 E / gap, so
+# the window admits an offset of at most 3 % of the finest gap, 8e-7 of the
+# peak.
+STENCIL_RATIO = (3.9, 4.1)
 
 
 # Relative L2 distance of the spherical-means quadrature traces
 # (_oracles.traces_3d_sections) at mean_res 256 to the closed-field traces,
 # on every eighth node of the resolution-8 unit ball and 40 times up to t = 3.
-# Measured: 7.3e-2 at mean_res 32, 9.3e-4 at 128 and 7.7e-5 at 256; the
-# four-point time difference of step h_t = 3e-3 adds below 1e-9, so this is
-# the error of the direction set, and the bound leaves it a factor of two.
+# Measured: 7.3e-2 at mean_res 32, 9.4e-4 at 128 and 7.9e-5 at 256; the
+# four-point time difference of step h_t = 3e-3 adds below 1e-9, and the
+# quadrature route's normal stencil, of step NORMAL_STEP, about 3e-6 (2.7e-4
+# at 1e-3, falling as its square), so this is the error of the direction
+# set, and the bound leaves it a factor of two.
 SECTIONS_256_BOUND = 1.5e-4
+
+# Normal step of the stencil routes that are compared with the exact traces
+# for something else (a direction set, a radial table): their h_nu^2 error
+# is then a hundredth of that at the former default 1e-3, while roundoff,
+# eps / h_nu times the field, stays below 1e-9.
+NORMAL_STEP = 1e-4
 
 
 # interior points well inside the radius-0.35 bump support where the
@@ -120,24 +156,24 @@ def test_time_grid_properties():
 
 def test_solver_params_validation():
     with pytest.raises(ValueError):
-        SolverParams(nu_order=3)
-    with pytest.raises(ValueError):
         SolverParams(mean_res=3)
     with pytest.raises(ValueError):
         SolverParams(radial_quad=2)
     with pytest.raises(ValueError):
         SolverParams(table_points=-1)
-    for name in ("h_t", "h_nu"):
-        for bad in (-1.0, 0.0):
-            with pytest.raises(ValueError, match=f"^{name} must be positive, got {bad}$"):
-                SolverParams(**{name: bad})
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ValueError, match=f"^h_t must be positive, got {bad}$"):
+            SolverParams(h_t=bad)
+    # the traces are exact normal derivatives: there is no step across the boundary
+    for removed in ("h_nu", "nu_order"):
+        with pytest.raises(TypeError):
+            SolverParams(**{removed: 2})
 
 
-def test_solver_params_resolved_defaults(unit_ball):
-    p = SolverParams().resolved(domain=unit_ball, t_scale=3.0)
+def test_solver_params_resolved_defaults():
+    p = SolverParams().resolved(t_scale=3.0)
     assert p.h_t == pytest.approx(3e-3)
-    assert p.h_nu == pytest.approx(1e-3)
-    q = SolverParams(h_t=1e-4).resolved(domain=unit_ball, t_scale=3.0)
+    q = SolverParams(h_t=1e-4).resolved(t_scale=3.0)
     assert q.h_t == 1e-4
 
 
@@ -250,15 +286,42 @@ def test_wave_superposition_is_exact():
 def test_neumann_trace_settles_to_zero_at_t0(bump3d, unit_ball):
     """The pointwise trace is exactly zero at t = 0, where the bump vanishes
     across the boundary, which is the first column simulate_traces writes;
-    at every later sample the simulated row is that trace to the bit, both
-    routes applying the same normal stencil to the same closed field."""
+    at every later sample the simulated row is the pointwise stencil trace
+    up to the stencil's own error: at h_nu = 2.5e-4 the gap is 2.4e-5 of the
+    peak (measured over all nodes and 120 times), and half again is allowed."""
     bq = boundary_quadrature(unit_ball, 8)
     times = TimeGrid(t_max=3.0, nt=24)
     traces = simulate_traces(bump3d, unit_ball, bq, times)
+    tol = 3.6e-5 * np.abs(traces.values).max()
     for j in (0, 5, 64):
-        want = [neumann_trace(bump3d, unit_ball, bq.points[j], bq.normals[j], t) for t in times.samples]
-        assert want[0] == 0.0
-        np.testing.assert_array_equal(traces.values[j], want)
+        want = [
+            neumann_trace(bump3d, unit_ball, bq.points[j], bq.normals[j], t, h_nu=2.5e-4)
+            for t in times.samples
+        ]
+        assert want[0] == 0.0 == traces.values[j, 0]
+        np.testing.assert_allclose(traces.values[j], want, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("dimension", [3, 2])
+def test_the_normal_stencil_converges_to_the_exact_traces_as_h_squared(dimension):
+    """The stencil route (``_oracles.traces_by_stencil``: the package's own
+    fields at y -+ h_nu nu) tends to the exact normal derivative at the
+    rate of a central difference, ``STENCIL_RATIO``."""
+    if dimension == 3:
+        domain = ellipsoid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        f = Phantom((Bump(center=(0.1, 0.0, 0.0), radius=0.35),))
+        bq, times, params = boundary_quadrature(domain, 8), TimeGrid(3.0, 120), SolverParams()
+    else:
+        domain = ellipsoid((0.0, 0.0), (1.5, 1.0))
+        f = Phantom((Bump(center=(0.2, -0.1), radius=0.3),))
+        bq, times, params = boundary_quadrature(domain, 16), TimeGrid(12.0, 100), SolverParams(table_points=1024)
+    exact = simulate_traces(f, domain, bq, times, params).values
+    gaps = [
+        np.abs(traces_by_stencil(f, bq, times, params, h) - exact).max()
+        for h in (2e-3, 1e-3, 5e-4, 2.5e-4)
+    ]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert STENCIL_RATIO[0] <= coarse / fine <= STENCIL_RATIO[1]
 
 
 def test_trace_rotational_symmetry(unit_ball):
@@ -329,7 +392,7 @@ def test_simulate_traces_threads_do_not_change_values(bump3d, unit_ball):
 
 
 def test_3d_traces_ignore_the_quadrature_knobs_and_the_node_blocks(bump3d, unit_ball, monkeypatch):
-    """The 3-D traces are the closed field under the normal stencil: no
+    """The 3-D traces are the exact normal derivative of the closed field: no
     direction set, radial rule or time step enters, and the node blocks only
     bound the temporaries."""
     bq = boundary_quadrature(unit_ball, 8)
@@ -353,14 +416,16 @@ def test_sections_quadrature_converges_to_the_closed_traces(bump3d, unit_ball):
     closed = simulate_traces(bump3d, unit_ball, bq, times).values
     errs = []
     for m in (32, 128, 256):
-        quad = traces_3d_sections(bump3d, unit_ball, bq, times, SolverParams(mean_res=m))
+        quad = traces_3d_sections(
+            bump3d, unit_ball, bq, times, SolverParams(mean_res=m), h_nu=NORMAL_STEP
+        )
         errs.append(np.linalg.norm(quad - closed) / np.linalg.norm(closed))
     assert errs[1] <= errs[0] / 20.0
     assert errs[2] <= SECTIONS_256_BOUND
 
 
 def test_simulate_traces_rejects_support_touching_the_rim(unit_ball):
-    f = Phantom((Bump(center=(0.0, 0.0, 0.0), radius=0.9995),))
+    f = Phantom((Bump(center=(0.0, 0.0, 0.0), radius=1.0),))
     bq = boundary_quadrature(unit_ball, 8)
     with pytest.raises(ConfigurationError, match="support margin"):
         simulate_traces(f, unit_ball, bq, TimeGrid(t_max=3.0, nt=16))
@@ -373,10 +438,13 @@ def test_simulate_traces_rejects_dimension_mismatch(bump2d, unit_ball):
 
 
 def test_table_accelerated_2d_traces_match_direct(unit_disk):
+    """The table route against pointwise fields under the normal stencil of
+    step ``NORMAL_STEP``: the gap is 6.4e-6 (6.8e-4 at h_nu = 1e-3, and
+    2.0e-6, the table's own, with the stencil on both routes)."""
     f = Phantom((Bump(center=(0.1, 0.0), radius=0.4),))
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
-    direct = traces_2d_direct(f, unit_disk, bq, times, SolverParams())
+    direct = traces_2d_direct(f, unit_disk, bq, times, SolverParams(), h_nu=NORMAL_STEP)
     tabled = simulate_traces(f, unit_disk, bq, times, SolverParams(table_points=4096))
     scale = np.abs(direct).max()
     assert np.abs(direct - tabled.values).max() <= 1e-4 * max(scale, 1.0)
@@ -493,19 +561,16 @@ def test_sphere_means_gate_keeps_the_bits_in_3d(profile, rng):
 def test_trace_operator_matches_per_centre_reference(unit_disk):
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
-    params = SolverParams(table_points=1024).resolved(domain=unit_disk, t_scale=times.t_max)
+    params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
     got = simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, params).values
     # the table grid simulate_traces lays over [0, t_max + 2 h_t]
     r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
     r_grid = np.linspace(0.0, r_max, params.table_points)
-    offsets, stencil_w = _nu_stencil(params)
     tol = table_route_roundoff(params, times.t_max, TWO_BUMPS_2D)
     for j in range(len(bq)):
-        centres = bq.points[j] + offsets[:, None] * bq.normals[j]
-        tables = [sphere_means(TWO_BUMPS_2D, c, r_grid, params.mean_res, n=2) for c in centres]
-        ref = trace_table_2d_per_centre(
-            tables, stencil_w, times.samples, params.h_t, params.radial_quad, r_grid
-        )
+        slope = normal_slope(TWO_BUMPS_2D, bq.normals[j])
+        table = sphere_means(slope, bq.points[j], r_grid, params.mean_res, n=2)
+        ref = trace_table_2d_row(table, times.samples, params.h_t, params.radial_quad, r_grid)
         assert got[j, 0] == 0.0
         np.testing.assert_allclose(got[j, 1:], ref[1:], rtol=0.0, atol=tol)
 
@@ -524,21 +589,19 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
 )
 def test_band_column_apply_equals_the_full_operator_apply(unit_disk, f, split_bands):
     """simulate_traces applies the operator only on the columns where each
-    node's combined table is non-zero; the skipped products are exact zeros,
-    so every row equals the full apply bit for bit."""
+    node's table is non-zero; the skipped products are exact zeros, so every
+    row equals the full apply, of the ungated table, bit for bit."""
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
-    params = SolverParams(table_points=1024).resolved(domain=unit_disk, t_scale=times.t_max)
+    params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
     got = simulate_traces(f, unit_disk, bq, times, params).values
     r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
     r_grid = np.linspace(0.0, r_max, params.table_points)
     rows, cols, coefs, _ = _trace_operator_2d(times.samples, params, r_grid)
-    offsets, stencil_w = _nu_stencil(params)
     skipped = split = 0
     for j in range(len(bq)):
-        table = np.zeros(r_grid.shape[0])
-        for c, s in zip(bq.points[j] + offsets[:, None] * bq.normals[j], stencil_w):
-            table += s * sphere_means_broadcast(f, c, r_grid, params.mean_res, n=2)
+        slope = normal_slope(f, bq.normals[j])
+        table = sphere_means_broadcast(slope, bq.points[j], r_grid, params.mean_res, n=2)
         full = np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
         full[0] = 0.0
         assert got[j].tobytes() == full.tobytes()
@@ -648,7 +711,9 @@ def test_trace_file_layout(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces)
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/2"
+    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/3"
+    # the traces are exact normal derivatives: no normal step is recorded
+    assert not [l for l in lines if l.startswith(("# solver.h_nu", "# solver.nu_order"))]
     columns = next(l for l in lines if l.startswith("# columns: "))
     names = columns[len("# columns: ") :].split(",")
     assert names[:7] == ["y_1", "y_2", "y_3", "nu_1", "nu_2", "nu_3", "weight"]
@@ -679,7 +744,7 @@ def test_trace_rows_with_zero_runs_read_back_bit_exact(tmp_path, unit_disk):
     bq = boundary_quadrature(unit_disk, 8)
     values = np.zeros((len(bq), 6))
     values[: len(ZERO_RUN_ROWS)] = ZERO_RUN_ROWS
-    params = SolverParams().resolved(domain=unit_disk, t_scale=1.0)
+    params = SolverParams().resolved(t_scale=1.0)
     traces = TraceGrid(unit_disk, bq, TimeGrid(t_max=1.0, nt=6), values, params)
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces)
@@ -725,9 +790,22 @@ def test_trace_file_rejects_foreign_content(tmp_path):
 def test_trace_file_rejects_the_format_1_tag(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(bump3d, unit_ball))
-    text = path.read_text().replace("# neumann-trace/2", "# neumann-trace/1", 1)
+    text = path.read_text().replace("# neumann-trace/3", "# neumann-trace/1", 1)
     path.write_text(text)
-    with pytest.raises(TraceFormatError, match="neumann-trace/2"):
+    with pytest.raises(TraceFormatError, match="neumann-trace/3"):
+        read_trace_file(path)
+
+
+def test_trace_file_rejects_the_format_2_tag(tmp_path, bump3d, unit_ball):
+    """A format-2 file holds stencil traces and the normal-step header lines;
+    it is refused by its tag, with the format that is read named."""
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines = path.read_text().splitlines()
+    lines[0] = "# neumann-trace/2"
+    lines.insert(1, "# solver.h_nu = 0.001")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="expected '# neumann-trace/3'"):
         read_trace_file(path)
 
 

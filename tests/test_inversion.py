@@ -13,7 +13,6 @@ from neutrace.forward import (
     InsufficientDataError,
     SolverParams,
     TimeGrid,
-    _nu_stencil,
     simulate_traces,
 )
 from neutrace.geometry import boundary_quadrature, ellipsoid
@@ -47,46 +46,50 @@ from neutrace.transforms import (
 # back-projected value at the bump centre for the radius-0.35 phantom in
 # the unit ball (boundary resolution 8, 120 times up to t = 3); the exact
 # field value there is 1
-BALL_PEAK = 1.0000171157465245
+BALL_PEAK = 1.0000242241553403
 
-# How far roundoff in the closed field can move that value.  Each trace
-# sample is sum_i a_i u(c_i, t), sum |a_i| = A = 1 / h_nu (1e3 at h_nu = 1e-3),
-# over the normal-stencil centres c_i, and per bump
-#     u = [phi(t + d) - phi(t - d)] / (2 d),  phi(s) = s b(|s|),  d = |c_i - centre|.
-# Roundoff reaches the arguments t +- d through at most five roundings (the
-# sample time, the centre y + s nu, its offset from the bump centre, the norm
-# and the sum or difference), each within an ulp of t_max + d_max, and moves
-# phi by at most L = max |b + s b'| times that.  Evaluating phi, the difference
-# and the division by 2 d add a few ulps of |u| <= r max f / d, below
-# L (t_max + d_max) / d.  So each phi term moves by at most k = 8 ulps of
-# L (t_max + d_max), and u by at most e = k eps L (t_max + d_max) / d_min,
-# d_min and d_max the extremes of d over the centres.  backproject_odd reads
-# each node row at t = |x - y| through the four-point cubic, whose Lebesgue
-# constant is 5/4 (at mid-interval: (1 + 9 + 9 + 1) / 16), and sums
-# weight_y / (2 pi |x - y|), so the value moves by at most
-#     sum(weights) / (2 pi |x - y|_min) * 5/4 * A * e.
-# For the fixture (L = 1.50, t_max + d_max = 4.10, d_min = 0.901):
-# 4 pi / (2 pi * 0.902) * 5/4 * 1e3 * 1.21e-14 = 3.4e-11.  Independent eps * A
-# noise on every trace sample spreads the value by 4.5e-14 (std; max 9.5e-14
-# over 12 draws), while the smallest method change tried (nu_order 4) moves
-# it by 7.1e-6.
+# How far roundoff in the closed normal derivative can move that value.  Per
+# bump, each trace sample is the exact derivative along nu at the node y,
+#     du = ([psi(t + d) + psi(|t - d|)] / (2 d) - u / d) * <nu, y - centre> / d,
+# with phi(s) = s b(|s|), psi = phi' = b + s b', u = [phi(t + d) - phi(t - d)] / (2 d)
+# and d = |y - centre|; there is no difference quotient to amplify roundoff.
+# Roundoff reaches the arguments t +- d and d itself through at most five
+# roundings (the sample time, the node, its offset from the bump centre, the
+# norm and the sum or difference), each within an ulp of t_max + d_max, so
+# within delta = k eps (t_max + d_max), k = 8 leaving room for the few ulps
+# of evaluating b, b' and the sums.  This moves psi by at most L2 delta,
+# L2 = max |psi'| = max |2 b' + s b''|, and phi by at most L delta,
+# L = max |psi|, while 1 / d moves by delta / d^2.  With U = max |phi| / d_min
+# bounding |u|, the first quotient moves by at most L2 delta / d + L delta / d^2
+# and u / d by at most (L + 2 U) delta / d^2, so du by at most
+#     e = delta / d_min * (L2 + 2 (L + U) / d_min),
+# the few ulps of the cosine factor, k eps (L + U) / d_min, lying below.
+# backproject_odd reads each node row at t = |x - y| through the four-point
+# cubic, whose Lebesgue constant is 5/4 (at mid-interval: (1 + 9 + 9 + 1) / 16),
+# and sums weight_y / (2 pi |x - y|), so the value moves by at most
+#     sum(weights) / (2 pi |x - y|_min) * 5/4 * e.
+# For the fixture (L2 = 49.8, L = 1.50, U = 0.139, t_max + d_max = 4.10,
+# d_min = 0.902): e = 4.3e-13 and 4 pi / (2 pi * 0.902) * 5/4 * e = 1.2e-12.
+# Independent noise of size e on every trace sample spreads the value by
+# 6.5e-14 (std; max 1.3e-13 over 12 draws), while the smallest method change
+# tried (121 instead of 120 times) moves it by 1.0e-6.
 def ball_peak_roundoff(traces, f, x):
-    p = traces.params
-    offsets, weights = _nu_stencil(p)
-    amp = np.abs(weights).sum()
     b = traces.boundary
-    centres = b.points[:, None, :] + offsets[:, None] * b.normals[:, None, :]
     ulps = 8
     e = 0.0
     for bump in f.bumps:
-        d = np.sqrt(np.sum((centres - np.asarray(bump.center)) ** 2, axis=-1))
+        d = np.sqrt(np.sum((b.points - np.asarray(bump.center)) ** 2, axis=-1))
         s = np.linspace(0.0, bump.radius, 4097)
-        lip = np.abs(bump_radial(bump, s, 3) + s * bump_radial_deriv(bump, s, 3)).max()
-        e += ulps * np.finfo(float).eps * lip * (traces.times.t_max + d.max()) / d.min()
+        phi = s * bump_radial(bump, s, 3)
+        psi = bump_radial(bump, s, 3) + s * bump_radial_deriv(bump, s, 3)
+        lip, lip2 = np.abs(psi).max(), np.abs(np.gradient(psi, s)).max()
+        u_max = np.abs(phi).max() / d.min()
+        delta = ulps * np.finfo(float).eps * (traces.times.t_max + d.max())
+        e += delta / d.min() * (lip2 + 2.0 * (lip + u_max) / d.min())
     d_min = np.sqrt(np.sum((b.points - x) ** 2, axis=-1)).min()
     lebesgue = 1.25
     spread = np.sum(b.weights) / (2.0 * math.pi * d_min) * lebesgue
-    return spread * amp * e
+    return spread * e
 
 
 # correction integral for a radius-0.25 bump at (0.35, 0.2) on the
@@ -457,20 +460,25 @@ def test_ball_correction_raises_where_the_direction_loop_would(bump3d, unit_ball
 def test_ball_correction_matrix_rejects_the_margins_the_direction_loop_rejects(bump3d, ball_traces):
     """On the ball, and on an ellipsoid off the origin, the assembled
     correction is the zero matrix, built without a direction loop, yet
-    reconstruct rejects the same kernel margins as a loop over every
+    reconstruct rejects the same positive kernel margins as a loop over every
     direction that checks the chord window at the samples inside the grid
-    box, with the same error: a negative margin, and one whose window the
-    box leaves."""
+    box, with the same error: those whose window the box leaves.  A margin
+    that is not positive the options refuse themselves, on every domain."""
     grid = ImageGrid(lo=(-0.2, -0.2, -0.2), hi=(0.2, 0.2, 0.2), shape=(3, 3, 3))
     box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(27))
     dom = OFF_CENTRE_ELLIPSOID
     off_centre = simulate_traces(bump3d, dom, boundary_quadrature(dom, 8), TimeGrid(t_max=3.0, nt=120))
     for traces, expected in (
-        (ball_traces, [ValueError, None, None, None, OutOfRegionError]),
-        (off_centre, [ValueError, None, None, OutOfRegionError, OutOfRegionError]),
+        (ball_traces, [ValueError, ValueError, None, None, OutOfRegionError]),
+        (off_centre, [ValueError, ValueError, None, OutOfRegionError, OutOfRegionError]),
     ):
         seen = []
         for margin in (-0.1, 0.0, 0.5, 0.6, 0.9):
+            if margin <= 0.0:
+                with pytest.raises(ValueError, match=f"^profile margin must be positive, got {margin}$"):
+                    ReconstructionOptions(correction="fixed_point", kernel_margin=margin)
+                seen.append(ValueError)
+                continue
             want = window_loop_error(traces.domain, box, grid.points(), margin)
             opts = ReconstructionOptions(
                 correction="fixed_point", k_radial=8, k_angular=8, kernel_margin=margin

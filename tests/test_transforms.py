@@ -111,6 +111,38 @@ def test_bump_radial_deriv_matches_difference_quotient():
         assert got == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_phantom_slope_is_the_directional_derivative(n, rng):
+    """``eval`` with a direction is <grad f, direction>: a Richardson-extrapolated
+    central difference of f along it (error O(h^4), 1e-12 at h = 1e-3, and
+    roundoff eps / h) agrees to 1e-8 of the largest slope, over two
+    overlapping bumps of both profiles, at points whose stencils stay off
+    the rims (the mu = 3 bump is only C^2 there), and it is an exact zero
+    off the supports."""
+    f = Phantom(
+        (
+            Bump(center=(0.1,) + (0.0,) * (n - 1), radius=0.4),
+            Bump(center=(-0.2, 0.25) + (0.1,) * (n - 2), radius=0.3, amplitude=-0.6,
+                 profile="poly", mu=3),
+        )
+    )
+    v = rng.normal(size=n)
+    v /= np.linalg.norm(v)
+    pts = rng.uniform(-0.5, 0.5, (400, n))
+    off_rims = [np.abs(np.linalg.norm(pts - b.center, axis=-1) - b.radius) > 1e-2 for b in f.bumps]
+    pts = pts[np.logical_and.reduce(off_rims)]
+    got = f.eval(pts, v)
+
+    def central(h):
+        return (f.eval(pts + h * v) - f.eval(pts - h * v)) / (2.0 * h)
+
+    want = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+    assert np.count_nonzero(got) > 100
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8 * np.abs(got).max())
+    outside = np.array([[0.9] + [0.0] * (n - 1), [-0.8] + [0.5] * (n - 1)])
+    assert np.all(f.eval(outside, v) == 0.0)
+
+
 def test_poly_bump_has_unit_mass():
     # (1 - r^2)^mu / a is normalised over the unit ball; scaling by the
     # radius keeps the mass at 1 in any dimension

@@ -8,7 +8,7 @@ import pytest
 from neutrace import validation
 from neutrace.calculus import stencil_derivative
 from neutrace.cli import _lemma_field
-from neutrace.forward import SolverParams, _nu_stencil
+from neutrace.forward import SolverParams
 from neutrace.geometry import boundary_quadrature
 from neutrace.transforms import Bump, Phantom, bump_radial
 from neutrace.validation import (
@@ -28,12 +28,10 @@ from neutrace.validation import (
 
 from _oracles import (
     GOMPERTZ,
-    assert_same_bits,
     ball_profile_per_call,
     cinf_primitive_closed,
     cinf_table_bound,
     integral_identity_terms_ungated,
-    normal_stencil_4_by_hand,
     phantom_pressure_full_broadcast,
     radial_pressure_ungated,
     radial_velocity_two_lookups,
@@ -272,15 +270,6 @@ def test_integral_identity_rejects_bad_input(unit_disk, unit_ball):
         check_integral_identity(leak, ok, unit_ball)
     with pytest.raises(ValueError, match="reaches the boundary"):
         check_integral_identity(ok, leak, unit_ball)
-
-
-@pytest.mark.parametrize("h_nu", [1e-3, 2.5e-4, 0.7e-3 / 3, 1.1e-2])
-def test_the_fourth_order_normal_stencil_keeps_the_identity_checks_bits(h_nu):
-    """The identity check's boundary term takes the forward's fourth-order
-    normal stencil, which has the bits of the one it wrote out by hand."""
-    got = _nu_stencil(SolverParams(h_nu=h_nu, nu_order=4))
-    for a, b in zip(got, normal_stencil_4_by_hand(h_nu)):
-        assert_same_bits(a, b)
 
 
 def test_integral_identity_empty_side_is_exact(unit_ball, bump3d):
