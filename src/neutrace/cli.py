@@ -45,6 +45,7 @@ from .geometry import (
 from .inversion import (
     ImageGrid,
     ReconstructionOptions,
+    _check_correction_grid,
     reconstruct,
     truncation_probe,
     write_image_csv,
@@ -334,6 +335,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     if grid is not None:
+        if recon.correction != "none":
+            try:
+                _check_correction_grid(domain, gshape)
+            except ValueError as exc:
+                line = entries.line_of("grid.shape")
+                raise ConfigError(f"line {line}: grid.shape: {exc}") from None
         # the correction's kernel needs grid corners at least rho/2 from the rim,
         # and it takes the field as zero outside the grid box
         safety = recon.correction != "none" and bool(phantom.bumps)

@@ -11,9 +11,10 @@ derivative of the closed field, in two the same integral over the circle
 means of <grad f, nu>, the normal derivative of the means of f.
 
 Fields are evaluated only where they can be non-zero, with every value
-kept to the bit: the 3-D field on each bump's Huygens band, and the 2-D
-circle means, by ``transforms.sphere_means``, on the radii and arcs that can
-meet a bump.
+kept to the bit: the 3-D field on each bump's Huygens band, the 2-D circle
+means, by ``transforms.sphere_means``, on the radii and arcs that can meet a
+bump, and the 2-D table-to-trace operator on the table columns the means
+reach.  The trace writer copies the +0.0 runs at the ends of a row whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .calculus import _sine_ball_rule, cubic_stencil
+from .calculus import _locate, _sine_ball_rule, cubic_weights
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
@@ -118,9 +119,10 @@ class SolverParams:
     size of the radial table of the circle means of <grad f, nu> laid over
     [0, t_max + 2 h_t] around each boundary node, each the mean over the
     ``mean_res`` points of :func:`~neutrace.transforms.sphere_means`; the
-    map from a table to a trace row is one sparse operator per run.  2-D
-    simulation needs at least 4 points, one cubic stencil; any value >= 0 is
-    accepted, so 3-D trace files written with 0 still read back.
+    map from a table to a trace row is one sparse operator per run, built on
+    the table columns where some node's table is non-zero.  2-D simulation
+    needs at least 4 points, one cubic stencil; any value >= 0 is accepted,
+    so 3-D trace files written with 0 still read back.
     """
 
     h_t: float | None = None
@@ -312,8 +314,9 @@ def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
 # trace simulation
 
 
-def _trace_operator_2d(times, params, r_grid):
-    """Sparse map from a radial table of the means to one trace row.
+def _trace_operator_2d(times, params, r_grid, c_lo=0, c_hi=None):
+    """Sparse map from a radial table of the means to one trace row, on the
+    table columns ``c_lo <= k < c_hi`` (default: all of them).
 
     Row i evaluates, for a table T on ``r_grid`` around one centre,
         sum_m D4_m / h_t * tau_im * sum_q wphi_q * cubic(T)(|tau_im| sin phi_q),
@@ -322,14 +325,20 @@ def _trace_operator_2d(times, params, r_grid):
     only on the times, the steps and the radial rule, so one build serves
     every centre.  Returns (rows, cols, coefs, ptr), sorted by column and
     then row, with each (row, column) pair once and the indices as int32;
-    ``ptr[k]:ptr[k + 1]`` holds the entries of column k.  Query radii outside
-    the table raise instead of being clamped onto its end stencils.
+    ``ptr[k]:ptr[k + 1]`` holds the entries of column k of the whole table.
+    Stencil terms on columns outside the window are dropped before they are
+    weighed and merged, and the rest reach each (row, column) in the order
+    of the full build, so the entries are the full build's on the window,
+    to the bit.  Query radii outside the table raise, whatever the window,
+    instead of being clamped onto its end stencils.
     """
     sin_phi, wphi = _sine_ball_rule(params.radial_quad, 2)
     h = params.h_t
     npts = r_grid.shape[0]
+    c_hi = npts if c_hi is None else c_hi
+    width = c_hi - c_lo
     dr = r_grid[1] - r_grid[0]
-    rows, cols, coefs = [], [], []
+    rows, cols, coefs = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
     # blocks of 32 time rows bound the memory of the unmerged entries; each
     # block's temporaries are freed before the next block allocates its own
     for lo in range(0, times.shape[0], 32):
@@ -340,16 +349,29 @@ def _trace_operator_2d(times, params, r_grid):
                 f"query radii [{radii.min():.6g}, {radii.max():.6g}] leave the radial "
                 f"table [{r_grid[0]:.6g}, {r_grid[-1]:.6g}]"
             )
-        k, weights = cubic_stencil(radii, r_grid[0], dr, npts)
-        scale = (_D4_WEIGHTS / h * taus)[..., None] * wphi
-        local = np.arange(taus.shape[0])[:, None, None] * npts + k
-        key = np.concatenate([(local + l - 1).ravel() for l in range(4)])
-        val = np.concatenate([(scale * w).ravel() for w in weights])
-        dense = np.bincount(key, weights=val, minlength=taus.shape[0] * npts)
-        del k, weights, scale, local, key, val
+        # cubic_stencil in two steps, so that only stencils that reach the
+        # window are weighed: the stencil of base k reads columns k - 1 .. k + 2
+        k, th = _locate(radii, r_grid[0], dr, npts, 1, npts - 3)
+        reach = np.maximum(k - 1, c_lo) < np.minimum(k + 3, c_hi)
+        if not reach.any():
+            continue
+        k, th = k[reach], th[reach]
+        scale = ((_D4_WEIGHTS / h * taus)[..., None] * wphi)[reach]
+        local = np.broadcast_to(np.arange(taus.shape[0])[:, None, None], reach.shape)[reach]
+        key, val = [], []
+        for l, w in enumerate(cubic_weights(th)):
+            col = k + (l - 1)
+            inside = (col >= c_lo) & (col < c_hi)
+            key.append(local[inside] * width + (col[inside] - c_lo))
+            val.append((scale * w)[inside])
+        del k, th, reach, scale, local
+        dense = np.bincount(
+            np.concatenate(key), weights=np.concatenate(val), minlength=taus.shape[0] * width
+        )
+        del key, val
         nz = np.flatnonzero(dense)
-        rows.append((lo + nz // npts).astype(np.int32))
-        cols.append((nz % npts).astype(np.int32))
+        rows.append((lo + nz // width).astype(np.int32))
+        cols.append((c_lo + nz % width).astype(np.int32))
         coefs.append(dense[nz])
         del dense, nz
     # the blocks come in row order, so a stable sort keeps the rows ascending
@@ -381,11 +403,14 @@ def simulate_traces(
     temporaries stay small whatever the node count.  In two, each node's
     row is its table of the circle means of <grad f, nu>, the normal
     derivatives of the means of f, mapped through the sparse trace
-    operator; only the operator columns where the table is non-zero are
-    applied, run by contiguous run, which skips most columns.  Every value
-    is elementwise and the skipped terms are exact zeros, so the rows keep
-    the bits of the full evaluation whatever the blocks.  ``threads`` is
-    accepted for callers that pass one run-wide thread count, and ignored.
+    operator.  The tables come first, each kept as its span from the first
+    to the last non-zero value; the operator is built only on the columns
+    the spans reach (not at all when every table is zero), and applied
+    only on each node's non-zero columns, run by contiguous run.  Every
+    value is elementwise and the skipped terms are exact zeros, so the rows
+    keep the bits of the full evaluation whatever the blocks.  ``threads``
+    is accepted for callers that pass one run-wide thread count, and
+    ignored.
     """
     n = domain.dimension
     if f.bumps and f.dimension != n:
@@ -412,15 +437,27 @@ def simulate_traces(
     elif f.bumps:
         r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
         r_grid = np.linspace(0.0, r_max, params.table_points)
-        rows, cols, coefs, ptr = _trace_operator_2d(t_samples, params, r_grid)
+        # each node's table is kept as its span from the first to the last
+        # non-zero value; the operator is built on the union of the spans
+        spans = []
         for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
             # the gradient vanishes wherever f does, so sphere_means gates it on f's bumps
             slope = SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
             table = sphere_means(slope, y, r_grid, params.mean_res, n=2)
-            runs = np.flatnonzero(np.diff(table != 0.0, prepend=False, append=False)).reshape(-1, 2)
-            sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs] + [np.zeros(0, int)])
+            nz = np.flatnonzero(table)
+            if nz.size:
+                spans.append((j, nz[0], table[nz[0] : nz[-1] + 1].copy()))
+        if spans:
+            c_lo = min(first for _, first, _ in spans)
+            c_hi = max(first + span.size for _, first, span in spans)
+            rows, cols, coefs, ptr = _trace_operator_2d(t_samples, params, r_grid, c_lo, c_hi)
+        for j, first, span in spans:
+            runs = first + np.flatnonzero(
+                np.diff(span != 0.0, prepend=False, append=False)
+            ).reshape(-1, 2)
+            sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs])
             values[j] = np.bincount(
-                rows[sel], weights=coefs[sel] * table[cols[sel]], minlength=times.nt
+                rows[sel], weights=coefs[sel] * span[cols[sel] - first], minlength=times.nt
             )
     values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
 
@@ -456,7 +493,13 @@ def _fmt(x: float) -> str:
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
     """Write traces as ``neumann-trace/3``: ``# key = value`` header lines,
-    then one CSV row per boundary node, ``y, nu, weight, v_0..v_{nt-1}``."""
+    then one CSV row per boundary node, ``y, nu, weight, v_0..v_{nt-1}``.
+
+    Every value is written as :func:`_fmt` writes it.  The node columns and
+    each row's values from its first to its last one that is not +0.0 go
+    through ``_fmt`` one by one; the +0.0 runs before and after are copies of
+    ``_fmt(0.0)``, so a -0.0 anywhere is still formatted as itself.
+    """
     d = traces.domain
     n = d.dimension
     lines = [f"# {TRACE_FORMAT}"]
@@ -481,10 +524,22 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     cols += ["weight"] + [f"v_{i}" for i in range(traces.times.nt)]
     lines.append("# columns: " + ",".join(cols))
     b = traces.boundary
+    head = 2 * n + 1
     block = np.column_stack([b.points, b.normals, b.weights, traces.values])
+    nt = traces.times.nt
+    signed = (block[:, head:] != 0.0) | np.signbit(block[:, head:])
+    # each row's span [first, end) runs from its first to its last value
+    # that is not +0.0; a row of +0.0 only has the empty span [nt, nt)
+    first = np.where(signed.any(axis=1), signed.argmax(axis=1), nt).tolist()
+    end = (nt - signed[:, ::-1].argmax(axis=1)).tolist()
+    del signed
+    zero = "," + _fmt(0.0)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in block)
+        for row, a, z in zip(block, first, end):
+            lead = ",".join(map(_fmt, row[:head].tolist())) + zero * a
+            span = row[head + a : head + z].tolist()
+            fh.write(",".join([lead, *map(_fmt, span)]) + zero * (nt - z) + "\n")
 
 
 def read_trace_file(path) -> TraceGrid:

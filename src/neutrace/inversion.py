@@ -340,6 +340,21 @@ def _kernel_vanishes(domain: ConvexDomain) -> bool:
     return domain.kind == ELLIPSOID and domain.dimension % 2 == 1
 
 
+def _check_correction_grid(domain: ConvexDomain, shape) -> None:
+    """Raise ValueError for a grid with an axis of one sample on a domain
+    whose correction kernel does not vanish.  On such a grid K_h sees the
+    field only along the quadrature directions that lie in the grid's span to
+    within the corner tolerance, so its value is set by the direction count,
+    not by the field.  Where the kernel vanishes (a slice through an
+    odd-dimensional ellipsoid) K_h is zero on any grid."""
+    if min(shape) == 1 and not _kernel_vanishes(domain):
+        raise ValueError(
+            f"the correction is undefined on a grid with a one-sample axis, shape "
+            f"{tuple(shape)}, where its kernel does not vanish ({domain.dimension}-D "
+            f"{domain.kind})"
+        )
+
+
 def _support_radii(f, pts) -> np.ndarray:
     """Radius of the smallest ball around each point (N, n) that holds the
     support of a Phantom, or the box of an ImageGrid's sample axes (the
@@ -508,6 +523,8 @@ def reconstruct(
     """
     opts = opts or ReconstructionOptions()
     domain = traces.domain
+    if opts.correction != "none":
+        _check_correction_grid(domain, grid.shape)
     pts = grid.points()
     margin = _grid_margin(domain, grid)
     if margin <= 0:

@@ -809,6 +809,43 @@ def trace_operator_2d_int64(times, params, r_grid):
     return rows[order], cols[order], coefs[order], ptr
 
 
+def write_trace_file_per_value(path, traces, timestamp=None) -> None:
+    """The trace file as ``forward.write_trace_file`` wrote it before it
+    skipped zeros: the same header, and every value of every row through
+    ``forward._fmt`` one by one."""
+    from neutrace.forward import TRACE_FORMAT, _fmt
+
+    d, p = traces.domain, traces.params
+    n = d.dimension
+    lines = [f"# {TRACE_FORMAT}"]
+    if timestamp:
+        lines.append(f"# generated = {timestamp}")
+    lines += [
+        f"# dimension = {n}",
+        f"# domain.kind = {d.kind}",
+        "# domain.center = " + ", ".join(_fmt(c) for c in d.center),
+        "# domain.semi_axes = " + ", ".join(_fmt(a) for a in d.semi_axes),
+        f"# domain.exponent = {_fmt(d.exponent)}",
+        f"# boundary.resolution = {traces.boundary.resolution}",
+        f"# nodes = {len(traces.boundary)}",
+        f"# time.nt = {traces.times.nt}",
+        f"# time.t_max = {_fmt(traces.times.t_max)}",
+        f"# solver.h_t = {_fmt(p.h_t)}",
+        f"# solver.mean_res = {p.mean_res}",
+        f"# solver.radial_quad = {p.radial_quad}",
+        f"# solver.table_points = {p.table_points}",
+        f"# phantom.hash = {traces.phantom_hash}",
+    ]
+    cols = [f"y_{i+1}" for i in range(n)] + [f"nu_{i+1}" for i in range(n)]
+    cols += ["weight"] + [f"v_{i}" for i in range(traces.times.nt)]
+    lines.append("# columns: " + ",".join(cols))
+    b = traces.boundary
+    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in block)
+
+
 # ---------------------------------------------------------------------------
 # broadcast point routes that the package now runs one coordinate plane at a
 # time

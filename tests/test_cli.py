@@ -264,6 +264,39 @@ def test_grid_must_cover_the_phantom_under_correction():
         parse_config(FORWARD_3D + slab + "recon.correction = fixed_point\n")
 
 
+SE4_LINE_GRID = """\
+dimension = 2
+domain.kind = superellipse
+domain.exponent = 4.0
+domain.semi_axes = 1.2, 0.9
+grid.lo = 0.0, 0.1
+grid.hi = 0.4, 0.1
+grid.shape = 5, 1
+"""
+
+
+def test_a_line_grid_refuses_the_correction_where_its_kernel_lives(tmp_path, capsys):
+    """On a 2-D grid with one sample on an axis the correction's K_h is set
+    by the direction count, not by the field: with the correction on, the
+    config stops at its grid.shape line, exit 2.  The plain back-projection
+    keeps the grid, and a slice through the ball, whose kernel vanishes,
+    keeps the correction."""
+    assert parse_config(SE4_LINE_GRID).grid == ((0.0, 0.1), (0.4, 0.1), (5, 1))
+    corrected = SE4_LINE_GRID + "recon.correction = fixed_point\n"
+    bump = "phantom.bump1.center = 0.2, 0.1\nphantom.bump1.radius = 0.1\n"
+    message = "line 7: grid.shape: the correction is undefined on a grid with a one-sample axis"
+    for text in (corrected, corrected + bump):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(message)
+    assert main(["reconstruct", "--config", config_file(tmp_path, corrected + bump)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    ball = "dimension = 3\ndomain.semi_axes = 1.0, 1.0, 1.0\nrecon.correction = fixed_point\n"
+    ball_slice = "grid.lo = -0.5, -0.5, 0\ngrid.hi = 0.5, 0.5, 0\ngrid.shape = 3, 3, 1\n"
+    cfg = parse_config(ball + ball_slice)
+    assert cfg.grid is not None and cfg.recon.correction == "fixed_point"
+
+
 def test_grid_corners_of_a_single_sample_axis_sit_at_its_sample():
     # the slice samples z = 0 only; grid.hi's z = 1.5 is no grid point
     slab = "grid.lo = -0.5, -0.5, 0.0\ngrid.hi = 0.5, 0.5, 1.5\n"

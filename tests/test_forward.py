@@ -20,6 +20,7 @@ from _oracles import (
     traces_by_stencil,
     wave_solution_2d_by_hand,
     wave_solution_even_alt_by_hand,
+    write_trace_file_per_value,
 )
 from neutrace import forward
 from neutrace.forward import (
@@ -575,6 +576,23 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
         np.testing.assert_allclose(got[j, 1:], ref[1:], rtol=0.0, atol=tol)
 
 
+def _full_operator_rows(f, boundary, times, params):
+    """Each node's trace row as the full operator applied to its whole,
+    ungated table, the node's table and the operator's column pointers: the
+    route whose exact zeros simulate_traces skips."""
+    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+    r_grid = np.linspace(0.0, r_max, params.table_points)
+    rows, cols, coefs, ptr = _trace_operator_2d(times.samples, params, r_grid)
+    out, tables = [], []
+    for y, nu in zip(boundary.points, boundary.normals):
+        table = sphere_means_broadcast(normal_slope(f, nu), y, r_grid, params.mean_res, n=2)
+        row = np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
+        row[0] = 0.0
+        out.append(row)
+        tables.append(table)
+    return np.array(out), np.array(tables), ptr
+
+
 @pytest.mark.parametrize(
     "f, split_bands",
     [
@@ -588,26 +606,19 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
     ids=["overlapping", "apart"],
 )
 def test_band_column_apply_equals_the_full_operator_apply(unit_disk, f, split_bands):
-    """simulate_traces applies the operator only on the columns where each
-    node's table is non-zero; the skipped products are exact zeros, so every
-    row equals the full apply, of the ungated table, bit for bit."""
+    """simulate_traces builds the operator on the columns the tables reach
+    and applies it only on the columns where each node's table is non-zero;
+    the skipped products are exact zeros, so every row equals the full
+    apply, of the ungated table, bit for bit."""
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
     got = simulate_traces(f, unit_disk, bq, times, params).values
-    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-    r_grid = np.linspace(0.0, r_max, params.table_points)
-    rows, cols, coefs, _ = _trace_operator_2d(times.samples, params, r_grid)
-    skipped = split = 0
-    for j in range(len(bq)):
-        slope = normal_slope(f, bq.normals[j])
-        table = sphere_means_broadcast(slope, bq.points[j], r_grid, params.mean_res, n=2)
-        full = np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
-        full[0] = 0.0
-        assert got[j].tobytes() == full.tobytes()
-        skipped += np.count_nonzero(table[cols] == 0.0)
-        split += np.any(np.diff(np.flatnonzero(table)) > 1)
-    assert skipped > 0.5 * len(bq) * cols.size
+    want, tables, ptr = _full_operator_rows(f, bq, times, params)
+    assert_same_bits(got, want)
+    skipped = np.sum((tables == 0.0) * np.diff(ptr))
+    assert skipped > 0.5 * len(bq) * ptr[-1]
+    split = sum(np.any(np.diff(np.flatnonzero(table)) > 1) for table in tables)
     assert (split > 0) == split_bands
 
 
@@ -627,12 +638,91 @@ def test_trace_operator_equals_the_int64_build(nt):
 
 
 def test_trace_operator_rejects_radii_beyond_the_table():
+    """The radial-table check reads every query radius, also those whose
+    stencils reach no column of a window."""
     params = SolverParams().resolved(t_scale=4.0)
     times = TimeGrid(t_max=4.0, nt=40).samples
-    with pytest.raises(ConfigurationError, match="radial table"):
-        _trace_operator_2d(times, params, np.linspace(0.0, 3.0, 512))
-    with pytest.raises(ConfigurationError, match="radial table"):
-        _trace_operator_2d(times, params, np.linspace(0.1, 4.1, 512))
+    for window in [(), (10, 11), (500, 512), (20, 20)]:
+        with pytest.raises(ConfigurationError, match="radial table"):
+            _trace_operator_2d(times, params, np.linspace(0.0, 3.0, 512), *window)
+        with pytest.raises(ConfigurationError, match="radial table"):
+            _trace_operator_2d(times, params, np.linspace(0.1, 4.1, 512), *window)
+
+
+@pytest.mark.parametrize(
+    "c_lo, c_hi",
+    [(0, 1024), (0, None), (300, 301), (0, 3), (1020, 1024), (250, 700), (400, 400)],
+    ids=["full", "default", "one-column", "first-columns", "last-columns", "middle", "empty"],
+)
+def test_windowed_trace_operator_holds_the_full_build_on_its_columns(c_lo, c_hi):
+    """A build on the columns [c_lo, c_hi) holds the full build's entries on
+    those columns, in the same order, bit for bit, with int32 indices, and
+    its ``ptr`` indexes the whole table."""
+    times = TimeGrid(t_max=4.0, nt=97)
+    params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
+    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+    r_grid = np.linspace(0.0, r_max, params.table_points)
+    rows, cols, coefs, ptr = _trace_operator_2d(times.samples, params, r_grid)
+    got = _trace_operator_2d(times.samples, params, r_grid, c_lo, c_hi)
+    keep = (cols >= c_lo) & (cols < (1024 if c_hi is None else c_hi))
+    want_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[keep], minlength=1024))])
+    for a, b in zip(got, (rows[keep], cols[keep], coefs[keep], want_ptr)):
+        assert_same_bits(a, b.astype(a.dtype))
+    assert got[0].dtype == got[1].dtype == np.int32
+    assert got[2].dtype == np.float64
+    assert (got[0].size == 0) == (c_hi == c_lo)
+
+
+def _nodes(boundary, keep):
+    return BoundaryQuadrature(
+        boundary.points[keep], boundary.normals[keep], boundary.weights[keep], boundary.resolution
+    )
+
+
+# bumps near (1, 0) and (-1, 0): a node near either reaches one at about 0.4
+# and the other at about 1.6, so every table is zero between the two bands
+APART_ON_THE_AXIS = Phantom(
+    (Bump(center=(0.6, 0.0), radius=0.15), Bump(center=(-0.6, 0.05), radius=0.12))
+)
+
+
+@pytest.mark.parametrize(
+    "f, t_max, near_axis, case",
+    [
+        (APART_ON_THE_AXIS, 4.0, True, "gap"),
+        # the far side of the disk is more than t_max + 2 h_t + radius from the bump
+        (Phantom((Bump(center=(0.6, 0.0), radius=0.2),)), 1.0, False, "zero-table"),
+        (Phantom((Bump(center=(0.0, 0.1), radius=0.2),)), 0.5, False, "all-zero"),
+    ],
+    ids=["window-spans-a-gap", "a-node-with-a-zero-table", "no-table-reaches-a-bump"],
+)
+def test_windowed_simulation_equals_the_full_operator_apply(
+    unit_disk, monkeypatch, f, t_max, near_axis, case
+):
+    """simulate_traces keeps each node's span of non-zero table values and
+    builds the operator on the columns the spans reach: every row equals the
+    full operator applied to the node's whole table, bit for bit."""
+    bq = boundary_quadrature(unit_disk, 24)
+    if near_axis:
+        bq = _nodes(bq, np.abs(bq.points[:, 1]) < 0.3)
+    times = TimeGrid(t_max=t_max, nt=40)
+    params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
+    want, tables, _ = _full_operator_rows(f, bq, times, params)
+    live = tables.any(axis=1)
+    if case == "all-zero":
+        assert not live.any()
+        refuse = partial(pytest.fail, "no table reaches a bump, so no operator is built")
+        monkeypatch.setattr(forward, "_trace_operator_2d", lambda *args: refuse())
+    got = simulate_traces(f, unit_disk, bq, times, params).values
+    assert_same_bits(got, want)
+    if case == "gap":
+        reached = np.flatnonzero(tables.any(axis=0))
+        assert np.diff(reached).max() > 100
+    elif case == "zero-table":
+        assert live.any() and not live.all()
+        assert np.count_nonzero(got[~live]) == 0 < np.count_nonzero(got[live])
+    else:
+        assert np.count_nonzero(got) == 0
 
 
 def test_table_2d_threads_do_not_change_values(unit_disk):
@@ -756,12 +846,62 @@ def test_trace_rows_with_zero_runs_read_back_bit_exact(tmp_path, unit_disk):
     assert back.values.tobytes() == values.tobytes()
 
 
+#: rows of each case, repeated over the nodes: +0.0 only; -0.0 at the row
+#: ends and inside the +0.0 runs; +0.0 inside the span; no zero; nt = 2
+WRITER_ROWS = {
+    "all-plus-zero": [[0.0] * 6],
+    "minus-zero-at-and-inside-the-run-ends": [
+        [-0.0, 0.0, 0.0, 1.5, 0.0, -0.0],
+        [0.0, -0.0, 0.0, 2.0, -0.0, 0.0],
+        [0.0, 0.0, -0.0, 0.0, 0.0, 0.0],
+        [-0.0] * 6,
+    ],
+    "plus-zero-inside-the-span": [
+        [0.0, 1.0, 0.0, 0.0, -3.0, 0.0],
+        [2.0, 0.0, 0.0, 0.0, 0.0, 5e-324],
+    ],
+    "no-zero": [[0.1, -1e300, 5e-324, 3.0, -7.25, 1.0 / 3.0]],
+    "nt-2": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [2.5, -1.0]],
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_ROWS))
+def test_trace_file_bytes_equal_the_per_value_writer(tmp_path, unit_disk, case):
+    """Writing the +0.0 runs at a row's ends as copies of ``_fmt(0.0)``
+    gives the bytes of formatting every value with ``_fmt``."""
+    bq = boundary_quadrature(unit_disk, 8)
+    rows = WRITER_ROWS[case]
+    values = np.array([rows[j % len(rows)] for j in range(len(bq))])
+    times = TimeGrid(t_max=1.0, nt=values.shape[1])
+    traces = TraceGrid(unit_disk, bq, times, values, SolverParams().resolved(t_scale=1.0))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trace_file(got, traces)
+    write_trace_file_per_value(want, traces)
+    assert got.read_bytes() == want.read_bytes()
+    assert read_trace_file(got).values.tobytes() == values.tobytes()
+
+
+def test_simulated_trace_files_equal_the_per_value_writer(tmp_path, bump3d, unit_ball):
+    ellipse_bump = Phantom((Bump(center=(0.2, -0.1), radius=0.3),))
+    for traces in (
+        _small_traces(bump3d, unit_ball),
+        _small_traces(ellipse_bump, ellipsoid((0.0, 0.0), (1.5, 1.0))),
+    ):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trace_file(got, traces, timestamp="2026-01-02T03:04:05+00:00")
+        write_trace_file_per_value(want, traces, timestamp="2026-01-02T03:04:05+00:00")
+        assert got.read_bytes() == want.read_bytes()
+        assert np.count_nonzero(traces.values == 0.0) > 0.3 * traces.values.size
+
+
 def test_trace_values_go_through_the_one_full_precision_format(
     tmp_path, monkeypatch, bump3d, unit_ball
 ):
-    """The trace writer formats every value with ``_fmt``, whose body is the
-    one ``"%.17g" % x`` of the module: a lossy ``_fmt`` changes the rows of a
-    trace with non-zero values."""
+    """The trace writer formats the node columns and every value of a row's
+    span, from its first to its last value that is not +0.0, with ``_fmt``,
+    and writes the +0.0 runs around it as copies of ``_fmt(0.0)``; the body
+    of ``_fmt`` is the one ``"%.17g" % x`` of the module.  A lossy ``_fmt``
+    changes the rows of a trace with non-zero values."""
     source = Path(forward.__file__).read_text()
     assert len(re.findall(r'"%\.17g" % x', source)) == 1
     traces = _small_traces(bump3d, unit_ball)

@@ -674,6 +674,36 @@ def test_grids_with_the_same_points_have_the_same_correction_matrix(se4):
     assert np.array_equal(k_a, _correction_matrix(b, se4, opts))
 
 
+def test_the_correction_refuses_a_grid_with_a_one_sample_axis_where_its_kernel_lives(
+    se4, unit_disk, ball_traces
+):
+    """On a 2-D grid with one sample on an axis K_h reads the field only
+    along the quadrature directions that lie on the sampled line, so it is
+    set by the parity of the direction count, not by the field; reconstruct
+    refuses the correction there.  A slice through the ball, whose kernel
+    vanishes, keeps it."""
+    line = ImageGrid(lo=(0.0, 0.1), hi=(0.4, 0.1), shape=(5, 1))
+    opts = ReconstructionOptions(k_radial=8, kernel_table=128, kernel_quad=96, kernel_margin=0.3)
+    odd = _correction_matrix(line, se4, replace(opts, k_angular=15))
+    even = _correction_matrix(line, se4, replace(opts, k_angular=16))
+    assert np.abs(odd).max() > 1e-4 and np.abs(even).max() == 0.0
+    traces = simulate_traces(
+        Phantom((Bump(center=(0.25, 0.1), radius=0.3),)),
+        se4,
+        boundary_quadrature(se4, 8),
+        TimeGrid(t_max=4.0, nt=20),
+        SolverParams(table_points=256),
+    )
+    corrected = replace(opts, correction="fixed_point")
+    for domain in (se4, unit_disk):
+        with pytest.raises(ValueError, match="one-sample axis, shape \\(5, 1\\)"):
+            reconstruct(replace(traces, domain=domain), line, corrected)
+    assert reconstruct(traces, line).values.shape == (5,)
+    slice_opts = replace(opts, correction="fixed_point", kernel_margin=0.25, k_angular=8)
+    grid = ImageGrid(lo=(-0.2, -0.2, 0.0), hi=(0.2, 0.2, 0.0), shape=(2, 2, 1))
+    assert reconstruct(ball_traces, grid, slice_opts).meta["operator_norm"] == 0.0
+
+
 def test_reconstruct_fixed_point_solves_the_corrected_equation(se4):
     f = Phantom((Bump(center=(0.25, 0.1), radius=0.3),))
     bq = boundary_quadrature(se4, 32)
