@@ -138,10 +138,12 @@ class _Entries:
     def floating(self, key, default=_REQUIRED):
         return self._read(key, default, float, "a number")
 
-    def integer(self, key, default=_REQUIRED, minimum=None):
+    def integer(self, key, default=_REQUIRED, minimum=None, maximum=None):
         def check(number):
             if minimum is not None and number < minimum:
                 return f"must be >= {minimum}, got {number}"
+            if maximum is not None and number > maximum:
+                return f"must be <= {maximum}, got {number}"
 
         return self._read(key, default, int, "an integer", check)
 
@@ -395,9 +397,9 @@ def parse_config(text: str) -> RunConfig:
 
     kernel_opts = {
         "theta": entries.float_list("kernel.theta", default=None),
-        "order": entries.integer("kernel.order", default=n),
+        "order": entries.integer("kernel.order", default=n, minimum=1, maximum=n),
         "margin": entries.floating("kernel.margin", default=None),
-        "points": entries.integer("kernel.points", default=101),
+        "points": entries.integer("kernel.points", default=101, minimum=2),
         "hilbert": entries.string("kernel.hilbert", default="auto", choices=("auto", "on", "off")),
     }
     if kernel_opts["theta"] is not None and len(kernel_opts["theta"]) != n:
@@ -498,14 +500,17 @@ def _lemma_field(n: int):
     """Fixed quadratic field for the coefficient-recursion check.
 
     Polynomial data keeps the spherical means exact under the fixed angular
-    rules, so the reported residual isolates the finite differences."""
-    lin = np.array(_LEMMA_LIN[:n])
-    sq = np.array(_LEMMA_SQ[:n])
+    rules, so the reported residual isolates the finite differences.  The
+    field is evaluated one coordinate plane at a time, in axis order, so its
+    bits do not depend on the memory layout of the points."""
 
     def g(pts):
         pts = np.asarray(pts, dtype=float)
-        out = 0.3 + pts @ lin + (pts * pts) @ sq
-        return out + 0.4 * pts[..., 0] * pts[..., 1]
+        x = [pts[..., k] for k in range(n)]
+        out = 0.3 + 0.4 * x[0] * x[1]
+        for xk, lin, sq in zip(x, _LEMMA_LIN, _LEMMA_SQ):
+            out += (lin + sq * xk) * xk
+        return out
 
     return g
 
@@ -645,8 +650,6 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
         with_hilbert=with_hilbert,
     )
     points = cfg.kernel["points"]
-    if points < 2:
-        raise ConfigError(f"kernel.points must be >= 2, got {points}")
     ss = profile.s_center + np.linspace(-profile.query_halfwidth, profile.query_halfwidth, points)
     columns = [("s", ss), ("section", profile.eval(ss, order=0, hilbert=False))]
     for m in range(1, order + 1):

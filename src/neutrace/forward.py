@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .calculus import _locate, _sine_ball_rule, cubic_weights
+from .calculus import _sine_ball_rule, cubic_stencil
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
@@ -72,6 +72,12 @@ _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 # reused on the heap, where larger ones measurably raised the peak RSS of a
 # whole run
 _BLOCK_VALUES = 1 << 14
+
+# table columns summed by one matrix product in the 2-D trace apply; the
+# products are added in column order.  OpenBLAS sums up to 256 columns (more
+# on some CPUs) in one pass, and cuts a longer sum at places that depend on
+# its thread count, which moves the last bits of the traces
+_PRODUCT_COLUMNS = 256
 
 
 class ConfigurationError(ValueError):
@@ -119,10 +125,11 @@ class SolverParams:
     size of the radial table of the circle means of <grad f, nu> laid over
     [0, t_max + 2 h_t] around each boundary node, each the mean over the
     ``mean_res`` points of :func:`~neutrace.transforms.sphere_means`; the
-    map from a table to a trace row is one sparse operator per run, built on
-    the table columns where some node's table is non-zero.  2-D simulation
-    needs at least 4 points, one cubic stencil; any value >= 0 is accepted,
-    so 3-D trace files written with 0 still read back.
+    map from the tables to the trace rows is one linear operator per run,
+    built in dense blocks of rows on the table columns where some node's
+    table is non-zero, each block applied to every table at once.  2-D
+    simulation needs at least 4 points, one cubic stencil; any value >= 0
+    is accepted, so 3-D trace files written with 0 still read back.
     """
 
     h_t: float | None = None
@@ -314,33 +321,28 @@ def huygens_horizon(f: Phantom, boundary: BoundaryQuadrature) -> float:
 # trace simulation
 
 
-def _trace_operator_2d(times, params, r_grid, c_lo=0, c_hi=None):
-    """Sparse map from a radial table of the means to one trace row, on the
-    table columns ``c_lo <= k < c_hi`` (default: all of them).
+def _trace_operator_blocks(times, params, r_grid, c_lo=0, c_hi=None):
+    """Map from a radial table of the means to the trace rows, by blocks of
+    32 rows, on the table columns ``c_lo <= k < c_hi`` (default: all of them).
 
     Row i evaluates, for a table T on ``r_grid`` around one centre,
         sum_m D4_m / h_t * tau_im * sum_q wphi_q * cubic(T)(|tau_im| sin phi_q),
     tau_im = t_i + s_m h_t: the time stencil of the Abel-type integral with
     the table interpolated at the sine-substituted radii.  The map depends
     only on the times, the steps and the radial rule, so one build serves
-    every centre.  Returns (rows, cols, coefs, ptr), sorted by column and
-    then row, with each (row, column) pair once and the indices as int32;
-    ``ptr[k]:ptr[k + 1]`` holds the entries of column k of the whole table.
-    Stencil terms on columns outside the window are dropped before they are
-    weighed and merged, and the rest reach each (row, column) in the order
-    of the full build, so the entries are the full build's on the window,
-    to the bit.  Query radii outside the table raise, whatever the window,
-    instead of being clamped onto its end stencils.
+    every centre.  Yields ``(rows, w)`` with w[i, k - c_lo] the weight of
+    table column k in row i, so that ``T[c_lo:c_hi] @ w.T`` are the rows.
+    The stencil terms on columns outside the window are dropped before they
+    are merged, and the rest reach each entry in the order of the full
+    build, so the entries are the full build's on the window, to the bit.
+    Query radii outside the table raise, whatever the window, instead of
+    being clamped onto its end stencils.
     """
     sin_phi, wphi = _sine_ball_rule(params.radial_quad, 2)
     h = params.h_t
     npts = r_grid.shape[0]
     c_hi = npts if c_hi is None else c_hi
     width = c_hi - c_lo
-    dr = r_grid[1] - r_grid[0]
-    rows, cols, coefs = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
-    # blocks of 32 time rows bound the memory of the unmerged entries; each
-    # block's temporaries are freed before the next block allocates its own
     for lo in range(0, times.shape[0], 32):
         taus = times[lo : lo + 32, None] + h * _D4_OFFSETS  # (b, 4)
         radii = np.abs(taus)[..., None] * sin_phi  # (b, 4, q)
@@ -349,42 +351,21 @@ def _trace_operator_2d(times, params, r_grid, c_lo=0, c_hi=None):
                 f"query radii [{radii.min():.6g}, {radii.max():.6g}] leave the radial "
                 f"table [{r_grid[0]:.6g}, {r_grid[-1]:.6g}]"
             )
-        # cubic_stencil in two steps, so that only stencils that reach the
-        # window are weighed: the stencil of base k reads columns k - 1 .. k + 2
-        k, th = _locate(radii, r_grid[0], dr, npts, 1, npts - 3)
-        reach = np.maximum(k - 1, c_lo) < np.minimum(k + 3, c_hi)
-        if not reach.any():
-            continue
-        k, th = k[reach], th[reach]
-        scale = ((_D4_WEIGHTS / h * taus)[..., None] * wphi)[reach]
-        local = np.broadcast_to(np.arange(taus.shape[0])[:, None, None], reach.shape)[reach]
+        k, weights = cubic_stencil(radii, r_grid[0], r_grid[1] - r_grid[0], npts)
+        scale = (_D4_WEIGHTS / h * taus)[..., None] * wphi
+        local = np.arange(taus.shape[0])[:, None, None] * width - c_lo
         key, val = [], []
-        for l, w in enumerate(cubic_weights(th)):
+        for l, card in enumerate(weights):
             col = k + (l - 1)
             inside = (col >= c_lo) & (col < c_hi)
-            key.append(local[inside] * width + (col[inside] - c_lo))
-            val.append((scale * w)[inside])
-        del k, th, reach, scale, local
+            key.append((local + col)[inside])
+            val.append((scale * card)[inside])
         dense = np.bincount(
             np.concatenate(key), weights=np.concatenate(val), minlength=taus.shape[0] * width
         )
-        del key, val
-        nz = np.flatnonzero(dense)
-        rows.append((lo + nz // width).astype(np.int32))
-        cols.append((c_lo + nz % width).astype(np.int32))
-        coefs.append(dense[nz])
-        del dense, nz
-    # the blocks come in row order, so a stable sort keeps the rows ascending
-    # within a column; each array is reordered as soon as it is concatenated
-    cols = np.concatenate(cols)
-    order = np.argsort(cols, kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
-    cols = cols[order]
-    rows = np.concatenate(rows)
-    rows = rows[order]
-    coefs = np.concatenate(coefs)
-    coefs = coefs[order]
-    return rows, cols, coefs, ptr
+        # a block with no entry on the window comes back as integer zeros
+        w = dense.reshape(taus.shape[0], width).astype(float, copy=False)
+        yield slice(lo, lo + taus.shape[0]), w
 
 
 def simulate_traces(
@@ -400,17 +381,19 @@ def simulate_traces(
     Each cell is the exact normal derivative at its node and time.  In three
     dimensions the rows are the derivative of the closed field on the
     Huygens bands, in blocks of about ``_BLOCK_VALUES`` values, so the
-    temporaries stay small whatever the node count.  In two, each node's
+    temporaries stay small whatever the node count; every value is
+    elementwise and the skipped terms are exact zeros, so the rows keep the
+    bits of the full evaluation whatever the blocks.  In two, each node's
     row is its table of the circle means of <grad f, nu>, the normal
-    derivatives of the means of f, mapped through the sparse trace
-    operator.  The tables come first, each kept as its span from the first
-    to the last non-zero value; the operator is built only on the columns
-    the spans reach (not at all when every table is zero), and applied
-    only on each node's non-zero columns, run by contiguous run.  Every
-    value is elementwise and the skipped terms are exact zeros, so the rows
-    keep the bits of the full evaluation whatever the blocks.  ``threads``
-    is accepted for callers that pass one run-wide thread count, and
-    ignored.
+    derivatives of the means of f, mapped through the trace operator.  The
+    tables come first, each kept as its span from the first to the last
+    non-zero value.  The spans of the nodes whose table is not all zero are
+    stacked into one matrix over the columns they reach, and each row block
+    of the operator, built on those columns only (not at all when every
+    table is zero), is applied to all of them by matrix products over
+    ``_PRODUCT_COLUMNS`` columns at a time, added in column order.  Rows of
+    all-zero tables stay exact zeros.  ``threads`` is accepted for
+    callers that pass one run-wide thread count, and ignored.
     """
     n = domain.dimension
     if f.bumps and f.dimension != n:
@@ -438,7 +421,7 @@ def simulate_traces(
         r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
         r_grid = np.linspace(0.0, r_max, params.table_points)
         # each node's table is kept as its span from the first to the last
-        # non-zero value; the operator is built on the union of the spans
+        # non-zero value; the operator is built on the columns the spans reach
         spans = []
         for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
             # the gradient vanishes wherever f does, so sphere_means gates it on f's bumps
@@ -450,15 +433,16 @@ def simulate_traces(
         if spans:
             c_lo = min(first for _, first, _ in spans)
             c_hi = max(first + span.size for _, first, span in spans)
-            rows, cols, coefs, ptr = _trace_operator_2d(t_samples, params, r_grid, c_lo, c_hi)
-        for j, first, span in spans:
-            runs = first + np.flatnonzero(
-                np.diff(span != 0.0, prepend=False, append=False)
-            ).reshape(-1, 2)
-            sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs])
-            values[j] = np.bincount(
-                rows[sel], weights=coefs[sel] * span[cols[sel] - first], minlength=times.nt
-            )
+            live = [j for j, _, _ in spans]
+            tables = np.zeros((len(spans), c_hi - c_lo))
+            for row, (_, first, span) in zip(tables, spans):
+                row[first - c_lo : first - c_lo + span.size] = span
+            for rows, w in _trace_operator_blocks(t_samples, params, r_grid, c_lo, c_hi):
+                block = np.zeros((len(live), w.shape[0]))
+                for c in range(0, c_hi - c_lo, _PRODUCT_COLUMNS):
+                    cols = slice(c, c + _PRODUCT_COLUMNS)
+                    block += tables[:, cols] @ w[:, cols].T
+                values[live, rows] = block
     values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
 
     return TraceGrid(
@@ -572,7 +556,7 @@ def read_trace_file(path) -> TraceGrid:
     center = [float(v) for v in need("domain.center").split(",")]
     axes = [float(v) for v in need("domain.semi_axes").split(",")]
     if kind == "superellipse":
-        domain = superellipse(center, axes, float(header.get("domain.exponent", "2")))
+        domain = superellipse(center, axes, float(need("domain.exponent")))
     else:
         domain = ellipsoid(center, axes)
     nt = int(need("time.nt"))

@@ -9,7 +9,7 @@ velocity comes by another route, a 48-node quadrature of rho b(rho) at every
 (point, time) pair, and it is compared with the package's closed-primitive
 velocity within a bound derived from both routes' errors.  The direct 2-D
 trace route likewise keeps the package's pointwise wave solution and
-replaces the radial table and the sparse trace operator.  The 3-D
+replaces the radial table and the trace operator.  The 3-D
 sections route replaces the package's closed radial field by the
 spherical-means quadrature it converges to.  These trace routes, and the
 stencil route that keeps the package's own fields, take the normal
@@ -21,10 +21,12 @@ The superellipse chords come from a golden-section search for the level
 function's minimum on each line and a bisection towards each end, the route
 the package's closed-form inside point and Newton steps replaced.
 The per-call routes at the end (ball profile, velocity gather, boundary
-search, trace-operator build, halfwidths) are the package's earlier code for
-work it now does once, in blocks or batched, and the ungated closed fields
-are its earlier code for work it now does only on the Huygens band; they
-share its arithmetic on purpose, so the tests can ask for equal bits.
+search, trace-operator build and its per-node apply, halfwidths) are the
+package's earlier code for work it now does once, in blocks or batched, and
+the ungated closed fields are its earlier code for work it now does only on
+the Huygens band; they share its arithmetic on purpose, so the tests can ask
+for equal bits, or for the per-node apply, equal products summed in
+another order, for the roundoff of that order.
 The hand-built rules after them are its earlier copies of what it now
 builds in one place: the product rule on the circle and sphere, the
 sine-substituted ball rule, the two radial arrangements of the 2-D field
@@ -45,7 +47,8 @@ and serve as references for the kernel profiles and the trace grid.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -178,7 +181,7 @@ def traces_2d_direct(f, domain, boundary, times, params, h_nu=None):
     step ``h_nu``; the first time sample is set to zero, as
     :func:`simulate_traces` does.  What this route does not share with the
     table path is the exact normal derivative, the table, its cubic
-    interpolation and the sparse trace operator.
+    interpolation and the trace operator.
     """
     from neutrace.calculus import _sine_ball_rule
     from neutrace.forward import _even_field
@@ -277,7 +280,7 @@ def traces_by_stencil(f, boundary, times, params, h_nu: float):
     the closed field (``phantom_pressure``) in three dimensions and in two
     the radial tables of the means of f through the package's trace
     operator.  The normal derivative is all that differs."""
-    from neutrace.forward import _trace_operator_2d, phantom_pressure
+    from neutrace.forward import phantom_pressure
     from neutrace.transforms import sphere_means
 
     params = params.resolved(t_scale=times.t_max)
@@ -285,9 +288,8 @@ def traces_by_stencil(f, boundary, times, params, h_nu: float):
     t = times.samples
     out = np.zeros((len(boundary), times.nt))
     if f.dimension == 2:
-        r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-        r_grid = np.linspace(0.0, r_max, params.table_points)
-        rows, cols, coefs, _ = _trace_operator_2d(t, params, r_grid)
+        r_grid = trace_grid_2d(times, params)
+        rows, cols, coefs, _ = trace_operator_2d_int64(t, params, r_grid)
     for j in range(len(boundary)):
         for s, w in zip(offsets, stencil_w):
             c = boundary.points[j] + s * boundary.normals[j]
@@ -779,9 +781,11 @@ def support_margin_per_bump(f, domain) -> float:
 
 
 def trace_operator_2d_int64(times, params, r_grid):
-    """The 2-D trace operator built with int64 indices, all blocks held until
-    one concatenation and then reordered: the build that
-    ``forward._trace_operator_2d`` slimmed without changing an entry."""
+    """The 2-D trace operator as a sparse matrix on every table column,
+    (rows, cols, coefs, ptr) sorted by column and then row, with int64
+    indices: the build whose merged entries ``forward._trace_operator_blocks``
+    yields as dense row blocks, with ``ptr[k]:ptr[k + 1]`` the entries of
+    column k."""
     from neutrace.calculus import cubic_stencil
     from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
 
@@ -807,6 +811,40 @@ def trace_operator_2d_int64(times, params, r_grid):
     order = np.argsort(cols, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=npts))])
     return rows[order], cols[order], coefs[order], ptr
+
+
+def trace_grid_2d(times, params):
+    """The radial grid ``forward.simulate_traces`` lays its 2-D tables on,
+    over [0, t_max + 2 h_t] for resolved ``params``."""
+    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
+    return np.linspace(0.0, r_max, params.table_points)
+
+
+def traces_2d_per_node(f, boundary, times, params):
+    """Two-dimensional traces as ``forward.simulate_traces`` applied the
+    sparse trace operator before it applied dense row blocks to all tables
+    at once: each node's table of the circle means of <grad f, nu>, and its
+    row summed by one ``bincount`` over the operator entries on the node's
+    runs of non-zero table columns, in the operator's column order.
+    Returns the rows and the whole tables."""
+    from neutrace.transforms import sphere_means
+
+    params = params.resolved(t_scale=times.t_max)
+    r_grid = trace_grid_2d(times, params)
+    rows, cols, coefs, ptr = trace_operator_2d_int64(times.samples, params, r_grid)
+    out = np.zeros((len(boundary), times.nt))
+    tables = np.zeros((len(boundary), len(r_grid)))
+    for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
+        slope = SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
+        tables[j] = sphere_means(slope, y, r_grid, params.mean_res, n=2)
+        runs = np.flatnonzero(np.diff(tables[j] != 0.0, prepend=False, append=False))
+        if runs.size:
+            sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs.reshape(-1, 2)])
+            out[j] = np.bincount(
+                rows[sel], weights=coefs[sel] * tables[j][cols[sel]], minlength=times.nt
+            )
+    out[:, 0] = 0.0
+    return out, tables
 
 
 def write_trace_file_per_value(path, traces, timestamp=None) -> None:

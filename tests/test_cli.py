@@ -1,5 +1,7 @@
 """Config parsing and the four subcommands, run in-process."""
 
+import hashlib
+import os
 import subprocess
 import sys
 
@@ -329,6 +331,34 @@ def test_forward_flow_and_determinism(tmp_path, capsys):
         assert a.read() == b.read()
 
 
+def test_2d_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The 2-D trace rows are matrix products of the stacked tables and the
+    operator blocks, large enough here (64 nodes, blocks of 32 rows, a window
+    of about 1000 table columns) for OpenBLAS to split them over threads:
+    one and two BLAS threads write the same trace file.  With one product
+    over the whole window, 627 of the 6144 values differed in their last
+    bits."""
+    cfg = config_file(
+        tmp_path,
+        MINIMAL_2D
+        + "phantom.bump1.center = 0.2, -0.1\nphantom.bump1.radius = 0.3\n"
+        + "boundary.resolution = 64\ntime.nt = 96\ntime.t_max = 4.0\n",
+    )
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"traces-{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neutrace", "forward", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 def test_forward_timestamps_add_a_generated_line(tmp_path, capsys):
     cfg = config_file(tmp_path, FORWARD_3D)
     out = str(tmp_path / "stamped.csv")
@@ -551,6 +581,37 @@ def test_kernel_dump_needs_a_direction(tmp_path, capsys):
     cfg = config_file(tmp_path, MINIMAL_2D)
     assert run_main(["kernel", "--config", cfg, "--out", str(tmp_path / "k.csv")]) == 2
     assert "kernel dump needs kernel.theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kernel.points", "1", "line 8: kernel.points must be >= 2, got 1"),
+        ("kernel.order", "0", "line 8: kernel.order must be >= 1, got 0"),
+        ("kernel.order", "3", "line 8: kernel.order must be <= 2, got 3"),
+    ],
+)
+def test_a_kernel_dump_out_of_range_stops_before_the_profile_build(
+    tmp_path, capsys, monkeypatch, key, value, message
+):
+    """kernel.points and kernel.order are refused with their config line
+    when the config is read, before the kernel profile is built."""
+    built = []
+    monkeypatch.setattr(cli, "build_kernel_profile", lambda *args, **kw: built.append(args))
+    text = (
+        "dimension = 2\n"
+        "domain.kind = superellipse\n"
+        "domain.semi_axes = 1.2, 0.9\n"
+        "domain.exponent = 4\n"
+        "kernel.theta = 1, 0\n"
+        "recon.kernel_table = 4096\n"
+        "recon.kernel_quad = 96\n"
+        f"{key} = {value}\n"
+    )
+    out = tmp_path / "kernel.csv"
+    assert run_main(["kernel", "--config", config_file(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == [] and not out.exists()
 
 
 SE4_2D = """\

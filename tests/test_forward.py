@@ -13,9 +13,11 @@ from _oracles import (
     assert_same_bits,
     neumann_trace,
     sphere_means_broadcast,
+    trace_grid_2d,
     trace_operator_2d_int64,
     trace_table_2d_row,
     traces_2d_direct,
+    traces_2d_per_node,
     traces_3d_sections,
     traces_by_stencil,
     wave_solution_2d_by_hand,
@@ -32,7 +34,7 @@ from neutrace.forward import (
     TimeGrid,
     TraceFormatError,
     TraceGrid,
-    _trace_operator_2d,
+    _trace_operator_blocks,
     huygens_horizon,
     phantom_hash,
     read_trace_file,
@@ -564,9 +566,7 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
     times = TimeGrid(t_max=4.0, nt=40)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
     got = simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, params).values
-    # the table grid simulate_traces lays over [0, t_max + 2 h_t]
-    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-    r_grid = np.linspace(0.0, r_max, params.table_points)
+    r_grid = trace_grid_2d(times, params)
     tol = table_route_roundoff(params, times.t_max, TWO_BUMPS_2D)
     for j in range(len(bq)):
         slope = normal_slope(TWO_BUMPS_2D, bq.normals[j])
@@ -576,21 +576,65 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
         np.testing.assert_allclose(got[j, 1:], ref[1:], rtol=0.0, atol=tol)
 
 
-def _full_operator_rows(f, boundary, times, params):
-    """Each node's trace row as the full operator applied to its whole,
-    ungated table, the node's table and the operator's column pointers: the
-    route whose exact zeros simulate_traces skips."""
-    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-    r_grid = np.linspace(0.0, r_max, params.table_points)
-    rows, cols, coefs, ptr = _trace_operator_2d(times.samples, params, r_grid)
-    out, tables = [], []
-    for y, nu in zip(boundary.points, boundary.normals):
-        table = sphere_means_broadcast(normal_slope(f, nu), y, r_grid, params.mean_res, n=2)
-        row = np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
-        row[0] = 0.0
-        out.append(row)
-        tables.append(table)
-    return np.array(out), np.array(tables), ptr
+def _operator_matrix(times, params, r_grid):
+    """The int64 build of the trace operator as one dense (nt, npts) matrix."""
+    rows, cols, coefs, _ = trace_operator_2d_int64(times.samples, params, r_grid)
+    dense = np.zeros((times.nt, r_grid.size))
+    dense[rows, cols] = coefs
+    return dense
+
+
+# How far a trace row may move when the block apply replaces the per-node
+# sparse route.  Both routes sum, for row i of a node with table T, the same
+# products T_k W_ik of bitwise-equal factors (the block entries are the
+# sparse build's, to the bit) over the K table columns, only in different
+# orders: matrix products over column chunks, added in column order, against
+# a bincount over the entries of the node's non-zero columns.  In any order,
+# with or without fused multiply-adds, each product meets at most K - 1
+# additions, so such a sum is within gamma_K = K u / (1 - K u) of the exact
+# one times sum_k |T_k| |W_ik| (Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 3.1), u = 2^-53, and the routes differ by at most twice
+# that.  The sum of absolute products is itself computed, to within a
+# factor 1 - gamma_K below its exact value, which the bound divides out.
+# K is the whole table's column count, which bounds the terms of either
+# route.
+def block_apply_roundoff(tables, times, params, r_grid):
+    u = np.finfo(float).eps / 2.0
+    gamma = r_grid.size * u / (1.0 - r_grid.size * u)
+    weight = np.abs(tables) @ np.abs(_operator_matrix(times, params, r_grid)).T
+    return 2.0 * gamma * weight / (1.0 - gamma)
+
+
+def _simulate_and_window(monkeypatch, f, domain, boundary, times, params):
+    """simulate_traces' rows and the table window its operator blocks were
+    built on (None when none was built)."""
+    windows = []
+
+    def record(times, params, r_grid, c_lo, c_hi):
+        windows.append((c_lo, c_hi))
+        return trace_blocks(times, params, r_grid, c_lo, c_hi)
+
+    trace_blocks = _trace_operator_blocks
+    monkeypatch.setattr(forward, "_trace_operator_blocks", record)
+    got = simulate_traces(f, domain, boundary, times, params).values
+    assert len(windows) <= 1
+    return got, (windows[0] if windows else None)
+
+
+def _check_block_apply(got, window, f, boundary, times, params):
+    """The rows against the per-node sparse route, within the roundoff of
+    the summation order, with the same exact zeros, and the window equal to
+    the columns the tables reach.  Returns the tables."""
+    want, tables = traces_2d_per_node(f, boundary, times, params)
+    r_grid = trace_grid_2d(times, params)
+    tol = block_apply_roundoff(tables, times, params, r_grid)
+    assert np.all(np.abs(got - want) <= tol)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    dead = ~tables.any(axis=1)
+    assert_same_bits(got[dead], np.zeros((np.count_nonzero(dead), times.nt)))
+    reached = np.flatnonzero(tables.any(axis=0))
+    assert window == ((reached[0], reached[-1] + 1) if reached.size else None)
+    return tables
 
 
 @pytest.mark.parametrize(
@@ -605,36 +649,41 @@ def _full_operator_rows(f, boundary, times, params):
     ],
     ids=["overlapping", "apart"],
 )
-def test_band_column_apply_equals_the_full_operator_apply(unit_disk, f, split_bands):
-    """simulate_traces builds the operator on the columns the tables reach
-    and applies it only on the columns where each node's table is non-zero;
-    the skipped products are exact zeros, so every row equals the full
-    apply, of the ungated table, bit for bit."""
+def test_band_column_apply_equals_the_full_operator_apply(unit_disk, monkeypatch, f, split_bands):
+    """simulate_traces builds the operator blocks on the columns the tables
+    reach, well under half the table here, and applies each to all tables
+    at once by matrix products: each row equals the per-node sparse route's,
+    on the node's non-zero columns, to within the roundoff of the summation
+    order."""
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
-    got = simulate_traces(f, unit_disk, bq, times, params).values
-    want, tables, ptr = _full_operator_rows(f, bq, times, params)
-    assert_same_bits(got, want)
-    skipped = np.sum((tables == 0.0) * np.diff(ptr))
-    assert skipped > 0.5 * len(bq) * ptr[-1]
+    got, window = _simulate_and_window(monkeypatch, f, unit_disk, bq, times, params)
+    tables = _check_block_apply(got, window, f, bq, times, params)
+    assert window[1] - window[0] < 0.5 * params.table_points
     split = sum(np.any(np.diff(np.flatnonzero(table)) > 1) for table in tables)
     assert (split > 0) == split_bands
 
 
+def _stacked_blocks(times, params, r_grid, *window):
+    """The operator's row blocks stacked into one (nt, width) matrix, after
+    checking that they cover the rows in order, 32 at a time."""
+    blocks = list(_trace_operator_blocks(times.samples, params, r_grid, *window))
+    expect = [slice(lo, min(lo + 32, times.nt)) for lo in range(0, times.nt, 32)]
+    assert [rows for rows, _ in blocks] == expect
+    assert all(w.dtype == np.float64 for _, w in blocks)
+    return np.concatenate([w for _, w in blocks])
+
+
 @pytest.mark.parametrize("nt", [40, 97])
 def test_trace_operator_equals_the_int64_build(nt):
-    """The lean build, int32 indices and each block freed before the next,
-    holds the entries of the one-shot int64 build in the same order."""
+    """The row blocks, 32 rows each and in row order, scattered into one
+    matrix, hold the entries of the sparse int64 build, bit for bit."""
     times = TimeGrid(t_max=4.0, nt=nt)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
-    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-    r_grid = np.linspace(0.0, r_max, params.table_points)
-    got = _trace_operator_2d(times.samples, params, r_grid)
-    want = trace_operator_2d_int64(times.samples, params, r_grid)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-    assert got[0].dtype == got[1].dtype == np.int32
+    r_grid = trace_grid_2d(times, params)
+    want = _operator_matrix(times, params, r_grid)
+    assert_same_bits(_stacked_blocks(times, params, r_grid), want)
 
 
 def test_trace_operator_rejects_radii_beyond_the_table():
@@ -644,9 +693,9 @@ def test_trace_operator_rejects_radii_beyond_the_table():
     times = TimeGrid(t_max=4.0, nt=40).samples
     for window in [(), (10, 11), (500, 512), (20, 20)]:
         with pytest.raises(ConfigurationError, match="radial table"):
-            _trace_operator_2d(times, params, np.linspace(0.0, 3.0, 512), *window)
+            list(_trace_operator_blocks(times, params, np.linspace(0.0, 3.0, 512), *window))
         with pytest.raises(ConfigurationError, match="radial table"):
-            _trace_operator_2d(times, params, np.linspace(0.1, 4.1, 512), *window)
+            list(_trace_operator_blocks(times, params, np.linspace(0.1, 4.1, 512), *window))
 
 
 @pytest.mark.parametrize(
@@ -655,22 +704,15 @@ def test_trace_operator_rejects_radii_beyond_the_table():
     ids=["full", "default", "one-column", "first-columns", "last-columns", "middle", "empty"],
 )
 def test_windowed_trace_operator_holds_the_full_build_on_its_columns(c_lo, c_hi):
-    """A build on the columns [c_lo, c_hi) holds the full build's entries on
-    those columns, in the same order, bit for bit, with int32 indices, and
-    its ``ptr`` indexes the whole table."""
+    """Blocks built on the columns [c_lo, c_hi) hold the full build's
+    entries on those columns, bit for bit, and nothing else."""
     times = TimeGrid(t_max=4.0, nt=97)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
-    r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
-    r_grid = np.linspace(0.0, r_max, params.table_points)
-    rows, cols, coefs, ptr = _trace_operator_2d(times.samples, params, r_grid)
-    got = _trace_operator_2d(times.samples, params, r_grid, c_lo, c_hi)
-    keep = (cols >= c_lo) & (cols < (1024 if c_hi is None else c_hi))
-    want_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[keep], minlength=1024))])
-    for a, b in zip(got, (rows[keep], cols[keep], coefs[keep], want_ptr)):
-        assert_same_bits(a, b.astype(a.dtype))
-    assert got[0].dtype == got[1].dtype == np.int32
-    assert got[2].dtype == np.float64
-    assert (got[0].size == 0) == (c_hi == c_lo)
+    r_grid = trace_grid_2d(times, params)
+    full = _stacked_blocks(times, params, r_grid)
+    got = _stacked_blocks(times, params, r_grid, c_lo, c_hi)
+    assert_same_bits(got, full[:, c_lo:c_hi])
+    assert got.shape[1] == (1024 if c_hi is None else c_hi) - c_lo
 
 
 def _nodes(boundary, keep):
@@ -699,22 +741,20 @@ APART_ON_THE_AXIS = Phantom(
 def test_windowed_simulation_equals_the_full_operator_apply(
     unit_disk, monkeypatch, f, t_max, near_axis, case
 ):
-    """simulate_traces keeps each node's span of non-zero table values and
-    builds the operator on the columns the spans reach: every row equals the
-    full operator applied to the node's whole table, bit for bit."""
+    """simulate_traces keeps each node's span of non-zero table values,
+    builds the operator blocks on the columns the spans reach, and applies
+    them to the stacked spans of the nodes whose table is not all zero: every
+    row equals the per-node sparse route's to within the roundoff of the
+    summation order, and the rows of zero tables are +0.0.  When every
+    table is zero, no block is built."""
     bq = boundary_quadrature(unit_disk, 24)
     if near_axis:
         bq = _nodes(bq, np.abs(bq.points[:, 1]) < 0.3)
     times = TimeGrid(t_max=t_max, nt=40)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
-    want, tables, _ = _full_operator_rows(f, bq, times, params)
+    got, window = _simulate_and_window(monkeypatch, f, unit_disk, bq, times, params)
+    tables = _check_block_apply(got, window, f, bq, times, params)
     live = tables.any(axis=1)
-    if case == "all-zero":
-        assert not live.any()
-        refuse = partial(pytest.fail, "no table reaches a bump, so no operator is built")
-        monkeypatch.setattr(forward, "_trace_operator_2d", lambda *args: refuse())
-    got = simulate_traces(f, unit_disk, bq, times, params).values
-    assert_same_bits(got, want)
     if case == "gap":
         reached = np.flatnonzero(tables.any(axis=0))
         assert np.diff(reached).max() > 100
@@ -722,6 +762,7 @@ def test_windowed_simulation_equals_the_full_operator_apply(
         assert live.any() and not live.all()
         assert np.count_nonzero(got[~live]) == 0 < np.count_nonzero(got[live])
     else:
+        assert not live.any() and window is None
         assert np.count_nonzero(got) == 0
 
 
@@ -996,6 +1037,17 @@ def test_trace_file_missing_header_key(tmp_path, bump3d, unit_ball):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("# time.nt")]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match="missing 'time.nt'"):
+        read_trace_file(path)
+
+
+def test_a_superellipse_trace_header_needs_its_exponent(tmp_path):
+    """A superellipse header without ``domain.exponent`` is refused with the
+    key named, not read back as the p = 2 of an ellipse."""
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(Phantom(()), superellipse((0.0, 0.0), (1.2, 0.9), 4.0)))
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("# domain.exponent")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="missing 'domain.exponent'"):
         read_trace_file(path)
 
 

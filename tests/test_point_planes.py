@@ -121,11 +121,27 @@ def test_mollifier_eval_equals_the_broadcast(n, rng):
             assert_same_bits(got, want)
 
 
+@pytest.mark.parametrize(
+    "shape", [(3, 4608), (5, 96), (40,), ()], ids=["3x4608", "5x96", "40", "one-point"]
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma_field_bits_do_not_depend_on_the_layout(n, shape, rng):
+    """The lemma check's quadratic field at C-ordered points and at a
+    plane-major view of the same points: the same bits."""
+    pts = rng.uniform(-1.5, 1.5, (*shape, n))
+    planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)
+    assert not planes.flags.c_contiguous or pts.ndim == 1
+    np.testing.assert_array_equal(planes, pts)
+    g = _lemma_field(n)
+    assert np.asarray(g(planes)).tobytes() == np.asarray(g(pts)).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sphere_means_equal_the_broadcast(n, rng):
-    """A phantom and the lemma check's quadratic field, whose matrix
-    products depend on the layout of the points as well as on their
-    values; radii of the shapes the forward path and the lemma check use."""
+    """A phantom and the lemma check's quadratic field, both evaluated one
+    coordinate plane at a time, so that their bits depend on the points'
+    values and not on how ``sphere_means`` lays them out; radii of the
+    shapes the forward path and the lemma check use."""
     c = np.asarray(CENTRES[n])
     radii = [0.4, -0.9, rng.uniform(-2.0, 2.0, 7), rng.uniform(0.0, 2.0, (5, 4, 3))]
     for f in (_phantom(n, "cinf"), _lemma_field(n)):
