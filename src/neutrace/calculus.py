@@ -25,6 +25,7 @@ __all__ = [
     "richardson",
     "cubic_stencil",
     "cubic_weights",
+    "column_products",
     "check_on_table",
     "interp_cubic",
 ]
@@ -64,6 +65,20 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadRule:
     x, w = _leggauss(int(m))
     half = 0.5 * (b - a)
     return QuadRule(0.5 * (a + b) + half * x, half * w, (float(a), float(b)))
+
+
+# OpenBLAS sums up to 256 columns in one pass, and cuts a longer sum at
+# places that depend on its thread count, which moves the last bits
+_PRODUCT_COLUMNS = 256
+
+
+def column_products(a, w):
+    """a @ w.T by products over ``_PRODUCT_COLUMNS`` columns, added in order."""
+    out = np.zeros((a.shape[0], w.shape[0]))
+    for c in range(0, a.shape[1], _PRODUCT_COLUMNS):
+        cols = slice(c, c + _PRODUCT_COLUMNS)
+        out += a[:, cols] @ w[:, cols].T
+    return out
 
 
 def _sphere_rule(n: int, m: int, shift: float = 0.0, phase: float = 0.0):

@@ -291,7 +291,6 @@ def parse_config(text: str) -> RunConfig:
             **entries.given(
                 "solver",
                 h_t=entries.floating,
-                mean_res=entries.integer,
                 radial_quad=entries.integer,
                 table_points=entries.integer,
             )

@@ -10,10 +10,10 @@ traces are exact normal derivatives: in three dimensions the radial
 derivative of the closed field, in two the same integral over the circle
 means of <grad f, nu>, the normal derivative of the means of f.
 
-Fields are evaluated only where they can be non-zero, with every value
-kept to the bit: the 3-D field on each bump's Huygens band, the 2-D circle
-means, by ``transforms.sphere_means``, on the radii and arcs that can meet a
-bump, and the 2-D table-to-trace operator on the table columns the means
+Fields are evaluated only where they can be non-zero: the 3-D field on
+each bump's Huygens band, with every value kept to the bit, the 2-D circle
+means by ``transforms.circle_means`` on the arc of each circle that lies in
+a bump, and the 2-D table-to-trace operator on the table columns the means
 reach.  The trace writer copies the +0.0 runs at the ends of a row whole.
 """
 
@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
-from .calculus import _sine_ball_rule, cubic_stencil
+from .calculus import _sine_ball_rule, column_products, cubic_stencil
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
@@ -41,7 +39,7 @@ from .transforms import (
     Phantom,
     bump_radial,
     bump_radial_deriv,
-    sphere_means,
+    circle_means,
 )
 
 __all__ = [
@@ -63,7 +61,7 @@ __all__ = [
     "read_trace_file",
 ]
 
-TRACE_FORMAT = "neumann-trace/3"
+TRACE_FORMAT = "neumann-trace/4"
 
 _D4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -72,12 +70,6 @@ _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 # reused on the heap, where larger ones measurably raised the peak RSS of a
 # whole run
 _BLOCK_VALUES = 1 << 14
-
-# table columns summed by one matrix product in the 2-D trace apply; the
-# products are added in column order.  OpenBLAS sums up to 256 columns (more
-# on some CPUs) in one pass, and cuts a longer sum at places that depend on
-# its thread count, which moves the last bits of the traces
-_PRODUCT_COLUMNS = 256
 
 
 class ConfigurationError(ValueError):
@@ -123,8 +115,8 @@ class SolverParams:
     knob; the traces of both are exact normal derivatives.  ``h_t`` defaults
     to 1e-3 times the characteristic time scale.  ``table_points`` is the
     size of the radial table of the circle means of <grad f, nu> laid over
-    [0, t_max + 2 h_t] around each boundary node, each the mean over the
-    ``mean_res`` points of :func:`~neutrace.transforms.sphere_means`; the
+    [0, t_max + 2 h_t] around each boundary node, each taken on the arcs
+    that meet the bumps by :func:`~neutrace.transforms.circle_means`; the
     map from the tables to the trace rows is one linear operator per run,
     built in dense blocks of rows on the table columns where some node's
     table is non-zero, each block applied to every table at once.  2-D
@@ -133,15 +125,12 @@ class SolverParams:
     """
 
     h_t: float | None = None
-    mean_res: int = 32
     radial_quad: int = 48
     table_points: int = 4096
 
     def __post_init__(self):
         if self.h_t is not None and not self.h_t > 0:
             raise ValueError(f"h_t must be positive, got {self.h_t}")
-        if self.mean_res < 4:
-            raise ValueError(f"mean_res must be >= 4, got {self.mean_res}")
         if self.radial_quad < 4:
             raise ValueError(f"radial_quad must be >= 4, got {self.radial_quad}")
         if self.table_points < 0:
@@ -249,7 +238,7 @@ def _even_field(f, x, ts, params: SolverParams, rule) -> np.ndarray:
     nodes, weights = rule
     h = params.h_t
     taus = np.asarray(ts, dtype=float)[..., None] + h * _D4_OFFSETS
-    means = sphere_means(f, x, np.abs(taus)[..., None] * nodes, params.mean_res, n=2)
+    means = circle_means(f, x, np.abs(taus)[..., None] * nodes)
     g = taus * np.sum(means * weights, axis=-1)
     return np.sum(g * _D4_WEIGHTS, axis=-1) / h
 
@@ -390,8 +379,7 @@ def simulate_traces(
     non-zero value.  The spans of the nodes whose table is not all zero are
     stacked into one matrix over the columns they reach, and each row block
     of the operator, built on those columns only (not at all when every
-    table is zero), is applied to all of them by matrix products over
-    ``_PRODUCT_COLUMNS`` columns at a time, added in column order.  Rows of
+    table is zero), is applied to all of them by ``column_products``.  Rows of
     all-zero tables stay exact zeros.  ``threads`` is accepted for
     callers that pass one run-wide thread count, and ignored.
     """
@@ -424,9 +412,7 @@ def simulate_traces(
         # non-zero value; the operator is built on the columns the spans reach
         spans = []
         for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
-            # the gradient vanishes wherever f does, so sphere_means gates it on f's bumps
-            slope = SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
-            table = sphere_means(slope, y, r_grid, params.mean_res, n=2)
+            table = circle_means(f, y, r_grid, direction=nu)
             nz = np.flatnonzero(table)
             if nz.size:
                 spans.append((j, nz[0], table[nz[0] : nz[-1] + 1].copy()))
@@ -438,11 +424,7 @@ def simulate_traces(
             for row, (_, first, span) in zip(tables, spans):
                 row[first - c_lo : first - c_lo + span.size] = span
             for rows, w in _trace_operator_blocks(t_samples, params, r_grid, c_lo, c_hi):
-                block = np.zeros((len(live), w.shape[0]))
-                for c in range(0, c_hi - c_lo, _PRODUCT_COLUMNS):
-                    cols = slice(c, c + _PRODUCT_COLUMNS)
-                    block += tables[:, cols] @ w[:, cols].T
-                values[live, rows] = block
+                values[live, rows] = column_products(tables, w)
     values[:, 0] = 0.0  # t = 0: the field equals f, which vanishes near the rim
 
     return TraceGrid(
@@ -476,7 +458,7 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
-    """Write traces as ``neumann-trace/3``: ``# key = value`` header lines,
+    """Write traces as ``neumann-trace/4``: ``# key = value`` header lines,
     then one CSV row per boundary node, ``y, nu, weight, v_0..v_{nt-1}``.
 
     Every value is written as :func:`_fmt` writes it.  The node columns and
@@ -500,7 +482,6 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     lines.append(f"# time.t_max = {_fmt(traces.times.t_max)}")
     p = traces.params
     lines.append(f"# solver.h_t = {_fmt(p.h_t)}")
-    lines.append(f"# solver.mean_res = {p.mean_res}")
     lines.append(f"# solver.radial_quad = {p.radial_quad}")
     lines.append(f"# solver.table_points = {p.table_points}")
     lines.append(f"# phantom.hash = {traces.phantom_hash}")
@@ -527,7 +508,7 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
 
 
 def read_trace_file(path) -> TraceGrid:
-    """Read a ``neumann-trace/3`` file written by :func:`write_trace_file`."""
+    """Read a ``neumann-trace/4`` file written by :func:`write_trace_file`."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     first = lines[0].strip() if lines else ""
@@ -564,7 +545,6 @@ def read_trace_file(path) -> TraceGrid:
     num_nodes = int(need("nodes"))
     params = SolverParams(
         h_t=float(need("solver.h_t")),
-        mean_res=int(need("solver.mean_res")),
         radial_quad=int(need("solver.radial_quad")),
         table_points=int(need("solver.table_points")),
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import _sphere_rule, cubic_weights, gauss_legendre, interp_cubic
+from .calculus import _sphere_rule, column_products, cubic_weights, gauss_legendre, interp_cubic
 from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import (
     ELLIPSOID,
@@ -244,7 +244,8 @@ def _backproject(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     Three dimensions read each trace at t = |x - y| and divide by it.  Two
     dimensions filter every trace once with the Abel weights on a uniform
     table of distances d_m (step D_TABLE_STEP dt, spanning the points'
-    distances), H = traces @ W^T, and read H_j at |x - y_j| by the cubic.
+    distances), H = traces @ W^T by ``column_products``, and read H_j at
+    |x - y_j| by the cubic.
     """
     nodes, n = traces.boundary.points.shape
     size = max(1, BLOCK_ELEMENTS // (nodes * n))
@@ -261,7 +262,7 @@ def _backproject(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
         dists = x0 + step * np.arange(max(4, int((ranges[:, 1].max() - x0) / step) + 2))
         table = np.empty((nodes, len(dists)))
         for rows, cols, w in _abel_weight_blocks(dists, dt, traces.times.nt, 0.0, reach):
-            table[:, rows] = traces.values[:, cols] @ w.T
+            table[:, rows] = column_products(traces.values[:, cols], w)
         divisor = math.pi
     out = np.empty(len(pts))
     for i in starts:

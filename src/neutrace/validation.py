@@ -566,10 +566,9 @@ def check_even_equivalence(
     """Worst disagreement between the sine-substitution and Chebyshev-angle
     arrangements of the two-dimensional solution, scaled by the phantom peak.
 
-    Both arrangements integrate the same discrete radial means, so the
-    direction-set count only needs to keep the mean function smooth; 256
-    directions and 192 radial nodes put the radial rules deep in their
-    spectral range, and the ``level`` parameter doubles both.
+    Both arrangements integrate the same circle means, taken on each bump's
+    arc by ``circle_means``; 192 radial nodes put the radial rules deep in
+    their spectral range, and the ``level`` parameter doubles them.
     """
     t0 = time.perf_counter()
     if f.dimension != 2:
@@ -577,7 +576,7 @@ def check_even_equivalence(
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     scale = 1 << level
-    params = SolverParams(mean_res=256 * scale, radial_quad=192 * scale)
+    params = SolverParams(radial_quad=192 * scale)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if points.shape[0] != times.shape[0]:
@@ -595,7 +594,6 @@ def check_even_equivalence(
     report_params = {
         "samples": points.shape[0],
         "peak": peak,
-        "mean_res": params.mean_res,
         "radial_quad": params.radial_quad,
         "worst_direct": worst[1],
         "worst_alt": worst[2],

@@ -33,10 +33,12 @@ sine-substituted ball rule, the two radial arrangements of the 2-D field
 around one time stencil, the ellipsoid section halfwidth and the per-point
 support radius.  Next to them,
 the broadcast point routes (sphere and arc points, distances, bump and
-mollifier radii, the 3-D rim, the ungated sphere means) are its earlier code
-for point arithmetic it now does one coordinate plane at a time, or only
-where a sphere can meet a bump; they too share its arithmetic, so the tests
-can ask for equal bits.
+mollifier radii, the 3-D rim, the sphere means) are its earlier code for
+point arithmetic it now does one coordinate plane at a time; they too share
+its arithmetic, so the tests can ask for equal bits.  The pointwise gradient
+field among them, with the uniform rule of ``sphere_means``, is the
+independent route for the circle means of <grad f, nu> that the package now
+takes on each bump's arc.
 The single-chord and single-point routes at the very end (one section
 profile, its closed-form and differenced offset derivatives, the
 principal-value transform, the pointwise Neumann trace) were public routes
@@ -47,8 +49,7 @@ and serve as references for the kernel profiles and the trace grid.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from types import SimpleNamespace
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,11 +198,11 @@ def traces_2d_direct(f, domain, boundary, times, params, h_nu=None):
     return out
 
 
-def sections_field_3d(f, center_pts, times, params):
+def sections_field_3d(f, center_pts, times, params, m: int):
     """Rows of u(c, t) = d/dt (t M f(c, t)) via per-bump angular sections of
     the direction set.
 
-    The means M are sums over the ``mean_res`` direction set of
+    The means M are sums over the m-point direction set of
     ``transforms._mean_directions`` and the time derivative is the
     four-point difference of step ``h_t``.  For each bump only the
     directions whose sample point lands inside the bump support can
@@ -213,7 +214,7 @@ def sections_field_3d(f, center_pts, times, params):
     from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
     from neutrace.transforms import _mean_directions, bump_radial
 
-    dirs, w = _mean_directions(3, params.mean_res)
+    dirs, w = _mean_directions(3, m)
     h = params.h_t
     taus = (times[:, None] + h * _D4_OFFSETS).reshape(-1)
     r = np.abs(taus)
@@ -251,11 +252,11 @@ def sections_field_3d(f, center_pts, times, params):
     return out
 
 
-def traces_3d_sections(f, domain, boundary, times, params, h_nu=None):
+def traces_3d_sections(f, domain, boundary, times, params, m: int, h_nu=None):
     """Three-dimensional Neumann traces by spherical-means quadrature.
 
     Each normal-stencil centre's field is u = d/dt (t M f) with the means
-    summed over the ``mean_res`` direction set (:func:`sections_field_3d`)
+    summed over the m-point direction set (:func:`sections_field_3d`)
     and the time derivative a four-point difference of step ``h_t``; the
     rows are combined with the normal stencil of step ``h_nu`` and the first
     time sample is set to zero, as :func:`simulate_traces` does.  It shares
@@ -268,7 +269,7 @@ def traces_3d_sections(f, domain, boundary, times, params, h_nu=None):
     out = np.empty((len(boundary), times.nt))
     for j in range(len(boundary)):
         centers = boundary.points[j] + offsets[:, None] * boundary.normals[j]
-        out[j] = stencil_w @ sections_field_3d(f, centers, t, params)
+        out[j] = stencil_w @ sections_field_3d(f, centers, t, params, m)
     out[:, 0] = 0.0
     return out
 
@@ -281,7 +282,7 @@ def traces_by_stencil(f, boundary, times, params, h_nu: float):
     the radial tables of the means of f through the package's trace
     operator.  The normal derivative is all that differs."""
     from neutrace.forward import phantom_pressure
-    from neutrace.transforms import sphere_means
+    from neutrace.transforms import circle_means
 
     params = params.resolved(t_scale=times.t_max)
     offsets, stencil_w = normal_stencil(h_nu)
@@ -296,7 +297,7 @@ def traces_by_stencil(f, boundary, times, params, h_nu: float):
             if f.dimension == 3:
                 out[j] += w * phantom_pressure(f, c, t)
             else:
-                table = w * sphere_means(f, c, r_grid, params.mean_res, n=2)
+                table = w * circle_means(f, c, r_grid)
                 out[j] += np.bincount(rows, weights=coefs * table[cols], minlength=times.nt)
     out[:, 0] = 0.0
     return out
@@ -827,7 +828,7 @@ def traces_2d_per_node(f, boundary, times, params):
     row summed by one ``bincount`` over the operator entries on the node's
     runs of non-zero table columns, in the operator's column order.
     Returns the rows and the whole tables."""
-    from neutrace.transforms import sphere_means
+    from neutrace.transforms import circle_means
 
     params = params.resolved(t_scale=times.t_max)
     r_grid = trace_grid_2d(times, params)
@@ -835,8 +836,7 @@ def traces_2d_per_node(f, boundary, times, params):
     out = np.zeros((len(boundary), times.nt))
     tables = np.zeros((len(boundary), len(r_grid)))
     for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
-        slope = SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
-        tables[j] = sphere_means(slope, y, r_grid, params.mean_res, n=2)
+        tables[j] = circle_means(f, y, r_grid, direction=nu)
         runs = np.flatnonzero(np.diff(tables[j] != 0.0, prepend=False, append=False))
         if runs.size:
             sel = np.concatenate([np.arange(ptr[a], ptr[b]) for a, b in runs.reshape(-1, 2)])
@@ -869,7 +869,6 @@ def write_trace_file_per_value(path, traces, timestamp=None) -> None:
         f"# time.nt = {traces.times.nt}",
         f"# time.t_max = {_fmt(traces.times.t_max)}",
         f"# solver.h_t = {_fmt(p.h_t)}",
-        f"# solver.mean_res = {p.mean_res}",
         f"# solver.radial_quad = {p.radial_quad}",
         f"# solver.table_points = {p.table_points}",
         f"# phantom.hash = {traces.phantom_hash}",
@@ -979,14 +978,14 @@ def wave_solution_2d_by_hand(f, x, t: float, params) -> float:
     time-stencil evaluator: the fourth-order time difference of
     tau * sum_q w_q sin(phi_q) M f(x, |tau| sin phi_q)."""
     from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
-    from neutrace.transforms import sphere_means
+    from neutrace.transforms import circle_means
 
     params = params.resolved(t_scale=max(1.0, t))
     sin_phi, wphi = sine_ball_rule_by_hand(params.radial_quad)
     h = params.h_t
     taus = np.asarray(t, dtype=float)[..., None] + h * _D4_OFFSETS
     radii = np.abs(taus)[..., None] * sin_phi
-    means = sphere_means(f, np.asarray(x, dtype=float), radii, params.mean_res, n=2)
+    means = circle_means(f, np.asarray(x, dtype=float), radii)
     g = taus * np.sum(means * wphi, axis=-1)
     return float(np.sum(g * _D4_WEIGHTS, axis=-1) / h)
 
@@ -995,7 +994,7 @@ def wave_solution_even_alt_by_hand(f, x, t: float, params) -> float:
     """``forward.wave_solution_even_alt`` as written out before the one
     time-stencil evaluator: Chebyshev midpoint angles, r = |tau| cos(theta)."""
     from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
-    from neutrace.transforms import sphere_means
+    from neutrace.transforms import circle_means
 
     params = params.resolved(t_scale=max(1.0, t))
     m = params.radial_quad
@@ -1005,7 +1004,7 @@ def wave_solution_even_alt_by_hand(f, x, t: float, params) -> float:
     h = params.h_t
     taus = np.asarray(t, dtype=float)[..., None] + h * _D4_OFFSETS
     radii = np.abs(taus)[..., None] * cos_th
-    means = sphere_means(f, np.asarray(x, dtype=float), radii, params.mean_res, n=2)
+    means = circle_means(f, np.asarray(x, dtype=float), radii)
     g = taus * np.sum(means * (w_th * cos_th), axis=-1)
     return float(np.sum(g * _D4_WEIGHTS, axis=-1) / h)
 
@@ -1047,15 +1046,14 @@ def support_radius_per_point(f, x) -> float:
 
 
 def sphere_means_broadcast(f, x, radii, m: int, n: int | None = None):
-    """``transforms.sphere_means`` with its points built by broadcasting and
-    f evaluated at every sphere point, with no bump gate."""
-    from neutrace.transforms import _as_eval, _mean_directions
+    """``transforms.sphere_means`` with its points built by broadcasting."""
+    from neutrace.transforms import _mean_directions
 
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] if n is None else n
     r = np.abs(np.asarray(radii, dtype=float))
     dirs, w = _mean_directions(n, m)
-    vals = _as_eval(f)(x + r[..., None, None] * dirs)
+    vals = getattr(f, "eval", f)(x + r[..., None, None] * dirs)
     return np.sum(vals * w, axis=-1)
 
 
@@ -1080,6 +1078,30 @@ def phantom_eval_broadcast(f, points):
             vals = b.amplitude * (1.0 - ri) ** b.mu / (a * b.radius**b.dimension)
         out[inside] += vals
     return out
+
+
+def phantom_slope(f, direction):
+    """The field <grad f, direction> at an (..., n) array of points, with the
+    gradient of each bump B(|x - c|^2 / R^2) taken as B'(u) 2 (x - c) / R^2:
+    ``Phantom.eval(points, direction)`` as written before
+    ``transforms.circle_means`` took the means of the gradient on each
+    bump's arc."""
+    from neutrace.transforms import _bump_slope
+
+    direction = np.asarray(direction, dtype=float)
+
+    def slope(points):
+        pts = np.asarray(points, dtype=float)
+        out = np.zeros(pts.shape[:-1])
+        for b in f.bumps:
+            offset = pts - np.asarray(b.center)
+            r2 = np.sum(offset * offset, axis=-1) / b.radius**2
+            inside = r2 < 1.0
+            along = offset[inside] @ direction * (2.0 / b.radius**2)
+            out[inside] += _bump_slope(b, r2[inside], b.dimension) * along
+        return out
+
+    return slope
 
 
 def mollifier_eval_broadcast(mu: int, eps: float, x, n: int | None = None):

@@ -1,5 +1,6 @@
 """Config parsing and the four subcommands, run in-process."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -60,24 +61,44 @@ def test_parse_3d_defaults():
     assert cfg.solver.table_points == SolverParams().table_points == 4096
 
 
-def test_solver_and_recon_keys_reach_their_dataclasses():
-    cfg = parse_config(
-        MINIMAL_2D
-        + "solver.h_t = 0.002\nsolver.mean_res = 40\n"
-        + "solver.radial_quad = 24\nsolver.table_points = 1000\n"
-        + "recon.correction = fixed_point\nrecon.k_radial = 9\n"
-        + "recon.k_angular = 11\nrecon.kernel_table = 300\nrecon.kernel_quad = 70\n"
-        + "recon.kernel_margin = 0.01\n"
+# a value other than the default for each field of the two dataclasses that
+# config keys fill, as config text and as the value the field should hold
+_KNOB_VALUES = {
+    "h_t": ("0.002", 0.002),
+    "radial_quad": ("24", 24),
+    "table_points": ("1000", 1000),
+    "correction": ("fixed_point", "fixed_point"),
+    "k_radial": ("9", 9),
+    "k_angular": ("11", 11),
+    "kernel_table": ("300", 300),
+    "kernel_quad": ("70", 70),
+    "kernel_margin": ("0.01", 0.01),
+}
+
+
+def test_solver_and_recon_keys_reach_their_dataclasses(monkeypatch):
+    """The ``solver.*`` and ``recon.*`` keys are the fields of
+    ``SolverParams`` and ``ReconstructionOptions``: the config reads exactly
+    those names, and a value set for each reaches its field."""
+    read = {}
+    given = cli._Entries.given
+
+    def record(self, prefix, **readers):
+        read[prefix] = set(readers)
+        return given(self, prefix, **readers)
+
+    monkeypatch.setattr(cli._Entries, "given", record)
+    knobs = {"solver": SolverParams, "recon": ReconstructionOptions}
+    names = {prefix: [f.name for f in dataclasses.fields(cls)] for prefix, cls in knobs.items()}
+    assert sorted(_KNOB_VALUES) == sorted(names["solver"] + names["recon"])
+    text = "".join(
+        f"{prefix}.{name} = {_KNOB_VALUES[name][0]}\n" for prefix in knobs for name in names[prefix]
     )
-    assert cfg.solver == SolverParams(h_t=0.002, mean_res=40, radial_quad=24, table_points=1000)
-    assert cfg.recon == ReconstructionOptions(
-        correction="fixed_point",
-        k_radial=9,
-        k_angular=11,
-        kernel_table=300,
-        kernel_quad=70,
-        kernel_margin=0.01,
-    )
+    cfg = parse_config(MINIMAL_2D + text)
+    for prefix, cls in knobs.items():
+        assert read[prefix] == set(names[prefix])
+        want = cls(**{name: _KNOB_VALUES[name][1] for name in names[prefix]})
+        assert getattr(cfg, prefix) == want != cls()
 
 
 def test_library_default_traces_equal_the_cli_default_in_2d():
@@ -177,7 +198,9 @@ def test_parse_validate_bounds_and_checks():
         # the 2-D back-projection's Abel weights are exact: it has no time quadrature to set
         (MINIMAL_2D + "recon.time_quad = 256\n", "line 3: unknown key 'recon.time_quad'"),
         (MINIMAL_2D + "recon.k_radial = many\n", "line 3: recon.k_radial expects an integer"),
-        (MINIMAL_2D + "solver.mean_res = 3\n", "mean_res must be >= 4, got 3"),
+        # the circle means take a fixed rule on each bump's arc: no direction count
+        (MINIMAL_2D + "solver.mean_res = 32\n", "line 3: unknown key 'solver.mean_res'"),
+        (MINIMAL_2D + "solver.radial_quad = 3\n", "radial_quad must be >= 4, got 3"),
         (MINIMAL_2D + "validate.level = -1\n", "line 3: validate.level must be >= 0, got -1"),
         (
             MINIMAL_2D + "validate.checks = mollifier, foo\n",
@@ -350,6 +373,49 @@ def test_2d_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         proc = subprocess.run(
             [sys.executable, "-m", "neutrace", "forward", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+# the benchmark's two 2-D configs at their seed-free centres: the ellipse,
+# and the superellipse with the correction
+BLAS_IMAGE_CASES = {
+    "ellipse": "domain.semi_axes = 1.5, 1.0\n"
+    + "phantom.bump1.center = 0.2, -0.1\nphantom.bump1.radius = 0.3\n"
+    + "grid.lo = -0.3, -0.6\ngrid.hi = 0.7, 0.4\ngrid.shape = 11, 11\n",
+    "superellipse-corrected": "domain.kind = superellipse\ndomain.exponent = 4.0\n"
+    + "domain.semi_axes = 1.2, 0.9\n"
+    + "phantom.bump1.center = 0.25, 0.1\nphantom.bump1.radius = 0.3\n"
+    + "grid.lo = -0.1, -0.25\ngrid.hi = 0.6, 0.45\ngrid.shape = 7, 7\n"
+    + "recon.correction = fixed_point\nrecon.k_radial = 16\nrecon.k_angular = 32\n"
+    + "recon.kernel_table = 256\nrecon.kernel_quad = 128\n",
+}
+
+
+@pytest.mark.parametrize("case", list(BLAS_IMAGE_CASES))
+def test_2d_image_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    """The 2-D back-projection filters every trace with the Abel weights by
+    matrix products over its time samples, 400 here (64 nodes), enough for
+    OpenBLAS to split one product over threads: one and two BLAS threads
+    write the same image.  With one product over all samples, 15 of the
+    ellipse's 121 image values differed in their last bits."""
+    text = "dimension = 2\nboundary.resolution = 64\ntime.nt = 400\ntime.t_max_factor = 4.0\n"
+    text += BLAS_IMAGE_CASES[case]
+    trace = tmp_path / "traces.csv"
+    text += f"input.trace = {trace}\n"
+    cfg = config_file(tmp_path, text)
+    assert run_main(["forward", "--config", cfg, "--out", str(trace)]) == 0
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"image-{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neutrace", "reconstruct", "--config", cfg, "--out", str(out)],
             capture_output=True,
             text=True,
             env=env,
@@ -651,6 +717,8 @@ def se4_trace(tmp_path_factory):
         # the traces are exact normal derivatives: the normal step and its order are gone
         ("forward", "solver.h_nu", "0", "line 12: unknown key 'solver.h_nu'"),
         ("forward", "solver.nu_order", "4", "line 12: unknown key 'solver.nu_order'"),
+        # the circle means take a fixed rule on each bump's arc: no direction count
+        ("forward", "solver.mean_res", "32", "line 12: unknown key 'solver.mean_res'"),
         ("reconstruct", "recon.kernel_table", "10", "profile table needs >= 64 points, got 10"),
         ("reconstruct", "recon.k_radial", "0", "k_radial must be >= 1, got 0"),
         ("reconstruct", "recon.kernel_quad", "0", "kernel_quad must be >= 1, got 0"),

@@ -2,9 +2,7 @@
 
 import math
 import re
-from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ import pytest
 from _oracles import (
     assert_same_bits,
     neumann_trace,
-    sphere_means_broadcast,
+    phantom_slope,
     trace_grid_2d,
     trace_operator_2d_int64,
     trace_table_2d_row,
@@ -24,7 +22,7 @@ from _oracles import (
     wave_solution_even_alt_by_hand,
     write_trace_file_per_value,
 )
-from neutrace import forward
+from neutrace import forward, transforms
 from neutrace.forward import (
     _D4_WEIGHTS,
     TRACE_FORMAT,
@@ -45,10 +43,11 @@ from neutrace.forward import (
     write_trace_file,
 )
 from neutrace.geometry import BoundaryQuadrature, boundary_quadrature, ellipsoid, superellipse
-from neutrace.transforms import Bump, Phantom, _mean_directions, bump_radial_deriv, sphere_means
+from neutrace.transforms import Bump, Phantom, bump_radial_deriv, circle_means, sphere_means
 
 # field at x = (0.3, 0), t = 0.7 for the centered radius-0.5 bump, frozen
-# from a run at four times the resolution (mean_res 512, radial_quad 768)
+# from a run at four times the resolution (mean_res 512, radial_quad 768);
+# the arc rule at 64 nodes and radial_quad 768 is 3.5e-14 from it
 # roundoff: sum|w| / h_t = 1500 times one ulp of |g| <= t max f = 0.7 is 2.3e-13, pin abs 1e-6
 WAVE_2D_REFERENCE = -0.27441887450075847
 
@@ -94,24 +93,18 @@ def table_route_roundoff(params, t_max, f):
     return chain * np.finfo(float).eps * terms
 
 
-def normal_slope(f, nu):
-    """The field <grad f, nu> that the 2-D trace tables average, gated on
-    the bumps of f."""
-    return SimpleNamespace(bumps=f.bumps, eval=partial(f.eval, direction=nu))
-
-
 # Ratio of the stencil route's gaps to the exact traces when h_nu halves.
 # The central difference of step h_nu is off by h_nu^2 / 6 times the third
-# normal derivative plus O(h_nu^4), so the ratio tends to 4 from below.
-# Measured over h_nu = 2e-3, 1e-3, 5e-4, 2.5e-4 (gaps as a fraction of the
-# peak: 1.54e-3, 3.86e-4, 9.65e-5, 2.41e-5 in 3-D, 1.94e-3, 4.87e-4,
-# 1.22e-4, 3.05e-5 in 2-D) the ratios are 3.984 to 3.999, closest to 4 at
-# the finest pair, so the roundoff of the difference quotient does not show
-# yet.  A first- or
-# fourth-order error would give 2 or 16, and an offset E between the routes
-# that does not vanish with h_nu moves the ratio to about 4 - 3 E / gap, so
-# the window admits an offset of at most 3 % of the finest gap, 8e-7 of the
-# peak.
+# normal derivative plus O(h_nu^4), so the ratio tends to 4.  An offset E
+# between the routes that does not vanish with h_nu moves the ratio to about
+# 4 - 3 E / gap.  Measured over h_nu = 2e-3, 1e-3, 5e-4, 2.5e-4 (gaps as a
+# fraction of the peak: 1.54e-3, 3.86e-4, 9.65e-5, 2.41e-5 in 3-D, where the
+# ratios are 3.984 to 3.999, and 1.02e-3, 2.55e-4, 6.37e-5, 1.59e-5 in 2-D,
+# where they are 3.991, 3.999 and 4.006).  The 2-D routes take their tables
+# from the arc rule's means of f and of <grad f, nu>, whose own errors differ
+# by up to a few 1e-8 of the peak, the offset that the last 2-D ratio shows.
+# A first- or fourth-order error would give 2 or 16, and the window admits
+# an offset of at most 3 % of the finest gap, 5e-7 of the peak.
 STENCIL_RATIO = (3.9, 4.1)
 
 
@@ -159,16 +152,15 @@ def test_time_grid_properties():
 
 def test_solver_params_validation():
     with pytest.raises(ValueError):
-        SolverParams(mean_res=3)
-    with pytest.raises(ValueError):
         SolverParams(radial_quad=2)
     with pytest.raises(ValueError):
         SolverParams(table_points=-1)
     for bad in (-1.0, 0.0):
         with pytest.raises(ValueError, match=f"^h_t must be positive, got {bad}$"):
             SolverParams(h_t=bad)
-    # the traces are exact normal derivatives: there is no step across the boundary
-    for removed in ("h_nu", "nu_order"):
+    # the traces are exact normal derivatives: there is no step across the
+    # boundary; the circle means take a fixed rule on each bump's arc
+    for removed in ("h_nu", "nu_order", "mean_res"):
         with pytest.raises(TypeError):
             SolverParams(**{removed: 2})
 
@@ -234,12 +226,12 @@ def test_wave_solution_validation(bump2d, bump3d):
 
 
 def test_wave_2d_self_oracle(bump2d):
-    got = wave_solution(bump2d, (0.3, 0.0), 0.7, SolverParams(mean_res=128, radial_quad=192))
+    got = wave_solution(bump2d, (0.3, 0.0), 0.7, SolverParams(radial_quad=192))
     assert got == pytest.approx(WAVE_2D_REFERENCE, abs=1e-6)
 
 
 def test_wave_2d_alternative_arrangement_agrees(bump2d):
-    params = SolverParams(mean_res=256, radial_quad=192)
+    params = SolverParams(radial_quad=192)
     for x, t in (((0.3, 0.0), 0.7), ((-0.2, 0.25), 1.1)):
         direct = wave_solution(bump2d, x, t, params)
         alt = wave_solution_even_alt(bump2d, x, t, params)
@@ -259,7 +251,7 @@ def test_both_2d_arrangements_keep_the_bits_of_their_hand_built_stencils(rng):
         )
         x = tuple(rng.uniform(-0.5, 0.5, 2))
         t = float(rng.uniform(0.05, 2.0))
-        params = SolverParams(mean_res=int(rng.integers(8, 64)), radial_quad=int(rng.integers(4, 64)))
+        params = SolverParams(radial_quad=int(rng.integers(4, 64)))
         for got, want in (
             (wave_solution(f, x, t, params), wave_solution_2d_by_hand(f, x, t, params)),
             (wave_solution_even_alt(f, x, t, params), wave_solution_even_alt_by_hand(f, x, t, params)),
@@ -402,8 +394,8 @@ def test_3d_traces_ignore_the_quadrature_knobs_and_the_node_blocks(bump3d, unit_
     times = TimeGrid(t_max=3.0, nt=24)
     ref = simulate_traces(bump3d, unit_ball, bq, times).values
     for params in (
-        SolverParams(mean_res=4),
-        SolverParams(mean_res=256, h_t=0.05),
+        SolverParams(table_points=4),
+        SolverParams(table_points=0, h_t=0.05),
         SolverParams(radial_quad=4, h_t=1e-6),
     ):
         np.testing.assert_array_equal(simulate_traces(bump3d, unit_ball, bq, times, params).values, ref)
@@ -419,9 +411,7 @@ def test_sections_quadrature_converges_to_the_closed_traces(bump3d, unit_ball):
     closed = simulate_traces(bump3d, unit_ball, bq, times).values
     errs = []
     for m in (32, 128, 256):
-        quad = traces_3d_sections(
-            bump3d, unit_ball, bq, times, SolverParams(mean_res=m), h_nu=NORMAL_STEP
-        )
+        quad = traces_3d_sections(bump3d, unit_ball, bq, times, SolverParams(), m, h_nu=NORMAL_STEP)
         errs.append(np.linalg.norm(quad - closed) / np.linalg.norm(closed))
     assert errs[1] <= errs[0] / 20.0
     assert errs[2] <= SECTIONS_256_BOUND
@@ -442,8 +432,8 @@ def test_simulate_traces_rejects_dimension_mismatch(bump2d, unit_ball):
 
 def test_table_accelerated_2d_traces_match_direct(unit_disk):
     """The table route against pointwise fields under the normal stencil of
-    step ``NORMAL_STEP``: the gap is 6.4e-6 (6.8e-4 at h_nu = 1e-3, and
-    2.0e-6, the table's own, with the stencil on both routes)."""
+    step ``NORMAL_STEP``: the gap is 3.0e-6 (3.1e-4 at h_nu = 1e-3, and
+    7.6e-7, the table's own, with the stencil on both routes)."""
     f = Phantom((Bump(center=(0.1, 0.0), radius=0.4),))
     bq = boundary_quadrature(unit_disk, 12)
     times = TimeGrid(t_max=4.0, nt=40)
@@ -461,104 +451,100 @@ def test_2d_traces_need_a_table_of_one_cubic_stencil(unit_disk, points):
         simulate_traces(TWO_BUMPS_2D, unit_disk, bq, times, SolverParams(table_points=points))
 
 
-class CountingPhantom:
-    """A phantom that counts the points it is evaluated at."""
-
-    def __init__(self, f):
-        self.bumps, self._f, self.points = f.bumps, f, 0
-
-    def eval(self, pts):
-        self.points += pts.shape[0]
-        return self._f.eval(pts)
-
-
-def test_radial_table_band_equals_full_means():
-    """The 2-D trace table, ``sphere_means`` on the radial grid, is evaluated
-    on the band of radii that can meet a bump and, at each radius, on the arc
-    that can: a fraction of the circle points, with the bits of the full
-    means."""
-    r_grid = np.linspace(0.0, 4.01, 1024)
-    evaluated = on_band = 0
-    for c in ((1.001, 0.0), (-0.2, 0.999), (0.1, 0.0)):
-        f = CountingPhantom(TWO_BUMPS_2D)
-        band = sphere_means(f, np.asarray(c), r_grid, 32, n=2)
-        full = sphere_means_broadcast(TWO_BUMPS_2D, c, r_grid, 32, n=2)
-        assert_same_bits(band, full)
-        assert np.count_nonzero(band) < r_grid.size // 2
-        evaluated += f.points
-        on_band += 32 * np.count_nonzero(band)
-    assert 0 < evaluated < 0.3 * on_band
+# Largest gap between ``circle_means`` and the means over the 8192-point
+# uniform rule of ``sphere_means``, for f and for <grad f, nu>, as a fraction
+# of the largest |mean| of the fine route over the cases of ``_circle_cases``.
+# Measured: values 2.3e-9 (cinf) and 6.0e-11 (poly), slopes 3.9e-7 (cinf) and
+# 1.8e-7 (poly).  The cinf slope gap is the arc rule's own: it stays put from
+# 2048 to 32768 uniform points, and on a radial grid around (0.9, 0.3) it
+# is 7.1e-7 at 32 arc nodes against 5.0e-9 at 48 and 1.0e-10 at 64 (largest
+# slope 2).  The poly slope gap is the uniform rule's, whose rim kink (mu = 2)
+# it resolves at second order: on one random centre the absolute gap is
+# 1.6e-5 at 2048 points, 4.7e-7 at 8192 and 7.4e-8 at 32768.  The bound
+# leaves the largest a factor of 2.5.
+CIRCLE_MEANS_BOUND = 1e-6
 
 
-def _gate_cases(f, n, m, rng):
-    """(centre, radii) pairs for the bump gate of ``sphere_means`` with the
-    m-point rule in dimension n, around the two overlapping bumps of ``f``:
-    random centres and radii, radius 0, spheres around a bump centre
+def _circle_cases(f, rng):
+    """(centre, radii) pairs around the two overlapping bumps of ``f``:
+    random centres and radii, radius 0, circles around a bump centre
     (d = 0), inside a bump, and last, grazing the first bump from outside
-    (r = d - R) and from inside (r = d + R) along a direction of the rule."""
+    (r = d - R (1 -+ 1e-9)) and from inside (r = d + R (1 - 1e-9))."""
     c0, big = np.asarray(f.bumps[0].center), f.bumps[0].radius
     cases = [
         (c, np.concatenate([[0.0], rng.uniform(0.0, 3.0, 64)]))
-        for c in rng.uniform(-1.2, 1.2, (6, n))
+        for c in rng.uniform(-1.2, 1.2, (6, 2))
     ]
-    # at a bump centre (d = 0): radius 0, spheres inside, on and beyond the rim
+    # at a bump centre (d = 0): radius 0, circles inside, on and beyond the rim
     cases.append((c0, np.array([0.0, 0.1, 0.39, 0.4, 0.41, 1.0])))
     # radius 0 inside and outside every bump
     cases += [(c0 + 0.1, np.zeros(3)), (c0 + 0.9, np.zeros(3))]
-    # spheres wholly inside the first bump around an off-centre point
+    # circles wholly inside the first bump around an off-centre point
     cases.append((c0 + 0.05, np.array([0.05, 0.2, 0.3])))
-    # the centre 0.9 from the first bump's centre, opposite a rule direction
-    # (on the circle, direction m/2 from (1, 0) at the bump centre)
-    dirs, _ = _mean_directions(n, m)
+    # the centre 0.9 from the first bump's and 0.95 from the second's, whose
+    # band 0.7 < r < 1.2 lies between the grazing radii 0.5 and 1.3
     d = 0.9
     graze = np.array([d - big * (1 - 1e-9), d - big * (1 + 1e-9), d + big * (1 - 1e-9)])
-    cases.append((c0 - d * dirs[len(dirs) // 2], graze))
+    cases.append((c0 - d * np.array([0.8, 0.6]), graze))
     return cases
 
 
-def _check_gate(f, n, m, rng, profile):
-    cases = _gate_cases(f, n, m, rng)
-    for c, radii in cases:
-        got = sphere_means(f, c, radii, m, n=n)
-        assert_same_bits(got, sphere_means_broadcast(f, c, radii, m, n=n))
-    if profile == "poly":
-        # the points 1e-9 R inside the rim keep their non-zero values
-        means = sphere_means(f, *cases[-1], m, n=n)
-        assert means[0] > 0.0 and means[2] > 0.0
-
-
 @pytest.mark.parametrize("profile", ["cinf", "poly"])
-def test_arc_means_equal_sphere_means_bit_for_bit(profile, rng):
-    """Circle means evaluated on the arcs that can meet a bump keep the bits
-    of the means over every circle point."""
-    # two overlapping bumps: centres 0.53 apart, radii 0.4 and 0.25
+def test_circle_means_match_the_fine_uniform_rule(profile, rng):
+    """The arc rule's means of f and of <grad f, nu> against ``sphere_means``
+    on 8192 equally spaced directions, a rule that knows nothing of the
+    bumps, with the gradient from ``_oracles.phantom_slope``: within
+    ``CIRCLE_MEANS_BOUND`` of the largest mean, over two overlapping bumps."""
     f = Phantom(
         (
             Bump(center=(0.1, 0.0), radius=0.4, profile=profile),
-            Bump(center=(-0.3, 0.35), radius=0.25, amplitude=0.1, profile=profile),
+            Bump(center=(-0.3, 0.35), radius=0.25, amplitude=0.1, profile=profile, mu=3),
         )
     )
-    _check_gate(f, 2, 32, rng, profile)
+    nu = np.array([math.cos(0.7), math.sin(0.7)])
+    cases = _circle_cases(f, rng)
+    for field, direction in ((f, None), (phantom_slope(f, nu), nu)):
+        got = [circle_means(f, c, radii, direction=direction) for c, radii in cases]
+        want = [sphere_means(field, c, radii, 8192, n=2) for c, radii in cases]
+        peak = max(np.abs(w).max() for w in want)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= CIRCLE_MEANS_BOUND * peak
+    means = circle_means(f, *cases[-1])
+    assert means[1] == 0.0  # 1e-9 R off the rim
+    if profile == "poly":
+        # the arcs 1e-9 R inside the rim keep their non-zero values
+        assert means[0] > 0.0 and means[2] > 0.0
 
 
-@pytest.mark.parametrize("profile", ["cinf", "poly"])
-def test_sphere_means_gate_keeps_the_bits_in_3d(profile, rng):
-    """The bump gate on spheres of the 3-D rule: the circle's cases, radii
-    of shape (5, 4, 3), and only a fraction of the sphere points evaluated."""
-    f = Phantom(
-        (
-            Bump(center=(0.1, 0.0, -0.05), radius=0.4, profile=profile),
-            Bump(center=(-0.3, 0.35, 0.1), radius=0.25, amplitude=0.1, profile=profile, mu=3),
-        )
-    )
-    _check_gate(f, 3, 12, rng, profile)
-    c = np.array([0.2, -0.3, 0.1])
-    radii = rng.uniform(0.0, 2.0, (5, 4, 3))
-    assert_same_bits(sphere_means(f, c, radii, 12, n=3), sphere_means_broadcast(f, c, radii, 12, n=3))
-    counting = CountingPhantom(f)
-    radii = np.linspace(0.0, 2.0, 256)
-    means = sphere_means(counting, np.array([0.6, 0.2, 0.0]), radii, 12, n=3)
-    assert 0 < counting.points < 0.3 * 288 * np.count_nonzero(means)
+def test_circle_means_are_zero_off_the_bumps_and_even_in_the_radius():
+    """Circles that miss every bump give exact zeros, and a negative radius
+    gives the mean at its absolute value."""
+    f = TWO_BUMPS_2D
+    radii = np.array([-1.0, 1.0, 0.01, 5.0])
+    x = np.array([1.2, -0.6])  # 1.25 from (0.1, 0), 1.78 from (-0.3, 0.35)
+    means = circle_means(f, x, radii)
+    assert means[0] == means[1] != 0.0
+    assert means[2] == 0.0 == means[3]
+    slopes = circle_means(f, x, radii, direction=np.array([0.0, 1.0]))
+    assert slopes[0] == slopes[1] != 0.0
+    assert slopes[2] == 0.0 == slopes[3]
+    with pytest.raises(ValueError, match="centre of 2 coordinates"):
+        circle_means(f, np.zeros(3), radii)
+
+
+def test_the_arc_rule_converges_to_the_2d_reference(bump2d, monkeypatch):
+    """The field at (0.3, 0), t = 0.7 against ``WAVE_2D_REFERENCE`` as the
+    arc rule grows to ``ARC_NODES`` = 32, at radial_quad 192 (whose own gap
+    is 2.2e-11 at 64 arc nodes).  Measured: 1.4e-6, 5.2e-8 and 3.2e-10 at 16,
+    24 and 32 nodes, so the gap falls at least 20-fold per step and the
+    default's is below 1e-9."""
+    assert transforms.ARC_NODES == 32
+    gaps = []
+    for nodes in (16, 24, 32):
+        monkeypatch.setattr(transforms, "ARC_NODES", nodes)
+        got = wave_solution(bump2d, (0.3, 0.0), 0.7, SolverParams(radial_quad=192))
+        gaps.append(abs(got - WAVE_2D_REFERENCE))
+    assert gaps[0] >= 20.0 * gaps[1] and gaps[1] >= 20.0 * gaps[2]
+    assert gaps[2] <= 1e-9
 
 
 def test_trace_operator_matches_per_centre_reference(unit_disk):
@@ -569,8 +555,7 @@ def test_trace_operator_matches_per_centre_reference(unit_disk):
     r_grid = trace_grid_2d(times, params)
     tol = table_route_roundoff(params, times.t_max, TWO_BUMPS_2D)
     for j in range(len(bq)):
-        slope = normal_slope(TWO_BUMPS_2D, bq.normals[j])
-        table = sphere_means(slope, bq.points[j], r_grid, params.mean_res, n=2)
+        table = circle_means(TWO_BUMPS_2D, bq.points[j], r_grid, direction=bq.normals[j])
         ref = trace_table_2d_row(table, times.samples, params.h_t, params.radial_quad, r_grid)
         assert got[j, 0] == 0.0
         np.testing.assert_allclose(got[j, 1:], ref[1:], rtol=0.0, atol=tol)
@@ -842,9 +827,11 @@ def test_trace_file_layout(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces)
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/3"
-    # the traces are exact normal derivatives: no normal step is recorded
-    assert not [l for l in lines if l.startswith(("# solver.h_nu", "# solver.nu_order"))]
+    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/4"
+    # the traces are exact normal derivatives, and the circle means take a
+    # fixed arc rule: no normal step or direction count is recorded
+    removed = ("# solver.h_nu", "# solver.nu_order", "# solver.mean_res")
+    assert not [l for l in lines if l.startswith(removed)]
     columns = next(l for l in lines if l.startswith("# columns: "))
     names = columns[len("# columns: ") :].split(",")
     assert names[:7] == ["y_1", "y_2", "y_3", "nu_1", "nu_2", "nu_3", "weight"]
@@ -971,9 +958,9 @@ def test_trace_file_rejects_foreign_content(tmp_path):
 def test_trace_file_rejects_the_format_1_tag(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(bump3d, unit_ball))
-    text = path.read_text().replace("# neumann-trace/3", "# neumann-trace/1", 1)
+    text = path.read_text().replace("# neumann-trace/4", "# neumann-trace/1", 1)
     path.write_text(text)
-    with pytest.raises(TraceFormatError, match="neumann-trace/3"):
+    with pytest.raises(TraceFormatError, match="neumann-trace/4"):
         read_trace_file(path)
 
 
@@ -986,7 +973,20 @@ def test_trace_file_rejects_the_format_2_tag(tmp_path, bump3d, unit_ball):
     lines[0] = "# neumann-trace/2"
     lines.insert(1, "# solver.h_nu = 0.001")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match="expected '# neumann-trace/3'"):
+    with pytest.raises(TraceFormatError, match="expected '# neumann-trace/4'"):
+        read_trace_file(path)
+
+
+def test_trace_file_rejects_the_format_3_tag(tmp_path, bump3d, unit_ball):
+    """A format-3 file holds 2-D traces from circle means over a uniform
+    rule and its ``solver.mean_res`` header line; it is refused by its tag."""
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines = path.read_text().splitlines()
+    lines[0] = "# neumann-trace/3"
+    lines.insert(1, "# solver.mean_res = 32")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="expected '# neumann-trace/4'"):
         read_trace_file(path)
 
 

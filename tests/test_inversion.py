@@ -358,22 +358,25 @@ def test_truncation_probe_is_the_full_minus_the_halved_back_projection(disk_trac
 
 # Gap between backproject_even and the per-point Gauss route of the oracle
 # (t = sqrt(d^2 + u^2), composite Gauss-Legendre in u) on the benchmark
-# ellipse at four points: at most 2.8e-5 with 2048 nodes and 1.5e-6 with 8192
-# (the ratio per point is 18 to 39).  The oracle converges to the exact
-# integral of the interpolated traces, slowly because the interpolant has
-# kinks at the samples, and the Abel weights' own quadrature error is 4e-9
-# (4 Gauss nodes per cell against 8), so the gap is the oracle's error.  The
-# bound is twice the measured 8192-node gap, and the gap must shrink at least
-# eightfold from 2048 nodes.
+# ellipse at four points: at most 7.0e-7 with 8192 nodes and 3.0e-8 with
+# 32768 (the ratio per point is 9.3 to 26), and at most 1.1e-9 with 131072.
+# The oracle converges to the exact integral of the interpolated traces,
+# slowly and not yet monotonically at 2048 nodes, because the interpolant has
+# kinks at the samples (there the gaps are 4.4e-6 to 1.9e-5 at three points
+# and 1.6e-6 at the fourth, which then falls only 4.8-fold).  The Abel
+# weights' own quadrature error is 4e-9 (4 Gauss nodes per cell against 8),
+# so the gap is the oracle's error.  The bound is the 8192-node gap with a
+# factor of four, and the gap must shrink at least eightfold from 8192 to
+# 32768 nodes.
 ORACLE_8192_BOUND = 3e-6
 
 
 def test_abel_weights_match_the_per_point_quadrature(ellipse_traces):
     pts = [(0.2, -0.1), (0.45, 0.15), (-0.3, -0.6), (0.7, 0.4)]
     got = np.array([backproject_even(ellipse_traces, p) for p in pts])
-    coarse = np.array([backproject_even_per_point(ellipse_traces, p, 2048) for p in pts])
-    fine = np.array([backproject_even_per_point(ellipse_traces, p, 8192) for p in pts])
-    assert np.abs(fine - got).max() <= ORACLE_8192_BOUND
+    coarse = np.array([backproject_even_per_point(ellipse_traces, p, 8192) for p in pts])
+    fine = np.array([backproject_even_per_point(ellipse_traces, p, 32768) for p in pts])
+    assert np.abs(coarse - got).max() <= ORACLE_8192_BOUND
     assert np.all(np.abs(fine - got) <= np.abs(coarse - got) / 8.0)
 
 

@@ -49,8 +49,8 @@ def _pipeline_shapes(n, rng):
 
 
 def _gathered_arc_points(c, rng):
-    """Radii and directions gathered at the kept (radius, direction) pairs,
-    as the bump gate of ``sphere_means`` gathers them."""
+    """Radii and directions gathered at random (radius, direction) pairs of
+    the 32-point circle rule, as 1-D arrays of equal length."""
     dirs, _ = _mean_directions(2, 32)
     radii = np.concatenate([[0.0], rng.uniform(0.0, 2.5, 40)])
     i, j = np.nonzero(rng.random((radii.size, 32)) < 0.4)
@@ -151,8 +151,8 @@ def test_sphere_means_equal_the_broadcast(n, rng):
 
 
 def test_arc_means_keep_the_bits_of_the_broadcast_means(rng):
-    """The gated circle means of the 2-D trace table, around an off-origin
-    centre."""
+    """Means over the 32-point circle rule of a polynomial phantom, radius 0
+    included, around an off-origin centre."""
     f = _phantom(2, "poly")
     c = np.asarray(CENTRES[2]) + 0.05
     radii = np.concatenate([[0.0], rng.uniform(0.0, 2.5, 50)])

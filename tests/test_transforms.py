@@ -33,6 +33,7 @@ from _oracles import (
     ellipsoid_sections_per_direction,
     hilbert_exclusion,
     hilbert_pv,
+    phantom_slope,
     radon_chi,
     radon_chi_deriv,
     radon_line_integral,
@@ -96,6 +97,17 @@ def test_smooth_bump_is_peak_normalised(bump2d):
     assert bump2d.eval(np.array([0.45, 0.0])) > 0.0
 
 
+def test_peak_is_the_largest_value_at_the_bump_centres():
+    """Where bumps overlap, f is larger between the centres than at them:
+    ``peak`` is a scale of f, not a bound on it."""
+    f = Phantom((Bump(center=(-0.2, 0.0), radius=0.5), Bump(center=(0.2, 0.0), radius=0.5)))
+    at_centres = 1.0 + math.exp(1.0 - 1.0 / (1.0 - 0.4**2 / 0.5**2))
+    assert f.peak() == pytest.approx(at_centres, rel=1e-15)
+    assert f.peak() == pytest.approx(1.169, abs=1e-3)
+    assert float(f.eval(np.zeros(2))) == pytest.approx(1.653, abs=1e-3)
+    assert Phantom(()).peak() == 0.0
+
+
 def test_bump_radial_matches_eval():
     b = Bump(center=(0.3, -0.2), radius=0.45, amplitude=1.3)
     rho = np.array([0.0, 0.2, 0.449, 0.6])
@@ -113,7 +125,8 @@ def test_bump_radial_deriv_matches_difference_quotient():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_phantom_slope_is_the_directional_derivative(n, rng):
-    """``eval`` with a direction is <grad f, direction>: a Richardson-extrapolated
+    """``_oracles.phantom_slope``, the gradient field behind the circle-means
+    check, is <grad f, direction>: a Richardson-extrapolated
     central difference of f along it (error O(h^4), 1e-12 at h = 1e-3, and
     roundoff eps / h) agrees to 1e-8 of the largest slope, over two
     overlapping bumps of both profiles, at points whose stencils stay off
@@ -131,7 +144,8 @@ def test_phantom_slope_is_the_directional_derivative(n, rng):
     pts = rng.uniform(-0.5, 0.5, (400, n))
     off_rims = [np.abs(np.linalg.norm(pts - b.center, axis=-1) - b.radius) > 1e-2 for b in f.bumps]
     pts = pts[np.logical_and.reduce(off_rims)]
-    got = f.eval(pts, v)
+    slope = phantom_slope(f, v)
+    got = slope(pts)
 
     def central(h):
         return (f.eval(pts + h * v) - f.eval(pts - h * v)) / (2.0 * h)
@@ -140,7 +154,7 @@ def test_phantom_slope_is_the_directional_derivative(n, rng):
     assert np.count_nonzero(got) > 100
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8 * np.abs(got).max())
     outside = np.array([[0.9] + [0.0] * (n - 1), [-0.8] + [0.5] * (n - 1)])
-    assert np.all(f.eval(outside, v) == 0.0)
+    assert np.all(slope(outside) == 0.0)
 
 
 def test_poly_bump_has_unit_mass():

@@ -71,7 +71,7 @@ def test_radial_pressure_matches_the_quadrature_solver():
     params = SolverParams().resolved(t_scale=1.0)
     for d, t in ((0.2, 0.2), (0.0, 0.3)):
         closed = float(radial_pressure(b, d, t))
-        quad = sections_field_3d(f, np.array([[d, 0.0, 0.0]]), np.array([t]), params)[0, 0]
+        quad = sections_field_3d(f, np.array([[d, 0.0, 0.0]]), np.array([t]), params, 32)[0, 0]
         assert closed == pytest.approx(quad, abs=1e-7)
 
 
@@ -579,12 +579,15 @@ def test_even_equivalence_on_sample_points(bump2d):
     report = check_even_equivalence(bump2d, [(0.3, 0.0), (-0.2, 0.25)], [0.7, 1.1])
     assert report.abs_residual <= 1e-5
     assert report.params["samples"] == 2
-    assert (report.params["mean_res"], report.params["radial_quad"]) == (256, 192)
+    # the circle means take the fixed arc rule, so no direction count is reported
+    assert report.params["radial_quad"] == 192 and "mean_res" not in report.params
 
 
 def test_even_equivalence_level_doubles_both_rules(bump2d):
+    """A level doubles the radial rule of both arrangements, the sine and
+    the Chebyshev-angle one."""
     report = check_even_equivalence(bump2d, [(0.3, 0.0)], [0.7], level=1)
-    assert (report.params["mean_res"], report.params["radial_quad"]) == (512, 384)
+    assert report.params["radial_quad"] == 384
     assert report.abs_residual <= 1e-5
 
 
