@@ -501,14 +501,22 @@ def _lemma_field(n: int):
     Polynomial data keeps the spherical means exact under the fixed angular
     rules, so the reported residual isolates the finite differences.  The
     field is evaluated one coordinate plane at a time, in axis order, so its
-    bits do not depend on the memory layout of the points."""
+    bits do not depend on the memory layout of the points.  The value is
+    0.3 + 0.4 x0 x1 + sum_k (lin_k + sq_k x_k) x_k, formed in place in that
+    order with one reused temporary."""
 
     def g(pts):
         pts = np.asarray(pts, dtype=float)
         x = [pts[..., k] for k in range(n)]
-        out = 0.3 + 0.4 * x[0] * x[1]
+        out = np.multiply(0.4, x[0], out=np.empty(pts.shape[:-1]))
+        out *= x[1]
+        out += 0.3
+        tmp = np.empty_like(out)
         for xk, lin, sq in zip(x, _LEMMA_LIN, _LEMMA_SQ):
-            out += (lin + sq * xk) * xk
+            np.multiply(sq, xk, out=tmp)
+            tmp += lin
+            tmp *= xk
+            out += tmp
         return out
 
     return g

@@ -201,30 +201,52 @@ def phantom_pressure(f: Phantom, pts, t, normals=None):
 
     In odd dimension the field of a bump of radius eps is zero unless
     ||t| - d| < eps (strong Huygens principle; the field is even in t), and
-    ``radial_pressure`` returns an exact 0 there.  Each point's distance to a
-    bump is taken once; only the (point, time) pairs with
-    ||t| - d| < eps (1 + 1e-6) are evaluated, and the rest are left exact
-    zeros.  Every evaluated value is computed elementwise, so it has the
-    bits of the full evaluation.
+    ``radial_pressure`` returns an exact 0 there.  The field is evaluated on
+    the Huygens band of :func:`_pressure_on_band` only, and the rest is left
+    exact zeros.
+    """
+    band, _, values = _pressure_on_band(f, pts, t, normals)
+    out = np.zeros(band.shape)
+    out[band] = values
+    return out
+
+
+def _pressure_on_band(f: Phantom, pts, t, normals=None):
+    """:func:`phantom_pressure` on the union of the bumps' Huygens bands.
+
+    Returns the band, a boolean mask of the broadcast shape of the points
+    and t, and the times and the field on it, as flat arrays in the band's
+    order.  Each point's distance to a bump is taken once; a bump's band is
+    the (point, time) pairs with ||t| - d| < eps (1 + 1e-6).  Every value is
+    computed elementwise and the bumps' terms are added to zeros in bump
+    order, so each has the bits of the full evaluation.
     """
     pts = np.asarray(pts, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(pts.shape[:-1], t.shape)
-    out = np.zeros(shape)
     t_abs = np.abs(t)
+    hit = []
+    band = None
     for b in f.bumps:
         d = _distance(pts, b.center)
         gap = np.asarray(t_abs - d)
-        band = np.abs(gap, out=gap) < b.radius * (1.0 + 1e-6)
-        if not band.any():
-            continue
-        d_band, t_band = np.broadcast_to(d, shape)[band], np.broadcast_to(t, shape)[band]
+        own = np.abs(gap, out=gap) < b.radius * (1.0 + 1e-6)
+        if own.any():
+            hit.append((b, d, own))
+            band = own if band is None else band | own
+    if band is None:
+        return np.zeros(shape, dtype=bool), np.zeros(0), np.zeros(0)
+    t_band = np.broadcast_to(t, shape)[band]
+    out = np.zeros(t_band.shape)
+    for b, d, own in hit:
+        sel = own[band] if len(hit) > 1 else slice(None)
+        d_sel, t_sel = np.broadcast_to(d, shape)[band][sel], t_band[sel]
         if normals is None:
-            out[band] += radial_pressure(b, d_band, t_band)
+            out[sel] += radial_pressure(b, d_sel, t_sel)
         else:
-            cosine = np.broadcast_to(np.sum((pts - b.center) * normals, axis=-1) / d, shape)[band]
-            out[band] += _radial_slope(b, d_band, t_band) * cosine
-    return out
+            cosine = np.broadcast_to(np.sum((pts - b.center) * normals, axis=-1) / d, shape)
+            out[sel] += _radial_slope(b, d_sel, t_sel) * cosine[band][sel]
+    return band, t_band, out
 
 
 # ---------------------------------------------------------------------------

@@ -351,20 +351,24 @@ def _distance(a, b):
 
 
 def _ray_points(x, r, dirs) -> np.ndarray:
-    """``x + r[..., None] * dirs`` for directions (..., n), built one
-    coordinate plane at a time with the same bits and C-ordered layout (a
-    field's matrix products of the points depend on the layout).  Raises
-    ValueError when x and dirs have different numbers of coordinates."""
+    """``x + r[..., None] * dirs`` for directions (..., n), with the same bits.
+
+    Each coordinate is built as its own contiguous plane, and the points are
+    returned as the ``np.moveaxis(planes, 0, -1)`` view of the (n, ...)
+    planes: ``pts[..., k]`` is C-contiguous, the whole array is not.  A field
+    that reads the points one plane at a time sees the same bits as on
+    C-ordered points; one that takes matrix products of them may not.
+    Raises ValueError when x and dirs have different numbers of coordinates.
+    """
     x = np.asarray(x, dtype=float)
     n = dirs.shape[-1]
     if x.shape[-1] != n:
         raise ValueError(f"centre has {x.shape[-1]} coordinates, the directions {n}")
-    pts = np.empty(np.broadcast(x[..., 0], r, dirs[..., 0]).shape + (n,))
+    planes = np.empty((n,) + np.broadcast(x[..., 0], r, dirs[..., 0]).shape)
     for k in range(n):
-        plane = pts[..., k]
-        np.multiply(r, dirs[..., k], out=plane)
-        plane += x[..., k]
-    return pts
+        np.multiply(r, dirs[..., k], out=planes[k])
+        planes[k] += x[..., k]
+    return np.moveaxis(planes, 0, -1)
 
 
 def grid_corners(domain: ConvexDomain, axes) -> list[tuple[float, ...]]:

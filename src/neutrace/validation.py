@@ -28,6 +28,7 @@ from .calculus import (
 from .forward import (
     _BLOCK_VALUES,
     SolverParams,
+    _pressure_on_band,
     huygens_horizon,
     phantom_pressure,
     radial_pressure,
@@ -186,11 +187,17 @@ def radial_velocity(bump: Bump, d, t):
     and lo = eps outside the light shell |t - d| < eps), so the primitive is
     looked up, in one call, only at the ends inside the support.
     """
+    return _radial_velocity(bump, d, t, _radial_primitive(bump, bump.radius))
+
+
+def _radial_velocity(bump: Bump, d, t, rim):
+    """:func:`radial_velocity` with G(eps) given as ``rim``, so that a caller
+    that evaluates one bump many times looks it up once."""
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
     eps = bump.radius
     lo = np.clip(np.abs(t - d), 0.0, eps)
     ends = np.stack((np.clip(t + d, lo, eps), lo))
-    prim = np.full(ends.shape, _radial_primitive(bump, eps))
+    prim = np.full(ends.shape, rim)
     inner = ends < eps
     prim[inner] = _radial_primitive(bump, ends[inner])
     small = d < 1e-8 * eps
@@ -227,22 +234,32 @@ def phantom_velocity(f: Phantom, pts, t, live=None):
 # integral identity (n = 3)
 
 
-def _times_velocity(weight, g: Phantom, pts, times):
-    """``weight`` times the velocity of g at the broadcast of ``pts`` (..., 3)
-    against ``times``, with the velocity evaluated only where ``weight`` is
-    non-zero; everywhere else the product is 0 whatever the velocity is.
+def _band_product(f: Phantom, g: Phantom, rims, pts, times, normals=None):
+    """The pressure of f, or its derivative along unit ``normals``, times the
+    velocity of g at the broadcast of ``pts`` (..., 3) against ``times``,
+    with ``rims`` the values G(eps) of g's bumps.
 
-    The live (point, time) pairs are selected by one boolean mask:
-    :func:`phantom_velocity` computes each point's distance to g once and
-    gathers it there, so no 3-vector is gathered per pair, and the products
-    are scattered back into zeros with the bits of ``weight * velocity``.
+    Both fields are taken on one selection, the Huygens band of f on which
+    :func:`_pressure_on_band` evaluates the pressure; elsewhere the product
+    is 0 whatever the velocity is.  The velocity is evaluated where the
+    pressure factor is non-zero, from each point's distance to g, taken once
+    and gathered on the band.  The products are formed there and scattered
+    once into zeros, with the bits of ``pressure * velocity``.
 
     Returns the product and the number of velocity values evaluated.
     """
-    live = weight != 0.0
-    prod = np.zeros(weight.shape)
-    prod[live] = weight[live] * phantom_velocity(g, pts, times, live=live)
-    return prod, int(np.count_nonzero(live))
+    band, t_band, factor = _pressure_on_band(f, pts, times, normals)
+    live = factor != 0.0
+    t_live = t_band[live]
+    velocity = np.zeros(t_live.shape)
+    for b, rim in zip(g.bumps, rims):
+        d = np.broadcast_to(_distance(pts, b.center), band.shape)[band][live]
+        velocity = velocity + _radial_velocity(b, d, t_live, rim)
+    on_band = np.zeros(factor.shape)
+    on_band[live] = factor[live] * velocity
+    prod = np.zeros(band.shape)
+    prod[band] = on_band
+    return prod, t_live.size
 
 
 def _support_box(f: Phantom, n: int):
@@ -300,11 +317,12 @@ def check_integral_identity(
     doubles every node count and halves every step.
 
     Both fields vanish off their Huygens band |t - d| < eps, so the work
-    follows the pressure: :func:`phantom_pressure` evaluates it only on the
-    band of f, the velocity of g is evaluated only where the pressure factor
-    (its normal derivative on the boundary, itself in the volume) is
-    non-zero, and the products are scattered back into zeros for the
-    time-node, boundary-node and 7-point Laplacian sums.  The volume fields
+    follows the pressure: :func:`_band_product` selects the band of f once,
+    evaluates the pressure factor (its normal derivative on the boundary,
+    itself in the volume) there and the velocity of g where that factor is
+    non-zero, with G(eps) of each bump of g looked up once per check, and
+    scatters the products once into zeros for the time-node, boundary-node
+    and 7-point Laplacian sums.  The volume fields
     go in sub-blocks of the ``_VOLUME_CHUNK`` nodes whose weighted sums are
     accumulated, so the temporaries stay cache-sized; every value is
     elementwise, so the terms do not depend on the sub-block.  The report's
@@ -353,11 +371,11 @@ def check_integral_identity(
     trule = gauss_legendre(nt, 0.0, horizon)
 
     # boundary term: 2 * sum over nodes and times of v * du/dnu
+    rims = [_radial_primitive(b, b.radius) for b in g.bumps]
     pts, nus, wb = boundary.points, boundary.normals, boundary.weights
-    du = phantom_pressure(f, pts[:, None, :], trule.nodes, nus[:, None, :])
-    flux, evaluated = _times_velocity(du, g, pts[:, None, :], trule.nodes)
+    flux, evaluated = _band_product(f, g, rims, pts[:, None, :], trule.nodes, nus[:, None, :])
     term_boundary = 2.0 * float(wb @ flux @ trule.weights)
-    pairs = du.size
+    pairs = flux.size
 
     # volume term: integral over the domain of the 7-point Laplacian of u*v
     rr = gauss_legendre(m_rad, 0.0, 1.0)
@@ -380,12 +398,11 @@ def check_integral_identity(
         block = nodes[lo_i : lo_i + _VOLUME_CHUNK]
         for lo_s in range(0, block.shape[0], sub):
             sp = (block[lo_s : lo_s + sub, None, :] + stencil[None, :, :])[:, :, None, :]
-            pp = phantom_pressure(f, sp, trule.nodes)
-            prod, count = _times_velocity(pp, g, sp, trule.nodes)
+            prod, count = _band_product(f, g, rims, sp, trule.nodes)
             rows = slice(lo_s, lo_s + sp.shape[0])
             lap[rows] = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
             evaluated += count
-            pairs += pp.size
+            pairs += prod.size
         term_volume += float(wvol[lo_i : lo_i + len(block)] @ lap[: len(block)] @ trule.weights)
 
     rhs = term_boundary - term_volume
@@ -404,9 +421,10 @@ def check_integral_identity(
 # coefficient recursion behind the iterated (1/t d/dt) reduction
 
 # sphere-mean points per block of a ball profile: whole spheres of about
-# 2^14 points (three radii of the 4608-direction 3-D rule), so that the
-# temporaries of each block stay in cache
-_PROFILE_BLOCK_POINTS = 1 << 14
+# 2^15 points (seven radii of the 4608-direction 3-D rule), so that the
+# coordinate planes of each block stay below 1 MB; the lemma check on the 3-D
+# ball ran fastest with 2^15 of the block sizes 2^13, 2^14 and 2^15 measured
+_PROFILE_BLOCK_POINTS = 1 << 15
 
 
 def _ball_profile(g, x, n: int, m_phi: int, m_mean: int):

@@ -20,8 +20,9 @@ variable, the route the package's product-integrated Abel weights replaced.
 The superellipse chords come from a golden-section search for the level
 function's minimum on each line and a bisection towards each end, the route
 the package's closed-form inside point and Newton steps replaced.
-The per-call routes at the end (ball profile, velocity gather, boundary
-search, trace-operator build and its per-node apply, halfwidths) are the
+The per-call routes at the end (ball profile, velocity gather, the
+integral identity's pressure-then-velocity terms, boundary search,
+trace-operator build and its per-node apply, halfwidths) are the
 package's earlier code for work it now does once, in blocks or batched, and
 the ungated closed fields are its earlier code for work it now does only on
 the Huygens band; they share its arithmetic on purpose, so the tests can ask
@@ -707,7 +708,7 @@ def radial_velocity_two_lookups(bump, d, t):
 def times_velocity_per_pair(weight, g, pts, times):
     """``weight`` times the velocity of g with a 3-vector gathered at every
     live (point, time) pair and its distances taken there: the route that
-    ``validation._times_velocity`` replaced by one distance per point."""
+    ``times_velocity_masked`` replaced by one distance per point."""
     from neutrace.validation import phantom_velocity
 
     live = np.nonzero(weight)
@@ -715,6 +716,114 @@ def times_velocity_per_pair(weight, g, pts, times):
     vel = np.zeros(weight.shape)
     vel[live] = phantom_velocity(g, at, times[live[-1]])
     return weight * vel, at.shape[0]
+
+
+def phantom_pressure_scattered(f, pts, t, normals=None):
+    """``forward.phantom_pressure`` as written before it took the union of
+    the bumps' Huygens bands: each bump's band gathered and its field
+    added into zeros of the full broadcast shape, in bump order."""
+    from neutrace.forward import _radial_slope, radial_pressure
+    from neutrace.geometry import _distance
+
+    pts = np.asarray(pts, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(pts.shape[:-1], t.shape)
+    out = np.zeros(shape)
+    t_abs = np.abs(t)
+    for b in f.bumps:
+        d = _distance(pts, b.center)
+        gap = np.asarray(t_abs - d)
+        band = np.abs(gap, out=gap) < b.radius * (1.0 + 1e-6)
+        if not band.any():
+            continue
+        d_band, t_band = np.broadcast_to(d, shape)[band], np.broadcast_to(t, shape)[band]
+        if normals is None:
+            out[band] += radial_pressure(b, d_band, t_band)
+        else:
+            cosine = np.broadcast_to(np.sum((pts - b.center) * normals, axis=-1) / d, shape)[band]
+            out[band] += _radial_slope(b, d_band, t_band) * cosine
+    return out
+
+
+def times_velocity_masked(weight, g, pts, times):
+    """``weight`` times the velocity of g, evaluated where ``weight`` is
+    non-zero through one boolean mask of the broadcast shape and scattered
+    back into zeros: the route of ``validation._times_velocity`` before the
+    integral identity took both fields on one band.  Returns the product
+    and the number of velocity values evaluated."""
+    from neutrace.validation import phantom_velocity
+
+    live = weight != 0.0
+    prod = np.zeros(weight.shape)
+    prod[live] = weight[live] * phantom_velocity(g, pts, times, live=live)
+    return prod, int(np.count_nonzero(live))
+
+
+def integral_identity_pressure_then_velocity(f, g, domain, level: int = 0, *, phase: float = 0.0,
+                                             times_velocity=times_velocity_masked) -> dict:
+    """Both terms of ``validation.check_integral_identity`` by the route it
+    took before both fields shared one Huygens band: the pressure factor
+    scattered into zeros by ``phantom_pressure_scattered``, then ``times_velocity``
+    (the masked velocity product by default) on the full broadcast shape.
+    Returns ``lhs``, ``rhs``, ``term_boundary``, ``term_volume``,
+    ``velocity_evaluated`` and ``velocity_pairs``; assumes both phantoms are
+    non-empty and inside the domain."""
+    from neutrace.calculus import _sphere_rule, gauss_legendre
+    from neutrace.forward import _BLOCK_VALUES, huygens_horizon
+    from neutrace.geometry import boundary_quadrature
+    from neutrace.validation import _VOLUME_CHUNK, _product_integral
+
+    scale = 1 << level
+    res_b = 16 * scale
+    nt = 48 * scale
+    m_rad, m_pol, m_azi = 20 * scale, 12 * scale, 24 * scale
+    m_box = 24 * scale
+    h_lap = 1e-2 * min(domain.semi_axes) / scale
+
+    boundary = boundary_quadrature(domain, res_b, phase=phase)
+    horizon = min(huygens_horizon(f, boundary), huygens_horizon(g, boundary))
+    lhs = _product_integral(f, g, m_box)
+    trule = gauss_legendre(nt, 0.0, horizon)
+
+    pts, nus, wb = boundary.points, boundary.normals, boundary.weights
+    du = phantom_pressure_scattered(f, pts[:, None, :], trule.nodes, nus[:, None, :])
+    flux, evaluated = times_velocity(du, g, pts[:, None, :], trule.nodes)
+    term_boundary = 2.0 * float(wb @ flux @ trule.weights)
+    pairs = du.size
+
+    rr = gauss_legendre(m_rad, 0.0, 1.0)
+    dirs, wu = _sphere_rule(3, m_pol, shift=0.5, phase=phase)
+    wsph = wu * (2.0 * np.pi / m_azi)
+    a = np.asarray(domain.semi_axes)
+    nodes = (np.asarray(domain.center) + rr.nodes[:, None, None] * dirs[None, :, :] * a).reshape(-1, 3)
+    wvol = (float(np.prod(a)) * (rr.weights * rr.nodes**2)[:, None] * wsph[None, :]).reshape(-1)
+    stencil = np.zeros((7, 3))
+    for i in range(3):
+        stencil[1 + 2 * i, i] = h_lap
+        stencil[2 + 2 * i, i] = -h_lap
+    term_volume = 0.0
+    sub = max(1, _BLOCK_VALUES // (stencil.shape[0] * nt))
+    lap = np.empty((_VOLUME_CHUNK, nt))
+    for lo_i in range(0, nodes.shape[0], _VOLUME_CHUNK):
+        block = nodes[lo_i : lo_i + _VOLUME_CHUNK]
+        for lo_s in range(0, block.shape[0], sub):
+            sp = (block[lo_s : lo_s + sub, None, :] + stencil[None, :, :])[:, :, None, :]
+            pp = phantom_pressure_scattered(f, sp, trule.nodes)
+            prod, count = times_velocity(pp, g, sp, trule.nodes)
+            rows = slice(lo_s, lo_s + sp.shape[0])
+            lap[rows] = (np.sum(prod[:, 1:, :], axis=1) - 6.0 * prod[:, 0, :]) / h_lap**2
+            evaluated += count
+            pairs += pp.size
+        term_volume += float(wvol[lo_i : lo_i + len(block)] @ lap[: len(block)] @ trule.weights)
+
+    return {
+        "lhs": lhs,
+        "rhs": term_boundary - term_volume,
+        "term_boundary": term_boundary,
+        "term_volume": term_volume,
+        "velocity_evaluated": evaluated,
+        "velocity_pairs": pairs,
+    }
 
 
 def boundary_distance_per_point(domain, point) -> float:

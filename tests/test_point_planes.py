@@ -59,12 +59,14 @@ def _gathered_arc_points(c, rng):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_ray_points_equal_the_broadcast(n, rng):
+    """The bits of the broadcast, laid out as one C-contiguous plane per
+    coordinate."""
     c = np.asarray(CENTRES[n])
     for m in (8, 48):
         dirs, _ = _mean_directions(n, m)
         for r in (0.7, rng.uniform(0.0, 2.0, (3, 1)), rng.uniform(0.0, 2.0, (5, 4, 1))):
             got = _ray_points(c, r, dirs)
-            assert got.flags.c_contiguous
+            assert all(plane.flags.c_contiguous for plane in np.moveaxis(got, -1, 0))
             assert_same_bits(got, ray_points_broadcast(c, r, dirs))
     if n == 2:
         radii, dirs = _gathered_arc_points(c, rng)

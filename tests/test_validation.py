@@ -31,6 +31,7 @@ from _oracles import (
     ball_profile_per_call,
     cinf_primitive_closed,
     cinf_table_bound,
+    integral_identity_pressure_then_velocity,
     integral_identity_terms_ungated,
     phantom_pressure_full_broadcast,
     radial_pressure_ungated,
@@ -347,14 +348,55 @@ def test_integral_identity_equals_the_ungated_terms(unit_ball, g, phase):
     assert 0 < p["velocity_evaluated"] < p["velocity_pairs"]
 
 
+_IDENTITY_KEYS = ("lhs", "rhs", "term_boundary", "term_volume", "velocity_evaluated", "velocity_pairs")
+
+
+def _identity_bits(terms):
+    """Both sides, terms and counts of the integral identity, floats as hex."""
+    if isinstance(terms, IdentityReport):
+        terms = {"lhs": terms.lhs, "rhs": terms.rhs, **terms.params}
+    return [v.hex() if isinstance(v, float) else v for v in (terms[k] for k in _IDENTITY_KEYS)]
+
+
 @pytest.mark.parametrize("g", [_CRIT05_G, _TWO_BUMP_G], ids=["criterion-05", "two-bump-g"])
-def test_integral_identity_equals_the_per_pair_velocity_gather(unit_ball, monkeypatch, g):
-    """One distance per stencil point, gathered at the live pairs, reports
-    the bits of the per-pair 3-vector gather."""
+def test_integral_identity_equals_the_per_pair_velocity_gather(unit_ball, g):
+    """One distance per stencil point, gathered on the band, reports the
+    bits of the per-pair 3-vector gather."""
     got = check_integral_identity(_CRIT05_F, g, unit_ball)
-    monkeypatch.setattr(validation, "_times_velocity", times_velocity_per_pair)
-    want = check_integral_identity(_CRIT05_F, g, unit_ball)
-    assert (got.lhs, got.rhs, got.params) == (want.lhs, want.rhs, want.params)
+    want = integral_identity_pressure_then_velocity(
+        _CRIT05_F, g, unit_ball, times_velocity=times_velocity_per_pair
+    )
+    assert _identity_bits(got) == _identity_bits(want)
+
+
+# f with a second, negative bump that overlaps the first
+_TWO_BUMP_F = Phantom(
+    (
+        Bump(center=(0.1, 0.0, 0.0), radius=0.35),
+        Bump(center=(-0.15, -0.1, 0.05), radius=0.3, amplitude=-0.7, profile="poly", mu=3),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "f, g, level, phase",
+    [
+        (_CRIT05_F, _CRIT05_G, 0, 0.0),
+        (_CRIT05_F, _CRIT05_G, 1, 0.0),
+        (_CRIT05_F, _CRIT05_G, 0, 0.37),
+        (_TWO_BUMP_F, _TWO_BUMP_G, 0, 0.0),
+        (_TWO_BUMP_F, _TWO_BUMP_G, 0, 0.37),
+    ],
+    ids=["criterion-05", "level-1", "phase-0.37", "two-bump-f-and-g", "two-bump-phase-0.37"],
+)
+def test_integral_identity_equals_the_pressure_then_velocity_route(unit_ball, f, g, level, phase):
+    """Both fields taken on one band of f report the bits, terms and counts
+    of the pressure scattered into zeros and then the masked velocity
+    product."""
+    got = check_integral_identity(f, g, unit_ball, level=level, phase=phase)
+    want = integral_identity_pressure_then_velocity(f, g, unit_ball, level=level, phase=phase)
+    assert _identity_bits(got) == _identity_bits(want)
+    assert 0 < got.params["velocity_evaluated"] < got.params["velocity_pairs"]
 
 
 # ---------------------------------------------------------------------------
