@@ -25,6 +25,7 @@ __all__ = [
     "richardson",
     "cubic_stencil",
     "cubic_weights",
+    "cubic_sum",
     "column_products",
     "check_on_table",
     "interp_cubic",
@@ -206,7 +207,10 @@ def stencil_derivative(f, t: float, h: float, order: int) -> float:
 def stencil_apply(values: np.ndarray, h: float, order: int, stride: int = 1) -> np.ndarray:
     """Apply the fourth-order stencil along the last axis of a table.
 
-    Returns an array of the same shape; entries closer than
+    ``h`` is the step of the table, or one step per row of a 2-D table;
+    each row's divisor is then its own scalar power, as for a table of one
+    row, since numpy's array power can round differently.  Returns an
+    array of the same shape; entries closer than
     ``stride * STENCIL_REACH[order]`` to either end are NaN.
     """
     if order not in _STENCILS:
@@ -220,7 +224,10 @@ def stencil_apply(values: np.ndarray, h: float, order: int, stride: int = 1) -> 
         lo = reach + off * stride
         hi = values.shape[-1] - reach + off * stride
         core += c * values[..., lo:hi]
-    core /= (h * stride) ** order
+    if np.ndim(h):
+        core /= np.array([(step * stride) ** order for step in h])[:, None]
+    else:
+        core /= (h * stride) ** order
     return out
 
 
@@ -276,8 +283,16 @@ def interp_cubic(q, x0: float, dx: float, table: np.ndarray):
     table = np.asarray(table, dtype=float)
     npts = table.shape[-1]
     check_on_table(q, x0, dx, npts)
-    k, (wm1, w0, w1, w2) = cubic_stencil(q, x0, dx, npts)
+    k, weights = cubic_stencil(q, x0, dx, npts)
     if table.ndim == 2:
         k = np.arange(table.shape[0]) * npts + k
         table = table.reshape(-1)
+    return cubic_sum(table, k, weights)
+
+
+def cubic_sum(table: np.ndarray, k, weights):
+    """The four-point cubic of a flat table at base indices k with the
+    stencil weights of :func:`cubic_stencil`: the one sum of every cubic
+    table read."""
+    wm1, w0, w1, w2 = weights
     return wm1 * table[k - 1] + w0 * table[k] + w1 * table[k + 1] + w2 * table[k + 2]

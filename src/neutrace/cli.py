@@ -13,6 +13,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -76,6 +77,15 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+def _finite(value: str) -> float:
+    """The converter of every config number: ``float`` of the text, refused
+    like unreadable text unless finite, since no key has a use for nan or inf."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _items(convert):
     """Converter of a comma-separated list, each item by ``convert``."""
     return lambda value: tuple(convert(p.strip()) for p in value.split(","))
@@ -136,7 +146,7 @@ class _Entries:
         return self._read(key, default, str, "a string", check)
 
     def floating(self, key, default=_REQUIRED):
-        return self._read(key, default, float, "a number")
+        return self._read(key, default, _finite, "a finite number")
 
     def integer(self, key, default=_REQUIRED, minimum=None, maximum=None):
         def check(number):
@@ -148,7 +158,7 @@ class _Entries:
         return self._read(key, default, int, "an integer", check)
 
     def float_list(self, key, default=_REQUIRED):
-        return self._read(key, default, _items(float), "comma-separated numbers")
+        return self._read(key, default, _items(_finite), "comma-separated finite numbers")
 
     def int_list(self, key, default=_REQUIRED):
         return self._read(key, default, _items(int), "comma-separated integers")

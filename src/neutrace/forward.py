@@ -20,6 +20,7 @@ reach.  The trace writer copies the +0.0 runs at the ends of a row whole.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,8 +93,8 @@ class TimeGrid:
     nt: int
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.nt < 2:
             raise ValueError(f"need at least two time samples, got nt={self.nt}")
 

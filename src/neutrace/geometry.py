@@ -50,6 +50,11 @@ class ConvexDomain:
         n = len(self.center)
         if n not in (2, 3):
             raise ValueError(f"unsupported dimension n={n}, expected 2 or 3")
+        if not all(math.isfinite(v) for v in (*self.center, *self.semi_axes, self.exponent)):
+            raise ValueError(
+                f"domain parameters must be finite, got center {self.center}, "
+                f"semi-axes {self.semi_axes}, exponent {self.exponent}"
+            )
         if any(a <= 0 for a in self.semi_axes):
             raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
         if self.kind == SUPERELLIPSE:
@@ -108,9 +113,13 @@ def _level_slope(domain: ConvexDomain, points, direction):
     value = slope = 0.0
     for x, u, c, a in zip(pts, dirs, domain.center, domain.semi_axes):
         d = (x - c) / a
-        power = np.abs(d) ** (p - 1.0)
-        value = value + power * np.abs(d)
-        slope = slope + np.copysign(power, d) * (p * u / a)
+        size = np.abs(d)
+        power = size ** (p - 1.0)
+        size *= power
+        value = value + size
+        np.copysign(power, d, out=power)
+        power *= p * u / a
+        slope = slope + power
     return value, slope
 
 

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import _sphere_rule, column_products, cubic_weights, gauss_legendre, interp_cubic
+from .calculus import (
+    _sphere_rule,
+    column_products,
+    cubic_stencil,
+    cubic_sum,
+    cubic_weights,
+    gauss_legendre,
+    interp_cubic,
+)
 from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import (
     ELLIPSOID,
@@ -32,7 +40,14 @@ from .geometry import (
     grid_margin,
     support_halfwidth,
 )
-from .transforms import Phantom, _build_profiles, _centre_offsets, _check_profile_table, _offset_window
+from .transforms import (
+    Phantom,
+    _build_profiles,
+    _centre_offsets,
+    _check_profile_table,
+    _offset_window,
+    _window_offsets,
+)
 
 __all__ = [
     "ImageGrid",
@@ -479,7 +494,13 @@ def _grid_margin(domain: ConvexDomain, grid: ImageGrid) -> float:
 def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarray:
     """K on the grid's multilinear fields: row i is the quadrature of
     :func:`correction_K` at grid point i, each sample f(x_i + r w) spread
-    over its corner weights, so K @ v is correction_K(ImageGrid(v), x_i)."""
+    over its corner weights, so K @ v is correction_K(ImageGrid(v), x_i).
+
+    The directions are taken in blocks of about BLOCK_ELEMENTS samples: a
+    block's samples share one corner call and one cubic read of the stacked
+    kernel columns.  Each direction's offsets are checked against its own
+    window, as :meth:`KernelProfile.eval` checks them, and each direction's
+    entries are added by its own ``bincount``, in direction order."""
     n = domain.dimension
     pts = grid.points()
     size = len(pts)
@@ -493,18 +514,33 @@ def _correction_matrix(grid: ImageGrid, domain: ConvexDomain, opts) -> np.ndarra
         return matrix.reshape(size, size)
     r = r_max[:, None] * rad.nodes
     even = n % 2 == 0
-    for omega, w_omega, profile in zip(dirs, wdir, profiles):
-        idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
+    table = np.stack([p._column(n, even) for p in profiles])
+    starts = np.array([p.s_grid[0] for p in profiles])
+    steps = np.array([p.s_grid[1] - p.s_grid[0] for p in profiles])
+    block = max(1, BLOCK_ELEMENTS // r.size)
+    for first in range(0, len(dirs), block):
+        part = slice(first, first + block)
+        omega = dirs[part]
+        # samples direction by direction, each (point, radius) in row-major order
+        samples = _ray_points(pts[:, None, :], r, omega[:, None, None, :])
+        idx, weights = grid._corners(samples.reshape(-1, n))
         # a grid field vanishes outside the box, so only query the kernel inside
-        inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
+        live = np.flatnonzero(np.any(weights != 0.0, axis=0))
         # the same offset formula as correction_K, so both read equal kernel values
-        s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
-        kvals = profile.eval(s_vals[inside], order=n, hilbert=even)
-        coef = _correction_constant(n) * w_omega * r_max[:, None] * rad.weights
-        live = inside.reshape(-1)
-        cells = np.nonzero(inside)[0] * size + idx[:, live]
-        terms = weights[:, live] * (coef[inside] * kvals)
-        matrix += np.bincount(cells.reshape(-1), terms.reshape(-1), minlength=size * size)
+        s_vals = (np.sum(pts * omega[:, None, :], axis=-1)[..., None] + 0.5 * r).reshape(-1)[live]
+        ends = np.searchsorted(live, r.size * np.arange(len(omega) + 1))
+        for profile, lo, hi in zip(profiles[part], ends[:-1], ends[1:]):
+            _window_offsets(s_vals[lo:hi], profile.s_center, profile.halfwidth, profile.margin)
+        rows = live // r.size
+        k, cubic = cubic_stencil(s_vals, starts[part][rows], steps[part][rows], table.shape[1])
+        kvals = cubic_sum(table[part].reshape(-1), rows * table.shape[1] + k, cubic)
+        coef = (_correction_constant(n) * wdir[part])[:, None, None] * r_max[:, None] * rad.weights
+        cells = (live % r.size // r.shape[1]) * size + idx[:, live]
+        terms = weights[:, live] * (coef.reshape(-1)[live] * kvals)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            matrix += np.bincount(
+                cells[:, lo:hi].reshape(-1), terms[:, lo:hi].reshape(-1), minlength=size * size
+            )
     return matrix.reshape(size, size)
 
 

@@ -11,7 +11,7 @@ the reference routes in ``tests/_oracles.py``.  The profiles of a whole
 set of directions are built together: one batched chord search over
 every (direction, offset) pair supplies all their section values.  On a
 superellipse it tells hits from misses at a closed-form inside point and
-finds each chord end by monotone Newton steps.
+finds both ends of every chord in one run of monotone Newton steps.
 """
 
 from __future__ import annotations
@@ -93,6 +93,11 @@ class Bump:
     mu: int = 2
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.center, self.radius, self.amplitude)):
+            raise ValueError(
+                f"bump centre, radius and amplitude must be finite, got {self.center}, "
+                f"{self.radius}, {self.amplitude}"
+            )
         if self.radius <= 0:
             raise ValueError(f"bump radius must be positive, got {self.radius}")
         if self.profile not in (CINF, POLY):
@@ -383,42 +388,59 @@ def _superellipse_chord(domain: ConvexDomain, th: np.ndarray, sp: np.ndarray) ->
     base = c[:, None, None] + sp * th.T[:, :, None]  # chord foot points, (2, m, k)
     inside = level_value(domain, np.moveaxis(base + tau0 * perp, 0, -1)) < 1.0
     rows, cols = np.nonzero((np.abs(sp) < w[:, None]) & inside)
-    base = base[:, rows, cols]
+    # both ends of every hit chord in one search: tau runs along theta_perp
+    # for the first copy of each line and along -theta_perp for the second,
+    # so inward means a smaller tau
+    along = perp[:, rows, 0]
+    along = np.concatenate([along, -along], axis=1)
+    base = np.tile(base[:, rows, cols], 2)
+    floor = tau0[rows, cols]
+    speed = np.abs(along)
+    exits = np.divide(
+        a[:, None] - np.sign(along) * (base - c[:, None]), speed,
+        out=np.full(speed.shape, np.inf), where=speed > 0.0,
+    )
+    tau = _chord_ends(domain, base, along, exits.min(axis=0), np.concatenate([floor, -floor]))
     out = np.zeros(sp.shape)
-    for side in (1.0, -1.0):
-        # tau runs along side * theta_perp, so inward means a smaller tau
-        along = side * perp[:, rows, 0]
-        floor = side * tau0[rows, cols]
-        speed = np.abs(along)
-        exits = np.divide(
-            a[:, None] - np.sign(along) * (base - c[:, None]), speed,
-            out=np.full(speed.shape, np.inf), where=speed > 0.0,
-        )
-        tau = exits.min(axis=0)
-        level = np.full(tau.size, np.inf)
-        live = np.arange(tau.size)
+    out[rows, cols] += tau[: rows.size]
+    out[rows, cols] += tau[rows.size :]
+    return out
+
+
+def _chord_ends(domain: ConvexDomain, base, along, tau, floor) -> np.ndarray:
+    """Newton search of the chord ends on the lines base + tau along
+    (coordinate planes (2, L)), each from its box exit ``tau`` towards its
+    inside point ``floor``.  The ends still moving are kept as flat,
+    contiguous arrays that shrink as ends converge; ``tau`` is updated in
+    place and returned."""
+    live = np.arange(tau.size)
+    t, level = tau, np.inf
+    # a stopped end may divide by a zero slope; its quotient is not used
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(CHORD_NEWTON_STEPS):
-            value, slope = _level_slope(
-                domain, np.moveaxis(base[:, live] + tau[live] * along[:, live], 0, -1),
-                np.moveaxis(along[:, live], 0, -1),
-            )
+            points = t * along
+            points += base
+            value, slope = _level_slope(domain, np.moveaxis(points, 0, -1), np.moveaxis(along, 0, -1))
             # outside, with the level rising outward and still falling from
             # step to step: a level that stops falling has met its roundoff
-            move = (value > 1.0) & (slope > 0.0) & (value < level[live])
-            live = live[move]
-            level[live] = value[move]
-            new = np.maximum(tau[live] - (value[move] - 1.0) / slope[move], floor[live])
-            inward = new < tau[live]
-            live = live[inward]
-            tau[live] = new[inward]
+            move = (value > 1.0) & (slope > 0.0) & (value < level)
+            new = value - 1.0
+            new /= slope
+            np.subtract(t, new, out=new)
+            np.maximum(new, floor, out=new)
+            step = move & (new < t)
+            if not step.all():
+                tau[live] = t  # an end that stops keeps its last iterate
+                live, new, value, floor = live[step], new[step], value[step], floor[step]
+                base, along = base[:, step], along[:, step]
             if not live.size:
                 break
+            t, level = new, value
         else:
             raise RuntimeError(
                 f"superellipse chord search did not converge in {CHORD_NEWTON_STEPS} Newton steps"
             )
-        out[rows, cols] += tau
-    return out
+    return tau
 
 
 def _offset_window(domain: ConvexDomain, th: np.ndarray, s, margin: float, order: int):
@@ -510,32 +532,36 @@ class KernelProfile:
         return float(out[0]) if scalar else out.reshape(ss.shape)
 
 
-def _profile_tables(s_grid, rchi_vals, t_nodes, phi_nodes, jac, s_center, w):
-    """Hilbert transform of the section profile on the table grid.
+def _profile_tables(s_grid, rchi_vals, t_nodes, phi_nodes, jac, w):
+    """Quadrature part of the Hilbert transform of the section profile on
+    the table grid, before the log term and the division by pi.
 
     Uses the sine substitution t = s_c + w sin(beta), which absorbs the
     root-type edge behaviour of convex section profiles, with the value
     at the singular point subtracted; ``phi_nodes`` are the section values
     at the substituted quadrature nodes ``t_nodes``, ``jac`` their weights.
+    The quotients are formed in place; where a node lies within 1e-9 w of
+    a grid point (a removable point) the local slope replaces its quotient.
     """
-    # local slope for near-coincident node/grid pairs (removable point)
-    slope = np.gradient(phi_nodes, t_nodes)
-    den = s_grid[:, None] - t_nodes[None, :]
-    num = phi_nodes[None, :] - rchi_vals[:, None]
-    tiny = np.abs(den) < 1e-9 * w
-    ratio = np.where(tiny, -slope[None, :], num / np.where(tiny, 1.0, den))
-    core = np.sum(ratio * jac[None, :], axis=1)
-    a, b = s_center - w, s_center + w
-    log_term = rchi_vals * np.log((s_grid - a) / (b - s_grid))
-    return (core + log_term) / math.pi
+    gap = s_grid[:, None] - t_nodes
+    ratio = phi_nodes - rchi_vals[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= gap
+    tiny = np.abs(gap, out=gap) < 1e-9 * w
+    if tiny.any():
+        rows, cols = np.nonzero(tiny)
+        ratio[rows, cols] = -np.gradient(phi_nodes, t_nodes)[cols]
+    ratio *= jac
+    return ratio.sum(axis=1)
 
 
-def _derivative_columns(vals: np.ndarray, ds: float, order: int) -> dict:
-    """Richardson-extrapolated offset derivatives 1..order of a table."""
+def _derivative_columns(vals: np.ndarray, steps, order: int) -> dict:
+    """Richardson-extrapolated offset derivatives 1..order of stacked
+    tables (D, N), row i with step steps[i]."""
     out = {}
     for m_ in range(1, order + 1):
-        d1 = stencil_apply(vals, ds, m_, stride=1)
-        d2 = stencil_apply(vals, ds, m_, stride=2)
+        d1 = stencil_apply(vals, steps, m_, stride=1)
+        d2 = stencil_apply(vals, steps, m_, stride=2)
         out[m_] = richardson(d1, d2)
     return out
 
@@ -568,7 +594,9 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
     Each direction's table grid, and its Hilbert quadrature nodes when the
     profile carries Hilbert columns, are laid out as one row of offsets,
     and the section values of all rows come from one batched
-    :func:`_sections` call; the tables are then finished per direction.
+    :func:`_sections` call.  The Hilbert quadrature runs per direction;
+    the log term and the derivative columns are then formed once on the
+    stacked (D, N) tables, and each profile holds rows of the stacks.
     """
     n = domain.dimension
     if with_hilbert is None:
@@ -577,9 +605,10 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
         raise ValueError(f"profile order must lie in 1..{n}, got {order}")
     _check_profile_table(num_table, margin)
     rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi) if with_hilbert else None
-    ths = [_check_unit(theta) for theta in thetas]
-    frames, rows = [], []
-    for th, s_center in zip(ths, _centre_offsets(domain, np.array(ths)).tolist()):
+    ths = np.array([_check_unit(theta) for theta in thetas])
+    centres = _centre_offsets(domain, ths)
+    widths, offsets = [], []
+    for th, s_center in zip(ths, centres.tolist()):
         w = support_halfwidth(domain, th)
         if margin >= w:
             raise ValueError(f"margin {margin} exceeds the support halfwidth {w}")
@@ -590,40 +619,42 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
                 f"margin {margin} too small for a {num_table}-point table; "
                 "increase the margin or the table size"
             )
-        s_grid = s_center + np.linspace(-v, v, num_table)
-        offsets = s_grid
+        row = s_center + np.linspace(-v, v, num_table)
         if with_hilbert:
-            offsets = np.concatenate([s_grid, s_center + w * np.sin(rule.nodes)])
-        frames.append((w, s_center, offsets))
-        rows.append(offsets - s_center)
-    values = _sections(domain, np.array(ths), np.array(rows))
-    profiles = []
-    for th, (w, s_center, offsets), vals in zip(ths, frames, values):
-        s_grid, rvals = offsets[:num_table], vals[:num_table]
-        ds = s_grid[1] - s_grid[0]
-        hvals = None
-        hrchi_d = None
-        if with_hilbert:
-            jac = w * np.cos(rule.nodes) * rule.weights
-            hvals = _profile_tables(
-                s_grid, rvals, offsets[num_table:], vals[num_table:], jac, s_center, w
+            row = np.concatenate([row, s_center + w * np.sin(rule.nodes)])
+        widths.append(w)
+        offsets.append(row)
+    widths, offsets = np.array(widths), np.array(offsets)
+    values = _sections(domain, ths, offsets - centres[:, None])
+    s_grid, rchi = offsets[:, :num_table], values[:, :num_table]
+    steps = s_grid[:, 1] - s_grid[:, 0]
+    rchi_d = _derivative_columns(rchi, steps, order)
+    hrchi = hrchi_d = None
+    if with_hilbert:
+        jac = widths[:, None] * np.cos(rule.nodes) * rule.weights
+        core = np.array([
+            _profile_tables(g, r, t, phi, j, w)
+            for g, r, t, phi, j, w in zip(
+                s_grid, rchi, offsets[:, num_table:], values[:, num_table:], jac, widths.tolist()
             )
-            hrchi_d = _derivative_columns(hvals, ds, order)
-        profiles.append(
-            KernelProfile(
-                domain=domain,
-                theta=tuple(float(t) for t in th),
-                order=order,
-                margin=float(margin),
-                with_hilbert=with_hilbert,
-                s_center=s_center,
-                halfwidth=w,
-                s_grid=s_grid,
-                rchi=rvals,
-                rchi_d=_derivative_columns(rvals, ds, order),
-                hrchi=hvals,
-                hrchi_d=hrchi_d,
-            )
+        ])
+        lo, hi = (centres - widths)[:, None], (centres + widths)[:, None]
+        hrchi = (core + rchi * np.log((s_grid - lo) / (hi - s_grid))) / math.pi
+        hrchi_d = _derivative_columns(hrchi, steps, order)
+    return [
+        KernelProfile(
+            domain=domain,
+            theta=tuple(th.tolist()),
+            order=order,
+            margin=float(margin),
+            with_hilbert=with_hilbert,
+            s_center=s_center,
+            halfwidth=w,
+            s_grid=s_grid[i],
+            rchi=rchi[i],
+            rchi_d={m: col[i] for m, col in rchi_d.items()},
+            hrchi=None if hrchi is None else hrchi[i],
+            hrchi_d=None if hrchi_d is None else {m: col[i] for m, col in hrchi_d.items()},
         )
-    return profiles
-
+        for i, (th, s_center, w) in enumerate(zip(ths, centres.tolist(), widths.tolist()))
+    ]

@@ -151,20 +151,45 @@ def _cinf_primitive_table():
     return values, slopes
 
 
+#: bit pattern of 1.0: the doubles +0.0 to 1.0 are, as unsigned integers,
+#: exactly those up to it; -0.0, negatives, values above 1 and NaN lie above
+_ONE_BITS = int(np.array(1.0).view(np.uint64))
+
+
 def _cinf_primitive(u):
     """E(u) = integral of exp(1 - 1/(1 - s)) over (0, u) for u in [0, 1]:
-    the one primitive every cinf bump shares, by cubic Hermite lookup."""
+    the one primitive every cinf bump shares, by cubic Hermite lookup.
+
+    The range check is one pass over the bit patterns; only an input that
+    fails it (or holds -0.0) is checked again by value.  The Hermite sum
+    reuses its temporaries, with the operations of the plain formula in the
+    same order."""
     u = np.asarray(u, dtype=float)
-    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+    if u.size and u.view(np.uint64).max() > _ONE_BITS and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("the cinf primitive is tabulated on [0, 1] only")
     values, slopes = _cinf_primitive_table()
-    x = u * _PRIMITIVE_CELLS
-    k = np.minimum(x.astype(np.intp), _PRIMITIVE_CELLS - 1)
-    th = x - k
+    th = u.reshape(-1) * _PRIMITIVE_CELLS
+    k = np.minimum(th.astype(np.intp), _PRIMITIVE_CELLS - 1)
+    th -= k
     om = 1.0 - th
-    return (values[k] * (1.0 + 2.0 * th) + slopes[k] * th) * (om * om) + (
-        values[k + 1] * (3.0 - 2.0 * th) - slopes[k + 1] * om
-    ) * (th * th)
+    # (E_k (1 + 2 th) + S_k th) om^2 + (E_k+1 (3 - 2 th) - S_k+1 om) th^2
+    left, lslope = values[k], slopes[k]
+    k += 1
+    right, rslope = values[k], slopes[k]
+    factor = 2.0 * th
+    factor += 1.0
+    left *= factor
+    lslope *= th
+    left += lslope
+    np.multiply(th, 2.0, out=factor)
+    np.subtract(3.0, factor, out=factor)
+    right *= factor
+    rslope *= om
+    right -= rslope
+    left *= np.multiply(om, om, out=om)
+    right *= np.multiply(th, th, out=th)
+    left += right
+    return left.reshape(u.shape)[()]
 
 
 def _radial_primitive(bump: Bump, rho):

@@ -40,6 +40,13 @@ its arithmetic, so the tests can ask for equal bits.  The pointwise gradient
 field among them, with the uniform rule of ``sphere_means``, is the
 independent route for the circle means of <grad f, nu> that the package now
 takes on each bump's arc.
+The per-direction routes of the correction's set-up (the chord search that
+gathers its live ends, the dense Hilbert table, the per-direction finish of
+the kernel profiles and the per-direction assembly of K_h) and the
+one-expression cinf primitive are its earlier code for work it now does
+on shrinking flat arrays, in place, on stacked tables, by blocks of
+directions or with reused temporaries; they share its arithmetic, so the
+tests ask for equal bits.
 The single-chord and single-point routes at the very end (one section
 profile, its closed-form and differenced offset derivatives, the
 principal-value transform, the pointwise Neumann trace) were public routes
@@ -1344,3 +1351,190 @@ def neumann_trace(f, domain, y, nu, t: float, params=None, h_nu=None) -> float:
         rule = _sine_ball_rule(params.radial_quad, 2)
         vals = np.array([_even_field(f, c, t, params, rule) for c in centers])
     return float(np.sum(weights * vals))
+
+
+# ---------------------------------------------------------------------------
+# per-direction routes of the correction's set-up, which the package now runs
+# on flat live arrays, in place and on stacked tables
+
+
+def superellipse_chord_gathered(domain, th, sp):
+    """Chord lengths by the Newton search of ``transforms._superellipse_chord``
+    as it ran before its live ends were kept as flat, shrinking arrays: every
+    step gathers the live ends from the (2, live) planes by index, and every
+    array of the search keeps its full length."""
+    from neutrace import transforms
+    from neutrace.geometry import _level_slope, level_value, support_halfwidth
+
+    c = np.asarray(domain.center)
+    a = np.asarray(domain.semi_axes)
+    q = domain.exponent / (domain.exponent - 1.0)
+    perp = np.stack([-th[:, 1], th[:, 0]], axis=-1)
+    w = support_halfwidth(domain, th)
+    x_star = a * np.sign(th) * (np.abs(a * th) / w[:, None]) ** (q - 1.0)
+    tau0 = sp / w[:, None] * np.sum(x_star * perp, axis=-1)[:, None]
+    perp = perp.T[:, :, None]
+    base = c[:, None, None] + sp * th.T[:, :, None]
+    inside = level_value(domain, np.moveaxis(base + tau0 * perp, 0, -1)) < 1.0
+    rows, cols = np.nonzero((np.abs(sp) < w[:, None]) & inside)
+    base = base[:, rows, cols]
+    out = np.zeros(sp.shape)
+    for side in (1.0, -1.0):
+        along = side * perp[:, rows, 0]
+        floor = side * tau0[rows, cols]
+        speed = np.abs(along)
+        exits = np.divide(
+            a[:, None] - np.sign(along) * (base - c[:, None]), speed,
+            out=np.full(speed.shape, np.inf), where=speed > 0.0,
+        )
+        tau = exits.min(axis=0)
+        level = np.full(tau.size, np.inf)
+        live = np.arange(tau.size)
+        for _ in range(transforms.CHORD_NEWTON_STEPS):
+            value, slope = _level_slope(
+                domain, np.moveaxis(base[:, live] + tau[live] * along[:, live], 0, -1),
+                np.moveaxis(along[:, live], 0, -1),
+            )
+            move = (value > 1.0) & (slope > 0.0) & (value < level[live])
+            live = live[move]
+            level[live] = value[move]
+            new = np.maximum(tau[live] - (value[move] - 1.0) / slope[move], floor[live])
+            inward = new < tau[live]
+            live = live[inward]
+            tau[live] = new[inward]
+            if not live.size:
+                break
+        else:
+            raise RuntimeError("superellipse chord search did not converge")
+        out[rows, cols] += tau
+    return out
+
+
+def hilbert_core_dense(s_grid, rchi_vals, t_nodes, phi_nodes, jac, w):
+    """The quadrature part of one direction's Hilbert table as
+    ``transforms._profile_tables`` formed it before it divided in place:
+    the removable-point slope taken always and the quotient through
+    ``np.where``."""
+    slope = np.gradient(phi_nodes, t_nodes)
+    den = s_grid[:, None] - t_nodes[None, :]
+    num = phi_nodes[None, :] - rchi_vals[:, None]
+    tiny = np.abs(den) < 1e-9 * w
+    ratio = np.where(tiny, -slope[None, :], num / np.where(tiny, 1.0, den))
+    return np.sum(ratio * jac[None, :], axis=1)
+
+
+def profile_tables_dense(s_grid, rchi_vals, t_nodes, phi_nodes, jac, s_center, w):
+    """One direction's Hilbert table, with its log term added here."""
+    core = hilbert_core_dense(s_grid, rchi_vals, t_nodes, phi_nodes, jac, w)
+    a, b = s_center - w, s_center + w
+    log_term = rchi_vals * np.log((s_grid - a) / (b - s_grid))
+    return (core + log_term) / math.pi
+
+
+def derivative_columns_per_direction(vals, ds, order: int) -> dict:
+    """Richardson offset derivatives 1..order of one direction's table."""
+    from neutrace.calculus import richardson, stencil_apply
+
+    return {
+        m: richardson(stencil_apply(vals, ds, m, stride=1), stencil_apply(vals, ds, m, stride=2))
+        for m in range(1, order + 1)
+    }
+
+
+def build_profiles_per_direction(domain, thetas, order, margin, num_table, num_quad, with_hilbert):
+    """Kernel profiles as ``transforms._build_profiles`` finished them before
+    it worked on stacked tables: section values from one batched call (the
+    gathered chord search on a superellipse), then each direction's Hilbert
+    table, log term and derivative columns on their own."""
+    from neutrace.calculus import gauss_legendre
+    from neutrace.geometry import support_halfwidth
+    from neutrace.transforms import (
+        _PAD, KernelProfile, _centre_offsets, _check_unit, _sections,
+    )
+
+    if with_hilbert is None:
+        with_hilbert = domain.dimension % 2 == 0
+    rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi) if with_hilbert else None
+    ths = [_check_unit(theta) for theta in thetas]
+    frames, rows = [], []
+    for th, s_center in zip(ths, _centre_offsets(domain, np.array(ths)).tolist()):
+        w = support_halfwidth(domain, th)
+        v = (w - margin) / (1.0 - 2.0 * _PAD / (num_table - 1))
+        offsets = s_grid = s_center + np.linspace(-v, v, num_table)
+        if with_hilbert:
+            offsets = np.concatenate([s_grid, s_center + w * np.sin(rule.nodes)])
+        frames.append((w, s_center, offsets))
+        rows.append(offsets - s_center)
+    sections = superellipse_chord_gathered if domain.kind == "superellipse" else _sections
+    values = sections(domain, np.array(ths), np.array(rows))
+    profiles = []
+    for th, (w, s_center, offsets), vals in zip(ths, frames, values):
+        s_grid, rvals = offsets[:num_table], vals[:num_table]
+        ds = s_grid[1] - s_grid[0]
+        hvals = hrchi_d = None
+        if with_hilbert:
+            jac = w * np.cos(rule.nodes) * rule.weights
+            hvals = profile_tables_dense(
+                s_grid, rvals, offsets[num_table:], vals[num_table:], jac, s_center, w
+            )
+            hrchi_d = derivative_columns_per_direction(hvals, ds, order)
+        profiles.append(
+            KernelProfile(
+                domain=domain, theta=tuple(float(t) for t in th), order=order,
+                margin=float(margin), with_hilbert=with_hilbert, s_center=s_center,
+                halfwidth=w, s_grid=s_grid, rchi=rvals,
+                rchi_d=derivative_columns_per_direction(rvals, ds, order),
+                hrchi=hvals, hrchi_d=hrchi_d,
+            )
+        )
+    return profiles
+
+
+def correction_matrix_per_direction(grid, domain, opts):
+    """K_h as ``inversion._correction_matrix`` assembled it before it read
+    blocks of directions at once: per direction one corner call on its
+    samples and one ``KernelProfile.eval``, then its ``bincount``."""
+    from neutrace.inversion import ImageGrid, _correction_constant, _correction_quadrature
+
+    n = domain.dimension
+    pts = grid.points()
+    size = len(pts)
+    matrix = np.zeros(size * size)
+    box = ImageGrid(grid.lo, grid.hi, grid.shape, np.ones(size))
+    r_max, rad, dirs, wdir, profiles = _correction_quadrature(
+        grid, box.interp, pts, domain, opts, opts.kernel_margin
+    )
+    if profiles is None:
+        return matrix.reshape(size, size)
+    r = r_max[:, None] * rad.nodes
+    even = n % 2 == 0
+    for omega, w_omega, profile in zip(dirs, wdir, profiles):
+        idx, weights = grid._corners((pts[:, None, :] + r[..., None] * omega).reshape(-1, n))
+        inside = np.any(weights != 0.0, axis=0).reshape(r.shape)
+        s_vals = np.sum(pts * omega, axis=-1)[:, None] + 0.5 * r
+        kvals = profile.eval(s_vals[inside], order=n, hilbert=even)
+        coef = _correction_constant(n) * w_omega * r_max[:, None] * rad.weights
+        live = inside.reshape(-1)
+        cells = np.nonzero(inside)[0] * size + idx[:, live]
+        terms = weights[:, live] * (coef[inside] * kvals)
+        matrix += np.bincount(cells.reshape(-1), terms.reshape(-1), minlength=size * size)
+    return matrix.reshape(size, size)
+
+
+def cinf_primitive_plain(u):
+    """``validation._cinf_primitive`` as one expression with a fresh array
+    per operation and two reductions for its range check: the lookup before
+    it reused its temporaries."""
+    from neutrace.validation import _PRIMITIVE_CELLS, _cinf_primitive_table
+
+    u = np.asarray(u, dtype=float)
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("the cinf primitive is tabulated on [0, 1] only")
+    values, slopes = _cinf_primitive_table()
+    x = u * _PRIMITIVE_CELLS
+    k = np.minimum(x.astype(np.intp), _PRIMITIVE_CELLS - 1)
+    th = x - k
+    om = 1.0 - th
+    return (values[k] * (1.0 + 2.0 * th) + slopes[k] * th) * (om * om) + (
+        values[k + 1] * (3.0 - 2.0 * th) - slopes[k + 1] * om
+    ) * (th * th)

@@ -32,6 +32,7 @@ from neutrace.geometry import (
 from neutrace.inversion import (
     ImageGrid,
     ReconstructionOptions,
+    _angular_set,
     backproject_odd,
     correction_K,
     reconstruct,
@@ -356,4 +357,59 @@ def test_criterion_12_correction_removes_the_shape_error(capsys):
         v.detail = (
             f"rel L2 corrected = {corr_err:.4%}, plain = {plain_err:.4%} (bound: half), "
             f"|b - f - Kf| / |b - f| = {model_err:.3f} (bound 0.5)"
+        )
+
+
+# Criterion 15's bounds, from a measurement on this configuration: rel L2
+# 0.999 % at resolution/nt 24/400, 0.126 % at 48/800 and 0.0089 % at
+# 96/1600.  The 48/800 bound is twice its measurement and a quarter of the
+# 24/400 value, so losing one refinement level fails it; the refinement
+# ratio (7.9 measured, 14 at the next level) must at least show second order.
+TRIAXIAL_REL_L2 = 0.0025
+TRIAXIAL_RATIO = 4.0
+
+# The section volume of a 3-D ellipsoid is the quadratic pref (1 - z^2),
+# z = (s - s_c) / w, pref = pi a1 a2 a3 / w, so the exact third offset
+# derivative is 0 and every computed digit is table roundoff.  A scale error
+# common to a row (pref, w) keeps it quadratic; what is not common is each
+# entry's rounding: z^2 carries 3 u relative, 1 - z^2 and the product by pref
+# one u each, and the node offset s - s_c one ulp of |s_c| + w, worth
+# 2 pref (|s_c| + w) / w u through the slope.  The Richardson third
+# difference has absolute weights 5.5 (16 + 1/8) / (15 h^3), and the cubic
+# read a Lebesgue constant of 1.25 between its middle nodes.
+def third_derivative_roundoff(prof) -> float:
+    a = prof.domain.semi_axes
+    u = 0.5 * np.finfo(float).eps
+    pref = math.pi * a[0] * a[1] * a[2] / prof.halfwidth
+    entry = (5.0 + 2.0 * (abs(prof.s_center) + prof.halfwidth) / prof.halfwidth) * u * pref
+    h = prof.s_grid[1] - prof.s_grid[0]
+    return 1.25 * 5.5 * (16.0 + 1.0 / 8.0) / (15.0 * h**3) * entry
+
+
+def test_criterion_15_triaxial_ellipsoid_reconstruction_is_exact(capsys):
+    with verdict(15, "three-dimensional reconstruction on a triaxial ellipsoid", capsys) as v:
+        domain = ellipsoid((0.0, 0.0, 0.0), (1.3, 1.0, 0.8))
+        f = Phantom((Bump(center=(0.15, -0.1, 0.05), radius=0.3),))
+        grid = ImageGrid((-0.5, -0.5, 0.05), (0.5, 0.5, 0.05), (21, 21, 1))
+        want = f.eval(grid.points())
+        errs = []
+        for res, nt in ((24, 400), (48, 800)):
+            bq = boundary_quadrature(domain, res)
+            traces = simulate_traces(f, domain, bq, TimeGrid(t_max=2.8, nt=nt))
+            errs.append(_rel_l2(reconstruct(traces, grid).values, want))
+        ratio = errs[0] / errs[1]
+        # the kernel the reconstruction leaves out, computed off centre
+        off = ellipsoid((0.1, -0.05, 0.02), (1.3, 1.0, 0.8))
+        third, worst = 0.0, 0.0
+        for th in _angular_set(3, 4)[0]:
+            prof = build_kernel_profile(off, th, 3, margin=0.1)
+            q = prof.query_halfwidth
+            d3 = float(np.abs(prof.eval(prof.s_center + q * np.linspace(-1.0, 1.0, 41))).max())
+            third = max(third, d3)
+            worst = max(worst, d3 / third_derivative_roundoff(prof))
+        v.ok = errs[1] <= TRIAXIAL_REL_L2 and ratio >= TRIAXIAL_RATIO and worst <= 1.0
+        v.detail = (
+            f"rel L2 = {errs[1]:.4%} (bound {TRIAXIAL_REL_L2:.2%}), refinement ratio = "
+            f"{ratio:.2f} (bound {TRIAXIAL_RATIO:g}), third section derivative = {third:.2g} "
+            f"({worst:.2f} of its roundoff bound)"
         )

@@ -28,6 +28,15 @@ time.t_max = 3.0
 """
 
 
+def child_env(**extra):
+    """The environment of a child ``python -m neutrace``: this process's,
+    with the directory the package was imported from first on PYTHONPATH,
+    so the child runs the code under test with or without an install."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def config_file(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -370,7 +379,7 @@ def test_2d_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"traces-{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "neutrace", "forward", "--config", cfg, "--out", str(out)],
             capture_output=True,
@@ -413,7 +422,7 @@ def test_2d_image_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"image-{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "neutrace", "reconstruct", "--config", cfg, "--out", str(out)],
             capture_output=True,
@@ -701,6 +710,32 @@ CORRECTION = {
 }
 
 
+@pytest.mark.parametrize(
+    "key, value, expects",
+    [
+        ("domain.exponent", "inf", "a finite number"),
+        ("domain.semi_axes", "inf, 0.9", "comma-separated finite numbers"),
+        ("phantom.bump1.radius", "nan", "a finite number"),
+        ("time.t_max", "nan", "a finite number"),
+    ],
+)
+def test_non_finite_numbers_exit_2_with_their_line(tmp_path, capsys, key, value, expects):
+    """nan and inf parse as floats, but no key has a use for them: the one
+    number converter refuses them, naming the line, before any constructor
+    or geometry routine sees them (exit 2, one line on stderr)."""
+    lines = SE4_2D.splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {value}"
+    text = "\n".join(lines) + "\n"
+    message = f"line {lineno}: {key} expects {expects}, got {value!r}"
+    with pytest.raises(ConfigError, match=None) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    out = str(tmp_path / "out.csv")
+    assert run_main(["forward", "--config", config_file(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.fixture(scope="module")
 def se4_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("se4") / "traces.csv"
@@ -812,6 +847,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "neutrace", "validate", "--config", cfg, "--out", out],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout

@@ -1,0 +1,174 @@
+"""The correction's set-up against the per-direction routes it replaced.
+
+The chord search on flat live arrays, the Hilbert tables formed in place,
+the profiles finished on stacked tables and K_h assembled by blocks of
+directions all give the bits of the earlier per-direction code, which
+``tests/_oracles.py`` keeps.
+"""
+
+import math
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from _oracles import (
+    assert_same_bits,
+    build_profiles_per_direction,
+    correction_matrix_per_direction,
+    hilbert_core_dense,
+    superellipse_chord_gathered,
+)
+
+from neutrace.calculus import gauss_legendre
+from neutrace.geometry import superellipse, support_halfwidth
+from neutrace.inversion import (
+    ImageGrid,
+    ReconstructionOptions,
+    _angular_set,
+    _correction_matrix,
+    _support_radii,
+)
+from neutrace.transforms import (
+    OutOfRegionError,
+    _build_profiles,
+    _profile_tables,
+    _superellipse_chord,
+)
+
+DOMAINS = {
+    "se4": superellipse((0.0, 0.0), (1.2, 0.9), 4.0),
+    "p2.5-off-centre": superellipse((0.15, -0.1), (1.1, 0.85), 2.5),
+    "p8-off-centre": superellipse((-0.1, 0.05), (1.0, 1.2), 8.0),
+}
+
+
+def assert_same_profiles(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.theta, a.order, a.margin, a.with_hilbert) == (b.theta, b.order, b.margin, b.with_hilbert)
+        assert (a.s_center, a.halfwidth) == (b.s_center, b.halfwidth)
+        for name in ("s_grid", "rchi", "hrchi"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert_same_bits(x, y)
+        for name in ("rchi_d", "hrchi_d"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.keys() == y.keys()
+                for k in x:
+                    assert_same_bits(x[k], y[k])
+
+
+@pytest.mark.parametrize("count", [15, 16])
+@pytest.mark.parametrize("key", sorted(DOMAINS))
+def test_chords_equal_the_gathered_search(key, count):
+    """Lines across the domain, near tangency, tangent and missing it, in
+    the angular set and along both axes: equal bits, and no warning."""
+    domain = DOMAINS[key]
+    dirs, _ = _angular_set(2, count)
+    dirs = np.concatenate([dirs, [[1.0, 0.0], [0.0, 1.0]]])
+    w = support_halfwidth(domain, dirs)
+    z = np.concatenate([np.linspace(-0.999, 0.999, 57), [1.0 - 1e-10, -1.0, 1.0, 1.2]])
+    sp = w[:, None] * z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _superellipse_chord(domain, dirs, sp)
+    assert_same_bits(got, superellipse_chord_gathered(domain, dirs, sp))
+    assert np.all(got[:, -2:] == 0.0) and np.all(got[:, :57] > 0.0)
+
+
+@pytest.mark.parametrize(
+    "order,with_hilbert", [(1, False), (2, True)], ids=["order1-plain", "order2-hilbert"]
+)
+@pytest.mark.parametrize("count", [15, 16])
+@pytest.mark.parametrize("key", sorted(DOMAINS) + ["ellipse"])
+def test_profiles_equal_the_per_direction_finish(key, count, order, with_hilbert, ellipse21):
+    domain = ellipse21 if key == "ellipse" else DOMAINS[key]
+    dirs, _ = _angular_set(2, count)
+    args = (dirs, order, 0.3, 128, 96, with_hilbert)
+    assert_same_profiles(_build_profiles(domain, *args), build_profiles_per_direction(domain, *args))
+
+
+def test_profiles_equal_the_per_direction_finish_at_removable_points():
+    """An odd table and an odd Hilbert rule put a table node on the middle
+    Gauss node at s_c, within 1e-9 w: there the local slope replaces the
+    quotient, in the new route as in the old."""
+    domain = DOMAINS["se4"]
+    dirs, _ = _angular_set(2, 15)
+    num_table, num_quad, margin = 129, 65, 0.3
+    rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi)
+    got = _build_profiles(domain, dirs, 2, margin, num_table, num_quad, True)
+    for prof in got:
+        nodes = prof.s_center + prof.halfwidth * np.sin(rule.nodes)
+        assert np.min(np.abs(prof.s_grid[:, None] - nodes)) < 1e-9 * prof.halfwidth
+        assert np.all(np.isfinite(prof.hrchi))
+    want = build_profiles_per_direction(domain, dirs, 2, margin, num_table, num_quad, True)
+    assert_same_profiles(got, want)
+
+
+def test_hilbert_core_takes_the_local_slope_at_removable_points():
+    """Table points within 1e-9 w of a node, one at a gap of 1e-12 and one
+    on the node, away from s_c where the profile's slope is not zero: the
+    quotient is replaced by the slope there, with the bits of the route
+    that always took it, and without a warning."""
+    s_c, w = 0.1, 1.0
+    rule = gauss_legendre(33, -0.5 * math.pi, 0.5 * math.pi)
+    t_nodes = s_c + w * np.sin(rule.nodes)
+    s_grid = s_c + np.linspace(-0.9, 0.9, 64)
+    s_grid[10], s_grid[40] = t_nodes[5] + 1e-12, t_nodes[20]
+
+    def phi(t):
+        z = (t - s_c) / w
+        return np.sqrt(1.0 - z * z) * (1.0 + 0.3 * z)
+
+    jac = w * np.cos(rule.nodes) * rule.weights
+    args = (s_grid, phi(s_grid), t_nodes, phi(t_nodes), jac, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _profile_tables(*args)
+    assert_same_bits(got, hilbert_core_dense(*args))
+    assert np.all(np.isfinite(got))
+
+
+# the benchmark's grid on the exponent-4 superellipse: its support radii
+# reach past the grid box, so many samples of every direction lie outside it
+BOX = ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(7, 7))
+OPTS = ReconstructionOptions(k_radial=8, k_angular=16, kernel_table=128, kernel_quad=64, kernel_margin=0.25)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("count", [15, 16])
+@pytest.mark.parametrize("key", sorted(DOMAINS))
+def test_correction_matrix_equals_the_per_direction_assembly(key, count, block, monkeypatch):
+    """K_h by blocks of directions (all at once, one at a time, three at a
+    time) has the bits of the per-direction loop."""
+    opts = replace(OPTS, k_angular=count)
+    if block is not None:
+        per = BOX.points().shape[0] * opts.k_radial
+        monkeypatch.setattr("neutrace.inversion.BLOCK_ELEMENTS", block * per)
+    pts = BOX.points()
+    reach = _support_radii(BOX, pts)[:, None] * gauss_legendre(opts.k_radial, 0.0, 1.0).nodes[-1]
+    outer = BOX._corners(pts + reach * _angular_set(2, count)[0][0])[1]
+    assert not np.all(np.any(outer != 0.0, axis=0))
+    got = _correction_matrix(BOX, DOMAINS[key], opts)
+    assert np.abs(got).max() > 0.0
+    assert_same_bits(got, correction_matrix_per_direction(BOX, DOMAINS[key], opts))
+
+
+def test_correction_matrix_checks_each_direction_window_as_the_loop_did():
+    """A margin wider than the grid allows: the first direction whose
+    samples leave its window raises, with the message of the loop.  At this
+    margin the first directions pass and the fourth (halfwidth 0.993) does
+    not."""
+    opts = replace(OPTS, kernel_margin=0.6)
+    domain = DOMAINS["se4"]
+    with pytest.raises(OutOfRegionError, match="outside safe window") as want:
+        correction_matrix_per_direction(BOX, domain, opts)
+    with pytest.raises(OutOfRegionError) as got:
+        _correction_matrix(BOX, domain, opts)
+    assert str(got.value) == str(want.value)
+    first = support_halfwidth(domain, _angular_set(2, opts.k_angular)[0][0])
+    assert f"support halfwidth {first:.6g}" not in str(got.value)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neutrace.forward import support_margin
+from neutrace.forward import TimeGrid, support_margin
 from neutrace.geometry import (
     boundary_distance,
     boundary_quadrature,
@@ -54,6 +54,32 @@ def test_constructor_validation():
         superellipse((0.0, 0.0), (1.0, 1.0), 1.5)
     with pytest.raises(ValueError):
         superellipse((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 4.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: superellipse((0.0, 0.0), (1.2, 0.9), x),
+        lambda x: superellipse((0.0, 0.0), (x, 0.9), 4.0),
+        lambda x: ellipsoid((0.0, x, 0.0), (1.0, 1.0, 1.0)),
+        lambda x: ellipsoid((0.0, 0.0), (1.0, x)),
+        lambda x: Bump(center=(0.0, 0.0), radius=x),
+        lambda x: Bump(center=(x, 0.0), radius=0.3),
+        lambda x: Bump(center=(0.0, 0.0), radius=0.3, amplitude=x),
+        lambda x: TimeGrid(t_max=x, nt=20),
+    ],
+    ids=[
+        "exponent", "superellipse-axis", "centre", "ellipsoid-axis",
+        "bump-radius", "bump-centre", "bump-amplitude", "t_max",
+    ],
+)
+def test_constructors_reject_non_finite_values(build, bad):
+    """A NaN passes every ordered comparison as false, so a NaN exponent
+    passed ``exponent < 2``; each constructor now refuses nan and +-inf in
+    every float field."""
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 def test_dimension_property(unit_disk, unit_ball, se4):

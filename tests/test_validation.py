@@ -12,6 +12,7 @@ from neutrace.forward import SolverParams
 from neutrace.geometry import boundary_quadrature
 from neutrace.transforms import Bump, Phantom, bump_radial
 from neutrace.validation import (
+    _PRIMITIVE_CELLS,
     IdentityReport,
     _cinf_primitive,
     _radial_primitive,
@@ -28,6 +29,8 @@ from neutrace.validation import (
 
 from _oracles import (
     GOMPERTZ,
+    assert_same_bits,
+    cinf_primitive_plain,
     ball_profile_per_call,
     cinf_primitive_closed,
     cinf_table_bound,
@@ -192,6 +195,22 @@ def test_cinf_primitive_derivative_is_the_profile():
     u = np.linspace(0.002, 0.998, 499)
     fd = (_cinf_primitive(u + step) - _cinf_primitive(u - step)) / (2.0 * step)
     np.testing.assert_array_less(np.abs(fd - np.exp(1.0 - 1.0 / (1.0 - u))), tol)
+
+
+def test_cinf_primitive_keeps_the_bits_of_the_plain_formula():
+    """The lookup with reused temporaries gives the bits of the one-line
+    formula, at the table nodes, at both ends, at -0.0, and for a scalar,
+    an empty array and a 2-D array."""
+    u = np.concatenate(
+        [np.arange(_PRIMITIVE_CELLS + 1) / _PRIMITIVE_CELLS, np.random.default_rng(3).random(4000),
+         [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324]]
+    )
+    assert_same_bits(_cinf_primitive(u), cinf_primitive_plain(u))
+    assert_same_bits(_cinf_primitive(u[:60].reshape(6, 10)), cinf_primitive_plain(u[:60].reshape(6, 10)))
+    assert_same_bits(_cinf_primitive(u[:0]), cinf_primitive_plain(u[:0]))
+    for x in (0.0, -0.0, 0.37, 1.0):
+        got, want = _cinf_primitive(x), cinf_primitive_plain(x)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_cinf_primitive_rejects_out_of_range_queries():
