@@ -157,14 +157,20 @@ class BoundaryQuadrature:
         return self.points.shape[0]
 
 
+def _superellipse_gauge(domain: ConvexDomain, cos, sin):
+    """g = |cos/a1|^p + |sin/a2|^p at angles with these cosines and sines;
+    the polar gauge of the superellipse there is r = g^(-1/p)."""
+    a1, a2 = domain.semi_axes
+    p = domain.exponent
+    return (np.abs(cos) / a1) ** p + (np.abs(sin) / a2) ** p
+
+
 def _superellipse_radius(domain: ConvexDomain, psi):
     """Polar gauge r(psi) of the superellipse and its psi-derivative."""
     a1, a2 = domain.semi_axes
     p = domain.exponent
     c, s = np.cos(psi), np.sin(psi)
-    ga = (np.abs(c) / a1) ** p
-    gb = (np.abs(s) / a2) ** p
-    g = ga + gb
+    g = _superellipse_gauge(domain, c, s)
     # d/dpsi |cos|^p = -p sin cos |cos|^{p-2} (smooth for p >= 2)
     gp = p * (
         -s * np.sign(c) * np.abs(c) ** (p - 1.0) / a1**p
@@ -281,63 +287,144 @@ def boundary_distance(domain: ConvexDomain, points):
     """Distance from a point (n,) to the boundary surface, as a float, or
     from each point of a batch (m, n), as an array.
 
-    Dense parameter sampling followed by local refinement, golden-section
-    in 2-D and grid zooms in 3-D, run for the whole batch in lockstep;
-    accurate to roughly 1e-10 of the domain scale, which is far tighter
-    than any margin check needs.  The search of each point does not depend
-    on the others, so a batch gives the distances of one call per point.
+    On an ellipsoid the nearest boundary point is the root of one secular
+    equation (:func:`_ellipsoid_distance`), and the distance is exact to
+    rounding, inside the domain and outside it.  A superellipse takes a
+    dense angle sample and a golden-section refinement, run for the whole
+    batch in lockstep, accurate to about 1e-10 of the domain scale.  Each
+    point's work does not depend on the others, so a batch gives the
+    distances of one call per point.
     """
     pts = np.asarray(points, dtype=float)
     p = np.atleast_2d(pts)
-    c = np.asarray(domain.center)
-
-    if domain.dimension == 2:
-        def dist_at(psi):
-            return _distance(_rim_2d(domain, psi) + c, p)
-
-        m = 1024
-        psi = 2.0 * np.pi * np.arange(m) / m
-        k = np.argmin(_distance(_rim_2d(domain, psi) + c, p[:, None, :]), axis=1)
-        lo, hi = psi[k] - 2.0 * np.pi / m, psi[k] + 2.0 * np.pi / m
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, f2 = dist_at(x1), dist_at(x2)
-        for _ in range(60):
-            # each point keeps the bracket side its own comparison picks
-            left = f1 < f2
-            lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-            step = invphi * (hi - lo)
-            x = np.where(left, hi - step, lo + step)
-            fx = dist_at(x)
-            x1, f1, x2, f2 = (
-                np.where(left, x, x2),
-                np.where(left, fx, f2),
-                np.where(left, x1, x),
-                np.where(left, f1, fx),
-            )
-        d = np.minimum(f1, f2)
-    else:
-        # a coarse grid shared by every point, then four zoom rounds on the
-        # (u, phi) chart with one 17 x 17 grid per point
-        u = np.linspace(-1.0, 1.0, 129)
-        phi = np.linspace(0.0, 2.0 * np.pi, 257)
-        du, dphi = u[1] - u[0], phi[1] - phi[0]
-        rim = _ellipsoid_rim(domain, u[:, None], phi)
-        rim += c
-        i, j = np.unravel_index([np.argmin(_distance(rim, x)) for x in p], rim.shape[:2])
-        u0, phi0 = u[i], phi[j]
-        each = np.arange(p.shape[0])
-        for _ in range(4):
-            du, dphi = du / 8.0, dphi / 8.0
-            u = np.clip(np.linspace(u0 - 8 * du, u0 + 8 * du, 17, axis=-1), -1.0, 1.0)
-            phi = np.linspace(phi0 - 8 * dphi, phi0 + 8 * dphi, 17, axis=-1)
-            b = _ellipsoid_rim(domain, u[:, :, None], phi[:, None, :])
-            d = _distance(c + b, p[:, None, None, :]).reshape(p.shape[0], -1)
-            i, j = np.unravel_index(np.argmin(d, axis=1), (17, 17))
-            u0, phi0 = u[each, i], phi[each, j]
-        d = d.min(axis=1)
+    d = _ellipsoid_distance(domain, p) if domain.kind == ELLIPSOID else _superellipse_distance(domain, p)
     return d if pts.ndim > 1 else float(d[0])
+
+
+def _superellipse_distance(domain: ConvexDomain, p) -> np.ndarray:
+    """Distances from points (m, 2) to the rim of a superellipse: the
+    nearest of 1024 equally spaced angles, then 60 golden-section steps."""
+    (c1, c2), (p1, p2) = domain.center, p.T
+    inv = -1.0 / domain.exponent
+
+    def dist_at(psi):
+        # the rim point of _rim_2d and the sum of _distance, with their bits
+        cos, sin = np.cos(psi), np.sin(psi)
+        r = _superellipse_gauge(domain, cos, sin) ** inv
+        u = r * cos + c1 - p1
+        v = r * sin + c2 - p2
+        return np.sqrt(u * u + v * v)
+
+    m = 1024
+    psi = 2.0 * np.pi * np.arange(m) / m
+    k = np.argmin(_distance(_rim_2d(domain, psi) + domain.center, p[:, None, :]), axis=1)
+    lo, hi = psi[k] - 2.0 * np.pi / m, psi[k] + 2.0 * np.pi / m
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = dist_at(x1), dist_at(x2)
+    for _ in range(60):
+        # each point keeps the bracket side its own comparison picks
+        left = f1 < f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        step = invphi * (hi - lo)
+        x = np.where(left, hi - step, lo + step)
+        fx = dist_at(x)
+        x1, f1, x2, f2 = (
+            np.where(left, x, x2),
+            np.where(left, fx, f2),
+            np.where(left, x1, x),
+            np.where(left, f1, fx),
+        )
+    return np.minimum(f1, f2)
+
+
+def _ellipsoid_distance(domain: ConvexDomain, p) -> np.ndarray:
+    """Distances from points (m, n) to the surface of an ellipsoid: with
+    y = |p - c| per axis and lam = t - m the root of :func:`_secular_root`,
+    the nearest point is x = a^2 y / (a^2 + lam) and the distance
+    |lam| |y / (a^2 + lam)|, the axes S with a^2 = m taken together as
+    |y_S| / t.  On the ball t is |y|, and the distance |1 - |y|| exactly.
+
+    A point with t = 0 has y_S = 0 and F <= 0 at t = 0: it lies in the
+    evolute region, and its nearest point has the closed form
+    x_i = a_i^2 y_i / (a_i^2 - m) off S, with |x_S|^2 = m (1 - sum x_i^2 / a_i^2).
+    """
+    ys = [np.abs(x - c) for x, c in zip(p.T, domain.center)]
+    t, f0 = _secular_root(domain, ys)
+    m, y_s, rest = _secular_axes(domain, ys)
+    d = np.empty(p.shape[0])
+    closed = t == 0.0
+    if closed.any():
+        # x_i - y_i = m y_i / (a_i^2 - m), and 1 - sum x_i^2 / a_i^2 = -F(0)
+        total = sum((m * y[closed] / e) ** 2 for y, _, e in rest)
+        d[closed] = np.sqrt(total - m * f0[closed])
+    live = ~closed
+    if live.any():
+        t = t[live]
+        total = (y_s[live] / t) ** 2
+        for y, _, e in rest:
+            r = y[live] / (e + t)
+            total += r * r
+        d[live] = np.abs(t - m) * np.sqrt(total)
+    return d
+
+
+def _secular_axes(domain: ConvexDomain, ys):
+    """For per-axis distances ys from the centre: m = min a^2, |y_S| over the
+    axes S with a^2 = m, and each other axis as (y, a, a^2 - m)."""
+    a2 = [a * a for a in domain.semi_axes]
+    m = min(a2)
+    y_s = np.sqrt(sum(y * y for y, s in zip(ys, a2) if s == m))
+    return m, y_s, [(y, a, s - m) for y, a, s in zip(ys, domain.semi_axes, a2) if s != m]
+
+
+def _secular_root(domain: ConvexDomain, ys):
+    """Roots t = lam + m of the secular equation of the nearest boundary
+    point, for per-axis distances ys from the centre, and F(0).
+
+    F(lam) = sum (a y / (a^2 + lam))^2 - 1 (Eberly 2011), m = min a^2, has
+    one root lam on (-m, inf): negative inside the domain, positive outside.
+    It is sought in t, so that a^2 + lam = (a^2 - m) + t keeps its digits
+    near the pole; on the axes S with a^2 = m it is t itself.  F is convex
+    and decreasing, and F >= 0 at t0 = sqrt(m) |y_S|, so Newton steps from
+    t0 rise to the root without passing it; each point stops when its step
+    no longer raises t.  Where y_S = 0 (below the smallest normal float,
+    which moves the distance by less than that) and F(0) <= 0 the root is
+    -m, at the pole, and t = 0.  Terms with y = 0 are exact zeros.  Raises
+    ArithmeticError when a point is still rising after 100 steps.
+    """
+    m, y_s, rest = _secular_axes(domain, ys)
+    t0 = math.sqrt(m) * y_s
+    t0[t0 < np.finfo(float).tiny] = 0.0
+    f0 = sum(((a * y / e) ** 2 for y, a, e in rest), np.zeros(t0.shape)) - 1.0
+    t = t0.copy()
+    todo = np.flatnonzero((t0 > 0.0) | (f0 > 0.0))
+    for _ in range(100):
+        if not todo.size:
+            return t, f0
+        tt, s = t[todo], t0[todo]
+        hit = s > 0.0
+        # the S axes' term (sqrt(m) |y_S| / t)^2, an exact zero where y_S = 0
+        q = np.divide(s, tt, out=np.zeros_like(tt), where=hit)
+        f = q * q
+        # g = -F'(t) / 2 = sum q_i^2 / (a_i^2 + lam)
+        g = np.divide(f, tt, out=np.zeros_like(tt), where=hit)
+        for y, a, e in rest:
+            den = e + tt
+            q = a * y[todo] / den
+            q *= q
+            f += q
+            g += q / den
+        # summed as f0 is, so a point that starts at t0 = 0 moves: F(0) > 0 there
+        f -= 1.0
+        step = tt + f / (2.0 * g)
+        rising = step > tt
+        t[todo[rising]] = step[rising]
+        todo = todo[rising]
+    if todo.size:
+        raise ArithmeticError(f"{todo.size} boundary distances still rising after 100 Newton steps")
+    return t, f0
 
 
 def _distance(a, b):

@@ -102,43 +102,44 @@ class ImageGrid:
 
     def _corners(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat value indices and multilinear weights of the cell corners of
-        (N, dimension) points, both shaped (corners, N); weight 0 outside."""
-        idx = []
-        frac = []
-        inside = np.ones(flat.shape[0], dtype=bool)
+        (N, dimension) points, both shaped (corners, N); weight 0 outside.
+
+        A single-sample axis has no cell and adds no corner: counting its
+        raised corner would duplicate the whole contribution.  Corner j
+        raises the index along the axes with cells of its set bits, and its
+        weight is the product of its factors, frac or 1 - frac, in axis order.
+        """
+        count = flat.shape[0]
+        inside = np.ones(count, dtype=bool)
+        base = np.zeros(count, dtype=int)
+        cells = []
         for d in range(self.dimension):
             a, b, m = self.lo[d], self.hi[d], self.shape[d]
             if m == 1:
-                idx.append(np.zeros(flat.shape[0], dtype=int))
-                frac.append(np.zeros(flat.shape[0]))
                 inside &= np.abs(flat[:, d] - a) < 1e-12
                 continue
             step = (b - a) / (m - 1)
             u = (flat[:, d] - a) / step
             inside &= (u > -1e-12) & (u < m - 1 + 1e-12)
             k = np.clip(np.floor(u).astype(int), 0, m - 2)
-            idx.append(k)
-            frac.append(np.clip(u - k, 0.0, 1.0))
-        corner_idx = []
-        corner_w = []
-        for corner in range(1 << self.dimension):
-            # skip corners that raise the index along a single-sample axis;
-            # counting them would duplicate the whole contribution
-            if any(corner >> d & 1 and self.shape[d] == 1 for d in range(self.dimension)):
-                continue
-            w = np.ones(flat.shape[0])
-            sel = []
-            for d in range(self.dimension):
-                if corner >> d & 1:
-                    w = w * frac[d]
-                    sel.append(idx[d] + 1)
+            stride = math.prod(self.shape[d + 1 :])
+            base += k * stride
+            frac = np.clip(u - k, 0.0, 1.0)
+            cells.append((frac, 1.0 - frac, stride))
+        outside = ~inside
+        corner_idx = np.empty((1 << len(cells), count), dtype=int)
+        corner_w = np.ones((1 << len(cells), count))
+        for j, (idx, w) in enumerate(zip(corner_idx, corner_w)):
+            offset = 0
+            for bit, (frac, rest, stride) in enumerate(cells):
+                if j >> bit & 1:
+                    w *= frac
+                    offset += stride
                 else:
-                    w = w * (1.0 - frac[d] if self.shape[d] > 1 else 1.0)
-                    sel.append(idx[d])
-            w[~inside] = 0.0
-            corner_idx.append(np.ravel_multi_index(sel, self.shape))
-            corner_w.append(w)
-        return np.array(corner_idx), np.array(corner_w)
+                    w *= rest
+            w[outside] = 0.0
+            np.add(base, offset, out=idx)
+        return corner_idx, corner_w
 
     def interp(self, pts) -> np.ndarray:
         """Multilinear interpolation of the stored values; zero outside."""

@@ -607,24 +607,21 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
     rule = gauss_legendre(num_quad, -0.5 * math.pi, 0.5 * math.pi) if with_hilbert else None
     ths = np.array([_check_unit(theta) for theta in thetas])
     centres = _centre_offsets(domain, ths)
-    widths, offsets = [], []
-    for th, s_center in zip(ths, centres.tolist()):
-        w = support_halfwidth(domain, th)
+    widths = support_halfwidth(domain, ths)
+    v = (widths - margin) / (1.0 - 2.0 * _PAD / (num_table - 1))
+    bad = (margin >= widths) | (v >= widths * (1.0 - 1e-9))
+    if bad.any():
+        w = float(widths[np.argmax(bad)])
         if margin >= w:
             raise ValueError(f"margin {margin} exceeds the support halfwidth {w}")
-        q = w - margin
-        v = q / (1.0 - 2.0 * _PAD / (num_table - 1))
-        if v >= w * (1.0 - 1e-9):
-            raise ValueError(
-                f"margin {margin} too small for a {num_table}-point table; "
-                "increase the margin or the table size"
-            )
-        row = s_center + np.linspace(-v, v, num_table)
-        if with_hilbert:
-            row = np.concatenate([row, s_center + w * np.sin(rule.nodes)])
-        widths.append(w)
-        offsets.append(row)
-    widths, offsets = np.array(widths), np.array(offsets)
+        raise ValueError(
+            f"margin {margin} too small for a {num_table}-point table; "
+            "increase the margin or the table size"
+        )
+    offsets = centres[:, None] + np.linspace(-v, v, num_table, axis=-1)
+    if with_hilbert:
+        nodes = centres[:, None] + widths[:, None] * np.sin(rule.nodes)
+        offsets = np.concatenate([offsets, nodes], axis=1)
     values = _sections(domain, ths, offsets - centres[:, None])
     s_grid, rchi = offsets[:, :num_table], values[:, :num_table]
     steps = s_grid[:, 1] - s_grid[:, 0]

@@ -834,67 +834,88 @@ def integral_identity_pressure_then_velocity(f, g, domain, level: int = 0, *, ph
 
 
 def boundary_distance_per_point(domain, point) -> float:
-    """Distance from one point to the boundary by its own search, with the
-    squared distances summed along the last axis: the per-point route that
-    ``geometry.boundary_distance`` runs for a whole batch in lockstep."""
-    from neutrace.geometry import _ellipsoid_rim, _rim_2d
+    """Distance from one point to the rim of a planar domain by its own
+    search, with the squared distances summed along the last axis: the
+    per-point route that ``geometry.boundary_distance`` runs for a whole
+    batch of superellipse points in lockstep."""
+    from neutrace.geometry import _rim_2d
 
     p = np.asarray(point, dtype=float)
 
-    if domain.dimension == 2:
-        def dist_at(psi):
-            b = _rim_2d(domain, np.atleast_1d(psi)) + np.asarray(domain.center)
-            return np.sqrt(np.sum((b - p) ** 2, axis=-1))
+    def dist_at(psi):
+        b = _rim_2d(domain, np.atleast_1d(psi)) + np.asarray(domain.center)
+        return np.sqrt(np.sum((b - p) ** 2, axis=-1))
 
-        m = 1024
-        psi = 2.0 * np.pi * np.arange(m) / m
-        k = int(np.argmin(dist_at(psi)))
-        lo, hi = psi[k] - 2.0 * np.pi / m, psi[k] + 2.0 * np.pi / m
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, f2 = dist_at(x1)[0], dist_at(x2)[0]
-        for _ in range(60):
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = dist_at(x1)[0]
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = dist_at(x2)[0]
-        return float(min(f1, f2))
-
-    c = np.asarray(domain.center)
-
-    def dist_grid(u, phi):
-        b = _ellipsoid_rim(domain, *np.meshgrid(u, phi, indexing="ij"))
-        return np.sqrt(np.sum((c + b - p) ** 2, axis=-1))
-
-    u = np.linspace(-1.0, 1.0, 129)
-    phi = np.linspace(0.0, 2.0 * np.pi, 257)
-    du, dphi = u[1] - u[0], phi[1] - phi[0]
-    for _ in range(4):
-        d = dist_grid(u, phi)
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        u0, phi0 = u[i], phi[j]
-        du, dphi = du / 8.0, dphi / 8.0
-        u = np.clip(np.linspace(u0 - 8 * du, u0 + 8 * du, 17), -1.0, 1.0)
-        phi = np.linspace(phi0 - 8 * dphi, phi0 + 8 * dphi, 17)
-    return float(dist_grid(u, phi).min())
+    m = 1024
+    psi = 2.0 * np.pi * np.arange(m) / m
+    k = int(np.argmin(dist_at(psi)))
+    lo, hi = psi[k] - 2.0 * np.pi / m, psi[k] + 2.0 * np.pi / m
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = dist_at(x1)[0], dist_at(x2)[0]
+    for _ in range(60):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = dist_at(x1)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = dist_at(x2)[0]
+    return float(min(f1, f2))
 
 
-def support_margin_per_bump(f, domain) -> float:
-    """``forward.support_margin`` with one boundary search per bump centre."""
+def support_margin_per_bump(f, domain, distance=boundary_distance_per_point) -> float:
+    """``forward.support_margin`` with one ``distance(domain, centre)`` call
+    per bump centre."""
     from neutrace.geometry import contains
 
     margin = np.inf
     for b in f.bumps:
-        d = boundary_distance_per_point(domain, b.center) - b.radius
+        d = distance(domain, b.center) - b.radius
         if not contains(domain, np.asarray(b.center)):
             d = -abs(d) if d > 0 else d
         margin = min(margin, d)
     return float(margin)
+
+
+def corners_per_corner(grid, flat):
+    """``inversion.ImageGrid._corners`` as it built each corner before it
+    formed 1 - frac and the outside mask once: a weight grown from
+    ``np.ones`` by one factor per axis, and ``np.ravel_multi_index``."""
+    idx, frac = [], []
+    inside = np.ones(flat.shape[0], dtype=bool)
+    for d in range(grid.dimension):
+        a, b, m = grid.lo[d], grid.hi[d], grid.shape[d]
+        if m == 1:
+            idx.append(np.zeros(flat.shape[0], dtype=int))
+            frac.append(np.zeros(flat.shape[0]))
+            inside &= np.abs(flat[:, d] - a) < 1e-12
+            continue
+        step = (b - a) / (m - 1)
+        u = (flat[:, d] - a) / step
+        inside &= (u > -1e-12) & (u < m - 1 + 1e-12)
+        k = np.clip(np.floor(u).astype(int), 0, m - 2)
+        idx.append(k)
+        frac.append(np.clip(u - k, 0.0, 1.0))
+    corner_idx, corner_w = [], []
+    for corner in range(1 << grid.dimension):
+        if any(corner >> d & 1 and grid.shape[d] == 1 for d in range(grid.dimension)):
+            continue
+        w = np.ones(flat.shape[0])
+        sel = []
+        for d in range(grid.dimension):
+            if corner >> d & 1:
+                w = w * frac[d]
+                sel.append(idx[d] + 1)
+            else:
+                w = w * (1.0 - frac[d] if grid.shape[d] > 1 else 1.0)
+                sel.append(idx[d])
+        w[~inside] = 0.0
+        corner_idx.append(np.ravel_multi_index(sel, grid.shape))
+        corner_w.append(w)
+    return np.array(corner_idx), np.array(corner_w)
 
 
 def trace_operator_2d_int64(times, params, r_grid):

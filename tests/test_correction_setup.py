@@ -1,8 +1,9 @@
 """The correction's set-up against the per-direction routes it replaced.
 
 The chord search on flat live arrays, the Hilbert tables formed in place,
-the profiles finished on stacked tables and K_h assembled by blocks of
-directions all give the bits of the earlier per-direction code, which
+the profiles finished on stacked tables, K_h assembled by blocks of
+directions and the grid's corner weights built from shared factors all give
+the bits of the earlier per-direction or per-corner code, which
 ``tests/_oracles.py`` keeps.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from _oracles import (
     assert_same_bits,
     build_profiles_per_direction,
+    corners_per_corner,
     correction_matrix_per_direction,
     hilbert_core_dense,
     superellipse_chord_gathered,
@@ -109,6 +111,25 @@ def test_profiles_equal_the_per_direction_finish_at_removable_points():
     assert_same_profiles(got, want)
 
 
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["too-small-first", "exceeds-first"])
+def test_profiles_raise_the_first_offending_direction_error(order):
+    """A margin too small for the wide direction's table and wider than the
+    narrow direction's halfwidth: the batch raises the message of the first
+    direction whose own build raises."""
+    domain = superellipse((0.0, 0.0), (1.0, 0.1), 4.0)
+    dirs = [[(1.0, 0.0), (0.0, 1.0)][i] for i in order]
+    args = (1, 0.11, 64, 32, False)
+    messages = []
+    for th in dirs:
+        with pytest.raises(ValueError) as one:
+            _build_profiles(domain, [th], *args)
+        messages.append(str(one.value))
+    assert "too small" in messages[order.index(0)] and "exceeds" in messages[order.index(1)]
+    with pytest.raises(ValueError) as batch:
+        _build_profiles(domain, dirs, *args)
+    assert str(batch.value) == messages[0]
+
+
 def test_hilbert_core_takes_the_local_slope_at_removable_points():
     """Table points within 1e-9 w of a node, one at a gap of 1e-12 and one
     on the node, away from s_c where the profile's slope is not zero: the
@@ -172,3 +193,32 @@ def test_correction_matrix_checks_each_direction_window_as_the_loop_did():
     assert str(got.value) == str(want.value)
     first = support_halfwidth(domain, _angular_set(2, opts.k_angular)[0][0])
     assert f"support halfwidth {first:.6g}" not in str(got.value)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        BOX,
+        ImageGrid((-0.5, -0.5, 0.0), (0.5, 0.5, 0.0), (15, 15, 1)),
+        ImageGrid((-0.4, 0.1, -0.2), (0.5, 0.1, 0.25), (3, 1, 2)),
+        ImageGrid((-0.4, -0.3, -0.2), (0.5, 0.3, 0.25), (3, 4, 2)),
+        ImageGrid((0.2, -0.1), (0.2, -0.1), (1, 1)),
+    ],
+    ids=["box-7x7", "slice-15x15x1", "3x1x2", "3x4x2", "point"],
+)
+def test_corners_equal_the_per_corner_build(grid, rng):
+    """Points inside the box, on its faces, on its grid points and outside
+    it: equal indices and weights, and equal interpolated values."""
+    n = grid.dimension
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    pts = lo + (rng.random((500, n)) * 1.4 - 0.2) * (hi - lo)
+    on_faces = lo + rng.integers(0, 2, (60, n)) * (hi - lo)
+    flat = np.vstack([pts, on_faces, grid.points()])
+    got, want = grid._corners(flat), corners_per_corner(grid, flat)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+    field = replace(grid, values=rng.standard_normal(grid.shape))
+    out = np.zeros(flat.shape[0])
+    for k, w in zip(*want):
+        out += w * field.values.reshape(-1)[k]
+    assert_same_bits(field.interp(flat), out)

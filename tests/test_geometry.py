@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,8 +316,9 @@ def test_boundary_distance_shrinks_toward_the_rim(se4):
     assert d_center > d_mid > d_edge > 0.0
 
 
-# boundary_distance resolves the nearest rim point to about 1e-10 of the
-# domain scale, so two routes to the same minimum agree to that resolution
+# the superellipse search resolves the nearest rim point to about 1e-10 of
+# the domain scale (an ellipsoid's root is exact to rounding), so two routes
+# to the same minimum agree to that resolution
 DISTANCE_RESOLUTION = 1e-9
 
 
@@ -359,33 +361,160 @@ def ellipsoid3():
     return ellipsoid((0.1, 0.0, -0.1), (1.2, 0.8, 0.6))
 
 
+def _reference_distance(domain):
+    """The per-point search of a superellipse, which keeps its bits; an
+    ellipsoid's own single-point call, whose exactness the tests below check
+    by independent routes."""
+    return boundary_distance_per_point if domain.kind == "superellipse" else boundary_distance
+
+
 @pytest.mark.parametrize("name, lo, hi, shape", _BATCH_CASES)
-def test_batched_boundary_search_equals_the_per_point_search(request, rng, name, lo, hi, shape):
-    """The lockstep search of a batch gives each point the bits of its own
-    search, and so does a single point."""
+def test_batched_boundary_distances_equal_the_per_point_ones(request, rng, name, lo, hi, shape):
+    """A batch gives each point the bits of its own search or root, and so
+    does a single point."""
     domain = request.getfixturevalue(name)
     n = domain.dimension
     pts = np.asarray(domain.center) + (rng.random((40, n)) - 0.5) * np.asarray(domain.semi_axes)
     pts = np.vstack([pts[contains(domain, pts)], grid_corners(domain, ImageGrid(lo, hi, shape).axes())])
-    want = np.array([boundary_distance_per_point(domain, p) for p in pts])
-    np.testing.assert_array_equal(boundary_distance(domain, pts), want)
-    single = [boundary_distance(domain, p) for p in pts[:5]]
+    single = [boundary_distance(domain, p) for p in pts]
     assert all(type(d) is float for d in single)
-    np.testing.assert_array_equal(single, want[:5])
+    np.testing.assert_array_equal(boundary_distance(domain, pts), single)
+    if domain.kind == "superellipse":
+        np.testing.assert_array_equal(single, [boundary_distance_per_point(domain, p) for p in pts])
 
 
 @pytest.mark.parametrize("name, lo, hi, shape", _BATCH_CASES)
-def test_batched_margins_equal_the_per_corner_search(request, name, lo, hi, shape):
+def test_batched_margins_equal_the_per_corner_distances(request, name, lo, hi, shape):
     domain = request.getfixturevalue(name)
+    distance = _reference_distance(domain)
     axes = ImageGrid(lo, hi, shape).axes()
-    want = min((boundary_distance_per_point(domain, c), c) for c in grid_corners(domain, axes))
+    want = min((distance(domain, c), c) for c in grid_corners(domain, axes))
     assert grid_margin(domain, axes) == want
     n = domain.dimension
     centres = [(0.1, -0.05, 0.0), (-0.3, 0.2, 0.1), (0.9, 0.0, 0.0), (1.5, 0.1, 0.0)]
     for bumps in (centres[:1], centres[:2], centres):
         f = Phantom(tuple(Bump(center=c[:n], radius=0.15 + 0.1 * i) for i, c in enumerate(bumps)))
-        assert support_margin(f, domain) == support_margin_per_bump(f, domain)
+        assert support_margin(f, domain) == support_margin_per_bump(f, domain, distance)
     assert support_margin(Phantom(()), domain) == math.inf
+
+
+# a bump of radius 0.345 near the south pole of the unit ball, 4.5e-3 beyond
+# the sphere; the sampled 3-D search put the pole on the wrong meridian and
+# reported a margin of +2.7e-3 for it
+POLE_BUMP = ((0.003, -0.057, -0.657), 0.345)
+
+
+def _near_z_axis(rng, count, reach):
+    """Points scattered about the z-axis (standard deviation 0.01 in x and
+    y), |z| <= reach."""
+    return np.column_stack([rng.normal(scale=0.01, size=(count, 2)), rng.uniform(-reach, reach, count)])
+
+
+def test_ball_distances_are_one_minus_the_radius(unit_ball, rng):
+    """Within 2 ulps of 1 - |p| where 1 - |p| >= 0.25, so that 2 ulps of the
+    result cover the ulp by which |p| itself rounds."""
+    pts = np.vstack([POLE_BUMP[0], _near_z_axis(rng, 400, 0.7)])
+    want = np.array([1.0 - math.hypot(*p) for p in pts])
+    assert np.all(want >= 0.25)
+    got = boundary_distance(unit_ball, pts)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+
+def _nearest_points(domain, pts):
+    """The nearest boundary points a^2 y / (a^2 + lam), with the signs of
+    p - c, from the secular root t = lam + m; a^2 + lam is taken as
+    (a^2 - m) + t, which keeps its digits near the pole lam = -m."""
+    from neutrace.geometry import _secular_root
+
+    a2 = np.asarray(domain.semi_axes) ** 2
+    y = pts - np.asarray(domain.center)
+    t, _ = _secular_root(domain, list(np.abs(y).T))
+    return np.asarray(domain.center) + a2 * y / ((a2 - a2.min()) + t[:, None])
+
+
+@pytest.mark.parametrize("axes", [(1.3, 1.0, 0.8), (1.6, 1.0, 0.7)])
+def test_ellipsoid_distances_by_independent_routes(axes, rng):
+    """Interior points, points near the z-axis and outside points: the
+    nearest point lies on the surface, p - x is normal to it there, |p - x|
+    is the distance, and no point of a dense (u, phi) sample is closer."""
+    from neutrace.geometry import _distance, _ellipsoid_rim
+
+    domain = ellipsoid((0.1, -0.05, 0.02), axes)
+    a = np.asarray(axes)
+    inner = (rng.random((200, 3)) - 0.5) * 2.0 * a
+    inner = inner[level_value(domain, inner + domain.center) < 1.0]
+    outer = rng.normal(size=(40, 3))
+    outer *= a * rng.uniform(1.05, 2.0, (40, 1)) / np.linalg.norm(outer, axis=1, keepdims=True)
+    near = _near_z_axis(rng, 60, 0.95 * a[2])
+    pts = np.asarray(domain.center) + np.vstack([inner, near, outer])
+    d = boundary_distance(domain, pts)
+    x = _nearest_points(domain, pts)
+    assert np.all(np.abs(level_value(domain, x) - 1.0) <= 8 * np.finfo(float).eps)
+    np.testing.assert_allclose(_distance(pts, x), d, rtol=1e-14, atol=1e-15)
+    inside = contains(domain, pts)
+    sign = np.where(inside, -1.0, 1.0)[:, None]
+    np.testing.assert_allclose(sign * (pts - x) / d[:, None], outward_normal(domain, x), atol=1e-12)
+    u = np.cos(np.linspace(0.0, np.pi, 401))
+    phi = np.linspace(0.0, 2.0 * np.pi, 801)
+    rim = (np.asarray(domain.center) + _ellipsoid_rim(domain, u[:, None], phi)).reshape(-1, 3)
+    sampled = np.array([_distance(rim, p).min() for p in pts])
+    assert np.all(sampled >= d - 1e-14)
+    assert np.all(sampled <= d + 2e-2)
+
+
+def test_boundary_distance_edge_cases_raise_no_warning(unit_ball):
+    """Centres, points on the major axis in the evolute region (the closed
+    branch) and beyond it, equal smallest axes with y_S = 0, and outside
+    points; a batch of them keeps each point's single-call bits."""
+    ellipse = ellipsoid((0.0, 0.0), (1.5, 1.0))
+    spheroid = ellipsoid((0.0, 0.0, 0.0), (1.2, 1.0, 1.0))
+    cases = [
+        (ellipsoid((0.0, 0.0, 0.0), (0.7, 0.7, 0.7)), (0.0, 0.0, 0.0), 0.7),
+        (ellipse, (0.0, 0.0), 1.0),
+        # nearest point (0.81, 0.8417...): x1 = a1^2 y1 / (a1^2 - a2^2)
+        (ellipse, (0.45, 0.0), math.hypot(0.36, math.sqrt(1.0 - (0.81 / 1.5) ** 2))),
+        (ellipse, (1.4, 0.0), 1.5 - 1.4),
+        (ellipse, (3.0, 0.0), 1.5),
+        (ellipse, (0.0, -2.5), 1.5),
+        # nearest point (0.327..., 0.962...) in the (x1, |x_S|) plane
+        (spheroid, (0.1, 0.0, 0.0), math.hypot(0.1 / 0.44, math.sqrt(1.0 - 1.44 * (0.1 / 0.44) ** 2))),
+        (spheroid, (1.1, 0.0, 0.0), 1.2 - 1.1),
+        (spheroid, (0.0, 0.0, 0.3), 0.7),
+        (unit_ball, (0.0, 0.0, 2.0), 1.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for domain, p, want in cases:
+            assert boundary_distance(domain, p) == pytest.approx(want, rel=4e-15, abs=1e-15)
+            # the closed branch and the Newton root agree across y_S = 0
+            nudged = np.array(p) + 1e-9 * (np.arange(len(p)) == len(p) - 1)
+            assert abs(boundary_distance(domain, nudged) - want) <= 2e-9
+        for domain in (ellipse, spheroid):
+            pts = np.array([p for dom, p, _ in cases if dom is domain])
+            np.testing.assert_array_equal(
+                boundary_distance(domain, pts), [boundary_distance(domain, p) for p in pts]
+            )
+    f = Phantom((Bump(center=(1.5, 0.0, 0.0), radius=0.1),))
+    assert support_margin(f, unit_ball) == pytest.approx(-0.4, abs=1e-15)
+    f = Phantom((Bump(center=(0.3, 0.0), radius=0.2), Bump(center=(3.0, 0.0), radius=0.5)))
+    assert support_margin(f, ellipse) == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_a_bump_leaving_the_ball_near_the_pole_is_refused(unit_ball):
+    from neutrace.cli import ConfigError, parse_config
+    from neutrace.forward import ConfigurationError, simulate_traces
+
+    centre, radius = POLE_BUMP
+    f = Phantom((Bump(center=centre, radius=radius),))
+    assert support_margin(f, unit_ball) < -4e-3
+    text = (
+        "dimension = 3\ndomain.semi_axes = 1.0, 1.0, 1.0\n"
+        f"phantom.bump1.center = {', '.join(map(str, centre))}\nphantom.bump1.radius = {radius}\n"
+    )
+    with pytest.raises(ConfigError, match=r"support margin -0\.004.* must be positive"):
+        parse_config(text)
+    with pytest.raises(ConfigurationError, match="support margin .* must be positive"):
+        simulate_traces(f, unit_ball, boundary_quadrature(unit_ball, 8), TimeGrid(t_max=3.0, nt=16))
 
 
 def test_grid_corners_reject_a_corner_outside_the_domain(unit_ball, se4):

@@ -8,7 +8,7 @@ import pytest
 from neutrace import forward, geometry, validation
 from neutrace.cli import _lemma_field
 from neutrace.forward import SolverParams, TimeGrid, TraceGrid, phantom_pressure
-from neutrace.geometry import _distance, _ray_points, boundary_distance, ellipsoid
+from neutrace.geometry import _distance, _ray_points, boundary_quadrature, ellipsoid
 from neutrace.inversion import _node_distances
 from neutrace.transforms import Bump, Phantom, _mean_directions, mollifier_eval, sphere_means
 from neutrace.validation import check_integral_identity, check_lemma_coefficients, phantom_velocity
@@ -162,8 +162,8 @@ def test_arc_means_keep_the_bits_of_the_broadcast_means(rng):
 
 
 def test_rim_equals_the_rim_on_the_grid():
-    """The coarse rim of the 3-D boundary search, its zoom grids and the
-    boundary quadrature's meshgrid."""
+    """A (u, phi) product grid, the boundary quadrature's meshgrid and a
+    stack of small grids."""
     domain = ellipsoid((-0.31, 0.12, -0.47), (1.3, 0.8, 0.55))
     u = np.linspace(-1.0, 1.0, 129)
     phi = np.linspace(0.0, 2.0 * np.pi, 257)
@@ -177,13 +177,14 @@ def test_rim_equals_the_rim_on_the_grid():
         assert_same_bits(geometry._ellipsoid_rim(domain, uu, pp), ellipsoid_rim_on_the_grid(domain, uu, pp))
 
 
-def test_boundary_distance_keeps_the_bits_of_the_rim_on_the_grid(monkeypatch, rng):
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_boundary_quadrature_keeps_the_bits_of_the_rim_on_the_grid(monkeypatch, phase):
     domain = ellipsoid((-0.31, 0.12, -0.47), (1.3, 0.8, 0.55))
-    pts = np.asarray(domain.center) + rng.uniform(-0.45, 0.45, (12, 3)) * domain.semi_axes
-    assert np.all(geometry.contains(domain, pts))
-    got = boundary_distance(domain, pts)
+    got = boundary_quadrature(domain, 12, phase)
     monkeypatch.setattr(geometry, "_ellipsoid_rim", ellipsoid_rim_on_the_grid)
-    assert_same_bits(got, boundary_distance(domain, pts))
+    want = boundary_quadrature(domain, 12, phase)
+    for name in ("points", "normals", "weights"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
 
 
 # ---------------------------------------------------------------------------
