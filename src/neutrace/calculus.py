@@ -82,6 +82,25 @@ def column_products(a, w):
     return out
 
 
+# OpenBLAS runs a product of at most 65536 * 4 multiply-adds (its default
+# GEMM_MULTITHREAD_THRESHOLD) on one thread; on more threads, where it splits
+# the output depends on the thread count, and the edge blocks round differently
+_SERIAL_PRODUCT = 1 << 18
+
+
+def serial_products(a, w):
+    """a @ w.T for a short inner axis, by products of at most ``_SERIAL_PRODUCT``
+    multiply-adds over blocks of rows of a and of w, so that each runs on one
+    thread and the bits do not depend on the BLAS thread count."""
+    out = np.empty((a.shape[0], w.shape[0]))
+    rows = max(1, min(a.shape[0], 64))
+    cols = max(1, _SERIAL_PRODUCT // (max(1, a.shape[1]) * rows))
+    for i in range(0, a.shape[0], rows):
+        for j in range(0, w.shape[0], cols):
+            np.matmul(a[i : i + rows], w[j : j + cols].T, out=out[i : i + rows, j : j + cols])
+    return out
+
+
 def _sphere_rule(n: int, m: int, shift: float = 0.0, phase: float = 0.0):
     """Product rule on the unit circle (n = 2) or sphere (n = 3): unit
     directions and the polar weight of each.

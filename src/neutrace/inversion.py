@@ -30,6 +30,7 @@ from .calculus import (
     cubic_weights,
     gauss_legendre,
     interp_cubic,
+    serial_products,
 )
 from .forward import InsufficientDataError, TraceGrid, _fmt
 from .geometry import (
@@ -179,9 +180,38 @@ class ReconstructionOptions:
         _check_profile_table(self.kernel_table, self.kernel_margin)
 
 
-#: Gauss nodes per trace time cell of the Abel weights, in phi with t = d cosh(phi);
-#: 4 agree with 8 to 4e-9 of the image peak on the benchmark ellipse's traces
+#: Gauss nodes per near time cell of the Abel weights, in phi with t = d cosh(phi);
+#: 4 agree with 8 to 4e-9 of the image peak on the benchmark ellipse's traces, an
+#: error that sits in the near cells, by t = d
 ABEL_NODES = 4
+#: a time cell is far from a distance d when it lies at t >= ABEL_KAPPA d: there
+#: (d/t)^2 <= 1/4, so the far-field series of 1/sqrt(t^2 - d^2) gains two bits a term
+ABEL_KAPPA = 2.0
+
+
+def _series_terms(kappa: float) -> int:
+    """Terms K of 1/sqrt(1 - x) = sum_k a_k x^k, a_k = C(2k, k) / 4^k, whose
+    tail is below one machine epsilon for x <= 1/kappa^2: the a_k fall, so the
+    tail after K terms is at most a_K x^K / (1 - x), and the sum is at least 1."""
+    x = kappa**-2
+    k, a_k = 0, 1.0
+    while a_k * x**k / (1.0 - x) > np.finfo(float).eps:
+        k += 1
+        a_k *= (2 * k - 1) / (2 * k)
+    return k
+
+
+#: terms of the far-field series, 25 for ABEL_KAPPA = 2
+ABEL_TERMS = _series_terms(ABEL_KAPPA)
+#: a_k = C(2k, k) / 4^k of the far-field series
+_SERIES_COEFFS = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, ABEL_TERMS)])
+#: Gauss nodes per far cell of the series moments int L(s) s^(-2k-1) ds, s in
+#: time steps, and the first cell they take: against 40-digit quadrature their
+#: errors, weighted by a_k (s/2)^2k and summed over the terms, stay below
+#: 1.6e-16 of 1/s on cells 2 to 128, but reach 7e-13 on cell 1, whose
+#: integrands s^(-2k-1) vary by 2^(2k+1)
+FAR_NODES = 10
+FAR_FIRST_CELL = 2
 #: step of the 2-D back-projection's distance table, in trace time steps
 D_TABLE_STEP = 0.25
 #: array elements built at a time by the Abel weights and the node sums,
@@ -189,9 +219,114 @@ D_TABLE_STEP = 0.25
 BLOCK_ELEMENTS = 1 << 16
 
 
+#: coefficients of 1, theta, theta^2, theta^3 in the cardinal cubics that
+#: ``cubic_weights`` evaluates, one row per node -1, 0, 1, 2
+_CARDINAL = (
+    np.array([[0, -2, 3, -1], [6, -3, -6, 3], [0, 6, 3, -3], [0, -1, 0, 1]], dtype=float) / 6.0
+)
+
+
 def _node_distances(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     """|x - y_j| for every point x (rows) and boundary node y_j (columns)."""
     return _distance(traces.boundary.points, pts[:, None, :])
+
+
+def _stencils(cells, nt: int):
+    """Base sample of the cubic that ``interp_cubic`` reads in each time cell:
+    the first two and the last two cells share one stencil."""
+    return np.clip(cells, 1, nt - 3)
+
+
+def _far_moments(c0: int, c1: int, nt: int):
+    """Moments of the far cells c0..c1 against the far-field series, with s the
+    time in time steps and c0 >= FAR_FIRST_CELL: mu[k, c, lag] = int_c^(c+1)
+    L_lag(s) (s / rho)^(-2k-1) ds / rho, by FAR_NODES Gauss nodes per cell.  The
+    reference length rho = sqrt(c0 (c1 + 1)) bounds both (d / rho)^2k and
+    (rho / s)^(2k+1) by ((c1 + 1) / c0)^(k+1), so neither factor of a term
+    overflows or underflows.
+
+    Returns rho, the column sums sums[k, col - k(c0) + 1] over all the cells,
+    and the sums edge_sums[k, f - c0, j] over the cells from f on of the four
+    columns k(f) - 1 + j, whose stencils may reach below cell f.
+    """
+    rule = gauss_legendre(FAR_NODES, 0.0, 1.0)
+    cells = np.arange(c0, c1 + 1)
+    k = _stencils(cells, nt)
+    rho = math.sqrt(c0 * (c1 + 1.0))
+    # (rho / s)^(2k+1) / rho at every node, term by term
+    u = rho / (cells[:, None] + rule.nodes)
+    power = np.empty((ABEL_TERMS,) + u.shape)
+    power[0] = u / rho
+    u *= u
+    for term in range(1, ABEL_TERMS):
+        np.multiply(power[term - 1], u, out=power[term])
+
+    def moments(at, offset):
+        card = np.stack(cubic_weights(offset + rule.nodes)) * rule.weights
+        return power[:, at] @ card.T
+
+    # a cell's cubic sits at offset c - k(c) from its stencil's base, which is 0
+    # but where cells share a stencil (at the top)
+    mu = moments(slice(None), 0)
+    offset = cells - k
+    for c in np.flatnonzero(offset):
+        mu[:, c] = moments(c, offset[c])
+    # column k(f) - 1 + j takes lag j from the cells from f on of f's own stencil
+    # and lag < j from the whole stencils above it
+    stencil, first, size = np.unique(k, return_index=True, return_counts=True)
+    from_f = mu.copy()
+    for a, n in zip(first[size > 1], size[size > 1]):
+        from_f[:, a : a + n] = np.cumsum(mu[:, a : a + n][:, ::-1], axis=1)[:, ::-1]
+    per_stencil = np.take(from_f, first, axis=1)
+    # each lag moves a stencil's sums onto its column
+    sums = np.zeros((ABEL_TERMS, len(stencil) + 3))
+    for lag in range(4):
+        sums[:, lag : lag + len(stencil)] += per_stencil[..., lag]
+    above = np.concatenate([per_stencil, np.zeros((ABEL_TERMS, 3, 4))], axis=1)
+    at = np.repeat(np.arange(len(stencil)), size)
+    edge_sums = from_f
+    for step in range(1, 4):
+        higher = np.take(above, at + step, axis=1)
+        edge_sums[..., step:] += higher[..., : 4 - step]
+    return rho, sums, edge_sums
+
+
+def _near_weights(w, col0: int, d, lo, hi, cells: np.ndarray, dt: float, nt: int):
+    """Add to w (rows, cols from col0) the phi rule's weights of the time cells
+    ``cells`` (consecutive), each clipped to lo[i] < t < hi[i] in row i, where
+    hi >= lo: ABEL_NODES Gauss nodes in phi per cell, t = d cosh(phi).  A cell
+    outside a row's range has zero span and adds nothing."""
+    rule = gauss_legendre(ABEL_NODES, 0.0, 1.0)
+    k = _stencils(cells, nt)
+    ks, first = np.unique(k, return_index=True)
+    edges = np.append(cells, cells[-1] + 1) * dt
+    size = max(1, BLOCK_ELEMENTS // (ABEL_NODES * len(cells)))
+    for start in range(0, len(d), size):
+        rows = slice(start, start + size)
+        dr = d[rows, None]
+        t = np.clip(edges, lo[rows, None], hi[rows, None])
+        # phi = acosh(t / d) at the cell edges, written to keep its accuracy near t = d
+        phi = np.arcsinh(np.sqrt((t - dr) * (t + dr)) / dr)
+        span = np.diff(phi, axis=1)
+        nodes = np.cosh(phi[:, :-1, None] + span[..., None] * rule.nodes)
+        nodes *= dr[..., None] / dt
+        nodes -= k[:, None]
+        # the cardinal cubics' integrals from those of 1, theta, theta^2, theta^3
+        power = np.empty(span.shape + (4,))
+        power[..., 0] = rule.weights.sum()
+        power[..., 1] = nodes @ rule.weights
+        square = nodes * nodes
+        power[..., 2] = square @ rule.weights
+        square *= nodes
+        power[..., 3] = square @ rule.weights
+        cell_w = power @ _CARDINAL.T
+        cell_w *= span[..., None]
+        # the first two and the last two cells share one stencil
+        if len(ks) < len(k):
+            cell_w = np.add.reduceat(cell_w, first, axis=1)
+        cols = slice(ks[0] - 1 - col0, ks[-1] - col0)
+        for lag in range(4):
+            w[rows, cols.start + lag : cols.stop + lag] += cell_w[..., lag]
 
 
 def _abel_weight_blocks(d: np.ndarray, dt: float, nt: int, t_lo: float, t_hi: float):
@@ -201,34 +336,77 @@ def _abel_weight_blocks(d: np.ndarray, dt: float, nt: int, t_lo: float, t_hi: fl
     over max(d_i, t_lo) < t < t_hi, for d_i = d[rows] and L_c the cardinal
     function of trace sample c in the four-point cubic that ``interp_cubic``
     reads; samples outside ``cols`` have zero weight.  So w @ g is the exact
-    Abel integral of the interpolant of g.  With t = d cosh(phi) a time cell's
-    integral is that of p(d cosh(phi)) over phi, p the cell's cubic: a smooth
-    integrand, which ABEL_NODES Gauss nodes per cell integrate.
+    Abel integral of the interpolant of g.
+
+    Each row's span splits at its first cell edge at or above ABEL_KAPPA d_i
+    (and at or above cell FAR_FIRST_CELL).  Below it, and in the cells that
+    t_lo or t_hi cut, the substitution t = d cosh(phi) makes a cell's integral
+    that of p(d cosh(phi)) over phi, p the cell's cubic: a smooth integrand,
+    which ABEL_NODES Gauss nodes per cell integrate.  Above it the kernel is
+    sum_k a_k d^2k t^(-2k-1) to one machine epsilon (ABEL_TERMS terms), so a
+    row's far weights are its powers of d times the cells' moments, built once
+    per call (:func:`_far_moments`): whole column sums wherever a column's
+    stencil is far, by ``serial_products``, and partial sums on the up to four
+    columns whose stencils reach the split.
     """
-    rule = gauss_legendre(ABEL_NODES, 0.0, 1.0)
     last = min(nt - 2, math.ceil(t_hi / dt) - 1)
-    size = max(1, BLOCK_ELEMENTS // (ABEL_NODES * nt))
-    for start in range(0, len(d), size):
-        rows = slice(start, start + size)
-        dr = d[rows, None]
-        lo = np.maximum(dr, t_lo)
-        cells = np.arange(min(int(lo.min() / dt), last), last + 1)
-        # a row at or past t_hi (the top of a distance table may be) gets no weight
-        t = np.clip(np.append(cells, last + 1) * dt, lo, np.maximum(lo, t_hi))
-        # phi = acosh(t / d) at the cell edges, written to keep its accuracy near t = d
-        phi = np.arcsinh(np.sqrt((t - dr) * (t + dr)) / dr)
-        span = np.diff(phi, axis=1)
-        nodes = np.cosh(phi[:, :-1, None] + span[..., None] * rule.nodes)
-        nodes *= dr[..., None] / dt
-        k = np.clip(cells, 1, nt - 3)
-        nodes -= k[:, None]
-        # the first two and the last two cells share one stencil
-        ks, first = np.unique(k, return_index=True)
-        w = np.zeros((len(phi), len(ks) + 3))
-        for lag, card in enumerate(cubic_weights(nodes)):
-            cell_w = (card @ rule.weights) * span
-            w[:, lag : lag + len(ks)] += np.add.reduceat(cell_w, first, axis=1)
-        yield rows, slice(ks[0] - 1, ks[-1] + 3), w
+    # the last cell is cut when t_hi falls inside it; cells up to ``whole`` are not
+    cut = last if (last + 1) * dt > t_hi else None
+    whole = last - (cut is not None)
+    lo = np.maximum(d, t_lo)
+    first = np.minimum(np.floor(lo / dt).astype(int), last)
+    split = np.maximum(np.ceil(np.maximum(ABEL_KAPPA * d, lo) / dt), FAR_FIRST_CELL)
+    split = np.minimum(split, whole + 1).astype(int)
+    # a row at or past t_hi (the top of a distance table may be) gets no weight
+    live = lo < t_hi
+    far = live & (split <= whole)
+    count = np.where(live, split - first, 0)
+    if far.any():
+        c0 = int(split[far].min())
+        rho, sums, edge_sums = _far_moments(c0, whole, nt)
+        sums_col0 = int(_stencils(c0, nt)) - 1
+    # each block builds a dense w and the nodes of its near cells
+    yield_rows = max(1, BLOCK_ELEMENTS // (ABEL_NODES * nt))
+    cost = nt + ABEL_NODES * (count + 1)
+    block = (np.cumsum(cost) - cost) // BLOCK_ELEMENTS
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    for start, stop in zip(starts, np.append(starts[1:], len(d))):
+        rows = slice(start, stop)
+        col0 = int(_stencils(first[rows].min(), nt)) - 1
+        w = np.zeros((stop - start, int(_stencils(last, nt)) + 3 - col0))
+        at = far[rows]
+        if at.any():
+            f = np.where(at, split[rows], whole)
+            # a_k (d / rho)^2k, and no series for the rows without far cells
+            x = np.where(at, (d[rows] / (dt * rho)) ** 2, 0.0)
+            powers = x[:, None] ** np.arange(ABEL_TERMS) * _SERIES_COEFFS
+            powers[~at] = 0.0
+            kf = _stencils(f, nt)
+            # columns whose whole stencil is far for every far row of the block
+            full = int(kf[at].min()) + 3
+            series = serial_products(powers, sums[:, full - sums_col0 :].T)
+            w[:, full - col0 : full - col0 + series.shape[1]] = series
+            # a row whose split lies higher takes no full sums below k(f) + 3
+            band = np.arange(full, int(kf.max()) + 3)
+            w[:, band - col0] *= band >= kf[:, None] + 3
+            edge = np.einsum("ik,kij->ij", powers, edge_sums[:, f - c0])
+            cols = kf[:, None] - 1 - col0 + np.arange(4)
+            w[np.arange(len(f))[:, None], cols] += edge
+        # near cells up to each row's split, then the cell that t_hi cuts
+        lo_b, top = lo[rows], np.maximum(lo[rows], t_hi)
+        band = np.arange(first[rows].min(), split[rows].max())
+        if len(band):
+            near_top = np.maximum(lo_b, np.minimum(t_hi, split[rows] * dt))
+            _near_weights(w, col0, d[rows], lo_b, near_top, band, dt, nt)
+        if cut is not None:
+            _near_weights(w, col0, d[rows], lo_b, top, np.array([cut]), dt, nt)
+        # yielded by BLOCK_ELEMENTS // (ABEL_NODES nt) rows, the blocks of the filter
+        # products whose bits are tested not to depend on the BLAS thread count
+        for sub in range(start, stop, yield_rows):
+            part = slice(sub, min(sub + yield_rows, stop))
+            lead = int(_stencils(first[part].min(), nt)) - 1
+            rows_w = w[sub - start : part.stop - start, lead - col0 :]
+            yield part, slice(lead, col0 + w.shape[1]), rows_w
 
 
 def _even_at(traces: TraceGrid, x, t_lo: float, t_hi: float, reach: float) -> float:

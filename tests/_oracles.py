@@ -17,6 +17,10 @@ derivative by the central difference across the boundary that the
 package's exact normal derivative replaced.  The per-point 2-D
 back-projection integrates each trace by a Gauss rule in a substituted time
 variable, the route the package's product-integrated Abel weights replaced.
+The all-cells Abel weights are the package's earlier weights, with the
+t = d cosh(phi) rule in every time cell; the package now keeps that rule
+below t = 2d and takes a far-field series beyond, whose weights a Gauss rule
+in the time variable itself checks.
 The superellipse chords come from a golden-section search for the level
 function's minimum on each line and a bisection towards each end, the route
 the package's closed-form inside point and Newton steps replaced.
@@ -643,6 +647,80 @@ def backproject_even_per_point(traces, x, time_quad: int) -> float:
     vals = sum(lw * traces.values[rows, k + l - 1] for l, lw in enumerate(lagrange))
     inner = u_top * np.sum(vals / t * weights, axis=-1)
     return float(np.sum(traces.boundary.weights * inner) / math.pi)
+
+
+def _abel_cells(d, dt: float, nt: int, t_lo: float, t_hi: float, nodes: int):
+    """Stencil bases k (cells,) and weights (4, rows, cells) of every time cell
+    by the phi rule, per lag of the cell's cubic."""
+    from neutrace.calculus import cubic_weights, gauss_legendre
+
+    rule = gauss_legendre(nodes, 0.0, 1.0)
+    dr = np.asarray(d, dtype=float)[:, None]
+    last = min(nt - 2, math.ceil(t_hi / dt) - 1)
+    lo = np.maximum(dr, t_lo)
+    cells = np.arange(min(int(lo.min() / dt), last), last + 1)
+    t = np.clip(np.append(cells, last + 1) * dt, lo, np.maximum(lo, t_hi))
+    phi = np.arcsinh(np.sqrt((t - dr) * (t + dr)) / dr)
+    span = np.diff(phi, axis=1)
+    at = np.cosh(phi[:, :-1, None] + span[..., None] * rule.nodes)
+    at *= dr[..., None] / dt
+    k = np.clip(cells, 1, nt - 3)
+    at -= k[:, None]
+    return k, np.stack([(card @ rule.weights) * span for card in cubic_weights(at)])
+
+
+def _onto_columns(k, cell_w, nt: int) -> np.ndarray:
+    w = np.zeros((cell_w.shape[1], nt))
+    for lag, lag_w in enumerate(cell_w):
+        np.add.at(w.T, k - 1 + lag, lag_w.T)
+    return w
+
+
+def abel_weights_all_cells(d, dt: float, nt: int, t_lo: float, t_hi: float, nodes: int = 4):
+    """Dense Abel weights W (rows, nt) of the interpolated traces, with
+    W[i, c] = int L_c(t) / sqrt(t^2 - d_i^2) dt over max(d_i, t_lo) < t < t_hi,
+    by ``nodes`` Gauss nodes in phi, t = d cosh(phi), in every time cell of
+    every row: the package's earlier route, which it now takes only in the
+    cells below t = 2d and in the cells that t_lo or t_hi cut."""
+    k, cell_w = _abel_cells(d, dt, nt, t_lo, t_hi, nodes)
+    return _onto_columns(k, cell_w, nt)
+
+
+def abel_cell_gaps(d, dt: float, nt: int, t_lo: float, t_hi: float, nodes: int, ref_nodes: int):
+    """Sum over the cells of each weight of :func:`abel_weights_all_cells` of
+    |cell weight with ``nodes`` - cell weight with ``ref_nodes``|: with a converged
+    reference, a bound on the phi rule's quadrature error in every entry that
+    holds for any subset of its cells."""
+    k, cell_w = _abel_cells(d, dt, nt, t_lo, t_hi, nodes)
+    return _onto_columns(k, np.abs(cell_w - _abel_cells(d, dt, nt, t_lo, t_hi, ref_nodes)[1]), nt)
+
+
+def abel_far_weights_in_s(delta: float, c0: int, c1: int, nt: int, nodes: int = 16):
+    """Abel weights of the time cells c0..c1 alone, s = t / dt in time steps and
+    delta = d / dt, with every cell at s >= 2 delta: int L_col(s) / sqrt(s^2 -
+    delta^2) ds by ``nodes`` Gauss-Legendre nodes in s per cell, where the
+    integrand is smooth (its branch points lie at least half of s away), with
+    the four-point Lagrange cubic of each cell written out.  Returns the
+    weights (nt,) and the same integrals of |L_col|, the scale of their
+    roundoff."""
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    cells = np.arange(c0, c1 + 1)
+    k = np.clip(cells, 1, nt - 3)
+    # the offset from the stencil's base directly, which keeps its digits at large s
+    th = (cells - k)[:, None] + 0.5 * (x + 1.0)
+    s = k[:, None] + th
+    lagrange = (
+        -th * (th - 1.0) * (th - 2.0) / 6.0,
+        (th - 1.0) * (th + 1.0) * (th - 2.0) / 2.0,
+        -th * (th + 1.0) * (th - 2.0) / 2.0,
+        th * (th * th - 1.0) / 6.0,
+    )
+    kernel = 0.5 * wq / np.sqrt((s - delta) * (s + delta))
+    w, scale = np.zeros(nt), np.zeros(nt)
+    for lag, card in enumerate(lagrange):
+        np.add.at(w, k - 1 + lag, np.sum(card * kernel, axis=1))
+        np.add.at(scale, k - 1 + lag, np.sum(np.abs(card) * kernel, axis=1))
+    return w, scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Quadrature rules, difference stencils and the coefficient recursion."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neutrace
 from neutrace.calculus import (
     _sine_ball_rule,
     _sphere_rule,
@@ -16,6 +20,7 @@ from neutrace.calculus import (
     gauss_legendre,
     interp_cubic,
     richardson,
+    serial_products,
     stencil_apply,
     stencil_derivative,
     unit_ball_volume,
@@ -291,3 +296,35 @@ def test_interp_cubic_rejects_queries_outside_the_table():
     for bad in (-1e-9, -0.1, 2.0 + 1e-9):
         with pytest.raises(ValueError, match="leave the table"):
             interp_cubic(np.array([0.5, bad]), x0, dx, table)
+
+
+# prints the digest of serial_products on a 100 x 25 by 25 x 340 product, a
+# shape that OpenBLAS splits over two threads with edge blocks that round
+# differently from its one-thread blocks
+SERIAL_PRODUCT_CHILD = """
+import hashlib
+import numpy as np
+from neutrace.calculus import serial_products
+rng = np.random.default_rng(7)
+print(hashlib.sha256(serial_products(rng.random((100, 25)), rng.random((340, 25))).tobytes()).hexdigest())
+"""
+
+
+def test_serial_products_bits_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(neutrace.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", SERIAL_PRODUCT_CHILD], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_serial_products_is_the_matrix_product():
+    rng = np.random.default_rng(3)
+    a, w = rng.random((150, 25)), rng.random((700, 25))
+    np.testing.assert_allclose(serial_products(a, w), a @ w.T, rtol=1e-14)

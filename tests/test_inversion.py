@@ -2,13 +2,21 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import assert_same_bits, backproject_even_per_point, support_radius_per_point
+from _oracles import (
+    abel_cell_gaps,
+    abel_far_weights_in_s,
+    abel_weights_all_cells,
+    assert_same_bits,
+    backproject_even_per_point,
+    support_radius_per_point,
+)
 
-from neutrace.calculus import cubic_stencil, gauss_legendre, interp_cubic
+from neutrace.calculus import cubic_stencil, cubic_weights, gauss_legendre, interp_cubic
 from neutrace.forward import (
     InsufficientDataError,
     SolverParams,
@@ -17,13 +25,23 @@ from neutrace.forward import (
 )
 from neutrace.geometry import boundary_quadrature, ellipsoid
 from neutrace.inversion import (
+    ABEL_KAPPA,
+    ABEL_TERMS,
+    D_TABLE_STEP,
+    FAR_FIRST_CELL,
     ImageGrid,
     ReconstructionOptions,
+    _CARDINAL,
+    _SERIES_COEFFS,
+    _abel_weight_blocks,
     _angular_set,
     _as_field,
     _correction_constant,
     _correction_matrix,
     _even_at,
+    _far_moments,
+    _node_distances,
+    _stencils,
     _support_radii,
     backproject_even,
     backproject_odd,
@@ -346,14 +364,27 @@ def test_truncation_probe_is_small_on_long_records(disk_traces):
     assert 0.0 <= probe <= 1e-3
 
 
-def test_truncation_probe_is_the_full_minus_the_halved_back_projection(disk_traces):
-    x = (0.1, 0.0)
+@pytest.mark.parametrize("cut", ["half", "near", "edge"])
+def test_truncation_probe_is_the_full_minus_the_halved_back_projection(disk_traces, cut):
+    x = (0.1, 0.0)  # 0.9 < d < 1.1 from every node
+    t_max, dt = disk_traces.times.t_max, disk_traces.times.dt
+    # the probe's own cut, 199.5 time steps, beyond 2d for every node; t = 2,
+    # below 2d for the nodes with d > 1 (99.75 steps); a cell edge
+    t_cut = {"half": 0.5 * t_max, "near": 2.0, "edge": 150 * dt}[cut]
     full = backproject_even(disk_traces, x)
-    half = _even_at(disk_traces, x, 0.0, 4.0, 4.0)
-    # full and half share the weights of every time cell below the cut, where
-    # the Gauss error sits (near t = d), and t_max/2 splits one cell far from
-    # it; so they differ from the tail by roundoff in the sums (1.1e-16 measured)
-    assert truncation_probe(disk_traces, x) == pytest.approx(abs(full - half), abs=1e-12)
+    below = _even_at(disk_traces, x, 0.0, t_cut, t_cut)
+    if cut == "half":
+        tail = truncation_probe(disk_traces, x)
+    else:
+        tail = abs(_even_at(disk_traces, x, t_cut, t_max, t_cut))
+    # the three integrals give every time cell that the cut does not split the
+    # same weights: the phi rule's below 2d, where its Gauss error sits (near
+    # t = d), and the far-field series' above.  They differ in the one cell the
+    # cut splits, which the full integral takes whole (by the series when it is
+    # far, by the phi rule when it is near) and the two parts by the phi rule
+    # on each piece, well away from t = d; a cut on an edge splits no cell.  So
+    # the gap is roundoff in the sums (at most 2.0e-16 measured)
+    assert tail == pytest.approx(abs(full - below), abs=1e-12)
 
 
 # Gap between backproject_even and the per-point Gauss route of the oracle
@@ -378,6 +409,117 @@ def test_abel_weights_match_the_per_point_quadrature(ellipse_traces):
     fine = np.array([backproject_even_per_point(ellipse_traces, p, 32768) for p in pts])
     assert np.abs(coarse - got).max() <= ORACLE_8192_BOUND
     assert np.all(np.abs(fine - got) <= np.abs(coarse - got) / 8.0)
+
+
+def dense_abel_weights(d, dt, nt, t_lo, t_hi):
+    w = np.zeros((len(d), nt))
+    for rows, cols, block in _abel_weight_blocks(np.asarray(d, dtype=float), dt, nt, t_lo, t_hi):
+        w[rows, cols] = block
+    return w
+
+
+def abel_row_sets(traces):
+    """Rows of the Abel weights, each as (d, t_lo, t_hi): the distance table
+    that the back-projection builds for the benchmark ellipse's 11 x 11 grid,
+    the truncation probe's node distances, distances below dt / ABEL_KAPPA,
+    rows at and past t_hi, and an upper time that cuts a time cell."""
+    t_max, dt = traces.times.t_max, traces.times.dt
+    pts = ImageGrid((-0.3, -0.6), (0.7, 0.4), (11, 11)).points()
+    d = _node_distances(traces, pts)
+    step = D_TABLE_STEP * dt
+    table = d.min() + step * np.arange(int((d.max() - d.min()) / step) + 2)
+    nodes = _node_distances(traces, np.array([[0.2, -0.1]]))[0]
+    return {
+        "table": (table, 0.0, t_max),
+        "probe": (nodes, 0.5 * t_max, t_max),
+        "below_dt": (dt / ABEL_KAPPA * np.array([0.1, 0.4, 0.9]), 0.0, t_max),
+        "past_t_hi": (np.array([0.5, t_max - 0.3 * dt, t_max, t_max + 0.1]), 0.0, t_max),
+        "cut_cell": (nodes, 0.0, 5.0 + 0.37 * dt),
+    }
+
+
+def node_rounding_bound(d, t_hi):
+    """Roundoff of the phi rule's weights in far cells (t >= 2d).  A node's
+    s = t / dt = (d / dt) cosh(phi) carries a relative rounding error of at
+    most (3 phi + 3) eps, phi <= acosh(t_hi / d), so its offset theta = s - k
+    from the stencil's base one of (3 phi + 3) eps s.  The cardinal cubics'
+    slopes are at most 3 on [-1, 2] and a far cell spans at most 1.16 / s in
+    phi, so a cell's weight moves by at most 3 * 3 * 1.16 (phi + 1) eps, and a
+    weight sums at most five cells: 52 (phi + 1) eps < 64 (phi + 1) eps."""
+    phi = math.acosh(max(t_hi / np.min(d), 1.0))
+    return 64.0 * (phi + 1.0) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("row_set", ["table", "probe", "below_dt", "past_t_hi", "cut_cell"])
+def test_abel_weights_match_the_all_cells_phi_route(ellipse_traces, row_set):
+    """The weights split each row at 2d: the phi rule below, the far-field
+    series above.  The all-cells phi route takes the phi rule everywhere, so
+    the two differ only in the far cells, by that route's error there: its
+    4-node Gauss error, at most the sum over the entry's cells of their
+    4-versus-16-node gaps (16 nodes agree with 32 to 1.4e-15), and the
+    rounding of its node offsets.  The series itself is exact to one epsilon
+    (ABEL_TERMS) and its moments to 1.6e-16 of a cell's weight (FAR_NODES)."""
+    d, t_lo, t_hi = abel_row_sets(ellipse_traces)[row_set]
+    dt, nt = ellipse_traces.times.dt, ellipse_traces.times.nt
+    got = dense_abel_weights(d, dt, nt, t_lo, t_hi)
+    want = abel_weights_all_cells(d, dt, nt, t_lo, t_hi, nodes=4)
+    gaps = abel_cell_gaps(d, dt, nt, t_lo, t_hi, nodes=4, ref_nodes=16)
+    assert np.all(np.abs(got - want) <= gaps + node_rounding_bound(d, t_hi))
+    # a row at or past t_hi gets no weight
+    assert not np.any(got[d >= t_hi])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_abel_weights_depend_only_on_the_distances_in_time_steps(ellipse_traces, scale):
+    """W is a function of d / dt, t_lo / dt and t_hi / dt, so scaling all four
+    leaves it unchanged up to the rounding of those ratios, which moves the
+    phi rule's nodes as in :func:`node_rounding_bound`; no factor of the
+    series overflows or underflows on the way."""
+    dt, nt = ellipse_traces.times.dt, ellipse_traces.times.nt
+    for d, t_lo, t_hi in abel_row_sets(ellipse_traces).values():
+        want = dense_abel_weights(d, dt, nt, t_lo, t_hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dense_abel_weights(scale * d, scale * dt, nt, scale * t_lo, scale * t_hi)
+        assert np.all(np.abs(got - want) <= node_rounding_bound(d, t_hi))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.7, 7.3, 150.3])
+def test_far_series_weights_match_gauss_in_the_time_variable(delta):
+    """A row's far weights, from the column sums of the series moments and
+    from the edge sums of its first far cell f, against Gauss-Legendre in
+    s = t / dt over the same cells.  Both routes round a few terms per node or
+    series term and add at most five cells, so they agree to a few ulps of the
+    integrals of |L_col| (at most 4.7 measured, and the reference alone moves
+    by 5.8 from 16 to 32 nodes)."""
+    nt, eps = 400, np.finfo(float).eps
+    c0, c1 = max(FAR_FIRST_CELL, math.ceil(ABEL_KAPPA * delta)), nt - 2
+    rho, sums, edge_sums = _far_moments(c0, c1, nt)
+    powers = (delta / rho) ** (2 * np.arange(ABEL_TERMS)) * _SERIES_COEFFS
+    got = np.zeros(nt)
+    got[_stencils(c0, nt) - 1 :][: sums.shape[1]] = powers @ sums
+    want, scale = abel_far_weights_in_s(delta, c0, c1, nt)
+    assert np.all(np.abs(got - want) <= 16 * eps * scale)
+    for f in (c0, c0 + 1, c0 + 2, c0 + 7, nt - 4, nt - 3, nt - 2):
+        cols = _stencils(f, nt) - 1 + np.arange(4)
+        want, scale = abel_far_weights_in_s(delta, f, c1, nt)
+        assert np.all(np.abs(powers @ edge_sums[:, f - c0] - want[cols]) <= 16 * eps * scale[cols])
+
+
+def test_far_series_has_the_fewest_terms_with_a_tail_below_one_epsilon():
+    x = ABEL_KAPPA**-2
+    coeffs = [math.comb(2 * k, k) / 4**k for k in range(ABEL_TERMS + 1)]
+    np.testing.assert_allclose(_SERIES_COEFFS, coeffs[:-1], rtol=1e-15)
+    # the coefficients fall, so a_K x^K / (1 - x) bounds the tail after K terms
+    tail = [a * x**k / (1.0 - x) for k, a in enumerate(coeffs)]
+    assert tail[ABEL_TERMS] <= np.finfo(float).eps < tail[ABEL_TERMS - 1]
+
+
+def test_cardinal_monomials_are_the_cubics_that_interp_cubic_reads(rng):
+    theta = rng.uniform(-1.0, 2.0, 50)
+    want = np.stack(cubic_weights(theta))
+    got = _CARDINAL @ theta ** np.arange(4)[:, None]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
