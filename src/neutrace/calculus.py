@@ -73,12 +73,16 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadRule:
 _PRODUCT_COLUMNS = 256
 
 
-def column_products(a, w):
-    """a @ w.T by products over ``_PRODUCT_COLUMNS`` columns, added in order."""
+def column_products(a, w, serial: bool = False):
+    """a @ w.T by products over ``_PRODUCT_COLUMNS`` columns, added in order.
+
+    OpenBLAS may still split one such product over threads, at places that
+    depend on its thread count, for some shapes; with ``serial`` each runs
+    by :func:`serial_products`, on one thread."""
     out = np.zeros((a.shape[0], w.shape[0]))
     for c in range(0, a.shape[1], _PRODUCT_COLUMNS):
         cols = slice(c, c + _PRODUCT_COLUMNS)
-        out += a[:, cols] @ w[:, cols].T
+        out += serial_products(a[:, cols], w[:, cols]) if serial else a[:, cols] @ w[:, cols].T
     return out
 
 

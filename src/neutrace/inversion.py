@@ -47,6 +47,7 @@ from .transforms import (
     _centre_offsets,
     _check_profile_table,
     _offset_window,
+    _table_grids,
     _window_offsets,
 )
 
@@ -438,8 +439,9 @@ def _backproject(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
     Three dimensions read each trace at t = |x - y| and divide by it.  Two
     dimensions filter every trace once with the Abel weights on a uniform
     table of distances d_m (step D_TABLE_STEP dt, spanning the points'
-    distances), H = traces @ W^T by ``column_products``, and read H_j at
-    |x - y_j| by the cubic.
+    distances), H = traces @ W^T by ``column_products`` on one BLAS thread,
+    so that the image bits do not depend on the thread count, and read H_j
+    at |x - y_j| by the cubic.
     """
     nodes, n = traces.boundary.points.shape
     size = max(1, BLOCK_ELEMENTS // (nodes * n))
@@ -456,7 +458,7 @@ def _backproject(traces: TraceGrid, pts: np.ndarray) -> np.ndarray:
         dists = x0 + step * np.arange(max(4, int((ranges[:, 1].max() - x0) / step) + 2))
         table = np.empty((nodes, len(dists)))
         for rows, cols, w in _abel_weight_blocks(dists, dt, traces.times.nt, 0.0, reach):
-            table[:, rows] = column_products(traces.values[:, cols], w)
+            table[:, rows] = column_products(traces.values[:, cols], w, serial=True)
         divisor = math.pi
     out = np.empty(len(pts))
     for i in starts:
@@ -523,9 +525,32 @@ def _as_field(f):
 
 
 def _angular_set(n: int, m: int):
-    """Directions and weights covering the unit sphere (total measure)."""
-    dirs, wu = _sphere_rule(n, m, shift=0.5)
-    return dirs, wu * (2.0 * math.pi / ((n - 1) * m))
+    """Directions and weights covering the unit sphere (total measure).
+
+    On the circle the m directions lie at the angles 2 pi (k + 1/2) / m, each
+    of weight 2 pi / m, and each is built as an exact sign flip of the
+    first-quadrant direction at its angle reduced into [0, pi/2]: mirror
+    images about an axis are exact mirror images, and a direction on an
+    axis is exactly (+-1, 0) or (0, +-1).  A reflection
+    x_i - c_i -> -(x_i - c_i) maps the chord at (theta, s') to the chord at
+    (theta with theta_i negated, s'), s' the offset from <c, theta>, so on a
+    centred, axis-aligned domain mirror directions share one kernel profile
+    (:func:`_correction_quadrature`).  The sphere keeps the product rule.
+    """
+    if n != 2:
+        dirs, wu = _sphere_rule(n, m, shift=0.5)
+        return dirs, wu * (2.0 * math.pi / ((n - 1) * m))
+    # angles in units of pi / 2m, reduced into the first quadrant [0, m]
+    u = 4 * np.arange(m) + 2
+    sin_sign = np.where(u > 2 * m, -1.0, 1.0)
+    u = np.where(u > 2 * m, 4 * m - u, u)
+    cos_sign = np.where(u > m, -1.0, 1.0)
+    u = np.where(u > m, 2 * m - u, u)
+    ang = 2.0 * np.pi * (0.25 * u) / m
+    on_axis = u == m
+    cos = np.where(on_axis, 0.0, np.cos(ang))
+    sin = np.where(on_axis, 1.0, np.sin(ang))
+    return np.stack([cos_sign * cos, sin_sign * sin], axis=-1), np.full(m, 2.0 * math.pi / m)
 
 
 def _kernel_vanishes(domain: ConvexDomain) -> bool:
@@ -591,7 +616,16 @@ def _correction_quadrature(f, evaluator, pts, domain, opts, margin):
 
     The profiles are None where K is zero at every point: when no point has
     a non-zero radius, or when the kernel vanishes, after the chord windows
-    are checked at the samples where ``evaluator`` is non-zero."""
+    are checked at the samples where ``evaluator`` is non-zero.
+
+    Every domain is symmetric under the reflections x_i - c_i -> -(x_i - c_i),
+    which map the chord at (theta, s') to the chord at (theta with theta_i
+    negated, s'), s' the offset from <c, theta>.  So a section profile, its
+    Hilbert transform and their derivatives, as functions of s', depend on
+    |theta| only.  The tables are built once per orbit of these reflections,
+    on its direction |theta| (in order of first appearance), and each
+    direction's profile shares them while keeping its own theta, centre
+    <c, theta> and offset grid."""
     n = domain.dimension
     r_max = _support_radii(f, pts)
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
@@ -603,9 +637,18 @@ def _correction_quadrature(f, evaluator, pts, domain, opts, margin):
         radii = r_max[live, None] * rad.nodes
         _check_zero_kernel_window(domain, evaluator, pts[live], radii, dirs, margin)
         return r_max, rad, dirs, wdir, None
-    profiles = _build_profiles(
-        domain, dirs, n, margin, opts.kernel_table, opts.kernel_quad, n % 2 == 0
+    orbits = {}
+    orbit = [orbits.setdefault(key, len(orbits)) for key in map(tuple, np.abs(dirs).tolist())]
+    tables = _build_profiles(
+        domain, list(orbits), n, margin, opts.kernel_table, opts.kernel_quad, n % 2 == 0
     )
+    centres = _centre_offsets(domain, dirs)
+    widths = np.array([tables[k].halfwidth for k in orbit])
+    _, grids = _table_grids(centres, widths, margin, opts.kernel_table)
+    profiles = [
+        replace(tables[k], theta=tuple(th.tolist()), s_center=c, s_grid=grid)
+        for k, th, c, grid in zip(orbit, dirs, centres.tolist(), grids)
+    ]
     return r_max, rad, dirs, wdir, profiles
 
 
@@ -624,7 +667,8 @@ def correction_K(
     coordinates around x cancel the 1/|x - y|^{n-1} factor exactly: the
     integral becomes radial integrals of f(x + r w) times the kernel at the
     bisector chord (w, <x, w> + r/2), summed over directions.  The kernel
-    profiles of the directions are built once per call, for all points.
+    profiles of the directions are built once per call, for all points, and
+    once per mirror orbit of the directions (:func:`_correction_quadrature`).
     """
     opts = opts or ReconstructionOptions()
     x = np.asarray(x, dtype=float)

@@ -487,7 +487,9 @@ _PAD = 8  # table nodes kept outside the queryable window for FD stencils
 @dataclass(frozen=True)
 class KernelProfile:
     """Per-direction table of the section profile, optionally its Hilbert
-    transform, and offset-derivative columns of both.
+    transform, and offset-derivative columns of both.  Mirror-image
+    directions of a domain hold one set of these tables, each with its own
+    ``theta``, ``s_center`` and ``s_grid``.
 
     The query window is the offset range at distance >= ``margin`` from
     tangency; the value grid extends a little beyond it so every window
@@ -588,6 +590,15 @@ def _check_profile_table(num_table: int, margin: float | None) -> None:
         raise ValueError(f"profile margin must be positive, got {margin}")
 
 
+def _table_grids(centres, widths, margin: float, num_table: int):
+    """Half-span v and offset grids centres + linspace(-v, v) of the kernel
+    tables of directions with support centres ``centres`` and halfwidths
+    ``widths``: num_table offsets each, _PAD of them beyond the query window
+    at either end."""
+    v = (widths - margin) / (1.0 - 2.0 * _PAD / (num_table - 1))
+    return v, centres[:, None] + np.linspace(-v, v, num_table, axis=-1)
+
+
 def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hilbert):
     """Kernel profiles of a list of directions.
 
@@ -608,7 +619,7 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
     ths = np.array([_check_unit(theta) for theta in thetas])
     centres = _centre_offsets(domain, ths)
     widths = support_halfwidth(domain, ths)
-    v = (widths - margin) / (1.0 - 2.0 * _PAD / (num_table - 1))
+    v, offsets = _table_grids(centres, widths, margin, num_table)
     bad = (margin >= widths) | (v >= widths * (1.0 - 1e-9))
     if bad.any():
         w = float(widths[np.argmax(bad)])
@@ -618,7 +629,6 @@ def _build_profiles(domain, thetas, order, margin, num_table, num_quad, with_hil
             f"margin {margin} too small for a {num_table}-point table; "
             "increase the margin or the table size"
         )
-    offsets = centres[:, None] + np.linspace(-v, v, num_table, axis=-1)
     if with_hilbert:
         nodes = centres[:, None] + widths[:, None] * np.sin(rule.nodes)
         offsets = np.concatenate([offsets, nodes], axis=1)

@@ -1637,3 +1637,22 @@ def cinf_primitive_plain(u):
     return (values[k] * (1.0 + 2.0 * th) + slopes[k] * th) * (om * om) + (
         values[k + 1] * (3.0 - 2.0 * th) - slopes[k + 1] * om
     ) * (th * th)
+
+
+
+def profiles_per_direction(quadrature):
+    """``quadrature``, the correction's ``_correction_quadrature``, as it was
+    before the kernel tables were built once per mirror orbit: the same
+    radii, rules and directions, and one profile built for every direction."""
+    from neutrace.transforms import _build_profiles
+
+    def per_direction(f, evaluator, pts, domain, opts, margin):
+        r_max, rad, dirs, wdir, profiles = quadrature(f, evaluator, pts, domain, opts, margin)
+        if profiles is not None:
+            n = domain.dimension
+            profiles = _build_profiles(
+                domain, dirs, n, margin, opts.kernel_table, opts.kernel_quad, n % 2 == 0
+            )
+        return r_max, rad, dirs, wdir, profiles
+
+    return per_direction

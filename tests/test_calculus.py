@@ -86,12 +86,13 @@ def test_gauss_legendre_spectral_on_sine():
 def test_sphere_rule_keeps_the_bits_of_the_hand_built_rules(n, m):
     """The one product rule on the circle and sphere gives the bits of the
     three rules it replaced: the sphere-mean directions, the correction's
-    angular set, and the identity check's volume directions, turned by a
-    phase."""
-    for got, want in (
-        (_mean_directions(n, m), mean_directions_by_hand(n, m)),
-        (_angular_set(n, m), angular_set_by_hand(n, m)),
-    ):
+    angular set on the sphere, and the identity check's volume directions,
+    turned by a phase.  The correction's set on the circle is built from
+    mirror images instead (next test)."""
+    pairs = [(_mean_directions(n, m), mean_directions_by_hand(n, m))]
+    if n == 3:
+        pairs.append((_angular_set(n, m), angular_set_by_hand(n, m)))
+    for got, want in pairs:
         assert_same_bits(got[0], want[0])
         assert_same_bits(got[1], want[1])
     if n == 3:
@@ -100,6 +101,36 @@ def test_sphere_rule_keeps_the_bits_of_the_hand_built_rules(n, m):
             want = volume_directions_by_hand(m, 2 * m, phase)
             assert_same_bits(dirs, want[0])
             assert_same_bits(wu * (2.0 * np.pi / (2 * m)), want[1])
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 15, 18, 32, 64])
+def test_circle_angular_set_is_the_hand_built_rule_made_mirror_exact(m):
+    """The correction's m directions on the circle lie at the hand-built
+    rule's angles a_k = 2 pi (k + 1/2) / m, with its weights, and mirror
+    images are exact: the reflections a -> -a and (m even) a -> pi - a map
+    each direction to its exact sign flip, and axis directions are exact.
+
+    Both routes take cos and sin of a float angle, the hand rule of a_k and
+    the set of the angle reduced into [0, pi/2], each computed as
+    2 pi x / m with two roundings and pi's own error, so within 1.2 eps of
+    itself relative: 1.9 spacing(2 pi) for a_k <= 2 pi, 0.5 for the reduced
+    angle.  cos and sin are 1-Lipschitz and round within eps each, 0.5
+    spacing(2 pi) for both routes, so the components differ by at most
+    3 spacing(2 pi)."""
+    dirs, weights = _angular_set(2, m)
+    want, want_weights = angular_set_by_hand(2, m)
+    assert_same_bits(weights, want_weights)
+    assert np.max(np.abs(dirs - want)) <= 3.0 * np.spacing(2.0 * np.pi)
+    open_quadrant = (want[:, 0] > 1e-12) & (want[:, 1] > 1e-12)
+    assert_same_bits(dirs[open_quadrant], want[open_quadrant])
+    k = np.arange(m)
+    # 2 pi - a_k is a_{m - 1 - k}, and pi - a_k is a_{m/2 - 1 - k} (mod m) for m even
+    assert_same_bits(dirs[m - 1 - k], dirs * [1.0, -1.0] + 0.0)
+    if m % 2 == 0:
+        assert_same_bits(dirs[(m // 2 - 1 - k) % m], dirs * [-1.0, 1.0] + 0.0)
+    on_axis = np.abs(want) < 1e-12
+    assert np.all(dirs[on_axis] == 0.0) and np.all(np.abs(dirs[on_axis[:, ::-1]]) == 1.0)
+    assert np.count_nonzero(on_axis) == (m % 2 == 1) + 2 * (m % 4 == 2)
 
 
 @pytest.mark.parametrize("m", [4, 17, 40, 48, 57, 192])

@@ -391,13 +391,20 @@ def test_2d_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert digests[0] == digests[1]
 
 
-# the benchmark's two 2-D configs at their seed-free centres: the ellipse,
-# and the superellipse with the correction
-BLAS_IMAGE_CASES = {
-    "ellipse": "domain.semi_axes = 1.5, 1.0\n"
+# the benchmark's two 2-D configs at their seed-free centres: the ellipse
+# (also at the smoke test's 48 nodes and nt 300), and the superellipse with
+# the correction
+BLAS_ELLIPSE = (
+    "domain.semi_axes = 1.5, 1.0\n"
     + "phantom.bump1.center = 0.2, -0.1\nphantom.bump1.radius = 0.3\n"
-    + "grid.lo = -0.3, -0.6\ngrid.hi = 0.7, 0.4\ngrid.shape = 11, 11\n",
-    "superellipse-corrected": "domain.kind = superellipse\ndomain.exponent = 4.0\n"
+    + "grid.lo = -0.3, -0.6\ngrid.hi = 0.7, 0.4\ngrid.shape = 11, 11\n"
+)
+BLAS_SIZES = "boundary.resolution = 64\ntime.nt = 400\n"
+BLAS_IMAGE_CASES = {
+    "ellipse": BLAS_SIZES + BLAS_ELLIPSE,
+    "ellipse-48-nodes-nt-300": "boundary.resolution = 48\ntime.nt = 300\n" + BLAS_ELLIPSE,
+    "superellipse-corrected": BLAS_SIZES
+    + "domain.kind = superellipse\ndomain.exponent = 4.0\n"
     + "domain.semi_axes = 1.2, 0.9\n"
     + "phantom.bump1.center = 0.25, 0.1\nphantom.bump1.radius = 0.3\n"
     + "grid.lo = -0.1, -0.25\ngrid.hi = 0.6, 0.45\ngrid.shape = 7, 7\n"
@@ -409,11 +416,13 @@ BLAS_IMAGE_CASES = {
 @pytest.mark.parametrize("case", list(BLAS_IMAGE_CASES))
 def test_2d_image_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
     """The 2-D back-projection filters every trace with the Abel weights by
-    matrix products over its time samples, 400 here (64 nodes), enough for
-    OpenBLAS to split one product over threads: one and two BLAS threads
-    write the same image.  With one product over all samples, 15 of the
-    ellipse's 121 image values differed in their last bits."""
-    text = "dimension = 2\nboundary.resolution = 64\ntime.nt = 400\ntime.t_max_factor = 4.0\n"
+    matrix products over its time samples, 400 or 300 here (64 or 48
+    nodes), enough for OpenBLAS to split one product over threads: one and
+    two BLAS threads write the same image.  With one product over all
+    samples, 15 of the ellipse's 121 image values differed in their last
+    bits; with BLAS products of up to 256 samples, 58 of them at 48 nodes
+    and nt 300."""
+    text = "dimension = 2\ntime.t_max_factor = 4.0\n"
     text += BLAS_IMAGE_CASES[case]
     trace = tmp_path / "traces.csv"
     text += f"input.trace = {trace}\n"

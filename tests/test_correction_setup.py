@@ -29,6 +29,7 @@ from neutrace.inversion import (
     ReconstructionOptions,
     _angular_set,
     _correction_matrix,
+    _correction_quadrature,
     _support_radii,
 )
 from neutrace.transforms import (
@@ -177,6 +178,49 @@ def test_correction_matrix_equals_the_per_direction_assembly(key, count, block, 
     got = _correction_matrix(BOX, DOMAINS[key], opts)
     assert np.abs(got).max() > 0.0
     assert_same_bits(got, correction_matrix_per_direction(BOX, DOMAINS[key], opts))
+
+
+@pytest.mark.parametrize("count,orbits", [(15, 8), (16, 4), (18, 5), (32, 8)])
+@pytest.mark.parametrize("key", sorted(DOMAINS))
+def test_profiles_are_built_once_per_mirror_orbit(key, count, orbits, monkeypatch):
+    """One build of |theta| per orbit of the axis reflections, in order of
+    first appearance: an odd count pairs a with -a and leaves (-1, 0) alone;
+    a count of 2 mod 4 holds the orbit {(0, 1), (0, -1)}.  Each direction
+    shares its orbit's tables and keeps the theta, centre, halfwidth and
+    offset grid of a profile built for it."""
+    domain = DOMAINS[key]
+    opts = replace(OPTS, k_angular=count)
+    builds = []
+
+    def counted(domain, thetas, *args):
+        builds.append(np.array(thetas))
+        return _build_profiles(domain, thetas, *args)
+
+    monkeypatch.setattr("neutrace.inversion._build_profiles", counted)
+    field = replace(BOX, values=np.ones(BOX.shape))
+    _, _, dirs, _, profiles = _correction_quadrature(
+        field, field.interp, BOX.points(), domain, opts, opts.kernel_margin
+    )
+    assert len(builds) == 1 and len(builds[0]) == orbits
+    reps = builds[0]
+    _, first = np.unique(np.abs(dirs), axis=0, return_index=True)
+    assert_same_bits(reps, np.abs(dirs)[np.sort(first)])
+    args = (2, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, True)
+    tables, own = _build_profiles(domain, reps, *args), _build_profiles(domain, dirs, *args)
+    for th, prof, mine in zip(dirs, profiles, own):
+        rep = tables[int(np.flatnonzero(np.all(reps == np.abs(th), axis=1))[0])]
+        for name in ("rchi", "hrchi"):
+            assert_same_bits(getattr(prof, name), getattr(rep, name))
+        for name in ("rchi_d", "hrchi_d"):
+            assert getattr(prof, name).keys() == getattr(rep, name).keys()
+            for k, col in getattr(prof, name).items():
+                assert_same_bits(col, getattr(rep, name)[k])
+        for name in ("theta", "s_center", "halfwidth"):
+            assert getattr(prof, name) == getattr(mine, name)
+        assert_same_bits(prof.s_grid, mine.s_grid)
+    for k in range(orbits):
+        members = [p for p, o in zip(profiles, np.abs(dirs)) if np.array_equal(o, reps[k])]
+        assert all(p.rchi is members[0].rchi and p.hrchi_d is members[0].hrchi_d for p in members)
 
 
 def test_correction_matrix_checks_each_direction_window_as_the_loop_did():

@@ -13,9 +13,11 @@ from _oracles import (
     abel_weights_all_cells,
     assert_same_bits,
     backproject_even_per_point,
+    profiles_per_direction,
     support_radius_per_point,
 )
 
+from neutrace import inversion
 from neutrace.calculus import cubic_stencil, cubic_weights, gauss_legendre, interp_cubic
 from neutrace.forward import (
     InsufficientDataError,
@@ -23,7 +25,7 @@ from neutrace.forward import (
     TimeGrid,
     simulate_traces,
 )
-from neutrace.geometry import boundary_quadrature, ellipsoid
+from neutrace.geometry import boundary_quadrature, ellipsoid, superellipse
 from neutrace.inversion import (
     ABEL_KAPPA,
     ABEL_TERMS,
@@ -131,6 +133,8 @@ SE4_CORRECTION_AT_01 = -0.004860378662794843
 # for the fixture.  Gaussian noise of that size on every chord sample moves
 # the value by 2.5e-12 (std; max 6.3e-12 over 12 draws), while the smallest
 # method change tried (63 instead of 64 directions) moves it by 1.9e-7.
+# f may be any field correction_K takes (a Phantom or an ImageGrid), with
+# the support radius of _support_radii.
 RICHARDSON_2_ABS = (
     (-4, 1 / 720), (-2, 1 / 9), (-1, 64 / 45), (0, 21 / 8), (1, 64 / 45), (2, 1 / 9), (4, 1 / 720)
 )
@@ -139,7 +143,7 @@ RICHARDSON_2_ABS = (
 def se4_correction_roundoff(domain, f, x, opts):
     quad = gauss_legendre(opts.kernel_quad, -0.5 * math.pi, 0.5 * math.pi)
     rad = gauss_legendre(opts.k_radial, 0.0, 1.0)
-    r_max = max(float(np.linalg.norm(np.asarray(b.center) - x)) + b.radius for b in f.bumps)
+    r_max = float(_support_radii(f, x[None])[0])
     r = r_max * rad.nodes
     total, chord = 0.0, 0.0
     dirs, wdir = _angular_set(2, opts.k_angular)
@@ -147,7 +151,7 @@ def se4_correction_roundoff(domain, f, x, opts):
         domain, dirs, 2, opts.kernel_margin, opts.kernel_table, opts.kernel_quad, True
     )
     for omega, w_omega, prof in zip(dirs, wdir, profiles):
-        fvals = f.eval(x + r[:, None] * omega)
+        fvals = _as_field(f)(x + r[:, None] * omega)
         mask = fvals != 0.0
         if not np.any(mask):
             continue
@@ -700,6 +704,110 @@ def test_correction_batch_equals_its_one_point_calls(se4, ellipse21, unit_ball, 
 def test_correction_cancels_at_a_point_of_radial_symmetry(bump2d, se4):
     """At the centre of a radial field the odd kernel pairs (w, -w) cancel."""
     assert abs(correction_K(bump2d, (0.0, 0.0), se4, SE4_OPTS)) <= 1e-8
+
+
+# off-centre superellipses: there the tables built for mirror directions
+# differ by roundoff, so the one table per orbit moves K by roundoff
+OFF_CENTRE = {
+    "p2.5": superellipse((0.15, -0.1), (1.1, 0.85), 2.5),
+    "p8": superellipse((-0.1, 0.05), (1.0, 1.2), 8.0),
+}
+
+
+@pytest.mark.parametrize("count", [15, 64])
+@pytest.mark.parametrize("key", ["se4"] + sorted(OFF_CENTRE))
+def test_correction_with_a_profile_per_direction_agrees_within_table_roundoff(
+    key, count, se4, monkeypatch
+):
+    """correction_K with one kernel table per mirror orbit against one per
+    direction.  The tables of a direction and of its mirror image are both
+    within the chord-roundoff model of ``se4_correction_roundoff`` of the
+    exact tables, which the reflection makes equal, so the two values differ
+    by at most twice that bound.  On se4, centred at the origin, they agree
+    to the bit."""
+    domain = se4 if key == "se4" else OFF_CENTRE[key]
+    f = Phantom((Bump(center=(0.35, 0.2), radius=0.25),))
+    opts = replace(SE4_OPTS, k_angular=count)
+    pts = np.array([(0.1, 0.0), (0.3, 0.1)])
+    got = correction_K(f, pts, domain, opts)
+    per_direction = profiles_per_direction(inversion._correction_quadrature)
+    monkeypatch.setattr(inversion, "_correction_quadrature", per_direction)
+    want = correction_K(f, pts, domain, opts)
+    tol = [2.0 * se4_correction_roundoff(domain, f, x, opts) for x in pts]
+    assert np.all(np.abs(got - want) <= tol)
+    if key == "se4":
+        assert_same_bits(got, want)
+    assert np.abs(want).min() >= 1e-4
+
+
+@pytest.mark.parametrize("key", ["se4"] + sorted(OFF_CENTRE))
+def test_correction_matrix_with_a_profile_per_direction_agrees_within_table_roundoff(
+    key, se4, monkeypatch
+):
+    """K_h v with one kernel table per mirror orbit against one per
+    direction.  Row i is correction_K(ImageGrid(v), x_i) but for the order
+    of its sums: the tables' difference moves it by at most twice the
+    chord-roundoff model at the field |v| (the corner weights are
+    non-negative), and each route's rounding by ``matrix_route_roundoff``."""
+    domain = se4 if key == "se4" else OFF_CENTRE[key]
+    grid = ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(5, 4))
+    opts = ReconstructionOptions(
+        k_radial=8, k_angular=16, kernel_table=128, kernel_quad=96, kernel_margin=0.25
+    )
+    f = Phantom((Bump(center=(0.35, 0.2), radius=0.25),))
+    v = f.eval(grid.points())
+    got = _correction_matrix(grid, domain, opts) @ v
+    per_direction = profiles_per_direction(inversion._correction_quadrature)
+    monkeypatch.setattr(inversion, "_correction_quadrature", per_direction)
+    want = _correction_matrix(grid, domain, opts) @ v
+    field = ImageGrid(grid.lo, grid.hi, grid.shape, v)
+    modulus = replace(field, values=np.abs(v))
+    model = [2.0 * se4_correction_roundoff(domain, modulus, x, opts) for x in grid.points()]
+    tol = np.array(model) + matrix_route_roundoff(field, domain, v, opts)
+    assert np.all(np.abs(got - want) <= tol)
+    if key == "se4":
+        assert_same_bits(got, want)
+    assert np.abs(want).max() >= 1e-3
+
+
+def correction_direction_terms(f, x, domain, opts):
+    """The terms C w_w r_max sum_k rw_k f(x + r_k w) K_w(<x, w> + r_k / 2)
+    that correction_K adds over the directions w, formed as it forms them."""
+    r_max, rad, dirs, wdir, profiles = inversion._correction_quadrature(
+        f, f.eval, x[None], domain, opts, opts.kernel_margin
+    )
+    r = r_max[0] * rad.nodes
+    terms = np.zeros(len(dirs))
+    for j, (omega, w_omega, profile) in enumerate(zip(dirs, wdir, profiles)):
+        fvals = f.eval(x + r[:, None] * omega)
+        mask = fvals != 0.0
+        if np.any(mask):
+            kvals = profile.eval(float(np.sum(x * omega)) + 0.5 * r[mask], order=2, hilbert=True)
+            terms[j] = w_omega * r_max[0] * float(np.sum(rad.weights[mask] * fvals[mask] * kvals))
+    return _correction_constant(2) * terms
+
+
+@pytest.mark.parametrize(
+    "flip", [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)], ids=["x-axis", "y-axis", "both"]
+)
+def test_correction_is_mirror_symmetric_on_the_centred_superellipse(flip, se4):
+    """Reflecting the phantom and the point about an axis of se4 permutes the
+    directions' terms of correction_K, which keep their bits: the field
+    values and offsets are sign-flipped products and sums, and mirror
+    directions read one table.  So the values differ only by the order of
+    the sum over the m directions, by at most 2 gamma_m times the sum of
+    the terms' moduli (Higham 2002, sec. 4.2), gamma_m = m u / (1 - m u).
+    With a table per direction, mirror tables differ by roundoff, and
+    with directions that are not exact mirror images so do the samples."""
+    f = Phantom((Bump(center=(0.35, 0.2), radius=0.25),))
+    x = np.array([0.1, 0.05])
+    mirrored = Phantom((Bump(center=tuple(np.multiply(flip, (0.35, 0.2))), radius=0.25),))
+    got = correction_K(mirrored, np.multiply(flip, x), se4, SE4_OPTS)
+    want = correction_K(f, x, se4, SE4_OPTS)
+    terms = correction_direction_terms(f, x, se4, SE4_OPTS)
+    m, u = SE4_OPTS.k_angular, 0.5 * np.finfo(float).eps
+    assert np.sum(terms) == pytest.approx(want, rel=1e-12)
+    assert abs(got - want) <= 2.0 * m * u / (1.0 - m * u) * np.sum(np.abs(terms))
 
 
 # ---------------------------------------------------------------------------
