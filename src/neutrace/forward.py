@@ -171,14 +171,33 @@ class TraceGrid:
 
 def radial_pressure(bump: Bump, d, t):
     """Solution with data (bump, 0) at distance d from its center, n = 3:
-    u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d), and b + t b' as d -> 0."""
+    u = [(t+d) b(t+d) - (t-d) b(|t-d|)] / (2d), and b + t b' as d -> 0.
+    Raises ValueError for a negative distance."""
+    return _radial_pressure(bump, _nonnegative(d), t)
+
+
+def _nonnegative(d) -> np.ndarray:
+    """``d`` as a float array; raises ValueError if an entry is negative."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0.0):
+        raise ValueError(f"distances must be nonnegative, got {d[d < 0.0].flat[0]}")
+    return d
+
+
+def _radial_pressure(bump: Bump, d, t):
+    """:func:`radial_pressure` without the sign check of d, for the band
+    kernels, whose distances are norms.  Entries with d < 1e-8 radius take
+    the d -> 0 limit; only when there are any is d replaced by 1 there."""
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
     small = d < 1e-8 * bump.radius
-    ds = np.where(small, 1.0, d)
-    plus = (t + ds) * bump_radial(bump, t + ds, 3)
-    minus = (t - ds) * bump_radial(bump, np.abs(t - ds), 3)
-    u = np.asarray((plus - minus) / (2.0 * ds))
-    if small.any():
+    near = small.any()
+    ds = np.where(small, 1.0, d) if near else d
+    plus = t + ds
+    minus = t - ds
+    u = np.asarray(
+        (plus * bump_radial(bump, plus, 3) - minus * bump_radial(bump, np.abs(minus), 3)) / (2.0 * ds)
+    )
+    if near:
         ts = t[small]
         u[small] = bump_radial(bump, ts, 3) + ts * bump_radial_deriv(bump, ts, 3)
     return u
@@ -243,7 +262,7 @@ def _pressure_on_band(f: Phantom, pts, t, normals=None):
         sel = own[band] if len(hit) > 1 else slice(None)
         d_sel, t_sel = np.broadcast_to(d, shape)[band][sel], t_band[sel]
         if normals is None:
-            out[sel] += radial_pressure(b, d_sel, t_sel)
+            out[sel] += _radial_pressure(b, d_sel, t_sel)
         else:
             cosine = np.broadcast_to(np.sum((pts - b.center) * normals, axis=-1) / d, shape)
             out[sel] += _radial_slope(b, d_sel, t_sel) * cosine[band][sel]

@@ -181,15 +181,28 @@ def _bump_slope(bump: Bump, u, n: int):
     return -bump.amplitude * bump.mu * (1.0 - u) ** (bump.mu - 1) / (a * bump.radius**n)
 
 
+def _on_support(inside, fill: float, value, *args) -> np.ndarray:
+    """``value(*args)`` where the boolean array ``inside`` holds and ``fill``
+    elsewhere, as a fresh array of its shape; ``args`` are arrays of that
+    shape and ``value`` works elementwise and returns a new array.
+    All-inside input is evaluated whole and all-outside input not at all;
+    only mixed input is gathered and scattered, so every entry has the same
+    bits on each route.  A 0-d input is gathered too: ``value`` then sees a
+    one-entry array, not a numpy scalar, whose power need not have the bits
+    of the array loop's."""
+    if inside.ndim and inside.all():
+        return np.asarray(value(*args), dtype=float)
+    out = np.full(inside.shape, fill)
+    if inside.any():
+        out[inside] = value(*(a[inside] for a in args))
+    return out
+
+
 def bump_radial(bump: Bump, rho, n: int | None = None):
     """Profile value of a single bump at distance rho from its center."""
     n = bump.dimension if n is None else n
-    rho = np.asarray(rho, dtype=float)
-    u = (rho / bump.radius) ** 2
-    out = np.zeros_like(u)
-    inside = u < 1.0
-    out[inside] = _bump_profile(bump, u[inside], n)
-    return out
+    u = (np.asarray(rho, dtype=float) / bump.radius) ** 2
+    return _on_support(u < 1.0, 0.0, lambda v: _bump_profile(bump, v, n), u)
 
 
 def bump_radial_deriv(bump: Bump, rho, n: int | None = None):
@@ -197,10 +210,11 @@ def bump_radial_deriv(bump: Bump, rho, n: int | None = None):
     n = bump.dimension if n is None else n
     rho = np.asarray(rho, dtype=float)
     u = (rho / bump.radius) ** 2
-    out = np.zeros_like(u)
-    inside = u < 1.0
-    out[inside] = _bump_slope(bump, u[inside], n) * (2.0 * rho[inside] / bump.radius**2)
-    return out
+
+    def slope(v, r):
+        return _bump_slope(bump, v, n) * (2.0 * r / bump.radius**2)
+
+    return _on_support(u < 1.0, 0.0, slope, u, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +223,19 @@ def bump_radial_deriv(bump: Bump, rho, n: int | None = None):
 
 @lru_cache(maxsize=None)
 def _mean_directions(n: int, m: int):
-    """Unit directions and mean weights (weights sum to one)."""
+    """Unit directions (N, n) and mean weights (weights sum to one).
+
+    The directions are the transposed view of n contiguous coordinate
+    planes, the only copy kept, so the sphere points of
+    :func:`sphere_means` read each coordinate of the directions
+    contiguously."""
     dirs, wu = _sphere_rule(n, m)
     # (n - 1) m azimuths, and polar weights that sum to n - 1 per azimuth
     w = wu / ((n - 1) * ((n - 1) * m))
-    dirs.setflags(write=False)
+    planes = np.ascontiguousarray(dirs.T)
+    planes.setflags(write=False)
     w.setflags(write=False)
-    return dirs, w
+    return planes.T, w
 
 
 def sphere_means(f, x, radii, m: int, n: int | None = None):

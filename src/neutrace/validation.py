@@ -28,6 +28,7 @@ from .calculus import (
 from .forward import (
     _BLOCK_VALUES,
     SolverParams,
+    _nonnegative,
     _pressure_on_band,
     huygens_horizon,
     phantom_pressure,
@@ -43,6 +44,7 @@ from .transforms import (
     Phantom,
     _mean_directions,
     _mollifier_norm,
+    _on_support,
     bump_radial,
     mollifier_eval,
     mollifier_radon,
@@ -209,32 +211,52 @@ def radial_velocity(bump: Bump, d, t):
     rho b(rho), at the ends (lo, hi) of (|t-d|, t+d) clipped to the support,
     sharing nothing with the forward module.  An end clipped to the support
     radius eps takes the one value G(eps) (hi = eps wherever t + d >= eps,
-    and lo = eps outside the light shell |t - d| < eps), so the primitive is
-    looked up, in one call, only at the ends inside the support.
+    and lo = eps outside the light shell |t - d| < eps).  The field is odd in t:
+    it is evaluated at |t| and negated where t has its sign bit set.
+    Raises ValueError for a negative distance.
     """
-    return _radial_velocity(bump, d, t, _radial_primitive(bump, bump.radius))
+    t = np.asarray(t, dtype=float)
+    v = _radial_velocity(bump, _nonnegative(d), np.abs(t), _radial_primitive(bump, bump.radius))
+    return _odd_in_time(v, t)
+
+
+def _odd_in_time(v, t):
+    """The field v, evaluated at |t|, extended oddly to the times t: negated
+    in place where t has its sign bit set (-0.0 included)."""
+    return np.negative(v, out=v, where=np.broadcast_to(np.signbit(t), v.shape))
 
 
 def _radial_velocity(bump: Bump, d, t, rim):
-    """:func:`radial_velocity` with G(eps) given as ``rim``, so that a caller
-    that evaluates one bump many times looks it up once."""
+    """:func:`radial_velocity` at d >= 0 and t >= 0, with G(eps) given as
+    ``rim``, so that a caller that evaluates one bump many times looks it up
+    once.  Entries with d < 1e-8 eps take the d -> 0 limit t b(t).
+
+    The upper end takes G where it lies inside the support and ``rim``
+    elsewhere.  The lower end is looked up whole: G at an end clipped to
+    eps is ``rim`` bit for bit, and on a Huygens band nearly every lower end
+    lies inside.  The work runs on flat arrays, so a 0-d input is a
+    one-entry array and keeps the bits of the array loops."""
     d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    shape = d.shape
+    d, t = d.reshape(-1), t.reshape(-1)
     eps = bump.radius
-    lo = np.clip(np.abs(t - d), 0.0, eps)
-    ends = np.stack((np.clip(t + d, lo, eps), lo))
-    prim = np.full(ends.shape, rim)
-    inner = ends < eps
-    prim[inner] = _radial_primitive(bump, ends[inner])
+    lo = np.minimum(np.abs(t - d), eps)
+    hi = np.minimum(np.maximum(t + d, lo), eps)
+    v = _on_support(hi < eps, rim, lambda rho: _radial_primitive(bump, rho), hi)
+    v -= _radial_primitive(bump, lo)
     small = d < 1e-8 * eps
-    v = np.asarray((prim[0] - prim[1]) / (2.0 * np.where(small, 1.0, d)))
     if small.any():
+        v /= 2.0 * np.where(small, 1.0, d)
         v[small] = t[small] * bump_radial(bump, t[small], 3)
-    return v
+    else:
+        v /= 2.0 * d
+    return v.reshape(shape)
 
 
 def phantom_velocity(f: Phantom, pts, t, live=None):
     """Solution with data (0, f) at points (..., 3) and times t, n = 3: the
-    sum over the bumps of :func:`radial_velocity`, by the closed primitive.
+    sum over the bumps of :func:`radial_velocity`, by the closed primitive,
+    taken at |t| and extended oddly in t as there.
 
     With ``live``, a boolean mask of the broadcast shape of the points and
     t, only the entries it selects are evaluated and returned as a flat
@@ -246,13 +268,14 @@ def phantom_velocity(f: Phantom, pts, t, live=None):
     shape = np.broadcast_shapes(pts.shape[:-1], t.shape)
     if live is not None:
         t = np.broadcast_to(t, shape)[live]
+    t_abs = np.abs(t)
     out = np.zeros(shape if live is None else t.shape)
     for b in f.bumps:
         d = _distance(pts, b.center)
         if live is not None:
             d = np.broadcast_to(d, shape)[live]
-        out = out + radial_velocity(b, d, t)
-    return out
+        out = out + _radial_velocity(b, d, t_abs, _radial_primitive(b, b.radius))
+    return _odd_in_time(out, t)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +470,10 @@ def check_integral_identity(
 
 # sphere-mean points per block of a ball profile: whole spheres of about
 # 2^15 points (seven radii of the 4608-direction 3-D rule), so that the
-# coordinate planes of each block stay below 1 MB; the lemma check on the 3-D
-# ball ran fastest with 2^15 of the block sizes 2^13, 2^14 and 2^15 measured
+# coordinate planes of each block stay below 1 MB; with the mean directions
+# kept as planes, the lemma check on the 3-D ball still ran fastest with 2^15
+# of the block sizes 2^12 to 2^17 (best CPU times 35 ms, against 40 ms at 2^14
+# and 41 ms at 2^16)
 _PROFILE_BLOCK_POINTS = 1 << 15
 
 

@@ -56,6 +56,11 @@ profile, its closed-form and differenced offset derivatives, the
 principal-value transform, the pointwise Neumann trace) were public routes
 of the package that no pipeline stage ran; they keep its calculus helpers
 and serve as references for the kernel profiles and the trace grid.
+The masked routes last of all (the bump profile and its slope, the radial
+pressure, the stacked velocity lookup, the sphere means from C-ordered
+directions) are its earlier code for the closed fields' band kernels,
+which now skip the mask round trip when every entry or none lies inside a
+support; they share its arithmetic, so the tests ask for equal bits.
 """
 
 from __future__ import annotations
@@ -1656,3 +1661,90 @@ def profiles_per_direction(quadrature):
         return r_max, rad, dirs, wdir, profiles
 
     return per_direction
+
+
+# ---------------------------------------------------------------------------
+# the masked routes of the closed fields' band kernels
+
+
+def bump_radial_masked(bump, rho, n=None):
+    """``transforms.bump_radial`` as written before it evaluated all-inside
+    input whole: zeros, and the profile gathered and scattered at the
+    entries inside the support, whatever their number."""
+    from neutrace.transforms import _bump_profile
+
+    n = bump.dimension if n is None else n
+    rho = np.asarray(rho, dtype=float)
+    u = (rho / bump.radius) ** 2
+    out = np.zeros_like(u)
+    inside = u < 1.0
+    out[inside] = _bump_profile(bump, u[inside], n)
+    return out
+
+
+def bump_radial_deriv_masked(bump, rho, n=None):
+    """``transforms.bump_radial_deriv`` by the masked route of
+    ``bump_radial_masked``."""
+    from neutrace.transforms import _bump_slope
+
+    n = bump.dimension if n is None else n
+    rho = np.asarray(rho, dtype=float)
+    u = (rho / bump.radius) ** 2
+    out = np.zeros_like(u)
+    inside = u < 1.0
+    out[inside] = _bump_slope(bump, u[inside], n) * (2.0 * rho[inside] / bump.radius**2)
+    return out
+
+
+def radial_pressure_masked(bump, d, t):
+    """``forward.radial_pressure`` as written before it replaced d only when
+    some entry is near the centre, on the masked profile route."""
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    small = d < 1e-8 * bump.radius
+    ds = np.where(small, 1.0, d)
+    plus = (t + ds) * bump_radial_masked(bump, t + ds, 3)
+    minus = (t - ds) * bump_radial_masked(bump, np.abs(t - ds), 3)
+    u = np.asarray((plus - minus) / (2.0 * ds))
+    if small.any():
+        ts = t[small]
+        u[small] = bump_radial_masked(bump, ts, 3) + ts * bump_radial_deriv_masked(bump, ts, 3)
+    return u
+
+
+def radial_velocity_stacked(bump, d, t, rim=None):
+    """``validation._radial_velocity`` as written before it looked G up per
+    end: both clipped ends stacked, G(eps) filled in everywhere and the
+    primitive looked up in one call at the stacked ends inside the support.
+    ``rim`` defaults to G(eps)."""
+    from neutrace.validation import _radial_primitive
+
+    if rim is None:
+        rim = _radial_primitive(bump, bump.radius)
+    d, t = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(t, dtype=float))
+    eps = bump.radius
+    lo = np.clip(np.abs(t - d), 0.0, eps)
+    ends = np.stack((np.clip(t + d, lo, eps), lo))
+    prim = np.full(ends.shape, rim)
+    inner = ends < eps
+    prim[inner] = _radial_primitive(bump, ends[inner])
+    small = d < 1e-8 * eps
+    v = np.asarray((prim[0] - prim[1]) / (2.0 * np.where(small, 1.0, d)))
+    if small.any():
+        v[small] = t[small] * bump_radial_masked(bump, t[small], 3)
+    return v
+
+
+def sphere_means_ray_points(f, x, radii, m: int, n=None):
+    """``transforms.sphere_means`` with its points built by
+    ``geometry._ray_points`` from C-ordered directions, which it reads one
+    stride-n column per coordinate: the route before the mean directions
+    were kept as coordinate planes."""
+    from neutrace.geometry import _ray_points
+    from neutrace.transforms import _mean_directions
+
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] if n is None else n
+    r = np.abs(np.asarray(radii, dtype=float))
+    dirs, w = _mean_directions(n, m)
+    vals = getattr(f, "eval", f)(_ray_points(x, r[..., None], np.ascontiguousarray(dirs)))
+    return np.sum(vals * w, axis=-1)

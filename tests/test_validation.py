@@ -134,6 +134,61 @@ _T_GRID = np.arange(49) / 32.0
 
 
 @pytest.mark.parametrize("bump", _VELOCITY_BUMPS, ids=["cinf", "poly-negative"])
+def test_radial_velocity_is_odd_in_time(bump):
+    """v(d, -t) is -v(d, t) bit for bit, -0.0 included, on both sides of the
+    small-d cutoff, paired, broadcast and at one point."""
+    cut = 1e-8 * bump.radius
+    d = np.concatenate([[0.0, 1e-3 * cut, np.nextafter(cut, 0.0), cut, 1e-6], _D_GRID])
+    t = np.concatenate([[0.0, 1e-12], _T_GRID])
+    got = radial_velocity(bump, d[:, None], -t)
+    assert_same_bits(got, -radial_velocity(bump, d[:, None], t))
+    assert np.any(got[d < cut] != 0.0) and np.any(got[d >= cut] != 0.0)
+    for dd, tt in ((0.0, 0.1), (1e-6, 0.1), (0.25, 0.3125)):
+        one = radial_velocity(bump, dd, -tt)
+        assert isinstance(one, np.ndarray) and one.shape == ()
+        assert_same_bits(one, -radial_velocity(bump, dd, tt))
+
+
+def test_radial_velocity_is_continuous_at_the_center_at_negative_times():
+    """At t < 0 the field nears its centre value t b(t), not the 0 that
+    clipping t + d < 0 to the support would give."""
+    b = Bump(center=(0.0, 0.0, 0.0), radius=0.3)
+    centre = float(radial_velocity(b, 0.0, -0.1))
+    assert centre == pytest.approx(-0.1 * float(bump_radial(b, 0.1, 3)), rel=1e-15)
+    assert centre == pytest.approx(-0.0882497, abs=1e-7)
+    for d in (1e-9, 1e-7, 1e-6):
+        assert float(radial_velocity(b, d, -0.1)) == pytest.approx(centre, abs=1e-9)
+
+
+def test_phantom_velocity_is_odd_in_time():
+    f = Phantom(
+        (
+            Bump(center=(0.1, 0.0, 0.0), radius=0.3),
+            Bump(center=(-0.2, 0.1, 0.0), radius=0.25, amplitude=-0.5, profile="poly", mu=3),
+        )
+    )
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([[[0.1, 0.0, 0.0]], rng.uniform(-0.5, 0.5, size=(8, 3))])[:, None, :]
+    t = np.linspace(-0.9, 0.9, 19)
+    got = phantom_velocity(f, pts, t)
+    assert_same_bits(phantom_velocity(f, pts, -t), -got)
+    assert np.any(got[:, t < 0.0] != 0.0)
+    live = rng.random(got.shape) < 0.5
+    assert_same_bits(phantom_velocity(f, pts, t, live=live), got[live])
+
+
+def test_closed_fields_reject_negative_distances():
+    """A negative d is not a distance: it is rejected, not taken as the
+    centre; -0.0 is the centre."""
+    b = Bump(center=(0.0, 0.0, 0.0), radius=0.3)
+    for field in (radial_pressure, radial_velocity):
+        for d, t in ((-0.1, 0.15), (np.array([0.2, -1e-300, 0.1]), 0.15)):
+            with pytest.raises(ValueError, match="distances must be nonnegative"):
+                field(b, d, t)
+        assert_same_bits(field(b, -0.0, 0.15), field(b, 0.0, 0.15))
+
+
+@pytest.mark.parametrize("bump", _VELOCITY_BUMPS, ids=["cinf", "poly-negative"])
 def test_radial_velocity_vanishes_outside_the_light_shell(bump):
     d, t = np.meshgrid(_D_GRID, _T_GRID, indexing="ij")
     v = radial_velocity(bump, d, t)
@@ -453,7 +508,8 @@ def test_closed_fields_on_the_band_keep_the_bits(f):
     """The pressure evaluated only on its band and the velocity with the
     primitive looked up only at the ends inside the support give the bits
     of the routes that evaluate every entry, at the band edges, in the
-    small-d branch, paired and broadcast."""
+    small-d branch, paired and broadcast.  At negative times the velocity
+    is the odd extension of that route's value at |t|."""
     pts, ts = _band_edge_samples(f, 3)
     got = phantom_pressure(f, pts, ts)
     np.testing.assert_array_equal(got, phantom_pressure_full_broadcast(f, pts, ts))
@@ -464,7 +520,8 @@ def test_closed_fields_on_the_band_keep_the_bits(f):
         d = np.sqrt(np.sum((pts - np.asarray(b.center)) ** 2, axis=-1))
         assert np.any(d < 1e-8 * b.radius)
         vel = radial_velocity(b, d, ts)
-        np.testing.assert_array_equal(vel, radial_velocity_two_lookups(b, d, ts))
+        want = radial_velocity_two_lookups(b, d, np.abs(ts))
+        assert_same_bits(vel, np.negative(want, out=want, where=np.signbit(ts)))
         assert np.any(vel != 0.0) and np.any(vel == 0.0)
         for dd, tt in ((0.0, 0.1), (d[-1], ts[-1]), (0.2, 0.2 + b.radius)):
             one = radial_velocity(b, dd, tt)
