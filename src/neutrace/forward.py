@@ -11,10 +11,12 @@ derivative of the closed field, in two the same integral over the circle
 means of <grad f, nu>, the normal derivative of the means of f.
 
 Fields are evaluated only where they can be non-zero: the 3-D field on
-each bump's Huygens band, with every value kept to the bit, the 2-D circle
-means by ``transforms.circle_means`` on the arc of each circle that lies in
-a bump, and the 2-D table-to-trace operator on the table columns the means
-reach.  The trace writer copies the +0.0 runs at the ends of a row whole.
+each bump's Huygens band, with every value kept to the bit, and the 2-D
+circle means by ``transforms.circle_means`` on each node's annulus of table
+radii that meet a bump, each circle on its arc inside the bump.  The 2-D
+table-to-trace operator is built on the table columns the means reach, from
+the stencil terms that reach those columns only.  The trace writer copies
+the +0.0 runs at the ends of a row whole.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import _sine_ball_rule, column_products, cubic_stencil
+from .calculus import _locate, _sine_ball_rule, column_products, cubic_stencil
 from .geometry import (
     BoundaryQuadrature,
     ConvexDomain,
@@ -116,13 +118,15 @@ class SolverParams:
     knob; the traces of both are exact normal derivatives.  ``h_t`` defaults
     to 1e-3 times the characteristic time scale.  ``table_points`` is the
     size of the radial table of the circle means of <grad f, nu> laid over
-    [0, t_max + 2 h_t] around each boundary node, each taken on the arcs
-    that meet the bumps by :func:`~neutrace.transforms.circle_means`; the
-    map from the tables to the trace rows is one linear operator per run,
-    built in dense blocks of rows on the table columns where some node's
-    table is non-zero, each block applied to every table at once.  2-D
-    simulation needs at least 4 points, one cubic stencil; any value >= 0
-    is accepted, so 3-D trace files written with 0 still read back.
+    [0, t_max + 2 h_t] around each boundary node, each taken by
+    :func:`~neutrace.transforms.circle_means` on the node's annulus, the
+    table radii within a bump radius of a bump centre; the map from the
+    tables to the trace rows is one linear operator per run, built in dense
+    blocks of rows on the table columns where some node's table is
+    non-zero, from the stencil terms that reach those columns only, each
+    block applied to every table at once.  2-D simulation needs at least 4
+    points, one cubic stencil; any value >= 0 is accepted, so 3-D trace
+    files written with 0 still read back.
     """
 
     h_t: float | None = None
@@ -363,15 +367,18 @@ def _trace_operator_blocks(times, params, r_grid, c_lo=0, c_hi=None):
     only on the times, the steps and the radial rule, so one build serves
     every centre.  Yields ``(rows, w)`` with w[i, k - c_lo] the weight of
     table column k in row i, so that ``T[c_lo:c_hi] @ w.T`` are the rows.
-    The stencil terms on columns outside the window are dropped before they
-    are merged, and the rest reach each entry in the order of the full
-    build, so the entries are the full build's on the window, to the bit.
     Query radii outside the table raise, whatever the window, instead of
-    being clamped onto its end stencils.
+    being clamped onto its end stencils.  Only the (i, m, q) terms whose
+    stencil columns k - 1 .. k + 2 meet the window get their cardinal
+    weights and scales; they are taken in row-major order, and their
+    entries off the window are dropped before they are merged, so the rest
+    reach each entry in the order of the full build, and the entries are
+    the full build's on the window, to the bit.
     """
     sin_phi, wphi = _sine_ball_rule(params.radial_quad, 2)
     h = params.h_t
     npts = r_grid.shape[0]
+    r0, dr = r_grid[0], r_grid[1] - r_grid[0]
     c_hi = npts if c_hi is None else c_hi
     width = c_hi - c_lo
     for lo in range(0, times.shape[0], 32):
@@ -382,9 +389,11 @@ def _trace_operator_blocks(times, params, r_grid, c_lo=0, c_hi=None):
                 f"query radii [{radii.min():.6g}, {radii.max():.6g}] leave the radial "
                 f"table [{r_grid[0]:.6g}, {r_grid[-1]:.6g}]"
             )
-        k, weights = cubic_stencil(radii, r_grid[0], r_grid[1] - r_grid[0], npts)
-        scale = (_D4_WEIGHTS / h * taus)[..., None] * wphi
-        local = np.arange(taus.shape[0])[:, None, None] * width - c_lo
+        base = _locate(radii, r0, dr, npts, 1, npts - 3)[0]
+        i, m, q = np.nonzero((base >= c_lo - 2) & (base <= c_hi))
+        k, weights = cubic_stencil(radii[i, m, q], r0, dr, npts)
+        scale = (_D4_WEIGHTS / h * taus)[i, m] * wphi[q]
+        local = i * width - c_lo
         key, val = [], []
         for l, card in enumerate(weights):
             col = k + (l - 1)
@@ -417,13 +426,18 @@ def simulate_traces(
     bits of the full evaluation whatever the blocks.  In two, each node's
     row is its table of the circle means of <grad f, nu>, the normal
     derivatives of the means of f, mapped through the trace operator.  The
-    tables come first, each kept as its span from the first to the last
-    non-zero value.  The spans of the nodes whose table is not all zero are
-    stacked into one matrix over the columns they reach, and each row block
-    of the operator, built on those columns only (not at all when every
-    table is zero), is applied to all of them by ``column_products``.  Rows of
-    all-zero tables stay exact zeros.  ``threads`` is accepted for
-    callers that pass one run-wide thread count, and ignored.
+    tables come first, each taken on the node's annulus only: the table
+    radii of the union over the bumps of d_b - R_b < r < d_b + R_b, one
+    column wider on each side, outside which every mean is an exact zero.
+    Each is kept as its span from the first to the last non-zero value.  The
+    spans of the nodes whose table is not all zero are stacked into one
+    matrix over the columns they reach, and each row block of the operator,
+    built on those columns only, from the stencil terms that reach them (not
+    at all when every table is zero), is applied to all of them by
+    ``column_products``.  Rows of all-zero tables stay exact zeros; every
+    trace has the bits of the tables on the whole grid and the operator
+    from every term.  ``threads`` is accepted for callers that pass one
+    run-wide thread count, and ignored.
     """
     n = domain.dimension
     if f.bumps and f.dimension != n:
@@ -450,14 +464,22 @@ def simulate_traces(
     elif f.bumps:
         r_max = (times.t_max + 2.0 * params.h_t) * (1.0 + 1e-9) + 1e-12
         r_grid = np.linspace(0.0, r_max, params.table_points)
-        # each node's table is kept as its span from the first to the last
-        # non-zero value; the operator is built on the columns the spans reach
+        # each node's means are taken on the radii of its annulus, the union
+        # of d_b - R_b < r < d_b + R_b over the bumps padded by one column on
+        # each side, and kept as the span from the first to the last non-zero
+        # value; the operator is built on the columns the spans reach
+        gaps = [_distance(boundary.points, b.center) for b in f.bumps]
+        near = np.min([d - b.radius for b, d in zip(f.bumps, gaps)], axis=0)
+        far = np.max([d + b.radius for b, d in zip(f.bumps, gaps)], axis=0)
+        starts = np.maximum(np.searchsorted(r_grid, near, side="right") - 1, 0).tolist()
+        stops = (np.searchsorted(r_grid, far) + 1).tolist()
         spans = []
         for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
-            table = circle_means(f, y, r_grid, direction=nu)
+            lo = starts[j]
+            table = circle_means(f, y, r_grid[lo : stops[j]], direction=nu)
             nz = np.flatnonzero(table)
             if nz.size:
-                spans.append((j, nz[0], table[nz[0] : nz[-1] + 1].copy()))
+                spans.append((j, lo + nz[0], table[nz[0] : nz[-1] + 1]))
         if spans:
             c_lo = min(first for _, first, _ in spans)
             c_hi = max(first + span.size for _, first, span in spans)

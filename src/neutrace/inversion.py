@@ -817,12 +817,11 @@ def write_image_csv(path, grid: ImageGrid) -> None:
     if grid.values is None:
         raise ValueError("grid holds no values to write")
     n = grid.dimension
-    pts = grid.points()
-    vals = np.asarray(grid.values).reshape(-1)
+    rows = np.column_stack([grid.points(), np.asarray(grid.values).reshape(-1)]).tolist()
+    lines = [",".join([f"x_{i+1}" for i in range(n)] + ["value"])]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w") as fh:
-        fh.write(",".join([f"x_{i+1}" for i in range(n)] + ["value"]) + "\n")
-        for p, v in zip(pts, vals):
-            fh.write(",".join(_fmt(c) for c in p) + f",{_fmt(v)}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_image_pgm(path, grid: ImageGrid, sidecar_path=None) -> None:

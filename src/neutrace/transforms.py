@@ -264,6 +264,8 @@ def circle_means(f: Phantom, x, radii, direction=None):
     u = ((r - d)^2 + 4 r d sin^2(theta / 2)) / R^2.  Across c - x the
     gradient B'(u) 2 (y - c) / R^2 cancels within a pair, so its mean is
     <(c - x) / d, nu> times the mean of B'(u) 2 (r cos theta - d) / R^2.
+    Only radii with |r - d| < R are evaluated, and a bump's nodes by
+    :func:`_on_support`, whole when every one has u < 1.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
@@ -283,13 +285,11 @@ def circle_means(f: Phantom, x, radii, direction=None):
         theta_m = 2.0 * np.arctan2(np.sqrt(a[live]), np.sqrt(b))
         theta = theta_m[:, None] * s
         u = (((rl - d) ** 2)[:, None] + 4.0 * d * rl[:, None] * np.sin(0.5 * theta) ** 2) / big**2
-        inside = u < 1.0
-        vals = np.zeros(u.shape)
         if direction is None:
-            vals[inside] = _bump_profile(bump, u[inside], 2)
+            vals = _on_support(u < 1.0, 0.0, lambda v: _bump_profile(bump, v, 2), u)
         else:
             along = (rl[:, None] * np.cos(theta) - d) * (2.0 / big**2)
-            vals[inside] = _bump_slope(bump, u[inside], 2) * along[inside]
+            vals = _on_support(u < 1.0, 0.0, lambda v, a: _bump_slope(bump, v, 2) * a, u, along)
         mean = theta_m / math.pi * np.sum(vals * w, axis=-1)
         if direction is not None:
             mean *= float(e @ np.asarray(direction, dtype=float)) / d

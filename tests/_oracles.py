@@ -61,6 +61,11 @@ pressure, the stacked velocity lookup, the sphere means from C-ordered
 directions) are its earlier code for the closed fields' band kernels,
 which now skip the mask round trip when every entry or none lies inside a
 support; they share its arithmetic, so the tests ask for equal bits.
+The full-grid 2-D trace route with its full-column operator build and its
+masked circle means, and the per-point image writer, close the file: the
+package's earlier code for work it now does only on each node's annulus, on
+the operator terms that reach the table window, whole on all-inside arcs,
+or in one write; they share its arithmetic, so the tests ask for equal bits.
 """
 
 from __future__ import annotations
@@ -1748,3 +1753,116 @@ def sphere_means_ray_points(f, x, radii, m: int, n=None):
     dirs, w = _mean_directions(n, m)
     vals = getattr(f, "eval", f)(_ray_points(x, r[..., None], np.ascontiguousarray(dirs)))
     return np.sum(vals * w, axis=-1)
+
+
+def circle_means_masked(f, x, radii, direction=None):
+    """``transforms.circle_means`` as it evaluated every bump's arc nodes
+    through the mask u < 1, gathered and scattered even when every node lies
+    inside the bump: the route before all-inside arcs were evaluated whole."""
+    from neutrace import transforms
+
+    x = np.asarray(x, dtype=float)
+    flat = np.abs(np.asarray(radii, dtype=float)).reshape(-1)
+    out = np.zeros(flat.shape)
+    s, w = (v[transforms.ARC_NODES // 2 :] for v in transforms._leggauss(transforms.ARC_NODES))
+    for bump in f.bumps:
+        e = np.asarray(bump.center, dtype=float) - x
+        d, big = math.hypot(*e.tolist()), bump.radius
+        if direction is not None and d == 0.0:
+            continue
+        a = (big - flat + d) * (big + flat - d)
+        live = np.flatnonzero(a > 0.0)
+        rl = flat[live]
+        b = np.maximum((rl + d - big) * (rl + d + big), 0.0)
+        theta_m = 2.0 * np.arctan2(np.sqrt(a[live]), np.sqrt(b))
+        theta = theta_m[:, None] * s
+        u = (((rl - d) ** 2)[:, None] + 4.0 * d * rl[:, None] * np.sin(0.5 * theta) ** 2) / big**2
+        inside = u < 1.0
+        vals = np.zeros(u.shape)
+        if direction is None:
+            vals[inside] = transforms._bump_profile(bump, u[inside], 2)
+        else:
+            along = (rl[:, None] * np.cos(theta) - d) * (2.0 / big**2)
+            vals[inside] = transforms._bump_slope(bump, u[inside], 2) * along[inside]
+        mean = theta_m / math.pi * np.sum(vals * w, axis=-1)
+        if direction is not None:
+            mean *= float(e @ np.asarray(direction, dtype=float)) / d
+        out[live] += mean
+    return out.reshape(np.shape(radii))
+
+
+def trace_operator_blocks_full_columns(times, params, r_grid, c_lo=0, c_hi=None):
+    """``forward._trace_operator_blocks`` as it built the cardinal weights,
+    scales and keys of every (row, time offset, phi node) term of a block and
+    dropped the entries off the window [c_lo, c_hi) only before the merge:
+    the build before only the terms that reach the window were taken."""
+    from neutrace.calculus import cubic_stencil
+    from neutrace.forward import _D4_OFFSETS, _D4_WEIGHTS
+
+    sin_phi, wphi = sine_ball_rule_by_hand(params.radial_quad)
+    h = params.h_t
+    npts = r_grid.shape[0]
+    c_hi = npts if c_hi is None else c_hi
+    width = c_hi - c_lo
+    for lo in range(0, times.shape[0], 32):
+        taus = times[lo : lo + 32, None] + h * _D4_OFFSETS
+        radii = np.abs(taus)[..., None] * sin_phi
+        k, weights = cubic_stencil(radii, r_grid[0], r_grid[1] - r_grid[0], npts)
+        scale = (_D4_WEIGHTS / h * taus)[..., None] * wphi
+        local = np.arange(taus.shape[0])[:, None, None] * width - c_lo
+        key, val = [], []
+        for l, card in enumerate(weights):
+            col = k + (l - 1)
+            inside = (col >= c_lo) & (col < c_hi)
+            key.append((local + col)[inside])
+            val.append((scale * card)[inside])
+        dense = np.bincount(
+            np.concatenate(key), weights=np.concatenate(val), minlength=taus.shape[0] * width
+        )
+        yield slice(lo, lo + taus.shape[0]), dense.reshape(taus.shape[0], width).astype(float)
+
+
+def traces_2d_full_grid(f, boundary, times, params):
+    """Two-dimensional trace values as ``forward.simulate_traces`` took them
+    before it laid each node's table on the node's annulus only: every table
+    by :func:`circle_means_masked` on the whole radial grid, kept as its
+    span of non-zero values, and the operator of
+    :func:`trace_operator_blocks_full_columns` on the columns the spans
+    reach, applied to the stacked spans."""
+    from neutrace.calculus import column_products
+
+    params = params.resolved(t_scale=times.t_max)
+    r_grid = trace_grid_2d(times, params)
+    values = np.zeros((len(boundary), times.nt))
+    spans = []
+    for j, (y, nu) in enumerate(zip(boundary.points, boundary.normals)):
+        table = circle_means_masked(f, y, r_grid, direction=nu)
+        nz = np.flatnonzero(table)
+        if nz.size:
+            spans.append((j, nz[0], table[nz[0] : nz[-1] + 1].copy()))
+    if spans:
+        c_lo = min(first for _, first, _ in spans)
+        c_hi = max(first + span.size for _, first, span in spans)
+        live = [j for j, _, _ in spans]
+        tables = np.zeros((len(spans), c_hi - c_lo))
+        for row, (_, first, span) in zip(tables, spans):
+            row[first - c_lo : first - c_lo + span.size] = span
+        blocks = trace_operator_blocks_full_columns(times.samples, params, r_grid, c_lo, c_hi)
+        for rows, w in blocks:
+            values[live, rows] = column_products(tables, w)
+    values[:, 0] = 0.0
+    return values
+
+
+def write_image_csv_per_point(path, grid) -> None:
+    """``inversion.write_image_csv`` as it formatted the numpy scalars of
+    each grid point and value one by one and wrote one line at a time."""
+    from neutrace.inversion import _fmt
+
+    n = grid.dimension
+    pts = grid.points()
+    vals = np.asarray(grid.values).reshape(-1)
+    with open(path, "w") as fh:
+        fh.write(",".join([f"x_{i+1}" for i in range(n)] + ["value"]) + "\n")
+        for p, v in zip(pts, vals):
+            fh.write(",".join(_fmt(c) for c in p) + f",{_fmt(v)}\n")

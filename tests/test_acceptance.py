@@ -26,6 +26,7 @@ from neutrace.geometry import (
     boundary_quadrature,
     domain_diameter,
     ellipsoid,
+    grid_margin,
     superellipse,
     support_halfwidth,
 )
@@ -33,6 +34,7 @@ from neutrace.inversion import (
     ImageGrid,
     ReconstructionOptions,
     _angular_set,
+    _correction_matrix,
     backproject_odd,
     correction_K,
     reconstruct,
@@ -412,4 +414,54 @@ def test_criterion_15_triaxial_ellipsoid_reconstruction_is_exact(capsys):
             f"rel L2 = {errs[1]:.4%} (bound {TRIAXIAL_REL_L2:.2%}), refinement ratio = "
             f"{ratio:.2f} (bound {TRIAXIAL_RATIO:g}), third section derivative = {third:.2g} "
             f"({worst:.2f} of its roundoff bound)"
+        )
+
+
+# Criterion 16's bounds, from a measurement on the 1.2 x 0.9 ellipse and the
+# 15 x 15 grid below, default kernel options.  ||K_h||_2 reads 1.02e-11 by
+# the ellipsoid branch and 9.78e-12 through the p = 2 superellipse's chord
+# search, against 2.683e-6, 2.681e-5, 2.662e-4 and 2.491e-3 at p - 2 = 1e-4,
+# 1e-3, 1e-2 and 0.1: first order in p - 2, with slopes ||K_h|| / (p - 2) of
+# 0.02683, 0.02681, 0.02662 and 0.02491.  The ellipse is at roundoff when its
+# norm is that of an exponent offset below ELLIPSE_OFFSET times the slope:
+# 2.7e-10, 26 times the measurement, and 1e-5 of the p = 2.001 norm.  The
+# slopes at 2.001 and 2.01 differ by the curvature, 0.71 %, the same rate
+# that takes the slope to 0.0249 at p = 2.1; SLOPE_TOLERANCE leaves it a
+# factor 2.8, and fails a norm growing as (p - 2)^a with |a - 1| > 0.0086.
+# On the ellipse f - b = -K_h f, so the corrected image is within ||K_h||_2
+# of the plain one relative to its norm, up to the solve's roundoff on a
+# matrix of condition 1, 225 u; the same offset bound holds it.
+ELLIPSE_OFFSET = 1e-8
+SLOPE_TOLERANCE = 0.02
+
+
+def test_criterion_16_kernel_vanishes_linearly_towards_the_ellipse(capsys):
+    with verdict(16, "the correction kernel tends to zero linearly as p tends to 2", capsys) as v:
+        grid = ImageGrid(lo=(-0.1, -0.25), hi=(0.6, 0.45), shape=(15, 15))
+        opts = ReconstructionOptions(correction="fixed_point")
+
+        def kernel_norm(domain) -> float:
+            kopts = replace(opts, kernel_margin=grid_margin(domain, grid.axes())[0])
+            return float(np.linalg.norm(_correction_matrix(grid, domain, kopts), 2))
+
+        axes = (1.2, 0.9)
+        ellipse = kernel_norm(ellipsoid((0.0, 0.0), axes))
+        p2 = superellipse((0.0, 0.0), axes, 2.0)
+        chords = kernel_norm(p2)
+        slopes = [kernel_norm(superellipse((0.0, 0.0), axes, 2.0 + dp)) / dp for dp in (1e-3, 1e-2)]
+        bound = ELLIPSE_OFFSET * slopes[0]
+        gap = abs(slopes[0] / slopes[1] - 1.0)
+
+        f = Phantom((Bump(center=(0.25, 0.1), radius=0.3),))
+        times = TimeGrid(t_max=4.0 * domain_diameter(p2), nt=200)
+        traces = simulate_traces(f, p2, boundary_quadrature(p2, 32), times)
+        plain = reconstruct(traces, grid, opts=replace(opts, correction="none")).values
+        corrected = reconstruct(traces, grid, opts).values
+        moved = float(np.linalg.norm(corrected - plain) / np.linalg.norm(plain))
+        v.ok = max(ellipse, chords, moved) <= bound and gap <= SLOPE_TOLERANCE
+        v.detail = (
+            f"|K_h| on the ellipse = {ellipse:.3g}, at p = 2 = {chords:.3g}, corrected image "
+            f"moved by {moved:.2g} (bound {bound:.2g}); slope at p = 2.001 = "
+            f"{slopes[0]:.5f}, at 2.01 = {slopes[1]:.5f}, gap {gap:.2%} "
+            f"(bound {SLOPE_TOLERANCE:.0%})"
         )

@@ -9,12 +9,16 @@ import pytest
 
 from _oracles import (
     assert_same_bits,
+    circle_means_masked,
     neumann_trace,
+    sine_ball_rule_by_hand,
     phantom_slope,
     trace_grid_2d,
     trace_operator_2d_int64,
+    trace_operator_blocks_full_columns,
     trace_table_2d_row,
     traces_2d_direct,
+    traces_2d_full_grid,
     traces_2d_per_node,
     traces_3d_sections,
     traces_by_stencil,
@@ -24,6 +28,7 @@ from _oracles import (
 )
 from neutrace import forward, transforms
 from neutrace.forward import (
+    _D4_OFFSETS,
     _D4_WEIGHTS,
     TRACE_FORMAT,
     ConfigurationError,
@@ -622,16 +627,15 @@ def _check_block_apply(got, window, f, boundary, times, params):
     return tables
 
 
+# bands apart enough to split the non-zero columns into two runs at some nodes
+APART_BANDS = Phantom(
+    (Bump(center=(0.55, 0.0), radius=0.2), Bump(center=(-0.5, 0.1), radius=0.25))
+)
+
+
 @pytest.mark.parametrize(
     "f, split_bands",
-    [
-        (TWO_BUMPS_2D, False),
-        # bands apart enough to split the non-zero columns into two runs at some nodes
-        (
-            Phantom((Bump(center=(0.55, 0.0), radius=0.2), Bump(center=(-0.5, 0.1), radius=0.25))),
-            True,
-        ),
-    ],
+    [(TWO_BUMPS_2D, False), (APART_BANDS, True)],
     ids=["overlapping", "apart"],
 )
 def test_band_column_apply_equals_the_full_operator_apply(unit_disk, monkeypatch, f, split_bands):
@@ -690,7 +694,8 @@ def test_trace_operator_rejects_radii_beyond_the_table():
 )
 def test_windowed_trace_operator_holds_the_full_build_on_its_columns(c_lo, c_hi):
     """Blocks built on the columns [c_lo, c_hi) hold the full build's
-    entries on those columns, bit for bit, and nothing else."""
+    entries on those columns, bit for bit, and nothing else: the blocks of
+    the build that took every stencil term of every row, too."""
     times = TimeGrid(t_max=4.0, nt=97)
     params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
     r_grid = trace_grid_2d(times, params)
@@ -698,6 +703,8 @@ def test_windowed_trace_operator_holds_the_full_build_on_its_columns(c_lo, c_hi)
     got = _stacked_blocks(times, params, r_grid, c_lo, c_hi)
     assert_same_bits(got, full[:, c_lo:c_hi])
     assert got.shape[1] == (1024 if c_hi is None else c_hi) - c_lo
+    every_term = trace_operator_blocks_full_columns(times.samples, params, r_grid, c_lo, c_hi)
+    assert_same_bits(got, np.concatenate([w for _, w in every_term]))
 
 
 def _nodes(boundary, keep):
@@ -749,6 +756,154 @@ def test_windowed_simulation_equals_the_full_operator_apply(
     else:
         assert not live.any() and window is None
         assert np.count_nonzero(got) == 0
+
+
+# a bump 0.05 from the unit circle: on a 16-point table (columns 0.067
+# apart) the nearest node's table is non-zero from column 1, whose stencils
+# also read column 0, and at t_max = 1 the tables of the nodes a quarter
+# turn away are non-zero up to the table's last column
+AT_THE_TABLE_ENDS = Phantom((Bump(center=(0.6, 0.0), radius=0.35),))
+
+
+@pytest.mark.parametrize(
+    "case", ["two-bumps", "apart", "superellipse-p4", "nt-97", "window-at-the-table-ends"]
+)
+def test_simulated_traces_equal_the_full_grid_route_bit_for_bit(unit_disk, monkeypatch, case):
+    """simulate_traces takes each node's circle means on its annulus only,
+    evaluates all-inside arcs whole and builds the operator from the terms
+    that reach the table window: the traces have the bits of the route that
+    took every table on the whole grid through the masked means and built
+    every term of every operator row."""
+    domain, f, t_max, nt, points = unit_disk, TWO_BUMPS_2D, 4.0, 40, 1024
+    if case == "apart":
+        f = APART_BANDS
+    elif case == "superellipse-p4":
+        domain = superellipse((0.0, 0.0), (1.2, 0.9), 4.0)
+        f = Phantom((Bump(center=(0.25, 0.1), radius=0.3),))
+    elif case == "nt-97":
+        nt = 97
+    elif case == "window-at-the-table-ends":
+        f, t_max, points = AT_THE_TABLE_ENDS, 1.0, 16
+    bq = boundary_quadrature(domain, 12)
+    times = TimeGrid(t_max=t_max, nt=nt)
+    params = SolverParams(table_points=points)
+    got, window = _simulate_and_window(monkeypatch, f, domain, bq, times, params)
+    assert_same_bits(got, traces_2d_full_grid(f, bq, times, params))
+    assert np.count_nonzero(got) > 0
+    if case == "apart":
+        # some node's annulus is two rings with a gap between them
+        d = [np.hypot(*(bq.points - b.center).T) for b in f.bumps]
+        inner = np.minimum(d[0] + f.bumps[0].radius, d[1] + f.bumps[1].radius)
+        outer = np.maximum(d[0] - f.bumps[0].radius, d[1] - f.bumps[1].radius)
+        assert np.any(outer > inner)
+    elif case == "window-at-the-table-ends":
+        assert window == (1, points)
+
+
+def _terms_on_the_window(times, params, r_grid, c_lo, c_hi):
+    """Per block of 32 rows, the (row, time offset, phi node) terms of the
+    trace operator with a stencil column k - 1 .. k + 2 in [c_lo, c_hi),
+    counted from the stencils of every term."""
+    sin_phi, _ = sine_ball_rule_by_hand(params.radial_quad)
+    counts = []
+    for lo in range(0, times.nt, 32):
+        taus = times.samples[lo : lo + 32, None] + params.h_t * _D4_OFFSETS
+        radii = np.abs(taus)[..., None] * sin_phi
+        k, _ = forward.cubic_stencil(radii, r_grid[0], r_grid[1] - r_grid[0], r_grid.size)
+        cols = k[..., None] + np.arange(-1, 3)
+        counts.append(int(np.count_nonzero(((cols >= c_lo) & (cols < c_hi)).any(axis=-1))))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "window", [None, (0, 1024), (0, 3), (300, 301), (1021, 1024)],
+    ids=["simulated", "full", "first-columns", "one-column", "last-columns"],
+)
+def test_the_operator_takes_the_stencils_of_the_terms_that_reach_the_window(
+    unit_disk, monkeypatch, window
+):
+    """The operator computes stencils, and so cardinal weights, scales and
+    keys, only for the terms whose stencil columns meet the window: each
+    block hands ``cubic_stencil`` exactly as many radii as there are such
+    terms, well under half of all terms on the window that simulate_traces
+    asks for."""
+    times = TimeGrid(t_max=4.0, nt=97)
+    params = SolverParams(table_points=1024).resolved(t_scale=times.t_max)
+    r_grid = trace_grid_2d(times, params)
+    if window is None:
+        bq = boundary_quadrature(unit_disk, 12)
+        _, window = _simulate_and_window(monkeypatch, TWO_BUMPS_2D, unit_disk, bq, times, params)
+    want = _terms_on_the_window(times, params, r_grid, *window)
+    counted = []
+
+    def counting(q, *args):
+        counted.append(np.size(q))
+        return stencil(q, *args)
+
+    stencil = forward.cubic_stencil
+    monkeypatch.setattr(forward, "cubic_stencil", counting)
+    list(_trace_operator_blocks(times.samples, params, r_grid, *window))
+    assert counted == want
+    every = times.nt * 4 * params.radial_quad
+    if window == (0, 1024):
+        assert sum(counted) == every
+    elif window[1] - window[0] > 100:
+        assert 0 < sum(counted) < 0.5 * every
+
+
+# a bump of each profile, and centres, directions and radii at which the
+# arc nodes of a bump are all inside it, some of them outside only because
+# u rounds to 1 or more next to the arc's ends, or none of them live
+ARC_BUMPS = [
+    Bump(center=(0.3, -0.2), radius=0.5),
+    Bump(center=(0.3, -0.2), radius=0.5, profile="poly"),
+]
+
+
+def _arc_case(bump, case):
+    c = np.asarray(bump.center)
+    big = bump.radius
+    if case == "all-inside":
+        return c + (0.1, 0.0), np.linspace(0.0, big - 0.1, 41)[:-1]
+    if case == "centre":
+        return c.copy(), np.linspace(0.0, 1.2 * big, 41)
+    x = c + 0.8 * np.array([0.6, 0.8])
+    d = math.hypot(*(c - x).tolist())
+    if case == "no-live-radius":
+        return x, np.concatenate([np.linspace(0.0, d - big, 20), np.linspace(d + big, 2.0, 20)])
+    steps = np.arange(400)
+    below_top = np.nextafter(d + big, 0.0) - steps * np.spacing(d + big)
+    above_bottom = d - big + (steps + 1) * np.spacing(d - big)
+    return x, np.concatenate([below_top, above_bottom, np.linspace(d - big, d + big, 41)[1:-1]])
+
+
+@pytest.mark.parametrize("bump", ARC_BUMPS, ids=["cinf", "poly"])
+@pytest.mark.parametrize("direction", [None, (0.6, -0.8)], ids=["means", "slopes"])
+@pytest.mark.parametrize("case", ["all-inside", "mixed", "no-live-radius", "centre"])
+def test_circle_means_have_the_bits_of_the_masked_route(monkeypatch, bump, direction, case):
+    """circle_means evaluates a bump's arc nodes whole when every one has
+    u < 1, and through the mask u < 1 otherwise: the means have the bits of
+    the route that always took the mask, on every kind of input."""
+    routes = []
+
+    def spy(inside, *args):
+        routes.append("empty" if not inside.size else "all" if inside.all() else "mixed")
+        return on_support(inside, *args)
+
+    on_support = transforms._on_support
+    monkeypatch.setattr(transforms, "_on_support", spy)
+    f = Phantom((bump,))
+    x, radii = _arc_case(bump, case)
+    got = circle_means(f, x, radii, direction=direction)
+    assert_same_bits(got, circle_means_masked(f, x, radii, direction=direction))
+    want = {
+        "all-inside": ["all"],
+        "mixed": ["mixed"],
+        "no-live-radius": ["empty"],
+        "centre": ["all"] if direction is None else [],
+    }[case]
+    assert routes == want
+    assert np.count_nonzero(got) > 0 or case == "no-live-radius" or direction is not None
 
 
 def test_table_2d_threads_do_not_change_values(unit_disk):

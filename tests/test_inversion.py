@@ -15,6 +15,7 @@ from _oracles import (
     backproject_even_per_point,
     profiles_per_direction,
     support_radius_per_point,
+    write_image_csv_per_point,
 )
 
 from neutrace import inversion
@@ -999,6 +1000,29 @@ def test_write_image_csv(tmp_path):
     assert [float(c) for c in lines[2].split(",")] == [0.0, 1.0, 1.0]
     with pytest.raises(ValueError, match="no values"):
         write_image_csv(tmp_path / "empty.csv", ImageGrid((0.0,), (1.0,), (2,)))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, shape",
+    [
+        ((-0.3, -0.6), (0.7, 0.4), (11, 11)),
+        ((-0.5, -0.5, 0.0), (0.5, 0.5, 0.0), (4, 3, 1)),
+        ((0.1,), (0.9,), (7,)),
+    ],
+    ids=["2-d", "3-d-slice", "1-d"],
+)
+def test_image_csv_bytes_equal_the_per_point_writer(tmp_path, rng, lo, hi, shape):
+    """The rows formatted from one stacked (points, value) block, written at
+    once, are the bytes of the per-point writer, signed zeros, tiny and
+    huge values included."""
+    g = ImageGrid(lo=lo, hi=hi, shape=shape)
+    size = g.points().shape[0]
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    values[:3] = [0.0, -0.0, 5e-324]
+    g.values = values
+    write_image_csv(tmp_path / "block.csv", g)
+    write_image_csv_per_point(tmp_path / "point.csv", g)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "point.csv").read_bytes()
 
 
 def test_write_image_pgm_round_trip(tmp_path, rng):
