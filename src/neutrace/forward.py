@@ -15,8 +15,12 @@ each bump's Huygens band, with every value kept to the bit, and the 2-D
 circle means by ``transforms.circle_means`` on each node's annulus of table
 radii that meet a bump, each circle on its arc inside the bump.  The 2-D
 table-to-trace operator is built on the table columns the means reach, from
-the stencil terms that reach those columns only.  The trace writer copies
-the +0.0 runs at the ends of a row whole.
+the stencil terms that reach those columns only.
+
+Trace files hold a text header and one text row per node, its coordinates
+and the span of its trace values from the first to the last one that is
+not +0.0, then each span as raw little-endian float64: every value reads
+back to the bit, and the +0.0 runs around the spans take no bytes.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ __all__ = [
     "read_trace_file",
 ]
 
-TRACE_FORMAT = "neumann-trace/4"
+TRACE_FORMAT = "neumann-trace/5"
+# the line between the text of a trace file and its raw payload
+_PAYLOAD_MARKER = "# payload = <f8"
 
 _D4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -522,13 +528,17 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> None:
-    """Write traces as ``neumann-trace/4``: ``# key = value`` header lines,
-    then one CSV row per boundary node, ``y, nu, weight, v_0..v_{nt-1}``.
+    """Write traces as ``neumann-trace/5``: ``# key = value`` header lines,
+    a ``# columns:`` line, one ASCII CSV row per boundary node,
+    ``y, nu, weight, first, end``, then the marker line ``# payload = <f8``
+    and each row's span of trace values as raw little-endian float64, in
+    node order.
 
-    Every value is written as :func:`_fmt` writes it.  The node columns and
-    each row's values from its first to its last one that is not +0.0 go
-    through ``_fmt`` one by one; the +0.0 runs before and after are copies of
-    ``_fmt(0.0)``, so a -0.0 anywhere is still formatted as itself.
+    A row's span ``[first, end)`` runs from its first to its last value that
+    is not +0.0; a row of +0.0 only has the empty span ``[nt, nt)``.  The
+    floats of the header and the node columns go through :func:`_fmt`; each
+    span is written from the buffer of the values, so every value, -0.0
+    included, keeps its bits.
     """
     d = traces.domain
     n = d.dimension
@@ -550,36 +560,67 @@ def write_trace_file(path, traces: TraceGrid, timestamp: str | None = None) -> N
     lines.append(f"# solver.table_points = {p.table_points}")
     lines.append(f"# phantom.hash = {traces.phantom_hash}")
     cols = [f"y_{i+1}" for i in range(n)] + [f"nu_{i+1}" for i in range(n)]
-    cols += ["weight"] + [f"v_{i}" for i in range(traces.times.nt)]
-    lines.append("# columns: " + ",".join(cols))
+    lines.append("# columns: " + ",".join(cols + ["weight", "first", "end"]))
     b = traces.boundary
-    head = 2 * n + 1
-    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
+    values = np.ascontiguousarray(traces.values, dtype="<f8")
     nt = traces.times.nt
-    signed = (block[:, head:] != 0.0) | np.signbit(block[:, head:])
-    # each row's span [first, end) runs from its first to its last value
-    # that is not +0.0; a row of +0.0 only has the empty span [nt, nt)
+    signed = (values != 0.0) | np.signbit(values)
     first = np.where(signed.any(axis=1), signed.argmax(axis=1), nt).tolist()
     end = (nt - signed[:, ::-1].argmax(axis=1)).tolist()
     del signed
-    zero = "," + _fmt(0.0)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for row, a, z in zip(block, first, end):
-            lead = ",".join(map(_fmt, row[:head].tolist())) + zero * a
-            span = row[head + a : head + z].tolist()
-            fh.write(",".join([lead, *map(_fmt, span)]) + zero * (nt - z) + "\n")
+    nodes = zip(b.points.tolist(), b.normals.tolist(), b.weights.tolist())
+    for (y, nu, w), a, z in zip(nodes, first, end):
+        lines.append(",".join(map(_fmt, [*y, *nu, w])) + f",{a},{z}")
+    lines.append(_PAYLOAD_MARKER)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        for row, a, z in zip(values, first, end):
+            fh.write(row[a:z].data)
+
+
+def _header_field(header: dict[str, str], key: str, parse=str):
+    """``parse`` of the header value of ``key``; a missing key or a value
+    that does not parse raises :class:`TraceFormatError` naming the key."""
+    if key not in header:
+        raise TraceFormatError(f"trace header is missing '{key}'")
+    try:
+        return parse(header[key])
+    except ValueError:
+        value = header[key]
+        raise TraceFormatError(f"trace header '{key}' has a malformed value {value!r}") from None
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 def read_trace_file(path) -> TraceGrid:
-    """Read a ``neumann-trace/4`` file written by :func:`write_trace_file`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    first = lines[0].strip() if lines else ""
-    if first != f"# {TRACE_FORMAT}":
+    """Read a ``neumann-trace/5`` file written by :func:`write_trace_file`.
+
+    The file is read once, in binary, and split at its first marker line;
+    the text before it is the header and the node rows, read by one
+    ``np.loadtxt``, and the bytes after it the spans, placed into zeros.  A
+    payload shorter than the spans, or missing node rows, raise
+    :class:`InsufficientDataError`; any other tag, a missing marker or
+    header key, a header value or node row that does not parse, a span
+    outside ``0 <= first <= end <= nt``, extra node rows or a longer payload
+    raise :class:`TraceFormatError`.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    tag = raw[:64].partition(b"\n")[0].strip()
+    if tag != f"# {TRACE_FORMAT}".encode():
         raise TraceFormatError(
-            f"unsupported trace format {first!r}, expected '# {TRACE_FORMAT}'"
+            f"unsupported trace format {tag.decode('ascii', 'replace')!r}, "
+            f"expected '# {TRACE_FORMAT}'"
         )
+    marker = raw.find(f"\n{_PAYLOAD_MARKER}\n".encode())
+    if marker < 0:
+        raise TraceFormatError(f"trace file has no '{_PAYLOAD_MARKER}' line")
+    try:
+        lines = raw[:marker].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace header or node rows are not ASCII text: {exc}") from None
     header: dict[str, str] = {}
     rows: list[str] = []
     for line in lines[1:]:
@@ -591,58 +632,77 @@ def read_trace_file(path) -> TraceGrid:
         elif line:
             rows.append(line)
 
-    def need(key):
-        if key not in header:
-            raise TraceFormatError(f"trace header is missing '{key}'")
-        return header[key]
-
-    n = int(need("dimension"))
-    kind = need("domain.kind")
-    center = [float(v) for v in need("domain.center").split(",")]
-    axes = [float(v) for v in need("domain.semi_axes").split(",")]
+    n = _header_field(header, "dimension", int)
+    kind = _header_field(header, "domain.kind")
+    center = _header_field(header, "domain.center", _floats)
+    axes = _header_field(header, "domain.semi_axes", _floats)
     if kind == "superellipse":
-        domain = superellipse(center, axes, float(need("domain.exponent")))
+        domain = superellipse(center, axes, _header_field(header, "domain.exponent", float))
     else:
         domain = ellipsoid(center, axes)
-    nt = int(need("time.nt"))
-    times = TimeGrid(t_max=float(need("time.t_max")), nt=nt)
-    num_nodes = int(need("nodes"))
+    nt = _header_field(header, "time.nt", int)
+    times = TimeGrid(t_max=_header_field(header, "time.t_max", float), nt=nt)
+    num_nodes = _header_field(header, "nodes", int)
     params = SolverParams(
-        h_t=float(need("solver.h_t")),
-        radial_quad=int(need("solver.radial_quad")),
-        table_points=int(need("solver.table_points")),
+        h_t=_header_field(header, "solver.h_t", float),
+        radial_quad=_header_field(header, "solver.radial_quad", int),
+        table_points=_header_field(header, "solver.table_points", int),
     )
 
     if len(rows) < num_nodes:
-        raise InsufficientDataError(
-            f"trace file holds time samples for {len(rows)} of {num_nodes} nodes"
-        )
+        raise InsufficientDataError(f"trace file holds {len(rows)} of {num_nodes} node rows")
     if len(rows) > num_nodes:
         raise TraceFormatError(f"trace file holds {len(rows)} node rows, header says {num_nodes}")
-    width = 2 * n + 1 + nt
-    for j, row in enumerate(rows):
-        got = row.count(",") + 1
-        if got < width:
-            raise InsufficientDataError(
-                f"node {j} has {max(got - 2 * n - 1, 0)} of {nt} time samples in the trace file"
-            )
-        if got > width:
-            raise TraceFormatError(f"node row {j} has {got} values, expected {width}")
+    width = 2 * n + 3
     try:
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise TraceFormatError(f"trace rows malformed: {exc}") from None
+        raise TraceFormatError(f"trace node rows malformed: {exc}") from None
+    if data.shape[1] != width:
+        raise TraceFormatError(f"trace node rows have {data.shape[1]} values, expected {width}")
+    first, end = data[:, -2], data[:, -1]
+    bad = ~(
+        (0 <= first) & (first <= end) & (end <= nt)
+        & (first == np.trunc(first)) & (end == np.trunc(end))
+    )
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise TraceFormatError(
+            f"node row {j} has the span [{_fmt(first[j])}, {_fmt(end[j])}), "
+            f"not integers with 0 <= first <= end <= {nt}"
+        )
+    first, end = first.astype(np.intp), end.astype(np.intp)
+    start = marker + len(_PAYLOAD_MARKER) + 2
+    got, want = len(raw) - start, 8 * int(np.sum(end - first))
+    if got < want:
+        raise InsufficientDataError(
+            f"trace payload holds {got // 8} of the {want // 8} time samples of the node spans"
+        )
+    if got > want:
+        raise TraceFormatError(f"trace payload holds {got} bytes, the node spans need {want}")
+    spans = np.frombuffer(raw, dtype="<f8", offset=start)
+    try:
+        values = np.zeros((num_nodes, nt))
+    except MemoryError:
+        # empty spans take no bytes, so only the header bounds nt
+        raise TraceFormatError(
+            f"trace header asks for {num_nodes} x {nt} trace values, more than can be allocated"
+        ) from None
+    at = 0
+    for row, a, z in zip(values, first.tolist(), end.tolist()):
+        row[a:z] = spans[at : at + z - a]
+        at += z - a
     boundary = BoundaryQuadrature(
         data[:, :n].copy(),
         data[:, n : 2 * n].copy(),
         data[:, 2 * n].copy(),
-        int(need("boundary.resolution")),
+        _header_field(header, "boundary.resolution", int),
     )
     return TraceGrid(
         domain=domain,
         boundary=boundary,
         times=times,
-        values=data[:, 2 * n + 1 :].copy(),
+        values=values,
         params=params,
         phantom_hash=header.get("phantom.hash", ""),
     )

@@ -1073,13 +1073,18 @@ def traces_2d_per_node(f, boundary, times, params):
 
 
 def write_trace_file_per_value(path, traces, timestamp=None) -> None:
-    """The trace file as ``forward.write_trace_file`` wrote it before it
-    skipped zeros: the same header, and every value of every row through
-    ``forward._fmt`` one by one."""
+    """The ``neumann-trace/5`` layout built value by value: the header of
+    ``forward.write_trace_file``, each row's span [first, end) found by a
+    scan for the first and the last value that is not +0.0 (``[nt, nt)``
+    when there is none), and every span value packed on its own by
+    ``struct.pack("<d", v)``."""
+    import struct
+
     from neutrace.forward import TRACE_FORMAT, _fmt
 
     d, p = traces.domain, traces.params
     n = d.dimension
+    nt = traces.times.nt
     lines = [f"# {TRACE_FORMAT}"]
     if timestamp:
         lines.append(f"# generated = {timestamp}")
@@ -1091,7 +1096,7 @@ def write_trace_file_per_value(path, traces, timestamp=None) -> None:
         f"# domain.exponent = {_fmt(d.exponent)}",
         f"# boundary.resolution = {traces.boundary.resolution}",
         f"# nodes = {len(traces.boundary)}",
-        f"# time.nt = {traces.times.nt}",
+        f"# time.nt = {nt}",
         f"# time.t_max = {_fmt(traces.times.t_max)}",
         f"# solver.h_t = {_fmt(p.h_t)}",
         f"# solver.radial_quad = {p.radial_quad}",
@@ -1099,13 +1104,20 @@ def write_trace_file_per_value(path, traces, timestamp=None) -> None:
         f"# phantom.hash = {traces.phantom_hash}",
     ]
     cols = [f"y_{i+1}" for i in range(n)] + [f"nu_{i+1}" for i in range(n)]
-    cols += ["weight"] + [f"v_{i}" for i in range(traces.times.nt)]
-    lines.append("# columns: " + ",".join(cols))
+    lines.append("# columns: " + ",".join(cols + ["weight", "first", "end"]))
     b = traces.boundary
-    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in block)
+    payload = []
+    for j in range(len(b)):
+        row = [float(v) for v in traces.values[j]]
+        signed = [i for i, v in enumerate(row) if v != 0.0 or math.copysign(1.0, v) < 0.0]
+        first, end = (signed[0], signed[-1] + 1) if signed else (nt, nt)
+        node = [*b.points[j].tolist(), *b.normals[j].tolist(), float(b.weights[j])]
+        lines.append(",".join(_fmt(v) for v in node) + f",{first},{end}")
+        payload += [struct.pack("<d", v) for v in row[first:end]]
+    lines.append("# payload = <f8")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(b"".join(payload))
 
 
 # ---------------------------------------------------------------------------

@@ -566,10 +566,12 @@ def test_reconstruct_rejects_truncated_trace(tmp_path, capsys):
     fwd_cfg = config_file(tmp_path, FORWARD_3D)
     trace = str(tmp_path / "traces.csv")
     assert run_main(["forward", "--config", fwd_cfg, "--out", trace]) == 0
-    with open(trace) as fh:
-        content = fh.read().splitlines()
-    with open(trace, "w") as fh:
-        fh.write("\n".join(content[:-7]) + "\n")
+    # cut the file inside its binary payload of trace values
+    with open(trace, "rb") as fh:
+        content = fh.read()
+    assert b"\n# payload = <f8\n" in content[:-61]
+    with open(trace, "wb") as fh:
+        fh.write(content[:-61])
     rec_text = (
         FORWARD_3D
         + f"input.trace = {trace}\n"
@@ -578,7 +580,9 @@ def test_reconstruct_rejects_truncated_trace(tmp_path, capsys):
     rec_cfg = config_file(tmp_path, rec_text, name="rec.cfg")
     capsys.readouterr()
     assert run_main(["reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "i.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: trace payload holds")
+    assert err[0].endswith("time samples of the node spans")
 
 
 def test_validate_flow(tmp_path, capsys):

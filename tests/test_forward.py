@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -800,6 +801,47 @@ def test_simulated_traces_equal_the_full_grid_route_bit_for_bit(unit_disk, monke
         assert window == (1, points)
 
 
+def _bump_at_a_pad_column(bq, r_grid, center, rim):
+    """A mu = 1 poly bump about ``center``, whose slope does not vanish at
+    its rim, with, for some node, a table radius r_k within rounding of that
+    node's d - R (``rim`` "lower") or d + R ("upper") that the node's
+    annulus takes by its one-column pad only, and at which the node's circle
+    means of <grad f, nu> are not zero; None if the scan of the nodes and of
+    radii a few ulps around |r_k - d| finds none."""
+    d = forward._distance(bq.points, center)
+    sign = -1.0 if rim == "lower" else 1.0
+    for j, (y, nu) in enumerate(zip(bq.points, bq.normals)):
+        for k in np.searchsorted(r_grid, d[j] + 0.1 * sign) + np.array([-1, 0]):
+            r0 = abs(r_grid[k] - d[j])
+            for s in range(-40, 41):
+                radius = r0 + s * np.spacing(r0)
+                if rim == "lower":
+                    pad_only = np.searchsorted(r_grid, d[j] - radius, side="right") - 1 == k
+                else:
+                    pad_only = np.searchsorted(r_grid, d[j] + radius) == k
+                f = Phantom((Bump(center=center, radius=float(radius), profile="poly", mu=1),))
+                if pad_only and circle_means(f, y, r_grid[k : k + 1], direction=nu)[0] != 0.0:
+                    return f
+    return None
+
+
+@pytest.mark.parametrize("rim", ["lower", "upper"])
+def test_the_annulus_pads_keep_the_means_at_a_bumps_rim(unit_disk, rim):
+    """Each node's annulus is padded by one table column on each side,
+    because ``circle_means`` may find a circle within rounding of a bump's
+    rim to meet the bump where |r - d| < R, computed otherwise, says it does
+    not: with the mean there not zero, the traces still have the bits of the
+    route that took every table on the whole grid."""
+    bq = boundary_quadrature(unit_disk, 12)
+    times = TimeGrid(t_max=4.0, nt=40)
+    params = SolverParams(table_points=1024)
+    r_grid = trace_grid_2d(times, params.resolved(t_scale=times.t_max))
+    f = _bump_at_a_pad_column(bq, r_grid, (0.65, -0.05), rim)
+    assert f is not None
+    got = simulate_traces(f, unit_disk, bq, times, params).values
+    assert_same_bits(got, traces_2d_full_grid(f, bq, times, params))
+
+
 def _terms_on_the_window(times, params, r_grid, c_lo, c_hi):
     """Per block of 32 rows, the (row, time offset, phi node) terms of the
     trace operator with a stencil column k - 1 .. k + 2 in [c_lo, c_hi),
@@ -924,6 +966,36 @@ def _small_traces(f, domain):
     return simulate_traces(f, domain, bq, TimeGrid(t_max=3.0, nt=12))
 
 
+PAYLOAD_MARKER = b"\n# payload = <f8\n"
+
+
+def _split(path):
+    """The text lines of a trace file before its payload marker line, and
+    the payload bytes after it."""
+    text, marker, payload = path.read_bytes().partition(PAYLOAD_MARKER)
+    assert marker
+    return text.decode("ascii").splitlines(), payload
+
+
+def _join(path, lines, payload):
+    path.write_bytes("\n".join(lines).encode() + PAYLOAD_MARKER + payload)
+
+
+def _node_rows(lines):
+    return [l for l in lines if not l.startswith("#")]
+
+
+def _spans(values):
+    """Each row's [first, end): its first and last value that is not +0.0,
+    found by a scan; [nt, nt) for a row of +0.0 only."""
+    nt = values.shape[1]
+    spans = []
+    for row in values.tolist():
+        signed = [i for i, v in enumerate(row) if v != 0.0 or math.copysign(1.0, v) < 0.0]
+        spans.append((signed[0], signed[-1] + 1) if signed else (nt, nt))
+    return spans
+
+
 def _assert_same_traces(back, traces):
     np.testing.assert_array_equal(back.values, traces.values)
     np.testing.assert_array_equal(back.boundary.points, traces.boundary.points)
@@ -954,7 +1026,7 @@ def test_trace_file_round_trip_superellipse_with_timestamp(tmp_path):
     traces = simulate_traces(f, domain, bq, TimeGrid(t_max=4.0, nt=20), params)
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces, timestamp="2026-01-02T03:04:05+00:00")
-    assert "# generated = 2026-01-02T03:04:05+00:00" in path.read_text().splitlines()[:3]
+    assert "# generated = 2026-01-02T03:04:05+00:00" in _split(path)[0][:3]
     back = read_trace_file(path)
     _assert_same_traces(back, traces)
     assert back.domain.kind == "superellipse"
@@ -971,32 +1043,39 @@ def test_3d_trace_file_with_table_points_zero_reads_back(tmp_path, bump3d, unit_
     np.testing.assert_array_equal(zero.values, traces.values)
     path = tmp_path / "traces.csv"
     write_trace_file(path, zero)
-    assert "# solver.table_points = 0" in path.read_text().splitlines()
+    assert "# solver.table_points = 0" in _split(path)[0]
     back = read_trace_file(path)
     _assert_same_traces(back, zero)
     assert back.params.table_points == 0
 
 
 def test_trace_file_layout(tmp_path, bump3d, unit_ball):
+    """Header lines, a columns line, one text row per node ending in its
+    span, the marker line, then the spans as little-endian float64."""
     traces = _small_traces(bump3d, unit_ball)
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/4"
+    lines, payload = _split(path)
+    assert lines[0] == f"# {TRACE_FORMAT}" == "# neumann-trace/5"
     # the traces are exact normal derivatives, and the circle means take a
     # fixed arc rule: no normal step or direction count is recorded
     removed = ("# solver.h_nu", "# solver.nu_order", "# solver.mean_res")
     assert not [l for l in lines if l.startswith(removed)]
     columns = next(l for l in lines if l.startswith("# columns: "))
     names = columns[len("# columns: ") :].split(",")
-    assert names[:7] == ["y_1", "y_2", "y_3", "nu_1", "nu_2", "nu_3", "weight"]
-    assert names[7:] == [f"v_{i}" for i in range(traces.times.nt)]
-    rows = [l for l in lines if not l.startswith("#")]
+    assert names == ["y_1", "y_2", "y_3", "nu_1", "nu_2", "nu_3", "weight", "first", "end"]
+    rows = _node_rows(lines)
     assert len(rows) == len(traces.boundary)
-    assert all(len(r.split(",")) == len(names) for r in rows)
     b = traces.boundary
-    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
-    assert rows == [",".join("%.17g" % v for v in row) for row in block.tolist()]
+    spans = _spans(traces.values)
+    nodes = np.column_stack([b.points, b.normals, b.weights]).tolist()
+    assert rows == [
+        ",".join("%.17g" % v for v in node) + f",{a},{z}" for node, (a, z) in zip(nodes, spans)
+    ]
+    want = [v for row, (a, z) in zip(traces.values.tolist(), spans) for v in row[a:z]]
+    assert payload == struct.pack(f"<{len(want)}d", *want)
+    # most of a 3-D row is +0.0 outside the Huygens band
+    assert len(want) < 0.7 * traces.values.size
 
 
 #: rows with -0.0, all zeros, a trailing zero run, no zeros, and zero runs
@@ -1012,8 +1091,8 @@ ZERO_RUN_ROWS = [
 
 def test_trace_rows_with_zero_runs_read_back_bit_exact(tmp_path, unit_disk):
     """Signed zeros and runs of zeros, which a writer that skips zeros must
-    keep apart, are written as ``"%.17g"`` writes them and read back to the
-    bit."""
+    keep apart, give each row's span from its first to its last value that
+    is not +0.0, and read back to the bit."""
     bq = boundary_quadrature(unit_disk, 8)
     values = np.zeros((len(bq), 6))
     values[: len(ZERO_RUN_ROWS)] = ZERO_RUN_ROWS
@@ -1021,10 +1100,10 @@ def test_trace_rows_with_zero_runs_read_back_bit_exact(tmp_path, unit_disk):
     traces = TraceGrid(unit_disk, bq, TimeGrid(t_max=1.0, nt=6), values, params)
     path = tmp_path / "traces.csv"
     write_trace_file(path, traces)
-    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    block = np.column_stack([bq.points, bq.normals, bq.weights, values])
-    assert rows == [",".join("%.17g" % v for v in row) for row in block.tolist()]
-    assert rows[0].endswith(",-0,0,0,1.5,-0,0")
+    rows = _node_rows(_split(path)[0])
+    ends = [tuple(int(v) for v in row.split(",")[-2:]) for row in rows]
+    assert ends[: len(ZERO_RUN_ROWS)] == [(0, 5), (6, 6), (0, 2), (0, 6), (2, 6)]
+    assert ends[len(ZERO_RUN_ROWS) :] == [(6, 6)] * (len(bq) - len(ZERO_RUN_ROWS))
     back = read_trace_file(path)
     assert back.values.tobytes() == values.tobytes()
 
@@ -1050,8 +1129,9 @@ WRITER_ROWS = {
 
 @pytest.mark.parametrize("case", list(WRITER_ROWS))
 def test_trace_file_bytes_equal_the_per_value_writer(tmp_path, unit_disk, case):
-    """Writing the +0.0 runs at a row's ends as copies of ``_fmt(0.0)``
-    gives the bytes of formatting every value with ``_fmt``."""
+    """Spans found by masks and written from the buffer of the values give
+    the bytes of the writer that scans each row and packs every value on its
+    own, and read back to the bit."""
     bq = boundary_quadrature(unit_disk, 8)
     rows = WRITER_ROWS[case]
     values = np.array([rows[j % len(rows)] for j in range(len(bq))])
@@ -1077,30 +1157,62 @@ def test_simulated_trace_files_equal_the_per_value_writer(tmp_path, bump3d, unit
         assert np.count_nonzero(traces.values == 0.0) > 0.3 * traces.values.size
 
 
-def test_trace_values_go_through_the_one_full_precision_format(
-    tmp_path, monkeypatch, bump3d, unit_ball
-):
-    """The trace writer formats the node columns and every value of a row's
-    span, from its first to its last value that is not +0.0, with ``_fmt``,
-    and writes the +0.0 runs around it as copies of ``_fmt(0.0)``; the body
-    of ``_fmt`` is the one ``"%.17g" % x`` of the module.  A lossy ``_fmt``
-    changes the rows of a trace with non-zero values."""
+def test_a_lossy_format_changes_the_node_rows_read_back(tmp_path, monkeypatch, bump3d, unit_ball):
+    """The floats of the header and the node columns go through ``_fmt``,
+    whose body is the one ``"%.17g" % x`` of the module.  A lossy ``_fmt``
+    changes the node rows, and the nodes read back are not the nodes
+    written, so a bit-exact round-trip check of the nodes sees it."""
     source = Path(forward.__file__).read_text()
     assert len(re.findall(r'"%\.17g" % x', source)) == 1
     traces = _small_traces(bump3d, unit_ball)
-    assert np.count_nonzero(traces.values)
     exact, lossy = tmp_path / "exact.csv", tmp_path / "lossy.csv"
     write_trace_file(exact, traces)
     monkeypatch.setattr(forward, "_fmt", lambda x: "%.12g" % x)
     write_trace_file(lossy, traces)
     monkeypatch.undo()
+    assert _node_rows(_split(exact)[0]) != _node_rows(_split(lossy)[0])
+    _assert_same_traces(read_trace_file(exact), traces)
+    back = read_trace_file(lossy)
+    assert not np.array_equal(back.boundary.points, traces.boundary.points)
 
-    def rows(path):
-        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
-    assert rows(exact) != rows(lossy)
-    np.testing.assert_array_equal(read_trace_file(exact).values, traces.values)
-    assert not np.array_equal(read_trace_file(lossy).values, traces.values)
+def _rewrite_payload(path, edit):
+    lines, payload = _split(path)
+    _join(path, lines, edit(payload))
+
+
+def test_a_float32_payload_is_seen_in_the_values_read_back(tmp_path, bump3d, unit_ball):
+    """Span values kept only to float32 read back as values that are not
+    the traces; packed as 4-byte values, the same spans are a short payload."""
+    traces = _small_traces(bump3d, unit_ball)
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, traces)
+    spans = np.frombuffer(_split(path)[1], dtype="<f8")
+    _rewrite_payload(path, lambda _: spans.astype("<f4").astype("<f8").tobytes())
+    back = read_trace_file(path)
+    assert not np.array_equal(back.values, traces.values)
+    np.testing.assert_array_equal(back.values, traces.values.astype(np.float32))
+    _rewrite_payload(path, lambda _: spans.astype("<f4").tobytes())
+    with pytest.raises(InsufficientDataError, match="time samples"):
+        read_trace_file(path)
+
+
+@pytest.mark.parametrize("byte", [0, 7, -1])
+def test_a_flipped_payload_byte_is_seen_in_the_values_read_back(
+    tmp_path, bump3d, unit_ball, byte
+):
+    traces = _small_traces(bump3d, unit_ball)
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, traces)
+
+    def flip(payload):
+        edited = bytearray(payload)
+        edited[byte] ^= 0x10
+        return bytes(edited)
+
+    _rewrite_payload(path, flip)
+    back = read_trace_file(path)
+    assert np.count_nonzero(back.values != traces.values) == 1
 
 
 def test_trace_file_rejects_foreign_content(tmp_path):
@@ -1110,56 +1222,58 @@ def test_trace_file_rejects_foreign_content(tmp_path):
         read_trace_file(path)
 
 
-def test_trace_file_rejects_the_format_1_tag(tmp_path, bump3d, unit_ball):
+def _format_4_text(traces):
+    """A format-4 file of ``traces``: the same header lines and one text row
+    per node holding every trace value, no spans and no payload."""
+    b = traces.boundary
+    block = np.column_stack([b.points, b.normals, b.weights, traces.values])
+    return [",".join("%.17g" % v for v in row) for row in block.tolist()]
+
+
+@pytest.mark.parametrize(
+    "tag, extra",
+    [
+        ("neumann-trace/1", None),
+        # stencil traces and the normal-step header lines
+        ("neumann-trace/2", "# solver.h_nu = 0.001"),
+        # 2-D means over a uniform rule and its size
+        ("neumann-trace/3", "# solver.mean_res = 32"),
+        # every trace value as text in its node's row
+        ("neumann-trace/4", None),
+    ],
+)
+def test_trace_file_rejects_earlier_format_tags(tmp_path, bump3d, unit_ball, tag, extra):
+    """Files of earlier formats are refused by their tag, with the format
+    that is read named."""
+    traces = _small_traces(bump3d, unit_ball)
     path = tmp_path / "traces.csv"
-    write_trace_file(path, _small_traces(bump3d, unit_ball))
-    text = path.read_text().replace("# neumann-trace/4", "# neumann-trace/1", 1)
-    path.write_text(text)
-    with pytest.raises(TraceFormatError, match="neumann-trace/4"):
-        read_trace_file(path)
-
-
-def test_trace_file_rejects_the_format_2_tag(tmp_path, bump3d, unit_ball):
-    """A format-2 file holds stencil traces and the normal-step header lines;
-    it is refused by its tag, with the format that is read named."""
-    path = tmp_path / "traces.csv"
-    write_trace_file(path, _small_traces(bump3d, unit_ball))
-    lines = path.read_text().splitlines()
-    lines[0] = "# neumann-trace/2"
-    lines.insert(1, "# solver.h_nu = 0.001")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match="expected '# neumann-trace/4'"):
-        read_trace_file(path)
-
-
-def test_trace_file_rejects_the_format_3_tag(tmp_path, bump3d, unit_ball):
-    """A format-3 file holds 2-D traces from circle means over a uniform
-    rule and its ``solver.mean_res`` header line; it is refused by its tag."""
-    path = tmp_path / "traces.csv"
-    write_trace_file(path, _small_traces(bump3d, unit_ball))
-    lines = path.read_text().splitlines()
-    lines[0] = "# neumann-trace/3"
-    lines.insert(1, "# solver.mean_res = 32")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match="expected '# neumann-trace/4'"):
+    write_trace_file(path, traces)
+    lines = [l for l in _split(path)[0] if not l.startswith("# columns: ")]
+    header = [l for l in lines if l.startswith("#")]
+    header[0] = f"# {tag}"
+    if extra:
+        header.insert(1, extra)
+    path.write_text("\n".join(header + _format_4_text(traces)) + "\n")
+    with pytest.raises(TraceFormatError, match=f"expected '# neumann-trace/5'"):
         read_trace_file(path)
 
 
 def _edit_row(path, index, edit):
-    lines = path.read_text().splitlines()
+    lines, payload = _split(path)
     rows = [i for i, l in enumerate(lines) if not l.startswith("#")]
     lines[rows[index]] = edit(lines[rows[index]])
-    path.write_text("\n".join(lines) + "\n")
+    _join(path, lines, payload)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda row: row + ",0.5", "has 20 values, expected 19"),
+        (lambda row: row + ",0.5", "malformed"),
         (lambda row: row.replace(",", ",abc,", 1).rsplit(",", 1)[0], "malformed"),
         (lambda row: row.replace(",", ",,", 1).rsplit(",", 1)[0], "malformed"),
+        (lambda row: row.rsplit(",", 1)[0], "malformed"),
     ],
-    ids=["ragged", "non-numeric", "empty-field"],
+    ids=["ragged", "non-numeric", "empty-field", "short"],
 )
 def test_trace_file_malformed_row(tmp_path, bump3d, unit_ball, edit, message):
     path = tmp_path / "traces.csv"
@@ -1169,29 +1283,106 @@ def test_trace_file_malformed_row(tmp_path, bump3d, unit_ball, edit, message):
         read_trace_file(path)
 
 
-def test_trace_file_short_row(tmp_path, bump3d, unit_ball):
+def test_trace_file_rejects_node_rows_of_the_wrong_width(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(bump3d, unit_ball))
-    _edit_row(path, 3, lambda row: row.rsplit(",", 2)[0])
-    with pytest.raises(InsufficientDataError, match="node 3 has 10 of 12 time samples"):
+    for j in range(len(_node_rows(_split(path)[0]))):
+        _edit_row(path, j, lambda row: row + ",0")
+    with pytest.raises(TraceFormatError, match="have 10 values, expected 9"):
+        read_trace_file(path)
+
+
+@pytest.mark.parametrize(
+    "span",
+    [(5, 4), (0, 13), (-1, 4), (2.5, 4), (2, 4.5), ("nan", 4)],
+    ids=["first-after-end", "end-after-nt", "negative", "first-non-integer", "end-non-integer",
+         "nan"],
+)
+def test_trace_file_rejects_a_bad_span(tmp_path, bump3d, unit_ball, span):
+    """A span that is not integers with 0 <= first <= end <= nt is refused,
+    whatever the payload, before any of it is read."""
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    _edit_row(path, 3, lambda row: ",".join(row.split(",")[:-2] + [str(v) for v in span]))
+    with pytest.raises(TraceFormatError, match="node row 3 has the span"):
+        read_trace_file(path)
+
+
+def test_trace_file_payload_one_value_short_or_long(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines, payload = _split(path)
+    _join(path, lines, payload[:-8])
+    with pytest.raises(InsufficientDataError, match="time samples"):
+        read_trace_file(path)
+    _join(path, lines, payload + payload[-8:])
+    with pytest.raises(TraceFormatError, match="payload"):
+        read_trace_file(path)
+
+
+def test_trace_file_rejects_a_time_grid_too_large_to_allocate(tmp_path, unit_ball):
+    """Rows of +0.0 only take no payload bytes, so a header can claim any
+    time.nt; one too large to allocate is refused as a format error."""
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(Phantom(()), unit_ball))
+    lines, payload = _split(path)
+    huge = 10**13
+    lines = [l.replace(",12,12", f",{huge},{huge}") for l in lines]
+    lines = [f"# time.nt = {huge}" if l.startswith("# time.nt = ") else l for l in lines]
+    rows = _node_rows(lines)
+    assert payload == b"" and all(r.endswith(f",{huge},{huge}") for r in rows)
+    _join(path, lines, payload)
+    with pytest.raises(TraceFormatError, match="more than can be allocated"):
         read_trace_file(path)
 
 
 def test_trace_file_rejects_extra_node_rows(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(bump3d, unit_ball))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines + lines[-1:]) + "\n")
+    lines, payload = _split(path)
+    _join(path, lines + lines[-1:], payload)
     with pytest.raises(TraceFormatError, match="node rows"):
+        read_trace_file(path)
+
+
+def test_trace_file_missing_node_rows(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines, payload = _split(path)
+    _join(path, lines[:-3], payload)
+    with pytest.raises(InsufficientDataError, match="node rows"):
         read_trace_file(path)
 
 
 def test_trace_file_missing_header_key(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(bump3d, unit_ball))
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("# time.nt")]
-    path.write_text("\n".join(lines) + "\n")
+    lines, payload = _split(path)
+    _join(path, [l for l in lines if not l.startswith("# time.nt")], payload)
     with pytest.raises(TraceFormatError, match="missing 'time.nt'"):
+        read_trace_file(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("time.nt", "forty"),
+        ("nodes", "1.5"),
+        ("domain.center", "0, zero, 0"),
+        ("time.t_max", "soon"),
+        ("solver.h_t", ""),
+    ],
+    ids=["int", "int-non-integer", "float-list", "float", "float-empty"],
+)
+def test_trace_file_rejects_a_header_value_that_does_not_parse(
+    tmp_path, bump3d, unit_ball, key, value
+):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines, payload = _split(path)
+    lines = [f"# {key} = {value}" if l.startswith(f"# {key} = ") else l for l in lines]
+    _join(path, lines, payload)
+    with pytest.raises(TraceFormatError, match=f"'{key}' has a malformed value"):
         read_trace_file(path)
 
 
@@ -1200,18 +1391,36 @@ def test_a_superellipse_trace_header_needs_its_exponent(tmp_path):
     key named, not read back as the p = 2 of an ellipse."""
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(Phantom(()), superellipse((0.0, 0.0), (1.2, 0.9), 4.0)))
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("# domain.exponent")]
-    path.write_text("\n".join(lines) + "\n")
+    lines, payload = _split(path)
+    _join(path, [l for l in lines if not l.startswith("# domain.exponent")], payload)
     with pytest.raises(TraceFormatError, match="missing 'domain.exponent'"):
         read_trace_file(path)
 
 
-def test_trace_file_truncated_rows(tmp_path, bump3d, unit_ball):
+def test_trace_file_truncated_in_the_payload(tmp_path, bump3d, unit_ball):
     path = tmp_path / "traces.csv"
     write_trace_file(path, _small_traces(bump3d, unit_ball))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-5]) + "\n")
-    with pytest.raises(InsufficientDataError, match="time samples"):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-43])
+    with pytest.raises(InsufficientDataError, match="6 of the"):
+        read_trace_file(path)
+
+
+def test_trace_file_truncated_before_the_payload(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    raw = path.read_bytes()
+    path.write_bytes(raw[: raw.index(PAYLOAD_MARKER) + 5])
+    with pytest.raises(TraceFormatError, match="no '# payload = <f8' line"):
+        read_trace_file(path)
+
+
+def test_trace_file_rejects_text_that_is_not_ascii(tmp_path, bump3d, unit_ball):
+    path = tmp_path / "traces.csv"
+    write_trace_file(path, _small_traces(bump3d, unit_ball))
+    lines, payload = _split(path)
+    _join(path, [lines[0], "# note = été", *lines[1:]], payload)
+    with pytest.raises(TraceFormatError, match="not ASCII"):
         read_trace_file(path)
 
 
