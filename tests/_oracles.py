@@ -1072,11 +1072,21 @@ def traces_2d_per_node(f, boundary, times, params):
     return out, tables
 
 
+def trace_spans_by_scan(values):
+    """Each row's [first, end): its first and last value that is not +0.0,
+    found by a scan of the row; [nt, nt) for a row of +0.0 only."""
+    nt = values.shape[1]
+    spans = []
+    for row in values.tolist():
+        signed = [i for i, v in enumerate(row) if v != 0.0 or math.copysign(1.0, v) < 0.0]
+        spans.append((signed[0], signed[-1] + 1) if signed else (nt, nt))
+    return spans
+
+
 def write_trace_file_per_value(path, traces, timestamp=None) -> None:
     """The ``neumann-trace/5`` layout built value by value: the header of
-    ``forward.write_trace_file``, each row's span [first, end) found by a
-    scan for the first and the last value that is not +0.0 (``[nt, nt)``
-    when there is none), and every span value packed on its own by
+    ``forward.write_trace_file``, each row's span from
+    :func:`trace_spans_by_scan`, and every span value packed on its own by
     ``struct.pack("<d", v)``."""
     import struct
 
@@ -1107,10 +1117,8 @@ def write_trace_file_per_value(path, traces, timestamp=None) -> None:
     lines.append("# columns: " + ",".join(cols + ["weight", "first", "end"]))
     b = traces.boundary
     payload = []
-    for j in range(len(b)):
+    for j, (first, end) in enumerate(trace_spans_by_scan(traces.values)):
         row = [float(v) for v in traces.values[j]]
-        signed = [i for i, v in enumerate(row) if v != 0.0 or math.copysign(1.0, v) < 0.0]
-        first, end = (signed[0], signed[-1] + 1) if signed else (nt, nt)
         node = [*b.points[j].tolist(), *b.normals[j].tolist(), float(b.weights[j])]
         lines.append(",".join(_fmt(v) for v in node) + f",{first},{end}")
         payload += [struct.pack("<d", v) for v in row[first:end]]

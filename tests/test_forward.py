@@ -17,6 +17,7 @@ from _oracles import (
     trace_grid_2d,
     trace_operator_2d_int64,
     trace_operator_blocks_full_columns,
+    trace_spans_by_scan,
     trace_table_2d_row,
     traces_2d_direct,
     traces_2d_full_grid,
@@ -985,17 +986,6 @@ def _node_rows(lines):
     return [l for l in lines if not l.startswith("#")]
 
 
-def _spans(values):
-    """Each row's [first, end): its first and last value that is not +0.0,
-    found by a scan; [nt, nt) for a row of +0.0 only."""
-    nt = values.shape[1]
-    spans = []
-    for row in values.tolist():
-        signed = [i for i, v in enumerate(row) if v != 0.0 or math.copysign(1.0, v) < 0.0]
-        spans.append((signed[0], signed[-1] + 1) if signed else (nt, nt))
-    return spans
-
-
 def _assert_same_traces(back, traces):
     np.testing.assert_array_equal(back.values, traces.values)
     np.testing.assert_array_equal(back.boundary.points, traces.boundary.points)
@@ -1067,7 +1057,7 @@ def test_trace_file_layout(tmp_path, bump3d, unit_ball):
     rows = _node_rows(lines)
     assert len(rows) == len(traces.boundary)
     b = traces.boundary
-    spans = _spans(traces.values)
+    spans = trace_spans_by_scan(traces.values)
     nodes = np.column_stack([b.points, b.normals, b.weights]).tolist()
     assert rows == [
         ",".join("%.17g" % v for v in node) + f",{a},{z}" for node, (a, z) in zip(nodes, spans)
@@ -1161,7 +1151,8 @@ def test_a_lossy_format_changes_the_node_rows_read_back(tmp_path, monkeypatch, b
     """The floats of the header and the node columns go through ``_fmt``,
     whose body is the one ``"%.17g" % x`` of the module.  A lossy ``_fmt``
     changes the node rows, and the nodes read back are not the nodes
-    written, so a bit-exact round-trip check of the nodes sees it."""
+    written, so a bit-exact round-trip check of the nodes sees it; the
+    trace values do not go through it."""
     source = Path(forward.__file__).read_text()
     assert len(re.findall(r'"%\.17g" % x', source)) == 1
     traces = _small_traces(bump3d, unit_ball)
@@ -1174,6 +1165,7 @@ def test_a_lossy_format_changes_the_node_rows_read_back(tmp_path, monkeypatch, b
     _assert_same_traces(read_trace_file(exact), traces)
     back = read_trace_file(lossy)
     assert not np.array_equal(back.boundary.points, traces.boundary.points)
+    np.testing.assert_array_equal(back.values, traces.values)
 
 
 def _rewrite_payload(path, edit):
